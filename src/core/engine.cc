@@ -509,9 +509,9 @@ Result<std::vector<BigInt>> SknnEngine::TakeC2Outbox(ProtoContext& ctx,
 OpSnapshot SknnEngine::TakeC2QueryOps(ProtoContext& ctx, uint64_t query_id) {
   if (c2_ != nullptr) return c2_->TakeQueryOps(query_id);
   auto resp = ctx.Call(Op::kFetchQueryOps, {});
-  if (!resp.ok() || resp->aux.size() < 32) return {};
+  if (!resp.ok() || resp->aux.size() < 40) return {};
   return {resp->AuxU64At(0), resp->AuxU64At(8), resp->AuxU64At(16),
-          resp->AuxU64At(24)};
+          resp->AuxU64At(24), resp->AuxU64At(32)};
 }
 
 Result<QueryResponse> SknnEngine::ExecuteQuery(const QueryRequest& request) {

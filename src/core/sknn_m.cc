@@ -72,7 +72,8 @@ Result<std::vector<EncryptedBits>> PrepareDistanceBits(
     const std::size_t gidx =
         global_indices != nullptr ? (*global_indices)[i] : i;
     for (unsigned g = idx_bits; g-- > 0;) {
-      aug.push_back(pk.Encrypt(BigInt(int64_t{(gidx >> g) & 1}), rng));
+      const int64_t bit = static_cast<int64_t>((gidx >> g) & 1);
+      aug.push_back(pk.Encrypt(BigInt(bit), rng));
     }
     bits[i] = std::move(aug);
   });

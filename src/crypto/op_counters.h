@@ -2,6 +2,9 @@
 // the paper states costs in numbers of encryptions, decryptions and
 // exponentiations. Benchmarks enable these to verify e.g. that SkNN_m is
 // bounded by O(n * (l + m + k*l*log2 n)) encryptions/exponentiations.
+// The paper negates by an exponentiation, Epk(x)^(N-1); this library
+// negates by a modular inversion and counts it as one, so the paper's
+// exponentiation count is exponentiations + inversions.
 #ifndef SKNN_CRYPTO_OP_COUNTERS_H_
 #define SKNN_CRYPTO_OP_COUNTERS_H_
 
@@ -16,16 +19,17 @@ struct OpSnapshot {
   uint64_t decryptions = 0;
   uint64_t exponentiations = 0;  // ciphertext^scalar (homomorphic scalar mul)
   uint64_t multiplications = 0;  // ciphertext*ciphertext (homomorphic add)
+  uint64_t inversions = 0;       // ciphertext^-1 mod N^2 (homomorphic negate)
 
   OpSnapshot operator-(const OpSnapshot& o) const {
     return {encryptions - o.encryptions, decryptions - o.decryptions,
             exponentiations - o.exponentiations,
-            multiplications - o.multiplications};
+            multiplications - o.multiplications, inversions - o.inversions};
   }
   OpSnapshot operator+(const OpSnapshot& o) const {
     return {encryptions + o.encryptions, decryptions + o.decryptions,
             exponentiations + o.exponentiations,
-            multiplications + o.multiplications};
+            multiplications + o.multiplications, inversions + o.inversions};
   }
   std::string ToString() const;
 };
@@ -37,16 +41,9 @@ struct OpSnapshot {
 /// meter).
 class OpAccumulator {
  public:
-  void Add(uint64_t enc, uint64_t dec, uint64_t exp, uint64_t mul) {
-    enc_.fetch_add(enc, kOrder);
-    dec_.fetch_add(dec, kOrder);
-    exp_.fetch_add(exp, kOrder);
-    mul_.fetch_add(mul, kOrder);
-  }
-
   OpSnapshot snapshot() const {
     return {enc_.load(kOrder), dec_.load(kOrder), exp_.load(kOrder),
-            mul_.load(kOrder)};
+            mul_.load(kOrder), inv_.load(kOrder)};
   }
 
  private:
@@ -56,6 +53,7 @@ class OpAccumulator {
   std::atomic<uint64_t> dec_{0};
   std::atomic<uint64_t> exp_{0};
   std::atomic<uint64_t> mul_{0};
+  std::atomic<uint64_t> inv_{0};
 };
 
 /// \brief Process-wide relaxed-atomic counters; negligible overhead next to
@@ -81,10 +79,14 @@ class OpCounters {
     mul_.fetch_add(1, kOrder);
     if (sink_ != nullptr) sink_->mul_.fetch_add(1, kOrder);
   }
+  static void CountInversion() {
+    inv_.fetch_add(1, kOrder);
+    if (sink_ != nullptr) sink_->inv_.fetch_add(1, kOrder);
+  }
 
   static OpSnapshot Snapshot() {
     return {enc_.load(kOrder), dec_.load(kOrder), exp_.load(kOrder),
-            mul_.load(kOrder)};
+            mul_.load(kOrder), inv_.load(kOrder)};
   }
   static void Reset();
 
@@ -103,6 +105,7 @@ class OpCounters {
   static std::atomic<uint64_t> dec_;
   static std::atomic<uint64_t> exp_;
   static std::atomic<uint64_t> mul_;
+  static std::atomic<uint64_t> inv_;
   static thread_local OpAccumulator* sink_;
 };
 

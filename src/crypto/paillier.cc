@@ -214,7 +214,12 @@ Ciphertext PaillierPublicKey::MulScalar(const Ciphertext& a,
 }
 
 Ciphertext PaillierPublicKey::Negate(const Ciphertext& a) const {
-  return MulScalar(a, n_ - BigInt(1));
+  OpCounters::CountInversion();
+  Result<BigInt> inverse = a.value().InvMod(n_squared_);
+  // A non-unit is no ciphertext and has no inverse; map it to 0, which is
+  // no ciphertext either, so the fault stays visible downstream.
+  if (!inverse.ok()) return Ciphertext(BigInt(0));
+  return Ciphertext(std::move(inverse).value());
 }
 
 Ciphertext PaillierPublicKey::Sub(const Ciphertext& a,

@@ -5,6 +5,7 @@
 //   Epk(a+b) = Epk(a) * Epk(b)        mod N^2   (homomorphic addition)
 //   Epk(a*b) = Epk(a)^b               mod N^2   (homomorphic scalar multiply)
 //   Epk(-a)  = Epk(a)^(N-1)           mod N^2   ("N - x is -x under Z_N")
+//            = Epk(a)^(-1)            mod N^2   (what Negate computes)
 //
 // Implementation notes:
 //  * g = N + 1, so encryption is c = (1 + mN) * r^N mod N^2 — one modexp.
@@ -237,7 +238,12 @@ class PaillierPublicKey {
   Ciphertext AddPlain(const Ciphertext& a, const BigInt& m) const;
   /// \brief Epk(a * s) from Epk(a) and plaintext scalar s (reduced mod N).
   Ciphertext MulScalar(const Ciphertext& a, const BigInt& s) const;
-  /// \brief Epk(-a) = Epk(a)^(N-1).
+  /// \brief Epk(-a) as the inverse Epk(a)^(-1) mod N^2: one modular
+  /// inversion (counted as an inversion), not the paper's |N|-bit
+  /// exponentiation Epk(a)^(N-1). Both are public, deterministic functions
+  /// of `a` that encrypt -a; the inverse's randomizer r^(-1) is uniform
+  /// whenever r is (docs/CRYPTO.md, "Negation by inversion"). A value
+  /// outside Z*_{N^2} has no inverse and yields the non-ciphertext 0.
   Ciphertext Negate(const Ciphertext& a) const;
   /// \brief Epk(a - b).
   Ciphertext Sub(const Ciphertext& a, const Ciphertext& b) const;

@@ -118,6 +118,7 @@ Message EncodeShardCandidates(const ShardCandidatesFrame& frame) {
   msg.AppendAuxU64(frame.ops.decryptions);
   msg.AppendAuxU64(frame.ops.exponentiations);
   msg.AppendAuxU64(frame.ops.multiplications);
+  msg.AppendAuxU64(frame.ops.inversions);
   msg.ints.reserve(count * (bits_per + m) + c.distances.size());
   for (const auto& bits : c.bits) {
     for (const auto& b : bits) msg.ints.push_back(b.value());
@@ -148,8 +149,8 @@ Result<ShardCandidatesFrame> DecodeShardCandidates(const Message& msg) {
   }
   const std::size_t index_count = has_distances ? count : 0;
   // Header, per-candidate global indices (basic only), seconds, 4 traffic
-  // counters, 4 op counters.
-  if (msg.aux.size() != 16 + index_count * 4 + (1 + 4 + 4) * 8) {
+  // counters, 5 op counters.
+  if (msg.aux.size() != 16 + index_count * 4 + (1 + 4 + 5) * 8) {
     return BadFrame("candidates aux geometry mismatch");
   }
   const std::size_t want_ints =
@@ -199,6 +200,7 @@ Result<ShardCandidatesFrame> DecodeShardCandidates(const Message& msg) {
   frame.ops.decryptions = msg.AuxU64At(tail + 48);
   frame.ops.exponentiations = msg.AuxU64At(tail + 56);
   frame.ops.multiplications = msg.AuxU64At(tail + 64);
+  frame.ops.inversions = msg.AuxU64At(tail + 72);
   return frame;
 }
 

@@ -98,6 +98,7 @@ Result<Message> C2Service::Dispatch(const Message& request) {
       resp.AppendAuxU64(ops.decryptions);
       resp.AppendAuxU64(ops.exponentiations);
       resp.AppendAuxU64(ops.multiplications);
+      resp.AppendAuxU64(ops.inversions);
       return resp;
     }
     case Op::kFetchPoolStats: {

@@ -3,9 +3,31 @@
 #include <string>
 
 namespace sknn {
+namespace {
+
+/// True for the opcodes whose response ints are ciphertexts C1 goes on
+/// computing with (and so negates, i.e. inverts mod N^2).
+bool ReturnsCiphertexts(uint16_t type) {
+  switch (static_cast<Op>(type)) {
+    case Op::kSmBatch:
+    case Op::kSmVec:
+    case Op::kLsbBatch:
+    case Op::kLsbVec:
+    case Op::kSminPhase2Batch:
+    case Op::kSminPhase2Vec:
+    case Op::kMinPointerBatch:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
 
 Result<Message> ProtoContext::Exchange(Message request) {
   request.query_id = query_id_;
+  const uint16_t request_type = request.type;
+  const bool want_ciphertexts = ReturnsCiphertexts(request_type);
   const std::size_t request_bytes = request.WireSize();
   std::chrono::milliseconds timeout{0};  // 0 = wait forever
   if (has_deadline_) {
@@ -23,6 +45,15 @@ Result<Message> ProtoContext::Exchange(Message request) {
   if (resp.type == OpCode(Op::kError)) {
     return Status::ProtocolError(
         "C2 error: " + std::string(resp.aux.begin(), resp.aux.end()));
+  }
+  if (want_ciphertexts) {
+    for (const BigInt& c : resp.ints) {
+      if (!pk_->IsValidCiphertext(Ciphertext(c))) {
+        return Status::ProtocolError(
+            "C2 returned a value outside Z*_{N^2} for opcode " +
+            std::to_string(request_type));
+      }
+    }
   }
   return resp;
 }

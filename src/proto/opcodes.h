@@ -72,10 +72,11 @@ enum class Op : uint16_t {
   kSminPhase2Vec = 12,
 
   /// Drains C2's Paillier-operation ledger entry for the tagged query:
-  /// response aux = 4 little-endian u64 (encryptions, decryptions,
-  /// exponentiations, multiplications). Issued by a C1 front end running
-  /// against a REMOTE C2 (engine CreateWithRemoteC2) after the protocol
-  /// finishes, so QueryResponse::ops stays exact across process boundaries.
+  /// response aux = 5 little-endian u64 (encryptions, decryptions,
+  /// exponentiations, multiplications, inversions). Issued by a C1 front
+  /// end running against a REMOTE C2 (engine CreateWithRemoteC2) after the
+  /// protocol finishes, so QueryResponse::ops stays exact across process
+  /// boundaries.
   kFetchQueryOps = 13,
 
   /// Drains nothing: reports C2's randomizer-pool effectiveness counters.

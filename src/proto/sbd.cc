@@ -44,7 +44,7 @@ Result<std::vector<std::vector<Ciphertext>>> DecomposePass(
     // Steps 3-4: recover the encrypted LSB and shift right. With b = the
     // mask's parity (known to C1): lsb = b + (-1)^b * parity, i.e. parity
     // itself for even masks and its complement for odd ones. Both branches
-    // are computed through the same formula (1 enc + 1 exp + 1 mul) so the
+    // compute Epk(-parity) and then select (1 enc + 1 inv + 1 mul), so the
     // operation count is independent of the secret coin — no cost side
     // channel, and deterministic complexity accounting.
     std::vector<BigInt> parity_bits(count);
@@ -55,9 +55,9 @@ Result<std::vector<std::vector<Ciphertext>>> DecomposePass(
         pk.EncryptMany(parity_bits, ctx.pool());
     ctx.ForEach(count, [&](std::size_t i) {
       Ciphertext parity(parities[i]);
-      const bool odd = masks[i].IsOdd();
-      BigInt sign = odd ? n - BigInt(1) : BigInt(1);
-      Ciphertext lsb = pk.Add(enc_bits[i], pk.MulScalar(parity, sign));
+      Ciphertext neg_parity = pk.Negate(parity);
+      Ciphertext lsb =
+          pk.Add(enc_bits[i], masks[i].IsOdd() ? neg_parity : parity);
       bits_lsb_first[i][t] = lsb;
       current[i] = pk.MulScalar(pk.Sub(current[i], lsb), inv2);
     });

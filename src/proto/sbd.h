@@ -8,7 +8,7 @@
 //   1. C1 blinds:  Y = Epk(z) * Epk(r),  r uniform in Z_N.
 //   2. C2 returns a fresh encryption of parity(z + r mod N).
 //   3. C1 un-flips the parity if r is odd:  Epk(lsb) or Epk(1 - lsb).
-//   4. C1 shifts:  Epk(z) <- (Epk(z) * Epk(lsb)^{N-1})^{2^{-1} mod N}.
+//   4. C1 shifts:  Epk(z) <- (Epk(z) * Epk(-lsb))^{2^{-1} mod N}.
 //
 // Step 2 is wrong exactly when z + r wraps around N (probability < 2^l / N,
 // N is odd so the wrap flips parity) — hence the verification round (SVR):

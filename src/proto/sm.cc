@@ -39,17 +39,21 @@ Result<std::vector<Ciphertext>> SecureMultiplyBatch(
                       /*out_arity=*/1));
 
   // Step 3: strip the cross terms:
-  //   Epk(ab) = h' * Epk(a)^{N-rb} * Epk(b)^{N-ra} * Epk(ra*rb)^{N-1}.
-  std::vector<BigInt> cross_plain(count);
+  //   Epk(ab) = h' * Epk(a)^{N-rb} * Epk(b)^{N-ra} * Epk(-ra*rb).
+  // C1 knows ra*rb, so it encrypts -ra*rb mod N directly rather than
+  // raising Epk(ra*rb) to N-1 as Algorithm 1 does: same encryption count,
+  // one exponentiation fewer, and the randomizer is fresh.
+  std::vector<BigInt> neg_cross_plain(count);
   for (std::size_t i = 0; i < count; ++i) {
-    cross_plain[i] = ra[i].MulMod(rb[i], n);
+    neg_cross_plain[i] = n - ra[i].MulMod(rb[i], n);
   }
-  std::vector<Ciphertext> cross = pk.EncryptMany(cross_plain, ctx.pool());
+  std::vector<Ciphertext> neg_cross =
+      pk.EncryptMany(neg_cross_plain, ctx.pool());
   std::vector<Ciphertext> out(count);
   ctx.ForEach(count, [&](std::size_t i) {
     Ciphertext s = pk.Add(Ciphertext(h[i]), pk.MulScalar(eas[i], n - rb[i]));
     Ciphertext s_prime = pk.Add(s, pk.MulScalar(ebs[i], n - ra[i]));
-    out[i] = pk.Add(s_prime, pk.MulScalar(cross[i], n - BigInt(1)));
+    out[i] = pk.Add(s_prime, neg_cross[i]);
   });
   return out;
 }

@@ -41,7 +41,6 @@ Result<std::vector<EncryptedBits>> SecureMinBatch(
   const PaillierPublicKey& pk = ctx.pk();
   const BigInt& n = pk.n();
   const BigInt n_minus_1 = n - BigInt(1);
-  const BigInt n_minus_2 = n - BigInt(2);
 
   // -- Round trip 1: Epk(u_i * v_i) for every pair and bit via batched SM.
   std::vector<Ciphertext> flat_u(count * l), flat_v(count * l);
@@ -89,7 +88,7 @@ Result<std::vector<EncryptedBits>> SecureMinBatch(
 
       // G_i = Epk(u_i XOR v_i) = Epk(u_i + v_i - 2 u_i v_i).
       Ciphertext g =
-          pk.Add(pk.Add(ui, vi), pk.MulScalar(uivi, n_minus_2));
+          pk.Add(pk.Add(ui, vi), pk.Negate(pk.Add(uivi, uivi)));
       // H_i = H_{i-1}^{r_i} * G_i with r_i nonzero: preserves the first
       // Epk(1), randomizes everything after it.
       Ciphertext h = pk.Add(pk.MulScalar(h_prev, rng.NonZeroBelow(n)), g);

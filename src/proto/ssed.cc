@@ -17,11 +17,14 @@ Result<std::vector<Ciphertext>> SecureSquaredDistanceBatch(
   }
   const PaillierPublicKey& pk = ctx.pk();
 
-  // Step 1: Epk(x_i - y_i) for every record and attribute, locally.
+  // Step 1: Epk(x_i - y_i) for every record and attribute, locally. The
+  // query is negated once, not once per record.
+  std::vector<Ciphertext> neg_query(m);
+  for (std::size_t j = 0; j < m; ++j) neg_query[j] = pk.Negate(query[j]);
   std::vector<Ciphertext> diffs(n * m);
   ctx.ForEach(n, [&](std::size_t i) {
     for (std::size_t j = 0; j < m; ++j) {
-      diffs[i * m + j] = pk.Sub(records[i][j], query[j]);
+      diffs[i * m + j] = pk.Add(records[i][j], neg_query[j]);
     }
   });
 

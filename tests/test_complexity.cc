@@ -1,7 +1,8 @@
 // Complexity-accounting tests — Section 4.4 made executable.
 //
 // The paper bounds each protocol in counts of Paillier encryptions,
-// decryptions and exponentiations. These tests measure the actual counters
+// decryptions and exponentiations; the paper's negations (Epk(x)^(N-1))
+// are counted here as inversions. These tests measure the actual counters
 // and check the claimed growth laws *exactly*, using the fact that a
 // function is linear iff its second differences vanish:
 //   * SM / SBOR: constant ops per instance;
@@ -29,23 +30,28 @@ namespace sknn {
 namespace {
 
 struct Ops {
-  uint64_t enc, dec, exp, mul;
+  uint64_t enc, dec, exp, mul, inv;
   bool operator==(const Ops&) const = default;
 };
+
+Ops FromSnapshot(const OpSnapshot& s) {
+  return {s.encryptions, s.decryptions, s.exponentiations, s.multiplications,
+          s.inversions};
+}
 
 Ops Measure(const std::function<void()>& fn) {
   OpSnapshot before = OpCounters::Snapshot();
   fn();
-  OpSnapshot d = OpCounters::Snapshot() - before;
-  return {d.encryptions, d.decryptions, d.exponentiations, d.multiplications};
+  return FromSnapshot(OpCounters::Snapshot() - before);
 }
 
 Ops Scale(const Ops& o, uint64_t f) {
-  return {o.enc * f, o.dec * f, o.exp * f, o.mul * f};
+  return {o.enc * f, o.dec * f, o.exp * f, o.mul * f, o.inv * f};
 }
 
 Ops Diff(const Ops& a, const Ops& b) {
-  return {a.enc - b.enc, a.dec - b.dec, a.exp - b.exp, a.mul - b.mul};
+  return {a.enc - b.enc, a.dec - b.dec, a.exp - b.exp, a.mul - b.mul,
+          a.inv - b.inv};
 }
 
 class ComplexityTest : public ::testing::Test {
@@ -91,11 +97,12 @@ TEST_F(ComplexityTest, SborIsOneSmPlusConstant) {
   Ops sm = Measure([&] {
     ASSERT_TRUE(SecureMultiplyBatch(harness_.ctx(), as, bs).ok());
   });
-  // SBOR = SM + 2 homomorphic multiplications (Add, Sub incl. Negate exp).
+  // SBOR = SM + 2 homomorphic multiplications (Add, Sub incl. Negate).
   EXPECT_EQ(sbor.enc, sm.enc);
   EXPECT_EQ(sbor.dec, sm.dec);
-  EXPECT_EQ(sbor.exp, sm.exp + 3);  // Negate inside Sub is one exp per item
-  EXPECT_GT(sbor.mul, sm.mul);
+  EXPECT_EQ(sbor.exp, sm.exp);
+  EXPECT_EQ(sbor.inv, sm.inv + 3);  // Negate inside Sub is one inv per item
+  EXPECT_EQ(sbor.mul, sm.mul + 2 * 3);
 }
 
 TEST_F(ComplexityTest, SsedIsLinearInM) {
@@ -145,7 +152,8 @@ TEST_F(ComplexityTest, SminNCostsExactlyNMinusOneSmins) {
   };
   // n-1 SMINs: 4 for n=5, 8 for n=9 -> exactly double the ops.
   Ops o5 = run(5), o9 = run(9);
-  Ops per_smin = {o5.enc / 4, o5.dec / 4, o5.exp / 4, o5.mul / 4};
+  Ops per_smin = {o5.enc / 4, o5.dec / 4, o5.exp / 4, o5.mul / 4,
+                  o5.inv / 4};
   EXPECT_EQ(Scale(per_smin, 4), o5) << "SMIN_n(5) not a multiple of 4 SMINs";
   EXPECT_EQ(Scale(per_smin, 8), o9) << "SMIN_n(9) != 8 SMINs worth of ops";
 }
@@ -153,7 +161,8 @@ TEST_F(ComplexityTest, SminNCostsExactlyNMinusOneSmins) {
 TEST_F(ComplexityTest, PaperBoundForSkNNm) {
   // Section 4.4: SkNN_m is O(n * (l + m + k*l*log2 n)) encryptions and
   // exponentiations. Check the measured counts against the explicit bound
-  // with a generous constant.
+  // with a generous constant; the paper's exponentiations are our
+  // exponentiations plus inversions (its negations).
   const std::size_t n = 8, m = 3;
   const unsigned k = 2;
   PlainTable table = GenerateUniformTable(n, m, 3, 5);
@@ -174,7 +183,9 @@ TEST_F(ComplexityTest, PaperBoundForSkNNm) {
       (l + m + static_cast<double>(k) * l * std::log2(double(n)));
   const double kConstant = 40.0;  // generous per-unit constant
   EXPECT_LT(static_cast<double>(result->ops.encryptions), kConstant * bound);
-  EXPECT_LT(static_cast<double>(result->ops.exponentiations),
+  EXPECT_GT(result->ops.inversions, 0u);
+  EXPECT_LT(static_cast<double>(result->ops.exponentiations +
+                                result->ops.inversions),
             kConstant * bound);
 }
 
@@ -246,8 +257,7 @@ TEST_F(ComplexityTest, SkNNbOpsLinearInN) {
     request.protocol = QueryProtocol::kBasic;
     auto result = (*engine)->Query(request);
     EXPECT_TRUE(result.ok());
-    return Ops{result->ops.encryptions, result->ops.decryptions,
-               result->ops.exponentiations, result->ops.multiplications};
+    return FromSnapshot(result->ops);
   };
   Ops o4 = run(4), o8 = run(8), o12 = run(12);
   EXPECT_EQ(Diff(o12, o8), Diff(o8, o4)) << "SkNN_b ops not linear in n";
@@ -268,8 +278,7 @@ TEST_F(ComplexityTest, SkNNmOpsLinearInK) {
     request.protocol = QueryProtocol::kSecure;
     auto result = (*engine)->Query(request);
     EXPECT_TRUE(result.ok());
-    return Ops{result->ops.encryptions, result->ops.decryptions,
-               result->ops.exponentiations, result->ops.multiplications};
+    return FromSnapshot(result->ops);
   };
   // Iterations 2..k are identical in op count; iteration k skips the SBOR
   // update, so compare k in {2,3,4}: second difference of the *middle*

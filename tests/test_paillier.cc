@@ -13,6 +13,8 @@
 #include "bigint/random.h"
 #include "common/thread_pool.h"
 #include "crypto/op_counters.h"
+#include "proto/sbd.h"
+#include "tests/proto_test_util.h"
 
 namespace sknn {
 namespace {
@@ -170,11 +172,78 @@ TEST(PaillierTest, OpCountersTrackOperations) {
   Ciphertext sum = keys.pk.Add(a, b);
   Ciphertext scaled = keys.pk.MulScalar(sum, BigInt(3));
   keys.sk.Decrypt(scaled);
+  keys.pk.Negate(scaled);
   OpSnapshot snap = OpCounters::Snapshot();
   EXPECT_EQ(snap.encryptions, 2u);
   EXPECT_EQ(snap.multiplications, 1u);
   EXPECT_EQ(snap.exponentiations, 1u);
   EXPECT_EQ(snap.decryptions, 1u);
+  EXPECT_EQ(snap.inversions, 1u);  // Negate inverts, it does not exponentiate
+}
+
+// -- Negation by inversion vs the paper's Epk(m)^(N-1) -----------------------
+
+TEST(PaillierNegateTest, InverseMatchesPaperExponentiation) {
+  PaillierKeyPair keys = MakeKeys(256, 41);
+  Random rng(42);
+  const BigInt& n = keys.pk.n();
+  for (const BigInt& m :
+       {BigInt(0), BigInt(1), n - BigInt(1), rng.Below(n), rng.Below(n)}) {
+    Ciphertext c = keys.pk.Encrypt(m, rng);
+    Ciphertext paper(c.value().PowMod(n - BigInt(1), keys.pk.n_squared()));
+    Ciphertext negated = keys.pk.Negate(c);
+    const BigInt want = (n - m).Mod(n);
+    EXPECT_EQ(keys.sk.Decrypt(negated), want) << "m=" << m;
+    EXPECT_EQ(keys.sk.Decrypt(paper), want) << "m=" << m;
+    EXPECT_TRUE(keys.pk.IsValidCiphertext(negated));
+  }
+}
+
+TEST(PaillierNegateTest, NegateIsAnInvolution) {
+  PaillierKeyPair keys = MakeKeys(256, 43);
+  Random rng(44);
+  for (int i = 0; i < 8; ++i) {
+    Ciphertext c = keys.pk.Encrypt(rng.Below(keys.pk.n()), rng);
+    EXPECT_EQ(keys.pk.Negate(keys.pk.Negate(c)), c);  // bitwise
+  }
+}
+
+TEST(PaillierNegateTest, NonUnitYieldsZeroNotUndefinedBehaviour) {
+  PaillierKeyPair keys = MakeKeys(256, 45);
+  const BigInt& n = keys.pk.n();
+  for (const BigInt& v : {BigInt(0), n, keys.sk.p() * BigInt(7),
+                          keys.pk.n_squared()}) {
+    Ciphertext negated = keys.pk.Negate(Ciphertext(v));
+    EXPECT_EQ(negated.value(), BigInt(0)) << v;
+    EXPECT_FALSE(keys.pk.IsValidCiphertext(negated));
+  }
+}
+
+TEST(PaillierNegateTest, SbdOpCountIsIndependentOfMaskParity) {
+  // SBD negates C2's parity bit for every mask and selects by the mask's
+  // parity, so all-even masks (the N-1 test hook) cost exactly what random
+  // masks cost. Verification is off: the hook forces SVR retries.
+  TwoPartyHarness harness;
+  Random rng(46);
+  Ciphertext z = harness.pk().Encrypt(BigInt(5), rng);
+  auto measure = [&](bool all_even) {
+    SbdOptions opts;
+    opts.l = 6;
+    opts.verify = false;
+    opts.adversarial_masks_for_test = all_even;
+    const OpSnapshot before = OpCounters::Snapshot();
+    EXPECT_TRUE(BitDecompose(harness.ctx(), z, opts).ok());
+    return OpCounters::Snapshot() - before;
+  };
+  const OpSnapshot even = measure(true);
+  const OpSnapshot random = measure(false);
+  EXPECT_EQ(even.encryptions, random.encryptions);
+  EXPECT_EQ(even.decryptions, random.decryptions);
+  EXPECT_EQ(even.exponentiations, random.exponentiations);
+  EXPECT_EQ(even.multiplications, random.multiplications);
+  EXPECT_EQ(even.inversions, random.inversions);
+  // Per bit: one negation to select the LSB, one inside the shift's Sub.
+  EXPECT_EQ(random.inversions, 2u * 6u);
 }
 
 // -- Property sweeps over random plaintext pairs ------------------------------

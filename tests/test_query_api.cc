@@ -140,6 +140,7 @@ TEST(QueryBatchTest, PerQueryInstrumentationIsIsolatedUnderConcurrency) {
     EXPECT_EQ(batch[i]->ops.decryptions, alone->ops.decryptions) << i;
     EXPECT_EQ(batch[i]->ops.exponentiations, alone->ops.exponentiations) << i;
     EXPECT_EQ(batch[i]->ops.multiplications, alone->ops.multiplications) << i;
+    EXPECT_EQ(batch[i]->ops.inversions, alone->ops.inversions) << i;
     // Frame counts are deterministic; byte counts wobble by a few bytes
     // because a random ciphertext occasionally serializes one byte shorter
     // (leading zero byte in the big-endian magnitude).
@@ -190,6 +191,7 @@ TEST(QueryBatchTest, VectorizedRoundsMatchScalarProtocolBitwise) {
       EXPECT_EQ(vec->ops.decryptions, scalar->ops.decryptions) << i;
       EXPECT_EQ(vec->ops.exponentiations, scalar->ops.exponentiations) << i;
       EXPECT_EQ(vec->ops.multiplications, scalar->ops.multiplications) << i;
+      EXPECT_EQ(vec->ops.inversions, scalar->ops.inversions) << i;
       // The vectorized form never sends more messages than scalar mode, and
       // at c1_threads > 1 it sends strictly fewer (no per-worker chunking).
       EXPECT_LE(vec->traffic.total_frames(), scalar->traffic.total_frames())
@@ -234,6 +236,7 @@ TEST(QueryBatchTest, ShortRandomizersMatchFullWidthBitwise) {
     EXPECT_EQ(fast->ops.decryptions, full->ops.decryptions) << i;
     EXPECT_EQ(fast->ops.exponentiations, full->ops.exponentiations) << i;
     EXPECT_EQ(fast->ops.multiplications, full->ops.multiplications) << i;
+    EXPECT_EQ(fast->ops.inversions, full->ops.inversions) << i;
   }
 
   // Satellite observability: the pools on both engines saw the traffic.

@@ -134,5 +134,38 @@ TEST_F(RobustnessTest, SmSurvivesManySequentialBatches) {
   }
 }
 
+// A hostile C2 answers every SM round with one value outside Z*_{N^2}:
+// zero, N, a multiple of the secret prime p, or N^2 itself. None has an
+// inverse mod N^2, so C1 must refuse the reply with a typed error before
+// it computes with (and negates) it — on the scalar and vector paths.
+TEST(HostileC2Test, SmReplyOutsideUnitGroupIsRejected) {
+  Random rng(777);
+  auto keys = GeneratePaillierKeyPair(256, rng);
+  ASSERT_TRUE(keys.ok()) << keys.status();
+  const PaillierPublicKey& pk = keys->pk;
+  const std::vector<BigInt> hostile = {BigInt(0), pk.n(),
+                                       keys->sk.p() * BigInt(3),
+                                       pk.n_squared()};
+  for (const BigInt& bad : hostile) {
+    Channel::EndpointPair link = Channel::CreatePair();
+    RpcServer server(std::move(link.b),
+                     [&bad](const Message& req) -> Result<Message> {
+                       Message resp;
+                       resp.type = req.type;
+                       resp.ints.assign(req.ints.size() / 2, bad);
+                       return resp;
+                     });
+    RpcClient client(std::move(link.a));
+    for (bool vectorized : {false, true}) {
+      ProtoContext ctx(&pk, &client, nullptr, 0, nullptr, vectorized);
+      std::vector<Ciphertext> as = {pk.Encrypt(BigInt(3), rng),
+                                    pk.Encrypt(BigInt(4), rng)};
+      auto r = SecureMultiplyBatch(ctx, as, as);
+      ASSERT_FALSE(r.ok()) << "accepted C2 reply " << bad;
+      EXPECT_EQ(r.status().code(), StatusCode::kProtocolError) << r.status();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sknn

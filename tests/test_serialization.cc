@@ -385,5 +385,19 @@ TEST(FrameTruncationSweep, ShardFramesAllowOnlyTheDeadlineTail) {
       "kShardCandidates (basic)");
 }
 
+TEST(ShardWire, CandidatesCarryEveryOpCounter) {
+  ShardCandidatesFrame frame;
+  frame.candidates.bits = {{Ciphertext(BigInt(1))}};
+  frame.candidates.records = {{Ciphertext(BigInt(5))}};
+  frame.ops = {11, 12, 13, 14, 15};
+  auto decoded = DecodeShardCandidates(EncodeShardCandidates(frame));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->ops.encryptions, 11u);
+  EXPECT_EQ(decoded->ops.decryptions, 12u);
+  EXPECT_EQ(decoded->ops.exponentiations, 13u);
+  EXPECT_EQ(decoded->ops.multiplications, 14u);
+  EXPECT_EQ(decoded->ops.inversions, 15u);
+}
+
 }  // namespace
 }  // namespace sknn
