@@ -6,7 +6,7 @@
 // With --json, the results (plus the pooled-vs-plain Encrypt speedup) are
 // written to the "primitives" section of BENCH_PR2.json — the repo's
 // machine-readable perf trajectory — and the PR 8 refill series (randomizer
-// refill throughput, fixed-base-vs-mpz_powm sweep, short-vs-full-width
+// refill throughput, fixed-base-vs-generic-modexp sweep, short-vs-full-width
 // speedup) to the "refill_throughput" section of BENCH_PR8.json.
 #include <benchmark/benchmark.h>
 
@@ -149,9 +149,10 @@ BENCHMARK(BM_RefillThroughput)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
-// The fixed-base window exponentiator against the general mpz_powm it
-// replaces, per window size: table-driven PowMod of a short exponent vs
-// BigInt::PowMod of the same exponent from the same base. The window-size
+// The fixed-base window exponentiator against the generic exponentiation
+// it replaces, per window size: table-driven PowMod of a short exponent vs
+// BigInt::PowMod (the Montgomery kernel) of the same exponent from the
+// same base. The window-size
 // sweep is what RecommendedWindowBits was tuned from.
 void BM_FixedBasePowMod(benchmark::State& state) {
   Harness& h = SharedHarness(static_cast<unsigned>(state.range(0)));

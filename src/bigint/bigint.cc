@@ -2,6 +2,8 @@
 
 #include <ostream>
 
+#include "bigint/modexp.h"
+
 namespace sknn {
 
 Result<BigInt> BigInt::FromString(const std::string& s, int base) {
@@ -101,9 +103,9 @@ BigInt BigInt::MulMod(const BigInt& o, const BigInt& m) const {
 }
 
 BigInt BigInt::PowMod(const BigInt& e, const BigInt& m) const {
-  BigInt out;
-  mpz_powm(out.value_, value_, e.value_, m.value_);
-  return out;
+  // A one-off Montgomery context (~10 us at 2048 bits): fine for cold
+  // callers like keygen; hot paths hold a MontgomeryModulus per modulus.
+  return MontgomeryModulus(m).PowMod(*this, e);
 }
 
 Result<BigInt> BigInt::InvMod(const BigInt& m) const {

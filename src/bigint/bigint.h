@@ -65,7 +65,9 @@ class BigInt {
   BigInt AddMod(const BigInt& o, const BigInt& m) const;
   BigInt SubMod(const BigInt& o, const BigInt& m) const;
   BigInt MulMod(const BigInt& o, const BigInt& m) const;
-  /// \brief this^e mod m. e must be non-negative.
+  /// \brief this^e mod m, through a temporary MontgomeryModulus
+  /// (bigint/modexp.h); repeated use of one modulus should hold its own.
+  /// A negative e raises the inverse (0 when there is none).
   BigInt PowMod(const BigInt& e, const BigInt& m) const;
   /// \brief Modular inverse; error if gcd(this, m) != 1.
   Result<BigInt> InvMod(const BigInt& m) const;
@@ -111,7 +113,7 @@ class BigInt {
   bool IsProbablePrime(int reps = 30) const;
   BigInt NextPrime() const;
 
-  /// \brief Exposes the raw mpz_t to the Random module only.
+  /// \brief Exposes the raw mpz_t to the Random and modexp modules only.
   const mpz_t& raw() const { return value_; }
   mpz_t& raw() { return value_; }
 

@@ -1,9 +1,173 @@
 #include "bigint/modexp.h"
 
+#include <openssl/bn.h>
+
 #include <algorithm>
+#include <bit>
+#include <cstdlib>
 #include <functional>
 
+#include "common/logging.h"
+
 namespace sknn {
+namespace {
+
+// GMP limbs and OpenSSL's little-endian byte strings share one memory
+// layout on a little-endian host, so conversion is a single copy each way.
+static_assert(std::endian::native == std::endian::little,
+              "mpz <-> BIGNUM conversion assumes a little-endian host");
+
+/// OpenSSL fails these calls only on allocation failure (inputs are
+/// checked before they reach it); there is no sensible result to return.
+void RequireOpenSsl(bool ok, const char* what) {
+  if (ok) return;
+  SKNN_LOG(Error) << "OpenSSL " << what << " failed";
+  std::abort();
+}
+
+/// The calling thread's OpenSSL scratch context, created on first use and
+/// freed at thread exit. Never shared, so MontgomeryModulus needs no lock.
+BN_CTX* ThreadBnContext() {
+  struct Holder {
+    BN_CTX* ctx = BN_CTX_new();
+    ~Holder() { BN_CTX_free(ctx); }
+  };
+  thread_local Holder holder;
+  RequireOpenSsl(holder.ctx != nullptr, "BN_CTX_new");
+  return holder.ctx;
+}
+
+/// |v| into `out` (the sign is dropped; callers pass non-negative values).
+void ToBignum(const BigInt& v, BIGNUM* out) {
+  const std::size_t bytes = mpz_size(v.raw()) * sizeof(mp_limb_t);
+  RequireOpenSsl(
+      BN_lebin2bn(reinterpret_cast<const unsigned char*>(
+                      mpz_limbs_read(v.raw())),
+                  static_cast<int>(bytes), out) != nullptr,
+      "BN_lebin2bn");
+}
+
+/// One BN_CTX_start / BN_CTX_end frame on the calling thread's context:
+/// every BIGNUM it hands out is released when the frame ends.
+class BnFrame {
+ public:
+  BnFrame() : ctx_(ThreadBnContext()) { BN_CTX_start(ctx_); }
+  ~BnFrame() { BN_CTX_end(ctx_); }
+  BnFrame(const BnFrame&) = delete;
+  BnFrame& operator=(const BnFrame&) = delete;
+
+  BN_CTX* ctx() const { return ctx_; }
+  /// A scratch BIGNUM (zero).
+  BIGNUM* Get() {
+    BIGNUM* bn = BN_CTX_get(ctx_);
+    RequireOpenSsl(bn != nullptr, "BN_CTX_get");
+    return bn;
+  }
+  /// A scratch BIGNUM holding the non-negative v.
+  BIGNUM* Get(const BigInt& v) {
+    BIGNUM* bn = Get();
+    ToBignum(v, bn);
+    return bn;
+  }
+
+ private:
+  BN_CTX* ctx_;
+};
+
+BigInt FromBignum(const BIGNUM* bn) {
+  BigInt out;
+  const std::size_t limbs =
+      (static_cast<std::size_t>(BN_num_bytes(bn)) + sizeof(mp_limb_t) - 1) /
+      sizeof(mp_limb_t);
+  if (limbs == 0) return out;
+  mp_limb_t* dst = mpz_limbs_write(out.raw(), static_cast<mp_size_t>(limbs));
+  RequireOpenSsl(BN_bn2lebinpad(bn, reinterpret_cast<unsigned char*>(dst),
+                                static_cast<int>(limbs * sizeof(mp_limb_t))) >=
+                     0,
+                 "BN_bn2lebinpad");
+  mpz_limbs_finish(out.raw(), static_cast<mp_size_t>(limbs));
+  return out;
+}
+
+/// A base/exponent pair with the exponent made non-negative: b^-e is
+/// (b^-1)^e. False when the base has no inverse mod m.
+bool NormalizeNegativeExponent(BigInt& base, BigInt& e, const BigInt& m) {
+  if (!e.IsNegative()) return true;
+  Result<BigInt> inverse = base.InvMod(m);
+  if (!inverse.ok()) return false;
+  base = std::move(inverse).value();
+  e = -e;
+  return true;
+}
+
+}  // namespace
+
+void MontgomeryModulus::OpenSslFree::operator()(bignum_st* bn) const {
+  BN_free(bn);
+}
+
+void MontgomeryModulus::OpenSslFree::operator()(bn_mont_ctx_st* mont) const {
+  BN_MONT_CTX_free(mont);
+}
+
+MontgomeryModulus::MontgomeryModulus(const BigInt& modulus)
+    : modulus_(modulus.Abs()) {
+  if (modulus_.IsEven()) return;
+  modulus_bn_.reset(BN_new());
+  mont_.reset(BN_MONT_CTX_new());
+  RequireOpenSsl(modulus_bn_ != nullptr && mont_ != nullptr, "BN_new");
+  ToBignum(modulus_, modulus_bn_.get());
+  RequireOpenSsl(
+      BN_MONT_CTX_set(mont_.get(), modulus_bn_.get(), ThreadBnContext()) == 1,
+      "BN_MONT_CTX_set");
+}
+
+MontgomeryModulus::~MontgomeryModulus() = default;
+
+BigInt MontgomeryModulus::PowMod(const BigInt& base, const BigInt& e) const {
+  BigInt b = base.Mod(modulus_);
+  BigInt x = e;
+  if (!NormalizeNegativeExponent(b, x, modulus_)) return BigInt(0);
+  if (mont_ == nullptr) {
+    // Even modulus: no Montgomery form exists.
+    BigInt out;
+    mpz_powm(out.raw(), b.raw(), x.raw(), modulus_.raw());
+    return out;
+  }
+  BnFrame frame;
+  BIGNUM* r = frame.Get();
+  RequireOpenSsl(BN_mod_exp_mont(r, frame.Get(b), frame.Get(x),
+                                 modulus_bn_.get(), frame.ctx(),
+                                 mont_.get()) == 1,
+                 "BN_mod_exp_mont");
+  return FromBignum(r);
+}
+
+BigInt MontgomeryModulus::PowMod2(const BigInt& b1, const BigInt& e1,
+                                  const BigInt& b2, const BigInt& e2) const {
+  // A zero exponent leaves one plain power. BN_mod_exp2_mont needs both
+  // exponents non-zero: it returns 0 for a zero base whatever its exponent.
+  if (e1.IsZero()) return PowMod(b2, e2);
+  if (e2.IsZero()) return PowMod(b1, e1);
+  BigInt x1 = b1.Mod(modulus_), y1 = e1;
+  BigInt x2 = b2.Mod(modulus_), y2 = e2;
+  if (!NormalizeNegativeExponent(x1, y1, modulus_) ||
+      !NormalizeNegativeExponent(x2, y2, modulus_)) {
+    return BigInt(0);
+  }
+  if (mont_ == nullptr) {
+    return PowMod(x1, y1).MulMod(PowMod(x2, y2), modulus_);
+  }
+  BnFrame frame;
+  BIGNUM* r = frame.Get();
+  RequireOpenSsl(
+      BN_mod_exp2_mont(r, frame.Get(x1), frame.Get(y1), frame.Get(x2),
+                       frame.Get(y2), modulus_bn_.get(), frame.ctx(),
+                       mont_.get()) == 1,
+      "BN_mod_exp2_mont");
+  return FromBignum(r);
+}
+
 namespace {
 
 /// Digit i (width w bits) of the non-negative exponent e.
@@ -90,16 +254,18 @@ std::vector<BigInt> PowModMany(const std::vector<BigInt>& bases,
                                const std::vector<BigInt>& exponents,
                                const BigInt& modulus, ThreadPool* pool) {
   const std::size_t count = std::min(bases.size(), exponents.size());
+  const MontgomeryModulus mont(modulus);
   return FanOut(count, pool, [&](std::size_t i) {
-    return bases[i].PowMod(exponents[i], modulus);
+    return mont.PowMod(bases[i], exponents[i]);
   });
 }
 
 std::vector<BigInt> PowModMany(const std::vector<BigInt>& bases,
                                const BigInt& exponent, const BigInt& modulus,
                                ThreadPool* pool) {
+  const MontgomeryModulus mont(modulus);
   return FanOut(bases.size(), pool, [&](std::size_t i) {
-    return bases[i].PowMod(exponent, modulus);
+    return mont.PowMod(bases[i], exponent);
   });
 }
 

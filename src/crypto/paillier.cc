@@ -47,10 +47,9 @@ RandomizerSource::RandomizerSource(const BigInt& n,
   short_exponent_bits_ = std::min(s_bits, n_bits);
   // h_N = h^N mod N^2 for a random unit h: every h_N^s is an N-th power
   // (r^N with r = h^s), i.e. a valid Paillier randomizer.
-  BigInt h_n =
-      Random::ThreadLocal().UnitModulo(n_).PowMod(n_, n_squared_);
+  BigInt h_n = n_squared_.PowMod(Random::ThreadLocal().UnitModulo(n_), n_);
   window_ = std::make_unique<FixedBaseWindow>(
-      h_n, n_squared_, short_exponent_bits_, options.window_bits);
+      h_n, n_squared_.modulus(), short_exponent_bits_, options.window_bits);
   exponent_bound_ = BigInt::PowerOfTwo(short_exponent_bits_);
 }
 
@@ -58,7 +57,7 @@ BigInt RandomizerSource::Next(Random& rng) const {
   if (window_ != nullptr) {
     return window_->PowMod(rng.Below(exponent_bound_));
   }
-  return rng.UnitModulo(n_).PowMod(n_, n_squared_);
+  return n_squared_.PowMod(rng.UnitModulo(n_), n_);
 }
 
 RandomizerPool::RandomizerPool(const BigInt& n, std::size_t capacity,
@@ -71,9 +70,7 @@ RandomizerPool::RandomizerPool(const BigInt& n, std::size_t capacity,
 
 RandomizerPool::RandomizerPool(const BigInt& n, std::size_t capacity,
                                const RandomizerPoolOptions& options)
-    : n_(n),
-      n_squared_(n * n),
-      source_(n, options),
+    : source_(n, options),
       capacity_(std::max<std::size_t>(1, capacity)),
       low_watermark_(std::max<std::size_t>(1, capacity / 4)) {
   const std::size_t workers = std::max<std::size_t>(1, options.workers);
@@ -172,12 +169,13 @@ std::size_t RandomizerPool::stock() const {
 PaillierPublicKey::PaillierPublicKey(BigInt n, unsigned key_bits)
     : n_(std::move(n)),
       n_squared_(n_ * n_),
+      mont_n_squared_(std::make_shared<const MontgomeryModulus>(n_squared_)),
       g_(n_ + BigInt(1)),
       key_bits_(key_bits) {}
 
 BigInt PaillierPublicKey::Randomizer(Random& rng) const {
   if (randomizer_pool_ != nullptr) return randomizer_pool_->Take();
-  return rng.UnitModulo(n_).PowMod(n_, n_squared_);
+  return mont_n_squared_->PowMod(rng.UnitModulo(n_), n_);
 }
 
 Ciphertext PaillierPublicKey::Encrypt(const BigInt& m, Random& rng) const {
@@ -210,7 +208,18 @@ Ciphertext PaillierPublicKey::AddPlain(const Ciphertext& a,
 Ciphertext PaillierPublicKey::MulScalar(const Ciphertext& a,
                                         const BigInt& s) const {
   OpCounters::CountExponentiation();
-  return Ciphertext(a.value().PowMod(s.Mod(n_), n_squared_));
+  return Ciphertext(mont_n_squared_->PowMod(a.value(), s.Mod(n_)));
+}
+
+Ciphertext PaillierPublicKey::MulScalarPair(const Ciphertext& a,
+                                            const BigInt& s,
+                                            const Ciphertext& b,
+                                            const BigInt& t) const {
+  OpCounters::CountExponentiation();
+  OpCounters::CountExponentiation();
+  OpCounters::CountMultiplication();
+  return Ciphertext(
+      mont_n_squared_->PowMod2(a.value(), s.Mod(n_), b.value(), t.Mod(n_)));
 }
 
 Ciphertext PaillierPublicKey::Negate(const Ciphertext& a) const {
@@ -284,12 +293,10 @@ Result<PaillierSecretKey> PaillierSecretKey::FromPrimes(const BigInt& p,
   SKNN_ASSIGN_OR_RETURN(sk.mu_, sk.lambda_.Mod(n).InvMod(n));
 
   // CRT precomputations (Paillier Section 7 / standard optimization).
-  sk.p_squared_ = p * p;
-  sk.q_squared_ = q * q;
-  BigInt gp = sk.pk_.g().Mod(sk.p_squared_);
-  BigInt gq = sk.pk_.g().Mod(sk.q_squared_);
-  BigInt lp = LFunction(gp.PowMod(p - BigInt(1), sk.p_squared_), p);
-  BigInt lq = LFunction(gq.PowMod(q - BigInt(1), sk.q_squared_), q);
+  sk.p_squared_ = std::make_shared<const MontgomeryModulus>(p * p);
+  sk.q_squared_ = std::make_shared<const MontgomeryModulus>(q * q);
+  BigInt lp = LFunction(sk.p_squared_->PowMod(sk.pk_.g(), p - BigInt(1)), p);
+  BigInt lq = LFunction(sk.q_squared_->PowMod(sk.pk_.g(), q - BigInt(1)), q);
   SKNN_ASSIGN_OR_RETURN(sk.hp_, lp.Mod(p).InvMod(p));
   SKNN_ASSIGN_OR_RETURN(sk.hq_, lq.Mod(q).InvMod(q));
   SKNN_ASSIGN_OR_RETURN(sk.p_inv_q_, p.Mod(q).InvMod(q));
@@ -315,18 +322,17 @@ std::vector<BigInt> PaillierSecretKey::DecryptMany(
 }
 
 BigInt PaillierSecretKey::DecryptStandard(const Ciphertext& c) const {
-  BigInt u = c.value().PowMod(lambda_, pk_.n_squared());
+  BigInt u = pk_.mont_n_squared_->PowMod(c.value(), lambda_);
   return LFunction(u, pk_.n()).MulMod(mu_, pk_.n());
 }
 
 BigInt PaillierSecretKey::DecryptCrt(const Ciphertext& c) const {
-  // m_p = L_p(c^{p-1} mod p^2) * hp mod p, likewise mod q; then CRT.
-  BigInt cp = c.value().Mod(p_squared_);
-  BigInt cq = c.value().Mod(q_squared_);
-  BigInt mp =
-      LFunction(cp.PowMod(p_ - BigInt(1), p_squared_), p_).MulMod(hp_, p_);
-  BigInt mq =
-      LFunction(cq.PowMod(q_ - BigInt(1), q_squared_), q_).MulMod(hq_, q_);
+  // m_p = L_p(c^{p-1} mod p^2) * hp mod p, likewise mod q; then CRT. The
+  // kernel reduces c mod p^2 (q^2) itself.
+  BigInt mp = LFunction(p_squared_->PowMod(c.value(), p_ - BigInt(1)), p_)
+                  .MulMod(hp_, p_);
+  BigInt mq = LFunction(q_squared_->PowMod(c.value(), q_ - BigInt(1)), q_)
+                  .MulMod(hq_, q_);
   // Garner: m = mp + p * ((mq - mp) * p^{-1} mod q).
   BigInt diff = mq.SubMod(mp, q_);
   BigInt t = diff.MulMod(p_inv_q_, q_);

@@ -45,7 +45,7 @@ struct RandomizerPoolOptions {
   /// modmuls instead of a full |N|-bit modexp. Sound under the standard
   /// short-exponent indistinguishability assumption; set false for the
   /// assumption-free full-width reference path (r drawn uniformly from
-  /// Z*_N, one mpz_powm per refill).
+  /// Z*_N, one |N|-bit exponentiation per refill).
   bool short_exponents = true;
   /// Bit length of the short exponent s; 0 = auto
   /// (min(|N|, max(256, |N|/4)) — 256 bits at the paper's key sizes).
@@ -72,7 +72,7 @@ class RandomizerSource {
 
  private:
   BigInt n_;
-  BigInt n_squared_;
+  MontgomeryModulus n_squared_;
   /// Short path only: the 2^w-ary table over h_N, and the draw bound 2^s.
   std::unique_ptr<FixedBaseWindow> window_;
   BigInt exponent_bound_;
@@ -151,8 +151,6 @@ class RandomizerPool {
   void FillLoop();
   BigInt ComputeOne(Random& rng) const;
 
-  const BigInt n_;
-  const BigInt n_squared_;
   const RandomizerSource source_;
   const std::size_t capacity_;
   const std::size_t low_watermark_;
@@ -189,7 +187,9 @@ class Ciphertext {
   BigInt value_;
 };
 
-/// \brief Public key (N, g) with cached N^2. Safe to share across threads.
+/// \brief Public key (N, g) with cached N^2 and its Montgomery context
+/// (built once per key, shared by every copy). Safe to share across
+/// threads.
 class PaillierPublicKey {
  public:
   PaillierPublicKey() = default;
@@ -238,6 +238,14 @@ class PaillierPublicKey {
   Ciphertext AddPlain(const Ciphertext& a, const BigInt& m) const;
   /// \brief Epk(a * s) from Epk(a) and plaintext scalar s (reduced mod N).
   Ciphertext MulScalar(const Ciphertext& a, const BigInt& s) const;
+  /// \brief Epk(s*a + t*b) = Epk(a)^s * Epk(b)^t from Epk(a), Epk(b) and
+  /// plaintext scalars s, t (reduced mod N), as ONE double exponentiation
+  /// sharing a squaring chain — about the cost of one MulScalar. Bitwise
+  /// equal to Add(MulScalar(a, s), MulScalar(b, t)), and counted the same:
+  /// two exponentiations and one multiplication, so the paper's op counts
+  /// do not depend on the kernel.
+  Ciphertext MulScalarPair(const Ciphertext& a, const BigInt& s,
+                           const Ciphertext& b, const BigInt& t) const;
   /// \brief Epk(-a) as the inverse Epk(a)^(-1) mod N^2: one modular
   /// inversion (counted as an inversion), not the paper's |N|-bit
   /// exponentiation Epk(a)^(N-1). Both are public, deterministic functions
@@ -270,8 +278,13 @@ class PaillierPublicKey {
   /// \brief r^N mod N^2 — pooled when a pool is attached, else from rng.
   BigInt Randomizer(Random& rng) const;
 
+  friend class PaillierSecretKey;  // DecryptStandard shares the N^2 context
+
   BigInt n_;
   BigInt n_squared_;
+  /// Every exponentiation mod N^2 (MulScalar, MulScalarPair, unpooled r^N,
+  /// DecryptStandard) goes through this one context.
+  std::shared_ptr<const MontgomeryModulus> mont_n_squared_;
   BigInt g_;
   unsigned key_bits_ = 0;
   RandomizerPool* randomizer_pool_ = nullptr;
@@ -319,8 +332,9 @@ class PaillierSecretKey {
   BigInt p_, q_;
   BigInt lambda_;  // lcm(p-1, q-1)
   BigInt mu_;      // (L(g^lambda mod N^2))^-1 mod N
-  // CRT precomputations.
-  BigInt p_squared_, q_squared_;
+  // CRT precomputations; p^2 and q^2 in Montgomery form, built once per key
+  // and shared by every copy.
+  std::shared_ptr<const MontgomeryModulus> p_squared_, q_squared_;
   BigInt hp_, hq_;     // L_p(g^{p-1} mod p^2)^{-1} mod p, and q analogue
   BigInt p_inv_q_;     // p^{-1} mod q
   bool use_crt_ = true;

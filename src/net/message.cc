@@ -1,5 +1,7 @@
 #include "net/message.h"
 
+#include <algorithm>
+
 namespace sknn {
 namespace {
 
@@ -96,7 +98,9 @@ Result<Message> WireCodec::Decode(const std::vector<uint8_t>& bytes) {
       !GetU32(bytes, pos, &n_ints)) {
     return Status::ProtocolError("WireCodec: truncated header");
   }
-  msg.ints.reserve(n_ints);
+  // The count is the peer's claim: reserve only what the remaining bytes can
+  // hold (each int carries at least its 4-byte length prefix).
+  msg.ints.reserve(std::min<std::size_t>(n_ints, (bytes.size() - pos) / 4));
   for (uint32_t i = 0; i < n_ints; ++i) {
     uint32_t len = 0;
     if (!GetU32(bytes, pos, &len) || pos + len > bytes.size()) {

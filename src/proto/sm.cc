@@ -42,7 +42,9 @@ Result<std::vector<Ciphertext>> SecureMultiplyBatch(
   //   Epk(ab) = h' * Epk(a)^{N-rb} * Epk(b)^{N-ra} * Epk(-ra*rb).
   // C1 knows ra*rb, so it encrypts -ra*rb mod N directly rather than
   // raising Epk(ra*rb) to N-1 as Algorithm 1 does: same encryption count,
-  // one exponentiation fewer, and the randomizer is fresh.
+  // one exponentiation fewer, and the randomizer is fresh. The two cross
+  // terms are one double exponentiation (MulScalarPair), counted as the
+  // two exponentiations and one multiplication of Algorithm 1.
   std::vector<BigInt> neg_cross_plain(count);
   for (std::size_t i = 0; i < count; ++i) {
     neg_cross_plain[i] = n - ra[i].MulMod(rb[i], n);
@@ -51,9 +53,8 @@ Result<std::vector<Ciphertext>> SecureMultiplyBatch(
       pk.EncryptMany(neg_cross_plain, ctx.pool());
   std::vector<Ciphertext> out(count);
   ctx.ForEach(count, [&](std::size_t i) {
-    Ciphertext s = pk.Add(Ciphertext(h[i]), pk.MulScalar(eas[i], n - rb[i]));
-    Ciphertext s_prime = pk.Add(s, pk.MulScalar(ebs[i], n - ra[i]));
-    out[i] = pk.Add(s_prime, neg_cross[i]);
+    Ciphertext cross = pk.MulScalarPair(eas[i], n - rb[i], ebs[i], n - ra[i]);
+    out[i] = pk.Add(pk.Add(Ciphertext(h[i]), cross), neg_cross[i]);
   });
   return out;
 }

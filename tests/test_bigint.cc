@@ -380,5 +380,128 @@ TEST(PowModManyTest, AllOverloadsMatchScalarSerialAndPooled) {
   EXPECT_TRUE(PowModMany(window, none).empty());
 }
 
+// -- MontgomeryModulus (bigint/modexp.h): the exponentiation kernel, held
+// -- bitwise to an mpz_powm reference.
+
+BigInt ReferencePowMod(const BigInt& base, const BigInt& e, const BigInt& m) {
+  BigInt out;
+  mpz_powm(out.raw(), base.raw(), e.raw(), m.raw());
+  return out;
+}
+
+TEST(MontgomeryModulusTest, MatchesMpzPowmAtOddModuliUpTo2048Bits) {
+  Random rng(95);
+  for (unsigned bits : {64u, 65u, 127u, 256u, 521u, 1024u, 2048u}) {
+    const BigInt drawn = rng.Bits(bits);  // exactly `bits` bits
+    const BigInt odd = drawn.IsOdd() ? drawn : drawn + BigInt(1);
+    const MontgomeryModulus mont(odd);
+    EXPECT_EQ(mont.modulus(), odd);
+    for (int i = 0; i < 4; ++i) {
+      const BigInt b1 = rng.Below(odd), b2 = rng.Below(odd);
+      const BigInt e1 = rng.Bits(1 + static_cast<unsigned>(
+                                         rng.UniformUint64(bits)));
+      const BigInt e2 = rng.Bits(bits);
+      const BigInt want1 = ReferencePowMod(b1, e1, odd);
+      EXPECT_EQ(mont.PowMod(b1, e1), want1) << bits << " bits";
+      EXPECT_EQ(b1.PowMod(e1, odd), want1) << bits << " bits";
+      EXPECT_EQ(mont.PowMod2(b1, e1, b2, e2),
+                want1.MulMod(ReferencePowMod(b2, e2, odd), odd))
+          << bits << " bits";
+    }
+  }
+}
+
+TEST(MontgomeryModulusTest, EdgeCasesMatchMpzPowm) {
+  Random rng(96);
+  const BigInt m = rng.Prime(96) * rng.Prime(96);
+  const MontgomeryModulus mont(m);
+  const BigInt e = rng.Bits(150);
+  const std::vector<BigInt> bases = {BigInt(0),     BigInt(1),
+                                     m - BigInt(1), m,
+                                     m + BigInt(5), m * BigInt(3),
+                                     rng.Below(m),  BigInt(-7)};
+  for (const BigInt& b : bases) {
+    for (const BigInt& x : {BigInt(0), BigInt(1), BigInt(2), e}) {
+      EXPECT_EQ(mont.PowMod(b, x), ReferencePowMod(b, x, m))
+          << b << "^" << x;
+      EXPECT_EQ(b.PowMod(x, m), ReferencePowMod(b, x, m)) << b << "^" << x;
+      // Every zero-exponent / zero-base combination of the double form.
+      for (const BigInt& b2 : {BigInt(0), m - BigInt(1), rng.Below(m)}) {
+        for (const BigInt& x2 : {BigInt(0), BigInt(3), e}) {
+          EXPECT_EQ(mont.PowMod2(b, x, b2, x2),
+                    ReferencePowMod(b, x, m)
+                        .MulMod(ReferencePowMod(b2, x2, m), m))
+              << b << "^" << x << " * " << b2 << "^" << x2;
+        }
+      }
+    }
+  }
+  // Modulus 1: every residue is 0, including the empty product.
+  const MontgomeryModulus one(BigInt(1));
+  EXPECT_EQ(one.PowMod(BigInt(7), BigInt(0)), BigInt(0));
+  EXPECT_EQ(one.PowMod(BigInt(7), BigInt(9)), BigInt(0));
+  EXPECT_EQ(one.PowMod2(BigInt(7), BigInt(0), BigInt(3), BigInt(0)),
+            BigInt(0));
+  EXPECT_EQ(one.PowMod2(BigInt(7), BigInt(2), BigInt(3), BigInt(5)),
+            BigInt(0));
+  EXPECT_EQ(BigInt(7).PowMod(BigInt(9), BigInt(1)), BigInt(0));
+}
+
+TEST(MontgomeryModulusTest, NegativeExponentsInvertTheBase) {
+  Random rng(97);
+  const BigInt m = rng.Prime(80) * rng.Prime(80);
+  const MontgomeryModulus mont(m);
+  const BigInt b = rng.UnitModulo(m), b2 = rng.UnitModulo(m);
+  const BigInt neg = BigInt(0) - rng.Bits(100);
+  EXPECT_EQ(mont.PowMod(b, neg), ReferencePowMod(b, neg, m));
+  EXPECT_EQ(mont.PowMod2(b, neg, b2, BigInt(5)),
+            ReferencePowMod(b, neg, m)
+                .MulMod(ReferencePowMod(b2, BigInt(5), m), m));
+  // No inverse: 0 (mpz_powm would trap on the division by zero).
+  EXPECT_EQ(mont.PowMod(BigInt(0), neg), BigInt(0));
+}
+
+TEST(MontgomeryModulusTest, EvenModulusFallsBackToMpzPowm) {
+  Random rng(98);
+  for (unsigned bits : {2u, 64u, 1024u}) {
+    const BigInt m = rng.Bits(bits).ShiftLeft(1);  // even
+    const MontgomeryModulus mont(m);
+    for (int i = 0; i < 4; ++i) {
+      const BigInt b1 = rng.Bits(bits + 8), b2 = rng.Below(m);
+      const BigInt e1 = rng.Bits(bits), e2 = rng.Bits(bits);
+      const BigInt want = ReferencePowMod(b1, e1, m);
+      EXPECT_EQ(mont.PowMod(b1, e1), want);
+      EXPECT_EQ(b1.PowMod(e1, m), want);
+      EXPECT_EQ(mont.PowMod2(b1, e1, b2, e2),
+                want.MulMod(ReferencePowMod(b2, e2, m), m));
+    }
+  }
+}
+
+TEST(MontgomeryModulusTest, SharedAcrossThreads) {
+  Random rng(99);
+  const BigInt m = rng.Prime(256) * rng.Prime(256);
+  const MontgomeryModulus mont(m);
+  std::vector<BigInt> bases, exps;
+  for (int i = 0; i < 48; ++i) {
+    bases.push_back(rng.Below(m));
+    exps.push_back(rng.Bits(512));
+  }
+  ThreadPool pool(4);
+  std::vector<BigInt> single(bases.size()), pair(bases.size());
+  pool.ParallelFor(bases.size(), [&](std::size_t i) {
+    single[i] = mont.PowMod(bases[i], exps[i]);
+    const std::size_t j = (i + 1) % bases.size();
+    pair[i] = mont.PowMod2(bases[i], exps[i], bases[j], exps[j]);
+  });
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    const std::size_t j = (i + 1) % bases.size();
+    EXPECT_EQ(single[i], ReferencePowMod(bases[i], exps[i], m)) << i;
+    EXPECT_EQ(pair[i], single[i].MulMod(
+                           ReferencePowMod(bases[j], exps[j], m), m))
+        << i;
+  }
+}
+
 }  // namespace
 }  // namespace sknn

@@ -277,6 +277,33 @@ TEST_P(PaillierHomomorphismProperty, MulScalarMatchesPlaintextMul) {
   }
 }
 
+TEST_P(PaillierHomomorphismProperty, MulScalarPairIsTwoScalarMulsAndAnAdd) {
+  const BigInt& n = keys_.pk.n();
+  const std::vector<BigInt> scalars = {BigInt(0), BigInt(1), n - BigInt(1),
+                                       n + BigInt(2), rng_->Below(n)};
+  for (const BigInt& s : scalars) {
+    for (const BigInt& t : scalars) {
+      BigInt a = rng_->Below(n), b = rng_->Below(n);
+      Ciphertext ca = keys_.pk.Encrypt(a, *rng_);
+      Ciphertext cb = keys_.pk.Encrypt(b, *rng_);
+      OpAccumulator ops;
+      Ciphertext pair;
+      {
+        ScopedOpSink scoped(&ops);
+        pair = keys_.pk.MulScalarPair(ca, s, cb, t);
+      }
+      const OpSnapshot snap = ops.snapshot();
+      EXPECT_EQ(snap.exponentiations, 2u);
+      EXPECT_EQ(snap.multiplications, 1u);
+      EXPECT_EQ(pair, keys_.pk.Add(keys_.pk.MulScalar(ca, s),
+                                   keys_.pk.MulScalar(cb, t)))
+          << "s=" << s << " t=" << t;
+      EXPECT_EQ(keys_.sk.Decrypt(pair),
+                a.MulMod(s, n).AddMod(b.MulMod(t, n), n));
+    }
+  }
+}
+
 TEST_P(PaillierHomomorphismProperty, NegateIsAdditiveInverse) {
   const BigInt& n = keys_.pk.n();
   for (int i = 0; i < 10; ++i) {

@@ -4,6 +4,7 @@
 // error, never a crash or a silent wrong answer.
 #include <gtest/gtest.h>
 
+#include "net/message.h"
 #include "proto/sm.h"
 #include "tests/proto_test_util.h"
 
@@ -132,6 +133,21 @@ TEST_F(RobustnessTest, SmSurvivesManySequentialBatches) {
                 BigInt((round + i) * (2 * i + 1)));
     }
   }
+}
+
+// A frame's int count is the peer's claim, not a size to allocate: a
+// 26-byte frame announcing 0xFFFFFFFF ints (~64 GB of BigInt slots) must be
+// refused as truncated, without reserving memory for the claim first.
+TEST(HostileFrameTest, HugeIntCountInTinyFrameIsRejected) {
+  Message msg;
+  msg.type = 1;
+  std::vector<uint8_t> frame = WireCodec::Encode(msg);
+  ASSERT_EQ(frame.size(), 26u);  // 22-byte header + empty aux length
+  for (std::size_t i = 18; i < 22; ++i) frame[i] = 0xFF;  // n_ints
+  Result<Message> decoded = WireCodec::Decode(frame);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kProtocolError)
+      << decoded.status();
 }
 
 // A hostile C2 answers every SM round with one value outside Z*_{N^2}:

@@ -16,6 +16,8 @@
 //  * TcpListener::Close against a blocked Accept (regression: the listening
 //    fd was a plain int written by Close while Accept read it);
 //  * RandomizerPool::set_enabled toggled against Take and the fill threads;
+//  * four threads sharing one key pair's Montgomery contexts (N^2, p^2,
+//    q^2) for every exponentiation the library performs;
 //  * the revision-6 result cache churned by concurrent hits, misses,
 //    no_cache bypasses, LRU evictions and hot-reload-style invalidation
 //    while the stats plane reads its counters.
@@ -245,6 +247,52 @@ TEST(TsanStress, RandomizerPoolToggleUnderLoad) {
   stop.store(true);
   for (auto& t : takers) t.join();
   EXPECT_GT(pool.hits() + pool.misses(), 0u);
+}
+
+// One key pair's Montgomery contexts (N^2 on the public key, p^2 and q^2 on
+// the secret key) are built once and shared by every copy of the key. Four
+// threads drive all of them at once — MulScalar, MulScalarPair, unpooled
+// Encrypt (r^N) and CRT decryption — and each thread's results must equal
+// the same seed's serial run bitwise.
+TEST(TsanStress, SharedKeyContextsUnderConcurrentExponentiation) {
+  PaillierPublicKey pk = SharedAlice().public_key();
+  pk.set_randomizer_pool(nullptr);  // r^N through the shared N^2 context
+  const PaillierSecretKey& sk = SharedAlice().secret_key_for_c2();
+  ASSERT_TRUE(sk.use_crt());
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 6;
+  struct Results {
+    std::vector<Ciphertext> encrypted, scaled, paired;
+    std::vector<BigInt> decrypted;
+  };
+  auto run = [&](int thread) {
+    Random rng(7000 + static_cast<uint64_t>(thread));
+    Results out;
+    for (int i = 0; i < kRounds; ++i) {
+      Ciphertext a = pk.Encrypt(rng.Below(pk.n()), rng);
+      Ciphertext b = pk.Encrypt(rng.Below(pk.n()), rng);
+      const BigInt s = rng.Below(pk.n()), t = rng.Below(pk.n());
+      out.encrypted.push_back(a);
+      out.scaled.push_back(pk.MulScalar(a, s));
+      out.paired.push_back(pk.MulScalarPair(a, s, b, t));
+      out.decrypted.push_back(sk.Decrypt(out.paired.back()));
+    }
+    return out;
+  };
+  std::vector<Results> serial;
+  for (int t = 0; t < kThreads; ++t) serial.push_back(run(t));
+  std::vector<Results> concurrent(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { concurrent[t] = run(t); });
+  }
+  for (auto& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(concurrent[t].encrypted == serial[t].encrypted) << t;
+    EXPECT_TRUE(concurrent[t].scaled == serial[t].scaled) << t;
+    EXPECT_TRUE(concurrent[t].paired == serial[t].paired) << t;
+    EXPECT_EQ(concurrent[t].decrypted, serial[t].decrypted) << t;
+  }
 }
 
 // ---------------------------------------------------------------------------
