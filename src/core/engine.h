@@ -65,10 +65,9 @@ class SknnEngine {
     bool verify_sbd = true;
     /// Use the vectorized wire opcodes: each batched protocol stage ships
     /// ONE message carrying the whole vector (C2 fans the instances out
-    /// across c2_threads), and SkNN_m fuses the record-extraction and
-    /// distance-clamp SM stages into one round. Results are identical to
-    /// the scalar (paper-literal) protocol; only message count and wall
-    /// time change. Off = the reference scalar transcript.
+    /// across c2_threads). Results are identical to the scalar protocol;
+    /// only message count and wall time change. Off = the reference scalar
+    /// transcript.
     bool vectorized_rounds = true;
     /// Back both clouds' encryptions with precomputed-randomizer pools
     /// (crypto/paillier.h): the r^N modexp moves off the critical path into

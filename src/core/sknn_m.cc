@@ -4,7 +4,6 @@
 
 #include "common/stopwatch.h"
 #include "proto/permutation.h"
-#include "proto/sbor.h"
 #include "proto/sm.h"
 #include "proto/smax.h"
 #include "proto/smin.h"
@@ -57,9 +56,9 @@ Result<std::vector<EncryptedBits>> PrepareDistanceBits(
   // Tie-break augmentation: [flag = 0 | d_i (complemented for farthest) |
   // global index], MSB first. The compared values are now pairwise
   // distinct, so every SMIN_n has a unique winner and C2's min pointer sees
-  // exactly one zero. The flag bit keeps clamped (already extracted)
-  // records strictly above every live one even when a live record's
-  // distance and index bits are all ones.
+  // exactly one zero. The flag bit, set when a record is extracted, keeps
+  // it strictly above every live one even when a live record's distance and
+  // index bits are all ones.
   const unsigned idx_bits = TieBreakIndexBits(total_records);
   ctx.ForEach(n, [&](std::size_t i) {
     Random& rng = Random::ThreadLocal();
@@ -111,14 +110,14 @@ Result<TopKExtraction> ExtractTopK(
   if (keep_winner_bits) out.winner_bits.reserve(k);
 
   for (unsigned s = 1; s <= k; ++s) {
-    // Step 3(a): [d_min] over the current (possibly clamped) bit vectors.
+    // Step 3(a): [d_min] over the current bit vectors.
     phase.Reset();
     SKNN_ASSIGN_OR_RETURN(EncryptedBits dmin_bits, SecureMinN(ctx, bits));
     bd.sminn_seconds += phase.ElapsedSeconds();
 
     // Step 3(b): tau_i = Epk(r_i * (d_min - d_i)), permuted. Epk(d_i) is
     // recomposed from the current bits (they carry the augmentation and,
-    // from the second iteration on, the clamps).
+    // from the second iteration on, the set flags).
     phase.Reset();
     Ciphertext e_dmin = ComposeFromBits(pk, dmin_bits);
     std::vector<Ciphertext> tau(n);
@@ -147,30 +146,12 @@ Result<TopKExtraction> ExtractTopK(
 
     // Step 3(d): V = pi^{-1}(U); record extraction via one batched SM of
     // V_i against every attribute, then column-wise homomorphic sums.
-    //
-    // Step 3(e) clamps every bit of the winner to 1 via SBOR of V_i — and
-    // SBOR's only round trip is itself an SM of exactly the same V_i. In
-    // vectorized mode both stages therefore ride ONE fused SM round
-    // (operands [V x attributes | V x bits]); C2 sees the same blinded
-    // products either way, so only the message count changes. Scalar mode
-    // keeps the paper-literal two rounds. The clamp is skipped after the
-    // last iteration (the paper loops it unconditionally; the update only
-    // matters for the next SMIN_n).
     std::vector<Ciphertext> v = pi.ApplyInverse(u);
-    const bool clamp = s < k;
-    const bool fuse = ctx.vectorized() && clamp;
-    const std::size_t sm_count = n * m + (fuse ? n * l_aug : 0);
-    std::vector<Ciphertext> sm_left(sm_count), sm_right(sm_count);
+    std::vector<Ciphertext> sm_left(n * m), sm_right(n * m);
     ctx.ForEach(n, [&](std::size_t i) {
       for (std::size_t j = 0; j < m; ++j) {
         sm_left[i * m + j] = v[i];
         sm_right[i * m + j] = records[i][j];
-      }
-      if (fuse) {
-        for (std::size_t g = 0; g < l_aug; ++g) {
-          sm_left[n * m + i * l_aug + g] = v[i];
-          sm_right[n * m + i * l_aug + g] = bits[i][g];
-        }
       }
     });
     SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> v_prime,
@@ -187,33 +168,17 @@ Result<TopKExtraction> ExtractTopK(
     if (keep_winner_bits) out.winner_bits.push_back(std::move(dmin_bits));
     bd.extract_seconds += phase.ElapsedSeconds();
 
-    if (!clamp) break;
+    // Step 3(e): retire the winner so it can never win again. The paper
+    // clamps every bit to 1 with n*l SBORs; setting the flag bit alone
+    // already puts the winner above every live record. The winner is live
+    // (flag 0) and V is one-hot, so flag + V_i = flag OR V_i exactly, one
+    // local Add per record and no round trip. Unlike the all-ones clamp it
+    // keeps retired records pairwise distinct (their index bits survive),
+    // so no later SMIN compares two equal vectors. Skipped after the last
+    // iteration: it only matters for a further SMIN_n.
+    if (s == k) break;
     phase.Reset();
-    if (fuse) {
-      // Finish the SBOR locally from the fused products:
-      // v OR bit = v + bit - v*bit.
-      ctx.ForEach(n, [&](std::size_t i) {
-        for (std::size_t g = 0; g < l_aug; ++g) {
-          bits[i][g] = pk.Sub(pk.Add(v[i], bits[i][g]),
-                              v_prime[n * m + i * l_aug + g]);
-        }
-      });
-    } else {
-      std::vector<Ciphertext> or_left(n * l_aug), or_right(n * l_aug);
-      ctx.ForEach(n, [&](std::size_t i) {
-        for (std::size_t g = 0; g < l_aug; ++g) {
-          or_left[i * l_aug + g] = v[i];
-          or_right[i * l_aug + g] = bits[i][g];
-        }
-      });
-      SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> ored,
-                            SecureBitOrBatch(ctx, or_left, or_right));
-      ctx.ForEach(n, [&](std::size_t i) {
-        for (std::size_t g = 0; g < l_aug; ++g) {
-          bits[i][g] = ored[i * l_aug + g];
-        }
-      });
-    }
+    for (std::size_t i = 0; i < n; ++i) bits[i][0] = pk.Add(bits[i][0], v[i]);
     bd.update_seconds += phase.ElapsedSeconds();
   }
   return out;

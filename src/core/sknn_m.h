@@ -10,8 +10,10 @@
 //       elsewhere) and returns the encrypted one-hot vector U;
 //   (d) C1 un-permutes U into V and extracts the winning record
 //       obliviously: Epk(t'_s,j) = prod_i SM(V_i, Epk(t_{i,j}));
-//   (e) the winner's bits are clamped to all-ones via SBOR with V_i so it
-//       can never win again — without C1 learning which record it was.
+//   (e) the winner is retired so it can never win again — without C1
+//       learning which record it was: C1 adds V_i to each record's flag bit
+//       (below). The paper clamps every bit to 1 with SBORs instead; see
+//       docs/CRYPTO.md section 6.
 //
 // Deterministic tie-break (the departure from the paper's literal Section
 // 4.2, which lets C2 pick among tied minima at random): every comparison
@@ -20,11 +22,12 @@
 //     [extracted-flag | d_i (l bits) | global record index]
 //
 // so the compared values are pairwise distinct — ties in d are broken by
-// the lower global index, and already-extracted records (flag forced to 1
-// by the clamp) sort above everything still alive. The protocol's answer
-// becomes a pure function of (table, query, k), which is what lets a
-// sharded execution (core/shard_coordinator.h) merge per-shard candidates
-// into bitwise-identical results, and C2 now sees EXACTLY one zero in every
+// the lower global index, and already-extracted records (flag set to 1 by
+// step (e)) sort above everything still alive while staying distinct from
+// each other. The protocol's answer becomes a pure function of (table,
+// query, k), which is what lets a sharded execution
+// (core/shard_coordinator.h) merge per-shard candidates into
+// bitwise-identical results, and C2 now sees EXACTLY one zero in every
 // min-pointer round instead of leaking the multiplicity of the tie. The
 // index bits are data-independent public values; everything C2 decrypts is
 // blinded exactly as before, so the Section 4.3 security argument is
@@ -50,8 +53,8 @@ struct SkNNmOptions {
   bool verify_sbd = true;
   /// Secure k-FARTHEST neighbors instead of nearest: the distance bits are
   /// complemented after SBD (max(d) = NOT min(NOT d)), and the rest of
-  /// Algorithm 6 runs unchanged — extraction clamps a winner's complemented
-  /// distance to all-ones, i.e. its true distance to 0. This is the
+  /// Algorithm 6 runs unchanged — extraction sets a winner's flag bit, so
+  /// it sorts above every live record's complemented distance. This is the
   /// building block for distance-based outlier detection (Section 2.1.1).
   /// Ties (equal true distance) are broken by the lower global index, same
   /// as the nearest-neighbor direction.
@@ -93,11 +96,12 @@ struct TopKExtraction {
 };
 
 /// \brief Runs k iterations of Algorithm 6 step 3 — SMIN_n, min pointer,
-/// oblivious record extraction, SBOR clamp — over any (records, bits) pool:
-/// the full database, one shard, or a set of merge candidates. `bits` are
-/// augmented vectors (PrepareDistanceBits or a shard's winner_bits) and are
-/// mutated in place: each winner is clamped to all-ones (the clamp after
-/// the final iteration is skipped — it only matters for a further SMIN_n).
+/// oblivious record extraction, winner retirement — over any (records,
+/// bits) pool: the full database, one shard, or a set of merge candidates.
+/// `bits` are augmented vectors (PrepareDistanceBits or a shard's
+/// winner_bits) and are mutated in place: each winner's flag bit is set to
+/// 1 (skipped after the final iteration — it only matters for a further
+/// SMIN_n).
 /// `breakdown`, if non-null, accumulates the sminn/extract/update timings.
 Result<TopKExtraction> ExtractTopK(
     ProtoContext& ctx, const std::vector<std::vector<Ciphertext>>& records,

@@ -38,7 +38,7 @@ struct SkNNmBreakdown {
   double sbd_seconds = 0;       ///< step 2: bit decomposition
   double sminn_seconds = 0;     ///< step 3(a): k SMIN_n tournaments
   double extract_seconds = 0;   ///< steps 3(b)-(d): pointer + record fetch
-  double update_seconds = 0;    ///< step 3(e): SBOR distance clamping
+  double update_seconds = 0;    ///< step 3(e): setting the winner's flag bit
   double finalize_seconds = 0;  ///< steps 4-6: masked hand-off to Bob
 
   double total() const {

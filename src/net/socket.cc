@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -75,8 +76,15 @@ bool SocketEndpoint::Recv(std::vector<uint8_t>* frame) {
   if (!ReadAll(fd_, header, 4)) return false;
   uint32_t len = 0;
   for (int i = 0; i < 4; ++i) len |= static_cast<uint32_t>(header[i]) << (8 * i);
-  frame->resize(len);
-  if (len > 0 && !ReadAll(fd_, frame->data(), len)) return false;
+  // The prefix is the peer's claim, not a promise: grow the buffer only as
+  // bytes land, one chunk at a time, so a header alone allocates nothing.
+  frame->clear();
+  for (std::size_t have = 0; have < len;) {
+    const std::size_t step = std::min<std::size_t>(len - have, kRecvChunkBytes);
+    frame->resize(have + step);
+    if (!ReadAll(fd_, frame->data() + have, step)) return false;
+    have += step;
+  }
   bytes_received_.fetch_add(4 + len, std::memory_order_relaxed);
   return true;
 }

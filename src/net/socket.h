@@ -9,6 +9,7 @@
 #define SKNN_NET_SOCKET_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -25,6 +26,11 @@ class SocketEndpoint : public Endpoint {
   /// \brief Takes ownership of a connected stream-socket fd.
   explicit SocketEndpoint(int fd) : fd_(fd) {}
   ~SocketEndpoint() override;
+
+  /// \brief Recv grows the frame buffer by at most this many bytes ahead of
+  /// the bytes that have actually arrived, whatever length the peer's
+  /// prefix claims.
+  static constexpr std::size_t kRecvChunkBytes = std::size_t{64} << 10;
 
   bool Send(std::vector<uint8_t> frame) override;
   bool Recv(std::vector<uint8_t>* frame) override;

@@ -1,7 +1,8 @@
 // Secure Bit-OR (SBOR), Section 3: Epk(o1 OR o2) from encrypted bits, via
-// o1 OR o2 = o1 + o2 - o1*o2 with the product from one SM call. SkNN_m uses
-// n*l SBORs per iteration to obliviously clamp the chosen record's distance
-// to the all-ones maximum (Algorithm 6 step 3(e)).
+// o1 OR o2 = o1 + o2 - o1*o2 with the product from one SM call. The paper's
+// Algorithm 6 step 3(e) uses n*l SBORs per iteration to clamp the chosen
+// record's distance to all-ones; SkNN_m here needs none (its flag bit makes
+// the clamp one local Add, docs/CRYPTO.md section 6).
 #ifndef SKNN_PROTO_SBOR_H_
 #define SKNN_PROTO_SBOR_H_
 

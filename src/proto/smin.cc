@@ -1,6 +1,7 @@
 #include "proto/smin.h"
 
 #include <cstdint>
+#include <string>
 
 #include "proto/permutation.h"
 #include "proto/sm.h"
@@ -39,6 +40,13 @@ Result<std::vector<EncryptedBits>> SecureMinBatch(
     }
   }
   const PaillierPublicKey& pk = ctx.pk();
+  // The H chain below needs 2^l < min(p, q); both primes are at least
+  // 2^(key_bits/2 - 1).
+  if (l + 2 > pk.key_bits() / 2) {
+    return Status::InvalidArgument("SMIN: bit width " + std::to_string(l) +
+                                   " exceeds key_bits/2 - 2 = " +
+                                   std::to_string(pk.key_bits() / 2 - 2));
+  }
   const BigInt& n = pk.n();
   const BigInt n_minus_1 = n - BigInt(1);
 
@@ -89,9 +97,11 @@ Result<std::vector<EncryptedBits>> SecureMinBatch(
       // G_i = Epk(u_i XOR v_i) = Epk(u_i + v_i - 2 u_i v_i).
       Ciphertext g =
           pk.Add(pk.Add(ui, vi), pk.Negate(pk.Add(uivi, uivi)));
-      // H_i = H_{i-1}^{r_i} * G_i with r_i nonzero: preserves the first
-      // Epk(1), randomizes everything after it.
-      Ciphertext h = pk.Add(pk.MulScalar(h_prev, rng.NonZeroBelow(n)), g);
+      // H_i = 2 H_{i-1} + G_i: 0 before the first differing bit, 1 at it,
+      // in [2, 2^l) after it. The paper multiplies by a random r_i instead;
+      // that buys nothing, since r'_i below already makes every L_i with
+      // Phi_i != 0 uniform, and 2^l below both primes keeps Phi_i a unit.
+      Ciphertext h = pk.Add(pk.Add(h_prev, h_prev), g);
       h_prev = h;
       // Phi_i = Epk(-1) * H_i: zero exactly at the first differing bit.
       // batch-exempt: depends on H_i from the sequential chain above

@@ -6,9 +6,10 @@
 //
 //   * C1 flips a private coin F in {u > v, v > u} and evaluates the chosen
 //     comparison obliviously: W_i encrypts "bit i decides F", Gamma_i the
-//     blinded bit difference, G_i = u_i XOR v_i, the H chain marks the first
-//     differing position, Phi_i is zero exactly there, and L_i = W_i +
-//     r'_i * Phi_i exposes the deciding W only at that position.
+//     blinded bit difference, G_i = u_i XOR v_i, the H chain (H_i = 2 H_{i-1}
+//     + G_i) is 1 exactly at the first differing position, Phi_i = H_i - 1
+//     is zero exactly there and a unit elsewhere, and L_i = W_i + r'_i *
+//     Phi_i exposes the deciding W only at that position.
 //   * C1 permutes Gamma and L with fresh permutations pi_1, pi_2 and sends
 //     them; C2 decrypts L, sets alpha = [some entry == 1] (the outcome of F,
 //     meaningless to C2 since F is secret), and returns re-randomized
@@ -36,7 +37,8 @@ Result<EncryptedBits> SecureMin(ProtoContext& ctx, const EncryptedBits& u,
                                 const EncryptedBits& v);
 
 /// \brief Pairwise SMIN over a batch: out[i] = [min(us[i], vs[i])]. Two
-/// round trips total regardless of batch size.
+/// round trips total regardless of batch size. The width l must satisfy
+/// 1 <= l <= key_bits/2 - 2 (InvalidArgument otherwise).
 Result<std::vector<EncryptedBits>> SecureMinBatch(
     ProtoContext& ctx, const std::vector<EncryptedBits>& us,
     const std::vector<EncryptedBits>& vs);

@@ -199,7 +199,7 @@ TEST_F(ComplexityTest, SkNNmRoundCountIsIndependentOfNPerStage) {
   //   per iteration   2*ceil(log2 n)     (SMIN_n tournament: SM + phase2
   //                                       per level)
   //                   + 1                (min pointer)
-  //                   + 1                (fused extract+clamp SM)
+  //                   + 1                (record-extraction SM)
   //   finalize        1                  (masked ship to Bob)
   // Since n <= 2^l here, ceil(log2 n) <= l and the whole query is <= the
   // paper-shaped bound 2 + l + k*(2*l + 2) + 1 — and independent of n per
@@ -280,7 +280,7 @@ TEST_F(ComplexityTest, SkNNmOpsLinearInK) {
     EXPECT_TRUE(result.ok());
     return FromSnapshot(result->ops);
   };
-  // Iterations 2..k are identical in op count; iteration k skips the SBOR
+  // Iterations 2..k are identical in op count; iteration k skips the flag
   // update, so compare k in {2,3,4}: second difference of the *middle*
   // iterations vanishes.
   Ops o2 = run(2), o3 = run(3), o4 = run(4);

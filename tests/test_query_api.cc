@@ -154,11 +154,10 @@ TEST(QueryBatchTest, PerQueryInstrumentationIsIsolatedUnderConcurrency) {
 }
 
 TEST(QueryBatchTest, VectorizedRoundsMatchScalarProtocolBitwise) {
-  // The vectorized wire opcodes (kSmVec / kLsbVec / kSminPhase2Vec, plus the
-  // fused extract+clamp SM round) must return exactly the records the
-  // paper-literal scalar transcript returns, at both thread counts. The
-  // distinct-distance table makes every protocol's answer deterministic, so
-  // the comparison is bitwise.
+  // The vectorized wire opcodes (kSmVec / kLsbVec / kSminPhase2Vec) must
+  // return exactly the records the paper-literal scalar transcript returns,
+  // at both thread counts. The distinct-distance table makes every
+  // protocol's answer deterministic, so the comparison is bitwise.
   PlainTable table = DistinctDistanceTable(8);
   std::vector<QueryRequest> requests = MixedWorkload();
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {

@@ -8,6 +8,7 @@
 //   * the SMIN functionality coin is actually random (alpha ~ Bernoulli(1/2)),
 //   * the min-pointer vector beta shows C2 exactly one zero and otherwise
 //     unstructured residues,
+//   * every SMIN shows C2 exactly one comparison bit (no equal operands),
 //   * SkNN_m views never reveal small (distance-sized) plaintexts,
 //   * the SkNN_b distance leak exists exactly as documented,
 //   * access-pattern defenses: the permuted zero position varies per query.
@@ -17,6 +18,7 @@
 
 #include "baseline/plaintext_knn.h"
 #include "core/engine.h"
+#include "core/sknn_m.h"
 #include "data/synthetic.h"
 #include "proto/sm.h"
 #include "proto/smin.h"
@@ -136,6 +138,44 @@ TEST(SkNNmSecurityZeroTest, BetaShowsExactlyOneZeroPerIteration) {
   }
   EXPECT_EQ(pointer_views, k * table.size());
   EXPECT_EQ(zeros, k);
+}
+
+TEST(SkNNmSecurityZeroTest, SminViewsShowExactlyOneBitPerComparison) {
+  // In every SMIN, C2 decrypts l_aug blinded L' values, and exactly one of
+  // them (the first differing bit) is the bare comparison bit in {0, 1}. A
+  // block with none would tell C2 that the two compared vectors are equal,
+  // e.g. two records already returned by earlier iterations. Distinct
+  // distances i^2 and k >= 3 make later tournaments pair such records.
+  PlainTable table;
+  for (int64_t i = 0; i < 8; ++i) table.push_back({i, 0, 0});
+  SknnEngine::Options opts;
+  opts.key_bits = 256;
+  opts.attr_bits = 3;
+  opts.record_c2_views = true;
+  auto engine = SknnEngine::Create(table, opts);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  const std::size_t l_aug =
+      AugmentedBitWidth((*engine)->distance_bits(), table.size());
+
+  for (unsigned k : {3u, 4u}) {
+    auto result = RunQuery(**engine, {0, 0, 0}, k, QueryProtocol::kSecure);
+    ASSERT_TRUE(result.ok()) << result.status();
+    std::vector<BigInt> l_views;
+    for (const auto& view : (*engine)->c2_service().TakeViews()) {
+      if (view.op == Op::kSminPhase2Batch) l_views.push_back(view.plaintext);
+    }
+    // k tournaments over 8 records: 7 SMINs each.
+    ASSERT_EQ(l_views.size(), k * 7 * l_aug) << "k=" << k;
+    std::size_t bad_blocks = 0;
+    for (std::size_t b = 0; b < l_views.size(); b += l_aug) {
+      std::size_t bits = 0;
+      for (std::size_t i = b; i < b + l_aug; ++i) {
+        if (l_views[i] <= BigInt(1)) ++bits;
+      }
+      if (bits != 1) ++bad_blocks;
+    }
+    EXPECT_EQ(bad_blocks, 0u) << "k=" << k;
+  }
 }
 
 TEST_F(SkNNmSecurityTest, NoSmallPlaintextEverReachesC2) {

@@ -151,6 +151,55 @@ TEST_F(SminTest, MinNZeroIncluded) {
   EXPECT_EQ(harness_.DecryptBits(*result), 0u);
 }
 
+TEST_F(SminTest, EdgePairsUpToWidestAllowedWidth) {
+  // The pairs that stress the H chain: no differing bit (u == v), only the
+  // MSB differs (the chain fires first and doubles l - 1 times), only the
+  // LSB differs (it fires last), and every bit differs (H reaches its
+  // maximum 2^l - 1). l = key_bits/2 - 2 is the widest SMIN accepts.
+  const unsigned widest = harness_.pk().key_bits() / 2 - 2;
+  auto encrypt = [&](const std::vector<int>& bits) {
+    EncryptedBits out;
+    for (int b : bits) out.push_back(harness_.pk().Encrypt(BigInt(b), rng_));
+    return out;
+  };
+  for (unsigned l : {1u, 8u, widest}) {
+    std::vector<int> base(l);
+    for (auto& b : base) b = static_cast<int>(rng_.UniformUint64(2));
+    std::vector<int> msb0 = base, msb1 = base, lsb0 = base, lsb1 = base;
+    msb0.front() = 0;
+    msb1.front() = 1;
+    lsb0.back() = 0;
+    lsb1.back() = 1;
+    std::vector<int> complement(l);
+    for (unsigned i = 0; i < l; ++i) complement[i] = 1 - base[i];
+    const std::vector<std::pair<std::vector<int>, std::vector<int>>> pairs = {
+        {base, base},   {msb0, msb1}, {msb1, msb0},
+        {lsb0, lsb1},   {lsb1, lsb0}, {base, complement}};
+    for (std::size_t c = 0; c < pairs.size(); ++c) {
+      const auto& [u, v] = pairs[c];
+      auto result = SecureMin(harness_.ctx(), encrypt(u), encrypt(v));
+      ASSERT_TRUE(result.ok()) << "l=" << l << " case " << c << ": "
+                               << result.status();
+      std::vector<int> got;
+      for (const auto& ct : *result) {
+        const BigInt bit = harness_.Decrypt(ct);
+        EXPECT_LE(bit, BigInt(1)) << "non-bit plaintext";
+        got.push_back(bit == BigInt(1) ? 1 : 0);
+      }
+      EXPECT_EQ(got, std::min(u, v)) << "l=" << l << " case " << c;
+    }
+  }
+}
+
+TEST_F(SminTest, RejectsBitWidthTheKeyCannotHold) {
+  // One bit past key_bits/2 - 2 would let the H chain reach a prime.
+  const unsigned l = harness_.pk().key_bits() / 2 - 1;
+  const EncryptedBits bits(l, harness_.pk().Encrypt(BigInt(0), rng_));
+  auto result = SecureMin(harness_.ctx(), bits, bits);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 // Property sweeps over widths, sizes and parallelism.
 class SminProperty
     : public ::testing::TestWithParam<std::tuple<unsigned, std::size_t>> {};

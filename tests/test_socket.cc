@@ -3,6 +3,8 @@
 // secure-multiplication protocol run over real sockets — the two-process
 // deployment path exercised in one process.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <thread>
 
@@ -87,6 +89,22 @@ TEST(SocketTest, CloseUnblocksPeerRecv) {
   EXPECT_FALSE(pair.server->Recv(&frame));
   closer.join();
   EXPECT_FALSE(pair.client->Send({1}));
+}
+
+TEST(SocketTest, HugeLengthPrefixAllocatesOnlyWhatArrives) {
+  // A peer claims a ~4 GiB frame, sends 10 bytes of it and hangs up. Recv
+  // must fail without having sized its buffer from the claim.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  SocketEndpoint endpoint(fds[0]);
+  const uint8_t bytes[14] = {0xF0, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4, 5,
+                             6,    7,    8,    9,    10};
+  ASSERT_EQ(::write(fds[1], bytes, sizeof(bytes)),
+            static_cast<ssize_t>(sizeof(bytes)));
+  ::close(fds[1]);
+  std::vector<uint8_t> frame;
+  EXPECT_FALSE(endpoint.Recv(&frame));
+  EXPECT_LE(frame.capacity(), SocketEndpoint::kRecvChunkBytes);
 }
 
 TEST(SocketTest, ConnectFailsToClosedPort) {
