@@ -23,13 +23,19 @@ bool IsMetaOp(uint16_t type) {
   }
 }
 
-/// req.ints[first, first + count) as ciphertexts, ready for DecryptMany.
-std::vector<Ciphertext> CiphertextsAt(const Message& req, std::size_t first,
-                                      std::size_t count) {
+/// req.ints as ciphertexts, ready for DecryptMany. Any value outside
+/// Z*_{N^2} is refused before anything is decrypted: C1 is a peer, and a
+/// non-unit is no ciphertext of anything.
+Result<std::vector<Ciphertext>> Ciphertexts(const PaillierPublicKey& pk,
+                                            const Message& req) {
   std::vector<Ciphertext> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.emplace_back(req.ints[first + i]);
+  out.reserve(req.ints.size());
+  for (const BigInt& v : req.ints) {
+    out.emplace_back(v);
+    if (!pk.IsValidCiphertext(out.back())) {
+      return Status::ProtocolError("opcode " + std::to_string(req.type) +
+                                   ": ciphertext outside Z*_{N^2}");
+    }
   }
   return out;
 }
@@ -62,10 +68,19 @@ Result<Message> C2Service::Dispatch(const Message& request) {
       return HandleSmBatch(request, /*parallel=*/false);
     case Op::kSmVec:
       return HandleSmBatch(request, /*parallel=*/true);
+    case Op::kSqVec: {
+      // Secure squaring: h_i = D(a'_i)^2 mod N. The opcode has only a
+      // vector form, so it always fans out.
+      const BigInt& n = sk_.public_key().n();
+      return HandleUnaryBatch(request, /*parallel=*/true, Op::kSqVec,
+                              [&n](const BigInt& a) { return a.MulMod(a, n); });
+    }
     case Op::kLsbBatch:
-      return HandleLsbBatch(request, /*parallel=*/false);
     case Op::kLsbVec:
-      return HandleLsbBatch(request, /*parallel=*/true);
+      // SBD Encrypted-LSB step: a fresh encryption of parity(D(Y_i)).
+      return HandleUnaryBatch(
+          request, static_cast<Op>(request.type) == Op::kLsbVec, Op::kLsbBatch,
+          [](const BigInt& y) { return BigInt(y.IsOdd() ? 1 : 0); });
     case Op::kSvrCheckBatch:
       return HandleSvrCheckBatch(request);
     case Op::kSminPhase2Batch:
@@ -204,9 +219,9 @@ Result<Message> C2Service::HandleSmBatch(const Message& req, bool parallel) {
   }
   const std::size_t count = req.ints.size() / 2;
   const PaillierPublicKey& pk = sk_.public_key();
+  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts, Ciphertexts(pk, req));
   ThreadPool* fan = FanPool(parallel);
-  std::vector<BigInt> plain =
-      sk_.DecryptMany(CiphertextsAt(req, 0, req.ints.size()), fan);
+  std::vector<BigInt> plain = sk_.DecryptMany(cts, fan);
   std::vector<BigInt> hs(count);
   for (std::size_t i = 0; i < count; ++i) {
     hs[i] = plain[2 * i].MulMod(plain[2 * i + 1], pk.n());
@@ -223,32 +238,32 @@ Result<Message> C2Service::HandleSmBatch(const Message& req, bool parallel) {
   return resp;
 }
 
-// SBD Encrypted-LSB step: return a fresh encryption of parity(D(Y_i)).
-Result<Message> C2Service::HandleLsbBatch(const Message& req, bool parallel) {
+// One DecryptMany, f per plaintext, one EncryptMany; views in instance order.
+Result<Message> C2Service::HandleUnaryBatch(
+    const Message& req, bool parallel, Op view_op,
+    const std::function<BigInt(const BigInt&)>& f) {
   const PaillierPublicKey& pk = sk_.public_key();
-  const std::size_t count = req.ints.size();
+  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts, Ciphertexts(pk, req));
   ThreadPool* fan = FanPool(parallel);
-  std::vector<BigInt> plain =
-      sk_.DecryptMany(CiphertextsAt(req, 0, count), fan);
-  std::vector<BigInt> parities(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    parities[i] = BigInt(plain[i].IsOdd() ? 1 : 0);
-  }
-  std::vector<Ciphertext> enc = pk.EncryptMany(parities, fan);
+  std::vector<BigInt> plain = sk_.DecryptMany(cts, fan);
+  std::vector<BigInt> mapped(plain.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) mapped[i] = f(plain[i]);
+  std::vector<Ciphertext> enc = pk.EncryptMany(mapped, fan);
   Message resp;
   resp.type = req.type;
-  resp.ints.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  resp.ints.resize(enc.size());
+  for (std::size_t i = 0; i < enc.size(); ++i) {
     resp.ints[i] = enc[i].value();
-    RecordView(Op::kLsbBatch, plain[i]);
+    RecordView(view_op, plain[i]);
   }
   return resp;
 }
 
 // SVR: report (in aux) whether each blinded difference decrypts to zero.
 Result<Message> C2Service::HandleSvrCheckBatch(const Message& req) {
-  std::vector<BigInt> plain = sk_.DecryptMany(
-      CiphertextsAt(req, 0, req.ints.size()), intra_pool_.get());
+  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts,
+                        Ciphertexts(sk_.public_key(), req));
+  std::vector<BigInt> plain = sk_.DecryptMany(cts, intra_pool_.get());
   Message resp;
   resp.type = OpCode(Op::kSvrCheckBatch);
   resp.aux.reserve(plain.size());
@@ -276,37 +291,40 @@ Result<Message> C2Service::HandleSminPhase2Batch(const Message& req,
   if (req.aux.size() != 8) {
     return Status::ProtocolError("kSminPhase2Batch: bad aux header");
   }
-  uint32_t l = req.AuxU32At(0);
-  uint32_t count = req.AuxU32At(4);
-  if (l == 0 || req.ints.size() != static_cast<std::size_t>(2 * l) * count) {
+  const std::size_t l = req.AuxU32At(0);
+  const std::size_t count = req.AuxU32At(4);
+  // Divide rather than multiply: l * count comes from the peer and may
+  // overflow, and a header that claims more than the ints present must be
+  // refused before anything is sized from it.
+  if (l == 0 || req.ints.size() % (2 * l) != 0 ||
+      req.ints.size() / (2 * l) != count) {
     return Status::ProtocolError("kSminPhase2Batch: bad block geometry");
   }
   const PaillierPublicKey& pk = sk_.public_key();
+  // Checks the Gamma' values C2 passes back as well as the L' it decrypts.
+  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts, Ciphertexts(pk, req));
   const BigInt one(1);
   ThreadPool* fan = FanPool(parallel);
   // Decrypt the permuted L' vectors of every block in one batch.
   std::vector<Ciphertext> l_cts;
-  l_cts.reserve(static_cast<std::size_t>(l) * count);
+  l_cts.reserve(l * count);
   for (std::size_t b = 0; b < count; ++b) {
     const std::size_t base = b * 2 * l;
-    for (uint32_t i = 0; i < l; ++i) {
-      l_cts.emplace_back(req.ints[base + l + i]);
-    }
+    for (std::size_t i = 0; i < l; ++i) l_cts.push_back(cts[base + l + i]);
   }
   std::vector<BigInt> plain = sk_.DecryptMany(l_cts, fan);
   // alpha_b = 1 iff some decrypted entry of block b equals 1.
   const Ciphertext zero_seed = pk.EncodeDeterministic(BigInt(0));
-  std::vector<Ciphertext> carriers(static_cast<std::size_t>(l + 1) * count);
+  std::vector<Ciphertext> carriers((l + 1) * count);
   for (std::size_t b = 0; b < count; ++b) {
     bool alpha = false;
-    for (uint32_t i = 0; i < l; ++i) {
+    for (std::size_t i = 0; i < l; ++i) {
       if (plain[b * l + i] == one) alpha = true;
     }
     const std::size_t base = b * 2 * l;
     const std::size_t out_base = b * (l + 1);
-    for (uint32_t i = 0; i < l; ++i) {
-      carriers[out_base + i] =
-          alpha ? Ciphertext(req.ints[base + i]) : zero_seed;
+    for (std::size_t i = 0; i < l; ++i) {
+      carriers[out_base + i] = alpha ? cts[base + i] : zero_seed;
     }
     carriers[out_base + l] = pk.EncodeDeterministic(BigInt(alpha ? 1 : 0));
   }
@@ -327,8 +345,9 @@ Result<Message> C2Service::HandleSminPhase2Batch(const Message& req,
 Result<Message> C2Service::HandleMinPointerBatch(const Message& req) {
   const PaillierPublicKey& pk = sk_.public_key();
   const std::size_t n = req.ints.size();
+  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts, Ciphertexts(pk, req));
   ThreadPool* fan = intra_pool_.get();
-  std::vector<BigInt> plain = sk_.DecryptMany(CiphertextsAt(req, 0, n), fan);
+  std::vector<BigInt> plain = sk_.DecryptMany(cts, fan);
   std::vector<std::size_t> zero_positions;
   for (std::size_t i = 0; i < n; ++i) {
     RecordView(Op::kMinPointerBatch, plain[i]);
@@ -362,8 +381,9 @@ Result<Message> C2Service::HandleTopKIndices(const Message& req) {
   if (k == 0 || k > req.ints.size()) {
     return Status::ProtocolError("kTopKIndices: k out of range");
   }
-  std::vector<BigInt> dist = sk_.DecryptMany(
-      CiphertextsAt(req, 0, req.ints.size()), intra_pool_.get());
+  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts,
+                        Ciphertexts(sk_.public_key(), req));
+  std::vector<BigInt> dist = sk_.DecryptMany(cts, intra_pool_.get());
   for (const auto& d : dist) RecordView(Op::kTopKIndices, d);
   std::vector<uint32_t> idx(dist.size());
   std::iota(idx.begin(), idx.end(), 0);
@@ -381,8 +401,9 @@ Result<Message> C2Service::HandleTopKIndices(const Message& req) {
 // Final step of both protocols: decrypt the randomized records and queue the
 // plaintexts for Bob (C2 -> Bob leg; never sent back to C1).
 Result<Message> C2Service::HandleMaskedDecryptToBob(const Message& req) {
-  std::vector<BigInt> decrypted = sk_.DecryptMany(
-      CiphertextsAt(req, 0, req.ints.size()), intra_pool_.get());
+  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts,
+                        Ciphertexts(sk_.public_key(), req));
+  std::vector<BigInt> decrypted = sk_.DecryptMany(cts, intra_pool_.get());
   for (const auto& v : decrypted) RecordView(Op::kMaskedDecryptToBob, v);
   {
     MutexLock lock(&mutex_);

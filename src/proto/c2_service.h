@@ -58,7 +58,7 @@ class C2Service {
   OpSnapshot TakeQueryOps(uint64_t query_id);
 
   /// \brief Spins up `threads` workers that fan the independent instances of
-  /// one vectorized request (kSmVec / kLsbVec / kSminPhase2Vec /
+  /// one vectorized request (kSmVec / kSqVec / kLsbVec / kSminPhase2Vec /
   /// kMinPointerBatch) out in parallel — the C2 half of the within-query
   /// record parallelism. Without this, vectorized messages are processed
   /// serially (still correct, just one core).
@@ -100,7 +100,11 @@ class C2Service {
   }
 
   Result<Message> HandleSmBatch(const Message& req, bool parallel);
-  Result<Message> HandleLsbBatch(const Message& req, bool parallel);
+  /// kSqVec and kLsbBatch/kLsbVec: answers each ciphertext c with a fresh
+  /// Epk(f(D(c))), recording D(c) as a view under `view_op`.
+  Result<Message> HandleUnaryBatch(
+      const Message& req, bool parallel, Op view_op,
+      const std::function<BigInt(const BigInt&)>& f);
   Result<Message> HandleSvrCheckBatch(const Message& req);
   Result<Message> HandleSminPhase2Batch(const Message& req, bool parallel);
   Result<Message> HandleMinPointerBatch(const Message& req);

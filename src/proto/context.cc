@@ -11,6 +11,7 @@ bool ReturnsCiphertexts(uint16_t type) {
   switch (static_cast<Op>(type)) {
     case Op::kSmBatch:
     case Op::kSmVec:
+    case Op::kSqVec:
     case Op::kLsbBatch:
     case Op::kLsbVec:
     case Op::kSminPhase2Batch:

@@ -56,7 +56,8 @@ class ProtoContext {
 
   /// \brief Single RPC round trip. Fails if C2 reported an error, or with
   /// kProtocolError if an opcode that answers with ciphertexts (SM, LSB,
-  /// SMIN phase 2, min pointer) returned a value outside Z*_{N^2}.
+  /// squaring, SMIN phase 2, min pointer) returned a value outside
+  /// Z*_{N^2}.
   Result<Message> Call(Op op, std::vector<BigInt> ints,
                        std::vector<uint8_t> aux = {});
 

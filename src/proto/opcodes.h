@@ -2,11 +2,15 @@
 //
 // Every interactive step of the paper's sub-protocols maps to one opcode.
 // All opcodes are *batched*: a request carries many independent instances so
-// that, e.g., the n secure multiplications of an SSED round over the whole
-// database cost one round trip, not n. Batching does not change what C2
+// that, e.g., the n*m secure squarings of an SSED round over the whole
+// database cost one round trip, not n*m. Batching does not change what C2
 // learns (each instance is processed independently) — it only amortizes
 // message framing, exactly like the paper's remark that per-record
 // computations are independent (Section 5.3).
+//
+// Every opcode that decrypts checks each request ciphertext first: a value
+// outside Z*_{N^2} (0, a multiple of p or q, N^2 or above) is answered with
+// kProtocolError before C2 decrypts anything.
 #ifndef SKNN_PROTO_OPCODES_H_
 #define SKNN_PROTO_OPCODES_H_
 
@@ -85,6 +89,12 @@ enum class Op : uint16_t {
   /// answering a kServiceStats control-plane frame, so operators see both
   /// clouds' pools in one place.
   kFetchPoolStats = 14,
+
+  /// Secure squaring (sm.h, SecureSquareBatch). ints = [a'_0, a'_1, ...]
+  /// with a'_i = Epk(a_i + r_i); response ints = [h_0, h_1, ...] where
+  /// h_i = Epk(D(a'_i)^2 mod N), freshly randomized. Vector-only: there is
+  /// no scalar form, and C2 fans a request's instances across its pool.
+  kSqVec = 15,
 
   /// Error response emitted by the RPC server (status text in aux).
   kError = 0xFFFF,

@@ -59,6 +59,43 @@ Result<std::vector<Ciphertext>> SecureMultiplyBatch(
   return out;
 }
 
+Result<std::vector<Ciphertext>> SecureSquareBatch(
+    ProtoContext& ctx, const std::vector<Ciphertext>& eas) {
+  const std::size_t count = eas.size();
+  if (count == 0) return std::vector<Ciphertext>{};
+  const PaillierPublicKey& pk = ctx.pk();
+  const BigInt& n = pk.n();
+
+  // Step 1: blind each operand once; r stays local to C1.
+  std::vector<BigInt> r(count);
+  for (BigInt& ri : r) ri = Random::ThreadLocal().Below(n);
+  std::vector<Ciphertext> enc_r = pk.EncryptMany(r, ctx.pool());
+  std::vector<BigInt> request(count);
+  ctx.ForEach(count, [&](std::size_t i) {
+    request[i] = pk.Add(eas[i], enc_r[i]).value();
+  });
+
+  // Step 2: C2 decrypts, squares, re-encrypts h = (a+r)^2 mod N.
+  SKNN_ASSIGN_OR_RETURN(
+      std::vector<BigInt> h,
+      ctx.CallChunked(Op::kSqVec, std::move(request), /*in_arity=*/1,
+                      /*out_arity=*/1));
+
+  // Step 3: strip the cross terms:
+  //   Epk(a^2) = h' * Epk(a)^{N-2r} * Epk(-r^2).
+  std::vector<BigInt> neg_r2_plain(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    neg_r2_plain[i] = n - r[i].MulMod(r[i], n);
+  }
+  std::vector<Ciphertext> neg_r2 = pk.EncryptMany(neg_r2_plain, ctx.pool());
+  std::vector<Ciphertext> out(count);
+  ctx.ForEach(count, [&](std::size_t i) {
+    Ciphertext cross = pk.MulScalar(eas[i], n - r[i].MulMod(BigInt(2), n));
+    out[i] = pk.Add(pk.Add(Ciphertext(h[i]), cross), neg_r2[i]);
+  });
+  return out;
+}
+
 Result<Ciphertext> SecureMultiply(ProtoContext& ctx, const Ciphertext& ea,
                                   const Ciphertext& eb) {
   SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> out,

@@ -50,58 +50,52 @@ Result<std::vector<EncryptedBits>> SecureMinBatch(
   const BigInt& n = pk.n();
   const BigInt n_minus_1 = n - BigInt(1);
 
-  // -- Round trip 1: Epk(u_i * v_i) for every pair and bit via batched SM.
-  std::vector<Ciphertext> flat_u(count * l), flat_v(count * l);
-  for (std::size_t b = 0; b < count; ++b) {
-    for (std::size_t i = 0; i < l; ++i) {
-      flat_u[b * l + i] = us[b][i];
-      flat_v[b * l + i] = vs[b][i];
-    }
-  }
-  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> uv,
-                        SecureMultiplyBatch(ctx, flat_u, flat_v));
-
-  // -- Phase 1 (local): W, Gamma, G, H, Phi, L per Algorithm 3 step 1.
+  // -- Round trip 1: G_i = Epk(u_i XOR v_i) = Epk((u_i - v_i)^2) for every
+  // pair and bit via one batched squaring. The difference is taken in F's
+  // direction, because Gamma blinds that same difference below; the square
+  // does not see the sign.
   std::vector<PairState> state(count);
+  std::vector<Ciphertext> diffs(count * l);
+  ctx.ForEach(count, [&](std::size_t b) {
+    PairState& st = state[b];
+    st.f_u_greater_v = Random::ThreadLocal().UniformUint64(2) == 0;
+    for (std::size_t i = 0; i < l; ++i) {
+      diffs[b * l + i] = st.f_u_greater_v ? pk.Sub(vs[b][i], us[b][i])
+                                          : pk.Sub(us[b][i], vs[b][i]);
+    }
+  });
+  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> g,
+                        SecureSquareBatch(ctx, diffs));
+
+  // -- Phase 1 (local): Gamma, H, Phi, L per Algorithm 3 step 1.
   // Request layout per block: Gamma'_1..Gamma'_l, L'_1..L'_l.
   std::vector<BigInt> request(count * 2 * l);
   ctx.ForEach(count, [&](std::size_t b) {
     Random& rng = Random::ThreadLocal();
     PairState& st = state[b];
-    st.f_u_greater_v = rng.UniformUint64(2) == 0;
     st.r_hat.resize(l);
 
     std::vector<Ciphertext> gamma(l), big_l(l);
     // batch-exempt: H_0 seed — one encryption per block
     Ciphertext h_prev = pk.Encrypt(BigInt(0), rng);  // H_0 = Epk(0)
     for (std::size_t i = 0; i < l; ++i) {
-      const Ciphertext& ui = us[b][i];
-      const Ciphertext& vi = vs[b][i];
-      const Ciphertext& uivi = uv[b * l + i];
-
-      Ciphertext w;
-      Ciphertext diff;  // Epk(v_i - u_i) or Epk(u_i - v_i), by F
-      if (st.f_u_greater_v) {
-        w = pk.Sub(ui, uivi);       // Epk(u_i * (1 - v_i))
-        diff = pk.Sub(vi, ui);
-      } else {
-        w = pk.Sub(vi, uivi);       // Epk(v_i * (1 - u_i))
-        diff = pk.Sub(ui, vi);
-      }
+      // Epk(v_i - u_i) when F: u > v, else Epk(u_i - v_i).
+      const Ciphertext& diff = diffs[b * l + i];
+      // The paper's W_i = u_i(1 - v_i) (or v_i(1 - u_i) by F) reaches C2
+      // only where Phi_i = 0, at the first differing bit. There u_i != v_i,
+      // so W_i is the bare bit u_i (or v_i).
+      const Ciphertext& w = st.f_u_greater_v ? us[b][i] : vs[b][i];
       st.r_hat[i] = rng.NonZeroBelow(n);
       // The H_i chain below is sequentially dependent, so this loop cannot
       // fan out; the pooled randomizers already cover its encryptions.
       // batch-exempt: sequential H-chain, cannot batch
       gamma[i] = pk.Add(diff, pk.Encrypt(st.r_hat[i], rng));
 
-      // G_i = Epk(u_i XOR v_i) = Epk(u_i + v_i - 2 u_i v_i).
-      Ciphertext g =
-          pk.Add(pk.Add(ui, vi), pk.Negate(pk.Add(uivi, uivi)));
       // H_i = 2 H_{i-1} + G_i: 0 before the first differing bit, 1 at it,
       // in [2, 2^l) after it. The paper multiplies by a random r_i instead;
       // that buys nothing, since r'_i below already makes every L_i with
       // Phi_i != 0 uniform, and 2^l below both primes keeps Phi_i a unit.
-      Ciphertext h = pk.Add(pk.Add(h_prev, h_prev), g);
+      Ciphertext h = pk.Add(pk.Add(h_prev, h_prev), g[b * l + i]);
       h_prev = h;
       // Phi_i = Epk(-1) * H_i: zero exactly at the first differing bit.
       // batch-exempt: depends on H_i from the sequential chain above

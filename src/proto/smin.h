@@ -5,11 +5,14 @@
 // and learns [min(u,v)] without either party learning which operand won:
 //
 //   * C1 flips a private coin F in {u > v, v > u} and evaluates the chosen
-//     comparison obliviously: W_i encrypts "bit i decides F", Gamma_i the
-//     blinded bit difference, G_i = u_i XOR v_i, the H chain (H_i = 2 H_{i-1}
-//     + G_i) is 1 exactly at the first differing position, Phi_i = H_i - 1
-//     is zero exactly there and a unit elsewhere, and L_i = W_i + r'_i *
-//     Phi_i exposes the deciding W only at that position.
+//     comparison obliviously: Gamma_i encrypts the blinded bit difference,
+//     G_i = u_i XOR v_i = (u_i - v_i)^2 comes from one batched secure
+//     squaring, the H chain (H_i = 2 H_{i-1} + G_i) is 1 exactly at the
+//     first differing position, Phi_i = H_i - 1 is zero exactly there and a
+//     unit elsewhere, and L_i = u_i + r'_i * Phi_i (v_i when F: v > u)
+//     exposes the deciding bit only at that position. The paper's
+//     W_i = u_i(1 - v_i) in place of u_i equals u_i wherever u_i != v_i,
+//     so it changes nothing C2 can see (docs/CRYPTO.md section 7).
 //   * C1 permutes Gamma and L with fresh permutations pi_1, pi_2 and sends
 //     them; C2 decrypts L, sets alpha = [some entry == 1] (the outcome of F,
 //     meaningless to C2 since F is secret), and returns re-randomized

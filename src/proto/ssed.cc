@@ -28,9 +28,9 @@ Result<std::vector<Ciphertext>> SecureSquaredDistanceBatch(
     }
   });
 
-  // Step 2: Epk((x_i - y_i)^2) via one batched SM (diff * diff).
+  // Step 2: Epk((x_i - y_i)^2) via one batched secure squaring.
   SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> squares,
-                        SecureMultiplyBatch(ctx, diffs, diffs));
+                        SecureSquareBatch(ctx, diffs));
 
   // Step 3: homomorphic sum per record.
   std::vector<Ciphertext> out(n);

@@ -2,9 +2,11 @@
 //
 // C1 holds two attribute-wise encrypted vectors; the squared distance
 // |X-Y|^2 = sum_i (x_i - y_i)^2 is assembled from homomorphic differences,
-// one batched SM for the squares, and a homomorphic sum. Only squared
-// distances are ever computed — the paper notes squaring preserves the
-// ordering kNN needs, and exact roots are infeasible on ciphertexts.
+// one batched secure squaring (sm.h; the paper runs SM with both operands
+// equal, which costs a second blind and decryption), and a homomorphic sum.
+// Only squared distances are ever computed — the paper notes squaring
+// preserves the ordering kNN needs, and exact roots are infeasible on
+// ciphertexts.
 #ifndef SKNN_PROTO_SSED_H_
 #define SKNN_PROTO_SSED_H_
 
@@ -20,7 +22,7 @@ Result<Ciphertext> SecureSquaredDistance(ProtoContext& ctx,
                                          const std::vector<Ciphertext>& ey);
 
 /// \brief Distances from one encrypted query to many encrypted records in a
-/// single batched SM round trip: out[i] = Epk(|records[i] - query|^2).
+/// single batched squaring round trip: out[i] = Epk(|records[i] - query|^2).
 Result<std::vector<Ciphertext>> SecureSquaredDistanceBatch(
     ProtoContext& ctx, const std::vector<std::vector<Ciphertext>>& records,
     const std::vector<Ciphertext>& query);

@@ -6,6 +6,7 @@
 // and check the claimed growth laws *exactly*, using the fact that a
 // function is linear iff its second differences vanish:
 //   * SM / SBOR: constant ops per instance;
+//   * secure squaring, SSED and SMIN at l = 17: exact counts;
 //   * SSED: linear in m;  SBD: linear in l;  SMIN: linear in l;
 //   * SMIN_n: exactly (n-1) SMINs worth of ops;
 //   * SkNN_b: linear in n (at fixed m, k);
@@ -86,6 +87,52 @@ TEST_F(ComplexityTest, SmIsConstantPerInstance) {
   // And per instance: 4x the batch = 4x the ops.
   Ops o8 = run(8);
   EXPECT_EQ(Scale(Diff(o4, o2), 3), Diff(o8, o2));
+}
+
+// Exact per-instance costs of the squaring-based steps (docs/CRYPTO.md
+// section 7); "ops" is encryptions + decryptions + exponentiations.
+TEST_F(ComplexityTest, SquareCostsThreeEncOneDecOneExp) {
+  for (uint64_t batch : {1u, 5u}) {
+    auto as = EncryptMany(batch, 100);
+    Ops sq = Measure([&] {
+      ASSERT_TRUE(SecureSquareBatch(harness_.ctx(), as).ok());
+    });
+    // Blind + C2's re-encryption + Epk(-r^2); C2's decryption; Epk(a)^(-2r).
+    // The multiplications are the blinding Add and the two final Adds.
+    EXPECT_EQ(sq, (Ops{3 * batch, batch, batch, 3 * batch, 0}))
+        << "batch=" << batch;
+  }
+}
+
+TEST_F(ComplexityTest, SsedCostsFiveOpsPerAttribute) {
+  for (uint64_t m : {1u, 6u}) {
+    auto x = EncryptMany(m, 50);
+    auto y = EncryptMany(m, 50);
+    Ops o = Measure([&] {
+      ASSERT_TRUE(SecureSquaredDistance(harness_.ctx(), x, y).ok());
+    });
+    EXPECT_EQ(o.enc, 3 * m) << "m=" << m;
+    EXPECT_EQ(o.dec, m) << "m=" << m;
+    EXPECT_EQ(o.exp, m) << "m=" << m;
+    EXPECT_EQ(o.enc + o.dec + o.exp, 5 * m) << "m=" << m;
+    EXPECT_EQ(o.inv, m) << "m=" << m;  // the query, negated once
+  }
+}
+
+TEST_F(ComplexityTest, SminAtSeventeenBitsCosts189Ops) {
+  // Per bit: the square (3 enc, 1 dec, 1 exp), Gamma's blind, Phi's
+  // Epk(-1), L's exponentiation, C2's decryption of L' and re-encryption
+  // of Gamma', and phase 3's lambda exponentiation: 11 ops. Per SMIN: H_0
+  // and C2's Epk(alpha). 11 * 17 + 2 = 189.
+  const unsigned l = 17;
+  auto u = harness_.EncryptBits(0x0B00D, l);
+  auto v = harness_.EncryptBits(0x0BEEF, l);
+  Ops o = Measure([&] { ASSERT_TRUE(SecureMin(harness_.ctx(), u, v).ok()); });
+  EXPECT_EQ(o.enc, 6u * l + 2);
+  EXPECT_EQ(o.dec, 2u * l);
+  EXPECT_EQ(o.exp, 3u * l);
+  EXPECT_EQ(o.enc + o.dec + o.exp, 189u);
+  EXPECT_EQ(o.inv, l);  // one Sub per bit, for the difference
 }
 
 TEST_F(ComplexityTest, SborIsOneSmPlusConstant) {

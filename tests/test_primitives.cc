@@ -1,6 +1,6 @@
-// Tests for the interactive primitives SM, SSED and SBOR against plaintext
-// references, including the paper's worked examples (Example 2 and
-// Example 3) and randomized property sweeps.
+// Tests for the interactive primitives SM, secure squaring, SSED and SBOR
+// against plaintext references, including the paper's worked examples
+// (Example 2 and Example 3) and randomized property sweeps.
 #include <gtest/gtest.h>
 
 #include "proto/sbor.h"
@@ -82,6 +82,48 @@ TEST_F(PrimitiveTest, SmBatchRejectsLengthMismatch) {
 
 TEST_F(PrimitiveTest, SmEmptyBatchIsNoop) {
   auto result = SecureMultiplyBatch(harness_.ctx(), {}, {});
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->empty());
+}
+
+TEST_F(PrimitiveTest, SqSquaresEdgeResidues) {
+  // 0 and 1 are their own squares; N-1 = -1 squares to 1; (N-1)/2 is the
+  // largest "positive" signed residue, so its square wraps mod N.
+  const auto& pk = harness_.pk();
+  const BigInt& n = pk.n();
+  const std::vector<BigInt> values = {BigInt(0), BigInt(1), n - BigInt(1),
+                                      (n - BigInt(1)) / BigInt(2),
+                                      rng_.Below(n)};
+  for (const BigInt& a : values) {
+    auto result = SecureSquareBatch(harness_.ctx(), {pk.Encrypt(a, rng_)});
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_EQ(result->size(), 1u);
+    EXPECT_EQ(harness_.Decrypt((*result)[0]), a.MulMod(a, n)) << a;
+  }
+}
+
+TEST_F(PrimitiveTest, SqBatchMatchesElementwise) {
+  const auto& pk = harness_.pk();
+  const BigInt& n = pk.n();
+  std::vector<BigInt> values = {BigInt(0), BigInt(1), n - BigInt(1),
+                                (n - BigInt(1)) / BigInt(2)};
+  for (int i = 0; i < 13; ++i) values.push_back(rng_.Below(n));
+  std::vector<Ciphertext> eas;
+  for (const BigInt& a : values) eas.push_back(pk.Encrypt(a, rng_));
+  auto batch = SecureSquareBatch(harness_.ctx(), eas);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_EQ(batch->size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    auto alone = SecureSquareBatch(harness_.ctx(), {eas[i]});
+    ASSERT_TRUE(alone.ok()) << alone.status();
+    const BigInt expected = values[i].MulMod(values[i], n);
+    EXPECT_EQ(harness_.Decrypt((*batch)[i]), expected) << i;
+    EXPECT_EQ(harness_.Decrypt((*alone)[0]), expected) << i;
+  }
+}
+
+TEST_F(PrimitiveTest, SqEmptyBatchIsNoop) {
+  auto result = SecureSquareBatch(harness_.ctx(), {});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }

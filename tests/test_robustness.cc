@@ -22,6 +22,18 @@ class RobustnessTest : public ::testing::Test {
     EXPECT_EQ(resp.status().code(), StatusCode::kProtocolError);
   }
 
+  // As ExpectError, and the refusal is C2's own, not C1's check of what C2
+  // sent back.
+  void ExpectRefusedByC2(Op op, std::vector<BigInt> ints,
+                         std::vector<uint8_t> aux = {}) {
+    auto resp = harness_.ctx().Call(op, std::move(ints), std::move(aux));
+    ASSERT_FALSE(resp.ok()) << "opcode " << OpCode(op)
+                            << " accepted malformed input";
+    EXPECT_EQ(resp.status().code(), StatusCode::kProtocolError);
+    EXPECT_NE(resp.status().message().find("C2 error"), std::string::npos)
+        << "opcode " << OpCode(op) << ": " << resp.status();
+  }
+
   TwoPartyHarness harness_;
   Random rng_{12321};
 };
@@ -45,6 +57,57 @@ TEST_F(RobustnessTest, SminPhase2BadAux) {
   // l = 0.
   std::vector<uint8_t> zero_l = {0, 0, 0, 0, 1, 0, 0, 0};
   ExpectError(Op::kSminPhase2Batch, {}, zero_l);
+}
+
+TEST_F(RobustnessTest, SminPhase2OverflowingGeometryIsRejected) {
+  // l = 2^31 and count = 1 with no ints: 2*l wraps to 0 in 32 bits, so a
+  // 32-bit geometry check would accept the frame and size a 2^31-entry
+  // vector from the header.
+  std::vector<uint8_t> aux = {0, 0, 0, 0x80, 1, 0, 0, 0};
+  ExpectError(Op::kSminPhase2Vec, {}, aux);
+  // l = count = 2^32 - 1: l * count overflows 64 bits as well.
+  std::vector<uint8_t> huge = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
+  ExpectError(Op::kSminPhase2Vec, {}, huge);
+  // C2 is still serving.
+  auto ping = harness_.ctx().Call(Op::kPing, {});
+  EXPECT_TRUE(ping.ok()) << ping.status();
+}
+
+TEST_F(RobustnessTest, EveryDecryptingOpcodeRejectsNonUnits) {
+  // 0, N, a multiple of the secret prime p, and N^2 are not in Z*_{N^2}.
+  // Each decrypting opcode gets a request that is well formed except for
+  // one such value, and must refuse it before decrypting; C2 then goes on
+  // serving honest requests.
+  const auto& pk = harness_.pk();
+  auto enc = [&](int64_t v) { return pk.Encrypt(BigInt(v), rng_).value(); };
+  const std::vector<BigInt> hostile = {
+      BigInt(0), pk.n(), harness_.c2().secret_key().p() * BigInt(3),
+      pk.n_squared()};
+  const std::vector<uint8_t> one_block = {1, 0, 0, 0, 1, 0, 0, 0};
+  const std::vector<uint8_t> k1 = {1, 0, 0, 0};
+  for (const BigInt& bad : hostile) {
+    ExpectRefusedByC2(Op::kSmVec, {enc(3), bad});
+    ExpectRefusedByC2(Op::kSqVec, {bad});
+    ExpectRefusedByC2(Op::kLsbVec, {bad});
+    ExpectRefusedByC2(Op::kSvrCheckBatch, {bad});
+    // Gamma' (passed back to C1) and L' (decrypted) are both checked. L' = 5
+    // gives alpha = 0, so a bad Gamma' would otherwise be dropped silently.
+    ExpectRefusedByC2(Op::kSminPhase2Vec, {bad, enc(5)}, one_block);
+    ExpectRefusedByC2(Op::kSminPhase2Vec, {enc(1), bad}, one_block);
+    ExpectRefusedByC2(Op::kMinPointerBatch, {bad, enc(0)});
+    ExpectRefusedByC2(Op::kTopKIndices, {enc(4), bad}, k1);
+    ExpectRefusedByC2(Op::kMaskedDecryptToBob, {bad});
+  }
+  EXPECT_TRUE(harness_.c2().TakeBobOutbox().empty());
+  auto squares =
+      SecureSquareBatch(harness_.ctx(), {pk.Encrypt(BigInt(7), rng_)});
+  ASSERT_TRUE(squares.ok()) << squares.status();
+  EXPECT_EQ(harness_.Decrypt((*squares)[0]), BigInt(49));
+  auto products = SecureMultiplyBatch(harness_.ctx(),
+                                      {pk.Encrypt(BigInt(6), rng_)},
+                                      {pk.Encrypt(BigInt(7), rng_)});
+  ASSERT_TRUE(products.ok()) << products.status();
+  EXPECT_EQ(harness_.Decrypt((*products)[0]), BigInt(42));
 }
 
 TEST_F(RobustnessTest, MinPointerWithNoZeroEntry) {
@@ -177,6 +240,36 @@ TEST(HostileC2Test, SmReplyOutsideUnitGroupIsRejected) {
       std::vector<Ciphertext> as = {pk.Encrypt(BigInt(3), rng),
                                     pk.Encrypt(BigInt(4), rng)};
       auto r = SecureMultiplyBatch(ctx, as, as);
+      ASSERT_FALSE(r.ok()) << "accepted C2 reply " << bad;
+      EXPECT_EQ(r.status().code(), StatusCode::kProtocolError) << r.status();
+    }
+  }
+}
+
+// The same for the squaring round: a C2 that answers kSqVec with a non-unit
+// must be refused by C1 before the value enters the homomorphic sum.
+TEST(HostileC2Test, SquareReplyOutsideUnitGroupIsRejected) {
+  Random rng(778);
+  auto keys = GeneratePaillierKeyPair(256, rng);
+  ASSERT_TRUE(keys.ok()) << keys.status();
+  const PaillierPublicKey& pk = keys->pk;
+  const std::vector<BigInt> hostile = {BigInt(0), pk.n(),
+                                       keys->sk.p() * BigInt(3),
+                                       pk.n_squared()};
+  for (const BigInt& bad : hostile) {
+    Channel::EndpointPair link = Channel::CreatePair();
+    RpcServer server(std::move(link.b),
+                     [&bad](const Message& req) -> Result<Message> {
+                       Message resp;
+                       resp.type = req.type;
+                       resp.ints.assign(req.ints.size(), bad);
+                       return resp;
+                     });
+    RpcClient client(std::move(link.a));
+    for (bool vectorized : {false, true}) {
+      ProtoContext ctx(&pk, &client, nullptr, 0, nullptr, vectorized);
+      auto r = SecureSquareBatch(ctx, {pk.Encrypt(BigInt(3), rng),
+                                       pk.Encrypt(BigInt(4), rng)});
       ASSERT_FALSE(r.ok()) << "accepted C2 reply " << bad;
       EXPECT_EQ(r.status().code(), StatusCode::kProtocolError) << r.status();
     }

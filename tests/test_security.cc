@@ -4,7 +4,8 @@
 // fully secure protocol is either a uniformly random residue or a value the
 // protocol explicitly concedes (and in SkNN_b, the conceded values are the
 // true distances). These tests instrument C2's decryption views and check:
-//   * blinding freshness (same inputs -> different views),
+//   * blinding freshness (same inputs -> different views) for SM and
+//     secure squaring,
 //   * the SMIN functionality coin is actually random (alpha ~ Bernoulli(1/2)),
 //   * the min-pointer vector beta shows C2 exactly one zero and otherwise
 //     unstructured residues,
@@ -49,6 +50,33 @@ TEST(SecurityTest, SmBlindingIsFreshPerInvocation) {
   // 8 runs x 2 blinded operands: all 16 views distinct with overwhelming
   // probability if blinding is fresh.
   EXPECT_EQ(seen.size(), 16u);
+}
+
+TEST(SecurityTest, SquareBlindingIsFreshPerInvocation) {
+  // C2 decrypts a + r once per square. With a fresh r per call, squaring
+  // the same ciphertext eight times shows C2 eight distinct residues, and
+  // none of them is a itself.
+  TwoPartyHarness harness(256, 31338);
+  harness.c2().set_record_views(true);
+  Random rng(2);
+  const auto& pk = harness.pk();
+  const BigInt a(5);
+  Ciphertext ea = pk.Encrypt(a, rng);
+
+  std::set<std::string> seen;
+  std::size_t views = 0;
+  for (int run = 0; run < 8; ++run) {
+    auto result = SecureSquareBatch(harness.ctx(), {ea});
+    ASSERT_TRUE(result.ok()) << result.status();
+    for (const auto& view : harness.c2().TakeViews()) {
+      if (view.op != Op::kSqVec) continue;
+      ++views;
+      EXPECT_NE(view.plaintext, a) << "C2 saw the unblinded operand";
+      seen.insert(view.plaintext.ToString());
+    }
+  }
+  EXPECT_EQ(views, 8u);
+  EXPECT_EQ(seen.size(), 8u);
 }
 
 TEST(SecurityTest, SminAlphaIsARandomCoin) {
