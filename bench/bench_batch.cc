@@ -2,13 +2,7 @@
 // QueryBatch() of the same requests, at c1_threads in {1, 2, 4}, over a
 // simulated C1<->C2 WAN (5 ms one-way, the deployment's federated-cloud
 // topology; both protocols are round-trip-bound over such a link).
-//
-// Additionally (PR 2), the single-query hot path: one SkNN_m query on the
-// scalar (paper-literal) engine vs the vectorized engine — vectorized wire
-// opcodes + fused extract/clamp round + randomizer precomputation — at the
-// same 5 ms link. Reports wall time AND the per-query C1->C2 message count
-// from the QueryMeter, so the round compression is visible, not inferred.
-// --json writes both series into BENCH_PR2.json.
+// --json writes the series into BENCH_PR2.json.
 //
 // This measures what the request-oriented API buys: with c1_threads = t the
 // engine keeps t independent queries in flight over the shared C1 pool and
@@ -72,47 +66,6 @@ BatchPoint MeasureOne(std::size_t n, std::size_t m, unsigned l,
   return point;
 }
 
-struct HotPathPoint {
-  double scalar_seconds = 0;
-  double vectorized_seconds = 0;
-  uint64_t scalar_frames = 0;      // C1->C2 messages per query (QueryMeter)
-  uint64_t vectorized_frames = 0;
-};
-
-// One SkNN_m query, scalar engine vs vectorized engine, same data and link.
-HotPathPoint MeasureHotPath(std::size_t n, std::size_t m, unsigned l,
-                            unsigned key_bits, std::size_t threads,
-                            unsigned k, std::chrono::microseconds latency,
-                            std::size_t reps) {
-  HotPathPoint point;
-  for (int vectorized = 0; vectorized <= 1; ++vectorized) {
-    EngineSetup setup = MakeEngine(
-        n, m, l, key_bits, threads, /*seed=*/n * 977, latency,
-        [&](SknnEngine::Options& opts) {
-          opts.vectorized_rounds = vectorized != 0;
-          opts.randomizer_pool = vectorized != 0;
-        });
-    // One untimed warmup lets the randomizer pools reach steady state —
-    // exactly the state a serving engine is in.
-    QueryResponse warm = MustQuery(*setup.engine, setup.query, k,
-                                   QueryProtocol::kSecure, "hot path warmup");
-    Stopwatch sw;
-    for (std::size_t r = 0; r < reps; ++r) {
-      warm = MustQuery(*setup.engine, setup.query, k, QueryProtocol::kSecure,
-                       "hot path query");
-    }
-    double seconds = sw.ElapsedSeconds() / static_cast<double>(reps);
-    if (vectorized) {
-      point.vectorized_seconds = seconds;
-      point.vectorized_frames = warm.traffic.frames_a_to_b;
-    } else {
-      point.scalar_seconds = seconds;
-      point.scalar_frames = warm.traffic.frames_a_to_b;
-    }
-  }
-  return point;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -161,42 +114,9 @@ int main(int argc, char** argv) {
   }
   batch_json << "\n    ]";
 
-  // -- PR 2 hot path: scalar vs vectorized single SkNN_m query --
-  const std::size_t n_hot = PaperScale() ? 32 : 16;
-  const std::size_t hot_threads = 4;
-  const std::size_t hot_reps = PaperScale() ? 3 : 2;
-  PrintHeader("hot path",
-              "one SkNN_m query, scalar (paper-literal) vs vectorized "
-              "rounds + randomizer pools, 5 ms C1<->C2 WAN",
-              "frames = C1->C2 messages per query (QueryMeter)");
-  HotPathPoint hot = MeasureHotPath(n_hot, kM, kL, key_bits, hot_threads, kK,
-                                    kLatency, hot_reps);
-  std::printf("%12s %14s %14s\n", "", "scalar", "vectorized");
-  std::printf("%12s %14.2f %14.2f\n", "seconds", hot.scalar_seconds,
-              hot.vectorized_seconds);
-  std::printf("%12s %14llu %14llu\n", "frames",
-              static_cast<unsigned long long>(hot.scalar_frames),
-              static_cast<unsigned long long>(hot.vectorized_frames));
-  std::printf("%12s %14s %13.2fx\n", "speedup", "",
-              hot.scalar_seconds /
-                  (hot.vectorized_seconds > 0 ? hot.vectorized_seconds
-                                              : 1e-9));
   if (emit_json) {
     std::ostringstream os;
-    os << "{\n    \"batch_vs_serial\": " << batch_json.str()
-       << ",\n    \"sknn_m_hot_path\": {\"n\": " << n_hot
-       << ", \"m\": " << kM << ", \"l\": " << kL << ", \"k\": " << kK
-       << ", \"key_bits\": " << key_bits << ", \"threads\": " << hot_threads
-       << ", \"latency_ms\": 5"
-       << ", \"scalar_s\": " << hot.scalar_seconds
-       << ", \"vectorized_s\": " << hot.vectorized_seconds
-       << ", \"scalar_frames\": " << hot.scalar_frames
-       << ", \"vectorized_frames\": " << hot.vectorized_frames
-       << ", \"speedup\": "
-       << hot.scalar_seconds / (hot.vectorized_seconds > 0
-                                    ? hot.vectorized_seconds
-                                    : 1e-9)
-       << "}\n  }";
+    os << "{\n    \"batch_vs_serial\": " << batch_json.str() << "\n  }";
     MergeJsonSection(BenchJsonPath(json_path, "BENCH_PR2.json"),
                      "end_to_end", os.str());
   }

@@ -189,10 +189,10 @@ Status SknnEngine::InitCommon() {
   // bob_seconds numbers) and never draws from the clouds' stock.
   bob_ = std::make_unique<QueryClient>(pk_);
 
-  // Hot path (PR 2): intra-message fan-out at C2 for the vectorized wire
-  // forms, and per-cloud randomizer precomputation so online encryptions
-  // cost a modmul. Both compose with the per-query-id demux — pools are
-  // engine-wide, attribution stays per query. A remote C2 configures its
+  // Intra-message fan-out at C2 for the batched wire forms, and per-cloud
+  // randomizer precomputation so online encryptions cost a modmul. Both
+  // compose with the per-query-id demux — pools are engine-wide,
+  // attribution stays per query. A remote C2 configures its
   // own pools (sknn_c2_server --workers / --pool-capacity).
   if (c2_ != nullptr && options_.c2_threads > 1) {
     c2_->EnableIntraMessageParallelism(options_.c2_threads);
@@ -518,8 +518,7 @@ Result<QueryResponse> SknnEngine::ExecuteQuery(const QueryRequest& request) {
   SKNN_RETURN_NOT_OK(ValidateRequest(request));
   const uint64_t query_id = next_query_id_.fetch_add(1);
   QueryMeter meter;
-  ProtoContext ctx(&pk_, client_.get(), c1_pool_.get(), query_id, &meter,
-                   options_.vectorized_rounds);
+  ProtoContext ctx(&pk_, client_.get(), c1_pool_.get(), query_id, &meter);
   if (request.deadline_ms > 0) {
     ctx.set_deadline(std::chrono::steady_clock::now() +
                      std::chrono::milliseconds(request.deadline_ms));

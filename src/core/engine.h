@@ -63,12 +63,6 @@ class SknnEngine {
     bool record_c2_views = false;
     /// Run SBD's verification round inside SkNN_m.
     bool verify_sbd = true;
-    /// Use the vectorized wire opcodes: each batched protocol stage ships
-    /// ONE message carrying the whole vector (C2 fans the instances out
-    /// across c2_threads). Results are identical to the scalar protocol;
-    /// only message count and wall time change. Off = the reference scalar
-    /// transcript.
-    bool vectorized_rounds = true;
     /// Back both clouds' encryptions with precomputed-randomizer pools
     /// (crypto/paillier.h): the r^N modexp moves off the critical path into
     /// background workers that soak up C1<->C2 round-trip stalls. Disable

@@ -399,7 +399,7 @@ Result<ShardCandidates> ShardCoordinator::RunShard(
   // split stays exact.
   QueryMeter shard_meter;
   ProtoContext shard_ctx(&ctx.pk(), ctx.client(), ctx.pool(), ctx.query_id(),
-                         &shard_meter, ctx.vectorized());
+                         &shard_meter);
   if (ctx.has_deadline()) shard_ctx.set_deadline(ctx.deadline());
   Stopwatch watch;
   Result<ShardCandidates> result = [&] {

@@ -115,7 +115,7 @@ struct ShardCandidates {
 /// \brief Runs the distance + local-top-k stages of `protocol` over one
 /// shard. `total_records` is the FULL database size (it sizes the tie-break
 /// index field identically on every shard). All C1<->C2 exchanges ride
-/// `ctx` — its query id, meter and vectorization apply as for any query.
+/// `ctx` — its query id, meter and deadline apply as for any query.
 Result<ShardCandidates> RunShardStage(ProtoContext& ctx,
                                       const ShardSlice& slice,
                                       std::size_t total_records,

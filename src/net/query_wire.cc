@@ -107,13 +107,11 @@ Result<QueryRequest> DecodeQueryRequest(const Message& msg) {
     request.record.push_back(
         static_cast<int64_t>(msg.AuxU64At(16 + std::size_t{j} * 8)));
   }
-  // Revision-1 frames end at the record; revision-2 frames append the table
-  // name; revision-3 frames may append a trailing deadline word after it;
-  // revision-5 frames may follow the deadline with the index_mode and
-  // probe_clusters words. Every shape decodes (sole-table / no-deadline /
-  // exact-mode defaults), so the hello gate — not a parse failure — is what
-  // tells an old client it must upgrade.
-  if (msg.aux.size() == at) return request;
+  // The table name always follows the record (an encoder of every
+  // revision the hello gate admits writes it, empty for the sole table).
+  // An optional trailing deadline word may follow it, and the index_mode
+  // and probe_clusters words may follow the deadline (no-deadline /
+  // exact-mode defaults otherwise).
   if (!StringAt(msg, &at, &request.table)) {
     return BadFrame("kQuery table-name geometry mismatch");
   }

@@ -72,7 +72,7 @@ constexpr uint32_t kProtocolRevision = 6;
 /// clients would reject the widened kQueryResult (their exact-size check
 /// fails on the cache tail), so the hello gate turns them away with a typed
 /// error instead of letting them decode garbage. Revision 1 clients cannot
-/// hello at all; their first kQuery gets the typed missing-hello error.
+/// hello at all, and their kQuery frames (no table name) are malformed.
 constexpr uint32_t kMinSupportedRevision = 6;
 
 /// \brief Feature bits advertised in kHello/kHelloAck. A client MUST ignore
@@ -119,8 +119,7 @@ enum class FrontendOp : uint16_t {
   /// result cache); attributes as two's-complement little-endian u64
   /// (requests are validated server-side, so out-of-domain values must
   /// survive the wire intact to be rejected with a proper Status). The
-  /// table suffix is absent in revision-1 frames; decoding treats that as
-  /// the empty (sole-table) name so the frame shape itself stays readable.
+  /// table suffix is mandatory; the empty name means the sole table.
   /// Revision 3 appends an optional [deadline_ms:u32] after the table: the
   /// query's end-to-end budget in milliseconds, 0/absent = unbounded.
   /// Revision 5 may append [index_mode:u32][probe_clusters:u32] after the

@@ -64,29 +64,23 @@ Result<Message> C2Service::Dispatch(const Message& request) {
       resp.type = OpCode(Op::kPing);
       return resp;
     }
-    case Op::kSmBatch:
-      return HandleSmBatch(request, /*parallel=*/false);
     case Op::kSmVec:
-      return HandleSmBatch(request, /*parallel=*/true);
+      return HandleSmBatch(request);
     case Op::kSqVec: {
-      // Secure squaring: h_i = D(a'_i)^2 mod N. The opcode has only a
-      // vector form, so it always fans out.
+      // Secure squaring: h_i = D(a'_i)^2 mod N.
       const BigInt& n = sk_.public_key().n();
-      return HandleUnaryBatch(request, /*parallel=*/true, Op::kSqVec,
+      return HandleUnaryBatch(request, Op::kSqVec,
                               [&n](const BigInt& a) { return a.MulMod(a, n); });
     }
-    case Op::kLsbBatch:
     case Op::kLsbVec:
       // SBD Encrypted-LSB step: a fresh encryption of parity(D(Y_i)).
       return HandleUnaryBatch(
-          request, static_cast<Op>(request.type) == Op::kLsbVec, Op::kLsbBatch,
+          request, Op::kLsbVec,
           [](const BigInt& y) { return BigInt(y.IsOdd() ? 1 : 0); });
     case Op::kSvrCheckBatch:
       return HandleSvrCheckBatch(request);
-    case Op::kSminPhase2Batch:
-      return HandleSminPhase2Batch(request, /*parallel=*/false);
     case Op::kSminPhase2Vec:
-      return HandleSminPhase2Batch(request, /*parallel=*/true);
+      return HandleSminPhase2Batch(request);
     case Op::kMinPointerBatch:
       return HandleMinPointerBatch(request);
     case Op::kTopKIndices:
@@ -94,13 +88,12 @@ Result<Message> C2Service::Dispatch(const Message& request) {
     case Op::kMaskedDecryptToBob:
       return HandleMaskedDecryptToBob(request);
     case Op::kFetchBobOutbox: {
-      // Bob's pickup on his own connection: tagged fetches return exactly
-      // his query's records, untagged fetches drain everything (the legacy
-      // single-query deployment).
+      // Bob's pickup on his own connection: a fetch returns exactly the
+      // bucket of its own query id (0 included), so no connection can take
+      // another in-flight query's results.
       Message resp;
       resp.type = OpCode(Op::kFetchBobOutbox);
-      resp.ints = request.query_id != 0 ? TakeBobOutbox(request.query_id)
-                                        : TakeBobOutbox();
+      resp.ints = TakeBobOutbox(request.query_id);
       return resp;
     }
     case Op::kFetchQueryOps: {
@@ -152,17 +145,6 @@ void C2Service::EnableRandomizerPool(std::size_t capacity,
   sk_.mutable_public_key().set_randomizer_pool(rand_pool_.get());
 }
 
-std::vector<BigInt> C2Service::TakeBobOutbox() {
-  MutexLock lock(&mutex_);
-  std::vector<BigInt> out;
-  for (auto& [qid, bucket] : bob_outbox_) {
-    (void)qid;
-    for (auto& v : bucket) out.push_back(std::move(v));
-  }
-  bob_outbox_.clear();
-  return out;
-}
-
 std::vector<BigInt> C2Service::TakeBobOutbox(uint64_t query_id) {
   MutexLock lock(&mutex_);
   auto it = bob_outbox_.find(query_id);
@@ -203,6 +185,17 @@ std::vector<C2View> C2Service::TakeViews() {
   return out;
 }
 
+std::vector<BigInt> C2Service::TakeBobOutbox() {
+  MutexLock lock(&mutex_);
+  std::vector<BigInt> out;
+  for (auto& [qid, bucket] : bob_outbox_) {
+    (void)qid;
+    for (auto& v : bucket) out.push_back(std::move(v));
+  }
+  bob_outbox_.clear();
+  return out;
+}
+
 void C2Service::RecordView(Op op, const BigInt& plaintext) {
   MutexLock lock(&mutex_);
   if (record_views_) views_.push_back({op, plaintext});
@@ -211,16 +204,16 @@ void C2Service::RecordView(Op op, const BigInt& plaintext) {
 // SM, Algorithm 1 step 2: h_i = D(a'_i) * D(b'_i) mod N, returned encrypted.
 // The whole message runs through the batched crypto API: one DecryptMany
 // over both operand columns, the cheap modmuls in the middle, one
-// EncryptMany for the response — the vectorized form fans both batches
-// across the intra-message pool. Views are still recorded in instance order.
-Result<Message> C2Service::HandleSmBatch(const Message& req, bool parallel) {
+// EncryptMany for the response, both fanned across the intra-message pool.
+// Views are still recorded in instance order.
+Result<Message> C2Service::HandleSmBatch(const Message& req) {
   if (req.ints.size() % 2 != 0) {
-    return Status::ProtocolError("kSmBatch: odd number of ciphertexts");
+    return Status::ProtocolError("kSmVec: odd number of ciphertexts");
   }
   const std::size_t count = req.ints.size() / 2;
   const PaillierPublicKey& pk = sk_.public_key();
   SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts, Ciphertexts(pk, req));
-  ThreadPool* fan = FanPool(parallel);
+  ThreadPool* fan = intra_pool_.get();
   std::vector<BigInt> plain = sk_.DecryptMany(cts, fan);
   std::vector<BigInt> hs(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -232,19 +225,19 @@ Result<Message> C2Service::HandleSmBatch(const Message& req, bool parallel) {
   resp.ints.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
     resp.ints[i] = enc[i].value();
-    RecordView(Op::kSmBatch, plain[2 * i]);
-    RecordView(Op::kSmBatch, plain[2 * i + 1]);
+    RecordView(Op::kSmVec, plain[2 * i]);
+    RecordView(Op::kSmVec, plain[2 * i + 1]);
   }
   return resp;
 }
 
 // One DecryptMany, f per plaintext, one EncryptMany; views in instance order.
 Result<Message> C2Service::HandleUnaryBatch(
-    const Message& req, bool parallel, Op view_op,
+    const Message& req, Op view_op,
     const std::function<BigInt(const BigInt&)>& f) {
   const PaillierPublicKey& pk = sk_.public_key();
   SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts, Ciphertexts(pk, req));
-  ThreadPool* fan = FanPool(parallel);
+  ThreadPool* fan = intra_pool_.get();
   std::vector<BigInt> plain = sk_.DecryptMany(cts, fan);
   std::vector<BigInt> mapped(plain.size());
   for (std::size_t i = 0; i < plain.size(); ++i) mapped[i] = f(plain[i]);
@@ -286,10 +279,9 @@ Result<Message> C2Service::HandleSvrCheckBatch(const Message& req) {
 // rerandomizes EncodeDeterministic(alpha) ((1 + alpha*N) * r^N) — value
 // for value what Encrypt would have produced, with identical op counts
 // (Rerandomize and Encrypt both cost/count one encryption).
-Result<Message> C2Service::HandleSminPhase2Batch(const Message& req,
-                                                 bool parallel) {
+Result<Message> C2Service::HandleSminPhase2Batch(const Message& req) {
   if (req.aux.size() != 8) {
-    return Status::ProtocolError("kSminPhase2Batch: bad aux header");
+    return Status::ProtocolError("kSminPhase2Vec: bad aux header");
   }
   const std::size_t l = req.AuxU32At(0);
   const std::size_t count = req.AuxU32At(4);
@@ -298,13 +290,13 @@ Result<Message> C2Service::HandleSminPhase2Batch(const Message& req,
   // refused before anything is sized from it.
   if (l == 0 || req.ints.size() % (2 * l) != 0 ||
       req.ints.size() / (2 * l) != count) {
-    return Status::ProtocolError("kSminPhase2Batch: bad block geometry");
+    return Status::ProtocolError("kSminPhase2Vec: bad block geometry");
   }
   const PaillierPublicKey& pk = sk_.public_key();
   // Checks the Gamma' values C2 passes back as well as the L' it decrypts.
   SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts, Ciphertexts(pk, req));
   const BigInt one(1);
-  ThreadPool* fan = FanPool(parallel);
+  ThreadPool* fan = intra_pool_.get();
   // Decrypt the permuted L' vectors of every block in one batch.
   std::vector<Ciphertext> l_cts;
   l_cts.reserve(l * count);
@@ -335,7 +327,7 @@ Result<Message> C2Service::HandleSminPhase2Batch(const Message& req,
   for (std::size_t i = 0; i < randomized.size(); ++i) {
     resp.ints[i] = randomized[i].value();
   }
-  for (const BigInt& m : plain) RecordView(Op::kSminPhase2Batch, m);
+  for (const BigInt& m : plain) RecordView(Op::kSminPhase2Vec, m);
   return resp;
 }
 

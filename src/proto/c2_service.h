@@ -43,14 +43,10 @@ class C2Service {
   /// ledger entry and their Bob-bound output keyed to that query.
   Result<Message> Handle(const Message& request);
 
-  /// \brief Drains the decrypted masked records destined for Bob across all
-  /// queries, in query-id order. In a real deployment this is a direct
-  /// C2 -> Bob message; the in-process engine hands it to the QueryClient.
-  /// Never routed through C1.
-  std::vector<BigInt> TakeBobOutbox();
-
   /// \brief Drains one query's Bob-bound records — the demux that lets many
-  /// queries be in flight without interleaving their results.
+  /// queries be in flight without interleaving their results. In a real
+  /// deployment this is a direct C2 -> Bob message (kFetchBobOutbox); the
+  /// in-process engine hands it to the QueryClient. Never routed through C1.
   std::vector<BigInt> TakeBobOutbox(uint64_t query_id);
 
   /// \brief Removes and returns the Paillier operations C2 performed for
@@ -58,10 +54,9 @@ class C2Service {
   OpSnapshot TakeQueryOps(uint64_t query_id);
 
   /// \brief Spins up `threads` workers that fan the independent instances of
-  /// one vectorized request (kSmVec / kSqVec / kLsbVec / kSminPhase2Vec /
-  /// kMinPointerBatch) out in parallel — the C2 half of the within-query
-  /// record parallelism. Without this, vectorized messages are processed
-  /// serially (still correct, just one core).
+  /// one batched request out in parallel — the C2 half of the within-query
+  /// record parallelism. Without this, each message is processed serially
+  /// (still correct, just one core).
   void EnableIntraMessageParallelism(std::size_t threads);
 
   /// \brief Creates (and owns) a randomizer pool of `capacity` r^N values
@@ -83,6 +78,9 @@ class C2Service {
     if (!record) views_.clear();
   }
   std::vector<C2View> TakeViews();
+  /// \brief Drains every query's Bob-bound records, in query-id order, so a
+  /// test can assert nothing is left queued.
+  std::vector<BigInt> TakeBobOutbox();
 
   const PaillierPublicKey& public_key() const { return sk_.public_key(); }
   PaillierSecretKey& secret_key() { return sk_; }
@@ -91,22 +89,14 @@ class C2Service {
   Result<Message> Dispatch(const Message& request);
   void RecordQueryOps(uint64_t query_id, const OpSnapshot& ops);
 
-  /// \brief The fan-out pool the batched crypto calls of one request use:
-  /// the intra-message pool when the opcode's vectorized form asked for
-  /// parallelism (and one exists), else null (serial — the scalar wire
-  /// forms keep their one-chunk-per-C1-worker concurrency model).
-  ThreadPool* FanPool(bool parallel) {
-    return parallel ? intra_pool_.get() : nullptr;
-  }
-
-  Result<Message> HandleSmBatch(const Message& req, bool parallel);
-  /// kSqVec and kLsbBatch/kLsbVec: answers each ciphertext c with a fresh
+  Result<Message> HandleSmBatch(const Message& req);
+  /// kSqVec and kLsbVec: answers each ciphertext c with a fresh
   /// Epk(f(D(c))), recording D(c) as a view under `view_op`.
   Result<Message> HandleUnaryBatch(
-      const Message& req, bool parallel, Op view_op,
+      const Message& req, Op view_op,
       const std::function<BigInt(const BigInt&)>& f);
   Result<Message> HandleSvrCheckBatch(const Message& req);
-  Result<Message> HandleSminPhase2Batch(const Message& req, bool parallel);
+  Result<Message> HandleSminPhase2Batch(const Message& req);
   Result<Message> HandleMinPointerBatch(const Message& req);
   Result<Message> HandleTopKIndices(const Message& req);
   Result<Message> HandleMaskedDecryptToBob(const Message& req);
@@ -120,7 +110,7 @@ class C2Service {
   bool record_views_ GUARDED_BY(mutex_) = false;
   std::vector<C2View> views_ GUARDED_BY(mutex_);
   /// Bob-bound plaintexts, keyed by the query id that produced them
-  /// (0 = untagged legacy traffic). FIFO-bounded like the op ledger: a
+  /// (0 = untagged traffic). FIFO-bounded like the op ledger: a
   /// front end that vanishes before fetching must not leak its bucket on a
   /// standing server.
   std::map<uint64_t, std::vector<BigInt>> bob_outbox_ GUARDED_BY(mutex_);

@@ -9,12 +9,9 @@ namespace {
 /// computing with (and so negates, i.e. inverts mod N^2).
 bool ReturnsCiphertexts(uint16_t type) {
   switch (static_cast<Op>(type)) {
-    case Op::kSmBatch:
     case Op::kSmVec:
     case Op::kSqVec:
-    case Op::kLsbBatch:
     case Op::kLsbVec:
-    case Op::kSminPhase2Batch:
     case Op::kSminPhase2Vec:
     case Op::kMinPointerBatch:
       return true;
@@ -87,71 +84,20 @@ void ProtoContext::ForEach(std::size_t count,
   }
 }
 
-Result<std::vector<BigInt>> ProtoContext::CallChunked(
+Result<std::vector<BigInt>> ProtoContext::CallBatch(
     Op op, std::vector<BigInt> ints, std::size_t in_arity,
-    std::size_t out_arity,
-    const std::function<std::vector<uint8_t>(std::size_t)>& make_aux) {
+    std::size_t out_arity, std::vector<uint8_t> aux) {
   if (in_arity == 0 || ints.size() % in_arity != 0) {
-    return Status::InvalidArgument("CallChunked: size not divisible by arity");
+    return Status::InvalidArgument("CallBatch: size not divisible by arity");
   }
   const std::size_t count = ints.size() / in_arity;
   if (count == 0) return std::vector<BigInt>{};
-
-  if (vectorized_) {
-    Message req;
-    req.type = OpCode(VectorForm(op));
-    req.ints = std::move(ints);
-    if (make_aux) req.aux = make_aux(count);
-    SKNN_ASSIGN_OR_RETURN(Message resp, Exchange(std::move(req)));
-    if (resp.ints.size() != count * out_arity) {
-      return Status::ProtocolError("CallChunked: bad vectorized response");
-    }
-    return std::move(resp.ints);
+  SKNN_ASSIGN_OR_RETURN(Message resp,
+                        Call(op, std::move(ints), std::move(aux)));
+  if (resp.ints.size() != count * out_arity) {
+    return Status::ProtocolError("CallBatch: bad response arity");
   }
-
-  const std::size_t num_chunks =
-      (pool_ == nullptr) ? 1 : std::min(count, pool_->num_threads());
-  const std::size_t per_chunk = (count + num_chunks - 1) / num_chunks;
-
-  std::vector<std::size_t> chunk_begin;  // in items
-  for (std::size_t b = 0; b < count; b += per_chunk) chunk_begin.push_back(b);
-
-  std::vector<Result<Message>> responses(
-      chunk_begin.size(), Result<Message>(Status::Internal("unset")));
-  auto issue = [&](std::size_t c) {
-    std::size_t begin = chunk_begin[c];
-    std::size_t end = std::min(begin + per_chunk, count);
-    Message req;
-    req.type = OpCode(op);
-    req.ints.assign(ints.begin() + begin * in_arity,
-                    ints.begin() + end * in_arity);
-    if (make_aux) req.aux = make_aux(end - begin);
-    responses[c] = Exchange(std::move(req));
-  };
-  if (pool_ != nullptr && chunk_begin.size() > 1) {
-    std::vector<std::future<void>> futs;
-    futs.reserve(chunk_begin.size());
-    for (std::size_t c = 0; c < chunk_begin.size(); ++c) {
-      futs.push_back(pool_->Submit([&, c] { issue(c); }));
-    }
-    for (auto& f : futs) f.get();
-  } else {
-    for (std::size_t c = 0; c < chunk_begin.size(); ++c) issue(c);
-  }
-
-  std::vector<BigInt> out;
-  out.reserve(count * out_arity);
-  for (std::size_t c = 0; c < chunk_begin.size(); ++c) {
-    if (!responses[c].ok()) return responses[c].status();
-    Message& resp = *responses[c];
-    std::size_t begin = chunk_begin[c];
-    std::size_t end = std::min(begin + per_chunk, count);
-    if (resp.ints.size() != (end - begin) * out_arity) {
-      return Status::ProtocolError("CallChunked: bad response arity");
-    }
-    for (auto& v : resp.ints) out.push_back(std::move(v));
-  }
-  return out;
+  return std::move(resp.ints);
 }
 
 }  // namespace sknn

@@ -1,9 +1,9 @@
 // Execution context shared by the C1-side protocol drivers: the public key,
 // the RPC client to C2, and an optional thread pool for the parallel variant
-// (paper Section 5.3). When a pool is present, batched requests are split
-// into one chunk per worker and issued concurrently, and local homomorphic
-// work fans out with ParallelFor — this is the library's analogue of the
-// paper's OpenMP parallelization.
+// (paper Section 5.3). Each batched protocol stage is one message to C2,
+// which fans its independent instances across its own pool; when a C1 pool
+// is present, local homomorphic work fans out with ParallelFor — this is the
+// library's analogue of the paper's OpenMP parallelization.
 #ifndef SKNN_PROTO_CONTEXT_H_
 #define SKNN_PROTO_CONTEXT_H_
 
@@ -24,15 +24,15 @@ class ProtoContext {
   /// `query_id` tags every RPC issued through this context so C2 can key its
   /// per-query state (Bob outbox, op ledger) — 0 means untagged. `meter`, if
   /// set, receives the context's exact per-query wire-traffic accounting.
-  /// `vectorized` switches CallChunked to the vectorized wire forms: the
-  /// whole batch rides in ONE message (C2 parallelizes internally) instead
-  /// of one chunk per C1 worker. Default off = the paper-literal scalar
-  /// protocol, kept as the bitwise reference for the vectorized path.
+  /// The trailing `bool` is ignored. The one caller that passes it is the
+  /// benchmark's `TwoParty::Run` (bench/sknn_bench/layers.h); ROADMAP
+  /// item 1 removes the parameter together with that argument when the
+  /// benchmark next changes.
   ProtoContext(const PaillierPublicKey* pk, RpcClient* client,
                ThreadPool* pool = nullptr, uint64_t query_id = 0,
-               QueryMeter* meter = nullptr, bool vectorized = false)
+               QueryMeter* meter = nullptr, bool /*ignored*/ = false)
       : pk_(pk), client_(client), pool_(pool), query_id_(query_id),
-        meter_(meter), vectorized_(vectorized) {}
+        meter_(meter) {}
 
   const PaillierPublicKey& pk() const { return *pk_; }
   /// \brief The C2 link, so a caller can derive sibling contexts for the
@@ -41,7 +41,6 @@ class ProtoContext {
   ThreadPool* pool() const { return pool_; }
   uint64_t query_id() const { return query_id_; }
   QueryMeter* meter() const { return meter_; }
-  bool vectorized() const { return vectorized_; }
 
   /// \brief Arms a per-query deadline: every Exchange from here on bounds
   /// its RPC wait by the time remaining and fails with kDeadlineExceeded
@@ -65,22 +64,19 @@ class ProtoContext {
   void ForEach(std::size_t count,
                const std::function<void(std::size_t)>& fn) const;
 
-  /// \brief Chunked batch call: `count` independent items, each contributing
-  /// `in_arity` request ints and producing `out_arity` response ints.
-  /// `make_aux(chunk_items)` builds the per-chunk aux header (may return
-  /// empty). Responses are reassembled in item order. With a pool, one chunk
-  /// per worker is issued concurrently (C2 then also decrypts in parallel).
-  /// In vectorized mode the batch is never split: one message with the
-  /// opcode's VectorForm carries every item, and C2 fans the instances out
-  /// across its own pool — per-stage message count is 1 regardless of
-  /// c1_threads.
-  Result<std::vector<BigInt>> CallChunked(
-      Op op, std::vector<BigInt> ints, std::size_t in_arity,
-      std::size_t out_arity,
-      const std::function<std::vector<uint8_t>(std::size_t)>& make_aux = {});
+  /// \brief Batch call: `ints.size() / in_arity` independent items, each
+  /// contributing `in_arity` request ints and producing `out_arity` response
+  /// ints, in one message — the per-stage message count is 1 regardless of
+  /// c1_threads. Fails with kInvalidArgument if `ints` is not a whole number
+  /// of items, and with kProtocolError if C2 answers with the wrong number
+  /// of ints. An empty batch returns empty without a round trip.
+  Result<std::vector<BigInt>> CallBatch(Op op, std::vector<BigInt> ints,
+                                        std::size_t in_arity,
+                                        std::size_t out_arity,
+                                        std::vector<uint8_t> aux = {});
 
  private:
-  /// \brief Issues one tagged, metered RPC (shared by Call / CallChunked).
+  /// \brief Issues one tagged, metered RPC (shared by Call / CallBatch).
   Result<Message> Exchange(Message request);
 
   const PaillierPublicKey* pk_;
@@ -88,7 +84,6 @@ class ProtoContext {
   ThreadPool* pool_;
   uint64_t query_id_ = 0;
   QueryMeter* meter_ = nullptr;
-  bool vectorized_ = false;
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
 };

@@ -18,25 +18,15 @@
 
 namespace sknn {
 
+// Wire numbers 2, 3 and 5 are reserved: they carried the retired per-worker
+// chunked forms of SM, SBD's encrypted-LSB step and SMIN phase 2. C2 answers
+// them as unknown opcodes. Never reuse them.
 enum class Op : uint16_t {
   kPing = 1,
-
-  /// SM, Algorithm 1 step 2. ints = [a'_0, b'_0, a'_1, b'_1, ...];
-  /// response ints = [h'_0, h'_1, ...] where h_i = D(a'_i)*D(b'_i) mod N.
-  kSmBatch = 2,
-
-  /// SBD Encrypted-LSB step (Samanthula-Jiang [21]). ints = [Y_0, Y_1, ...]
-  /// with Y_i = Epk(z_i + r_i); response ints = [Epk(y_0 mod 2), ...].
-  kLsbBatch = 3,
 
   /// SBD verification round (SVR). ints = [Epk(v_i * gamma_i), ...];
   /// response aux[i] = 1 if D(.) == 0 (decomposition correct) else 0.
   kSvrCheckBatch = 4,
-
-  /// SMIN, Algorithm 3 step 2. aux = [l:u32][count:u32]; ints = count blocks
-  /// of [Gamma'_1..Gamma'_l, L'_1..L'_l]; response ints = count blocks of
-  /// [M'_1..M'_l, Epk(alpha)].
-  kSminPhase2Batch = 5,
 
   /// SkNN_m, Algorithm 6 step 3(c). ints = [beta_0..beta_{n-1}];
   /// response ints = [U_0..U_{n-1}], exactly one U_i = Epk(1).
@@ -54,25 +44,24 @@ enum class Op : uint16_t {
   /// Bob's pickup of his decrypted masked result (C2 -> Bob leg). Issued on
   /// Bob's OWN connection to C2 in the two-process deployment — never on
   /// C1's connection, or C1 could unmask the result. Response ints = the
-  /// outbox contents, which are cleared.
+  /// records queued under the request's own query id (0 is one more key),
+  /// which are cleared; other queries' records stay queued.
   kFetchBobOutbox = 9,
 
-  // -- Vectorized wire forms (PR 2 hot path) --
-  //
-  // Semantically identical to their scalar counterparts, but C1 ships the
-  // ENTIRE stage vector in one message instead of one chunk per C1 worker,
-  // and C2 fans the independent instances out across its own thread pool.
-  // Per-stage message count becomes exactly 1 regardless of record count and
-  // thread fan-out; what C2 decrypts is unchanged, so the security argument
-  // carries over verbatim.
-
-  /// Vectorized kSmBatch: same geometry, whole SM stage in one message.
+  /// SM, Algorithm 1 step 2, for a whole SM stage in one message.
+  /// ints = [a'_0, b'_0, a'_1, b'_1, ...]; response ints = [h'_0, h'_1, ...]
+  /// where h_i = Epk(D(a'_i)*D(b'_i) mod N).
   kSmVec = 10,
 
-  /// Vectorized kLsbBatch: one message per SBD bit-round for all instances.
+  /// SBD Encrypted-LSB step (Samanthula-Jiang [21]), one message per bit
+  /// round for all instances. ints = [Y_0, Y_1, ...] with
+  /// Y_i = Epk(z_i + r_i); response ints = [Epk(y_0 mod 2), ...].
   kLsbVec = 11,
 
-  /// Vectorized kSminPhase2Batch: one message per SMIN tournament level.
+  /// SMIN, Algorithm 3 step 2, one message per SMIN tournament level.
+  /// aux = [l:u32][count:u32]; ints = count blocks of
+  /// [Gamma'_1..Gamma'_l, L'_1..L'_l]; response ints = count blocks of
+  /// [M'_1..M'_l, Epk(alpha)].
   kSminPhase2Vec = 12,
 
   /// Drains C2's Paillier-operation ledger entry for the tagged query:
@@ -92,28 +81,12 @@ enum class Op : uint16_t {
 
   /// Secure squaring (sm.h, SecureSquareBatch). ints = [a'_0, a'_1, ...]
   /// with a'_i = Epk(a_i + r_i); response ints = [h_0, h_1, ...] where
-  /// h_i = Epk(D(a'_i)^2 mod N), freshly randomized. Vector-only: there is
-  /// no scalar form, and C2 fans a request's instances across its pool.
+  /// h_i = Epk(D(a'_i)^2 mod N), freshly randomized.
   kSqVec = 15,
 
   /// Error response emitted by the RPC server (status text in aux).
   kError = 0xFFFF,
 };
-
-/// \brief The vectorized wire form of `op`, or `op` itself when the opcode
-/// has no vector form (it is already a single-message exchange).
-inline Op VectorForm(Op op) {
-  switch (op) {
-    case Op::kSmBatch:
-      return Op::kSmVec;
-    case Op::kLsbBatch:
-      return Op::kLsbVec;
-    case Op::kSminPhase2Batch:
-      return Op::kSminPhase2Vec;
-    default:
-      return op;
-  }
-}
 
 inline uint16_t OpCode(Op op) { return static_cast<uint16_t>(op); }
 

@@ -38,8 +38,8 @@ Result<std::vector<std::vector<Ciphertext>>> DecomposePass(
 
     // Step 2: C2 returns Epk(parity(z + r mod N)).
     SKNN_ASSIGN_OR_RETURN(std::vector<BigInt> parities,
-                          ctx.CallChunked(Op::kLsbBatch, std::move(request),
-                                          /*in_arity=*/1, /*out_arity=*/1));
+                          ctx.CallBatch(Op::kLsbVec, std::move(request),
+                                        /*in_arity=*/1, /*out_arity=*/1));
 
     // Steps 3-4: recover the encrypted LSB and shift right. With b = the
     // mask's parity (known to C1): lsb = b + (-1)^b * parity, i.e. parity

@@ -35,8 +35,8 @@ Result<std::vector<Ciphertext>> SecureMultiplyBatch(
   // Step 2: C2 decrypts, multiplies, re-encrypts h = (a+ra)(b+rb) mod N.
   SKNN_ASSIGN_OR_RETURN(
       std::vector<BigInt> h,
-      ctx.CallChunked(Op::kSmBatch, std::move(request), /*in_arity=*/2,
-                      /*out_arity=*/1));
+      ctx.CallBatch(Op::kSmVec, std::move(request), /*in_arity=*/2,
+                    /*out_arity=*/1));
 
   // Step 3: strip the cross terms:
   //   Epk(ab) = h' * Epk(a)^{N-rb} * Epk(b)^{N-ra} * Epk(-ra*rb).
@@ -78,8 +78,8 @@ Result<std::vector<Ciphertext>> SecureSquareBatch(
   // Step 2: C2 decrypts, squares, re-encrypts h = (a+r)^2 mod N.
   SKNN_ASSIGN_OR_RETURN(
       std::vector<BigInt> h,
-      ctx.CallChunked(Op::kSqVec, std::move(request), /*in_arity=*/1,
-                      /*out_arity=*/1));
+      ctx.CallBatch(Op::kSqVec, std::move(request), /*in_arity=*/1,
+                    /*out_arity=*/1));
 
   // Step 3: strip the cross terms:
   //   Epk(a^2) = h' * Epk(a)^{N-2r} * Epk(-r^2).

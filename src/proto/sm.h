@@ -25,8 +25,8 @@ namespace sknn {
 Result<Ciphertext> SecureMultiply(ProtoContext& ctx, const Ciphertext& ea,
                                   const Ciphertext& eb);
 
-/// \brief Element-wise SM over two equal-length vectors in one (chunked)
-/// round trip. This batching is what makes the per-record independence of
+/// \brief Element-wise SM over two equal-length vectors in one round
+/// trip. This batching is what makes the per-record independence of
 /// Section 5.3 exploitable.
 Result<std::vector<Ciphertext>> SecureMultiplyBatch(
     ProtoContext& ctx, const std::vector<Ciphertext>& eas,

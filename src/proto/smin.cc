@@ -115,16 +115,13 @@ Result<std::vector<EncryptedBits>> SecureMinBatch(
   });
 
   // -- Round trip 2: C2 derives alpha per block, returns M' and Epk(alpha).
-  auto make_aux = [l](std::size_t chunk_items) {
-    std::vector<uint8_t> aux;
-    AppendU32(aux, static_cast<uint32_t>(l));
-    AppendU32(aux, static_cast<uint32_t>(chunk_items));
-    return aux;
-  };
+  std::vector<uint8_t> aux;
+  AppendU32(aux, static_cast<uint32_t>(l));
+  AppendU32(aux, static_cast<uint32_t>(count));
   SKNN_ASSIGN_OR_RETURN(
       std::vector<BigInt> response,
-      ctx.CallChunked(Op::kSminPhase2Batch, std::move(request),
-                      /*in_arity=*/2 * l, /*out_arity=*/l + 1, make_aux));
+      ctx.CallBatch(Op::kSminPhase2Vec, std::move(request),
+                    /*in_arity=*/2 * l, /*out_arity=*/l + 1, std::move(aux)));
 
   // -- Phase 3 (local): strip blinding, recombine min bits.
   std::vector<EncryptedBits> out(count, EncryptedBits(l));

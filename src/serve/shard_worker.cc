@@ -138,7 +138,7 @@ Message ShardWorker::HandleShardQuery(const Message& request) {
 
   QueryMeter meter;
   ProtoContext ctx(&pk_, c2_client_.get(), pool_.get(), frame.query_id,
-                   &meter, options_.vectorized_rounds);
+                   &meter);
   if (frame.deadline_ms > 0) {
     // The coordinator's per-attempt budget: bound every C2 exchange by it
     // so a hung C2 fails this stage as a typed kDeadlineExceeded (which the

@@ -33,11 +33,8 @@ namespace sknn {
 class ShardWorker {
  public:
   struct Options {
-    /// Worker threads for this shard's local homomorphic fan-out; also the
-    /// chunk fan-out for scalar-mode RPC rounds.
+    /// Worker threads for this shard's local homomorphic fan-out.
     std::size_t threads = 1;
-    /// Mirrors SknnEngine::Options — one message per protocol stage.
-    bool vectorized_rounds = true;
     bool verify_sbd = true;
     /// Precomputed-randomizer pool for this worker's encryptions.
     bool randomizer_pool = true;

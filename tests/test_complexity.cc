@@ -237,7 +237,7 @@ TEST_F(ComplexityTest, PaperBoundForSkNNm) {
 }
 
 TEST_F(ComplexityTest, SkNNmRoundCountIsIndependentOfNPerStage) {
-  // PR 2 regression: with the vectorized wire opcodes, one SkNN_m query
+  // With one message per protocol stage, one SkNN_m query
   // exchanges O(l + k*l) C1->C2 messages — NOT O(n*l). The exact count,
   // from the per-query QueryMeter (frames_to_c2 == frames_from_c2, each
   // exchange is one round trip):

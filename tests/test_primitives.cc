@@ -258,7 +258,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(128u, 256u, 512u),
                        ::testing::Values(1u, 2u)));
 
-// SM under parallel execution: same results, chunked round trips.
+// SM under parallel execution: same results, one round trip.
 TEST(PrimitiveParallelTest, SmBatchParallelMatchesSerial) {
   TwoPartyHarness harness(256, 77, /*c1_threads=*/3, /*c2_threads=*/3);
   Random rng(78);

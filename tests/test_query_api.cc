@@ -10,6 +10,7 @@
 #include <future>
 #include <vector>
 
+#include "baseline/plaintext_knn.h"
 #include "core/engine.h"
 #include "data/synthetic.h"
 
@@ -38,6 +39,23 @@ std::unique_ptr<SknnEngine> MakeEngine(const PlainTable& table,
   auto engine = SknnEngine::Create(table, opts);
   EXPECT_TRUE(engine.ok()) << engine.status();
   return std::move(engine).value();
+}
+
+// The plaintext answer to `request`: the k nearest records, or for
+// kFarthest the k farthest, farthest first. Distances in the tables used
+// here are pairwise distinct, so the farthest k are the tail of the full
+// nearest-first order, reversed.
+PlainTable Oracle(const PlainTable& table, const QueryRequest& request) {
+  if (request.protocol != QueryProtocol::kFarthest) {
+    return PlainKnn(table, request.record, request.k);
+  }
+  std::vector<std::size_t> order = PlainKnnIndices(
+      table, request.record, static_cast<unsigned>(table.size()));
+  PlainTable out;
+  for (unsigned j = 0; j < request.k; ++j) {
+    out.push_back(table[order[order.size() - 1 - j]]);
+  }
+  return out;
 }
 
 // A protocol-mixed workload of independent requests.
@@ -153,52 +171,35 @@ TEST(QueryBatchTest, PerQueryInstrumentationIsIsolatedUnderConcurrency) {
   }
 }
 
-TEST(QueryBatchTest, VectorizedRoundsMatchScalarProtocolBitwise) {
-  // The vectorized wire opcodes (kSmVec / kLsbVec / kSminPhase2Vec) must
-  // return exactly the records the paper-literal scalar transcript returns,
-  // at both thread counts. The distinct-distance table makes every
-  // protocol's answer deterministic, so the comparison is bitwise.
+TEST(QueryBatchTest, OneMessagePerStageMatchesOracleAcrossThreadCounts) {
+  // Every protocol stage is one C1 -> C2 message whatever the thread
+  // counts, so the answer is the plaintext oracle's and the Paillier work
+  // and frame count are the same at c1_threads 1 and 4. The
+  // distinct-distance table makes every answer deterministic.
   PlainTable table = DistinctDistanceTable(8);
   std::vector<QueryRequest> requests = MixedWorkload();
+  std::vector<QueryResponse> serial;  // c1_threads = 1, the comparison base
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SknnEngine::Options scalar_opts;
-    scalar_opts.key_bits = 256;
-    scalar_opts.attr_bits = 3;
-    scalar_opts.c1_threads = threads;
-    scalar_opts.c2_threads = threads;
-    scalar_opts.vectorized_rounds = false;
-    scalar_opts.randomizer_pool = false;
-    auto scalar_engine = SknnEngine::Create(table, scalar_opts);
-    ASSERT_TRUE(scalar_engine.ok()) << scalar_engine.status();
-
-    SknnEngine::Options vec_opts = scalar_opts;
-    vec_opts.vectorized_rounds = true;
-    vec_opts.randomizer_pool = true;
-    auto vec_engine = SknnEngine::Create(table, vec_opts);
-    ASSERT_TRUE(vec_engine.ok()) << vec_engine.status();
-
+    auto engine = MakeEngine(table, threads, /*c2_threads=*/threads);
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      auto scalar = (*scalar_engine)->Query(requests[i]);
-      auto vec = (*vec_engine)->Query(requests[i]);
-      ASSERT_TRUE(scalar.ok()) << scalar.status();
-      ASSERT_TRUE(vec.ok()) << vec.status();
-      EXPECT_EQ(vec->records, scalar->records)
+      auto response = engine->Query(requests[i]);
+      ASSERT_TRUE(response.ok()) << response.status();
+      EXPECT_EQ(response->records, Oracle(table, requests[i]))
           << "threads=" << threads << " request " << i;
-      // Identical protocol work, different wire packing: the Paillier op
-      // accounting is mode-independent.
-      EXPECT_EQ(vec->ops.encryptions, scalar->ops.encryptions) << i;
-      EXPECT_EQ(vec->ops.decryptions, scalar->ops.decryptions) << i;
-      EXPECT_EQ(vec->ops.exponentiations, scalar->ops.exponentiations) << i;
-      EXPECT_EQ(vec->ops.multiplications, scalar->ops.multiplications) << i;
-      EXPECT_EQ(vec->ops.inversions, scalar->ops.inversions) << i;
-      // The vectorized form never sends more messages than scalar mode, and
-      // at c1_threads > 1 it sends strictly fewer (no per-worker chunking).
-      EXPECT_LE(vec->traffic.total_frames(), scalar->traffic.total_frames())
-          << i;
-      if (threads > 1 && requests[i].protocol != QueryProtocol::kBasic) {
-        EXPECT_LT(vec->traffic.total_frames(), scalar->traffic.total_frames())
-            << i;
+      if (threads == 1) {
+        serial.push_back(*std::move(response));
+        continue;
       }
+      const QueryResponse& base = serial[i];
+      EXPECT_EQ(response->ops.encryptions, base.ops.encryptions) << i;
+      EXPECT_EQ(response->ops.decryptions, base.ops.decryptions) << i;
+      EXPECT_EQ(response->ops.exponentiations, base.ops.exponentiations)
+          << i;
+      EXPECT_EQ(response->ops.multiplications, base.ops.multiplications)
+          << i;
+      EXPECT_EQ(response->ops.inversions, base.ops.inversions) << i;
+      EXPECT_EQ(response->traffic.total_frames(), base.traffic.total_frames())
+          << i;
     }
   }
 }

@@ -1,5 +1,5 @@
 // Robustness tests: C2Service under malformed or adversarial requests, and
-// the chunked-call plumbing's edge cases. A semi-honest C2 still receives
+// the batch-call plumbing's edge cases. A semi-honest C2 still receives
 // requests over a real link — bad geometry must produce a clean protocol
 // error, never a crash or a silent wrong answer.
 #include <gtest/gtest.h>
@@ -40,23 +40,32 @@ class RobustnessTest : public ::testing::Test {
 
 TEST_F(RobustnessTest, UnknownOpcodeIsRejected) {
   ExpectError(static_cast<Op>(0x7777), {});
+  // The retired chunked forms of SM (2), SBD's LSB step (3) and SMIN phase 2
+  // (5) are unknown opcodes too, even carrying a request their one-message
+  // forms would answer.
+  const auto& pk = harness_.pk();
+  auto enc = [&](int64_t v) { return pk.Encrypt(BigInt(v), rng_).value(); };
+  ExpectRefusedByC2(static_cast<Op>(2), {enc(1), enc(2)});
+  ExpectRefusedByC2(static_cast<Op>(3), {enc(1)});
+  ExpectRefusedByC2(static_cast<Op>(5), {enc(1), enc(5)},
+                    {1, 0, 0, 0, 1, 0, 0, 0});
 }
 
 TEST_F(RobustnessTest, SmBatchOddOperandCount) {
-  ExpectError(Op::kSmBatch, {harness_.pk().Encrypt(BigInt(1), rng_).value()});
+  ExpectError(Op::kSmVec, {harness_.pk().Encrypt(BigInt(1), rng_).value()});
 }
 
 TEST_F(RobustnessTest, SminPhase2BadAux) {
   const auto& pk = harness_.pk();
   // Missing aux entirely.
-  ExpectError(Op::kSminPhase2Batch, {pk.Encrypt(BigInt(1), rng_).value()});
+  ExpectError(Op::kSminPhase2Vec, {pk.Encrypt(BigInt(1), rng_).value()});
   // Aux present but geometry inconsistent: l=4, count=1 needs 8 ints.
   std::vector<uint8_t> aux = {4, 0, 0, 0, 1, 0, 0, 0};
-  ExpectError(Op::kSminPhase2Batch, {pk.Encrypt(BigInt(1), rng_).value()},
+  ExpectError(Op::kSminPhase2Vec, {pk.Encrypt(BigInt(1), rng_).value()},
               aux);
   // l = 0.
   std::vector<uint8_t> zero_l = {0, 0, 0, 0, 1, 0, 0, 0};
-  ExpectError(Op::kSminPhase2Batch, {}, zero_l);
+  ExpectError(Op::kSminPhase2Vec, {}, zero_l);
 }
 
 TEST_F(RobustnessTest, SminPhase2OverflowingGeometryIsRejected) {
@@ -151,17 +160,17 @@ TEST_F(RobustnessTest, PingRoundTrip) {
   EXPECT_EQ(resp->type, OpCode(Op::kPing));
 }
 
-TEST_F(RobustnessTest, CallChunkedRejectsBadArity) {
+TEST_F(RobustnessTest, CallBatchRejectsBadArity) {
   std::vector<BigInt> three = {BigInt(1), BigInt(2), BigInt(3)};
-  auto r = harness_.ctx().CallChunked(Op::kSmBatch, three, 2, 1);
+  auto r = harness_.ctx().CallBatch(Op::kSmVec, three, 2, 1);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  auto zero = harness_.ctx().CallChunked(Op::kSmBatch, three, 0, 1);
+  auto zero = harness_.ctx().CallBatch(Op::kSmVec, three, 0, 1);
   EXPECT_FALSE(zero.ok());
 }
 
-TEST_F(RobustnessTest, CallChunkedEmptyInputShortCircuits) {
-  auto r = harness_.ctx().CallChunked(Op::kSmBatch, {}, 2, 1);
+TEST_F(RobustnessTest, CallBatchEmptyInputShortCircuits) {
+  auto r = harness_.ctx().CallBatch(Op::kSmVec, {}, 2, 1);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
 }
@@ -172,7 +181,7 @@ TEST_F(RobustnessTest, GarbageCiphertextsFailCleanly) {
   // must return, and the protocol layer never crashes.
   std::vector<BigInt> garbage = {BigInt(0), harness_.pk().n_squared(),
                                  BigInt(12345), BigInt(1)};
-  auto resp = harness_.ctx().Call(Op::kLsbBatch, garbage);
+  auto resp = harness_.ctx().Call(Op::kLsbVec, garbage);
   // Accept either a clean error or a response of the right shape.
   if (resp.ok()) {
     EXPECT_EQ(resp->ints.size(), garbage.size());
@@ -216,7 +225,7 @@ TEST(HostileFrameTest, HugeIntCountInTinyFrameIsRejected) {
 // A hostile C2 answers every SM round with one value outside Z*_{N^2}:
 // zero, N, a multiple of the secret prime p, or N^2 itself. None has an
 // inverse mod N^2, so C1 must refuse the reply with a typed error before
-// it computes with (and negates) it — on the scalar and vector paths.
+// it computes with (and negates) it.
 TEST(HostileC2Test, SmReplyOutsideUnitGroupIsRejected) {
   Random rng(777);
   auto keys = GeneratePaillierKeyPair(256, rng);
@@ -235,14 +244,12 @@ TEST(HostileC2Test, SmReplyOutsideUnitGroupIsRejected) {
                        return resp;
                      });
     RpcClient client(std::move(link.a));
-    for (bool vectorized : {false, true}) {
-      ProtoContext ctx(&pk, &client, nullptr, 0, nullptr, vectorized);
-      std::vector<Ciphertext> as = {pk.Encrypt(BigInt(3), rng),
-                                    pk.Encrypt(BigInt(4), rng)};
-      auto r = SecureMultiplyBatch(ctx, as, as);
-      ASSERT_FALSE(r.ok()) << "accepted C2 reply " << bad;
-      EXPECT_EQ(r.status().code(), StatusCode::kProtocolError) << r.status();
-    }
+    ProtoContext ctx(&pk, &client);
+    std::vector<Ciphertext> as = {pk.Encrypt(BigInt(3), rng),
+                                  pk.Encrypt(BigInt(4), rng)};
+    auto r = SecureMultiplyBatch(ctx, as, as);
+    ASSERT_FALSE(r.ok()) << "accepted C2 reply " << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kProtocolError) << r.status();
   }
 }
 
@@ -266,13 +273,11 @@ TEST(HostileC2Test, SquareReplyOutsideUnitGroupIsRejected) {
                        return resp;
                      });
     RpcClient client(std::move(link.a));
-    for (bool vectorized : {false, true}) {
-      ProtoContext ctx(&pk, &client, nullptr, 0, nullptr, vectorized);
-      auto r = SecureSquareBatch(ctx, {pk.Encrypt(BigInt(3), rng),
-                                       pk.Encrypt(BigInt(4), rng)});
-      ASSERT_FALSE(r.ok()) << "accepted C2 reply " << bad;
-      EXPECT_EQ(r.status().code(), StatusCode::kProtocolError) << r.status();
-    }
+    ProtoContext ctx(&pk, &client);
+    auto r = SecureSquareBatch(ctx, {pk.Encrypt(BigInt(3), rng),
+                                     pk.Encrypt(BigInt(4), rng)});
+    ASSERT_FALSE(r.ok()) << "accepted C2 reply " << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kProtocolError) << r.status();
   }
 }
 

@@ -42,7 +42,7 @@ TEST(SecurityTest, SmBlindingIsFreshPerInvocation) {
     auto result = SecureMultiply(harness.ctx(), ea, eb);
     ASSERT_TRUE(result.ok());
     for (const auto& view : harness.c2().TakeViews()) {
-      if (view.op == Op::kSmBatch) {
+      if (view.op == Op::kSmVec) {
         seen.insert(view.plaintext.ToString());
       }
     }
@@ -93,7 +93,7 @@ TEST(SecurityTest, SminAlphaIsARandomCoin) {
     ASSERT_TRUE(result.ok());
     bool saw_one = false;
     for (const auto& view : harness.c2().TakeViews()) {
-      if (view.op == Op::kSminPhase2Batch && view.plaintext == BigInt(1)) {
+      if (view.op == Op::kSminPhase2Vec && view.plaintext == BigInt(1)) {
         saw_one = true;
       }
     }
@@ -114,7 +114,7 @@ TEST(SecurityTest, SminViewsAreRerandomizedAcrossRuns) {
                             harness.EncryptBits(11, 4));
     ASSERT_TRUE(result.ok());
     for (const auto& view : harness.c2().TakeViews()) {
-      if (view.op != Op::kSminPhase2Batch) continue;
+      if (view.op != Op::kSminPhase2Vec) continue;
       ++total;
       l_views.insert(view.plaintext.ToString());
     }
@@ -190,7 +190,7 @@ TEST(SkNNmSecurityZeroTest, SminViewsShowExactlyOneBitPerComparison) {
     ASSERT_TRUE(result.ok()) << result.status();
     std::vector<BigInt> l_views;
     for (const auto& view : (*engine)->c2_service().TakeViews()) {
-      if (view.op == Op::kSminPhase2Batch) l_views.push_back(view.plaintext);
+      if (view.op == Op::kSminPhase2Vec) l_views.push_back(view.plaintext);
     }
     // k tournaments over 8 records: 7 SMINs each.
     ASSERT_EQ(l_views.size(), k * 7 * l_aug) << "k=" << k;

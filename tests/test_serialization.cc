@@ -222,11 +222,13 @@ TEST(FrameTruncationSweep, QueryRequestAllowsOnlyDocumentedTails) {
   request.index_mode = IndexMode::kClustered;
   request.probe_clusters = 2;
   Message full = EncodeQueryRequest(request);
-  // header(16) + record(24) = revision-1 shape; + len(4) + "t1"(2) =
-  // revision-2; + deadline(4) = revision-3; + mode/probe(8) = revision-5.
+  // header(16) + record(24) + len(4) + "t1"(2) = the shortest frame; the
+  // table name is mandatory, so a frame ending at the record (40) is
+  // malformed. + deadline(4) = revision-3 tail; + mode/probe(8) =
+  // revision-5 tail.
   ASSERT_EQ(full.aux.size(), 58u);
   SweepAuxTruncations(
-      full, {40, 46, 50},
+      full, {46, 50},
       [](const Message& m) { return DecodeQueryRequest(m).ok(); }, "kQuery");
 
   // The exact-mode frame keeps the revision-3/4 shape byte for byte: no

@@ -395,7 +395,7 @@ TEST(ServingTest, MalformedFramesAreRejectedNotHung) {
 
   // A frame from the wrong opcode space entirely (a C1<->C2 opcode).
   Message wrong_space;
-  wrong_space.type = 2;  // Op::kSmBatch
+  wrong_space.type = OpCode(Op::kSmVec);
   auto reply2 = raw.Call(std::move(wrong_space));
   ASSERT_TRUE(reply2.ok()) << reply2.status();
   EXPECT_EQ(reply2->type, FrontendOpCode(FrontendOp::kQueryError));

@@ -199,5 +199,37 @@ TEST(SocketTest, BobOutboxFetchOpcode) {
   EXPECT_TRUE(again->ints.empty());
 }
 
+TEST(SocketTest, BobOutboxFetchTakesOnlyItsOwnQuery) {
+  // Records queued under query ids 0, A and B. A fetch returns only the
+  // bucket of its own query id — 0 is one more key, not "everything" — so
+  // no connection can take, and destroy, another query's results.
+  TwoPartyHarness harness(256, 3040);
+  Random rng(3041);
+  const auto& pk = harness.pk();
+  const uint64_t kA = 0xA11CE;
+  const uint64_t kB = 0xB0B;
+  ProtoContext untagged(&pk, harness.ctx().client());
+  ProtoContext ctx_a(&pk, harness.ctx().client(), nullptr, kA);
+  ProtoContext ctx_b(&pk, harness.ctx().client(), nullptr, kB);
+  auto ship = [&](ProtoContext& ctx, int64_t v) {
+    ASSERT_TRUE(ctx.Call(Op::kMaskedDecryptToBob,
+                         {pk.Encrypt(BigInt(v), rng).value()})
+                    .ok());
+  };
+  ship(untagged, 10);
+  ship(ctx_a, 20);
+  ship(ctx_b, 30);
+
+  auto zero = untagged.Call(Op::kFetchBobOutbox, {});
+  ASSERT_TRUE(zero.ok()) << zero.status();
+  EXPECT_EQ(zero->ints, std::vector<BigInt>{BigInt(10)});
+  auto b = ctx_b.Call(Op::kFetchBobOutbox, {});
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(b->ints, std::vector<BigInt>{BigInt(30)});
+  // A's records are still queued, and only they remain.
+  EXPECT_EQ(harness.c2().TakeBobOutbox(kA), std::vector<BigInt>{BigInt(20)});
+  EXPECT_TRUE(harness.c2().TakeBobOutbox().empty());
+}
+
 }  // namespace
 }  // namespace sknn

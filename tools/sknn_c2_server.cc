@@ -10,7 +10,7 @@
 // server exits after N links close (for scripted runs); otherwise it serves
 // until SIGINT/SIGTERM, either of which stops accepting, drains in-flight
 // handlers and exits 0. --workers also enables intra-message fan-out for
-// the vectorized opcodes; the response-encryption randomizer pool is on by
+// the batched opcodes; the response-encryption randomizer pool is on by
 // default (disable it to measure the paper's unamortized cost), holds
 // --pool-capacity precomputed r^N values, and refills on background threads
 // sized from --workers. Refills use the short-exponent fixed-base path
