@@ -44,11 +44,11 @@
 #include "bench/bench_util.h"
 #include "core/clustering.h"
 #include "core/data_owner.h"
+#include "core/shard_worker.h"
 #include "core/sharding.h"
 #include "net/shard_wire.h"
 #include "net/socket.h"
 #include "proto/c2_service.h"
-#include "serve/shard_worker.h"
 
 namespace sknn {
 namespace bench {
@@ -146,11 +146,16 @@ class FailoverWorker {
   FailoverWorker(const DataOwner& alice, const EncryptedDatabase& db,
                  const ShardManifest& manifest, std::size_t shard,
                  FailoverC2* c2) {
-    ShardWorker::Options options;
-    options.threads = 2;
-    options.randomizer_pool_capacity = 64;
-    auto worker = ShardWorker::Create(alice.public_key(), db, manifest, shard,
-                                      c2->Connect(), options);
+    // What sknn_c1_shard builds around its worker: its own C2 link, C1
+    // pool and randomizer pool.
+    c2_client_ = std::make_unique<RpcClient>(c2->Connect());
+    pool_ = std::make_unique<ThreadPool>(2);
+    PaillierPublicKey pk = alice.public_key();
+    rand_pool_ = std::make_unique<RandomizerPool>(pk.n(), /*capacity=*/64);
+    pk.set_randomizer_pool(rand_pool_.get());
+    auto worker = ShardWorker::Create(pk, db, manifest, shard,
+                                      c2_client_.get(), pool_.get(),
+                                      ShardWorker::Options());
     if (!worker.ok()) {
       std::fprintf(stderr, "worker setup failed: %s\n",
                    worker.status().ToString().c_str());
@@ -208,7 +213,12 @@ class FailoverWorker {
     }
   }
 
-  std::unique_ptr<ShardWorker> worker_;  // null for the hung replica
+  // All null for the hung replica; declared so the server goes first, then
+  // the worker, then what it runs on.
+  std::unique_ptr<RpcClient> c2_client_;
+  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<RandomizerPool> rand_pool_;
+  std::unique_ptr<ShardWorker> worker_;
   std::unique_ptr<RpcServer> server_;
   Result<std::unique_ptr<SocketEndpoint>> link_ =
       Status::Internal("not connected");

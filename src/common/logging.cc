@@ -60,19 +60,22 @@ LogLevel GetLogLevel() {
 
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
+LogMessage::LogMessage(LogLevel level, const char* file, int line) {
   const char* base = std::strrchr(file, '/');
   stream_ << "[" << LevelName(level) << " " << (base ? base + 1 : file) << ":"
           << line << "] ";
 }
 
-LogMessage::~LogMessage() {
+LogMessage::~LogMessage() { Flush(); }
+
+void LogMessage::Flush() {
   MutexLock lock(&g_log_mutex);
   std::cerr << stream_.str() << std::endl;
-  if (level_ == LogLevel::kError) {
-    // Error-level messages from SKNN_CHECK indicate programmer error.
-  }
+}
+
+FatalLogMessage::~FatalLogMessage() {
+  Flush();
+  std::abort();
 }
 
 }  // namespace internal

@@ -36,9 +36,22 @@ class LogMessage {
     return *this;
   }
 
+ protected:
+  /// Writes the message to std::cerr as one line.
+  void Flush();
+
  private:
-  LogLevel level_;
   std::ostringstream stream_;
+};
+
+/// \brief SKNN_CHECK's message: a broken internal invariant. Logs at error
+/// level, flushes, and aborts — carrying on would act on state the code
+/// has just proven wrong (e.g. write past the end of a buffer).
+class FatalLogMessage : public LogMessage {
+ public:
+  FatalLogMessage(const char* file, int line)
+      : LogMessage(LogLevel::kError, file, line) {}
+  [[noreturn]] ~FatalLogMessage();
 };
 
 }  // namespace internal
@@ -51,11 +64,13 @@ class LogMessage {
     ::sknn::internal::LogMessage(::sknn::LogLevel::k##level, __FILE__, \
                                  __LINE__)
 
-#define SKNN_CHECK(cond)                                          \
-  if (cond) {                                                     \
-  } else                                                          \
-    ::sknn::internal::LogMessage(::sknn::LogLevel::kError,        \
-                                 __FILE__, __LINE__)              \
+/// Aborts the process, whatever the log level, when `cond` is false. For
+/// internal invariants only: a condition a peer or a user can make false
+/// must be a Status instead.
+#define SKNN_CHECK(cond)                                      \
+  if (cond) {                                                 \
+  } else                                                      \
+    ::sknn::internal::FatalLogMessage(__FILE__, __LINE__)     \
         << "Check failed: " #cond " "
 
 #endif  // SKNN_COMMON_LOGGING_H_

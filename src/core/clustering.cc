@@ -179,7 +179,7 @@ Result<KMeansResult> KMeansPartition(const PlainTable& table,
     }
     assignment[i] = best_c;
   }
-  // Every cluster must end non-empty (PartitionDatabaseByCluster rejects
+  // Every cluster must end non-empty (a by-cluster ShardWorker rejects
   // empties): give any orphaned centroid the record farthest from its own
   // centroid among clusters that can spare one.
   std::vector<std::size_t> counts(k, 0);

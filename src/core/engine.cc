@@ -139,14 +139,14 @@ Result<std::unique_ptr<SknnEngine>> SknnEngine::CreateWithShardWorkers(
   // never loads Epk(T). Several links reporting the same shard become that
   // shard's replicas: queries fail over between them, and the probe thread
   // redials dead ones at their configured addresses.
-  ShardCoordinator::RemoteOptions remote_options;
-  remote_options.redial_addrs = options.shard_worker_redial_addrs;
-  remote_options.probe_interval = options.shard_probe_interval;
+  ShardCoordinator::Options coordinator_options;
+  coordinator_options.redial_addrs = options.shard_worker_redial_addrs;
+  coordinator_options.probe_interval = options.shard_probe_interval;
   SKNN_ASSIGN_OR_RETURN(
       engine->coordinator_,
-      ShardCoordinator::CreateRemote(std::move(shard_links),
-                                     options.verify_sbd,
-                                     std::move(remote_options)));
+      ShardCoordinator::Create(pk, std::move(shard_links),
+                               std::move(coordinator_options)));
+  engine->remote_shard_workers_ = true;
   engine->num_records_ = engine->coordinator_->manifest().total_records;
   engine->num_attributes_ = engine->coordinator_->num_attributes();
   engine->distance_bits_ = engine->coordinator_->distance_bits();
@@ -209,9 +209,7 @@ Status SknnEngine::InitCommon() {
     }
   }
 
-  // Clustered index: hold the manifest and its per-cluster sizes. With
-  // sharding the partitioning is BY CLUSTER (one shard per cluster) so
-  // pruning a cluster also prunes its shard.
+  // Clustered index: hold the manifest and its per-cluster sizes.
   if (options_.clusters != nullptr) {
     clusters_ = options_.clusters;
     cluster_sizes_ = ClusterSizes(*clusters_);
@@ -229,39 +227,68 @@ Status SknnEngine::InitCommon() {
             "per cluster; restart the workers with sknn_c1_shard "
             "--clusters)");
       }
-    } else {
-      if (Status valid = ValidateClusterManifestForDatabase(*clusters_, db_);
-          !valid.ok()) {
-        return valid;
-      }
-      if (options_.shards > 1) {
-        SKNN_ASSIGN_OR_RETURN(coordinator_,
-                              ShardCoordinator::CreateLocal(
-                                  db_, *clusters_, options_.verify_sbd));
-        db_.records.clear();
-        db_.records.shrink_to_fit();
-      }
+    } else if (Status valid =
+                   ValidateClusterManifestForDatabase(*clusters_, db_);
+               !valid.ok()) {
+      return valid;
     }
-    return Status::OK();
   }
 
-  // In-process shard set (Options::shards > 1): partition the hosted
-  // database and route every query through the coordinator. Remote-worker
-  // engines arrive here with coordinator_ already built.
+  // Remote-worker engines arrive here with coordinator_ already built.
   if (coordinator_ == nullptr && options_.shards > 1) {
-    SKNN_ASSIGN_OR_RETURN(
-        ShardManifest manifest,
-        MakeShardManifest(num_records_, options_.shards,
-                          options_.shard_scheme));
-    SKNN_ASSIGN_OR_RETURN(
-        coordinator_,
-        ShardCoordinator::CreateLocal(db_, manifest, options_.verify_sbd));
-    // The slices now hold every record and Dispatch routes through the
-    // coordinator unconditionally — keeping the unsliced copy too would
-    // double resident ciphertext memory for the engine's lifetime.
-    db_.records.clear();
-    db_.records.shrink_to_fit();
+    return ServeShardsInProcess();
   }
+  return Status::OK();
+}
+
+Status SknnEngine::ServeShardsInProcess() {
+  // With a cluster index the partitioning is BY CLUSTER — one shard per
+  // cluster, Options::shards only switches sharding on — so pruning a
+  // cluster also prunes its shard.
+  ShardManifest manifest;
+  std::size_t num_shards = 0;
+  if (clusters_ != nullptr) {
+    num_shards = clusters_->num_clusters;
+  } else {
+    SKNN_ASSIGN_OR_RETURN(manifest,
+                          MakeShardManifest(num_records_, options_.shards,
+                                            options_.shard_scheme));
+    num_shards = manifest.num_shards;
+  }
+  ShardWorker::Options worker_options;
+  worker_options.verify_sbd = options_.verify_sbd;
+  std::vector<std::unique_ptr<Endpoint>> links;
+  for (std::size_t shard = 0; shard < num_shards; ++shard) {
+    SKNN_ASSIGN_OR_RETURN(
+        std::unique_ptr<ShardWorker> worker,
+        clusters_ != nullptr
+            ? ShardWorker::Create(pk_, db_, *clusters_, shard, client_.get(),
+                                  c1_pool_.get(), worker_options)
+            : ShardWorker::Create(pk_, db_, manifest, shard, client_.get(),
+                                  c1_pool_.get(), worker_options));
+    Channel::EndpointPair link = Channel::CreatePair();
+    ShardWorker* raw = worker.get();
+    shard_workers_.push_back(std::move(worker));
+    // As many handler threads as the scheduler runs queries at once, so a
+    // shard never queues a query the engine has admitted.
+    shard_servers_.push_back(std::make_unique<RpcServer>(
+        std::move(link.b),
+        [raw](const Message& req) { return raw->Handle(req); },
+        std::max<std::size_t>(1, options_.c1_threads)));
+    links.push_back(std::move(link.a));
+  }
+  // An in-process worker has no address to redial and cannot die on its
+  // own, so there is nothing to probe.
+  ShardCoordinator::Options coordinator_options;
+  coordinator_options.probe_interval = std::chrono::milliseconds{0};
+  SKNN_ASSIGN_OR_RETURN(
+      coordinator_, ShardCoordinator::Create(pk_, std::move(links),
+                                             std::move(coordinator_options)));
+  // The workers' slices now hold every record and Dispatch routes through
+  // the coordinator unconditionally — keeping the unsliced copy too would
+  // double resident ciphertext memory for the engine's lifetime.
+  db_.records.clear();
+  db_.records.shrink_to_fit();
   return Status::OK();
 }
 
@@ -300,7 +327,7 @@ SknnEngine::Info SknnEngine::info() const {
   if (coordinator_ != nullptr) {
     info.num_shards = coordinator_->manifest().num_shards;
     info.shard_scheme = coordinator_->manifest().scheme;
-    info.remote_shard_workers = coordinator_->remote();
+    info.remote_shard_workers = remote_shard_workers_;
   }
   if (clusters_ != nullptr) info.num_clusters = clusters_->num_clusters;
   return info;

@@ -31,6 +31,7 @@
 #include "core/query_api.h"
 #include "core/query_client.h"
 #include "core/shard_coordinator.h"
+#include "core/shard_worker.h"
 #include "core/sharding.h"
 #include "core/sknn_b.h"
 #include "core/sknn_m.h"
@@ -78,7 +79,9 @@ class SknnEngine {
     /// identical either way, only randomizer distribution economics change.
     bool short_randomizers = true;
     /// Shard the record fan-out: partition Epk(T) into this many in-process
-    /// shards, run each query's distance + local-top-k stages per shard
+    /// ShardWorkers (the code sknn_c1_shard runs), each served over an
+    /// in-process Channel and sharing this engine's C2 client, C1 pool and
+    /// key; run each query's distance + local-top-k stages per shard
     /// concurrently, and merge the s*k candidates through the coordinator
     /// (core/shard_coordinator.h). Results are bitwise-identical to the
     /// unsharded execution for every protocol. 1 = unsharded. For shards in
@@ -196,7 +199,7 @@ class SknnEngine {
     /// Meaningful when num_shards > 1.
     ShardScheme shard_scheme = ShardScheme::kContiguous;
     /// True when the shards are sknn_c1_shard worker processes
-    /// (CreateWithShardWorkers) rather than in-process slices.
+    /// (CreateWithShardWorkers) rather than in-process workers.
     bool remote_shard_workers = false;
     /// Clusters of the table's k-means index; 0 = no cluster index (the
     /// table only serves IndexMode::kExact).
@@ -207,8 +210,8 @@ class SknnEngine {
   const PaillierPublicKey& public_key() const { return pk_; }
   /// \brief Epk(T) as hosted by this process — EMPTY for sharded engines:
   /// a CreateWithShardWorkers engine's records live in the workers, and an
-  /// in-process shard set (Options::shards > 1) holds them in the
-  /// coordinator's slices instead.
+  /// in-process shard set (Options::shards > 1) holds them in its in-process
+  /// workers' slices instead.
   const EncryptedDatabase& database() const { return db_; }
   std::size_t num_records() const { return num_records_; }
   std::size_t num_attributes() const { return num_attributes_; }
@@ -275,9 +278,16 @@ class SknnEngine {
 
   /// \brief The construction tail shared by every factory: geometry and
   /// attribute domain, C1 pool, Bob's client, the C1-side randomizer pool
-  /// (plus the in-process C2's pools when one exists), and the local shard
-  /// coordinator when Options::shards > 1.
+  /// (plus the in-process C2's pools when one exists), and the in-process
+  /// shard set when Options::shards > 1.
   Status InitCommon();
+  /// \brief The in-process shard set: one ShardWorker per shard (per
+  /// cluster under a cluster index), each behind an RpcServer on a
+  /// Channel::CreatePair() link, reached by the same coordinator code as
+  /// sknn_c1_shard processes. The workers run on client_, c1_pool_ and pk_,
+  /// so the shard set opens no C2 link and starts no randomizer pool of its
+  /// own.
+  Status ServeShardsInProcess();
   /// \brief One query's Bob-bound records — direct call for the in-process
   /// C2, a tagged kFetchBobOutbox exchange (metered through `ctx`) for a
   /// remote one.
@@ -296,7 +306,8 @@ class SknnEngine {
   std::size_t num_records_ = 0;
   std::size_t num_attributes_ = 0;
   unsigned distance_bits_ = 0;
-  std::unique_ptr<ShardCoordinator> coordinator_;
+  /// Set by CreateWithShardWorkers: the shards are worker processes.
+  bool remote_shard_workers_ = false;
   /// Clustered index state (null/empty without Options::clusters).
   std::shared_ptr<const ClusterManifest> clusters_;
   std::vector<uint32_t> cluster_sizes_;
@@ -310,6 +321,13 @@ class SknnEngine {
   /// through pk_ so it is destroyed first only once queries have drained.
   std::unique_ptr<RandomizerPool> c1_rand_pool_;
   std::unique_ptr<QueryClient> bob_;
+  /// The in-process shard set (empty otherwise), then the coordinator.
+  /// Declared after client_, c1_pool_ and c1_rand_pool_, which the workers
+  /// run on, so the coordinator closes the links first, the servers drain,
+  /// and the workers go before the objects they use.
+  std::vector<std::unique_ptr<ShardWorker>> shard_workers_;
+  std::vector<std::unique_ptr<RpcServer>> shard_servers_;
+  std::unique_ptr<ShardCoordinator> coordinator_;
 
   std::atomic<uint64_t> next_query_id_{1};
 

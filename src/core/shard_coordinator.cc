@@ -1,14 +1,12 @@
 #include "core/shard_coordinator.h"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 #include <thread>
 
 #include "common/stopwatch.h"
-#include "core/clustering.h"
+#include "core/sknn_b.h"
 #include "net/socket.h"
-#include "proto/query_meter.h"
 
 namespace sknn {
 namespace {
@@ -19,24 +17,18 @@ int64_t NowNs() {
       .count();
 }
 
-/// Splits "host:port" for the probe thread's redial. Returns false (and
-/// leaves the outputs alone) for anything unparsable — those replicas simply
-/// never redial.
-bool SplitHostPort(const std::string& addr, std::string* host, int* port) {
-  const std::size_t colon = addr.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == addr.size()) {
-    return false;
-  }
-  int value = 0;
-  for (std::size_t i = colon + 1; i < addr.size(); ++i) {
-    if (addr[i] < '0' || addr[i] > '9') return false;
-    value = value * 10 + (addr[i] - '0');
-    if (value > 65535) return false;
-  }
-  if (value == 0) return false;
-  *host = addr.substr(0, colon);
-  *port = value;
-  return true;
+/// True when every ciphertext of a worker's answer lies in Z*_{N^2}.
+bool CandidatesInRange(const PaillierPublicKey& pk,
+                       const ShardCandidates& candidates) {
+  auto valid = [&pk](const Ciphertext& c) { return pk.IsValidCiphertext(c); };
+  auto all_valid = [&valid](const std::vector<Ciphertext>& cs) {
+    return std::all_of(cs.begin(), cs.end(), valid);
+  };
+  return std::all_of(candidates.bits.begin(), candidates.bits.end(),
+                     all_valid) &&
+         std::all_of(candidates.records.begin(), candidates.records.end(),
+                     all_valid) &&
+         all_valid(candidates.distances);
 }
 
 }  // namespace
@@ -50,62 +42,14 @@ ShardCoordinator::~ShardCoordinator() {
   if (probe_thread_.joinable()) probe_thread_.join();
 }
 
-Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::CreateLocal(
-    const EncryptedDatabase& db, const ShardManifest& manifest,
-    bool verify_sbd) {
-  SKNN_ASSIGN_OR_RETURN(
-      ShardManifest checked,
-      MakeShardManifest(manifest.total_records, manifest.num_shards,
-                        manifest.scheme));
-  auto coordinator = std::unique_ptr<ShardCoordinator>(new ShardCoordinator());
-  coordinator->manifest_ = checked;
-  coordinator->verify_sbd_ = verify_sbd;
-  coordinator->num_attributes_ = db.num_attributes();
-  coordinator->distance_bits_ = db.distance_bits;
-  SKNN_ASSIGN_OR_RETURN(coordinator->slices_, PartitionDatabase(db, checked));
-  coordinator->shard_records_.reserve(coordinator->slices_.size());
-  for (const ShardSlice& slice : coordinator->slices_) {
-    coordinator->shard_records_.push_back(
-        static_cast<uint32_t>(slice.db.num_records()));
-  }
-  return coordinator;
-}
-
-Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::CreateLocal(
-    const EncryptedDatabase& db, const ClusterManifest& clusters,
-    bool verify_sbd) {
-  SKNN_ASSIGN_OR_RETURN(
-      ShardManifest manifest,
-      MakeShardManifest(db.num_records(), clusters.num_clusters,
-                        ShardScheme::kByCluster));
-  auto coordinator = std::unique_ptr<ShardCoordinator>(new ShardCoordinator());
-  coordinator->manifest_ = manifest;
-  coordinator->verify_sbd_ = verify_sbd;
-  coordinator->num_attributes_ = db.num_attributes();
-  coordinator->distance_bits_ = db.distance_bits;
-  SKNN_ASSIGN_OR_RETURN(coordinator->slices_,
-                        PartitionDatabaseByCluster(db, clusters));
-  coordinator->shard_records_.reserve(coordinator->slices_.size());
-  for (const ShardSlice& slice : coordinator->slices_) {
-    coordinator->shard_records_.push_back(
-        static_cast<uint32_t>(slice.db.num_records()));
-  }
-  return coordinator;
-}
-
-Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::CreateRemote(
-    std::vector<std::unique_ptr<Endpoint>> worker_links, bool verify_sbd) {
-  return CreateRemote(std::move(worker_links), verify_sbd, RemoteOptions());
-}
-
-Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::CreateRemote(
-    std::vector<std::unique_ptr<Endpoint>> worker_links, bool verify_sbd,
-    RemoteOptions remote_options) {
+Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Create(
+    const PaillierPublicKey& pk,
+    std::vector<std::unique_ptr<Endpoint>> worker_links, Options options) {
   if (worker_links.empty()) {
     return Status::InvalidArgument("ShardCoordinator: no worker links");
   }
-  if (!remote_options.redial_addrs.empty() &&
-      remote_options.redial_addrs.size() != worker_links.size()) {
+  if (!options.redial_addrs.empty() &&
+      options.redial_addrs.size() != worker_links.size()) {
     return Status::InvalidArgument(
         "ShardCoordinator: redial_addrs must be empty or parallel to "
         "worker_links");
@@ -133,11 +77,11 @@ Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::CreateRemote(
   }
   const ShardManifest manifest = geometries[0].manifest;
   auto coordinator = std::unique_ptr<ShardCoordinator>(new ShardCoordinator());
+  coordinator->pk_ = pk;
   coordinator->manifest_ = manifest;
-  coordinator->verify_sbd_ = verify_sbd;
   coordinator->num_attributes_ = geometries[0].num_attributes;
   coordinator->distance_bits_ = geometries[0].distance_bits;
-  coordinator->remote_options_ = remote_options;
+  coordinator->options_ = options;
   coordinator->groups_ =
       std::vector<ReplicaGroup>(manifest.num_shards);
   coordinator->shard_records_.assign(manifest.num_shards, 0);
@@ -170,8 +114,8 @@ Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::CreateRemote(
       MutexLock lock(&replica->mutex);
       replica->client = std::move(clients[i]);
     }
-    if (!remote_options.redial_addrs.empty()) {
-      replica->redial_addr = remote_options.redial_addrs[i];
+    if (!options.redial_addrs.empty()) {
+      replica->redial_addr = options.redial_addrs[i];
     }
     replica->last_ok_ns.store(NowNs(), std::memory_order_relaxed);
     coordinator->groups_[g.shard].replicas.push_back(std::move(replica));
@@ -184,7 +128,7 @@ Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::CreateRemote(
           std::to_string(shard) + ")");
     }
   }
-  if (remote_options.probe_interval.count() > 0) {
+  if (options.probe_interval.count() > 0) {
     coordinator->probe_thread_ =
         std::thread([c = coordinator.get()] { c->ProbeLoop(); });
   }
@@ -220,7 +164,7 @@ void ShardCoordinator::ProbeLoop() {
     {
       MutexLock lock(&probe_mutex_);
       if (!probe_stop_) {
-        probe_cv_.WaitFor(probe_mutex_, remote_options_.probe_interval);
+        probe_cv_.WaitFor(probe_mutex_, options_.probe_interval);
       }
       if (probe_stop_) return;
     }
@@ -239,7 +183,7 @@ void ShardCoordinator::ProbeLoop() {
 void ShardCoordinator::ProbeReplica(Replica& replica) {
   // Bound the probe by the probe interval so one dead-but-routable worker
   // cannot back the whole probe cycle up behind a TCP timeout.
-  const auto timeout = remote_options_.probe_interval;
+  const auto timeout = options_.probe_interval;
   std::shared_ptr<RpcClient> client = replica.GetClient();
   if (client != nullptr) {
     auto pong = client->Call(EncodeShardPing(), timeout);
@@ -250,16 +194,16 @@ void ShardCoordinator::ProbeReplica(Replica& replica) {
     if (pong.status().code() == StatusCode::kDeadlineExceeded) {
       // Link still up, worker silent (busy or stopped): count the failure
       // but keep the client — a busy worker recovers on its own.
-      replica.MarkFailed(remote_options_.eject_after_failures);
+      replica.MarkFailed(options_.eject_after_failures);
       return;
     }
   }
   // Link dead. Redial if we know the address; a restarted worker (same
   // port, fresh process) passes the ping and is reinstated.
-  replica.MarkFailed(remote_options_.eject_after_failures);
+  replica.MarkFailed(options_.eject_after_failures);
   std::string host;
-  int port = 0;
-  if (!SplitHostPort(replica.redial_addr, &host, &port)) return;
+  uint16_t port = 0;
+  if (!ParseHostPort(replica.redial_addr, &host, &port).ok()) return;
   auto endpoint = ConnectTcp(host, port);
   if (!endpoint.ok()) return;
   auto fresh = std::make_shared<RpcClient>(std::move(*endpoint));
@@ -274,9 +218,10 @@ void ShardCoordinator::ProbeReplica(Replica& replica) {
   replica.MarkOk();
 }
 
-Result<ShardCandidates> ShardCoordinator::RunShardRemote(
+Result<ShardCandidates> ShardCoordinator::RunShard(
     ProtoContext& ctx, std::size_t shard, const QueryRequest& request,
     const std::vector<Ciphertext>& enc_query, ShardQueryStats* stats) {
+  stats->shard = static_cast<uint32_t>(shard);
   ReplicaGroup& group = groups_[shard];
   const std::size_t n = group.replicas.size();
   // Attempt order: healthy replicas first, starting at the preferred one
@@ -329,29 +274,29 @@ Result<ShardCandidates> ShardCoordinator::RunShardRemote(
         client != nullptr
             ? client->Call(EncodeShardQuery(frame), timeout)
             : Result<Message>(Status::Unavailable("replica has no link"));
-    if (!resp.ok() || resp->type == OpCode(Op::kError)) {
-      // Transport death, timeout, or the worker's RPC layer declaring
-      // failure: charge the replica and fail over within this query.
-      replica.MarkFailed(remote_options_.eject_after_failures);
+    const std::string who =
+        "shard " + std::to_string(shard) + " replica " + std::to_string(idx);
+    // Charges the replica for this attempt; the stage fails over to the
+    // next one within this query.
+    auto fail_over = [&](Status error) {
+      replica.MarkFailed(options_.eject_after_failures);
       replica.failovers.fetch_add(1, std::memory_order_relaxed);
       stats->failovers += 1;
-      if (!resp.ok()) {
-        last_error =
-            resp.status().code() == StatusCode::kDeadlineExceeded
-                ? Status::DeadlineExceeded(
-                      "shard " + std::to_string(shard) + " replica " +
-                      std::to_string(idx) + " timed out: " +
-                      resp.status().message())
-                : Status::Unavailable("shard " + std::to_string(shard) +
-                                      " replica " + std::to_string(idx) +
-                                      " unreachable: " +
-                                      resp.status().message());
-      } else {
-        last_error = Status::Unavailable(
-            "shard " + std::to_string(shard) + " replica " +
-            std::to_string(idx) + " failed: " +
-            std::string(resp->aux.begin(), resp->aux.end()));
-      }
+      last_error = std::move(error);
+    };
+    if (!resp.ok()) {
+      // Transport death or timeout.
+      fail_over(resp.status().code() == StatusCode::kDeadlineExceeded
+                    ? Status::DeadlineExceeded(who + " timed out: " +
+                                               resp.status().message())
+                    : Status::Unavailable(who + " unreachable: " +
+                                          resp.status().message()));
+      continue;
+    }
+    if (resp->type == OpCode(Op::kError)) {
+      // The worker's RPC layer declaring failure.
+      fail_over(Status::Unavailable(
+          who + " failed: " + std::string(resp->aux.begin(), resp->aux.end())));
       continue;
     }
     if (resp->type == ShardOpCode(ShardOp::kShardError)) {
@@ -362,58 +307,35 @@ Result<ShardCandidates> ShardCoordinator::RunShardRemote(
       // C2 link) may well succeed.
       Status status = DecodeShardError(*resp);
       if (status.code() == StatusCode::kDeadlineExceeded) {
-        replica.MarkFailed(remote_options_.eject_after_failures);
-        replica.failovers.fetch_add(1, std::memory_order_relaxed);
-        stats->failovers += 1;
-        last_error = status;
+        fail_over(std::move(status));
         continue;
       }
       replica.MarkOk();
       return status;
     }
-    SKNN_ASSIGN_OR_RETURN(ShardCandidatesFrame decoded,
-                          DecodeShardCandidates(*resp));
+    // Every byte from a worker is hostile until checked: a malformed frame,
+    // or a candidate ciphertext outside Z*_{N^2}, is this replica's fault,
+    // and a sibling may answer properly.
+    Result<ShardCandidatesFrame> decoded = DecodeShardCandidates(*resp);
+    if (decoded.ok() && !CandidatesInRange(pk_, decoded->candidates)) {
+      decoded = Status::ProtocolError(
+          "a candidate ciphertext lies outside Z*_{N^2}");
+    }
+    if (!decoded.ok()) {
+      fail_over(Status::ProtocolError(who + " answered invalid candidates: " +
+                                      decoded.status().message()));
+      continue;
+    }
     replica.MarkOk();
     group.preferred.store(idx, std::memory_order_relaxed);
-    stats->candidates = static_cast<uint32_t>(decoded.candidates.count());
-    stats->seconds = decoded.seconds;
-    stats->traffic = decoded.traffic;
-    stats->ops = decoded.ops;
+    stats->candidates = static_cast<uint32_t>(decoded->candidates.count());
+    stats->seconds = decoded->seconds;
+    stats->traffic = decoded->traffic;
+    stats->ops = decoded->ops;
     stats->replica = static_cast<uint32_t>(idx);
-    return std::move(decoded.candidates);
+    return std::move(decoded->candidates);
   }
   return last_error;
-}
-
-Result<ShardCandidates> ShardCoordinator::RunShard(
-    ProtoContext& ctx, std::size_t shard, const QueryRequest& request,
-    const std::vector<Ciphertext>& enc_query, ShardQueryStats* stats) {
-  stats->shard = static_cast<uint32_t>(shard);
-  if (!groups_.empty()) {
-    return RunShardRemote(ctx, shard, request, enc_query, stats);
-  }
-
-  // Local shard set: same stage, this process, per-shard meter. The shard's
-  // C1-side Paillier ops sink into the shard meter (NOT the query's main
-  // meter — the engine folds them back in via the stats), so the per-shard
-  // split stays exact.
-  QueryMeter shard_meter;
-  ProtoContext shard_ctx(&ctx.pk(), ctx.client(), ctx.pool(), ctx.query_id(),
-                         &shard_meter);
-  if (ctx.has_deadline()) shard_ctx.set_deadline(ctx.deadline());
-  Stopwatch watch;
-  Result<ShardCandidates> result = [&] {
-    ScopedOpSink sink(&shard_meter.ops());
-    return RunShardStage(shard_ctx, slices_[shard], manifest_.total_records,
-                         enc_query, request.k, request.protocol, verify_sbd_);
-  }();
-  stats->seconds = watch.ElapsedSeconds();
-  stats->traffic = shard_meter.traffic();
-  stats->ops = shard_meter.ops().snapshot();
-  if (result.ok()) {
-    stats->candidates = static_cast<uint32_t>(result->count());
-  }
-  return result;
 }
 
 Result<CloudQueryOutput> ShardCoordinator::MergeSecure(
@@ -535,8 +457,7 @@ Result<CloudQueryOutput> ShardCoordinator::Run(
   }
 
   // Fan out: every active shard stage in flight at once. Shard threads only
-  // drive control flow (and block on their shard's round trips); the
-  // homomorphic work still lands on the shared pools.
+  // send the stage to a worker and block on its answer.
   std::vector<Result<ShardCandidates>> results(
       s, Result<ShardCandidates>(Status::Internal("unset")));
   {

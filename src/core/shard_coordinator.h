@@ -1,23 +1,22 @@
 // ShardCoordinator — fans one query out to all shards and merges their
 // candidates into the global answer.
 //
-// Two shard placements behind one interface:
-//   * local  — the shard slices live in this process and their stages run
-//     on coordinator-spawned threads, all sharing the engine's C2 link
-//     (concurrent exchanges demux by correlation id; per-query attribution
-//     by the shared query id);
-//   * remote — each shard is served by one or MORE sknn_c1_shard worker
-//     processes (replicas) reached over the RPC stack (net/shard_wire.h),
-//     each with its own copy of its slice and its own C2 connection. A
-//     failed or timed-out shard stage retries on the next healthy replica
-//     WITHIN the same query — and because the deterministic tie-break makes
-//     every answer a pure function of (table, query, k), failover is
-//     invisible in the results. Only when every replica of a shard fails
-//     does the query surface kUnavailable (or kDeadlineExceeded, if the
-//     per-query deadline ran out first). Per-replica health is tracked by a
-//     background ping-probe thread: consecutive failures eject a replica
-//     from the preferred rotation, a successful probe (after an automatic
-//     redial, when the worker's address is known) reinstates it.
+// One shard placement: every shard is served by one or MORE ShardWorkers
+// (core/shard_worker.h, the replicas) reached over the RPC stack
+// (net/shard_wire.h). The workers are sknn_c1_shard processes behind TCP
+// links, or — for an in-process shard set (SknnEngine::Options::shards) —
+// workers the engine serves over in-process Channels; the coordinator cannot
+// tell the two apart. A failed or timed-out shard stage, or one whose
+// candidates fail the Z*_{N^2} range check, retries on the next healthy
+// replica WITHIN the same query — and because the deterministic tie-break
+// makes every answer a pure function of (table, query, k), failover is
+// invisible in the results. Only when every replica of a shard fails does
+// the query surface an error: kUnavailable (or kDeadlineExceeded, if the
+// per-query deadline ran out first, or kProtocolError, if the last replica
+// answered out-of-range candidates). Per-replica health is tracked by a
+// background ping-probe thread: consecutive failures eject a replica from
+// the preferred rotation, a successful probe (after an automatic redial,
+// when the worker's address is known) reinstates it.
 //
 // The merge is the same machinery as the unsharded protocol, restricted to
 // the s*k candidates: for kSecure/kFarthest, k iterations of ExtractTopK
@@ -41,6 +40,7 @@
 #include "common/thread_annotations.h"
 #include "core/query_api.h"
 #include "core/sharding.h"
+#include "crypto/paillier.h"
 #include "net/rpc.h"
 #include "net/shard_wire.h"
 
@@ -55,9 +55,10 @@ class ShardCoordinator {
     double merge_seconds = 0;
   };
 
-  /// \brief Replication knobs for CreateRemote. Defaults reproduce sensible
-  /// production behavior; tests shrink the probe interval.
-  struct RemoteOptions {
+  /// \brief Replication knobs. Defaults reproduce sensible production
+  /// behavior; tests shrink the probe interval, and in-process shard sets
+  /// turn probing off.
+  struct Options {
     /// Per-link redial addresses ("host:port"), parallel to `worker_links`;
     /// empty vector or empty entries disable redial for those links. A
     /// replica with a redial address is automatically re-connected by the
@@ -88,42 +89,25 @@ class ShardCoordinator {
     double last_ok_age_seconds = -1;
   };
 
-  /// \brief In-process shard set: partitions `db` along `manifest` and runs
-  /// every shard stage on coordinator threads against the caller's C2 link.
-  static Result<std::unique_ptr<ShardCoordinator>> CreateLocal(
-      const EncryptedDatabase& db, const ShardManifest& manifest,
-      bool verify_sbd);
-
-  /// \brief In-process shard set partitioned by CLUSTER: shard c holds the
-  /// records of cluster c (ShardScheme::kByCluster, one shard per cluster).
-  /// This is the topology behind the clustered index mode — pruning a
-  /// cluster skips its shard's stage entirely.
-  static Result<std::unique_ptr<ShardCoordinator>> CreateLocal(
-      const EncryptedDatabase& db, const ClusterManifest& clusters,
-      bool verify_sbd);
-
-  /// \brief Remote shard workers: pings every link, validates that the
-  /// workers agree on one manifest and that every shard {0..s-1} is covered
-  /// by at least one worker (in any connection order), and groups the RPC
-  /// clients by their REPORTED shard — several workers for one shard are
-  /// replicas. The database geometry (total records, attributes, distance
-  /// bits) is learned from the workers — the coordinator never needs
-  /// Epk(T).
-  static Result<std::unique_ptr<ShardCoordinator>> CreateRemote(
-      std::vector<std::unique_ptr<Endpoint>> worker_links, bool verify_sbd,
-      RemoteOptions remote_options);
-  /// \brief CreateRemote with default RemoteOptions. (An overload rather
-  /// than a `= {}` default argument: GCC cannot evaluate a nested
+  /// \brief Pings every link, validates that the workers agree on one
+  /// manifest and that every shard {0..s-1} is covered by at least one
+  /// worker (in any connection order), and groups the RPC clients by their
+  /// REPORTED shard — several workers for one shard are replicas. The
+  /// database geometry (total records, attributes, distance bits) is learned
+  /// from the workers — the coordinator never needs Epk(T). `pk` is the
+  /// table's key, against which every returned candidate is range-checked.
+  /// (No `= {}` default for `options`: GCC cannot evaluate a nested
   /// aggregate's member initializers in a default argument of the
   /// enclosing class.)
-  static Result<std::unique_ptr<ShardCoordinator>> CreateRemote(
-      std::vector<std::unique_ptr<Endpoint>> worker_links, bool verify_sbd);
+  static Result<std::unique_ptr<ShardCoordinator>> Create(
+      const PaillierPublicKey& pk,
+      std::vector<std::unique_ptr<Endpoint>> worker_links, Options options);
 
   ~ShardCoordinator();
 
   /// \brief One query: fan out, collect the candidates, merge, mask-and-
-  /// ship to Bob. All merge exchanges (and, in local mode, the shard
-  /// stages) ride `ctx`'s query id, meter and deadline. `breakdown`
+  /// ship to Bob. The merge exchanges ride `ctx`'s meter; the shard stages
+  /// run under `ctx`'s query id and deadline. `breakdown`
   /// receives the merge's sminn/extract/update phases.
   ///
   /// `active_shards` restricts the fan-out (clustered pruning): only the
@@ -137,28 +121,23 @@ class ShardCoordinator {
                                    nullptr);
 
   const ShardManifest& manifest() const { return manifest_; }
-  /// \brief True when the shards are worker processes (CreateRemote) rather
-  /// than in-process slices.
-  bool remote() const { return !groups_.empty(); }
-  /// \brief Replicas serving shard `shard` (remote mode; local mode: 0).
+  /// \brief Replicas serving shard `shard` (0 for an out-of-range shard).
   std::size_t replicas(std::size_t shard) const {
     return shard < groups_.size() ? groups_[shard].replicas.size() : 0;
   }
-  /// \brief Live health snapshot of every replica of every shard (remote
-  /// mode; empty for local shard sets).
+  /// \brief Live health snapshot of every replica of every shard.
   std::vector<ReplicaStatus> ReplicaStatuses() const;
-  /// \brief Database geometry (remote mode reports the workers'; local mode
-  /// mirrors the partitioned db).
+  /// \brief Database geometry, as the workers reported it at connect.
   std::size_t num_attributes() const { return num_attributes_; }
   unsigned distance_bits() const { return distance_bits_; }
-  /// \brief Records shard `shard` holds (local: its slice; remote: as the
-  /// workers reported at connect). 0 for an out-of-range shard.
+  /// \brief Records shard `shard` holds, as its workers reported at
+  /// connect. 0 for an out-of-range shard.
   uint32_t shard_records(std::size_t shard) const {
     return shard < shard_records_.size() ? shard_records_[shard] : 0;
   }
 
  private:
-  /// One remote worker process serving one shard. The client is swappable
+  /// One worker serving one shard. The client is swappable
   /// (under the mutex) so the probe thread can redial a dead worker without
   /// disturbing callers, who take a shared_ptr copy per call.
   struct Replica {
@@ -206,9 +185,6 @@ class ShardCoordinator {
                                    const QueryRequest& request,
                                    const std::vector<Ciphertext>& enc_query,
                                    ShardQueryStats* stats);
-  Result<ShardCandidates> RunShardRemote(
-      ProtoContext& ctx, std::size_t shard, const QueryRequest& request,
-      const std::vector<Ciphertext>& enc_query, ShardQueryStats* stats);
   Result<CloudQueryOutput> MergeSecure(
       ProtoContext& ctx, std::vector<ShardCandidates> candidates, unsigned k,
       SkNNmBreakdown* breakdown);
@@ -218,19 +194,16 @@ class ShardCoordinator {
   void ProbeLoop();
   void ProbeReplica(Replica& replica);
 
+  PaillierPublicKey pk_;
   ShardManifest manifest_;
-  bool verify_sbd_ = true;
   std::size_t num_attributes_ = 0;
   unsigned distance_bits_ = 0;
-  /// Record count per shard, both modes (clustered shards are unequal, and
-  /// the stats report them either way).
+  /// Record count per shard (clustered shards are unequal).
   std::vector<uint32_t> shard_records_;
-  /// Local mode: one slice per shard.
-  std::vector<ShardSlice> slices_;
-  /// Remote mode: one replica group per shard, indexed by shard.
+  /// One replica group per shard, indexed by shard.
   std::vector<ReplicaGroup> groups_;
-  RemoteOptions remote_options_;
-  /// Background health probe (remote mode, probe_interval > 0).
+  Options options_;
+  /// Background health probe (probe_interval > 0).
   mutable Mutex probe_mutex_;
   bool probe_stop_ GUARDED_BY(probe_mutex_) = false;
   CondVar probe_cv_;

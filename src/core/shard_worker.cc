@@ -1,4 +1,4 @@
-#include "serve/shard_worker.h"
+#include "core/shard_worker.h"
 
 #include <string>
 
@@ -9,8 +9,8 @@ namespace sknn {
 
 Result<std::unique_ptr<ShardWorker>> ShardWorker::Create(
     const PaillierPublicKey& pk, const EncryptedDatabase& db,
-    const ShardManifest& manifest, std::size_t shard_index,
-    std::unique_ptr<Endpoint> c2_link, const Options& options) {
+    const ShardManifest& manifest, std::size_t shard_index, RpcClient* c2,
+    ThreadPool* pool, const Options& options) {
   if (manifest.scheme == ShardScheme::kByCluster) {
     return Status::InvalidArgument(
         "ShardWorker: a bycluster manifest does not determine record "
@@ -28,14 +28,14 @@ Result<std::unique_ptr<ShardWorker>> ShardWorker::Create(
         " shards");
   }
   return CreateSliced(pk, db, checked, shard_index,
-                      ShardRecordIndices(checked, shard_index),
-                      std::move(c2_link), options);
+                      ShardRecordIndices(checked, shard_index), c2, pool,
+                      options);
 }
 
 Result<std::unique_ptr<ShardWorker>> ShardWorker::Create(
     const PaillierPublicKey& pk, const EncryptedDatabase& db,
-    const ClusterManifest& clusters, std::size_t shard_index,
-    std::unique_ptr<Endpoint> c2_link, const Options& options) {
+    const ClusterManifest& clusters, std::size_t shard_index, RpcClient* c2,
+    ThreadPool* pool, const Options& options) {
   if (Status valid = ValidateClusterManifestForDatabase(clusters, db);
       !valid.ok()) {
     return valid;
@@ -57,23 +57,23 @@ Result<std::unique_ptr<ShardWorker>> ShardWorker::Create(
         "ShardWorker: cluster " + std::to_string(shard_index) +
         " is empty (corrupted or hand-edited cluster manifest?)");
   }
-  return CreateSliced(pk, db, manifest, shard_index, std::move(indices),
-                      std::move(c2_link), options);
+  return CreateSliced(pk, db, manifest, shard_index, std::move(indices), c2,
+                      pool, options);
 }
 
 Result<std::unique_ptr<ShardWorker>> ShardWorker::CreateSliced(
     const PaillierPublicKey& pk, const EncryptedDatabase& db,
     const ShardManifest& manifest, std::size_t shard_index,
-    std::vector<std::size_t> global_indices,
-    std::unique_ptr<Endpoint> c2_link, const Options& options) {
+    std::vector<std::size_t> global_indices, RpcClient* c2, ThreadPool* pool,
+    const Options& options) {
   if (db.num_records() != manifest.total_records) {
     return Status::InvalidArgument(
         "ShardWorker: manifest is for " +
         std::to_string(manifest.total_records) + " records, database has " +
         std::to_string(db.num_records()));
   }
-  if (c2_link == nullptr) {
-    return Status::InvalidArgument("ShardWorker: null C2 link");
+  if (c2 == nullptr) {
+    return Status::InvalidArgument("ShardWorker: null C2 client");
   }
   auto worker = std::unique_ptr<ShardWorker>(new ShardWorker());
   worker->options_ = options;
@@ -91,25 +91,8 @@ Result<std::unique_ptr<ShardWorker>> ShardWorker::CreateSliced(
   worker->geometry_.distance_bits = db.distance_bits;
   worker->geometry_.shard_records =
       static_cast<uint32_t>(worker->slice_.db.num_records());
-  worker->c2_client_ = std::make_unique<RpcClient>(std::move(c2_link));
-  if (options.threads > 1) {
-    worker->pool_ = std::make_unique<ThreadPool>(options.threads);
-  }
-  if (options.randomizer_pool) {
-    worker->rand_pool_ = std::make_unique<RandomizerPool>(
-        worker->pk_.n(), options.randomizer_pool_capacity);
-    worker->pk_.set_randomizer_pool(worker->rand_pool_.get());
-  }
-
-  // Fail fast on a dead or mismatched C2 link instead of on the first query.
-  Message ping;
-  ping.type = OpCode(Op::kPing);
-  SKNN_ASSIGN_OR_RETURN(Message pong,
-                        worker->c2_client_->Call(std::move(ping)));
-  if (pong.type != OpCode(Op::kPing)) {
-    return Status::ProtocolError(
-        "ShardWorker: peer did not answer ping (not a C2 server?)");
-  }
+  worker->c2_ = c2;
+  worker->pool_ = pool;
   return worker;
 }
 
@@ -137,8 +120,7 @@ Message ShardWorker::HandleShardQuery(const Message& request) {
   }
 
   QueryMeter meter;
-  ProtoContext ctx(&pk_, c2_client_.get(), pool_.get(), frame.query_id,
-                   &meter);
+  ProtoContext ctx(&pk_, c2_, pool_, frame.query_id, &meter);
   if (frame.deadline_ms > 0) {
     // The coordinator's per-attempt budget: bound every C2 exchange by it
     // so a hung C2 fails this stage as a typed kDeadlineExceeded (which the

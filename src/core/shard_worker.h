@@ -1,8 +1,8 @@
-// ShardWorker — the C1 shard worker service behind tools/sknn_c1_shard.
+// ShardWorker — the one implementation of "run one shard's stage".
 //
 // One worker hosts one slice of Epk(T) (cut from the full database along
-// the shard manifest), keeps its own link to the C2 key holder, and answers
-// the coordinator's frames (net/shard_wire.h):
+// the shard manifest) and answers the coordinator's frames
+// (net/shard_wire.h):
 //
 //   kShardPing  -> its geometry (shard index, manifest, db shape), so a
 //                  misassembled worker set is rejected at connect time;
@@ -14,10 +14,16 @@
 //
 // Worker-side failures are answered as kShardError frames carrying a real
 // Status — only a dead worker (no answer at all) becomes kUnavailable at
-// the coordinator. The class is transport-agnostic: the tool serves it over
-// TCP RpcServers, tests over in-memory channels.
-#ifndef SKNN_SERVE_SHARD_WORKER_H_
-#define SKNN_SERVE_SHARD_WORKER_H_
+// the coordinator. The class is transport-agnostic: tools/sknn_c1_shard
+// serves it over TCP RpcServers; SknnEngine (Options::shards > 1) serves
+// one per shard over in-process Channels, sharing the engine's C2 client,
+// C1 pool and key; tests do either.
+//
+// The owner supplies the C2 client, the C1 pool and the key (which may
+// carry a randomizer pool), and must keep them alive until the worker and
+// every RpcServer dispatching into it are gone.
+#ifndef SKNN_CORE_SHARD_WORKER_H_
+#define SKNN_CORE_SHARD_WORKER_H_
 
 #include <memory>
 #include <vector>
@@ -33,32 +39,28 @@ namespace sknn {
 class ShardWorker {
  public:
   struct Options {
-    /// Worker threads for this shard's local homomorphic fan-out.
-    std::size_t threads = 1;
     bool verify_sbd = true;
-    /// Precomputed-randomizer pool for this worker's encryptions.
-    bool randomizer_pool = true;
-    std::size_t randomizer_pool_capacity = 4096;
   };
 
   /// \brief Cuts shard `shard_index` of `manifest` out of the full
-  /// database and connects the stage driver to C2 via `c2_link` (fails
-  /// fast if the link is dead). The full Epk(T) is released after slicing.
-  /// Rejects ShardScheme::kByCluster manifests — their record placement is
-  /// data-dependent; use the ClusterManifest overload.
+  /// database; stages run against C2 through `c2` and fan their local work
+  /// out over `pool` (nullptr = serial). The full Epk(T) may be released
+  /// once this returns. Rejects ShardScheme::kByCluster manifests — their
+  /// record placement is data-dependent; use the ClusterManifest overload.
   static Result<std::unique_ptr<ShardWorker>> Create(
       const PaillierPublicKey& pk, const EncryptedDatabase& db,
-      const ShardManifest& manifest, std::size_t shard_index,
-      std::unique_ptr<Endpoint> c2_link, const Options& options);
+      const ShardManifest& manifest, std::size_t shard_index, RpcClient* c2,
+      ThreadPool* pool, const Options& options);
 
-  /// \brief Cluster-partitioned worker (sknn_c1_shard --clusters): hosts the
-  /// records of cluster `shard_index` under a ShardScheme::kByCluster
-  /// manifest with one shard per cluster, so a clustered front end can
-  /// prune whole workers out of a query's fan-out.
+  /// \brief Cluster-partitioned worker (sknn_c1_shard --clusters, or a
+  /// clustered in-process shard set): hosts the records of cluster
+  /// `shard_index` under a ShardScheme::kByCluster manifest with one shard
+  /// per cluster, so a clustered front end can prune whole workers out of a
+  /// query's fan-out.
   static Result<std::unique_ptr<ShardWorker>> Create(
       const PaillierPublicKey& pk, const EncryptedDatabase& db,
-      const ClusterManifest& clusters, std::size_t shard_index,
-      std::unique_ptr<Endpoint> c2_link, const Options& options);
+      const ClusterManifest& clusters, std::size_t shard_index, RpcClient* c2,
+      ThreadPool* pool, const Options& options);
 
   /// \brief RPC dispatch entry point (plug into an RpcServer); thread-safe
   /// — concurrent queries run with independent meters over the shared C2
@@ -76,8 +78,8 @@ class ShardWorker {
   static Result<std::unique_ptr<ShardWorker>> CreateSliced(
       const PaillierPublicKey& pk, const EncryptedDatabase& db,
       const ShardManifest& manifest, std::size_t shard_index,
-      std::vector<std::size_t> global_indices,
-      std::unique_ptr<Endpoint> c2_link, const Options& options);
+      std::vector<std::size_t> global_indices, RpcClient* c2,
+      ThreadPool* pool, const Options& options);
 
   Message HandleShardQuery(const Message& request);
 
@@ -85,12 +87,10 @@ class ShardWorker {
   PaillierPublicKey pk_;
   ShardSlice slice_;
   ShardGeometry geometry_;
-  std::unique_ptr<RpcClient> c2_client_;
-  std::unique_ptr<ThreadPool> pool_;
-  /// Declared after pk_ users; destroyed first once queries drained.
-  std::unique_ptr<RandomizerPool> rand_pool_;
+  RpcClient* c2_ = nullptr;
+  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace sknn
 
-#endif  // SKNN_SERVE_SHARD_WORKER_H_
+#endif  // SKNN_CORE_SHARD_WORKER_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "core/clustering.h"
 #include "proto/ssed.h"
 
 namespace sknn {
@@ -73,59 +72,6 @@ std::vector<std::size_t> ShardRecordIndices(const ShardManifest& manifest,
   indices.reserve(size);
   for (std::size_t i = begin; i < begin + size; ++i) indices.push_back(i);
   return indices;
-}
-
-Result<std::vector<ShardSlice>> PartitionDatabase(
-    const EncryptedDatabase& db, const ShardManifest& manifest) {
-  if (db.num_records() != manifest.total_records) {
-    return Status::InvalidArgument(
-        "PartitionDatabase: manifest is for " +
-        std::to_string(manifest.total_records) + " records, database has " +
-        std::to_string(db.num_records()));
-  }
-  std::vector<ShardSlice> slices;
-  slices.reserve(manifest.num_shards);
-  for (std::size_t shard = 0; shard < manifest.num_shards; ++shard) {
-    ShardSlice slice;
-    slice.global_indices = ShardRecordIndices(manifest, shard);
-    if (slice.global_indices.empty()) {
-      return Status::Internal("PartitionDatabase: empty shard " +
-                              std::to_string(shard));
-    }
-    slice.db.distance_bits = db.distance_bits;
-    slice.db.records.reserve(slice.global_indices.size());
-    for (std::size_t gidx : slice.global_indices) {
-      slice.db.records.push_back(db.records[gidx]);
-    }
-    slices.push_back(std::move(slice));
-  }
-  return slices;
-}
-
-Result<std::vector<ShardSlice>> PartitionDatabaseByCluster(
-    const EncryptedDatabase& db, const ClusterManifest& clusters) {
-  if (Status valid = ValidateClusterManifestForDatabase(clusters, db);
-      !valid.ok()) {
-    return valid;
-  }
-  std::vector<ShardSlice> slices(clusters.num_clusters);
-  for (auto& slice : slices) slice.db.distance_bits = db.distance_bits;
-  // One ascending pass keeps every slice in global-index order — the
-  // SkNN_m tie-break depends on it.
-  for (std::size_t i = 0; i < clusters.assignment.size(); ++i) {
-    ShardSlice& slice = slices[clusters.assignment[i]];
-    slice.global_indices.push_back(i);
-    slice.db.records.push_back(db.records[i]);
-  }
-  for (std::size_t c = 0; c < slices.size(); ++c) {
-    if (slices[c].global_indices.empty()) {
-      return Status::InvalidArgument(
-          "PartitionDatabaseByCluster: cluster " + std::to_string(c) +
-          " is empty — rebuild the manifest (k-means reseeds empties, so "
-          "an empty cluster means a corrupted or hand-edited manifest)");
-    }
-  }
-  return slices;
 }
 
 Result<ShardCandidates> RunShardStage(ProtoContext& ctx,

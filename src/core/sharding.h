@@ -38,8 +38,8 @@ enum class ShardScheme : uint32_t {
   /// (core/clustering.h). The clustered index mode uses this so pruning a
   /// cluster prunes its worker. Unlike the other schemes the index lists
   /// are NOT derivable from the manifest's pure geometry — they come from
-  /// the cluster assignment; use PartitionDatabaseByCluster /
-  /// ClusterRecordIndices, not ShardRecordIndices.
+  /// the cluster assignment; use ClusterRecordIndices, not
+  /// ShardRecordIndices.
   kByCluster = 2,
 };
 
@@ -79,23 +79,6 @@ struct ShardSlice {
   std::vector<std::size_t> global_indices;
 };
 
-/// \brief Copies the database apart along the manifest. The slices are
-/// independent EncryptedDatabases (same distance_bits), so each can be
-/// hosted by its own worker process.
-Result<std::vector<ShardSlice>> PartitionDatabase(const EncryptedDatabase& db,
-                                                  const ShardManifest& manifest);
-
-// Declared in core/clustering.h; forward-declared here so the cluster
-// partitioner below does not force every sharding user through that header.
-struct ClusterManifest;
-
-/// \brief Slices the database along a cluster manifest: slice c holds the
-/// records of cluster c, ascending by global index (the SkNN_m tie-break
-/// order). The companion ShardManifest for such a deployment is
-/// {kByCluster, num_clusters, total_records}.
-Result<std::vector<ShardSlice>> PartitionDatabaseByCluster(
-    const EncryptedDatabase& db, const ClusterManifest& clusters);
-
 /// \brief What one shard returns for one query: min(k, shard size) local
 /// candidates. For kSecure/kFarthest each candidate is (augmented distance
 /// bits, encrypted record) — the access pattern stays hidden, the
@@ -113,7 +96,7 @@ struct ShardCandidates {
 };
 
 /// \brief Runs the distance + local-top-k stages of `protocol` over one
-/// shard. `total_records` is the FULL database size (it sizes the tie-break
+/// shard — what a ShardWorker (core/shard_worker.h) does per kShardQuery. `total_records` is the FULL database size (it sizes the tie-break
 /// index field identically on every shard). All C1<->C2 exchanges ride
 /// `ctx` — its query id, meter and deadline apply as for any query.
 Result<ShardCandidates> RunShardStage(ProtoContext& ctx,

@@ -98,6 +98,31 @@ void SocketEndpoint::Close() {
   }
 }
 
+Status ParseHostPort(const std::string& addr, std::string* host,
+                     uint16_t* port) {
+  const std::size_t colon = addr.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 == addr.size()) {
+    return Status::InvalidArgument("address '" + addr + "' is not host:port");
+  }
+  uint32_t value = 0;
+  for (std::size_t i = colon + 1; i < addr.size(); ++i) {
+    const char c = addr[i];
+    if (c < '0' || c > '9') {
+      return Status::InvalidArgument("address '" + addr +
+                                     "' has a non-digit in its port");
+    }
+    value = value * 10 + static_cast<uint32_t>(c - '0');
+    if (value > 65535) break;
+  }
+  if (value == 0 || value > 65535) {
+    return Status::InvalidArgument("address '" + addr +
+                                   "' has a port outside 1..65535");
+  }
+  *host = addr.substr(0, colon);
+  *port = static_cast<uint16_t>(value);
+  return Status::OK();
+}
+
 Result<std::unique_ptr<SocketEndpoint>> ConnectTcp(const std::string& host,
                                                    uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);

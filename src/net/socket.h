@@ -61,6 +61,14 @@ class SocketEndpoint : public Endpoint {
 Result<std::unique_ptr<SocketEndpoint>> ConnectTcp(const std::string& host,
                                                    uint16_t port);
 
+/// \brief Splits "host:port" at its last colon — the one parser for every
+/// address the tools and the shard coordinator dial or redial. Rejects
+/// (kInvalidArgument) an empty host, an empty port, any non-digit in the
+/// port (signs and spaces included), port 0 and ports above 65535; the
+/// outputs are written only on success.
+Status ParseHostPort(const std::string& addr, std::string* host,
+                     uint16_t* port);
+
 /// \brief Listening socket; Bind with port 0 chooses an ephemeral port
 /// (query it with port() — used by tests and printed by the C2 server).
 class TcpListener {

@@ -35,8 +35,8 @@ class ProtoContext {
         meter_(meter) {}
 
   const PaillierPublicKey& pk() const { return *pk_; }
-  /// \brief The C2 link, so a caller can derive sibling contexts for the
-  /// same query (e.g. one per shard stage, each with its own meter).
+  /// \brief The C2 link, so a caller can derive a sibling context (its own
+  /// query id or meter) over the same link.
   RpcClient* client() const { return client_; }
   ThreadPool* pool() const { return pool_; }
   uint64_t query_id() const { return query_id_; }

@@ -46,30 +46,25 @@ Result<std::unique_ptr<SknnEngine>> QueryService::CreateShardedEngine(
         " but only " + std::to_string(worker_addrs.size()) +
         " shard workers were given");
   }
+  // Parse every address before dialing any: a typo must fail as a typo,
+  // and each address is later the replica's redial target, which the
+  // coordinator's probe parses with this same parser.
+  std::vector<std::pair<std::string, uint16_t>> targets(worker_addrs.size());
+  for (std::size_t i = 0; i < worker_addrs.size(); ++i) {
+    if (Status parsed = ParseHostPort(worker_addrs[i], &targets[i].first,
+                                      &targets[i].second);
+        !parsed.ok()) {
+      return Status::InvalidArgument("CreateShardedEngine: worker " +
+                                     parsed.message());
+    }
+  }
   std::vector<std::unique_ptr<Endpoint>> links;
   links.reserve(worker_addrs.size());
-  for (const std::string& addr : worker_addrs) {
-    const std::size_t colon = addr.rfind(':');
-    if (colon == std::string::npos || colon + 1 >= addr.size()) {
-      return Status::InvalidArgument(
-          "CreateShardedEngine: worker address '" + addr +
-          "' is not host:port");
-    }
-    unsigned long port = 0;
-    try {
-      port = std::stoul(addr.substr(colon + 1));
-    } catch (...) {
-      port = 0;
-    }
-    if (port == 0 || port > 65535) {
-      return Status::InvalidArgument(
-          "CreateShardedEngine: bad port in worker address '" + addr + "'");
-    }
-    auto link = ConnectTcp(addr.substr(0, colon),
-                           static_cast<uint16_t>(port));
+  for (std::size_t i = 0; i < worker_addrs.size(); ++i) {
+    auto link = ConnectTcp(targets[i].first, targets[i].second);
     if (!link.ok()) {
       return Status::Unavailable("CreateShardedEngine: cannot reach shard "
-                                 "worker at " + addr + ": " +
+                                 "worker at " + worker_addrs[i] + ": " +
                                  link.status().message());
     }
     links.push_back(std::move(link).value());
@@ -237,19 +232,18 @@ HealthReply QueryService::HealthSnapshot() const {
     table.name = entry->name;
     // Local (unsharded or in-process-sharded) tables report an empty
     // replica list: there is nothing to fail over to.
-    if (std::shared_ptr<SknnEngine> engine = entry->engine()) {
-      if (const ShardCoordinator* coordinator = engine->shard_coordinator()) {
-        for (const ShardCoordinator::ReplicaStatus& status :
-             coordinator->ReplicaStatuses()) {
-          ReplicaHealthEntry replica;
-          replica.shard = static_cast<uint32_t>(status.shard);
-          replica.replica = static_cast<uint32_t>(status.replica);
-          replica.healthy = status.healthy;
-          replica.consecutive_failures = status.consecutive_failures;
-          replica.failovers = status.failovers;
-          replica.last_ok_age_seconds = status.last_ok_age_seconds;
-          table.replicas.push_back(replica);
-        }
+    std::shared_ptr<SknnEngine> engine = entry->engine();
+    if (engine != nullptr && engine->info().remote_shard_workers) {
+      for (const ShardCoordinator::ReplicaStatus& status :
+           engine->shard_coordinator()->ReplicaStatuses()) {
+        ReplicaHealthEntry replica;
+        replica.shard = static_cast<uint32_t>(status.shard);
+        replica.replica = static_cast<uint32_t>(status.replica);
+        replica.healthy = status.healthy;
+        replica.consecutive_failures = status.consecutive_failures;
+        replica.failovers = status.failovers;
+        replica.last_ok_age_seconds = status.last_ok_age_seconds;
+        table.replicas.push_back(replica);
       }
     }
     reply.tables.push_back(std::move(table));

@@ -20,28 +20,6 @@ constexpr std::chrono::milliseconds kDeadlineGrace{500};
 /// wedging the first call forever.
 constexpr std::chrono::milliseconds kHelloTimeout{5000};
 
-Status ParseHostPort(const std::string& addr, std::string* host,
-                     uint16_t* port) {
-  const std::size_t colon = addr.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= addr.size()) {
-    return Status::InvalidArgument("RemoteQueryClient: endpoint '" + addr +
-                                   "' is not host:port");
-  }
-  unsigned long parsed = 0;
-  for (std::size_t i = colon + 1; i < addr.size(); ++i) {
-    const char c = addr[i];
-    if (c < '0' || c > '9') parsed = 66000;  // force the range error below
-    if (parsed <= 65535) parsed = parsed * 10 + static_cast<unsigned>(c - '0');
-  }
-  if (parsed == 0 || parsed > 65535) {
-    return Status::InvalidArgument("RemoteQueryClient: bad port in endpoint '" +
-                                   addr + "'");
-  }
-  *host = addr.substr(0, colon);
-  *port = static_cast<uint16_t>(parsed);
-  return Status::OK();
-}
-
 }  // namespace
 
 std::chrono::milliseconds RetryBackoff(const RetryPolicy& policy, int attempt,

@@ -126,7 +126,7 @@ TEST(KMeansPartition, DeterministicAndCoversEveryCluster) {
   EXPECT_EQ(a->centroids, b->centroids);
   ASSERT_EQ(a->assignment.size(), table.size());
   // Every cluster holds at least one record (the post-pass fixup invariant
-  // PartitionDatabaseByCluster depends on).
+  // a by-cluster ShardWorker depends on).
   std::vector<int> counts(4, 0);
   for (uint32_t c : a->assignment) {
     ASSERT_LT(c, 4u);

@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "proto/permutation.h"
 
 namespace sknn {
 namespace {
@@ -88,6 +89,8 @@ TEST(LoggingTest, LevelFiltering) {
   SetLogLevel(LogLevel::kError);
   EXPECT_EQ(GetLogLevel(), LogLevel::kError);
   SKNN_LOG(Info) << "must be suppressed";
+  // Only SKNN_CHECK is fatal: an emitted error line returns to its caller.
+  SKNN_LOG(Error) << "emitted, not fatal";
   SetLogLevel(before);
 }
 
@@ -193,6 +196,17 @@ TEST_F(MergeJsonSectionTest, SurvivesTrickyValues) {
   bench::MergeJsonSection(path_, "beta", "2");
   EXPECT_EQ(ReadFile(),
             "{\n  \"alpha\": " + tricky + ",\n  \"beta\": 2\n}\n");
+}
+
+TEST(FatalCheckDeathTest, PermutationApplyAbortsOnShortInput) {
+  // A failed SKNN_CHECK aborts instead of letting Apply build an answer
+  // from an input shorter than the permutation.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Permutation pi(4);
+  const std::vector<int> short_input = {1, 2};
+  EXPECT_DEATH((void)pi.Apply(short_input), "Permutation size mismatch");
+  EXPECT_DEATH((void)pi.ApplyInverse(short_input),
+               "Permutation size mismatch");
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {

@@ -206,6 +206,15 @@ TEST(MultiTableTest, ShardedTableBehindTheSameContract) {
   ASSERT_TRUE(info.ok()) << info.status();
   EXPECT_EQ(info->num_shards, 2u);
   EXPECT_FALSE(info->remote_workers);
+
+  // In-process shards have no replicas to fail over to: kHealth reports
+  // none for them, exactly as for the unsharded table.
+  auto health = client->Health();
+  ASSERT_TRUE(health.ok()) << health.status();
+  ASSERT_EQ(health->tables.size(), 2u);
+  for (const TableHealthEntry& table : health->tables) {
+    EXPECT_TRUE(table.replicas.empty()) << table.name;
+  }
 }
 
 TEST(MultiTableTest, WrongTableNamesYieldTypedStatusCodes) {

@@ -42,11 +42,11 @@
 #include "core/data_owner.h"
 #include "core/db_io.h"
 #include "core/engine.h"
+#include "core/shard_worker.h"
 #include "core/sharding.h"
 #include "data/synthetic.h"
 #include "net/shard_wire.h"
 #include "net/socket.h"
-#include "serve/shard_worker.h"
 #include "tests/query_test_util.h"
 
 namespace sknn {
@@ -399,11 +399,26 @@ class TcpWorker {
       Status::Internal("not connected");
 };
 
+// What tools/sknn_c1_shard builds around one worker: its own C2 link, C1
+// pool and randomizer pool.
+struct WorkerHost {
+  explicit WorkerHost(std::unique_ptr<Endpoint> c2_link)
+      : c2(std::move(c2_link)) {
+    pk.set_randomizer_pool(&rand_pool);
+  }
+  RpcClient c2;
+  ThreadPool pool{2};
+  RandomizerPool rand_pool{SharedAlice().public_key().n(), /*capacity=*/32};
+  PaillierPublicKey pk = SharedAlice().public_key();
+};
+
 struct RemoteTopology {
   PlainTable table;
   EncryptedDatabase db;
   ShardManifest manifest;
   std::unique_ptr<TcpC2> c2;
+  // Outlive every worker made from them (workers and test locals alike).
+  std::vector<std::unique_ptr<WorkerHost>> hosts;
   std::vector<std::unique_ptr<TcpWorker>> workers;
 
   RemoteTopology(std::size_t n, std::size_t s, uint64_t seed) {
@@ -419,12 +434,10 @@ struct RemoteTopology {
   }
 
   std::unique_ptr<ShardWorker> MakeWorker(std::size_t shard) {
-    ShardWorker::Options options;
-    options.threads = 2;
-    options.randomizer_pool_capacity = 32;
-    auto worker = ShardWorker::Create(SharedAlice().public_key(), db,
-                                      manifest, shard, c2->Connect(),
-                                      options);
+    hosts.push_back(std::make_unique<WorkerHost>(c2->Connect()));
+    WorkerHost& host = *hosts.back();
+    auto worker = ShardWorker::Create(host.pk, db, manifest, shard, &host.c2,
+                                      &host.pool, ShardWorker::Options());
     SKNN_CHECK(worker.ok()) << worker.status();
     return std::move(worker).value();
   }
@@ -528,10 +541,20 @@ TEST(ShardedQueryRemote, MisassembledWorkerSetsAreRejected) {
 // ping with a consistent geometry, then misbehaves on the query leg.
 class FaultyWorker {
  public:
-  enum class Mode { kHangUntilKilled, kDisconnect };
+  enum class Mode {
+    kHangUntilKilled,
+    kDisconnect,
+    // Well-shaped candidates (an honest worker's answer) with one
+    // ciphertext replaced by 0, or by N^2 + c for a valid c: both outside
+    // Z*_{N^2}.
+    kZeroCiphertext,
+    kOversizedCiphertext,
+  };
 
-  FaultyWorker(const ShardGeometry& geometry, Mode mode)
-      : geometry_(geometry), mode_(mode) {
+  /// `honest` computes the candidates the corrupting modes tamper with.
+  FaultyWorker(const ShardGeometry& geometry, Mode mode,
+               ShardWorker* honest = nullptr)
+      : geometry_(geometry), mode_(mode), honest_(honest) {
     auto listener = TcpListener::Bind(0);
     SKNN_CHECK(listener.ok()) << listener.status();
     std::thread accepter([&] {
@@ -576,12 +599,35 @@ class FaultyWorker {
       server_->Shutdown();
       return Status::Unavailable("disconnected");
     }
+    if (mode_ == Mode::kZeroCiphertext ||
+        mode_ == Mode::kOversizedCiphertext) {
+      return CorruptOneCiphertext(req);
+    }
     hold_.get_future().wait();  // hang until the test kills or releases us
     return Status::Unavailable("killed");
   }
 
+  Result<Message> CorruptOneCiphertext(const Message& req) {
+    SKNN_ASSIGN_OR_RETURN(Message honest, honest_->Handle(req));
+    SKNN_ASSIGN_OR_RETURN(ShardCandidatesFrame frame,
+                          DecodeShardCandidates(honest));
+    ShardCandidates& c = frame.candidates;
+    if (mode_ == Mode::kZeroCiphertext) {
+      // The secure protocols' distance bits, or the basic one's distance.
+      Ciphertext& target =
+          c.bits.empty() ? c.distances.back() : c.bits.back().back();
+      target = Ciphertext(BigInt(0));
+    } else {
+      Ciphertext& target = c.records.back().back();
+      target = Ciphertext(target.value() +
+                          SharedAlice().public_key().n_squared());
+    }
+    return EncodeShardCandidates(frame);
+  }
+
   ShardGeometry geometry_;
   Mode mode_;
+  ShardWorker* honest_;
   std::unique_ptr<RpcServer> server_;
   Result<std::unique_ptr<SocketEndpoint>> link_ =
       Status::Internal("not connected");
@@ -795,6 +841,102 @@ TEST(ShardedQueryReplicas, EveryReplicaHungYieldsDeadlineExceededInBudget) {
   // Bounded: the deadline (plus scheduling slack), not a transport default
   // measured in minutes.
   EXPECT_LT(elapsed.count(), 10000) << "deadline did not bound the stall";
+}
+
+TEST(ShardedQueryReplicas, OutOfRangeCandidatesFailOverOrFailTheQuery) {
+  // A replica answering well-shaped candidates with a ciphertext outside
+  // Z*_{N^2} is charged like a dead one: with a healthy sibling the query
+  // fails over and still matches the oracle; alone, it fails as a typed
+  // kProtocolError that names the shard.
+  for (FaultyWorker::Mode mode : {FaultyWorker::Mode::kZeroCiphertext,
+                                  FaultyWorker::Mode::kOversizedCiphertext}) {
+    for (QueryProtocol protocol :
+         {QueryProtocol::kSecure, QueryProtocol::kBasic}) {
+      for (bool with_sibling : {false, true}) {
+        SCOPED_TRACE(std::string(QueryProtocolName(protocol)) +
+                     (mode == FaultyWorker::Mode::kZeroCiphertext
+                          ? " zero"
+                          : " oversized") +
+                     (with_sibling ? " with sibling" : " alone"));
+        RemoteTopology topology(/*n=*/8, /*s=*/2, /*seed=*/3001);
+        topology.AddWorker(0);
+        topology.AddWorker(1);
+        auto honest = topology.MakeWorker(0);
+        FaultyWorker faulty(honest->geometry(), mode, honest.get());
+
+        // The faulty worker connects first, so it is replica 0 of shard 0
+        // — the preferred first attempt.
+        std::vector<std::unique_ptr<Endpoint>> links;
+        links.push_back(faulty.TakeLink());
+        if (with_sibling) links.push_back(topology.workers[0]->TakeLink());
+        links.push_back(topology.workers[1]->TakeLink());
+        auto engine = SknnEngine::CreateWithShardWorkers(
+            SharedAlice().public_key(), std::move(links),
+            topology.c2->Connect(), BaseOptions());
+        ASSERT_TRUE(engine.ok()) << engine.status();
+
+        const PlainRecord query = GenerateUniformQuery(2, kMaxValue, 3002);
+        auto response = RunQuery(**engine, query, 2, protocol);
+        if (!with_sibling) {
+          ASSERT_FALSE(response.ok());
+          EXPECT_EQ(response.status().code(), StatusCode::kProtocolError)
+              << response.status();
+          EXPECT_NE(response.status().message().find("shard 0"),
+                    std::string::npos)
+              << response.status();
+          continue;
+        }
+        ASSERT_TRUE(response.ok()) << response.status();
+        EXPECT_EQ(response->records,
+                  Oracle(topology.table, query, 2, protocol));
+        ASSERT_EQ(response->shards.size(), 2u);
+        EXPECT_EQ(response->shards[0].failovers, 1u);
+        EXPECT_EQ(response->shards[0].replica, 1u);
+      }
+    }
+  }
+}
+
+TEST(ShardedQueryRemote, InProcessAndTcpWorkersAgreeShardForShard) {
+  // One shard path: an engine with Options::shards = 2 serves its shards
+  // through the same ShardWorker code as sknn_c1_shard processes over TCP,
+  // so both report the same records and the same per-shard work.
+  RemoteTopology topology(/*n=*/8, /*s=*/2, /*seed=*/3101);
+  topology.AddWorker(0);
+  topology.AddWorker(1);
+  auto tcp = topology.MakeEngine();
+  ASSERT_TRUE(tcp.ok()) << tcp.status();
+  SknnEngine::Options options = BaseOptions();
+  options.shards = 2;
+  auto in_process = MakeEngine(topology.table, options);
+  EXPECT_FALSE(in_process->info().remote_shard_workers);
+  EXPECT_TRUE((*tcp)->info().remote_shard_workers);
+
+  const PlainRecord query = GenerateUniformQuery(2, kMaxValue, 3102);
+  for (QueryProtocol protocol :
+       {QueryProtocol::kSecure, QueryProtocol::kBasic}) {
+    SCOPED_TRACE(QueryProtocolName(protocol));
+    auto local = RunQuery(*in_process, query, 3, protocol);
+    ASSERT_TRUE(local.ok()) << local.status();
+    auto remote = RunQuery(**tcp, query, 3, protocol);
+    ASSERT_TRUE(remote.ok()) << remote.status();
+    EXPECT_EQ(local->records, remote->records);
+    EXPECT_EQ(local->records, Oracle(topology.table, query, 3, protocol));
+    ASSERT_EQ(local->shards.size(), 2u);
+    ASSERT_EQ(remote->shards.size(), 2u);
+    for (std::size_t shard = 0; shard < 2; ++shard) {
+      SCOPED_TRACE("shard " + std::to_string(shard));
+      const ShardQueryStats& a = local->shards[shard];
+      const ShardQueryStats& b = remote->shards[shard];
+      EXPECT_EQ(a.candidates, b.candidates);
+      EXPECT_EQ(a.ops.encryptions, b.ops.encryptions);
+      EXPECT_EQ(a.ops.decryptions, b.ops.decryptions);
+      EXPECT_EQ(a.ops.exponentiations, b.ops.exponentiations);
+      EXPECT_EQ(a.ops.multiplications, b.ops.multiplications);
+      EXPECT_EQ(a.ops.inversions, b.ops.inversions);
+      EXPECT_EQ(a.traffic.total_frames(), b.traffic.total_frames());
+    }
+  }
 }
 
 TEST(ShardedQueryRemote, WorkerAnswersMalformedFramesWithTypedErrors) {

@@ -12,6 +12,7 @@
 #include "net/socket.h"
 #include "proto/c2_service.h"
 #include "proto/sm.h"
+#include "serve/query_service.h"
 #include "tests/proto_test_util.h"
 
 namespace sknn {
@@ -117,6 +118,47 @@ TEST(SocketTest, ConnectFailsToClosedPort) {
 
 TEST(SocketTest, ConnectRejectsBadAddress) {
   EXPECT_FALSE(ConnectTcp("not-an-address", 1).ok());
+}
+
+TEST(SocketTest, ParseHostPortAcceptsOnlyHostColonPort) {
+  struct Case {
+    const char* addr;
+    bool ok;
+  };
+  const Case cases[] = {
+      {"h:9200", true},   {"h:9200x", false}, {"h:", false},
+      {":9200", false},   {"h:0", false},     {"h:65536", false},
+      {"h:+1", false},    {"h: 1", false},    {"h:65535", true},
+      {"9200", false},    {"h:99999999999999999999", false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.addr);
+    std::string host = "unchanged";
+    uint16_t port = 7;
+    Status parsed = ParseHostPort(c.addr, &host, &port);
+    EXPECT_EQ(parsed.ok(), c.ok) << parsed;
+    if (c.ok) {
+      EXPECT_EQ(host, "h");
+      EXPECT_EQ(std::string("h:") + std::to_string(port), c.addr);
+    } else {
+      EXPECT_EQ(parsed.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(host, "unchanged");
+      EXPECT_EQ(port, 7);
+    }
+  }
+}
+
+TEST(SocketTest, ShardedEngineRejectsBadWorkerAddressBeforeDialing) {
+  // "9200x" must not be read as port 9200: it would be dialed now and then
+  // be a redial address the coordinator's probe can never use.
+  Channel::EndpointPair c2 = Channel::CreatePair();
+  auto engine = QueryService::CreateShardedEngine(
+      PaillierPublicKey(), EncryptedDatabase(), std::move(c2.a),
+      SknnEngine::Options(), /*shards=*/0, ShardScheme::kContiguous,
+      {"127.0.0.1:9200x"});
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)
+      << engine.status();
 }
 
 TEST(SocketTest, RpcOverTcp) {

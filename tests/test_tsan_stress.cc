@@ -35,6 +35,7 @@
 #include "common/logging.h"
 #include "core/data_owner.h"
 #include "core/engine.h"
+#include "core/shard_worker.h"
 #include "core/sharding.h"
 #include "data/synthetic.h"
 #include "net/shard_wire.h"
@@ -43,7 +44,6 @@
 #include "serve/qos/result_cache.h"
 #include "serve/query_service.h"
 #include "serve/remote_query_client.h"
-#include "serve/shard_worker.h"
 #include "serve/table_registry.h"
 #include "tests/query_test_util.h"
 
@@ -353,11 +353,12 @@ class StressWorker {
  public:
   StressWorker(const EncryptedDatabase& db, const ShardManifest& manifest,
                std::size_t shard, StressC2* c2) {
-    ShardWorker::Options options;
-    options.threads = 2;
-    options.randomizer_pool_capacity = 32;
-    auto worker = ShardWorker::Create(SharedAlice().public_key(), db,
-                                     manifest, shard, c2->Connect(), options);
+    c2_client_ = std::make_unique<RpcClient>(c2->Connect());
+    PaillierPublicKey pk = SharedAlice().public_key();
+    pk.set_randomizer_pool(&rand_pool_);
+    auto worker = ShardWorker::Create(pk, db, manifest, shard,
+                                      c2_client_.get(), &pool_,
+                                      ShardWorker::Options());
     SKNN_CHECK(worker.ok()) << worker.status();
     worker_ = std::move(worker).value();
 
@@ -383,6 +384,11 @@ class StressWorker {
   void Kill() { server_->Shutdown(); }
 
  private:
+  // What sknn_c1_shard builds around its worker, declared first so the
+  // server and the worker go before them.
+  std::unique_ptr<RpcClient> c2_client_;
+  ThreadPool pool_{2};
+  RandomizerPool rand_pool_{SharedAlice().public_key().n(), /*capacity=*/32};
   std::unique_ptr<ShardWorker> worker_;
   std::unique_ptr<RpcServer> server_;
   Result<std::unique_ptr<SocketEndpoint>> link_ =

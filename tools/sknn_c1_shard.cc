@@ -29,10 +29,10 @@
 #include <vector>
 
 #include "core/db_io.h"
+#include "core/shard_worker.h"
 #include "crypto/serialization.h"
 #include "net/rpc.h"
 #include "net/socket.h"
-#include "serve/shard_worker.h"
 #include "tools/tool_util.h"
 
 int main(int argc, char** argv) {
@@ -131,14 +131,30 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // What the worker runs on, built the way SknnEngine::InitCommon builds
+  // its own: the C2 client, a C1 pool for the local fan-out, and a
+  // randomizer pool behind the key.
+  RpcClient c2(std::move(c2_link).value());
+  Message ping;
+  ping.type = OpCode(Op::kPing);
+  auto pong = c2.Call(std::move(ping));
+  if (!pong.ok() || pong->type != OpCode(Op::kPing)) {
+    std::fprintf(stderr, "C2 at %s:%u did not answer ping (not a C2 "
+                 "server?)\n", c2_host.c_str(), c2_port);
+    return 1;
+  }
+  std::optional<ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
+  RandomizerPool rand_pool(pk->n(), /*capacity=*/4096);
+  pk->set_randomizer_pool(&rand_pool);
+
   ShardWorker::Options options;
-  options.threads = threads;
   auto worker =
       clusters.has_value()
-          ? ShardWorker::Create(*pk, *db, *clusters, shard_index,
-                                std::move(c2_link).value(), options)
-          : ShardWorker::Create(*pk, *db, manifest, shard_index,
-                                std::move(c2_link).value(), options);
+          ? ShardWorker::Create(*pk, *db, *clusters, shard_index, &c2,
+                                pool ? &*pool : nullptr, options)
+          : ShardWorker::Create(*pk, *db, manifest, shard_index, &c2,
+                                pool ? &*pool : nullptr, options);
   if (!worker.ok()) {
     std::fprintf(stderr, "shard worker setup failed: %s\n",
                  worker.status().ToString().c_str());
