@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 
 #include "common/logging.h"
 
@@ -89,6 +91,16 @@ BigInt FromBignum(const BIGNUM* bn) {
   return out;
 }
 
+/// Digit i (width w bits) of the non-negative exponent e.
+std::size_t DigitAt(const BigInt& e, std::size_t i, unsigned w) {
+  std::size_t digit = 0;
+  const std::size_t lo = i * w;
+  for (unsigned b = 0; b < w; ++b) {
+    if (e.Bit(lo + b) != 0) digit |= std::size_t{1} << b;
+  }
+  return digit;
+}
+
 /// A base/exponent pair with the exponent made non-negative: b^-e is
 /// (b^-1)^e. False when the base has no inverse mod m.
 bool NormalizeNegativeExponent(BigInt& base, BigInt& e, const BigInt& m) {
@@ -98,6 +110,116 @@ bool NormalizeNegativeExponent(BigInt& base, BigInt& e, const BigInt& m) {
   base = std::move(inverse).value();
   e = -e;
   return true;
+}
+
+struct BnFree {
+  void operator()(BIGNUM* bn) const { BN_free(bn); }
+};
+using OwnedBn = std::unique_ptr<BIGNUM, BnFree>;
+
+OwnedBn NewBn() {
+  OwnedBn bn(BN_new());
+  RequireOpenSsl(bn != nullptr, "BN_new");
+  return bn;
+}
+
+void MontMul(BIGNUM* r, const BIGNUM* a, const BIGNUM* b,
+             BN_MONT_CTX* mont, BN_CTX* ctx) {
+  RequireOpenSsl(BN_mod_mul_montgomery(r, a, b, mont, ctx) == 1,
+                 "BN_mod_mul_montgomery");
+}
+
+/// The window of SameBasePowers for `count` exponents of up to `bits` bits:
+/// the w minimizing its multiplications.
+unsigned SameBaseWindowBits(std::size_t count, unsigned bits) {
+  // The squaring chain is (digits - 1) * w squarings; each exponent then
+  // multiplies in at most one table entry per digit plus one run per digit
+  // value.
+  unsigned best = 1;
+  uint64_t best_cost = UINT64_MAX;
+  for (unsigned w = 1; w <= 12; ++w) {
+    const uint64_t digits = (uint64_t{bits} + w - 1) / w;
+    const uint64_t cost = (digits == 0 ? 0 : (digits - 1) * w) +
+                          count * (digits + (uint64_t{1} << w) - 1);
+    if (cost < best_cost) {
+      best = w;
+      best_cost = cost;
+    }
+  }
+  return best;
+}
+
+/// out[i] = base^exponents[i] mod m for each i in `which`, by BGMW over
+/// Montgomery residues. Those exponents are non-negative, `base` is reduced
+/// mod m, and m is odd and above 1.
+void SameBasePowers(const BigInt& base, const std::vector<BigInt>& exponents,
+                    const std::vector<std::size_t>& which,
+                    BN_MONT_CTX* mont, std::vector<BigInt>& out) {
+  unsigned bits = 0;
+  for (std::size_t i : which) {
+    bits = std::max(bits, static_cast<unsigned>(exponents[i].BitLength()));
+  }
+  const unsigned w = SameBaseWindowBits(which.size(), bits);
+  const std::size_t digits = (bits + w - 1) / w;
+  BnFrame frame;
+  BN_CTX* ctx = frame.ctx();
+  // table[j] = base^(2^(w*j)), Montgomery form: the one squaring chain.
+  std::vector<OwnedBn> table;
+  table.reserve(digits);
+  table.push_back(NewBn());
+  RequireOpenSsl(
+      BN_to_montgomery(table[0].get(), frame.Get(base), mont, ctx) == 1,
+      "BN_to_montgomery");
+  for (std::size_t j = 1; j < digits; ++j) {
+    table.push_back(NewBn());
+    RequireOpenSsl(BN_copy(table[j].get(), table[j - 1].get()) != nullptr,
+                   "BN_copy");
+    for (unsigned s = 0; s < w; ++s) {
+      MontMul(table[j].get(), table[j].get(), table[j].get(), mont, ctx);
+    }
+  }
+  // e = sum_j d_j 2^(w*j) gives base^e = prod_{k>=1} (prod_{d_j >= k}
+  // table[j]): run over k from the top digit value down, `run` collecting
+  // the table entries whose digit is >= k and `acc` multiplying each run in.
+  std::vector<std::vector<std::size_t>> by_digit(std::size_t{1} << w);
+  BIGNUM* run = frame.Get();
+  BIGNUM* acc = frame.Get();
+  BIGNUM* plain = frame.Get();
+  for (std::size_t i : which) {
+    const BigInt& e = exponents[i];
+    for (auto& positions : by_digit) positions.clear();
+    std::size_t top = 0;
+    const std::size_t used = (e.BitLength() + w - 1) / w;
+    for (std::size_t j = 0; j < used; ++j) {
+      const std::size_t d = DigitAt(e, j, w);
+      by_digit[d].push_back(j);
+      top = std::max(top, d);
+    }
+    if (top == 0) {
+      out[i] = BigInt(1);
+      continue;
+    }
+    bool run_set = false, acc_set = false;
+    for (std::size_t k = top; k >= 1; --k) {
+      for (std::size_t j : by_digit[k]) {
+        if (run_set) {
+          MontMul(run, run, table[j].get(), mont, ctx);
+        } else {
+          RequireOpenSsl(BN_copy(run, table[j].get()) != nullptr, "BN_copy");
+          run_set = true;
+        }
+      }
+      if (acc_set) {
+        MontMul(acc, acc, run, mont, ctx);
+      } else {
+        RequireOpenSsl(BN_copy(acc, run) != nullptr, "BN_copy");
+        acc_set = true;
+      }
+    }
+    RequireOpenSsl(BN_from_montgomery(plain, acc, mont, ctx) == 1,
+                   "BN_from_montgomery");
+    out[i] = FromBignum(plain);
+  }
 }
 
 }  // namespace
@@ -168,19 +290,35 @@ BigInt MontgomeryModulus::PowMod2(const BigInt& b1, const BigInt& e1,
   return FromBignum(r);
 }
 
-namespace {
-
-/// Digit i (width w bits) of the non-negative exponent e.
-std::size_t DigitAt(const BigInt& e, std::size_t i, unsigned w) {
-  std::size_t digit = 0;
-  const std::size_t lo = i * w;
-  for (unsigned b = 0; b < w; ++b) {
-    if (e.Bit(lo + b) != 0) digit |= std::size_t{1} << b;
+std::vector<BigInt> MontgomeryModulus::PowModSameBase(
+    const BigInt& base, const std::vector<BigInt>& exponents) const {
+  std::vector<BigInt> out(exponents.size());
+  if (mont_ == nullptr) {
+    for (std::size_t i = 0; i < exponents.size(); ++i) {
+      out[i] = PowMod(base, exponents[i]);
+    }
+    return out;
   }
-  return digit;
+  if (modulus_ == BigInt(1)) return out;  // every residue mod 1 is 0
+  std::vector<std::size_t> positive, negative;
+  for (std::size_t i = 0; i < exponents.size(); ++i) {
+    (exponents[i].IsNegative() ? negative : positive).push_back(i);
+  }
+  const BigInt b = base.Mod(modulus_);
+  if (!positive.empty()) {
+    SameBasePowers(b, exponents, positive, mont_.get(), out);
+  }
+  if (!negative.empty()) {
+    // b^-e = (b^-1)^e; with no inverse the results stay 0, as in PowMod.
+    Result<BigInt> inverse = b.InvMod(modulus_);
+    if (inverse.ok()) {
+      std::vector<BigInt> magnitudes(exponents.size());
+      for (std::size_t i : negative) magnitudes[i] = exponents[i].Abs();
+      SameBasePowers(*inverse, magnitudes, negative, mont_.get(), out);
+    }
+  }
+  return out;
 }
-
-}  // namespace
 
 unsigned FixedBaseWindow::RecommendedWindowBits(unsigned max_exponent_bits) {
   // Per-exponent cost is ceil(bits/w) multiplications; build cost is

@@ -9,7 +9,8 @@
 //    shares one squaring chain between both powers (~2.5x over two
 //    mpz_powm calls). BigInt::PowMod, Paillier's MulScalar / MulScalarPair /
 //    unpooled r^N / decryption all route through it (docs/CRYPTO.md,
-//    "Exponentiation backend").
+//    "Exponentiation backend"). Its shared-base form raises one base to a
+//    list of exponents with one squaring chain (SMIN's lambda step).
 //
 //  * FixedBaseWindow — a 2^w-ary fixed-base exponentiator. When the SAME
 //    base is raised to many exponents modulo the same modulus (the
@@ -71,6 +72,16 @@ class MontgomeryModulus {
   /// little more than one. Same edge-case semantics as PowMod.
   BigInt PowMod2(const BigInt& b1, const BigInt& e1, const BigInt& b2,
                  const BigInt& e2) const;
+
+  /// \brief base^e_i mod m for every exponent, bitwise equal to PowMod
+  /// element by element. One base, many exponents: the squaring chain
+  /// base^(2^(w*j)) is paid once, and each exponent then costs about
+  /// ceil(bits/w) + 2^w multiplications (Brickell-Gordon-McCurley-Wilson)
+  /// instead of a full square-and-multiply. The window w is a fixed
+  /// function of the exponent count and width. Negative exponents share one
+  /// table over the inverse of the base.
+  std::vector<BigInt> PowModSameBase(const BigInt& base,
+                                     const std::vector<BigInt>& exponents) const;
 
   const BigInt& modulus() const { return modulus_; }
 

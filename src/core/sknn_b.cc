@@ -1,15 +1,9 @@
 #include "core/sknn_b.h"
 
+#include "net/message.h"
 #include "proto/ssed.h"
 
 namespace sknn {
-namespace {
-
-void AppendU32(std::vector<uint8_t>& aux, uint32_t v) {
-  for (int i = 0; i < 4; ++i) aux.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-}  // namespace
 
 Result<CloudQueryOutput> MaskAndShipToBob(
     ProtoContext& ctx, const std::vector<std::vector<Ciphertext>>& chosen) {

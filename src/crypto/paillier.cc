@@ -211,6 +211,22 @@ Ciphertext PaillierPublicKey::MulScalar(const Ciphertext& a,
   return Ciphertext(mont_n_squared_->PowMod(a.value(), s.Mod(n_)));
 }
 
+std::vector<Ciphertext> PaillierPublicKey::MulScalarSameBase(
+    const Ciphertext& a, const std::vector<BigInt>& scalars) const {
+  std::vector<BigInt> exponents;
+  exponents.reserve(scalars.size());
+  for (const BigInt& s : scalars) {
+    OpCounters::CountExponentiation();
+    exponents.push_back(s.Mod(n_));
+  }
+  std::vector<BigInt> powers =
+      mont_n_squared_->PowModSameBase(a.value(), exponents);
+  std::vector<Ciphertext> out;
+  out.reserve(powers.size());
+  for (BigInt& p : powers) out.emplace_back(std::move(p));
+  return out;
+}
+
 Ciphertext PaillierPublicKey::MulScalarPair(const Ciphertext& a,
                                             const BigInt& s,
                                             const Ciphertext& b,

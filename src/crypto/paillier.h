@@ -246,6 +246,12 @@ class PaillierPublicKey {
   /// do not depend on the kernel.
   Ciphertext MulScalarPair(const Ciphertext& a, const BigInt& s,
                            const Ciphertext& b, const BigInt& t) const;
+  /// \brief Epk(a * s_i) for every scalar (each reduced mod N): one base
+  /// raised to many exponents through MontgomeryModulus::PowModSameBase,
+  /// which pays the squaring chain once. Bitwise equal to MulScalar(a, s_i)
+  /// element by element, and counted the same: one exponentiation each.
+  std::vector<Ciphertext> MulScalarSameBase(
+      const Ciphertext& a, const std::vector<BigInt>& scalars) const;
   /// \brief Epk(-a) as the inverse Epk(a)^(-1) mod N^2: one modular
   /// inversion (counted as an inversion), not the paper's |N|-bit
   /// exponentiation Epk(a)^(N-1). Both are public, deterministic functions

@@ -43,6 +43,8 @@ bool GetU64(const std::vector<uint8_t>& in, std::size_t& pos, uint64_t* v) {
 
 }  // namespace
 
+void AppendU32(std::vector<uint8_t>& aux, uint32_t v) { PutU32(aux, v); }
+
 void Message::AppendAuxU32(uint32_t v) { PutU32(aux, v); }
 
 uint32_t Message::AuxU32At(std::size_t offset) const {

@@ -45,6 +45,10 @@ struct Message {
   uint64_t AuxU64At(std::size_t offset) const;
 };
 
+/// \brief Appends v to `aux` as a little-endian u32: the same encoding
+/// Message::AppendAuxU32 writes, for an aux built before its Message.
+void AppendU32(std::vector<uint8_t>& aux, uint32_t v);
+
 /// \brief Wire format:
 ///   [type:2][cid:8][qid:8][n_ints:4]([len:4][bytes])*[aux_len:4][aux]
 /// all integers little-endian; BigInts as big-endian magnitudes (values are

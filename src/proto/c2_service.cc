@@ -73,10 +73,18 @@ Result<Message> C2Service::Dispatch(const Message& request) {
                               [&n](const BigInt& a) { return a.MulMod(a, n); });
     }
     case Op::kLsbVec:
-      // SBD Encrypted-LSB step: a fresh encryption of parity(D(Y_i)).
-      return HandleUnaryBatch(
-          request, Op::kLsbVec,
-          [](const BigInt& y) { return BigInt(y.IsOdd() ? 1 : 0); });
+      // The halving SBD of older C1s: the shifted step at t = 0.
+      return HandleLsbBatch(request, 0);
+    case Op::kLsbShiftVec: {
+      if (request.aux.size() != 4) {
+        return Status::ProtocolError("kLsbShiftVec: bad aux header");
+      }
+      const uint32_t t = request.AuxU32At(0);
+      if (t >= sk_.public_key().key_bits()) {
+        return Status::ProtocolError("kLsbShiftVec: shift out of range");
+      }
+      return HandleLsbBatch(request, t);
+    }
     case Op::kSvrCheckBatch:
       return HandleSvrCheckBatch(request);
     case Op::kSminPhase2Vec:
@@ -250,6 +258,19 @@ Result<Message> C2Service::HandleUnaryBatch(
     RecordView(view_op, plain[i]);
   }
   return resp;
+}
+
+// SBD Encrypted-LSB step: a fresh encryption of parity(D(Y_i) * 2^(-t) mod
+// N). 2^t is a unit mod the odd N, so the unshifted y_i + r_i mod N is as
+// uniform as D(Y_i), which is the view recorded.
+Result<Message> C2Service::HandleLsbBatch(const Message& req, uint32_t t) {
+  const BigInt& n = sk_.public_key().n();
+  SKNN_ASSIGN_OR_RETURN(BigInt unshift, BigInt::PowerOfTwo(t).InvMod(n));
+  return HandleUnaryBatch(req, static_cast<Op>(req.type),
+                          [&](const BigInt& y) {
+                            return BigInt(y.MulMod(unshift, n).IsOdd() ? 1
+                                                                       : 0);
+                          });
 }
 
 // SVR: report (in aux) whether each blinded difference decrypts to zero.

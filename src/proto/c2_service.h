@@ -90,11 +90,15 @@ class C2Service {
   void RecordQueryOps(uint64_t query_id, const OpSnapshot& ops);
 
   Result<Message> HandleSmBatch(const Message& req);
-  /// kSqVec and kLsbVec: answers each ciphertext c with a fresh
+  /// kSqVec and the LSB steps: answers each ciphertext c with a fresh
   /// Epk(f(D(c))), recording D(c) as a view under `view_op`.
   Result<Message> HandleUnaryBatch(
       const Message& req, Op view_op,
       const std::function<BigInt(const BigInt&)>& f);
+  /// kLsbShiftVec at bit round t, and kLsbVec (sent only by C1 builds that
+  /// predate kLsbShiftVec) as t = 0: each Y is answered with a fresh
+  /// Epk(parity(D(Y) * 2^(-t) mod N)).
+  Result<Message> HandleLsbBatch(const Message& req, uint32_t t);
   Result<Message> HandleSvrCheckBatch(const Message& req);
   Result<Message> HandleSminPhase2Batch(const Message& req);
   Result<Message> HandleMinPointerBatch(const Message& req);

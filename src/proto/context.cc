@@ -12,6 +12,7 @@ bool ReturnsCiphertexts(uint16_t type) {
     case Op::kSmVec:
     case Op::kSqVec:
     case Op::kLsbVec:
+    case Op::kLsbShiftVec:
     case Op::kSminPhase2Vec:
     case Op::kMinPointerBatch:
       return true;

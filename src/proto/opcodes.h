@@ -53,9 +53,11 @@ enum class Op : uint16_t {
   /// where h_i = Epk(D(a'_i)*D(b'_i) mod N).
   kSmVec = 10,
 
-  /// SBD Encrypted-LSB step (Samanthula-Jiang [21]), one message per bit
-  /// round for all instances. ints = [Y_0, Y_1, ...] with
-  /// Y_i = Epk(z_i + r_i); response ints = [Epk(y_0 mod 2), ...].
+  /// SBD Encrypted-LSB step (Samanthula-Jiang [21]) in its original,
+  /// halving form: ints = [Y_0, Y_1, ...] with Y_i = Epk(z_i + r_i);
+  /// response ints = [Epk(D(Y_0) mod 2), ...]. Answered as kLsbShiftVec at
+  /// t = 0 (aux ignored) only so C1 builds older than kLsbShiftVec keep
+  /// working; the current C1 never sends it.
   kLsbVec = 11,
 
   /// SMIN, Algorithm 3 step 2, one message per SMIN tournament level.
@@ -83,6 +85,12 @@ enum class Op : uint16_t {
   /// with a'_i = Epk(a_i + r_i); response ints = [h_0, h_1, ...] where
   /// h_i = Epk(D(a'_i)^2 mod N), freshly randomized.
   kSqVec = 15,
+
+  /// SBD Encrypted-LSB step without halving (sbd.h), one message per bit
+  /// round t for all instances. aux = [t:u32] with t < key_bits; ints =
+  /// [Y_0, Y_1, ...] with Y_i = Epk(2^t * (y_i + r_i)); response ints =
+  /// [Epk(parity(D(Y_0) * 2^(-t) mod N)), ...], freshly randomized.
+  kLsbShiftVec = 16,
 
   /// Error response emitted by the RPC server (status text in aux).
   kError = 0xFFFF,

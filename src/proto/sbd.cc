@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "net/message.h"
+
 namespace sknn {
 namespace {
 
@@ -14,39 +16,46 @@ Result<std::vector<std::vector<Ciphertext>>> DecomposePass(
   const std::size_t count = ezs.size();
   const PaillierPublicKey& pk = ctx.pk();
   const BigInt& n = pk.n();
-  // 2^{-1} mod N = (N+1)/2: the exact-division-by-two exponent.
-  const BigInt inv2 = (n + BigInt(1)).ShiftRight(1);
 
+  // current[i] = Epk(2^t * y_t), y_t = z >> t: the bits found so far are
+  // subtracted, never shifted out, so no |N|-bit halving power is needed.
   std::vector<Ciphertext> current(ezs.begin(), ezs.end());
   std::vector<std::vector<Ciphertext>> bits_lsb_first(
       count, std::vector<Ciphertext>(opts.l));
 
   for (unsigned t = 0; t < opts.l; ++t) {
-    // Step 1: blind every instance (mask encryptions via the batch API —
-    // this runs once per bit round over every in-flight instance).
-    std::vector<BigInt> masks(count);
+    const BigInt shift = BigInt::PowerOfTwo(t);
+    // Step 1: blind every instance with Epk(2^t * r mod N) (mask
+    // encryptions via the batch API — this runs once per bit round over
+    // every in-flight instance).
+    std::vector<BigInt> masks(count), shifted_masks(count);
     for (std::size_t i = 0; i < count; ++i) {
       masks[i] = opts.adversarial_masks_for_test
                      ? n - BigInt(1)
                      : Random::ThreadLocal().Below(n);
+      shifted_masks[i] = masks[i].MulMod(shift, n);
     }
-    std::vector<Ciphertext> enc_masks = pk.EncryptMany(masks, ctx.pool());
+    std::vector<Ciphertext> enc_masks =
+        pk.EncryptMany(shifted_masks, ctx.pool());
     std::vector<BigInt> request(count);
     ctx.ForEach(count, [&](std::size_t i) {
       request[i] = pk.Add(current[i], enc_masks[i]).value();
     });
 
-    // Step 2: C2 returns Epk(parity(z + r mod N)).
-    SKNN_ASSIGN_OR_RETURN(std::vector<BigInt> parities,
-                          ctx.CallBatch(Op::kLsbVec, std::move(request),
-                                        /*in_arity=*/1, /*out_arity=*/1));
+    // Step 2: C2 strips the 2^t and returns Epk(parity(y_t + r mod N)).
+    std::vector<uint8_t> aux;
+    AppendU32(aux, t);
+    SKNN_ASSIGN_OR_RETURN(
+        std::vector<BigInt> parities,
+        ctx.CallBatch(Op::kLsbShiftVec, std::move(request),
+                      /*in_arity=*/1, /*out_arity=*/1, std::move(aux)));
 
-    // Steps 3-4: recover the encrypted LSB and shift right. With b = the
-    // mask's parity (known to C1): lsb = b + (-1)^b * parity, i.e. parity
-    // itself for even masks and its complement for odd ones. Both branches
-    // compute Epk(-parity) and then select (1 enc + 1 inv + 1 mul), so the
-    // operation count is independent of the secret coin — no cost side
-    // channel, and deterministic complexity accounting.
+    // Steps 3-4: recover the encrypted LSB and subtract its 2^t. With b =
+    // the mask's parity (known to C1): lsb = b + (-1)^b * parity, i.e.
+    // parity itself for even masks and its complement for odd ones. Both
+    // branches compute Epk(-parity) and then select (1 enc + 1 inv + 1
+    // mul), so the operation count is independent of the secret coin — no
+    // cost side channel, and deterministic complexity accounting.
     std::vector<BigInt> parity_bits(count);
     for (std::size_t i = 0; i < count; ++i) {
       parity_bits[i] = BigInt(masks[i].IsOdd() ? 1 : 0);
@@ -59,7 +68,8 @@ Result<std::vector<std::vector<Ciphertext>>> DecomposePass(
       Ciphertext lsb =
           pk.Add(enc_bits[i], masks[i].IsOdd() ? neg_parity : parity);
       bits_lsb_first[i][t] = lsb;
-      current[i] = pk.MulScalar(pk.Sub(current[i], lsb), inv2);
+      // A t-bit power: Epk(2^t * y_t - 2^t * b_t) = Epk(2^(t+1) * y_(t+1)).
+      current[i] = pk.Sub(current[i], pk.MulScalar(lsb, shift));
     });
   }
   return bits_lsb_first;

@@ -3,14 +3,22 @@
 //
 // C1 holds Epk(z) with 0 <= z < 2^l; the output is [z] =
 // <Epk(z_1), ..., Epk(z_l)> (MSB first, matching the paper's notation),
-// known only to C1. The protocol extracts one encrypted LSB per round:
+// known only to C1. The protocol extracts one encrypted LSB per round. At
+// round t, C1 holds Epk(2^t * y) with y = z >> t (the bits found so far
+// subtracted, not shifted out):
 //
-//   1. C1 blinds:  Y = Epk(z) * Epk(r),  r uniform in Z_N.
-//   2. C2 returns a fresh encryption of parity(z + r mod N).
+//   1. C1 blinds:  Y = Epk(2^t * y) * Epk(2^t * r mod N),  r uniform in Z_N.
+//   2. C2 (kLsbShiftVec, t in aux) decrypts, multiplies by 2^{-t} mod N —
+//      a plaintext mulmod — and returns a fresh Epk(parity(y + r mod N)).
 //   3. C1 un-flips the parity if r is odd:  Epk(lsb) or Epk(1 - lsb).
-//   4. C1 shifts:  Epk(z) <- (Epk(z) * Epk(-lsb))^{2^{-1} mod N}.
+//   4. C1 subtracts:  Epk(2^t * y) <- Epk(2^t * y) * Epk(lsb)^{-2^t}, a
+//      t-bit power, which leaves Epk(2^{t+1} * (y >> 1)).
 //
-// Step 2 is wrong exactly when z + r wraps around N (probability < 2^l / N,
+// Reference [21] halves Epk(z) in step 4 with the |N|-bit power
+// ^{2^{-1} mod N}; C2 sees the same uniform y + r mod N either way
+// (docs/CRYPTO.md, "Halving-free SBD").
+//
+// Step 2 is wrong exactly when y + r wraps around N (probability < 2^l / N,
 // N is odd so the wrap flips parity) — hence the verification round (SVR):
 // C1 re-composes the bits, blinds the difference to the original with a
 // random non-zero factor and asks C2 whether it decrypts to zero; failed

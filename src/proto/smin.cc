@@ -3,15 +3,12 @@
 #include <cstdint>
 #include <string>
 
+#include "net/message.h"
 #include "proto/permutation.h"
 #include "proto/sm.h"
 
 namespace sknn {
 namespace {
-
-void AppendU32(std::vector<uint8_t>& aux, uint32_t v) {
-  for (int i = 0; i < 4; ++i) aux.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
 
 // Per-pair state C1 must remember between phase 1 and phase 3.
 struct PairState {
@@ -133,10 +130,14 @@ Result<std::vector<EncryptedBits>> SecureMinBatch(
     }
     Ciphertext e_alpha(response[b * (l + 1) + l]);
     std::vector<Ciphertext> m = st.pi1.ApplyInverse(m_perm);
+    // lambda_i = M~_i * Epk(alpha)^{N - r^_i} = Epk(alpha*(diff_i)). All l
+    // powers share the base Epk(alpha), so one squaring chain serves them.
+    std::vector<BigInt> unblind(l);
+    for (std::size_t i = 0; i < l; ++i) unblind[i] = n - st.r_hat[i];
+    std::vector<Ciphertext> alpha_powers =
+        pk.MulScalarSameBase(e_alpha, unblind);
     for (std::size_t i = 0; i < l; ++i) {
-      // lambda_i = M~_i * Epk(alpha)^{N - r^_i} = Epk(alpha*(diff_i)).
-      Ciphertext lambda =
-          pk.Add(m[i], pk.MulScalar(e_alpha, n - st.r_hat[i]));
+      Ciphertext lambda = pk.Add(m[i], alpha_powers[i]);
       // min_i = u_i + alpha*(v_i - u_i)  (or v/u swapped when F: v > u).
       const Ciphertext& base = st.f_u_greater_v ? us[b][i] : vs[b][i];
       out[b][i] = pk.Add(base, lambda);

@@ -503,5 +503,85 @@ TEST(MontgomeryModulusTest, SharedAcrossThreads) {
   }
 }
 
+// -- PowModSameBase: one base, many exponents, held bitwise to PowMod.
+
+std::vector<BigInt> ElementwisePowMod(const MontgomeryModulus& mont,
+                                      const BigInt& base,
+                                      const std::vector<BigInt>& exps) {
+  std::vector<BigInt> out;
+  for (const BigInt& e : exps) out.push_back(mont.PowMod(base, e));
+  return out;
+}
+
+TEST(PowModSameBaseTest, MatchesPowModAtOddModuli64To2048Bits) {
+  Random rng(110);
+  for (unsigned bits : {64u, 65u, 127u, 256u, 521u, 1024u, 2048u}) {
+    const BigInt drawn = rng.Bits(bits);
+    const MontgomeryModulus mont(drawn.IsOdd() ? drawn : drawn + BigInt(1));
+    for (std::size_t count : {1u, 17u, 64u}) {
+      const BigInt base = rng.Below(mont.modulus());
+      std::vector<BigInt> exps;
+      for (std::size_t i = 0; i < count; ++i) {
+        exps.push_back(rng.Bits(1 + static_cast<unsigned>(
+                                        rng.UniformUint64(bits))));
+      }
+      exps.back() = rng.Bits(bits);  // at least one full-width exponent
+      EXPECT_EQ(mont.PowModSameBase(base, exps),
+                ElementwisePowMod(mont, base, exps))
+          << bits << " bits, " << count << " exponents";
+    }
+  }
+}
+
+TEST(PowModSameBaseTest, EdgeCasesMatchPowMod) {
+  // The Paillier shape: m = N^2, exponents up to N - 1.
+  Random rng(111);
+  const BigInt p = rng.Prime(96), q = rng.Prime(96);
+  const BigInt n = p * q;
+  const BigInt m = n * n;
+  const MontgomeryModulus mont(m);
+  const BigInt big = rng.Bits(190);
+  const std::vector<BigInt> exps = {
+      BigInt(0), BigInt(1),         n - BigInt(1),      big,
+      BigInt(2), BigInt(-1),        BigInt(0) - big,    BigInt(0),
+      m + BigInt(3), BigInt(0) - (n - BigInt(1))};
+  const std::vector<BigInt> bases = {
+      BigInt(0), BigInt(1),      m - BigInt(1), m,
+      m + BigInt(5), m * BigInt(3), p,  // p: not a unit mod N^2
+      rng.Below(m), BigInt(-7)};
+  for (const BigInt& b : bases) {
+    EXPECT_EQ(mont.PowModSameBase(b, exps), ElementwisePowMod(mont, b, exps))
+        << "base " << b;
+    EXPECT_TRUE(mont.PowModSameBase(b, {}).empty());
+  }
+  // Modulus 1 and an even modulus take the same results as PowMod.
+  for (const BigInt& odd_or_even : {BigInt(1), rng.Bits(200).ShiftLeft(1)}) {
+    const MontgomeryModulus other(odd_or_even);
+    const BigInt b = rng.Bits(150);
+    EXPECT_EQ(other.PowModSameBase(b, exps), ElementwisePowMod(other, b, exps))
+        << "modulus " << odd_or_even;
+  }
+}
+
+TEST(PowModSameBaseTest, SharedAcrossThreads) {
+  Random rng(112);
+  const BigInt n = rng.Prime(256) * rng.Prime(256);
+  const MontgomeryModulus mont(n * n);
+  std::vector<BigInt> bases;
+  std::vector<std::vector<BigInt>> exps(16);
+  for (auto& list : exps) {
+    bases.push_back(rng.Below(mont.modulus()));
+    for (int i = 0; i < 17; ++i) list.push_back(rng.Below(n));
+  }
+  ThreadPool pool(4);
+  std::vector<std::vector<BigInt>> got(bases.size());
+  pool.ParallelFor(bases.size(), [&](std::size_t i) {
+    got[i] = mont.PowModSameBase(bases[i], exps[i]);
+  });
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    EXPECT_EQ(got[i], ElementwisePowMod(mont, bases[i], exps[i])) << i;
+  }
+}
+
 }  // namespace
 }  // namespace sknn

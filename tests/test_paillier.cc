@@ -304,6 +304,32 @@ TEST_P(PaillierHomomorphismProperty, MulScalarPairIsTwoScalarMulsAndAnAdd) {
   }
 }
 
+TEST_P(PaillierHomomorphismProperty, MulScalarSameBaseIsElementwiseMulScalar) {
+  const BigInt& n = keys_.pk.n();
+  std::vector<BigInt> scalars = {BigInt(0), BigInt(1), n - BigInt(1),
+                                 n + BigInt(2)};
+  while (scalars.size() < 17) scalars.push_back(rng_->Below(n));
+  const BigInt a = rng_->Below(n);
+  const Ciphertext ca = keys_.pk.Encrypt(a, *rng_);
+  OpAccumulator ops;
+  std::vector<Ciphertext> powers;
+  {
+    ScopedOpSink scoped(&ops);
+    powers = keys_.pk.MulScalarSameBase(ca, scalars);
+  }
+  const OpSnapshot snap = ops.snapshot();
+  EXPECT_EQ(snap.exponentiations, scalars.size());
+  EXPECT_EQ(snap.encryptions + snap.decryptions + snap.multiplications +
+                snap.inversions,
+            0u);
+  ASSERT_EQ(powers.size(), scalars.size());
+  for (std::size_t i = 0; i < scalars.size(); ++i) {
+    EXPECT_EQ(powers[i], keys_.pk.MulScalar(ca, scalars[i])) << i;
+    EXPECT_EQ(keys_.sk.Decrypt(powers[i]), a.MulMod(scalars[i], n)) << i;
+  }
+  EXPECT_TRUE(keys_.pk.MulScalarSameBase(ca, {}).empty());
+}
+
 TEST_P(PaillierHomomorphismProperty, NegateIsAdditiveInverse) {
   const BigInt& n = keys_.pk.n();
   for (int i = 0; i < 10; ++i) {

@@ -82,6 +82,31 @@ TEST_F(RobustnessTest, SminPhase2OverflowingGeometryIsRejected) {
   EXPECT_TRUE(ping.ok()) << ping.status();
 }
 
+TEST_F(RobustnessTest, LsbShiftRejectsHostileFrames) {
+  // kLsbShiftVec carries the bit round t as exactly one u32 in aux. A wrong
+  // aux length and a t at or past key_bits (C2 would size 2^t from it) are
+  // refused by C2 before it decrypts; EveryDecryptingOpcodeRejectsNonUnits
+  // covers its ciphertext check.
+  const auto& pk = harness_.pk();
+  auto enc = [&](int64_t v) { return pk.Encrypt(BigInt(v), rng_).value(); };
+  auto aux_for = [](uint32_t t) {
+    std::vector<uint8_t> aux;
+    AppendU32(aux, t);
+    return aux;
+  };
+  ExpectRefusedByC2(Op::kLsbShiftVec, {enc(3)}, {1, 0, 0, 0, 0, 0, 0, 0});
+  ExpectRefusedByC2(Op::kLsbShiftVec, {enc(3)}, {1, 0, 0});
+  ExpectRefusedByC2(Op::kLsbShiftVec, {enc(3)});
+  for (uint32_t t : {pk.key_bits(), pk.key_bits() + 1, 1u << 20}) {
+    ExpectRefusedByC2(Op::kLsbShiftVec, {enc(3)}, aux_for(t));
+  }
+  // C2 is still serving: Epk(2 * 7) at t = 1 has parity(7) = 1.
+  auto resp = harness_.ctx().Call(Op::kLsbShiftVec, {enc(14)}, aux_for(1));
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  ASSERT_EQ(resp->ints.size(), 1u);
+  EXPECT_EQ(harness_.Decrypt(Ciphertext(resp->ints[0])), BigInt(1));
+}
+
 TEST_F(RobustnessTest, EveryDecryptingOpcodeRejectsNonUnits) {
   // 0, N, a multiple of the secret prime p, and N^2 are not in Z*_{N^2}.
   // Each decrypting opcode gets a request that is well formed except for
@@ -94,10 +119,12 @@ TEST_F(RobustnessTest, EveryDecryptingOpcodeRejectsNonUnits) {
       pk.n_squared()};
   const std::vector<uint8_t> one_block = {1, 0, 0, 0, 1, 0, 0, 0};
   const std::vector<uint8_t> k1 = {1, 0, 0, 0};
+  const std::vector<uint8_t> t5 = {5, 0, 0, 0};
   for (const BigInt& bad : hostile) {
     ExpectRefusedByC2(Op::kSmVec, {enc(3), bad});
     ExpectRefusedByC2(Op::kSqVec, {bad});
     ExpectRefusedByC2(Op::kLsbVec, {bad});
+    ExpectRefusedByC2(Op::kLsbShiftVec, {enc(4), bad}, t5);
     ExpectRefusedByC2(Op::kSvrCheckBatch, {bad});
     // Gamma' (passed back to C1) and L' (decrypted) are both checked. L' = 5
     // gives alpha = 0, so a bad Gamma' would otherwise be dropped silently.

@@ -61,34 +61,91 @@ TEST_F(SbdTest, BatchDecomposition) {
 }
 
 TEST_F(SbdTest, BoundaryValues) {
+  // 0, 1, the top bit alone, all ones and a random value, at the narrowest
+  // width, the benchmark's 13 and a width well past it.
   const auto& pk = harness_.pk();
-  SbdOptions opts;
-  opts.l = 12;
-  for (uint64_t z : {uint64_t{0}, uint64_t{1}, uint64_t{(1 << 12) - 1}}) {
-    auto bits = BitDecompose(harness_.ctx(),
-                             pk.Encrypt(BigInt(static_cast<int64_t>(z)), rng_),
-                             opts);
-    ASSERT_TRUE(bits.ok()) << "z=" << z;
-    EXPECT_EQ(harness_.DecryptBits(*bits), z);
+  for (unsigned l : {1u, 13u, 24u}) {
+    const uint64_t top = uint64_t{1} << (l - 1);
+    const std::vector<uint64_t> values = {
+        0, 1, top, (top << 1) - 1, rng_.UniformUint64(top << 1)};
+    std::vector<Ciphertext> enc;
+    for (uint64_t z : values) {
+      enc.push_back(pk.Encrypt(BigInt(static_cast<int64_t>(z)), rng_));
+    }
+    SbdOptions opts;
+    opts.l = l;
+    auto bits = BitDecomposeBatch(harness_.ctx(), enc, opts);
+    ASSERT_TRUE(bits.ok()) << bits.status();
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      ASSERT_EQ((*bits)[i].size(), l);
+      EXPECT_EQ(harness_.DecryptBits((*bits)[i]), values[i]) << "l=" << l;
+    }
   }
 }
 
 TEST_F(SbdTest, AdversarialMasksForceRetryButStillCorrect) {
-  // With r = N-1 every z > 0 wraps mod N and the first pass produces wrong
-  // bits; SVR must catch it and the retry (uniform masks) must fix it.
+  // The N-1 hook wraps every z > 0 in the first pass, so SVR fails all four
+  // instances; the second pass (uniform masks) passes. C2's views show both
+  // passes: 2 * l LSB rounds of 4 instances and two SVR rounds of 4.
   const auto& pk = harness_.pk();
   SbdOptions opts;
   opts.l = 8;
   opts.adversarial_masks_for_test = true;
+  const std::vector<uint64_t> values = {1, 5, 100, 255};
   std::vector<Ciphertext> enc;
-  std::vector<uint64_t> values = {1, 5, 100, 255};
   for (uint64_t z : values) {
     enc.push_back(pk.Encrypt(BigInt(static_cast<int64_t>(z)), rng_));
   }
+  harness_.c2().set_record_views(true);
   auto bits = BitDecomposeBatch(harness_.ctx(), enc, opts);
   ASSERT_TRUE(bits.ok()) << bits.status();
+  std::size_t lsb_views = 0, svr_views = 0, svr_failures = 0;
+  for (const C2View& view : harness_.c2().TakeViews()) {
+    if (view.op == Op::kLsbShiftVec) ++lsb_views;
+    if (view.op == Op::kSvrCheckBatch) {
+      ++svr_views;
+      if (!view.plaintext.IsZero()) ++svr_failures;
+    }
+  }
+  harness_.c2().set_record_views(false);
+  EXPECT_EQ(lsb_views, 2u * opts.l * values.size());
+  EXPECT_EQ(svr_views, 2u * values.size());
+  EXPECT_EQ(svr_failures, values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(harness_.DecryptBits((*bits)[i]), values[i]) << i;
+  }
+}
+
+TEST_F(SbdTest, LsbFramesAnswerTheUnshiftedParity) {
+  // kLsbShiftVec at round t answers Epk(2^t * v mod N) with Epk(parity(v)).
+  // Opcode 11 with no aux, the frame older C1s send after halving Epk(z)
+  // themselves, is answered as the same step at t = 0.
+  const auto& pk = harness_.pk();
+  const BigInt& n = pk.n();
+  struct Frame {
+    Op op;
+    uint32_t t;
+  };
+  for (Frame f : {Frame{Op::kLsbVec, 0}, Frame{Op::kLsbShiftVec, 0},
+                  Frame{Op::kLsbShiftVec, 1}, Frame{Op::kLsbShiftVec, 12},
+                  Frame{Op::kLsbShiftVec, pk.key_bits() - 1}}) {
+    const BigInt shift = BigInt::PowerOfTwo(f.t);
+    const std::vector<BigInt> plain = {BigInt(0), BigInt(1), BigInt(6),
+                                       n - BigInt(1), rng_.Below(n)};
+    std::vector<BigInt> request;
+    for (const BigInt& v : plain) {
+      request.push_back(pk.Encrypt(v.MulMod(shift, n), rng_).value());
+    }
+    std::vector<uint8_t> aux;
+    if (f.op == Op::kLsbShiftVec) AppendU32(aux, f.t);
+    auto resp = harness_.ctx().Call(f.op, request, aux);
+    ASSERT_TRUE(resp.ok()) << resp.status();
+    ASSERT_EQ(resp->ints.size(), plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      EXPECT_EQ(harness_.Decrypt(Ciphertext(resp->ints[i])),
+                BigInt(plain[i].IsOdd() ? 1 : 0))
+          << "opcode " << OpCode(f.op) << " t=" << f.t << " v=" << plain[i];
+    }
   }
 }
 
