@@ -442,10 +442,11 @@ Result<CloudQueryOutput> SknnEngine::DispatchClustered(
   // top-k round over ALL of them gives the full cluster ranking. This is
   // the clustered mode's documented leakage — C2 learns how the CLUSTERS
   // rank for this query (never record distances or identities); see
-  // docs/API.md.
+  // docs/API.md. Centroids are rounded record means, inside the attribute
+  // domain, so SSED blinds them like records.
   SKNN_ASSIGN_OR_RETURN(
       std::vector<Ciphertext> centroid_dists,
-      SecureSquaredDistanceBatch(ctx, cm.centroids, enc_query));
+      SecureSquaredDistanceBatch(ctx, cm.centroids, enc_query, attr_bits_));
   SKNN_ASSIGN_OR_RETURN(
       std::vector<uint32_t> ranking,
       SecureTopKIndices(ctx, centroid_dists, cm.num_clusters));
@@ -495,7 +496,7 @@ Result<CloudQueryOutput> SknnEngine::DispatchClustered(
   if (request.protocol == QueryProtocol::kBasic) {
     SKNN_ASSIGN_OR_RETURN(
         std::vector<Ciphertext> dists,
-        SecureSquaredDistanceBatch(ctx, candidates, enc_query));
+        SecureSquaredDistanceBatch(ctx, candidates, enc_query, attr_bits_));
     // Candidates ascend by global index, so C2's lower-position tie-break
     // is the global lower-index tie-break restricted to the candidates.
     SKNN_ASSIGN_OR_RETURN(std::vector<uint32_t> top,
@@ -514,7 +515,8 @@ Result<CloudQueryOutput> SknnEngine::DispatchClustered(
                           options_.verify_sbd, breakdown));
   SKNN_ASSIGN_OR_RETURN(TopKExtraction top,
                         ExtractTopK(ctx, candidates, bits, request.k,
-                                    /*keep_winner_bits=*/false, breakdown));
+                                    attr_bits_, /*keep_winner_bits=*/false,
+                                    breakdown));
   Stopwatch finalize;
   Result<CloudQueryOutput> out = MaskAndShipToBob(ctx, top.records);
   if (breakdown != nullptr) {

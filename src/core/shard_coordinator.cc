@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/stopwatch.h"
+#include "core/data_owner.h"
 #include "core/sknn_b.h"
 #include "net/socket.h"
 
@@ -369,9 +370,11 @@ Result<CloudQueryOutput> ShardCoordinator::MergeSecure(
   // The candidates' augmented values are pairwise distinct (each embeds its
   // global index), so these k iterations pick exactly the global top-k in
   // the global order — bitwise what the unsharded extraction returns.
-  SKNN_ASSIGN_OR_RETURN(TopKExtraction top,
-                        ExtractTopK(ctx, pool_records, pool_bits, k,
-                                    /*keep_winner_bits=*/false, breakdown));
+  SKNN_ASSIGN_OR_RETURN(
+      TopKExtraction top,
+      ExtractTopK(ctx, pool_records, pool_bits, k,
+                  DataOwner::ImpliedAttrBits(num_attributes_, distance_bits_),
+                  /*keep_winner_bits=*/false, breakdown));
   Stopwatch finalize;
   Result<CloudQueryOutput> out = MaskAndShipToBob(ctx, top.records);
   if (breakdown != nullptr) {

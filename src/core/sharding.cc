@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "core/data_owner.h"
 #include "proto/ssed.h"
 
 namespace sknn {
@@ -94,12 +95,15 @@ Result<ShardCandidates> RunShardStage(ProtoContext& ctx,
   // merge pool still holds at least k candidates overall.
   const unsigned local_k =
       static_cast<unsigned>(std::min<std::size_t>(k, shard_n));
+  const unsigned attr_bits = DataOwner::ImpliedAttrBits(
+      slice.db.num_attributes(), slice.db.distance_bits);
 
   ShardCandidates out;
   if (protocol == QueryProtocol::kBasic) {
     SKNN_ASSIGN_OR_RETURN(
         std::vector<Ciphertext> dist,
-        SecureSquaredDistanceBatch(ctx, slice.db.records, enc_query));
+        SecureSquaredDistanceBatch(ctx, slice.db.records, enc_query,
+                                   attr_bits));
     // Ties resolve to the lower position, and positions within a shard are
     // in ascending global-index order for both schemes — so the local list
     // is exactly the global order restricted to this shard.
@@ -122,7 +126,7 @@ Result<ShardCandidates> RunShardStage(ProtoContext& ctx,
                           protocol == QueryProtocol::kFarthest, verify_sbd));
   SKNN_ASSIGN_OR_RETURN(TopKExtraction top,
                         ExtractTopK(ctx, slice.db.records, bits, local_k,
-                                    /*keep_winner_bits=*/true));
+                                    attr_bits, /*keep_winner_bits=*/true));
   out.bits = std::move(top.winner_bits);
   out.records = std::move(top.records);
   return out;

@@ -1,5 +1,6 @@
 #include "core/sknn_b.h"
 
+#include "core/data_owner.h"
 #include "net/message.h"
 #include "proto/ssed.h"
 
@@ -70,10 +71,13 @@ Result<CloudQueryOutput> RunSkNNb(ProtoContext& ctx,
     return Status::InvalidArgument("SkNN_b: query dimension mismatch");
   }
 
-  // Step 2: Epk(d_i) = SSED(Epk(Q), Epk(t_i)) for all records.
+  // Step 2: Epk(d_i) = SSED(Epk(Q), Epk(t_i)) for all records, blinded for
+  // the attribute domain the table's distance width implies.
   SKNN_ASSIGN_OR_RETURN(
       std::vector<Ciphertext> dist,
-      SecureSquaredDistanceBatch(ctx, db.records, enc_query));
+      SecureSquaredDistanceBatch(
+          ctx, db.records, enc_query,
+          DataOwner::ImpliedAttrBits(db.num_attributes(), db.distance_bits)));
 
   // Step 3: C2 decrypts the distances and returns the top-k index list
   // delta. (This is exactly the leak the basic protocol accepts.)

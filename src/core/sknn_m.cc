@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "common/stopwatch.h"
+#include "core/data_owner.h"
 #include "proto/permutation.h"
 #include "proto/sm.h"
 #include "proto/smax.h"
@@ -42,8 +43,11 @@ Result<std::vector<EncryptedBits>> PrepareDistanceBits(
   Stopwatch phase;
 
   // Step 2: Epk(d_i) by SSED, then [d_i] by SBD.
-  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> dist,
-                        SecureSquaredDistanceBatch(ctx, records, enc_query));
+  SKNN_ASSIGN_OR_RETURN(
+      std::vector<Ciphertext> dist,
+      SecureSquaredDistanceBatch(
+          ctx, records, enc_query,
+          DataOwner::ImpliedAttrBits(enc_query.size(), l)));
   bd.ssed_seconds += phase.ElapsedSeconds();
   phase.Reset();
 
@@ -82,8 +86,8 @@ Result<std::vector<EncryptedBits>> PrepareDistanceBits(
 
 Result<TopKExtraction> ExtractTopK(
     ProtoContext& ctx, const std::vector<std::vector<Ciphertext>>& records,
-    std::vector<EncryptedBits>& bits, unsigned k, bool keep_winner_bits,
-    SkNNmBreakdown* breakdown) {
+    std::vector<EncryptedBits>& bits, unsigned k, unsigned attr_bits,
+    bool keep_winner_bits, SkNNmBreakdown* breakdown) {
   const std::size_t n = records.size();
   if (k == 0 || k > n) {
     return Status::InvalidArgument("ExtractTopK: k must be in [1, n]");
@@ -145,7 +149,9 @@ Result<TopKExtraction> ExtractTopK(
     for (std::size_t i = 0; i < n; ++i) u[i] = Ciphertext(u_resp.ints[i]);
 
     // Step 3(d): V = pi^{-1}(U); record extraction via one batched SM of
-    // V_i against every attribute, then column-wise homomorphic sums.
+    // V_i against every attribute, then column-wise homomorphic sums. Both
+    // operands are below 2^attr_bits (V_i is a bit), so the blinds are
+    // short.
     std::vector<Ciphertext> v = pi.ApplyInverse(u);
     std::vector<Ciphertext> sm_left(n * m), sm_right(n * m);
     ctx.ForEach(n, [&](std::size_t i) {
@@ -155,7 +161,8 @@ Result<TopKExtraction> ExtractTopK(
       }
     });
     SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> v_prime,
-                          SecureMultiplyBatch(ctx, sm_left, sm_right));
+                          SecureMultiplyBatch(ctx, sm_left, sm_right,
+                                              attr_bits));
     std::vector<Ciphertext> record(m);
     ctx.ForEach(m, [&](std::size_t j) {
       Ciphertext acc = v_prime[j];
@@ -208,9 +215,12 @@ Result<CloudQueryOutput> RunSkNNm(ProtoContext& ctx,
       PrepareDistanceBits(ctx, db.records, enc_query, db.distance_bits,
                           /*global_indices=*/nullptr, n, options.farthest,
                           options.verify_sbd, &bd));
-  SKNN_ASSIGN_OR_RETURN(TopKExtraction top,
-                        ExtractTopK(ctx, db.records, bits, k,
-                                    /*keep_winner_bits=*/false, &bd));
+  SKNN_ASSIGN_OR_RETURN(
+      TopKExtraction top,
+      ExtractTopK(ctx, db.records, bits, k,
+                  DataOwner::ImpliedAttrBits(db.num_attributes(),
+                                             db.distance_bits),
+                  /*keep_winner_bits=*/false, &bd));
 
   // Steps 4-6 (as in Algorithm 5): mask and ship to Bob.
   Stopwatch phase;

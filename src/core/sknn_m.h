@@ -76,8 +76,11 @@ inline unsigned AugmentedBitWidth(unsigned l, std::size_t total_records) {
 /// for `farthest`), then the tie-break augmentation described above.
 /// `global_indices` names each record's index in the FULL database (null =
 /// identity, the unsharded case); `total_records` sizes the index field so
-/// every shard of one database augments identically. `breakdown`, if
-/// non-null, accumulates the ssed/sbd phase timings.
+/// every shard of one database augments identically. SSED's blinds are
+/// short for the attribute domain l implies,
+/// DataOwner::ImpliedAttrBits(m, l), which bounds both Alice's records and
+/// every query ValidateRequest admits. `breakdown`, if non-null,
+/// accumulates the ssed/sbd phase timings.
 Result<std::vector<EncryptedBits>> PrepareDistanceBits(
     ProtoContext& ctx, const std::vector<std::vector<Ciphertext>>& records,
     const std::vector<Ciphertext>& enc_query, unsigned l,
@@ -101,12 +104,14 @@ struct TopKExtraction {
 /// `bits` are augmented vectors (PrepareDistanceBits or a shard's
 /// winner_bits) and are mutated in place: each winner's flag bit is set to
 /// 1 (skipped after the final iteration — it only matters for a further
-/// SMIN_n).
+/// SMIN_n). `attr_bits` bounds every record attribute to
+/// [0, 2^attr_bits); the extraction SM multiplies a bit by an attribute
+/// and blinds both for that bound (proto/sm.h; 0 = full-width blinds).
 /// `breakdown`, if non-null, accumulates the sminn/extract/update timings.
 Result<TopKExtraction> ExtractTopK(
     ProtoContext& ctx, const std::vector<std::vector<Ciphertext>>& records,
-    std::vector<EncryptedBits>& bits, unsigned k, bool keep_winner_bits,
-    SkNNmBreakdown* breakdown = nullptr);
+    std::vector<EncryptedBits>& bits, unsigned k, unsigned attr_bits,
+    bool keep_winner_bits, SkNNmBreakdown* breakdown = nullptr);
 
 /// \brief Runs Algorithm 6 on C1's side; the masked result lands in C2's
 /// Bob outbox and the returned masks complete Bob's view. `breakdown`, if

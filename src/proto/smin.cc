@@ -50,7 +50,8 @@ Result<std::vector<EncryptedBits>> SecureMinBatch(
   // -- Round trip 1: G_i = Epk(u_i XOR v_i) = Epk((u_i - v_i)^2) for every
   // pair and bit via one batched squaring. The difference is taken in F's
   // direction, because Gamma blinds that same difference below; the square
-  // does not see the sign.
+  // does not see the sign. The difference is in {-1, 0, 1}, so its blind is
+  // short (operand_bits = 1).
   std::vector<PairState> state(count);
   std::vector<Ciphertext> diffs(count * l);
   ctx.ForEach(count, [&](std::size_t b) {
@@ -62,7 +63,7 @@ Result<std::vector<EncryptedBits>> SecureMinBatch(
     }
   });
   SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> g,
-                        SecureSquareBatch(ctx, diffs));
+                        SecureSquareBatch(ctx, diffs, /*operand_bits=*/1));
 
   // -- Phase 1 (local): Gamma, H, Phi, L per Algorithm 3 step 1.
   // Request layout per block: Gamma'_1..Gamma'_l, L'_1..L'_l.

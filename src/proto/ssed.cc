@@ -6,7 +6,7 @@ namespace sknn {
 
 Result<std::vector<Ciphertext>> SecureSquaredDistanceBatch(
     ProtoContext& ctx, const std::vector<std::vector<Ciphertext>>& records,
-    const std::vector<Ciphertext>& query) {
+    const std::vector<Ciphertext>& query, unsigned attr_bits) {
   const std::size_t n = records.size();
   const std::size_t m = query.size();
   if (n == 0) return std::vector<Ciphertext>{};
@@ -30,7 +30,7 @@ Result<std::vector<Ciphertext>> SecureSquaredDistanceBatch(
 
   // Step 2: Epk((x_i - y_i)^2) via one batched secure squaring.
   SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> squares,
-                        SecureSquareBatch(ctx, diffs));
+                        SecureSquareBatch(ctx, diffs, attr_bits));
 
   // Step 3: homomorphic sum per record.
   std::vector<Ciphertext> out(n);

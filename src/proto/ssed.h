@@ -23,9 +23,13 @@ Result<Ciphertext> SecureSquaredDistance(ProtoContext& ctx,
 
 /// \brief Distances from one encrypted query to many encrypted records in a
 /// single batched squaring round trip: out[i] = Epk(|records[i] - query|^2).
+/// `attr_bits > 0` promises every record and query attribute lies in
+/// [0, 2^attr_bits), so each difference has |x - y| < 2^attr_bits and is
+/// squared with short blinds (sm.h, operand_bits = attr_bits). 0, the
+/// default, blinds uniformly on Z_N. Either way the result is exact.
 Result<std::vector<Ciphertext>> SecureSquaredDistanceBatch(
     ProtoContext& ctx, const std::vector<std::vector<Ciphertext>>& records,
-    const std::vector<Ciphertext>& query);
+    const std::vector<Ciphertext>& query, unsigned attr_bits = 0);
 
 }  // namespace sknn
 

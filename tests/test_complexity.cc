@@ -97,7 +97,7 @@ TEST_F(ComplexityTest, SquareCostsThreeEncOneDecOneExp) {
     Ops sq = Measure([&] {
       ASSERT_TRUE(SecureSquareBatch(harness_.ctx(), as).ok());
     });
-    // Blind + C2's re-encryption + Epk(-r^2); C2's decryption; Epk(a)^(-2r).
+    // Blind + C2's re-encryption + Epk(-r^2); C2's decryption; Epk(a)^(2r).
     // The multiplications are the blinding Add and the two final Adds.
     EXPECT_EQ(sq, (Ops{3 * batch, batch, batch, 3 * batch, 0}))
         << "batch=" << batch;
@@ -242,7 +242,7 @@ TEST_F(ComplexityTest, SkNNmRoundCountIsIndependentOfNPerStage) {
   // from the per-query QueryMeter (frames_to_c2 == frames_from_c2, each
   // exchange is one round trip):
   //   SSED            1                  (one fused SM stage)
-  //   SBD             l + 1              (one kLsbVec per bit + one SVR)
+  //   SBD             l + 1              (one kLsbShiftVec per bit + one SVR)
   //   per iteration   2*ceil(log2 n)     (SMIN_n tournament: SM + phase2
   //                                       per level)
   //                   + 1                (min pointer)

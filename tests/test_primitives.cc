@@ -3,6 +3,9 @@
 // (Example 2 and Example 3) and randomized property sweeps.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "proto/sbor.h"
 #include "proto/sm.h"
 #include "proto/ssed.h"
@@ -257,6 +260,159 @@ INSTANTIATE_TEST_SUITE_P(
     KeySizesAndSeeds, SmProperty,
     ::testing::Combine(::testing::Values(128u, 256u, 512u),
                        ::testing::Values(1u, 2u)));
+
+// Short additive blinds (proto/sm.h; docs/CRYPTO.md section 9).
+
+// The plaintexts C2 decrypted for `op` since the last drain.
+std::vector<BigInt> TakeViews(TwoPartyHarness& harness, Op op) {
+  std::vector<BigInt> out;
+  for (const C2View& view : harness.c2().TakeViews()) {
+    if (view.op == op) out.push_back(view.plaintext);
+  }
+  return out;
+}
+
+// A short blind's view: N - v = r - a with 0 < r - a < 2^(w + kappa + 2).
+bool InShortWindow(const BigInt& view, const BigInt& n, unsigned w) {
+  const BigInt below_n = n - view;
+  return below_n > BigInt(0) &&
+         below_n < BigInt::PowerOfTwo(w + kBlindStatisticalBits + 2);
+}
+
+// A full-width blind's view: at least 2^(bits(N) - 32) away from both 0 and
+// N, which a uniform residue misses with probability below 2^-30.
+bool LooksFullWidth(const BigInt& view, const BigInt& n) {
+  const BigInt margin = BigInt::PowerOfTwo(
+      static_cast<unsigned>(n.BitLength()) - 32);
+  return view >= margin && n - view >= margin;
+}
+
+class ShortBlindTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ShortBlindTest, SquaresMatchOracleWithViewsInTheWindow) {
+  TwoPartyHarness harness(GetParam(), 4100 + GetParam());
+  harness.c2().set_record_views(true);
+  Random rng(41);
+  const auto& pk = harness.pk();
+  for (unsigned w : {1u, 5u, 13u}) {
+    const int64_t top = (int64_t{1} << w) - 1;
+    const std::vector<int64_t> values = {-top, -1, 0, 1, top};
+    std::vector<Ciphertext> eas;
+    for (int64_t a : values) eas.push_back(pk.Encrypt(BigInt(a), rng));
+    auto result = SecureSquareBatch(harness.ctx(), eas, w);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_EQ(result->size(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(harness.Decrypt((*result)[i]), BigInt(values[i] * values[i]))
+          << "w=" << w << " a=" << values[i];
+    }
+    const std::vector<BigInt> views = TakeViews(harness, Op::kSqVec);
+    ASSERT_EQ(views.size(), values.size());
+    for (const BigInt& v : views) {
+      EXPECT_TRUE(InShortWindow(v, pk.n(), w)) << "w=" << w << " view " << v;
+    }
+  }
+}
+
+TEST_P(ShortBlindTest, BitTimesAttributeMatchesOracleWithViewsInTheWindow) {
+  TwoPartyHarness harness(GetParam(), 4200 + GetParam());
+  harness.c2().set_record_views(true);
+  Random rng(42);
+  const auto& pk = harness.pk();
+  for (unsigned w : {1u, 5u, 13u}) {
+    const int64_t top = (int64_t{1} << w) - 1;
+    std::vector<Ciphertext> bits, attrs;
+    std::vector<int64_t> expected;
+    for (int64_t bit : {0, 1}) {
+      for (int64_t attr : {int64_t{0}, int64_t{1}, top,
+                           static_cast<int64_t>(rng.UniformUint64(top + 1))}) {
+        bits.push_back(pk.Encrypt(BigInt(bit), rng));
+        attrs.push_back(pk.Encrypt(BigInt(attr), rng));
+        expected.push_back(bit * attr);
+      }
+    }
+    auto result = SecureMultiplyBatch(harness.ctx(), bits, attrs, w);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_EQ(result->size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(harness.Decrypt((*result)[i]), BigInt(expected[i]))
+          << "w=" << w << " i=" << i;
+    }
+    const std::vector<BigInt> views = TakeViews(harness, Op::kSmVec);
+    ASSERT_EQ(views.size(), 2 * expected.size());
+    for (const BigInt& v : views) {
+      EXPECT_TRUE(InShortWindow(v, pk.n(), w)) << "w=" << w << " view " << v;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KeySizes, ShortBlindTest,
+                         ::testing::Values(256u, 512u));
+
+TEST(ShortBlindViewTest, RepeatedCallsShowFreshViews) {
+  // One ciphertext squared and multiplied 16 times: every blind is fresh,
+  // so C2 never sees a view twice.
+  TwoPartyHarness harness(256, 4300);
+  harness.c2().set_record_views(true);
+  Random rng(43);
+  const auto& pk = harness.pk();
+  const Ciphertext ea = pk.Encrypt(BigInt(3), rng);
+  const Ciphertext eb = pk.Encrypt(BigInt(1), rng);
+  std::set<std::string> squares, products;
+  for (int run = 0; run < 16; ++run) {
+    ASSERT_TRUE(SecureSquareBatch(harness.ctx(), {ea}, 5).ok());
+    ASSERT_TRUE(SecureMultiplyBatch(harness.ctx(), {ea}, {eb}, 5).ok());
+    for (const C2View& view : harness.c2().TakeViews()) {
+      EXPECT_TRUE(InShortWindow(view.plaintext, pk.n(), 5));
+      (view.op == Op::kSqVec ? squares : products)
+          .insert(view.plaintext.ToString());
+    }
+  }
+  EXPECT_EQ(squares.size(), 16u);
+  EXPECT_EQ(products.size(), 32u);
+}
+
+TEST(ShortBlindViewTest, KeyTooShortForTheWindowBlindsFullWidth) {
+  // 5 + kappa + 2 bits do not fit a 128-bit N: the blinds fall back to
+  // uniform on Z_N and the results stay exact.
+  TwoPartyHarness harness(128, 4400);
+  harness.c2().set_record_views(true);
+  Random rng(44);
+  const auto& pk = harness.pk();
+  const std::vector<int64_t> values = {-31, -1, 0, 1, 31};
+  std::vector<Ciphertext> eas;
+  for (int64_t a : values) eas.push_back(pk.Encrypt(BigInt(a), rng));
+  auto squares = SecureSquareBatch(harness.ctx(), eas, 5);
+  ASSERT_TRUE(squares.ok()) << squares.status();
+  auto products = SecureMultiplyBatch(harness.ctx(), eas, eas, 5);
+  ASSERT_TRUE(products.ok()) << products.status();
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const BigInt expected(values[i] * values[i]);
+    EXPECT_EQ(harness.Decrypt((*squares)[i]), expected) << values[i];
+    EXPECT_EQ(harness.Decrypt((*products)[i]), expected) << values[i];
+  }
+  const std::vector<C2View> views = harness.c2().TakeViews();
+  EXPECT_EQ(views.size(), 3 * values.size());
+  for (const C2View& view : views) {
+    EXPECT_TRUE(LooksFullWidth(view.plaintext, pk.n())) << view.plaintext;
+  }
+}
+
+TEST(ShortBlindViewTest, DefaultOperandBitsBlindFullWidth) {
+  TwoPartyHarness harness(256, 4500);
+  harness.c2().set_record_views(true);
+  Random rng(45);
+  const auto& pk = harness.pk();
+  std::vector<Ciphertext> eas;
+  for (int64_t a : {-3, 0, 1, 7}) eas.push_back(pk.Encrypt(BigInt(a), rng));
+  ASSERT_TRUE(SecureSquareBatch(harness.ctx(), eas).ok());
+  ASSERT_TRUE(SecureMultiplyBatch(harness.ctx(), eas, eas).ok());
+  const std::vector<C2View> views = harness.c2().TakeViews();
+  EXPECT_EQ(views.size(), 12u);
+  for (const C2View& view : views) {
+    EXPECT_TRUE(LooksFullWidth(view.plaintext, pk.n())) << view.plaintext;
+  }
+}
 
 // SM under parallel execution: same results, one round trip.
 TEST(PrimitiveParallelTest, SmBatchParallelMatchesSerial) {
