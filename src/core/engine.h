@@ -66,8 +66,9 @@ class SknnEngine {
     bool verify_sbd = true;
     /// Back both clouds' encryptions with precomputed-randomizer pools
     /// (crypto/paillier.h): the r^N modexp moves off the critical path into
-    /// background workers that soak up C1<->C2 round-trip stalls. Disable
-    /// to measure the paper's unamortized online cost.
+    /// background workers that soak up C1<->C2 round-trip stalls (on C1,
+    /// max(1, c1_threads / 2) of them). Disable to measure the paper's
+    /// unamortized online cost.
     bool randomizer_pool = true;
     /// Per-cloud randomizer pool capacity (r^N values held ready).
     std::size_t randomizer_pool_capacity = 4096;
