@@ -18,7 +18,10 @@
 #         EncryptMany/DecryptMany/RerandomizeMany/PowModMany so it shares
 #         the randomizer pool and thread fan-out (docs/CRYPTO.md). A
 #         justified scalar call carries a `// batch-exempt: <why>` marker on
-#         its own line or the line above.
+#         its own line or the line above;
+#       - no raw aux[...] / aux.size() / aux.begin() in src/ or tools/
+#         outside src/net/: message payloads go through the bounds-checked
+#         FrameReader/FrameWriter (src/net/message.h).
 #  2. clang-tidy over compile_commands.json (runs when clang-tidy is on
 #     PATH — the lint CI job; skipped with a notice otherwise). Checks are
 #     curated in .clang-tidy.
@@ -109,6 +112,20 @@ if [ -n "${scalar_crypto}" ]; then
   fail "scalar per-element crypto calls in src/proto/ — use the batch API \
 (EncryptMany/DecryptMany/RerandomizeMany/PowModMany, crypto/paillier.h) or \
 mark the call '// batch-exempt: <why>'" "${scalar_crypto}"
+fi
+
+# --- 1f. Raw aux access outside the frame layer ----------------------------
+# Every aux byte is written and read through FrameWriter/FrameReader
+# (src/net/message.h): bounds-checked fields, counts bounded by the bytes
+# left, exact sizes. Indexing or measuring aux by hand outside src/net/
+# brings back the hand-offset decoders those replaced. Comments are exempt.
+raw_aux=$(grep -rn --include='*.h' --include='*.cc' \
+  -e 'aux\[' -e 'aux\.size()' -e 'aux\.begin()' \
+  src tools 2>/dev/null | grep -v '^src/net/' \
+  | grep -v ':[0-9]*:\s*//' || true)
+if [ -n "${raw_aux}" ]; then
+  fail "raw aux access outside src/net/ — read and write payloads with \
+FrameReader/FrameWriter (src/net/message.h)" "${raw_aux}"
 fi
 
 # --- 2. clang-tidy ---------------------------------------------------------

@@ -41,6 +41,10 @@ enum class StatusCode {
   kPermissionDenied,
 };
 
+/// \brief The highest defined code: a code read off the wire above it is
+/// unknown. Keep it the enum's last member.
+constexpr StatusCode kLastStatusCode = StatusCode::kPermissionDenied;
+
 /// \brief Returns a human-readable name for a status code ("InvalidArgument").
 const char* StatusCodeName(StatusCode code);
 

@@ -359,11 +359,16 @@ SknnEngine::RandomizerPoolStats SknnEngine::randomizer_pool_stats() {
     Message req;
     req.type = OpCode(Op::kFetchPoolStats);
     Result<Message> resp = client_->Call(std::move(req));
-    if (resp.ok() && resp->aux.size() >= 32) {
-      stats.c2_hits = resp->AuxU64At(0);
-      stats.c2_misses = resp->AuxU64At(8);
-      stats.c2_stock = resp->AuxU64At(16);
-      stats.c2_capacity = resp->AuxU64At(24);
+    if (resp.ok()) {
+      FrameReader r(resp->aux);
+      const uint64_t hits = r.U64(), misses = r.U64(), stock = r.U64(),
+                     capacity = r.U64();
+      if (r.Done("kFetchPoolStats reply").ok()) {
+        stats.c2_hits = hits;
+        stats.c2_misses = misses;
+        stats.c2_stock = stock;
+        stats.c2_capacity = capacity;
+      }
     }
   }
   return stats;
@@ -543,9 +548,10 @@ Result<std::vector<BigInt>> SknnEngine::TakeC2Outbox(ProtoContext& ctx,
 OpSnapshot SknnEngine::TakeC2QueryOps(ProtoContext& ctx, uint64_t query_id) {
   if (c2_ != nullptr) return c2_->TakeQueryOps(query_id);
   auto resp = ctx.Call(Op::kFetchQueryOps, {});
-  if (!resp.ok() || resp->aux.size() < 40) return {};
-  return {resp->AuxU64At(0), resp->AuxU64At(8), resp->AuxU64At(16),
-          resp->AuxU64At(24), resp->AuxU64At(32)};
+  if (!resp.ok()) return {};
+  FrameReader r(resp->aux);
+  const OpSnapshot ops = r.Ops();
+  return r.Done("kFetchQueryOps reply").ok() ? ops : OpSnapshot{};
 }
 
 Result<QueryResponse> SknnEngine::ExecuteQuery(const QueryRequest& request) {

@@ -77,6 +77,14 @@ Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Create(
     geometries.push_back(geometry);
   }
   const ShardManifest manifest = geometries[0].manifest;
+  // Every shard needs a worker, so a manifest claiming more shards than
+  // there are links is wrong; refuse it before sizing anything from it.
+  if (manifest.num_shards > clients.size()) {
+    return Status::InvalidArgument(
+        "ShardCoordinator: worker 0 claims " +
+        std::to_string(manifest.num_shards) + " shards but only " +
+        std::to_string(clients.size()) + " workers are linked");
+  }
   auto coordinator = std::unique_ptr<ShardCoordinator>(new ShardCoordinator());
   coordinator->pk_ = pk;
   coordinator->manifest_ = manifest;
@@ -296,8 +304,7 @@ Result<ShardCandidates> ShardCoordinator::RunShard(
     }
     if (resp->type == OpCode(Op::kError)) {
       // The worker's RPC layer declaring failure.
-      fail_over(Status::Unavailable(
-          who + " failed: " + std::string(resp->aux.begin(), resp->aux.end())));
+      fail_over(Status::Unavailable(who + " failed: " + RpcErrorText(*resp)));
       continue;
     }
     if (resp->type == ShardOpCode(ShardOp::kShardError)) {

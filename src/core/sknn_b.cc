@@ -40,21 +40,18 @@ Result<std::vector<uint32_t>> SecureTopKIndices(
   dist_values.reserve(n);
   for (const auto& c : dists) dist_values.push_back(c.value());
   std::vector<uint8_t> aux;
-  AppendU32(aux, k);
+  FrameWriter(aux).U32(k);
   SKNN_ASSIGN_OR_RETURN(
       Message resp,
       ctx.Call(Op::kTopKIndices, std::move(dist_values), std::move(aux)));
-  if (resp.aux.size() != std::size_t{k} * 4) {
-    return Status::ProtocolError("SecureTopKIndices: bad top-k response");
-  }
-  std::vector<uint32_t> indices;
-  indices.reserve(k);
-  for (unsigned j = 0; j < k; ++j) {
-    uint32_t idx = resp.AuxU32At(std::size_t{j} * 4);
+  FrameReader r(resp.aux);
+  std::vector<uint32_t> indices(k);
+  for (uint32_t& idx : indices) idx = r.U32();
+  SKNN_RETURN_NOT_OK(r.Done("SecureTopKIndices: bad top-k response"));
+  for (uint32_t idx : indices) {
     if (idx >= n) {
       return Status::ProtocolError("SecureTopKIndices: index out of range");
     }
-    indices.push_back(idx);
   }
   return indices;
 }

@@ -1,68 +1,142 @@
 #include "net/message.h"
 
 #include <algorithm>
+#include <bit>
+
+#include "crypto/op_counters.h"
+#include "net/channel.h"
 
 namespace sknn {
-namespace {
 
-void PutU16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-bool GetU16(const std::vector<uint8_t>& in, std::size_t& pos, uint16_t* v) {
-  if (pos + 2 > in.size()) return false;
-  *v = static_cast<uint16_t>(in[pos]) | (static_cast<uint16_t>(in[pos + 1]) << 8);
-  pos += 2;
-  return true;
-}
-
-bool GetU32(const std::vector<uint8_t>& in, std::size_t& pos, uint32_t* v) {
-  if (pos + 4 > in.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) *v |= static_cast<uint32_t>(in[pos + i]) << (8 * i);
-  pos += 4;
-  return true;
-}
-
-bool GetU64(const std::vector<uint8_t>& in, std::size_t& pos, uint64_t* v) {
-  if (pos + 8 > in.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) *v |= static_cast<uint64_t>(in[pos + i]) << (8 * i);
-  pos += 8;
-  return true;
-}
-
-}  // namespace
-
-void AppendU32(std::vector<uint8_t>& aux, uint32_t v) { PutU32(aux, v); }
-
-void Message::AppendAuxU32(uint32_t v) { PutU32(aux, v); }
-
-uint32_t Message::AuxU32At(std::size_t offset) const {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(aux[offset + i]) << (8 * i);
+FrameWriter& FrameWriter::Le(uint64_t v, std::size_t width) {
+  const std::size_t at = out_.size();
+  out_.resize(at + width);
+  for (std::size_t i = 0; i < width; ++i) {
+    out_[at + i] = static_cast<uint8_t>(v >> (8 * i));
   }
-  return v;
+  return *this;
 }
 
-void Message::AppendAuxU64(uint64_t v) { PutU64(aux, v); }
+FrameWriter& FrameWriter::U8(uint8_t v) { return Le(v, 1); }
+FrameWriter& FrameWriter::U16(uint16_t v) { return Le(v, 2); }
+FrameWriter& FrameWriter::U32(uint32_t v) { return Le(v, 4); }
+FrameWriter& FrameWriter::U64(uint64_t v) { return Le(v, 8); }
 
-uint64_t Message::AuxU64At(std::size_t offset) const {
+FrameWriter& FrameWriter::F64(double v) {
+  return U64(std::bit_cast<uint64_t>(v));
+}
+
+FrameWriter& FrameWriter::Str(std::string_view text) {
+  U32(static_cast<uint32_t>(text.size()));
+  return Text(text);
+}
+
+FrameWriter& FrameWriter::Bytes(const std::vector<uint8_t>& bytes) {
+  U32(static_cast<uint32_t>(bytes.size()));
+  out_.insert(out_.end(), bytes.begin(), bytes.end());
+  return *this;
+}
+
+FrameWriter& FrameWriter::Text(std::string_view text) {
+  const std::size_t at = out_.size();
+  out_.resize(at + text.size());
+  std::copy(text.begin(), text.end(), out_.begin() + at);
+  return *this;
+}
+
+FrameWriter& FrameWriter::Traffic(const TrafficStats& traffic) {
+  return U64(traffic.frames_a_to_b)
+      .U64(traffic.bytes_a_to_b)
+      .U64(traffic.frames_b_to_a)
+      .U64(traffic.bytes_b_to_a);
+}
+
+FrameWriter& FrameWriter::Ops(const OpSnapshot& ops) {
+  return U64(ops.encryptions)
+      .U64(ops.decryptions)
+      .U64(ops.exponentiations)
+      .U64(ops.multiplications)
+      .U64(ops.inversions);
+}
+
+const uint8_t* FrameReader::Take(std::size_t n) {
+  if (!ok_ || n > remaining()) {
+    ok_ = false;
+    return nullptr;
+  }
+  const uint8_t* at = bytes_.data() + pos_;
+  pos_ += n;
+  return at;
+}
+
+uint64_t FrameReader::Le(std::size_t width) {
+  const uint8_t* at = Take(width);
   uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(aux[offset + i]) << (8 * i);
+  if (at == nullptr) return v;
+  for (std::size_t i = 0; i < width; ++i) {
+    v |= static_cast<uint64_t>(at[i]) << (8 * i);
   }
   return v;
+}
+
+uint8_t FrameReader::U8() { return static_cast<uint8_t>(Le(1)); }
+uint16_t FrameReader::U16() { return static_cast<uint16_t>(Le(2)); }
+uint32_t FrameReader::U32() { return static_cast<uint32_t>(Le(4)); }
+uint64_t FrameReader::U64() { return Le(8); }
+
+double FrameReader::F64() { return std::bit_cast<double>(U64()); }
+
+std::string FrameReader::Str(std::size_t max_len) {
+  std::vector<uint8_t> bytes = Bytes(max_len);
+  return std::string(bytes.begin(), bytes.end());
+}
+
+std::vector<uint8_t> FrameReader::Bytes(std::size_t max_len) {
+  const uint32_t len = U32();
+  if (len > max_len) ok_ = false;
+  const uint8_t* at = Take(len);
+  if (at == nullptr) return {};
+  return std::vector<uint8_t>(at, at + len);
+}
+
+std::string FrameReader::Text() {
+  const std::size_t len = remaining();
+  const uint8_t* at = Take(len);
+  if (at == nullptr) return {};
+  return std::string(at, at + len);
+}
+
+TrafficStats FrameReader::Traffic() {
+  TrafficStats traffic;
+  traffic.frames_a_to_b = U64();
+  traffic.bytes_a_to_b = U64();
+  traffic.frames_b_to_a = U64();
+  traffic.bytes_b_to_a = U64();
+  return traffic;
+}
+
+OpSnapshot FrameReader::Ops() {
+  OpSnapshot ops;
+  ops.encryptions = U64();
+  ops.decryptions = U64();
+  ops.exponentiations = U64();
+  ops.multiplications = U64();
+  ops.inversions = U64();
+  return ops;
+}
+
+uint32_t FrameReader::Count(std::size_t min_item_bytes) {
+  const uint32_t count = U32();
+  if (min_item_bytes != 0 && count > remaining() / min_item_bytes) {
+    ok_ = false;
+    return 0;
+  }
+  return count;
+}
+
+Status FrameReader::Done(const char* what) const {
+  if (!ok_ || remaining() != 0) return Status::ProtocolError(what);
+  return Status::OK();
 }
 
 std::size_t Message::WireSize() const {
@@ -76,51 +150,51 @@ std::size_t Message::WireSize() const {
 std::vector<uint8_t> WireCodec::Encode(const Message& msg) {
   std::vector<uint8_t> out;
   out.reserve(msg.WireSize());
-  PutU16(out, msg.type);
-  PutU64(out, msg.correlation_id);
-  PutU64(out, msg.query_id);
-  PutU32(out, static_cast<uint32_t>(msg.ints.size()));
-  for (const auto& v : msg.ints) {
-    std::vector<uint8_t> bytes = v.ToBytes();
-    PutU32(out, static_cast<uint32_t>(bytes.size()));
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  }
-  PutU32(out, static_cast<uint32_t>(msg.aux.size()));
-  out.insert(out.end(), msg.aux.begin(), msg.aux.end());
+  FrameWriter w(out);
+  w.U16(msg.type).U64(msg.correlation_id).U64(msg.query_id);
+  w.U32(static_cast<uint32_t>(msg.ints.size()));
+  for (const auto& v : msg.ints) w.Bytes(v.ToBytes());
+  w.Bytes(msg.aux);
   return out;
 }
 
 Result<Message> WireCodec::Decode(const std::vector<uint8_t>& bytes) {
+  FrameReader r(bytes);
   Message msg;
-  std::size_t pos = 0;
-  uint32_t n_ints = 0, aux_len = 0;
-  if (!GetU16(bytes, pos, &msg.type) ||
-      !GetU64(bytes, pos, &msg.correlation_id) ||
-      !GetU64(bytes, pos, &msg.query_id) ||
-      !GetU32(bytes, pos, &n_ints)) {
-    return Status::ProtocolError("WireCodec: truncated header");
-  }
-  // The count is the peer's claim: reserve only what the remaining bytes can
-  // hold (each int carries at least its 4-byte length prefix).
-  msg.ints.reserve(std::min<std::size_t>(n_ints, (bytes.size() - pos) / 4));
-  for (uint32_t i = 0; i < n_ints; ++i) {
-    uint32_t len = 0;
-    if (!GetU32(bytes, pos, &len) || pos + len > bytes.size()) {
-      return Status::ProtocolError("WireCodec: truncated integer");
-    }
-    std::vector<uint8_t> chunk(bytes.begin() + pos, bytes.begin() + pos + len);
-    msg.ints.push_back(BigInt::FromBytes(chunk));
-    pos += len;
-  }
-  if (!GetU32(bytes, pos, &aux_len) || pos + aux_len > bytes.size()) {
-    return Status::ProtocolError("WireCodec: truncated aux");
-  }
-  msg.aux.assign(bytes.begin() + pos, bytes.begin() + pos + aux_len);
-  pos += aux_len;
-  if (pos != bytes.size()) {
-    return Status::ProtocolError("WireCodec: trailing bytes");
-  }
+  msg.type = r.U16();
+  msg.correlation_id = r.U64();
+  msg.query_id = r.U64();
+  // The int count is the peer's claim: each int carries at least its 4-byte
+  // length prefix, so Count bounds the vector by the frame's own size.
+  msg.ints.resize(r.Count(4));
+  for (BigInt& v : msg.ints) v = BigInt::FromBytes(r.Bytes(bytes.size()));
+  msg.aux = r.Bytes(bytes.size());
+  SKNN_RETURN_NOT_OK(r.Done("WireCodec: truncated frame or trailing bytes"));
   return msg;
+}
+
+Message EncodeStatusFrame(uint16_t type, const Status& status) {
+  Message msg;
+  msg.type = type;
+  FrameWriter(msg.aux)
+      .U32(static_cast<uint32_t>(status.code()))
+      .Text(status.message());
+  return msg;
+}
+
+Status DecodeStatusFrame(uint16_t type, const Message& msg) {
+  FrameReader r(msg.aux);
+  const uint32_t code = r.U32();
+  std::string text = r.Text();
+  if (msg.type != type || !r.ok()) {
+    return Status::ProtocolError("malformed status frame of type " +
+                                 std::to_string(msg.type));
+  }
+  if (code == 0 || code > static_cast<uint32_t>(kLastStatusCode)) {
+    return Status::ProtocolError("status frame: unknown status code " +
+                                 std::to_string(code));
+  }
+  return Status(static_cast<StatusCode>(code), std::move(text));
 }
 
 }  // namespace sknn

@@ -25,8 +25,14 @@
 // FrontendOp opcode space is disjoint from the C1<->C2 Op space: a frame
 // from the wrong link is rejected, never misinterpreted.
 //
-// The full frame catalog, negotiation rules and version-compatibility
-// policy are specified in docs/API.md.
+// Each codec is its frame's field list over net/message.h's FrameWriter
+// and FrameReader: the decoder reads the fields in the order the encoder
+// writes them, every count is bounded by the bytes left, and a frame with
+// bytes left over is refused unless the layout documents an optional tail
+// (kQuery's 0, 4 or 12 bytes after the table name).
+//
+// The full frame catalog, encoding rules, negotiation rules and
+// version-compatibility policy are specified in docs/API.md.
 #ifndef SKNN_NET_QUERY_WIRE_H_
 #define SKNN_NET_QUERY_WIRE_H_
 
@@ -388,10 +394,15 @@ Result<QueryRequest> DecodeQueryRequest(const Message& msg);
 Message EncodeQueryResponse(const QueryResponse& response);
 Result<QueryResponse> DecodeQueryResponse(const Message& msg);
 
-/// \brief `status` must be an error; the code crosses the wire intact.
-Message EncodeQueryError(const Status& status);
+/// \brief kQueryError is a status frame (net/message.h): `status` must be
+/// an error, and its code crosses the wire intact.
+inline Message EncodeQueryError(const Status& status) {
+  return EncodeStatusFrame(FrontendOpCode(FrontendOp::kQueryError), status);
+}
 /// \brief The Status carried by a kQueryError frame (never OK).
-Status DecodeQueryError(const Message& msg);
+inline Status DecodeQueryError(const Message& msg) {
+  return DecodeStatusFrame(FrontendOpCode(FrontendOp::kQueryError), msg);
+}
 
 Message EncodeHello(const HelloInfo& hello);
 Result<HelloInfo> DecodeHello(const Message& msg);

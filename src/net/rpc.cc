@@ -212,13 +212,16 @@ void RpcServer::HandleFrame(std::vector<uint8_t> frame) {
     // Error responses carry the status message in aux with type 0xFFFF so
     // the client surfaces a ProtocolError instead of hanging.
     out.type = 0xFFFF;
-    const std::string& text = response.status().ToString();
-    out.aux.assign(text.begin(), text.end());
+    FrameWriter(out.aux).Text(response.status().ToString());
   }
   out.correlation_id = cid;
   out.query_id = request->query_id;
   MutexLock lock(&send_mutex_);
   endpoint_->Send(WireCodec::Encode(out));
+}
+
+std::string RpcErrorText(const Message& error_frame) {
+  return FrameReader(error_frame.aux).Text();
 }
 
 }  // namespace sknn

@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "common/mutex.h"
@@ -81,6 +82,10 @@ class RpcClient {
   /// response thread that no longer exists.
   std::atomic<bool> link_down_{false};
 };
+
+/// \brief The status text of the error frame (type 0xFFFF, proto/opcodes.h
+/// Op::kError) an RpcServer answers with when its handler fails.
+std::string RpcErrorText(const Message& error_frame);
 
 class RpcServer {
  public:

@@ -1,6 +1,5 @@
 #include "net/shard_wire.h"
 
-#include <bit>
 #include <string>
 
 namespace sknn {
@@ -8,14 +7,6 @@ namespace {
 
 Status BadFrame(const char* what) {
   return Status::ProtocolError(std::string("shard frame: ") + what);
-}
-
-void AppendF64(Message& msg, double v) {
-  msg.AppendAuxU64(std::bit_cast<uint64_t>(v));
-}
-
-double F64At(const Message& msg, std::size_t offset) {
-  return std::bit_cast<double>(msg.AuxU64At(offset));
 }
 
 }  // namespace
@@ -27,15 +18,15 @@ Message EncodeShardPing() {
 }
 
 Message EncodeShardGeometry(const ShardGeometry& geometry) {
-  Message msg;
-  msg.type = ShardOpCode(ShardOp::kShardPing);
-  msg.AppendAuxU32(geometry.shard);
-  msg.AppendAuxU32(static_cast<uint32_t>(geometry.manifest.scheme));
-  msg.AppendAuxU32(static_cast<uint32_t>(geometry.manifest.num_shards));
-  msg.AppendAuxU32(static_cast<uint32_t>(geometry.manifest.total_records));
-  msg.AppendAuxU32(geometry.num_attributes);
-  msg.AppendAuxU32(geometry.distance_bits);
-  msg.AppendAuxU32(geometry.shard_records);
+  Message msg = EncodeShardPing();
+  FrameWriter(msg.aux)
+      .U32(geometry.shard)
+      .U32(static_cast<uint32_t>(geometry.manifest.scheme))
+      .U32(static_cast<uint32_t>(geometry.manifest.num_shards))
+      .U32(static_cast<uint32_t>(geometry.manifest.total_records))
+      .U32(geometry.num_attributes)
+      .U32(geometry.distance_bits)
+      .U32(geometry.shard_records);
   return msg;
 }
 
@@ -45,19 +36,28 @@ Result<ShardGeometry> DecodeShardGeometry(const Message& msg) {
   }
   // Coordinator and workers deploy as a unit (same build), so the geometry
   // frame carries no compatibility tail: it is exactly 28 bytes.
-  if (msg.aux.size() != 28) return BadFrame("bad geometry payload");
+  FrameReader r(msg.aux);
   ShardGeometry geometry;
-  geometry.shard = msg.AuxU32At(0);
-  const uint32_t scheme = msg.AuxU32At(4);
+  geometry.shard = r.U32();
+  const uint32_t scheme = r.U32();
+  geometry.manifest.num_shards = r.U32();
+  geometry.manifest.total_records = r.U32();
+  geometry.num_attributes = r.U32();
+  geometry.distance_bits = r.U32();
+  geometry.shard_records = r.U32();
+  SKNN_RETURN_NOT_OK(r.Done("shard frame: bad geometry payload"));
   if (scheme > static_cast<uint32_t>(ShardScheme::kByCluster)) {
     return BadFrame("unknown shard scheme");
   }
   geometry.manifest.scheme = static_cast<ShardScheme>(scheme);
-  geometry.manifest.num_shards = msg.AuxU32At(8);
-  geometry.manifest.total_records = msg.AuxU32At(12);
-  geometry.num_attributes = msg.AuxU32At(16);
-  geometry.distance_bits = msg.AuxU32At(20);
-  geometry.shard_records = msg.AuxU32At(24);
+  // The coordinator sizes its replica groups from num_shards, so the
+  // manifest must be one MakeShardManifest accepts.
+  const ShardManifest& m = geometry.manifest;
+  if (m.num_shards == 0 || m.num_shards > m.total_records ||
+      geometry.shard >= m.num_shards ||
+      geometry.shard_records > m.total_records) {
+    return BadFrame("geometry out of range");
+  }
   return geometry;
 }
 
@@ -65,9 +65,9 @@ Message EncodeShardQuery(const ShardQueryFrame& frame) {
   Message msg;
   msg.type = ShardOpCode(ShardOp::kShardQuery);
   msg.query_id = frame.query_id;
-  msg.AppendAuxU32(frame.k);
-  msg.AppendAuxU32(static_cast<uint32_t>(frame.protocol));
-  if (frame.deadline_ms != 0) msg.AppendAuxU32(frame.deadline_ms);
+  FrameWriter w(msg.aux);
+  w.U32(frame.k).U32(static_cast<uint32_t>(frame.protocol));
+  if (frame.deadline_ms != 0) w.U32(frame.deadline_ms);
   msg.ints.reserve(frame.enc_query.size());
   for (const auto& c : frame.enc_query) msg.ints.push_back(c.value());
   return msg;
@@ -77,15 +77,14 @@ Result<ShardQueryFrame> DecodeShardQuery(const Message& msg) {
   if (msg.type != ShardOpCode(ShardOp::kShardQuery)) {
     return BadFrame("not a kShardQuery frame");
   }
-  // 8 bytes = the original header; 12 = with the trailing deadline word.
-  if (msg.aux.size() != 8 && msg.aux.size() != 12) {
-    return BadFrame("bad kShardQuery header");
-  }
+  FrameReader r(msg.aux);
   ShardQueryFrame frame;
   frame.query_id = msg.query_id;
-  frame.k = msg.AuxU32At(0);
-  if (msg.aux.size() == 12) frame.deadline_ms = msg.AuxU32At(8);
-  const uint32_t protocol = msg.AuxU32At(4);
+  frame.k = r.U32();
+  const uint32_t protocol = r.U32();
+  // 8 bytes = the original header; 12 = with the trailing deadline word.
+  if (r.remaining() == 4) frame.deadline_ms = r.U32();
+  SKNN_RETURN_NOT_OK(r.Done("shard frame: bad kShardQuery header"));
   if (protocol > static_cast<uint32_t>(QueryProtocol::kFarthest)) {
     return BadFrame("unknown protocol");
   }
@@ -104,21 +103,13 @@ Message EncodeShardCandidates(const ShardCandidatesFrame& frame) {
   const std::size_t m = c.records.empty() ? 0 : c.records[0].size();
   Message msg;
   msg.type = ShardOpCode(ShardOp::kShardCandidates);
-  msg.AppendAuxU32(static_cast<uint32_t>(count));
-  msg.AppendAuxU32(static_cast<uint32_t>(bits_per));
-  msg.AppendAuxU32(static_cast<uint32_t>(m));
-  msg.AppendAuxU32(c.distances.empty() ? 0 : 1);
-  for (uint32_t gidx : c.global_indices) msg.AppendAuxU32(gidx);
-  AppendF64(msg, frame.seconds);
-  msg.AppendAuxU64(frame.traffic.frames_a_to_b);
-  msg.AppendAuxU64(frame.traffic.bytes_a_to_b);
-  msg.AppendAuxU64(frame.traffic.frames_b_to_a);
-  msg.AppendAuxU64(frame.traffic.bytes_b_to_a);
-  msg.AppendAuxU64(frame.ops.encryptions);
-  msg.AppendAuxU64(frame.ops.decryptions);
-  msg.AppendAuxU64(frame.ops.exponentiations);
-  msg.AppendAuxU64(frame.ops.multiplications);
-  msg.AppendAuxU64(frame.ops.inversions);
+  FrameWriter w(msg.aux);
+  w.U32(static_cast<uint32_t>(count))
+      .U32(static_cast<uint32_t>(bits_per))
+      .U32(static_cast<uint32_t>(m))
+      .U32(c.distances.empty() ? 0 : 1);
+  for (uint32_t gidx : c.global_indices) w.U32(gidx);
+  w.F64(frame.seconds).Traffic(frame.traffic).Ops(frame.ops);
   msg.ints.reserve(count * (bits_per + m) + c.distances.size());
   for (const auto& bits : c.bits) {
     for (const auto& b : bits) msg.ints.push_back(b.value());
@@ -137,25 +128,17 @@ Result<ShardCandidatesFrame> DecodeShardCandidates(const Message& msg) {
   if (msg.type != ShardOpCode(ShardOp::kShardCandidates)) {
     return BadFrame("not a kShardCandidates frame");
   }
-  if (msg.aux.size() < 16) return BadFrame("truncated candidates header");
-  const std::size_t count = msg.AuxU32At(0);
-  const std::size_t bits_per = msg.AuxU32At(4);
-  const std::size_t m = msg.AuxU32At(8);
-  const bool has_distances = msg.AuxU32At(12) != 0;
-  constexpr std::size_t kMaxDim = std::size_t{1} << 20;
-  if (count == 0 || count > kMaxDim || bits_per > kMaxDim || m == 0 ||
-      m > kMaxDim) {
-    return BadFrame("candidates geometry implausible");
-  }
-  const std::size_t index_count = has_distances ? count : 0;
-  // Header, per-candidate global indices (basic only), seconds, 4 traffic
-  // counters, 5 op counters.
-  if (msg.aux.size() != 16 + index_count * 4 + (1 + 4 + 5) * 8) {
-    return BadFrame("candidates aux geometry mismatch");
-  }
-  const std::size_t want_ints =
-      count * (bits_per + m) + (has_distances ? count : 0);
-  if (msg.ints.size() != want_ints) {
+  FrameReader r(msg.aux);
+  const std::size_t count = r.U32();
+  const std::size_t bits_per = r.U32();
+  const std::size_t m = r.U32();
+  const bool has_distances = r.U32() != 0;
+  // The geometry sizes the ints: count * (bits_per + m) of them, plus count
+  // distances in basic mode. Divide rather than multiply, so no claim can
+  // overflow its way past the check.
+  const std::size_t n = msg.ints.size();
+  if (count == 0 || m == 0 || count > n || bits_per + m > n / count ||
+      n != count * (bits_per + m) + (has_distances ? count : 0)) {
     return BadFrame("candidates payload geometry mismatch");
   }
   if (has_distances == (bits_per > 0)) {
@@ -163,67 +146,29 @@ Result<ShardCandidatesFrame> DecodeShardCandidates(const Message& msg) {
   }
   ShardCandidatesFrame frame;
   ShardCandidates& c = frame.candidates;
-  std::size_t at = 0;
-  if (bits_per > 0) {
-    c.bits.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      EncryptedBits bits;
-      bits.reserve(bits_per);
-      for (std::size_t g = 0; g < bits_per; ++g) {
-        bits.emplace_back(msg.ints[at++]);
-      }
-      c.bits.push_back(std::move(bits));
-    }
+  if (has_distances) {
+    c.global_indices.resize(count);
+    for (uint32_t& gidx : c.global_indices) gidx = r.U32();
   }
-  c.records.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::vector<Ciphertext> record;
-    record.reserve(m);
-    for (std::size_t j = 0; j < m; ++j) record.emplace_back(msg.ints[at++]);
-    c.records.push_back(std::move(record));
+  frame.seconds = r.F64();
+  frame.traffic = r.Traffic();
+  frame.ops = r.Ops();
+  SKNN_RETURN_NOT_OK(r.Done("shard frame: candidates aux geometry mismatch"));
+  std::size_t at = 0;
+  auto next = [&] { return Ciphertext(msg.ints[at++]); };
+  c.bits.assign(bits_per > 0 ? count : 0, EncryptedBits(bits_per));
+  for (EncryptedBits& bits : c.bits) {
+    for (Ciphertext& b : bits) b = next();
+  }
+  c.records.assign(count, std::vector<Ciphertext>(m));
+  for (auto& record : c.records) {
+    for (Ciphertext& attr : record) attr = next();
   }
   if (has_distances) {
-    c.distances.reserve(count);
-    c.global_indices.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) c.distances.emplace_back(msg.ints[at++]);
-    for (std::size_t i = 0; i < count; ++i) {
-      c.global_indices.push_back(msg.AuxU32At(16 + i * 4));
-    }
+    c.distances.resize(count);
+    for (Ciphertext& d : c.distances) d = next();
   }
-  const std::size_t tail = 16 + index_count * 4;
-  frame.seconds = F64At(msg, tail);
-  frame.traffic.frames_a_to_b = msg.AuxU64At(tail + 8);
-  frame.traffic.bytes_a_to_b = msg.AuxU64At(tail + 16);
-  frame.traffic.frames_b_to_a = msg.AuxU64At(tail + 24);
-  frame.traffic.bytes_b_to_a = msg.AuxU64At(tail + 32);
-  frame.ops.encryptions = msg.AuxU64At(tail + 40);
-  frame.ops.decryptions = msg.AuxU64At(tail + 48);
-  frame.ops.exponentiations = msg.AuxU64At(tail + 56);
-  frame.ops.multiplications = msg.AuxU64At(tail + 64);
-  frame.ops.inversions = msg.AuxU64At(tail + 72);
   return frame;
-}
-
-Message EncodeShardError(const Status& status) {
-  Message msg;
-  msg.type = ShardOpCode(ShardOp::kShardError);
-  msg.AppendAuxU32(static_cast<uint32_t>(status.code()));
-  const std::string& text = status.message();
-  msg.aux.insert(msg.aux.end(), text.begin(), text.end());
-  return msg;
-}
-
-Status DecodeShardError(const Message& msg) {
-  if (msg.type != ShardOpCode(ShardOp::kShardError) || msg.aux.size() < 4) {
-    return BadFrame("malformed kShardError frame");
-  }
-  const uint32_t code = msg.AuxU32At(0);
-  if (code == 0 ||
-      code > static_cast<uint32_t>(StatusCode::kDeadlineExceeded)) {
-    return BadFrame("kShardError carries an unknown status code");
-  }
-  return Status(static_cast<StatusCode>(code),
-                std::string(msg.aux.begin() + 4, msg.aux.end()));
 }
 
 }  // namespace sknn

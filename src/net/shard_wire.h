@@ -19,6 +19,10 @@
 //   kShardError      a real Status, code included — the coordinator
 //                    distinguishes a worker-side protocol failure from a
 //                    dead link (which surfaces as kUnavailable).
+//
+// Each codec is the frame's field list over net/message.h's FrameWriter and
+// FrameReader, so every decoder is bounds-checked and exact: a frame is
+// accepted only at its documented length (kShardQuery: 8 or 12 bytes).
 #ifndef SKNN_NET_SHARD_WIRE_H_
 #define SKNN_NET_SHARD_WIRE_H_
 
@@ -54,6 +58,9 @@ struct ShardGeometry {
 
 Message EncodeShardPing();
 Message EncodeShardGeometry(const ShardGeometry& geometry);
+/// \brief Refuses (ProtocolError) a geometry MakeShardManifest would not
+/// build: num_shards outside [1, total_records], shard >= num_shards, or
+/// shard_records > total_records.
 Result<ShardGeometry> DecodeShardGeometry(const Message& msg);
 
 /// \brief One query's shard leg.
@@ -84,10 +91,15 @@ struct ShardCandidatesFrame {
 Message EncodeShardCandidates(const ShardCandidatesFrame& frame);
 Result<ShardCandidatesFrame> DecodeShardCandidates(const Message& msg);
 
-/// \brief `status` must be an error; the code crosses the wire intact.
-Message EncodeShardError(const Status& status);
+/// \brief kShardError is a status frame (net/message.h): `status` must be
+/// an error, and its code crosses the wire intact.
+inline Message EncodeShardError(const Status& status) {
+  return EncodeStatusFrame(ShardOpCode(ShardOp::kShardError), status);
+}
 /// \brief The Status carried by a kShardError frame (never OK).
-Status DecodeShardError(const Message& msg);
+inline Status DecodeShardError(const Message& msg) {
+  return DecodeStatusFrame(ShardOpCode(ShardOp::kShardError), msg);
+}
 
 }  // namespace sknn
 

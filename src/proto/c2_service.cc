@@ -76,10 +76,9 @@ Result<Message> C2Service::Dispatch(const Message& request) {
       // The halving SBD of older C1s: the shifted step at t = 0.
       return HandleLsbBatch(request, 0);
     case Op::kLsbShiftVec: {
-      if (request.aux.size() != 4) {
-        return Status::ProtocolError("kLsbShiftVec: bad aux header");
-      }
-      const uint32_t t = request.AuxU32At(0);
+      FrameReader r(request.aux);
+      const uint32_t t = r.U32();
+      SKNN_RETURN_NOT_OK(r.Done("kLsbShiftVec: bad aux header"));
       if (t >= sk_.public_key().key_bits()) {
         return Status::ProtocolError("kLsbShiftVec: shift out of range");
       }
@@ -107,14 +106,9 @@ Result<Message> C2Service::Dispatch(const Message& request) {
     case Op::kFetchQueryOps: {
       // A remote C1 front end collecting this query's C2-side Paillier cost
       // (the in-process engine calls TakeQueryOps directly instead).
-      OpSnapshot ops = TakeQueryOps(request.query_id);
       Message resp;
       resp.type = OpCode(Op::kFetchQueryOps);
-      resp.AppendAuxU64(ops.encryptions);
-      resp.AppendAuxU64(ops.decryptions);
-      resp.AppendAuxU64(ops.exponentiations);
-      resp.AppendAuxU64(ops.multiplications);
-      resp.AppendAuxU64(ops.inversions);
+      FrameWriter(resp.aux).Ops(TakeQueryOps(request.query_id));
       return resp;
     }
     case Op::kFetchPoolStats: {
@@ -123,10 +117,11 @@ Result<Message> C2Service::Dispatch(const Message& request) {
       // no pool attached).
       Message resp;
       resp.type = OpCode(Op::kFetchPoolStats);
-      resp.AppendAuxU64(rand_pool_ != nullptr ? rand_pool_->hits() : 0);
-      resp.AppendAuxU64(rand_pool_ != nullptr ? rand_pool_->misses() : 0);
-      resp.AppendAuxU64(rand_pool_ != nullptr ? rand_pool_->stock() : 0);
-      resp.AppendAuxU64(rand_pool_ != nullptr ? rand_pool_->capacity() : 0);
+      FrameWriter(resp.aux)
+          .U64(rand_pool_ != nullptr ? rand_pool_->hits() : 0)
+          .U64(rand_pool_ != nullptr ? rand_pool_->misses() : 0)
+          .U64(rand_pool_ != nullptr ? rand_pool_->stock() : 0)
+          .U64(rand_pool_ != nullptr ? rand_pool_->capacity() : 0);
       return resp;
     }
     default:
@@ -280,10 +275,10 @@ Result<Message> C2Service::HandleSvrCheckBatch(const Message& req) {
   std::vector<BigInt> plain = sk_.DecryptMany(cts, intra_pool_.get());
   Message resp;
   resp.type = OpCode(Op::kSvrCheckBatch);
-  resp.aux.reserve(plain.size());
+  FrameWriter w(resp.aux);
   for (const BigInt& v : plain) {
     RecordView(Op::kSvrCheckBatch, v);
-    resp.aux.push_back(v.IsZero() ? 1 : 0);
+    w.U8(v.IsZero() ? 1 : 0);
   }
   return resp;
 }
@@ -301,11 +296,10 @@ Result<Message> C2Service::HandleSvrCheckBatch(const Message& req) {
 // for value what Encrypt would have produced, with identical op counts
 // (Rerandomize and Encrypt both cost/count one encryption).
 Result<Message> C2Service::HandleSminPhase2Batch(const Message& req) {
-  if (req.aux.size() != 8) {
-    return Status::ProtocolError("kSminPhase2Vec: bad aux header");
-  }
-  const std::size_t l = req.AuxU32At(0);
-  const std::size_t count = req.AuxU32At(4);
+  FrameReader r(req.aux);
+  const std::size_t l = r.U32();
+  const std::size_t count = r.U32();
+  SKNN_RETURN_NOT_OK(r.Done("kSminPhase2Vec: bad aux header"));
   // Divide rather than multiply: l * count comes from the peer and may
   // overflow, and a header that claims more than the ints present must be
   // refused before anything is sized from it.
@@ -387,10 +381,9 @@ Result<Message> C2Service::HandleMinPointerBatch(const Message& req) {
 
 // SkNN_b step 3: decrypt all distances, return the k smallest indices.
 Result<Message> C2Service::HandleTopKIndices(const Message& req) {
-  if (req.aux.size() != 4) {
-    return Status::ProtocolError("kTopKIndices: bad aux header");
-  }
-  uint32_t k = req.AuxU32At(0);
+  FrameReader r(req.aux);
+  const uint32_t k = r.U32();
+  SKNN_RETURN_NOT_OK(r.Done("kTopKIndices: bad aux header"));
   if (k == 0 || k > req.ints.size()) {
     return Status::ProtocolError("kTopKIndices: k out of range");
   }
@@ -407,7 +400,8 @@ Result<Message> C2Service::HandleTopKIndices(const Message& req) {
                     });
   Message resp;
   resp.type = OpCode(Op::kTopKIndices);
-  for (uint32_t j = 0; j < k; ++j) resp.AppendAuxU32(idx[j]);
+  FrameWriter w(resp.aux);
+  for (uint32_t j = 0; j < k; ++j) w.U32(idx[j]);
   return resp;
 }
 

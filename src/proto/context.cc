@@ -42,8 +42,7 @@ Result<Message> ProtoContext::Exchange(Message request) {
                         client_->Call(std::move(request), timeout));
   if (meter_ != nullptr) meter_->CountExchange(request_bytes, resp.WireSize());
   if (resp.type == OpCode(Op::kError)) {
-    return Status::ProtocolError(
-        "C2 error: " + std::string(resp.aux.begin(), resp.aux.end()));
+    return Status::ProtocolError("C2 error: " + RpcErrorText(resp));
   }
   if (want_ciphertexts) {
     for (const BigInt& c : resp.ints) {

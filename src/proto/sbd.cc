@@ -44,7 +44,7 @@ Result<std::vector<std::vector<Ciphertext>>> DecomposePass(
 
     // Step 2: C2 strips the 2^t and returns Epk(parity(y_t + r mod N)).
     std::vector<uint8_t> aux;
-    AppendU32(aux, t);
+    FrameWriter(aux).U32(t);
     SKNN_ASSIGN_OR_RETURN(
         std::vector<BigInt> parities,
         ctx.CallBatch(Op::kLsbShiftVec, std::move(request),
@@ -145,13 +145,15 @@ Result<std::vector<std::vector<Ciphertext>>> BitDecomposeBatch(
     });
     SKNN_ASSIGN_OR_RETURN(Message resp,
                           ctx.Call(Op::kSvrCheckBatch, std::move(check)));
-    if (resp.aux.size() != todo.size()) {
-      return Status::ProtocolError("SBD: bad SVR response size");
-    }
+    // One flag byte per instance: 1 = the decomposition checked out.
+    FrameReader r(resp.aux);
+    std::vector<uint8_t> verified(todo.size());
+    for (uint8_t& flag : verified) flag = r.U8();
+    SKNN_RETURN_NOT_OK(r.Done("SBD: bad SVR response size"));
 
     std::vector<std::size_t> failed;
     for (std::size_t j = 0; j < todo.size(); ++j) {
-      if (resp.aux[j] == 1) {
+      if (verified[j] == 1) {
         result[todo[j]] = std::move(passed[j]);
       } else {
         failed.push_back(todo[j]);

@@ -114,8 +114,8 @@ Result<std::vector<EncryptedBits>> SecureMinBatch(
 
   // -- Round trip 2: C2 derives alpha per block, returns M' and Epk(alpha).
   std::vector<uint8_t> aux;
-  AppendU32(aux, static_cast<uint32_t>(l));
-  AppendU32(aux, static_cast<uint32_t>(count));
+  FrameWriter(aux).U32(static_cast<uint32_t>(l)).U32(
+      static_cast<uint32_t>(count));
   SKNN_ASSIGN_OR_RETURN(
       std::vector<BigInt> response,
       ctx.CallBatch(Op::kSminPhase2Vec, std::move(request),

@@ -284,8 +284,7 @@ Result<Message> RemoteQueryClient::Call(const Message& request,
     if (reply->type == OpCode(Op::kError)) {
       // Transport-level error frame (handler crash path of the RPC server).
       return Status::ProtocolError("front end error: " +
-                                   std::string(reply->aux.begin(),
-                                               reply->aux.end()));
+                                   RpcErrorText(*reply));
     }
     return reply;
   }

@@ -91,7 +91,7 @@ TEST_F(RobustnessTest, LsbShiftRejectsHostileFrames) {
   auto enc = [&](int64_t v) { return pk.Encrypt(BigInt(v), rng_).value(); };
   auto aux_for = [](uint32_t t) {
     std::vector<uint8_t> aux;
-    AppendU32(aux, t);
+    FrameWriter(aux).U32(t);
     return aux;
   };
   ExpectRefusedByC2(Op::kLsbShiftVec, {enc(3)}, {1, 0, 0, 0, 0, 0, 0, 0});

@@ -137,7 +137,7 @@ TEST_F(SbdTest, LsbFramesAnswerTheUnshiftedParity) {
       request.push_back(pk.Encrypt(v.MulMod(shift, n), rng_).value());
     }
     std::vector<uint8_t> aux;
-    if (f.op == Op::kLsbShiftVec) AppendU32(aux, f.t);
+    if (f.op == Op::kLsbShiftVec) FrameWriter(aux).U32(f.t);
     auto resp = harness_.ctx().Call(f.op, request, aux);
     ASSERT_TRUE(resp.ok()) << resp.status();
     ASSERT_EQ(resp->ints.size(), plain.size());

@@ -3,18 +3,30 @@
 // of the Alice -> C1 / Alice -> C2 outsourcing hand-off.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <iostream>
+#include <map>
+#include <random>
 #include <set>
 
 #include "bigint/random.h"
+#include "common/mutex.h"
 #include "core/db_io.h"
 #include "core/data_owner.h"
+#include "core/sknn_b.h"
 #include "crypto/serialization.h"
 #include "data/synthetic.h"
 #include "net/query_wire.h"
+#include "net/rpc.h"
 #include "net/shard_wire.h"
+#include "proto/c2_service.h"
+#include "proto/context.h"
+#include "proto/sbd.h"
+#include "proto/sm.h"
+#include "proto/smin.h"
 
 namespace sknn {
 namespace {
@@ -399,6 +411,641 @@ TEST(ShardWire, CandidatesCarryEveryOpCounter) {
   EXPECT_EQ(decoded->ops.exponentiations, 13u);
   EXPECT_EQ(decoded->ops.multiplications, 14u);
   EXPECT_EQ(decoded->ops.inversions, 15u);
+}
+
+
+// --- Golden bytes ------------------------------------------------------------
+// One fixed instance of every front-end frame, every shard frame and every
+// C1<->C2 aux payload, pinned as hex. The layouts are a compatibility
+// contract (docs/API.md, proto/opcodes.h): a codec change that moves any byte
+// fails here. On a mismatch the test prints the current encoding.
+
+const std::map<std::string, std::string> kGoldenFrames = {
+    {"kQuery.clustered",
+         "010100000000000000000000000000000000000000003a000000020000000100"
+         "000006000000030000000500000000000000fdffffffffffffff070000000000"
+         "0000020000007431fa0000000100000003000000"},
+    {"kQuery.exact_deadline",
+         "0101000000000000000000000000000000000000000035000000030000000000"
+         "0000030000000300000001000000000000000000000000010000ffffffffffff"
+         "ffff050000006865617274e8030000"},
+    {"kQuery.exact",
+         "010100000000000000000000000000000000000000001c000000010000000200"
+         "00000100000001000000040000000000000000000000"},
+    {"kQueryResult",
+         "0201000000000000000000000000000000000000000098010000020000000300"
+         "00000100000000000000feffffffffffffff0300000000000000040000000000"
+         "00000500000000000000faffffffffffffff000000000000d03f000000000000"
+         "f83f220000000000000028230000000000002100000000000000401f00000000"
+         "00000a0000000000000014000000000000001e00000000000000280000000000"
+         "0000000000000000e03f000000000000d03f0000000000000040000000000000"
+         "c03f000000000000b03f000000000000f03f000000000000e83f020000000000"
+         "00000200000001000000010000000000000004000000000000000000e03f0100"
+         "0000000000000200000000000000030000000000000004000000000000000500"
+         "0000000000000600000000000000070000000000000008000000000000000100"
+         "0000000000000000000000000000010000000300000000000000000000000000"
+         "0000000000000000000000000000000000000000000000000000000000000000"
+         "0000000000000000000000000000000000000000000000000000000000000100"
+         "0000020000000300000001020301000000ff"},
+    {"kQueryError",
+         "0301000000000000000000000000000000000000000012000000090000006164"
+         "6d697373696f6e2066756c6c"},
+    {"kHello",
+         "100100000000000000000000000000000000000000000c00000006000000ff03"
+         "000000000000"},
+    {"kHelloAck",
+         "110100000000000000000000000000000000000000000c00000006000000ff03"
+         "000003000000"},
+    {"kListTables",
+         "1201000000000000000000000000000000000000000000000000"},
+    {"kTableList",
+         "1301000000000000000000000000000000000000000012000000020000000500"
+         "0000616c7068610100000062"},
+    {"kTableInfo",
+         "1401000000000000000000000000000000000000000007000000030000007462"
+         "6c"},
+    {"kTableInfoResult",
+         "150100000000000000000000000000000000000000002f000000030000007462"
+         "6c64000000000000000600000008000000640000001300000002000000010000"
+         "000100000008000000"},
+    {"kServiceStats",
+         "1601000000000000000000000000000000000000000000000000"},
+    {"kServiceStatsResult",
+         "1701000000000000000000000000000000000000000090010000000000000000"
+         "2940070000000000000002000000000000000200000001000000610b00000000"
+         "0000000100000000000000000000000000000000000000000000002800000000"
+         "0000000000000000000000000000000000000000000000000000000000000000"
+         "0000000000000000000000000000000000000040000000000000000300000005"
+         "0000000900000000000000000000000000000000000000000000000000000000"
+         "00000000100000000000000b0000006c6f6e6765722d6e616d65000000000000"
+         "0000000000000000000004000000000000000000000000000000000000000000"
+         "0000000000000000000000000000000000000000000000000000000000000000"
+         "0000000000000000000000000000000000000000000000000000010000000000"
+         "0000000000000000000000000000000000000000000000000000000000000000"
+         "0000000000000000000001000000010000000800000074656e616e742d310500"
+         "000000000000010000000000000002000000000000000a000000000000000300"
+         "00000000000002000000"},
+    {"kHealth",
+         "1801000000000000000000000000000000000000000000000000"},
+    {"kHealthResult",
+         "1901000000000000000000000000000000000000000063000000020000000a00"
+         "00007265706c6963617465640200000000000000000000000100000000000000"
+         "0000000000000000000000000000f0bf01000000010000000000000003000000"
+         "02000000000000000000000000001240050000006c6f63616c00000000"},
+    {"kReloadTable",
+         "1a0100000000000000000000000000000000000000001d000000030000007462"
+         "6c1200000064623d2f782e62696e2c7368617264733d32"},
+    {"kDetachTable",
+         "1b01000000000000000000000000000000000000000007000000030000007462"
+         "6c"},
+    {"kAdminAck",
+         "1c01000000000000000000000000000000000000000007000000030000007462"
+         "6c"},
+    {"kTableChanged",
+         "1d0100000000000000000000000000000000000000000b000000030000007462"
+         "6c01000000"},
+    {"kAuthenticate",
+         "1e0100000000000000000000000000000000000000000e0000000a0000007365"
+         "637265742d6b6579"},
+    {"kAuthAck",
+         "1f0100000000000000000000000000000000000000000c000000080000007465"
+         "6e616e742d31"},
+    {"kShardPing",
+         "0102000000000000000000000000000000000000000000000000"},
+    {"kShardPing.geometry",
+         "010200000000000000000000000000000000000000001c000000010000000100"
+         "00000400000064000000060000001400000019000000"},
+    {"kShardQuery",
+         "0202000000000000000088776655443322110200000001000000070200000001"
+         "2c0c0000000200000001000000f4010000"},
+    {"kShardCandidates.secure",
+         "0302000000000000000000000000000000000600000001000000010100000002"
+         "0100000003010000000401000000050100000006600000000200000002000000"
+         "0100000000000000000000000000e03f06000000000000005802000000000000"
+         "0500000000000000f4010000000000000b000000000000000c00000000000000"
+         "0d000000000000000e000000000000000f00000000000000"},
+    {"kShardCandidates.basic",
+         "0302000000000000000000000000000000000600000001000000050100000008"
+         "010000000601000000090100000009010000000a680000000200000000000000"
+         "0200000001000000030000000b00000000000000000000000000000000000000"
+         "0000000000000000000000000000000000000000000000000100000000000000"
+         "0200000000000000030000000000000004000000000000000500000000000000"},
+    {"kShardError",
+         "040200000000000000000000000000000000000000000b0000000b000000736c"
+         "6f77204332"},
+};
+const char* const kGoldenC1C2Transcript =
+    "16:00000000/ 16:01000000/ 16:02000000/ 4:/0101 15:/ 12:030000000"
+    "2000000/ 7:02000000/0100000002000000 15:/ 13:/020000000000000002"
+    "00000000000000000000000000000000000000000000000000000000000000 1"
+    "4:/0000000000000000000000000000000000000000000000000000000000000"
+    "000 ";
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
+  return out;
+}
+
+std::vector<std::pair<std::string, Message>> GoldenFrames() {
+  std::vector<std::pair<std::string, Message>> frames;
+  auto add = [&frames](const char* name, Message msg) {
+    frames.emplace_back(name, std::move(msg));
+  };
+
+  QueryRequest clustered;
+  clustered.record = {5, -3, 7};
+  clustered.k = 2;
+  clustered.protocol = QueryProtocol::kSecure;
+  clustered.want_breakdown = false;
+  clustered.no_cache = true;
+  clustered.table = "t1";
+  clustered.deadline_ms = 250;
+  clustered.index_mode = IndexMode::kClustered;
+  clustered.probe_clusters = 3;
+  add("kQuery.clustered", EncodeQueryRequest(clustered));
+  QueryRequest exact;
+  exact.record = {1, int64_t{1} << 40, -1};
+  exact.k = 3;
+  exact.protocol = QueryProtocol::kBasic;
+  exact.table = "heart";
+  exact.deadline_ms = 1000;
+  add("kQuery.exact_deadline", EncodeQueryRequest(exact));
+  QueryRequest bare;
+  bare.record = {4};
+  bare.protocol = QueryProtocol::kFarthest;
+  bare.want_op_counts = false;
+  add("kQuery.exact", EncodeQueryRequest(bare));
+
+  QueryResponse response;
+  response.records = {{1, -2, 3}, {4, 5, -6}};
+  response.bob_seconds = 0.25;
+  response.cloud_seconds = 1.5;
+  response.traffic = {34, 9000, 33, 8000};
+  response.ops = {10, 20, 30, 40, 50};
+  response.breakdown = {0.5, 0.25, 2.0, 0.125, 0.0625, 1.0};
+  response.merge_seconds = 0.75;
+  response.shards.resize(2);
+  response.shards[0].shard = 0;
+  response.shards[0].candidates = 2;
+  response.shards[0].replica = 1;
+  response.shards[0].failovers = 1;
+  response.shards[0].shard_records = 4;
+  response.shards[0].seconds = 0.5;
+  response.shards[0].traffic = {1, 2, 3, 4};
+  response.shards[0].ops = {5, 6, 7, 8, 9};
+  response.shards[1].shard = 1;
+  response.shards[1].pruned = 1;
+  response.shards[1].shard_records = 3;
+  response.cache_hit = true;
+  response.encrypted_records = {{0x01, 0x02, 0x03}, {0xFF}};
+  add("kQueryResult", EncodeQueryResponse(response));
+  add("kQueryError",
+      EncodeQueryError(Status::ResourceExhausted("admission full")));
+
+  add("kHello", EncodeHello(HelloInfo{6, 0x3FF, 0}));
+  add("kHelloAck", EncodeHelloAck(HelloInfo{6, 0x3FF, 3}));
+  add("kListTables", EncodeListTablesRequest());
+  add("kTableList", EncodeTableList({"alpha", "b"}));
+  add("kTableInfo", EncodeTableInfoRequest("tbl"));
+  TableInfoReply info;
+  info.name = "tbl";
+  info.num_records = 100;
+  info.num_attributes = 6;
+  info.attr_bits = 8;
+  info.k_max = 100;
+  info.distance_bits = 19;
+  info.num_shards = 2;
+  info.shard_scheme = 1;
+  info.remote_workers = true;
+  info.num_clusters = 8;
+  add("kTableInfoResult", EncodeTableInfoReply(info));
+  add("kServiceStats", EncodeServiceStatsRequest());
+  ServiceStatsReply stats;
+  stats.uptime_seconds = 12.5;
+  stats.connections_accepted = 7;
+  stats.in_flight = 2;
+  stats.tables.resize(2);
+  stats.tables[0].name = "a";
+  stats.tables[0].completed = 11;
+  stats.tables[0].failed = 1;
+  stats.tables[0].c1_pool_hits = 40;
+  stats.tables[0].c2_pool_capacity = 64;
+  stats.tables[0].weight = 3;
+  stats.tables[0].share_limit = 5;
+  stats.tables[0].cache_hits = 9;
+  stats.tables[0].cache_bytes = 4096;
+  stats.tables[1].name = "longer-name";
+  stats.tables[1].rejected = 4;
+  stats.auth_enabled = true;
+  stats.keys.resize(1);
+  stats.keys[0].id = "tenant-1";
+  stats.keys[0].completed = 5;
+  stats.keys[0].denied = 1;
+  stats.keys[0].quota_rejected = 2;
+  stats.keys[0].quota = 10;
+  stats.keys[0].remaining = 3;
+  stats.keys[0].weight = 2;
+  add("kServiceStatsResult", EncodeServiceStatsReply(stats));
+  add("kHealth", EncodeHealthRequest());
+  HealthReply health;
+  health.tables.resize(2);
+  health.tables[0].name = "replicated";
+  health.tables[0].replicas.resize(2);
+  health.tables[0].replicas[1].shard = 1;
+  health.tables[0].replicas[1].replica = 1;
+  health.tables[0].replicas[1].healthy = false;
+  health.tables[0].replicas[1].consecutive_failures = 3;
+  health.tables[0].replicas[1].failovers = 2;
+  health.tables[0].replicas[1].last_ok_age_seconds = 4.5;
+  health.tables[1].name = "local";
+  add("kHealthResult", EncodeHealthReply(health));
+  add("kReloadTable", EncodeReloadTableRequest({"tbl", "db=/x.bin,shards=2"}));
+  add("kDetachTable", EncodeDetachTableRequest("tbl"));
+  add("kAdminAck", EncodeAdminAck("tbl"));
+  add("kTableChanged", EncodeTableChanged({"tbl", TableChangeKind::kDetached}));
+  add("kAuthenticate", EncodeAuthenticateRequest("secret-key"));
+  add("kAuthAck", EncodeAuthAck("tenant-1"));
+
+  add("kShardPing", EncodeShardPing());
+  ShardGeometry geometry;
+  geometry.shard = 1;
+  geometry.manifest.scheme = ShardScheme::kRoundRobin;
+  geometry.manifest.num_shards = 4;
+  geometry.manifest.total_records = 100;
+  geometry.num_attributes = 6;
+  geometry.distance_bits = 20;
+  geometry.shard_records = 25;
+  add("kShardPing.geometry", EncodeShardGeometry(geometry));
+  ShardQueryFrame query;
+  query.query_id = 0x1122334455667788u;
+  query.k = 2;
+  query.protocol = QueryProtocol::kSecure;
+  query.deadline_ms = 500;
+  query.enc_query = {Ciphertext(BigInt(7)), Ciphertext(BigInt(300))};
+  add("kShardQuery", EncodeShardQuery(query));
+  ShardCandidatesFrame secure;
+  secure.candidates.bits = {{Ciphertext(BigInt(1)), Ciphertext(BigInt(2))},
+                            {Ciphertext(BigInt(3)), Ciphertext(BigInt(4))}};
+  secure.candidates.records = {{Ciphertext(BigInt(5))},
+                               {Ciphertext(BigInt(6))}};
+  secure.seconds = 0.5;
+  secure.traffic = {6, 600, 5, 500};
+  secure.ops = {11, 12, 13, 14, 15};
+  add("kShardCandidates.secure", EncodeShardCandidates(secure));
+  ShardCandidatesFrame basic;
+  basic.candidates.records = {{Ciphertext(BigInt(5)), Ciphertext(BigInt(8))},
+                              {Ciphertext(BigInt(6)), Ciphertext(BigInt(9))}};
+  basic.candidates.distances = {Ciphertext(BigInt(9)),
+                                Ciphertext(BigInt(10))};
+  basic.candidates.global_indices = {3, 11};
+  basic.ops = {1, 2, 3, 4, 5};
+  add("kShardCandidates.basic", EncodeShardCandidates(basic));
+  add("kShardError", EncodeShardError(Status::DeadlineExceeded("slow C2")));
+  return frames;
+}
+
+// Splits `hex` into 64-digit C++ string literals, for pasting.
+std::string AsLiterals(const std::string& hex) {
+  std::string out;
+  for (std::size_t at = 0; at < hex.size(); at += 64) {
+    out += "\n         \"" + hex.substr(at, 64) + "\"";
+  }
+  return hex.empty() ? " \"\"" : out;
+}
+
+TEST(GoldenBytes, EveryFrontEndAndShardFrame) {
+  const std::map<std::string, std::string>& golden = kGoldenFrames;
+  std::string current;
+  for (const auto& [name, msg] : GoldenFrames()) {
+    const std::string hex = Hex(WireCodec::Encode(msg));
+    auto it = golden.find(name);
+    EXPECT_TRUE(it != golden.end() && it->second == hex)
+        << name << " encodes as " << hex;
+    current += "    {\"" + name + "\"," + AsLiterals(hex) + "},\n";
+  }
+  EXPECT_EQ(golden.size(), GoldenFrames().size());
+  if (HasFailure()) std::cout << "current encodings:\n" << current;
+}
+
+TEST(GoldenBytes, EveryC1C2AuxPayload) {
+  Random rng(91);
+  auto keys = GeneratePaillierKeyPair(256, rng);
+  ASSERT_TRUE(keys.ok()) << keys.status();
+  const PaillierPublicKey pk = keys->pk;
+  C2Service c2(std::move(keys->sk));
+  // Records "<opcode>:<request aux>/<response aux>" for every exchange.
+  Mutex mu;
+  std::string transcript;
+  Channel::EndpointPair link = Channel::CreatePair();
+  RpcServer server(std::move(link.b),
+                   [&](const Message& req) -> Result<Message> {
+                     Result<Message> resp = c2.Handle(req);
+                     MutexLock lock(&mu);
+                     transcript += std::to_string(req.type) + ":" +
+                                   Hex(req.aux) + "/" +
+                                   (resp.ok() ? Hex(resp->aux) : "error") +
+                                   " ";
+                     return resp;
+                   });
+  RpcClient client(std::move(link.a));
+  ProtoContext ctx(&pk, &client);
+  auto enc = [&](int64_t v) { return pk.Encrypt(BigInt(v), rng); };
+  auto bits3 = [&](int v) {
+    return EncryptedBits{enc((v >> 2) & 1), enc((v >> 1) & 1), enc(v & 1)};
+  };
+  // SBD: kLsbShiftVec carries the bit round t; kSvrCheckBatch answers one
+  // flag byte per instance.
+  SbdOptions sbd;
+  sbd.l = 3;
+  ASSERT_TRUE(BitDecomposeBatch(ctx, {enc(5), enc(2)}, sbd).ok());
+  // SMIN: kSminPhase2Vec carries l and the block count.
+  ASSERT_TRUE(SecureMinBatch(ctx, {bits3(3), bits3(6)}, {bits3(5), bits3(1)})
+                  .ok());
+  // SkNN_b: kTopKIndices carries k and answers k indices.
+  auto top = SecureTopKIndices(ctx, {enc(9), enc(5), enc(7)}, 2);
+  ASSERT_TRUE(top.ok()) << top.status();
+  // The meta fetches: one query's C2 op ledger, and the pool counters.
+  ProtoContext tagged(&pk, &client, nullptr, /*query_id=*/77);
+  ASSERT_TRUE(SecureSquareBatch(tagged, {enc(3), enc(4)}).ok());
+  ASSERT_TRUE(tagged.Call(Op::kFetchQueryOps, {}).ok());
+  ASSERT_TRUE(ctx.Call(Op::kFetchPoolStats, {}).ok());
+  MutexLock lock(&mu);
+  EXPECT_EQ(transcript, kGoldenC1C2Transcript)
+      << "current transcript:" << AsLiterals(transcript);
+}
+
+
+TEST(StatusFrames, BothOpcodesCarryEveryDefinedCode) {
+  // kQueryError and kShardError share one codec: every defined non-OK code
+  // crosses either opcode intact, the last one included.
+  ASSERT_EQ(kLastStatusCode, StatusCode::kPermissionDenied);
+  for (uint32_t code = 1; code <= static_cast<uint32_t>(kLastStatusCode);
+       ++code) {
+    const Status status(static_cast<StatusCode>(code), "why");
+    Status via_query = DecodeQueryError(EncodeQueryError(status));
+    EXPECT_EQ(via_query.code(), status.code());
+    EXPECT_EQ(via_query.message(), "why");
+    EXPECT_EQ(DecodeShardError(EncodeShardError(status)).code(),
+              status.code());
+  }
+  // OK and any code past the last are refused as malformed.
+  for (uint32_t bad :
+       {0u, static_cast<uint32_t>(kLastStatusCode) + 1, 0xFFFFFFFFu}) {
+    for (uint16_t type : {FrontendOpCode(FrontendOp::kQueryError),
+                          ShardOpCode(ShardOp::kShardError)}) {
+      Message msg;
+      msg.type = type;
+      FrameWriter(msg.aux).U32(bad).Text("x");
+      Status decoded = DecodeStatusFrame(type, msg);
+      EXPECT_EQ(decoded.code(), StatusCode::kProtocolError);
+      EXPECT_NE(decoded.message().find("unknown status code"),
+                std::string::npos)
+          << decoded;
+    }
+  }
+}
+
+// --- Seeded mutation loop ----------------------------------------------------
+// Every decoder gets a few hundred mutants of its golden sample: bit flips,
+// u32 words set to 0, 1, 2^31 and 0xFFFFFFFF, truncations and appended
+// bytes. Each decode must return a value or kProtocolError — never another
+// code, and never a crash or an out-of-bounds read (the sanitizer CI leg
+// runs this binary). An accepted mutant must round-trip: its value, encoded
+// and decoded again, encodes to the same bytes.
+
+constexpr int kMutantsPerFrame = 300;
+
+// Applies one or two random mutations to `bytes`.
+void Mutate(std::vector<uint8_t>& bytes, std::mt19937& rng) {
+  static constexpr uint32_t kWords[] = {0, 1, 0x80000000u, 0xFFFFFFFFu};
+  const int rounds = 1 + static_cast<int>(rng() % 2);
+  for (int i = 0; i < rounds; ++i) {
+    switch (rng() % 4) {
+      case 0:
+        if (!bytes.empty()) bytes[rng() % bytes.size()] ^= 1u << (rng() % 8);
+        break;
+      case 1:
+        if (bytes.size() >= 4) {
+          const std::size_t at = rng() % (bytes.size() - 3);
+          const uint32_t word = kWords[rng() % 4];
+          for (int b = 0; b < 4; ++b) {
+            bytes[at + b] = static_cast<uint8_t>(word >> (8 * b));
+          }
+        }
+        break;
+      case 2:
+        bytes.resize(bytes.empty() ? 0 : rng() % bytes.size());
+        break;
+      default:
+        for (int n = 1 + static_cast<int>(rng() % 8); n > 0; --n) {
+          bytes.push_back(static_cast<uint8_t>(rng()));
+        }
+    }
+  }
+}
+
+// Decodes a frame and re-encodes the value it carried.
+using RoundTrip = std::function<Result<Message>(const Message&)>;
+
+template <typename T>
+RoundTrip Via(Result<T> (*decode)(const Message&),
+              Message (*encode)(const T&)) {
+  return [decode, encode](const Message& msg) -> Result<Message> {
+    SKNN_ASSIGN_OR_RETURN(T value, decode(msg));
+    return encode(value);
+  };
+}
+
+// A status frame always decodes to a Status; malformed ones to a
+// ProtocolError, which re-encodes like any other.
+RoundTrip ViaStatus(uint16_t type) {
+  return [type](const Message& msg) -> Result<Message> {
+    return EncodeStatusFrame(type, DecodeStatusFrame(type, msg));
+  };
+}
+
+// Every golden frame that has a decoder (payload-free requests have none).
+std::map<std::string, RoundTrip> FrameDecoders() {
+  return {
+      {"kQuery.clustered", Via(DecodeQueryRequest, EncodeQueryRequest)},
+      {"kQuery.exact_deadline", Via(DecodeQueryRequest, EncodeQueryRequest)},
+      {"kQuery.exact", Via(DecodeQueryRequest, EncodeQueryRequest)},
+      {"kQueryResult", Via(DecodeQueryResponse, EncodeQueryResponse)},
+      {"kQueryError", ViaStatus(FrontendOpCode(FrontendOp::kQueryError))},
+      {"kHello", Via(DecodeHello, EncodeHello)},
+      {"kHelloAck", Via(DecodeHelloAck, EncodeHelloAck)},
+      {"kTableList", Via(DecodeTableList, EncodeTableList)},
+      {"kTableInfo", Via(DecodeTableInfoRequest, EncodeTableInfoRequest)},
+      {"kTableInfoResult", Via(DecodeTableInfoReply, EncodeTableInfoReply)},
+      {"kServiceStatsResult",
+       Via(DecodeServiceStatsReply, EncodeServiceStatsReply)},
+      {"kHealthResult", Via(DecodeHealthReply, EncodeHealthReply)},
+      {"kReloadTable",
+       Via(DecodeReloadTableRequest, EncodeReloadTableRequest)},
+      {"kDetachTable",
+       Via(DecodeDetachTableRequest, EncodeDetachTableRequest)},
+      {"kAdminAck", Via(DecodeAdminAck, EncodeAdminAck)},
+      {"kTableChanged", Via(DecodeTableChanged, EncodeTableChanged)},
+      {"kAuthenticate",
+       Via(DecodeAuthenticateRequest, EncodeAuthenticateRequest)},
+      {"kAuthAck", Via(DecodeAuthAck, EncodeAuthAck)},
+      {"kShardPing.geometry", Via(DecodeShardGeometry, EncodeShardGeometry)},
+      {"kShardQuery", Via(DecodeShardQuery, EncodeShardQuery)},
+      {"kShardCandidates.secure",
+       Via(DecodeShardCandidates, EncodeShardCandidates)},
+      {"kShardCandidates.basic",
+       Via(DecodeShardCandidates, EncodeShardCandidates)},
+      {"kShardError", ViaStatus(ShardOpCode(ShardOp::kShardError))},
+  };
+}
+
+// True when `round_trip` accepted `msg`; fails the test on any other code
+// or on an accepted frame that does not round-trip.
+bool CheckDecode(const RoundTrip& round_trip, const Message& msg,
+                 const std::string& name) {
+  Result<Message> first = round_trip(msg);
+  if (!first.ok()) {
+    EXPECT_EQ(first.status().code(), StatusCode::kProtocolError)
+        << name << ": " << first.status();
+    return false;
+  }
+  Result<Message> second = round_trip(*first);
+  EXPECT_TRUE(second.ok() &&
+              WireCodec::Encode(*second) == WireCodec::Encode(*first))
+      << name << " accepted a mutant that does not round-trip";
+  return true;
+}
+
+TEST(FrameMutation, EveryFrameDecoderReturnsAValueOrProtocolError) {
+  const std::map<std::string, RoundTrip> decoders = FrameDecoders();
+  std::mt19937 rng(20261018);
+  std::size_t covered = 0;
+  for (const auto& [name, sample] : GoldenFrames()) {
+    auto it = decoders.find(name);
+    if (it == decoders.end()) continue;
+    ++covered;
+    ASSERT_TRUE(CheckDecode(it->second, sample, name)) << name;
+    const std::vector<uint8_t> whole = WireCodec::Encode(sample);
+    int accepted = 0;
+    for (int i = 0; i < kMutantsPerFrame; ++i) {
+      // The payload alone...
+      Message mutant = sample;
+      Mutate(mutant.aux, rng);
+      accepted += CheckDecode(it->second, mutant, name) ? 1 : 0;
+      // ...and the whole message, header and ints included.
+      std::vector<uint8_t> bytes = whole;
+      Mutate(bytes, rng);
+      Result<Message> decoded = WireCodec::Decode(bytes);
+      if (!decoded.ok()) {
+        EXPECT_EQ(decoded.status().code(), StatusCode::kProtocolError);
+        continue;
+      }
+      const std::vector<uint8_t> canonical = WireCodec::Encode(*decoded);
+      Result<Message> again = WireCodec::Decode(canonical);
+      EXPECT_TRUE(again.ok() && WireCodec::Encode(*again) == canonical)
+          << name << ": WireCodec accepted a message that does not "
+          << "round-trip";
+      CheckDecode(it->second, *decoded, name);
+    }
+    // Some mutants (a flipped counter bit, a longer text) stay valid.
+    EXPECT_GT(accepted, 0) << name;
+  }
+  EXPECT_EQ(covered, decoders.size());
+}
+
+// The C1<->C2 aux payloads: C2's request decoders, fed through
+// C2Service::Handle, and C1's reply decoders, fed by a C2 that mutates the
+// aux of the reply it is armed for.
+TEST(FrameMutation, EveryC1C2AuxDecoderReturnsAValueOrProtocolError) {
+  Random key_rng(92);
+  auto keys = GeneratePaillierKeyPair(256, key_rng);
+  ASSERT_TRUE(keys.ok()) << keys.status();
+  const PaillierPublicKey pk = keys->pk;
+  C2Service c2(std::move(keys->sk));
+  auto enc = [&](int64_t v) { return pk.Encrypt(BigInt(v), key_rng).value(); };
+  std::mt19937 rng(20261019);
+
+  auto request = [](Op op, std::vector<BigInt> ints,
+                    std::initializer_list<uint32_t> words) {
+    Message msg;
+    msg.type = OpCode(op);
+    msg.ints = std::move(ints);
+    FrameWriter w(msg.aux);
+    for (uint32_t word : words) w.U32(word);
+    return msg;
+  };
+  const std::vector<Message> c2_samples = {
+      request(Op::kLsbShiftVec, {enc(14)}, {1}),
+      request(Op::kSminPhase2Vec, {enc(1), enc(5)}, {1, 1}),
+      request(Op::kTopKIndices, {enc(9), enc(5), enc(7)}, {2}),
+  };
+  for (const Message& sample : c2_samples) {
+    ASSERT_TRUE(c2.Handle(sample).ok()) << "opcode " << sample.type;
+    for (int i = 0; i < kMutantsPerFrame; ++i) {
+      Message mutant = sample;
+      Mutate(mutant.aux, rng);
+      Result<Message> resp = c2.Handle(mutant);
+      if (!resp.ok()) {
+        EXPECT_EQ(resp.status().code(), StatusCode::kProtocolError)
+            << "opcode " << sample.type << ": " << resp.status();
+      }
+    }
+  }
+
+  // C1's side. The handler runs on the server's thread; `armed` is set
+  // before each call and cleared by the one reply it mutates.
+  std::atomic<uint16_t> armed{0};
+  std::mt19937 reply_rng(20261020);
+  Channel::EndpointPair link = Channel::CreatePair();
+  RpcServer server(std::move(link.b),
+                   [&](const Message& req) -> Result<Message> {
+                     Result<Message> resp = c2.Handle(req);
+                     uint16_t want = req.type;
+                     if (resp.ok() &&
+                         armed.compare_exchange_strong(want, 0)) {
+                       Mutate(resp->aux, reply_rng);
+                     }
+                     return resp;
+                   });
+  RpcClient client(std::move(link.a));
+  ProtoContext ctx(&pk, &client);
+  const std::vector<Ciphertext> dists = {Ciphertext(enc(9)),
+                                         Ciphertext(enc(5)),
+                                         Ciphertext(enc(7))};
+  for (int i = 0; i < kMutantsPerFrame; ++i) {
+    armed = OpCode(Op::kTopKIndices);
+    auto top = SecureTopKIndices(ctx, dists, 2);
+    if (top.ok()) {
+      for (uint32_t idx : *top) EXPECT_LT(idx, dists.size());
+    } else {
+      EXPECT_EQ(top.status().code(), StatusCode::kProtocolError)
+          << top.status();
+    }
+  }
+  // SBD's SVR flags: a mutated flag either fails the frame or sends the
+  // instance round again; what SBD returns must still be the right bits.
+  SbdOptions sbd;
+  sbd.l = 3;
+  const std::vector<Ciphertext> five = {Ciphertext(enc(5))};
+  for (int i = 0; i < kMutantsPerFrame; ++i) {
+    armed = OpCode(Op::kSvrCheckBatch);
+    auto bits = BitDecomposeBatch(ctx, five, sbd);
+    if (!bits.ok()) {
+      EXPECT_EQ(bits.status().code(), StatusCode::kProtocolError)
+          << bits.status();
+      continue;
+    }
+    const std::vector<Ciphertext>& b = (*bits)[0];
+    ASSERT_EQ(b.size(), 3u);
+    EXPECT_EQ(c2.secret_key().Decrypt(b[0]), BigInt(1));
+    EXPECT_EQ(c2.secret_key().Decrypt(b[1]), BigInt(0));
+    EXPECT_EQ(c2.secret_key().Decrypt(b[2]), BigInt(1));
+  }
 }
 
 }  // namespace

@@ -42,6 +42,7 @@
 #include "core/data_owner.h"
 #include "core/db_io.h"
 #include "core/engine.h"
+#include "core/shard_coordinator.h"
 #include "core/shard_worker.h"
 #include "core/sharding.h"
 #include "data/synthetic.h"
@@ -535,6 +536,49 @@ TEST(ShardedQueryRemote, MisassembledWorkerSetsAreRejected) {
   auto incomplete = short_set.MakeEngine();
   ASSERT_FALSE(incomplete.ok());
   EXPECT_EQ(incomplete.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A worker's ping reply is a peer's claim. A 28-byte geometry claiming
+// 0xFFFFFFFF shards once made the coordinator size its replica groups from
+// it (~137 GB) before any coverage check; a shard index past num_shards is
+// refused as well.
+TEST(ShardedQueryRemote, HostileWorkerGeometryIsRefusedBeforeAllocating) {
+  struct Case {
+    uint32_t shard;
+    uint32_t num_shards;
+    uint32_t total_records;
+    StatusCode want;
+  };
+  for (const Case& c : {
+           // Decodes (a manifest MakeShardManifest could build); the
+           // coordinator refuses more shards than it has worker links.
+           Case{0, 0xFFFFFFFFu, 0xFFFFFFFFu, StatusCode::kInvalidArgument},
+           // The decoder refuses num_shards > total_records...
+           Case{0, 0xFFFFFFFFu, 100, StatusCode::kProtocolError},
+           // ...and a shard index outside the manifest.
+           Case{5, 2, 100, StatusCode::kProtocolError},
+       }) {
+    ShardGeometry geometry;
+    geometry.shard = c.shard;
+    geometry.manifest.num_shards = c.num_shards;
+    geometry.manifest.total_records = c.total_records;
+    geometry.num_attributes = 2;
+    geometry.distance_bits = 8;
+    geometry.shard_records = 1;
+    Channel::EndpointPair link = Channel::CreatePair();
+    RpcServer worker(std::move(link.b),
+                     [&geometry](const Message&) -> Result<Message> {
+                       return EncodeShardGeometry(geometry);
+                     });
+    std::vector<std::unique_ptr<Endpoint>> links;
+    links.push_back(std::move(link.a));
+    auto coordinator = ShardCoordinator::Create(
+        SharedAlice().public_key(), std::move(links),
+        ShardCoordinator::Options{});
+    ASSERT_FALSE(coordinator.ok()) << "shard " << c.shard << " of "
+                                   << c.num_shards;
+    EXPECT_EQ(coordinator.status().code(), c.want) << coordinator.status();
+  }
 }
 
 // A fake shard worker for fault injection: answers the construction-time
