@@ -1,9 +1,7 @@
 // Ablation of the design choices DESIGN.md calls out:
-//   1. CRT-accelerated decryption vs textbook L-function decryption
-//      (C2 decrypts O(n) values per query round);
-//   2. SBD's verification round (SVR) on vs off — the cost of converting
+//   1. SBD's verification round (SVR) on vs off — the cost of converting
 //      the probabilistic protocol into an (almost surely) exact one;
-//   3. SMIN_n tournament (batched, log-depth) vs the naive sequential
+//   2. SMIN_n tournament (batched, log-depth) vs the naive sequential
 //      linear scan — same SMIN count, very different round-trip structure.
 #include "bench/bench_util.h"
 #include "net/rpc.h"
@@ -46,29 +44,6 @@ struct Harness {
   std::unique_ptr<ProtoContext> ctx;
 };
 
-void AblateCrtDecryption(Harness& h, unsigned key_bits) {
-  Random rng(3);
-  const int reps = 200;
-  std::vector<Ciphertext> cts;
-  for (int i = 0; i < reps; ++i) {
-    cts.push_back(h.pk.Encrypt(rng.Below(h.pk.n()), rng));
-  }
-  PaillierSecretKey& sk = h.c2->secret_key();
-  Stopwatch sw;
-  sk.set_use_crt(true);
-  for (const auto& c : cts) (void)sk.Decrypt(c);
-  double crt_s = sw.ElapsedSeconds();
-  sw.Reset();
-  sk.set_use_crt(false);
-  for (const auto& c : cts) (void)sk.Decrypt(c);
-  double std_s = sw.ElapsedSeconds();
-  sk.set_use_crt(true);
-  std::printf("%-34s K=%-5u crt=%8.3f ms/op  textbook=%8.3f ms/op  "
-              "speedup=%.2fx\n",
-              "1. CRT decryption", key_bits, 1e3 * crt_s / reps,
-              1e3 * std_s / reps, std_s / crt_s);
-}
-
 void AblateSbdVerification(Harness& h) {
   Random rng(4);
   const unsigned l = 12;
@@ -97,7 +72,7 @@ void AblateSbdVerification(Harness& h) {
   }
   std::printf("%-34s l=%-5u verify=%8.2f ms/val  unverified=%8.2f ms/val  "
               "overhead=%.1f%%\n",
-              "2. SBD verification round", l, 1e3 * with_s / batch,
+              "1. SBD verification round", l, 1e3 * with_s / batch,
               1e3 * without_s / batch, 100.0 * (with_s / without_s - 1.0));
 }
 
@@ -128,7 +103,7 @@ void AblateTournamentVsLinear(Harness& h) {
       }
       std::printf("%-34s n=%-3zu latency=%4lldus  tournament=%7.2f s  "
                   "linear-scan=%7.2f s  speedup=%.2fx\n",
-                  "3. SMIN_n tournament vs linear", n,
+                  "2. SMIN_n tournament vs linear", n,
                   static_cast<long long>(latency.count()), tour_s, lin_s,
                   lin_s / tour_s);
     }
@@ -141,12 +116,8 @@ void AblateTournamentVsLinear(Harness& h) {
 
 int main() {
   using namespace sknn;
-  std::printf("# Ablation of DESIGN.md design choices (key size 512 unless "
-              "noted)\n");
+  std::printf("# Ablation of DESIGN.md design choices (key size 512)\n");
   Harness h512(512);
-  Harness h1024(1024);
-  AblateCrtDecryption(h512, 512);
-  AblateCrtDecryption(h1024, 1024);
   AblateSbdVerification(h512);
   AblateTournamentVsLinear(h512);
   return 0;

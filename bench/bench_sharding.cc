@@ -154,8 +154,7 @@ class FailoverWorker {
     rand_pool_ = std::make_unique<RandomizerPool>(pk.n(), /*capacity=*/64);
     pk.set_randomizer_pool(rand_pool_.get());
     auto worker = ShardWorker::Create(pk, db, manifest, shard,
-                                      c2_client_.get(), pool_.get(),
-                                      ShardWorker::Options());
+                                      c2_client_.get(), pool_.get());
     if (!worker.ok()) {
       std::fprintf(stderr, "worker setup failed: %s\n",
                    worker.status().ToString().c_str());

@@ -24,12 +24,6 @@ class Stopwatch {
         .count();
   }
 
-  int64_t ElapsedMicros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 start_)
-        .count();
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

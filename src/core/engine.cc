@@ -4,6 +4,7 @@
 #include <string>
 
 #include "bigint/random.h"
+#include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/data_owner.h"
 #include "proto/query_meter.h"
@@ -88,26 +89,8 @@ Result<std::unique_ptr<SknnEngine>> SknnEngine::CreateWithRemoteC2(
   engine->pk_ = pk;
   engine->db_ = std::move(db);
   engine->client_ = std::make_unique<RpcClient>(std::move(c2_link));
-
-  // Many front ends may share one C2 server; a random non-zero id base
-  // keeps their per-query state (Bob outbox buckets, op ledger entries)
-  // disjoint. The in-process engine counts from 1 — it owns its C2.
-  uint64_t id_base = 0;
-  while (id_base == 0) {
-    id_base = Random::ThreadLocal().UniformUint64(UINT64_MAX);
-  }
-  engine->next_query_id_.store(id_base);
-
   SKNN_RETURN_NOT_OK(engine->InitCommon());
-
-  // Fail fast on a dead or mismatched link instead of on the first query.
-  Message ping;
-  ping.type = OpCode(Op::kPing);
-  SKNN_ASSIGN_OR_RETURN(Message pong, engine->client_->Call(std::move(ping)));
-  if (pong.type != OpCode(Op::kPing)) {
-    return Status::ProtocolError(
-        "CreateWithRemoteC2: peer did not answer ping (not a C2 server?)");
-  }
+  SKNN_RETURN_NOT_OK(engine->JoinSharedC2("CreateWithRemoteC2"));
   return engine;
 }
 
@@ -125,14 +108,6 @@ Result<std::unique_ptr<SknnEngine>> SknnEngine::CreateWithShardWorkers(
   engine->options_.shards = 1;
   engine->pk_ = pk;
   engine->client_ = std::make_unique<RpcClient>(std::move(c2_link));
-
-  // Same shared-C2 discipline as CreateWithRemoteC2: a random non-zero id
-  // base keeps this front end's per-query state disjoint from its peers'.
-  uint64_t id_base = 0;
-  while (id_base == 0) {
-    id_base = Random::ThreadLocal().UniformUint64(UINT64_MAX);
-  }
-  engine->next_query_id_.store(id_base);
 
   // The coordinator pings every worker and validates the shard cover; the
   // database geometry comes back with the pings, so the front end itself
@@ -156,16 +131,29 @@ Result<std::unique_ptr<SknnEngine>> SknnEngine::CreateWithShardWorkers(
         "CreateWithShardWorkers: workers reported an empty geometry");
   }
   SKNN_RETURN_NOT_OK(engine->InitCommon());
+  SKNN_RETURN_NOT_OK(engine->JoinSharedC2("CreateWithShardWorkers"));
+  return engine;
+}
+
+Status SknnEngine::JoinSharedC2(const char* factory) {
+  // Many front ends may share one C2 server; a random non-zero id base
+  // keeps their per-query state (Bob outbox buckets, op ledger entries)
+  // disjoint. The in-process engine counts from 1 — it owns its C2.
+  uint64_t id_base = 0;
+  while (id_base == 0) {
+    id_base = Random::ThreadLocal().UniformUint64(UINT64_MAX);
+  }
+  next_query_id_.store(id_base);
 
   Message ping;
   ping.type = OpCode(Op::kPing);
-  SKNN_ASSIGN_OR_RETURN(Message pong, engine->client_->Call(std::move(ping)));
+  SKNN_ASSIGN_OR_RETURN(Message pong, client_->Call(std::move(ping)));
   if (pong.type != OpCode(Op::kPing)) {
     return Status::ProtocolError(
-        "CreateWithShardWorkers: peer did not answer ping (not a C2 "
-        "server?)");
+        std::string(factory) +
+        ": peer did not answer ping (not a C2 server?)");
   }
-  return engine;
+  return Status::OK();
 }
 
 Status SknnEngine::InitCommon() {
@@ -197,21 +185,18 @@ Status SknnEngine::InitCommon() {
   if (c2_ != nullptr && options_.c2_threads > 1) {
     c2_->EnableIntraMessageParallelism(options_.c2_threads);
   }
-  if (options_.randomizer_pool) {
-    RandomizerPoolOptions pool_options;
-    pool_options.short_exponents = options_.short_randomizers;
-    // Refill threads scale with the query threads, as sknn_c2_server's do
-    // with its handlers: half of them, at least one. A single thread cannot
-    // keep the stock up once misses stop being exponentiation bound, and
-    // cache hits then pay for their randomizers inline.
-    pool_options.workers = std::max<std::size_t>(1, options_.c1_threads / 2);
-    c1_rand_pool_ = std::make_unique<RandomizerPool>(
-        pk_.n(), options_.randomizer_pool_capacity, pool_options);
-    pk_.set_randomizer_pool(c1_rand_pool_.get());
-    if (c2_ != nullptr) {
-      c2_->EnableRandomizerPool(options_.randomizer_pool_capacity,
-                                pool_options);
-    }
+  RandomizerPoolOptions pool_options;
+  pool_options.short_exponents = options_.short_randomizers;
+  // Refill threads scale with the query threads, as sknn_c2_server's do
+  // with its handlers: half of them, at least one. A single thread cannot
+  // keep the stock up once misses stop being exponentiation bound, and
+  // cache hits then pay for their randomizers inline.
+  pool_options.workers = std::max<std::size_t>(1, options_.c1_threads / 2);
+  c1_rand_pool_ = std::make_unique<RandomizerPool>(
+      pk_.n(), options_.randomizer_pool_capacity, pool_options);
+  pk_.set_randomizer_pool(c1_rand_pool_.get());
+  if (c2_ != nullptr) {
+    c2_->EnableRandomizerPool(options_.randomizer_pool_capacity, pool_options);
   }
 
   // Clustered index: hold the manifest and its per-cluster sizes.
@@ -260,17 +245,15 @@ Status SknnEngine::ServeShardsInProcess() {
                                             options_.shard_scheme));
     num_shards = manifest.num_shards;
   }
-  ShardWorker::Options worker_options;
-  worker_options.verify_sbd = options_.verify_sbd;
   std::vector<std::unique_ptr<Endpoint>> links;
   for (std::size_t shard = 0; shard < num_shards; ++shard) {
     SKNN_ASSIGN_OR_RETURN(
         std::unique_ptr<ShardWorker> worker,
         clusters_ != nullptr
             ? ShardWorker::Create(pk_, db_, *clusters_, shard, client_.get(),
-                                  c1_pool_.get(), worker_options)
+                                  c1_pool_.get())
             : ShardWorker::Create(pk_, db_, manifest, shard, client_.get(),
-                                  c1_pool_.get(), worker_options));
+                                  c1_pool_.get()));
     Channel::EndpointPair link = Channel::CreatePair();
     ShardWorker* raw = worker.get();
     shard_workers_.push_back(std::move(worker));
@@ -340,12 +323,10 @@ SknnEngine::Info SknnEngine::info() const {
 
 SknnEngine::RandomizerPoolStats SknnEngine::randomizer_pool_stats() {
   RandomizerPoolStats stats;
-  if (c1_rand_pool_ != nullptr) {
-    stats.c1_hits = c1_rand_pool_->hits();
-    stats.c1_misses = c1_rand_pool_->misses();
-    stats.c1_stock = c1_rand_pool_->stock();
-    stats.c1_capacity = c1_rand_pool_->capacity();
-  }
+  stats.c1_hits = c1_rand_pool_->hits();
+  stats.c1_misses = c1_rand_pool_->misses();
+  stats.c1_stock = c1_rand_pool_->stock();
+  stats.c1_capacity = c1_rand_pool_->capacity();
   if (c2_ != nullptr) {
     if (RandomizerPool* pool = c2_->randomizer_pool()) {
       stats.c2_hits = pool->hits();
@@ -436,7 +417,6 @@ Result<CloudQueryOutput> SknnEngine::Dispatch(
     return RunSkNNb(ctx, db_, enc_query, request.k);
   }
   SkNNmOptions opts;
-  opts.verify_sbd = options_.verify_sbd;
   opts.farthest = request.protocol == QueryProtocol::kFarthest;
   return RunSkNNm(ctx, db_, enc_query, request.k, breakdown, opts);
 }
@@ -522,7 +502,7 @@ Result<CloudQueryOutput> SknnEngine::DispatchClustered(
       PrepareDistanceBits(ctx, candidates, enc_query, distance_bits_,
                           &global_indices, num_records_,
                           request.protocol == QueryProtocol::kFarthest,
-                          options_.verify_sbd, breakdown));
+                          breakdown));
   SKNN_ASSIGN_OR_RETURN(TopKExtraction top,
                         ExtractTopK(ctx, candidates, bits, request.k,
                                     attr_bits_, /*keep_winner_bits=*/false,
@@ -547,11 +527,20 @@ Result<std::vector<BigInt>> SknnEngine::TakeC2Outbox(ProtoContext& ctx,
 
 OpSnapshot SknnEngine::TakeC2QueryOps(ProtoContext& ctx, uint64_t query_id) {
   if (c2_ != nullptr) return c2_->TakeQueryOps(query_id);
-  auto resp = ctx.Call(Op::kFetchQueryOps, {});
-  if (!resp.ok()) return {};
-  FrameReader r(resp->aux);
-  const OpSnapshot ops = r.Ops();
-  return r.Done("kFetchQueryOps reply").ok() ? ops : OpSnapshot{};
+  Result<Message> resp = ctx.Call(Op::kFetchQueryOps, {});
+  Status status = resp.status();
+  OpSnapshot ops;
+  if (status.ok()) {
+    FrameReader r(resp->aux);
+    ops = r.Ops();
+    status = r.Done("kFetchQueryOps reply");
+  }
+  if (status.ok()) return ops;
+  SKNN_LOG(Warning) << "query " << query_id
+                    << ": C2's op counts are missing from the reported "
+                       "ops: "
+                    << status.ToString();
+  return {};
 }
 
 Result<QueryResponse> SknnEngine::ExecuteQuery(const QueryRequest& request) {

@@ -62,15 +62,11 @@ class SknnEngine {
     std::chrono::microseconds c1_c2_latency{0};
     /// Capture every plaintext C2 decrypts (security tests only).
     bool record_c2_views = false;
-    /// Run SBD's verification round inside SkNN_m.
-    bool verify_sbd = true;
-    /// Back both clouds' encryptions with precomputed-randomizer pools
+    /// Per-cloud randomizer pool capacity (r^N values held ready). Both
+    /// clouds' encryptions draw from precomputed-randomizer pools
     /// (crypto/paillier.h): the r^N modexp moves off the critical path into
     /// background workers that soak up C1<->C2 round-trip stalls (on C1,
-    /// max(1, c1_threads / 2) of them). Disable to measure the paper's
-    /// unamortized online cost.
-    bool randomizer_pool = true;
-    /// Per-cloud randomizer pool capacity (r^N values held ready).
+    /// max(1, c1_threads / 2) of them). Bob's client encrypts without one.
     std::size_t randomizer_pool_capacity = 4096;
     /// Refill the randomizer pools via the short-exponent fixed-base path
     /// (r^N = h_N^s for a short random s — docs/CRYPTO.md): refills are an
@@ -225,18 +221,14 @@ class SknnEngine {
     return coordinator_.get();
   }
 
-  /// \brief True when C2 runs in-process (Create / CreateFromParts); false
-  /// for a CreateWithRemoteC2 engine, whose C2 is on the far side of a link.
-  bool has_local_c2() const { return c2_ != nullptr; }
-
-  /// \brief C2 instrumentation hooks (security tests). Only valid when
-  /// has_local_c2().
+  /// \brief C2 instrumentation hooks (security tests). Only valid for an
+  /// engine whose C2 runs in-process (Create / CreateFromParts).
   C2Service& c2_service() { return *c2_; }
 
   /// \brief Both clouds' randomizer-pool effectiveness counters, merged for
   /// the serving control plane (kServiceStats) and sknn_admin --stats.
-  /// capacity = 0 means that cloud runs without a pool. C1's numbers come
-  /// from the local pool; C2's are fetched over the link (kFetchPoolStats)
+  /// c2_capacity = 0 means C2 runs without a pool. C1's numbers come from
+  /// the local pool; C2's are fetched over the link (kFetchPoolStats)
   /// for a remote C2 and read directly otherwise. Best-effort: a failed
   /// remote fetch reports zeros, never an error.
   struct RandomizerPoolStats {
@@ -294,9 +286,15 @@ class SknnEngine {
   /// remote one.
   Result<std::vector<BigInt>> TakeC2Outbox(ProtoContext& ctx,
                                            uint64_t query_id);
-  /// \brief One query's C2-side Paillier ledger entry; zeros if the remote
-  /// fetch fails (instrumentation is best-effort, results are not).
+  /// \brief One query's C2-side Paillier ledger entry; zeros, and one
+  /// warning in the log, if the remote fetch fails (instrumentation is
+  /// best-effort, results are not).
   OpSnapshot TakeC2QueryOps(ProtoContext& ctx, uint64_t query_id);
+  /// \brief The tail of both factories whose C2 sits behind a link shared
+  /// with other front ends: draws a random non-zero query-id base and
+  /// pings C2, so a dead or mismatched link fails here, not on the first
+  /// query. `factory` names the caller in the error.
+  Status JoinSharedC2(const char* factory);
 
   Options options_;
   unsigned attr_bits_ = 0;

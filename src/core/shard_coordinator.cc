@@ -203,13 +203,13 @@ void ShardCoordinator::ProbeReplica(Replica& replica) {
     if (pong.status().code() == StatusCode::kDeadlineExceeded) {
       // Link still up, worker silent (busy or stopped): count the failure
       // but keep the client — a busy worker recovers on its own.
-      replica.MarkFailed(options_.eject_after_failures);
+      replica.MarkFailed();
       return;
     }
   }
   // Link dead. Redial if we know the address; a restarted worker (same
   // port, fresh process) passes the ping and is reinstated.
-  replica.MarkFailed(options_.eject_after_failures);
+  replica.MarkFailed();
   std::string host;
   uint16_t port = 0;
   if (!ParseHostPort(replica.redial_addr, &host, &port).ok()) return;
@@ -288,7 +288,7 @@ Result<ShardCandidates> ShardCoordinator::RunShard(
     // Charges the replica for this attempt; the stage fails over to the
     // next one within this query.
     auto fail_over = [&](Status error) {
-      replica.MarkFailed(options_.eject_after_failures);
+      replica.MarkFailed();
       replica.failovers.fetch_add(1, std::memory_order_relaxed);
       stats->failovers += 1;
       last_error = std::move(error);

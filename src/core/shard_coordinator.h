@@ -69,10 +69,6 @@ class ShardCoordinator {
     /// only happens on query-path failures, reinstatement on query-path
     /// successes).
     std::chrono::milliseconds probe_interval{500};
-    /// Consecutive failures (query or probe) before a replica is ejected
-    /// from the preferred rotation. Ejected replicas are still tried as a
-    /// last resort when every healthy replica of the shard has failed.
-    uint32_t eject_after_failures = 2;
   };
 
   /// \brief One replica's health, as reported by ReplicaStatuses() (and,
@@ -162,10 +158,13 @@ class ShardCoordinator {
                            .count(),
                        std::memory_order_relaxed);
     }
-    void MarkFailed(uint32_t eject_after) {
+    /// Two consecutive failures (query or probe) eject a replica from the
+    /// preferred rotation. Ejected replicas are still tried as a last
+    /// resort when every healthy replica of the shard has failed.
+    void MarkFailed() {
       const uint32_t failures =
           consecutive_failures.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (failures >= eject_after) {
+      if (failures >= 2) {
         healthy.store(false, std::memory_order_relaxed);
       }
     }

@@ -10,7 +10,7 @@ namespace sknn {
 Result<std::unique_ptr<ShardWorker>> ShardWorker::Create(
     const PaillierPublicKey& pk, const EncryptedDatabase& db,
     const ShardManifest& manifest, std::size_t shard_index, RpcClient* c2,
-    ThreadPool* pool, const Options& options) {
+    ThreadPool* pool) {
   if (manifest.scheme == ShardScheme::kByCluster) {
     return Status::InvalidArgument(
         "ShardWorker: a bycluster manifest does not determine record "
@@ -28,14 +28,13 @@ Result<std::unique_ptr<ShardWorker>> ShardWorker::Create(
         " shards");
   }
   return CreateSliced(pk, db, checked, shard_index,
-                      ShardRecordIndices(checked, shard_index), c2, pool,
-                      options);
+                      ShardRecordIndices(checked, shard_index), c2, pool);
 }
 
 Result<std::unique_ptr<ShardWorker>> ShardWorker::Create(
     const PaillierPublicKey& pk, const EncryptedDatabase& db,
     const ClusterManifest& clusters, std::size_t shard_index, RpcClient* c2,
-    ThreadPool* pool, const Options& options) {
+    ThreadPool* pool) {
   if (Status valid = ValidateClusterManifestForDatabase(clusters, db);
       !valid.ok()) {
     return valid;
@@ -58,14 +57,14 @@ Result<std::unique_ptr<ShardWorker>> ShardWorker::Create(
         " is empty (corrupted or hand-edited cluster manifest?)");
   }
   return CreateSliced(pk, db, manifest, shard_index, std::move(indices), c2,
-                      pool, options);
+                      pool);
 }
 
 Result<std::unique_ptr<ShardWorker>> ShardWorker::CreateSliced(
     const PaillierPublicKey& pk, const EncryptedDatabase& db,
     const ShardManifest& manifest, std::size_t shard_index,
-    std::vector<std::size_t> global_indices, RpcClient* c2, ThreadPool* pool,
-    const Options& options) {
+    std::vector<std::size_t> global_indices, RpcClient* c2,
+    ThreadPool* pool) {
   if (db.num_records() != manifest.total_records) {
     return Status::InvalidArgument(
         "ShardWorker: manifest is for " +
@@ -76,7 +75,6 @@ Result<std::unique_ptr<ShardWorker>> ShardWorker::CreateSliced(
     return Status::InvalidArgument("ShardWorker: null C2 client");
   }
   auto worker = std::unique_ptr<ShardWorker>(new ShardWorker());
-  worker->options_ = options;
   worker->pk_ = pk;
   worker->slice_.global_indices = std::move(global_indices);
   worker->slice_.db.distance_bits = db.distance_bits;
@@ -133,8 +131,7 @@ Message ShardWorker::HandleShardQuery(const Message& request) {
   Result<ShardCandidates> candidates = [&] {
     ScopedOpSink sink(&meter.ops());
     return RunShardStage(ctx, slice_, geometry_.manifest.total_records,
-                         frame.enc_query, frame.k, frame.protocol,
-                         options_.verify_sbd);
+                         frame.enc_query, frame.k, frame.protocol);
   }();
   if (!candidates.ok()) return EncodeShardError(candidates.status());
 

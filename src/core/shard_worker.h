@@ -38,10 +38,6 @@ namespace sknn {
 
 class ShardWorker {
  public:
-  struct Options {
-    bool verify_sbd = true;
-  };
-
   /// \brief Cuts shard `shard_index` of `manifest` out of the full
   /// database; stages run against C2 through `c2` and fan their local work
   /// out over `pool` (nullptr = serial). The full Epk(T) may be released
@@ -50,7 +46,7 @@ class ShardWorker {
   static Result<std::unique_ptr<ShardWorker>> Create(
       const PaillierPublicKey& pk, const EncryptedDatabase& db,
       const ShardManifest& manifest, std::size_t shard_index, RpcClient* c2,
-      ThreadPool* pool, const Options& options);
+      ThreadPool* pool);
 
   /// \brief Cluster-partitioned worker (sknn_c1_shard --clusters, or a
   /// clustered in-process shard set): hosts the records of cluster
@@ -60,7 +56,7 @@ class ShardWorker {
   static Result<std::unique_ptr<ShardWorker>> Create(
       const PaillierPublicKey& pk, const EncryptedDatabase& db,
       const ClusterManifest& clusters, std::size_t shard_index, RpcClient* c2,
-      ThreadPool* pool, const Options& options);
+      ThreadPool* pool);
 
   /// \brief RPC dispatch entry point (plug into an RpcServer); thread-safe
   /// — concurrent queries run with independent meters over the shared C2
@@ -79,11 +75,10 @@ class ShardWorker {
       const PaillierPublicKey& pk, const EncryptedDatabase& db,
       const ShardManifest& manifest, std::size_t shard_index,
       std::vector<std::size_t> global_indices, RpcClient* c2,
-      ThreadPool* pool, const Options& options);
+      ThreadPool* pool);
 
   Message HandleShardQuery(const Message& request);
 
-  Options options_;
   PaillierPublicKey pk_;
   ShardSlice slice_;
   ShardGeometry geometry_;

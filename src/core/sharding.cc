@@ -79,8 +79,7 @@ Result<ShardCandidates> RunShardStage(ProtoContext& ctx,
                                       const ShardSlice& slice,
                                       std::size_t total_records,
                                       const std::vector<Ciphertext>& enc_query,
-                                      unsigned k, QueryProtocol protocol,
-                                      bool verify_sbd) {
+                                      unsigned k, QueryProtocol protocol) {
   const std::size_t shard_n = slice.db.num_records();
   if (shard_n == 0 || slice.global_indices.size() != shard_n) {
     return Status::InvalidArgument("RunShardStage: malformed shard slice");
@@ -123,7 +122,7 @@ Result<ShardCandidates> RunShardStage(ProtoContext& ctx,
       PrepareDistanceBits(ctx, slice.db.records, enc_query,
                           slice.db.distance_bits, &slice.global_indices,
                           total_records,
-                          protocol == QueryProtocol::kFarthest, verify_sbd));
+                          protocol == QueryProtocol::kFarthest));
   SKNN_ASSIGN_OR_RETURN(TopKExtraction top,
                         ExtractTopK(ctx, slice.db.records, bits, local_k,
                                     attr_bits, /*keep_winner_bits=*/true));

@@ -96,15 +96,15 @@ struct ShardCandidates {
 };
 
 /// \brief Runs the distance + local-top-k stages of `protocol` over one
-/// shard — what a ShardWorker (core/shard_worker.h) does per kShardQuery. `total_records` is the FULL database size (it sizes the tie-break
-/// index field identically on every shard). All C1<->C2 exchanges ride
-/// `ctx` — its query id, meter and deadline apply as for any query.
+/// shard — what a ShardWorker (core/shard_worker.h) does per kShardQuery.
+/// `total_records` is the FULL database size (it sizes the tie-break index
+/// field identically on every shard). All C1<->C2 exchanges ride `ctx` —
+/// its query id, meter and deadline apply as for any query.
 Result<ShardCandidates> RunShardStage(ProtoContext& ctx,
                                       const ShardSlice& slice,
                                       std::size_t total_records,
                                       const std::vector<Ciphertext>& enc_query,
-                                      unsigned k, QueryProtocol protocol,
-                                      bool verify_sbd);
+                                      unsigned k, QueryProtocol protocol);
 
 }  // namespace sknn
 

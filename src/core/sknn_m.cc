@@ -21,7 +21,7 @@ Result<std::vector<EncryptedBits>> PrepareDistanceBits(
     ProtoContext& ctx, const std::vector<std::vector<Ciphertext>>& records,
     const std::vector<Ciphertext>& enc_query, unsigned l,
     const std::vector<std::size_t>* global_indices, std::size_t total_records,
-    bool farthest, bool verify_sbd, SkNNmBreakdown* breakdown) {
+    bool farthest, SkNNmBreakdown* breakdown) {
   const std::size_t n = records.size();
   if (n == 0) {
     return Status::InvalidArgument("PrepareDistanceBits: no records");
@@ -53,7 +53,6 @@ Result<std::vector<EncryptedBits>> PrepareDistanceBits(
 
   SbdOptions sbd_opts;
   sbd_opts.l = l;
-  sbd_opts.verify = verify_sbd;
   SKNN_ASSIGN_OR_RETURN(std::vector<EncryptedBits> bits,
                         BitDecomposeBatch(ctx, dist, sbd_opts));
 
@@ -214,7 +213,7 @@ Result<CloudQueryOutput> RunSkNNm(ProtoContext& ctx,
       std::vector<EncryptedBits> bits,
       PrepareDistanceBits(ctx, db.records, enc_query, db.distance_bits,
                           /*global_indices=*/nullptr, n, options.farthest,
-                          options.verify_sbd, &bd));
+                          &bd));
   SKNN_ASSIGN_OR_RETURN(
       TopKExtraction top,
       ExtractTopK(ctx, db.records, bits, k,

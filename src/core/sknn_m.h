@@ -49,8 +49,6 @@
 namespace sknn {
 
 struct SkNNmOptions {
-  /// Run SBD's verification round (recommended; see SbdOptions::verify).
-  bool verify_sbd = true;
   /// Secure k-FARTHEST neighbors instead of nearest: the distance bits are
   /// complemented after SBD (max(d) = NOT min(NOT d)), and the rest of
   /// Algorithm 6 runs unchanged — extraction sets a winner's flag bit, so
@@ -73,7 +71,8 @@ inline unsigned AugmentedBitWidth(unsigned l, std::size_t total_records) {
 
 /// \brief Steps 2-3(b-prep) of Algorithm 6 for `records` (all of Epk(T), or
 /// one shard of it): SSED distances, SBD bit decomposition (complemented
-/// for `farthest`), then the tie-break augmentation described above.
+/// for `farthest`; SBD always runs its verification round), then the
+/// tie-break augmentation described above.
 /// `global_indices` names each record's index in the FULL database (null =
 /// identity, the unsharded case); `total_records` sizes the index field so
 /// every shard of one database augments identically. SSED's blinds are
@@ -85,7 +84,7 @@ Result<std::vector<EncryptedBits>> PrepareDistanceBits(
     ProtoContext& ctx, const std::vector<std::vector<Ciphertext>>& records,
     const std::vector<Ciphertext>& enc_query, unsigned l,
     const std::vector<std::size_t>* global_indices, std::size_t total_records,
-    bool farthest, bool verify_sbd, SkNNmBreakdown* breakdown = nullptr);
+    bool farthest, SkNNmBreakdown* breakdown = nullptr);
 
 /// \brief What k rounds of step 3 produce: per iteration the winner's
 /// (still encrypted) record, and optionally its augmented bit vector — the

@@ -42,14 +42,12 @@ RandomizerSource::RandomizerSource(const BigInt& n,
     : n_(n), n_squared_(n * n) {
   if (!options.short_exponents) return;
   const unsigned n_bits = static_cast<unsigned>(n.BitLength());
-  unsigned s_bits = options.short_exponent_bits;
-  if (s_bits == 0) s_bits = std::max(256u, n_bits / 4);
-  short_exponent_bits_ = std::min(s_bits, n_bits);
+  short_exponent_bits_ = std::min(n_bits, std::max(256u, n_bits / 4));
   // h_N = h^N mod N^2 for a random unit h: every h_N^s is an N-th power
   // (r^N with r = h^s), i.e. a valid Paillier randomizer.
   BigInt h_n = n_squared_.PowMod(Random::ThreadLocal().UnitModulo(n_), n_);
   window_ = std::make_unique<FixedBaseWindow>(
-      h_n, n_squared_.modulus(), short_exponent_bits_, options.window_bits);
+      h_n, n_squared_.modulus(), short_exponent_bits_);
   exponent_bound_ = BigInt::PowerOfTwo(short_exponent_bits_);
 }
 
@@ -98,7 +96,7 @@ void RandomizerPool::FillLoop() {
   for (;;) {
     {
       MutexLock lock(&mutex_);
-      while (!stop_ && !(enabled() && stock_.size() < capacity_)) {
+      while (!stop_ && stock_.size() >= capacity_) {
         fill_cv_.Wait(mutex_);
       }
       if (stop_) return;
@@ -116,24 +114,22 @@ void RandomizerPool::FillLoop() {
 }
 
 BigInt RandomizerPool::Take() {
-  if (enabled()) {
-    BigInt rn;
-    bool hit = false;
-    bool low = false;
-    {
-      MutexLock lock(&mutex_);
-      if (!stock_.empty()) {
-        rn = std::move(stock_.front());
-        stock_.pop_front();
-        low = stock_.size() < low_watermark_;
-        hit = true;
-      }
+  BigInt rn;
+  bool hit = false;
+  bool low = false;
+  {
+    MutexLock lock(&mutex_);
+    if (!stock_.empty()) {
+      rn = std::move(stock_.front());
+      stock_.pop_front();
+      low = stock_.size() < low_watermark_;
+      hit = true;
     }
-    if (hit) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (low) fill_cv_.NotifyAll();
-      return rn;
-    }
+  }
+  if (hit) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    if (low) fill_cv_.NotifyAll();
+    return rn;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   return ComputeOne(Random::ThreadLocal());
@@ -142,22 +138,8 @@ BigInt RandomizerPool::Take() {
 void RandomizerPool::WaitUntilFull() {
   fill_cv_.NotifyAll();
   MutexLock lock(&mutex_);
-  while (!stop_ && enabled() && stock_.size() < capacity_) {
+  while (!stop_ && stock_.size() < capacity_) {
     full_cv_.Wait(mutex_);
-  }
-}
-
-void RandomizerPool::set_enabled(bool enabled) {
-  {
-    // The store happens under the mutex so a fill worker between its
-    // predicate check and its block cannot miss the wakeup.
-    MutexLock lock(&mutex_);
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  if (enabled) {
-    fill_cv_.NotifyAll();
-  } else {
-    full_cv_.NotifyAll();
   }
 }
 
@@ -297,16 +279,13 @@ Result<PaillierSecretKey> PaillierSecretKey::FromPrimes(const BigInt& p,
   sk.q_ = q;
   BigInt n = p * q;
   // gcd(N, phi(N)) must be 1; holds whenever p, q are distinct primes of the
-  // same bit length, but verify to be safe with caller-provided primes.
+  // same bit length, but verify to be safe with caller-provided primes. It
+  // also makes lambda = lcm(p-1, q-1) invertible mod N.
   BigInt phi = (p - BigInt(1)) * (q - BigInt(1));
   if (n.Gcd(phi) != BigInt(1)) {
     return Status::CryptoError("Paillier: gcd(N, phi(N)) != 1");
   }
   sk.pk_ = PaillierPublicKey(n, key_bits);
-  sk.lambda_ = (p - BigInt(1)).Lcm(q - BigInt(1));
-  // With g = N+1: g^lambda mod N^2 = 1 + lambda*N, so
-  // L(g^lambda mod N^2) = lambda mod N and mu = lambda^{-1} mod N.
-  SKNN_ASSIGN_OR_RETURN(sk.mu_, sk.lambda_.Mod(n).InvMod(n));
 
   // CRT precomputations (Paillier Section 7 / standard optimization).
   sk.p_squared_ = std::make_shared<const MontgomeryModulus>(p * p);
@@ -321,7 +300,16 @@ Result<PaillierSecretKey> PaillierSecretKey::FromPrimes(const BigInt& p,
 
 BigInt PaillierSecretKey::Decrypt(const Ciphertext& c) const {
   OpCounters::CountDecryption();
-  return use_crt_ ? DecryptCrt(c) : DecryptStandard(c);
+  // m_p = L_p(c^{p-1} mod p^2) * hp mod p, likewise mod q; then CRT. The
+  // kernel reduces c mod p^2 (q^2) itself.
+  BigInt mp = LFunction(p_squared_->PowMod(c.value(), p_ - BigInt(1)), p_)
+                  .MulMod(hp_, p_);
+  BigInt mq = LFunction(q_squared_->PowMod(c.value(), q_ - BigInt(1)), q_)
+                  .MulMod(hq_, q_);
+  // Garner: m = mp + p * ((mq - mp) * p^{-1} mod q).
+  BigInt diff = mq.SubMod(mp, q_);
+  BigInt t = diff.MulMod(p_inv_q_, q_);
+  return mp + p_ * t;
 }
 
 BigInt PaillierSecretKey::DecryptSigned(const Ciphertext& c) const {
@@ -335,24 +323,6 @@ std::vector<BigInt> PaillierSecretKey::DecryptMany(
     out[i] = Decrypt(cs[i]);
   });
   return out;
-}
-
-BigInt PaillierSecretKey::DecryptStandard(const Ciphertext& c) const {
-  BigInt u = pk_.mont_n_squared_->PowMod(c.value(), lambda_);
-  return LFunction(u, pk_.n()).MulMod(mu_, pk_.n());
-}
-
-BigInt PaillierSecretKey::DecryptCrt(const Ciphertext& c) const {
-  // m_p = L_p(c^{p-1} mod p^2) * hp mod p, likewise mod q; then CRT. The
-  // kernel reduces c mod p^2 (q^2) itself.
-  BigInt mp = LFunction(p_squared_->PowMod(c.value(), p_ - BigInt(1)), p_)
-                  .MulMod(hp_, p_);
-  BigInt mq = LFunction(q_squared_->PowMod(c.value(), q_ - BigInt(1)), q_)
-                  .MulMod(hq_, q_);
-  // Garner: m = mp + p * ((mq - mp) * p^{-1} mod q).
-  BigInt diff = mq.SubMod(mp, q_);
-  BigInt t = diff.MulMod(p_inv_q_, q_);
-  return mp + p_ * t;
 }
 
 Result<PaillierKeyPair> GeneratePaillierKeyPair(unsigned key_bits,

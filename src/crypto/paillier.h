@@ -9,9 +9,8 @@
 //
 // Implementation notes:
 //  * g = N + 1, so encryption is c = (1 + mN) * r^N mod N^2 — one modexp.
-//  * Decryption uses L(c^lambda mod N^2) * mu mod N, with an optional
-//    CRT-accelerated path (two half-size exponentiations, ~3-4x faster);
-//    the ablation bench measures exactly this design choice.
+//  * Decryption runs through the CRT: two half-size exponentiations mod p^2
+//    and q^2, recombined by Garner's formula.
 //  * Plaintexts live in Z_N; DecodeSigned maps (N/2, N) to negatives.
 #ifndef SKNN_CRYPTO_PAILLIER_H_
 #define SKNN_CRYPTO_PAILLIER_H_
@@ -45,13 +44,10 @@ struct RandomizerPoolOptions {
   /// modmuls instead of a full |N|-bit modexp. Sound under the standard
   /// short-exponent indistinguishability assumption; set false for the
   /// assumption-free full-width reference path (r drawn uniformly from
-  /// Z*_N, one |N|-bit exponentiation per refill).
+  /// Z*_N, one |N|-bit exponentiation per refill). s has
+  /// min(|N|, max(256, |N|/4)) bits — 256 at the paper's key sizes — and
+  /// the window width is FixedBaseWindow::RecommendedWindowBits for it.
   bool short_exponents = true;
-  /// Bit length of the short exponent s; 0 = auto
-  /// (min(|N|, max(256, |N|/4)) — 256 bits at the paper's key sizes).
-  unsigned short_exponent_bits = 0;
-  /// Fixed-base window width w; 0 = FixedBaseWindow::RecommendedWindowBits.
-  unsigned window_bits = 0;
 };
 
 /// \brief Generates Paillier randomizers r^N mod N^2 — the refill primitive
@@ -92,7 +88,7 @@ class RandomizerSource {
 /// soak up exactly the idle time the protocol spends stalled on C1<->C2
 /// round trips.
 ///
-/// Semantics and when to disable:
+/// Semantics:
 ///  * Pooled randomizers are drawn by the pool's own RNG instead of the
 ///    Encrypt caller's, so ciphertext *values* differ from the unpooled path
 ///    (fresh uniform randomness either way — decryptions and protocol
@@ -101,10 +97,8 @@ class RandomizerSource {
 ///    the paper's Section 4.4 accounting is semantic, and the modexp was
 ///    still performed — just off the critical path. Complexity tests
 ///    therefore keep working with the pool on.
-///  * Disable the pool (set_enabled(false), or simply never attach one)
-///    when measuring the *unamortized* cost of the paper's protocols — e.g.
-///    latency microbenchmarks of Encrypt itself — or when a deployment
-///    cannot spare a background thread. Take() then always computes inline.
+///  * A key with no pool attached computes every r^N inline; latency
+///    microbenchmarks of Encrypt itself measure that unamortized cost.
 ///
 /// Lifetime: PaillierPublicKey holds a non-owning pointer; the pool must
 /// outlive every key copy that references it (the engine owns its pools and
@@ -125,17 +119,12 @@ class RandomizerPool {
   RandomizerPool& operator=(const RandomizerPool&) = delete;
 
   /// \brief Pops a precomputed r^N mod N^2; computes one inline (a fresh
-  /// modexp, counted in misses()) if the pool is empty or disabled.
+  /// modexp, counted in misses()) if the pool is empty.
   BigInt Take();
 
   /// \brief Blocks until the pool is filled to capacity (benchmark /
   /// test setup; refills happen in the background afterwards).
   void WaitUntilFull();
-
-  /// \brief The disable switch: when false, Take() always computes inline
-  /// and the workers idle, so measurements see the unpooled cost.
-  void set_enabled(bool enabled);
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   std::size_t capacity() const { return capacity_; }
   std::size_t stock() const;
@@ -160,10 +149,6 @@ class RandomizerPool {
   CondVar full_cv_;  // wakes WaitUntilFull
   std::deque<BigInt> stock_ GUARDED_BY(mutex_);
   bool stop_ GUARDED_BY(mutex_) = false;
-  /// Atomic, not guarded: Take()'s fast path and enabled() read it without
-  /// the lock; set_enabled() still stores it under mutex_ so a fill worker
-  /// between predicate check and block cannot miss the wakeup.
-  std::atomic<bool> enabled_{true};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::vector<std::thread> workers_;
@@ -284,12 +269,10 @@ class PaillierPublicKey {
   /// \brief r^N mod N^2 — pooled when a pool is attached, else from rng.
   BigInt Randomizer(Random& rng) const;
 
-  friend class PaillierSecretKey;  // DecryptStandard shares the N^2 context
-
   BigInt n_;
   BigInt n_squared_;
-  /// Every exponentiation mod N^2 (MulScalar, MulScalarPair, unpooled r^N,
-  /// DecryptStandard) goes through this one context.
+  /// Every exponentiation mod N^2 (MulScalar, MulScalarPair, unpooled r^N)
+  /// goes through this one context.
   std::shared_ptr<const MontgomeryModulus> mont_n_squared_;
   BigInt g_;
   unsigned key_bits_ = 0;
@@ -309,7 +292,7 @@ class PaillierSecretKey {
   /// public key (C2 encrypts through its secret key's pk copy).
   PaillierPublicKey& mutable_public_key() { return pk_; }
 
-  /// \brief Dsk(c), in [0, N). Uses the CRT fast path unless disabled.
+  /// \brief Dsk(c), in [0, N), through the CRT.
   BigInt Decrypt(const Ciphertext& c) const;
 
   /// \brief Dsk(c) decoded to a signed value in (-N/2, N/2].
@@ -321,29 +304,18 @@ class PaillierSecretKey {
   std::vector<BigInt> DecryptMany(const std::vector<Ciphertext>& cs,
                                   ThreadPool* pool = nullptr) const;
 
-  /// \brief Toggles CRT-accelerated decryption (default on). For the
-  /// ablation benchmark.
-  void set_use_crt(bool use_crt) { use_crt_ = use_crt; }
-  bool use_crt() const { return use_crt_; }
-
   /// \brief The prime factors (serialization only — handle with care).
   const BigInt& p() const { return p_; }
   const BigInt& q() const { return q_; }
 
  private:
-  BigInt DecryptStandard(const Ciphertext& c) const;
-  BigInt DecryptCrt(const Ciphertext& c) const;
-
   PaillierPublicKey pk_;
   BigInt p_, q_;
-  BigInt lambda_;  // lcm(p-1, q-1)
-  BigInt mu_;      // (L(g^lambda mod N^2))^-1 mod N
   // CRT precomputations; p^2 and q^2 in Montgomery form, built once per key
   // and shared by every copy.
   std::shared_ptr<const MontgomeryModulus> p_squared_, q_squared_;
   BigInt hp_, hq_;     // L_p(g^{p-1} mod p^2)^{-1} mod p, and q analogue
   BigInt p_inv_q_;     // p^{-1} mod q
-  bool use_crt_ = true;
 };
 
 struct PaillierKeyPair {

@@ -55,7 +55,6 @@ class TableEncoder {
   std::vector<std::vector<double>> Decode(const PlainTable& table) const;
 
   unsigned bits() const { return bits_; }
-  std::size_t num_columns() const { return columns_.size(); }
 
  private:
   TableEncoder(std::vector<FixedPointEncoder> columns, unsigned bits)

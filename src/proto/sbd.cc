@@ -8,6 +8,10 @@
 namespace sknn {
 namespace {
 
+// Re-runs of a failing instance before SBD gives up: a wrap has probability
+// < 2^l / N per instance, so failing this often means z >= 2^l.
+constexpr int kSbdMaxRetries = 16;
+
 // One full (unverified) decomposition pass over the given instances.
 // Returns LSB-first bits per instance.
 Result<std::vector<std::vector<Ciphertext>>> DecomposePass(
@@ -109,7 +113,7 @@ Result<std::vector<std::vector<Ciphertext>>> BitDecomposeBatch(
 
   SbdOptions pass_opts = opts;
   for (int attempt = 0; !todo.empty(); ++attempt) {
-    if (attempt > opts.max_retries) {
+    if (attempt > kSbdMaxRetries) {
       return Status::ProtocolError(
           "SBD: exceeded retry budget (is z really < 2^l?)");
     }

@@ -22,7 +22,7 @@
 // N is odd so the wrap flips parity) — hence the verification round (SVR):
 // C1 re-composes the bits, blinds the difference to the original with a
 // random non-zero factor and asks C2 whether it decrypts to zero; failed
-// instances are re-run with fresh randomness.
+// instances are re-run with fresh randomness, at most 16 times.
 #ifndef SKNN_PROTO_SBD_H_
 #define SKNN_PROTO_SBD_H_
 
@@ -35,10 +35,9 @@ namespace sknn {
 struct SbdOptions {
   /// Bit width of the decomposition; caller guarantees z < 2^l.
   unsigned l = 0;
-  /// Run the verification round and retry failures (recommended).
+  /// Run the verification round and retry failures. Every query path
+  /// verifies; tests turn it off to show what SVR catches.
   bool verify = true;
-  /// Give up after this many re-runs of a failing instance.
-  int max_retries = 16;
   /// TEST HOOK: blind with r = N - 1 instead of a uniform r, which forces
   /// the mod-N wraparound for every z > 0 and so exercises the SVR/retry
   /// path deterministically. Never set outside tests.

@@ -118,13 +118,19 @@ TEST(PaillierTest, RerandomizePreservesPlaintext) {
 TEST(PaillierTest, CrtMatchesStandardDecryption) {
   PaillierKeyPair keys = MakeKeys(512, 24);
   Random rng(25);
-  PaillierSecretKey sk_std = keys.sk;
-  sk_std.set_use_crt(false);
+  // The textbook decryption L(c^lambda mod N^2) * mu mod N, with
+  // lambda = lcm(p-1, q-1) and, for g = N+1, mu = lambda^{-1} mod N.
+  const BigInt& n = keys.pk.n();
+  const BigInt one(1);
+  const BigInt lambda = (keys.sk.p() - one).Lcm(keys.sk.q() - one);
+  const BigInt mu = lambda.Mod(n).InvMod(n).value();
   for (int i = 0; i < 20; ++i) {
-    BigInt m = rng.Below(keys.pk.n());
+    BigInt m = rng.Below(n);
     Ciphertext c = keys.pk.Encrypt(m, rng);
+    const BigInt u = c.value().PowMod(lambda, keys.pk.n_squared());
+    const BigInt textbook = ((u - one) / n).MulMod(mu, n);
     EXPECT_EQ(keys.sk.Decrypt(c), m);
-    EXPECT_EQ(sk_std.Decrypt(c), m);
+    EXPECT_EQ(keys.sk.Decrypt(c), textbook);
   }
 }
 
@@ -488,22 +494,6 @@ TEST(RandomizerPoolTest, ShortExponentPoolBacksEncryptCorrectly) {
         BigInt(i));
   }
   EXPECT_GT(pool.hits(), 0u);
-}
-
-TEST(RandomizerPoolTest, DisableSwitchForcesInlineComputation) {
-  PaillierKeyPair keys = MakeKeys(256, 408);
-  RandomizerPool pool(keys.pk.n(), /*capacity=*/32);
-  pool.WaitUntilFull();
-  pool.set_enabled(false);
-  uint64_t misses_before = pool.misses();
-  BigInt rn = pool.Take();  // computed inline despite a full stock
-  EXPECT_EQ(pool.misses(), misses_before + 1);
-  EXPECT_EQ(pool.stock(), 32u);
-  // The inline value is still a valid randomizer.
-  keys.pk.set_randomizer_pool(&pool);
-  EXPECT_EQ(keys.sk.Decrypt(keys.pk.Encrypt(BigInt(5), Random::ThreadLocal())),
-            BigInt(5));
-  (void)rn;
 }
 
 }  // namespace

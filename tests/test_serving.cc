@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "baseline/plaintext_knn.h"
 #include "core/engine.h"
 #include "net/query_wire.h"
 #include "net/socket.h"
@@ -421,6 +422,62 @@ TEST(ServingTest, CreateWithRemoteC2FailsFastOnDeadLink) {
       (*reference)->public_key(), EncryptedDatabase((*reference)->database()),
       std::move(link).value(), options);
   EXPECT_FALSE(engine.ok());
+}
+
+// The engine's two meta-reply readers (kFetchQueryOps, kFetchPoolStats)
+// against a C2 whose answers to them arrive one byte short: instrumentation
+// is best-effort, so the query still returns the oracle's records, C2's
+// share of the ops and the C2 pool counters read zero, and the lost op
+// counts leave one warning in the log.
+TEST(ServingTest, TruncatedC2MetaRepliesCostOnlyInstrumentation) {
+  PlainTable table = DistinctDistanceTable(6);
+  SknnEngine::Options options;
+  options.key_bits = 256;
+  options.attr_bits = 3;
+  options.randomizer_pool_capacity = 64;
+  auto reference = SknnEngine::Create(table, options);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
+  C2Service c2(PaillierSecretKey((*reference)->c2_service().secret_key()));
+  c2.EnableRandomizerPool(/*capacity=*/64);
+  Channel::EndpointPair link = Channel::CreatePair();
+  RpcServer server(
+      std::move(link.b),
+      [&c2](const Message& req) -> Result<Message> {
+        Result<Message> resp = c2.Handle(req);
+        if (resp.ok() && (resp->type == OpCode(Op::kFetchQueryOps) ||
+                          resp->type == OpCode(Op::kFetchPoolStats))) {
+          resp->aux.pop_back();
+        }
+        return resp;
+      },
+      /*worker_threads=*/1);
+  auto engine = SknnEngine::CreateWithRemoteC2(
+      (*reference)->public_key(), EncryptedDatabase((*reference)->database()),
+      std::move(link.a), options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+
+  QueryRequest request = MakeRequest({4, 0}, 3, QueryProtocol::kSecure);
+  request.want_op_counts = true;
+  testing::internal::CaptureStderr();
+  auto response = (*engine)->Query(request);
+  const std::string log = testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->records, PlainKnn(table, request.record, request.k));
+  // Only C2 decrypts, so no decryption in the total means C2's share of
+  // the ops was dropped; C1's share is still there.
+  EXPECT_EQ(response->ops.decryptions, 0u);
+  EXPECT_GT(response->ops.encryptions, 0u);
+  EXPECT_NE(log.find("C2's op counts are missing"), std::string::npos)
+      << log;
+
+  const SknnEngine::RandomizerPoolStats stats =
+      (*engine)->randomizer_pool_stats();
+  EXPECT_EQ(stats.c1_capacity, 64u);
+  EXPECT_EQ(stats.c2_hits, 0u);
+  EXPECT_EQ(stats.c2_misses, 0u);
+  EXPECT_EQ(stats.c2_stock, 0u);
+  EXPECT_EQ(stats.c2_capacity, 0u);
 }
 
 }  // namespace

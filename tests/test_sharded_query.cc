@@ -438,7 +438,7 @@ struct RemoteTopology {
     hosts.push_back(std::make_unique<WorkerHost>(c2->Connect()));
     WorkerHost& host = *hosts.back();
     auto worker = ShardWorker::Create(host.pk, db, manifest, shard, &host.c2,
-                                      &host.pool, ShardWorker::Options());
+                                      &host.pool);
     SKNN_CHECK(worker.ok()) << worker.status();
     return std::move(worker).value();
   }

@@ -148,13 +148,12 @@ int main(int argc, char** argv) {
   RandomizerPool rand_pool(pk->n(), /*capacity=*/4096);
   pk->set_randomizer_pool(&rand_pool);
 
-  ShardWorker::Options options;
   auto worker =
       clusters.has_value()
           ? ShardWorker::Create(*pk, *db, *clusters, shard_index, &c2,
-                                pool ? &*pool : nullptr, options)
+                                pool ? &*pool : nullptr)
           : ShardWorker::Create(*pk, *db, manifest, shard_index, &c2,
-                                pool ? &*pool : nullptr, options);
+                                pool ? &*pool : nullptr);
   if (!worker.ok()) {
     std::fprintf(stderr, "shard worker setup failed: %s\n",
                  worker.status().ToString().c_str());

@@ -2,7 +2,7 @@
 //
 //   sknn_c2_server --secret sk.txt --port 9000 [--workers 2]
 //                  [--connections N] [--pool-capacity N]
-//                  [--no-randomizer-pool] [--no-short-randomizers]
+//                  [--no-short-randomizers]
 //
 // Serves the C2 side of every sub-protocol over TCP. C1 connects with one
 // link; each querying user (Bob) connects with his own link to pick up
@@ -10,12 +10,11 @@
 // server exits after N links close (for scripted runs); otherwise it serves
 // until SIGINT/SIGTERM, either of which stops accepting, drains in-flight
 // handlers and exits 0. --workers also enables intra-message fan-out for
-// the batched opcodes; the response-encryption randomizer pool is on by
-// default (disable it to measure the paper's unamortized cost), holds
-// --pool-capacity precomputed r^N values, and refills on background threads
-// sized from --workers. Refills use the short-exponent fixed-base path
-// (docs/CRYPTO.md); --no-short-randomizers selects the assumption-free
-// full-width reference generation instead.
+// the batched opcodes. Response encryptions draw from a randomizer pool
+// that holds --pool-capacity precomputed r^N values and refills on
+// background threads sized from --workers. Refills use the short-exponent
+// fixed-base path (docs/CRYPTO.md); --no-short-randomizers selects the
+// assumption-free full-width reference generation instead.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -31,8 +30,7 @@ int main(int argc, char** argv) {
   using namespace sknn::tools;
   const char* usage =
       "sknn_c2_server --secret <sk-file> --port <p> [--workers N] "
-      "[--connections N] [--pool-capacity N] [--no-randomizer-pool] "
-      "[--no-short-randomizers]";
+      "[--connections N] [--pool-capacity N] [--no-short-randomizers]";
   auto flags = ParseFlags(argc, argv);
   std::string sk_path = RequireFlag(flags, "secret", usage);
   uint16_t port = ParsePortOrDie(RequireFlag(flags, "port", usage), "port",
@@ -52,15 +50,13 @@ int main(int argc, char** argv) {
   }
   C2Service c2(std::move(sk).value());
   if (workers > 1) c2.EnableIntraMessageParallelism(workers);
-  if (!flags.count("no-randomizer-pool")) {
-    // Refill threads scale with the serving fan-out: half the handler
-    // workers (at least one) keeps the stock warm under load without
-    // starving the handlers themselves of cores.
-    RandomizerPoolOptions pool_options;
-    pool_options.workers = std::max<std::size_t>(1, workers / 2);
-    pool_options.short_exponents = !flags.count("no-short-randomizers");
-    c2.EnableRandomizerPool(pool_capacity, pool_options);
-  }
+  // Refill threads scale with the serving fan-out: half the handler
+  // workers (at least one) keeps the stock warm under load without
+  // starving the handlers themselves of cores.
+  RandomizerPoolOptions pool_options;
+  pool_options.workers = std::max<std::size_t>(1, workers / 2);
+  pool_options.short_exponents = !flags.count("no-short-randomizers");
+  c2.EnableRandomizerPool(pool_capacity, pool_options);
 
   auto listener = TcpListener::Bind(port);
   if (!listener.ok()) {
