@@ -1,6 +1,6 @@
 // Secure outlier detection — another downstream task from Section 2.1.1,
-// built on the k-FARTHEST extension (SMAX_n over complemented distance
-// bits; see proto/smax.h).
+// built on the k-FARTHEST extension (SMIN_n over complemented distance
+// bits; see ComplementBits in proto/smin.h).
 //
 // Scenario: a clinic's readings cluster tightly; a few corrupted/anomalous
 // records don't. For a probe record near the clusters, the k farthest

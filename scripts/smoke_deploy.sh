@@ -138,6 +138,16 @@ wait_for_port() { # logfile -> port printed as "serving on 127.0.0.1:PORT"
   return 1
 }
 
+echo "== a misspelt flag is refused (exit 2), not ignored =="
+set +e
+"$BIN/sknn_c2_server" --secret "$WORK/sk.txt" --port 0 --wrokers 4 \
+  > /dev/null 2>"$WORK/typo.err"
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || {
+  echo "expected exit 2 for --wrokers, got $rc"; cat "$WORK/typo.err"; exit 1; }
+grep -q "unknown flag --wrokers" "$WORK/typo.err"
+
 echo "== C2: key holder =="
 "$BIN/sknn_c2_server" --secret "$WORK/sk.txt" --port 0 --workers 2 \
   --pool-capacity 256 --connections 1 > "$WORK/c2.log" 2>&1 &

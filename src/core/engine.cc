@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 
 #include "bigint/random.h"
@@ -54,7 +55,7 @@ Result<std::unique_ptr<SknnEngine>> SknnEngine::CreateFromParts(
   auto engine = std::unique_ptr<SknnEngine>(new SknnEngine());
   engine->options_ = options;
   engine->pk_ = pk;
-  engine->db_ = std::move(db);
+  engine->table_.db = std::move(db);
 
   // Outsourcing split: Epk(T) is C1's copy; sk goes to C2.
   engine->c2_ = std::make_unique<C2Service>(std::move(sk));
@@ -87,7 +88,7 @@ Result<std::unique_ptr<SknnEngine>> SknnEngine::CreateWithRemoteC2(
   auto engine = std::unique_ptr<SknnEngine>(new SknnEngine());
   engine->options_ = options;
   engine->pk_ = pk;
-  engine->db_ = std::move(db);
+  engine->table_.db = std::move(db);
   engine->client_ = std::make_unique<RpcClient>(std::move(c2_link));
   SKNN_RETURN_NOT_OK(engine->InitCommon());
   SKNN_RETURN_NOT_OK(engine->JoinSharedC2("CreateWithRemoteC2"));
@@ -160,10 +161,15 @@ Status SknnEngine::InitCommon() {
   // Geometry: mirrored from the hosted database unless a shard-worker
   // construction already learned it from the workers.
   if (num_records_ == 0) {
-    num_records_ = db_.num_records();
-    num_attributes_ = db_.num_attributes();
-    distance_bits_ = db_.distance_bits;
+    num_records_ = table_.db.num_records();
+    num_attributes_ = table_.db.num_attributes();
+    distance_bits_ = table_.db.distance_bits;
   }
+  // The hosted table is the one shard of an unsharded engine; its global
+  // indices are the identity.
+  table_.global_indices.resize(table_.db.num_records());
+  std::iota(table_.global_indices.begin(), table_.global_indices.end(),
+            std::size_t{0});
   // Attribute domain implied by the database; request validation holds
   // queries to this bound so the protocols' distance-domain guarantee
   // survives any query.
@@ -218,7 +224,7 @@ Status SknnEngine::InitCommon() {
             "--clusters)");
       }
     } else if (Status valid =
-                   ValidateClusterManifestForDatabase(*clusters_, db_);
+                   ValidateClusterManifestForDatabase(*clusters_, table_.db);
                !valid.ok()) {
       return valid;
     }
@@ -250,10 +256,10 @@ Status SknnEngine::ServeShardsInProcess() {
     SKNN_ASSIGN_OR_RETURN(
         std::unique_ptr<ShardWorker> worker,
         clusters_ != nullptr
-            ? ShardWorker::Create(pk_, db_, *clusters_, shard, client_.get(),
-                                  c1_pool_.get())
-            : ShardWorker::Create(pk_, db_, manifest, shard, client_.get(),
-                                  c1_pool_.get()));
+            ? ShardWorker::Create(pk_, table_.db, *clusters_, shard,
+                                  client_.get(), c1_pool_.get())
+            : ShardWorker::Create(pk_, table_.db, manifest, shard,
+                                  client_.get(), c1_pool_.get()));
     Channel::EndpointPair link = Channel::CreatePair();
     ShardWorker* raw = worker.get();
     shard_workers_.push_back(std::move(worker));
@@ -275,8 +281,7 @@ Status SknnEngine::ServeShardsInProcess() {
   // The workers' slices now hold every record and Dispatch routes through
   // the coordinator unconditionally — keeping the unsliced copy too would
   // double resident ciphertext memory for the engine's lifetime.
-  db_.records.clear();
-  db_.records.shrink_to_fit();
+  table_ = ShardSlice{};
   return Status::OK();
 }
 
@@ -394,37 +399,61 @@ Result<CloudQueryOutput> SknnEngine::Dispatch(
     ProtoContext& ctx, const QueryRequest& request,
     const std::vector<Ciphertext>& enc_query, QueryResponse* response) {
   SkNNmBreakdown* breakdown =
-      request.want_breakdown ? &response->breakdown : nullptr;
+      request.want_breakdown && request.protocol != QueryProtocol::kBasic
+          ? &response->breakdown
+          : nullptr;
   // Clustered index, with a pruning round actually worth running: probing
   // every cluster IS the exact computation, so that case (and every exact
-  // request) falls through to the exact paths below unchanged — which is
-  // what makes probe = all bitwise-identical to exact mode.
-  if (request.index_mode == IndexMode::kClustered && clusters_ != nullptr &&
-      std::max(request.probe_clusters, 1u) < clusters_->num_clusters) {
-    return DispatchClustered(ctx, request, enc_query, response, breakdown);
+  // request) runs over the whole table unchanged — which is what makes
+  // probe = all bitwise-identical to exact mode.
+  const bool prune =
+      request.index_mode == IndexMode::kClustered && clusters_ != nullptr &&
+      std::max(request.probe_clusters, 1u) < clusters_->num_clusters;
+  std::vector<uint32_t> chosen;
+  if (prune) {
+    SKNN_ASSIGN_OR_RETURN(chosen, ChooseClusters(ctx, request, enc_query));
   }
+
   if (coordinator_ != nullptr) {
+    // By-cluster shards: the pruned clusters' workers never see the query.
     ShardCoordinator::RunStats stats;
-    Result<CloudQueryOutput> out = coordinator_->Run(
-        ctx, request, enc_query,
-        request.protocol == QueryProtocol::kBasic ? nullptr : breakdown,
-        &stats);
+    Result<CloudQueryOutput> out =
+        coordinator_->Run(ctx, request, enc_query, breakdown, &stats,
+                          prune ? &chosen : nullptr);
     response->shards = std::move(stats.shards);
     response->merge_seconds = stats.merge_seconds;
     return out;
   }
-  if (request.protocol == QueryProtocol::kBasic) {
-    return RunSkNNb(ctx, db_, enc_query, request.k);
+
+  // Unsharded: the whole table is one shard. A pruned query gathers the
+  // surviving clusters' records in ascending global order (the tie-break
+  // order) and runs the same stage over the candidate set only.
+  ShardSlice gathered;
+  if (prune) {
+    std::vector<bool> take(clusters_->num_clusters, false);
+    for (uint32_t cluster : chosen) take[cluster] = true;
+    gathered.db.distance_bits = table_.db.distance_bits;
+    for (std::size_t i = 0; i < clusters_->assignment.size(); ++i) {
+      if (!take[clusters_->assignment[i]]) continue;
+      gathered.global_indices.push_back(i);
+      gathered.db.records.push_back(table_.db.records[i]);
+    }
   }
-  SkNNmOptions opts;
-  opts.farthest = request.protocol == QueryProtocol::kFarthest;
-  return RunSkNNm(ctx, db_, enc_query, request.k, breakdown, opts);
+  SKNN_ASSIGN_OR_RETURN(
+      ShardCandidates top,
+      RunShardStage(ctx, prune ? gathered : table_, num_records_, enc_query,
+                    request.k, request.protocol, breakdown));
+  Stopwatch finalize;
+  Result<CloudQueryOutput> out = MaskAndShipToBob(ctx, top.records);
+  if (breakdown != nullptr) {
+    breakdown->finalize_seconds += finalize.ElapsedSeconds();
+  }
+  return out;
 }
 
-Result<CloudQueryOutput> SknnEngine::DispatchClustered(
+Result<std::vector<uint32_t>> SknnEngine::ChooseClusters(
     ProtoContext& ctx, const QueryRequest& request,
-    const std::vector<Ciphertext>& enc_query, QueryResponse* response,
-    SkNNmBreakdown* breakdown) {
+    const std::vector<Ciphertext>& enc_query) {
   const ClusterManifest& cm = *clusters_;
   const uint32_t probe = std::max(request.probe_clusters, 1u);
 
@@ -455,64 +484,7 @@ Result<CloudQueryOutput> SknnEngine::DispatchClustered(
     candidate_count += cluster_sizes_[cluster];
     if (chosen.size() >= probe && candidate_count >= request.k) break;
   }
-
-  if (coordinator_ != nullptr) {
-    // By-cluster shards: the pruned clusters' workers never see the query.
-    ShardCoordinator::RunStats stats;
-    Result<CloudQueryOutput> out = coordinator_->Run(
-        ctx, request, enc_query,
-        request.protocol == QueryProtocol::kBasic ? nullptr : breakdown,
-        &stats, &chosen);
-    response->shards = std::move(stats.shards);
-    response->merge_seconds = stats.merge_seconds;
-    return out;
-  }
-
-  // Unsharded: gather the surviving clusters' records in ascending global
-  // order (the SkNN_m tie-break order) and run the exact machinery over
-  // the candidate set only.
-  std::vector<bool> take(cm.num_clusters, false);
-  for (uint32_t cluster : chosen) take[cluster] = true;
-  std::vector<std::size_t> global_indices;
-  std::vector<std::vector<Ciphertext>> candidates;
-  global_indices.reserve(candidate_count);
-  candidates.reserve(candidate_count);
-  for (std::size_t i = 0; i < cm.assignment.size(); ++i) {
-    if (!take[cm.assignment[i]]) continue;
-    global_indices.push_back(i);
-    candidates.push_back(db_.records[i]);
-  }
-
-  if (request.protocol == QueryProtocol::kBasic) {
-    SKNN_ASSIGN_OR_RETURN(
-        std::vector<Ciphertext> dists,
-        SecureSquaredDistanceBatch(ctx, candidates, enc_query, attr_bits_));
-    // Candidates ascend by global index, so C2's lower-position tie-break
-    // is the global lower-index tie-break restricted to the candidates.
-    SKNN_ASSIGN_OR_RETURN(std::vector<uint32_t> top,
-                          SecureTopKIndices(ctx, dists, request.k));
-    std::vector<std::vector<Ciphertext>> winners;
-    winners.reserve(top.size());
-    for (uint32_t idx : top) winners.push_back(candidates[idx]);
-    return MaskAndShipToBob(ctx, winners);
-  }
-
-  SKNN_ASSIGN_OR_RETURN(
-      std::vector<EncryptedBits> bits,
-      PrepareDistanceBits(ctx, candidates, enc_query, distance_bits_,
-                          &global_indices, num_records_,
-                          request.protocol == QueryProtocol::kFarthest,
-                          breakdown));
-  SKNN_ASSIGN_OR_RETURN(TopKExtraction top,
-                        ExtractTopK(ctx, candidates, bits, request.k,
-                                    attr_bits_, /*keep_winner_bits=*/false,
-                                    breakdown));
-  Stopwatch finalize;
-  Result<CloudQueryOutput> out = MaskAndShipToBob(ctx, top.records);
-  if (breakdown != nullptr) {
-    breakdown->finalize_seconds += finalize.ElapsedSeconds();
-  }
-  return out;
+  return chosen;
 }
 
 Result<std::vector<BigInt>> SknnEngine::TakeC2Outbox(ProtoContext& ctx,

@@ -209,7 +209,7 @@ class SknnEngine {
   /// a CreateWithShardWorkers engine's records live in the workers, and an
   /// in-process shard set (Options::shards > 1) holds them in its in-process
   /// workers' slices instead.
-  const EncryptedDatabase& database() const { return db_; }
+  const EncryptedDatabase& database() const { return table_.db; }
   std::size_t num_records() const { return num_records_; }
   std::size_t num_attributes() const { return num_attributes_; }
   unsigned distance_bits() const { return distance_bits_; }
@@ -255,18 +255,21 @@ class SknnEngine {
   /// scheduler: validate, assign a query id, run the protocol with
   /// per-query instrumentation, and recover Bob's records.
   Result<QueryResponse> ExecuteQuery(const QueryRequest& request);
+  /// \brief C1's side of one query. A pruned clustered request first
+  /// chooses its clusters. A sharded engine then hands the query to the
+  /// coordinator (only the chosen clusters' shards run); an unsharded one
+  /// runs RunShardStage over table_, or over the chosen clusters' records
+  /// gathered into one slice, and masks the winners for Bob.
   Result<CloudQueryOutput> Dispatch(ProtoContext& ctx,
                                     const QueryRequest& request,
                                     const std::vector<Ciphertext>& enc_query,
                                     QueryResponse* response);
-  /// \brief The clustered index path: one secure centroid-scoring round
-  /// prunes to the top-probe_clusters clusters, then the exact machinery
-  /// runs over the surviving candidates only (via the by-cluster
-  /// coordinator when sharded, over a gathered candidate slice otherwise).
-  Result<CloudQueryOutput> DispatchClustered(
+  /// \brief The clustered index's pruning round: one secure
+  /// centroid-scoring round ranks every cluster, then the greedy pick keeps
+  /// at least probe_clusters of them and enough to hold k records.
+  Result<std::vector<uint32_t>> ChooseClusters(
       ProtoContext& ctx, const QueryRequest& request,
-      const std::vector<Ciphertext>& enc_query, QueryResponse* response,
-      SkNNmBreakdown* breakdown);
+      const std::vector<Ciphertext>& enc_query);
   void SchedulerLoop();
 
   /// \brief The construction tail shared by every factory: geometry and
@@ -299,9 +302,12 @@ class SknnEngine {
   Options options_;
   unsigned attr_bits_ = 0;
   PaillierPublicKey pk_;
-  EncryptedDatabase db_;
-  /// Database geometry — mirrors db_ normally; reported by the shard
-  /// workers for a CreateWithShardWorkers engine (whose db_ is empty).
+  /// Epk(T) as the single shard an unsharded engine's queries run over
+  /// (identity global indices). Empty for sharded engines: the workers
+  /// hold the records.
+  ShardSlice table_;
+  /// Database geometry — mirrors table_ normally; reported by the shard
+  /// workers for a CreateWithShardWorkers engine (whose table_ is empty).
   std::size_t num_records_ = 0;
   std::size_t num_attributes_ = 0;
   unsigned distance_bits_ = 0;

@@ -1,8 +1,10 @@
-// ShardWorker — the one implementation of "run one shard's stage".
+// ShardWorker — one shard's stage, served over the shard wire.
 //
 // One worker hosts one slice of Epk(T) (cut from the full database along
 // the shard manifest) and answers the coordinator's frames
-// (net/shard_wire.h):
+// (net/shard_wire.h). The stage itself is RunShardStage (core/sharding.h),
+// the same C1 stage an engine without a coordinator runs over its whole
+// table:
 //
 //   kShardPing  -> its geometry (shard index, manifest, db shape), so a
 //                  misassembled worker set is rejected at connect time;

@@ -79,7 +79,8 @@ Result<ShardCandidates> RunShardStage(ProtoContext& ctx,
                                       const ShardSlice& slice,
                                       std::size_t total_records,
                                       const std::vector<Ciphertext>& enc_query,
-                                      unsigned k, QueryProtocol protocol) {
+                                      unsigned k, QueryProtocol protocol,
+                                      SkNNmBreakdown* breakdown) {
   const std::size_t shard_n = slice.db.num_records();
   if (shard_n == 0 || slice.global_indices.size() != shard_n) {
     return Status::InvalidArgument("RunShardStage: malformed shard slice");
@@ -103,9 +104,10 @@ Result<ShardCandidates> RunShardStage(ProtoContext& ctx,
         std::vector<Ciphertext> dist,
         SecureSquaredDistanceBatch(ctx, slice.db.records, enc_query,
                                    attr_bits));
-    // Ties resolve to the lower position, and positions within a shard are
-    // in ascending global-index order for both schemes — so the local list
-    // is exactly the global order restricted to this shard.
+    // Ties resolve to the lower position, and positions within a slice are
+    // in ascending global-index order (every scheme, and a clustered
+    // query's gathered candidates) — so the local list is exactly the
+    // global order restricted to this slice.
     SKNN_ASSIGN_OR_RETURN(std::vector<uint32_t> local,
                           SecureTopKIndices(ctx, dist, local_k));
     for (uint32_t idx : local) {
@@ -122,10 +124,11 @@ Result<ShardCandidates> RunShardStage(ProtoContext& ctx,
       PrepareDistanceBits(ctx, slice.db.records, enc_query,
                           slice.db.distance_bits, &slice.global_indices,
                           total_records,
-                          protocol == QueryProtocol::kFarthest));
-  SKNN_ASSIGN_OR_RETURN(TopKExtraction top,
-                        ExtractTopK(ctx, slice.db.records, bits, local_k,
-                                    attr_bits, /*keep_winner_bits=*/true));
+                          protocol == QueryProtocol::kFarthest, breakdown));
+  SKNN_ASSIGN_OR_RETURN(
+      TopKExtraction top,
+      ExtractTopK(ctx, slice.db.records, bits, local_k, attr_bits,
+                  /*keep_winner_bits=*/true, breakdown));
   out.bits = std::move(top.winner_bits);
   out.records = std::move(top.records);
   return out;

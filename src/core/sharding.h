@@ -1,5 +1,8 @@
 // Sharding the record fan-out: how Epk(T) is partitioned across C1 shard
-// workers, and what one shard computes per query.
+// workers, and what one shard computes per query. That shard stage is C1's
+// steps 2-3 of every query: an engine without a coordinator runs it over
+// its whole table as one shard, or over a clustered query's surviving
+// candidates, and then masks its k winners for Bob.
 //
 // SkNN_m admits sharding naturally: each shard runs the distance stage
 // (SSED + SBD + tie-break augmentation, with GLOBAL record indices) and
@@ -96,15 +99,20 @@ struct ShardCandidates {
 };
 
 /// \brief Runs the distance + local-top-k stages of `protocol` over one
-/// shard — what a ShardWorker (core/shard_worker.h) does per kShardQuery.
-/// `total_records` is the FULL database size (it sizes the tie-break index
-/// field identically on every shard). All C1<->C2 exchanges ride `ctx` —
-/// its query id, meter and deadline apply as for any query.
+/// shard — the C1 stage of every query: a ShardWorker
+/// (core/shard_worker.h) runs it per kShardQuery, and an engine without a
+/// coordinator runs it over its whole table, or over a clustered query's
+/// gathered candidates, as a single shard. `total_records` is the FULL
+/// database size (it sizes the tie-break index field identically on every
+/// shard). All C1<->C2 exchanges ride `ctx` — its query id, meter and
+/// deadline apply as for any query. `breakdown`, if non-null, accumulates
+/// the SkNN_m phase timings (kSecure/kFarthest only).
 Result<ShardCandidates> RunShardStage(ProtoContext& ctx,
                                       const ShardSlice& slice,
                                       std::size_t total_records,
                                       const std::vector<Ciphertext>& enc_query,
-                                      unsigned k, QueryProtocol protocol);
+                                      unsigned k, QueryProtocol protocol,
+                                      SkNNmBreakdown* breakdown = nullptr);
 
 }  // namespace sknn
 

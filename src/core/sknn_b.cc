@@ -1,8 +1,6 @@
 #include "core/sknn_b.h"
 
-#include "core/data_owner.h"
 #include "net/message.h"
-#include "proto/ssed.h"
 
 namespace sknn {
 
@@ -54,38 +52,6 @@ Result<std::vector<uint32_t>> SecureTopKIndices(
     }
   }
   return indices;
-}
-
-Result<CloudQueryOutput> RunSkNNb(ProtoContext& ctx,
-                                  const EncryptedDatabase& db,
-                                  const std::vector<Ciphertext>& enc_query,
-                                  unsigned k) {
-  const std::size_t n = db.num_records();
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("SkNN_b: k must be in [1, n]");
-  }
-  if (enc_query.size() != db.num_attributes()) {
-    return Status::InvalidArgument("SkNN_b: query dimension mismatch");
-  }
-
-  // Step 2: Epk(d_i) = SSED(Epk(Q), Epk(t_i)) for all records, blinded for
-  // the attribute domain the table's distance width implies.
-  SKNN_ASSIGN_OR_RETURN(
-      std::vector<Ciphertext> dist,
-      SecureSquaredDistanceBatch(
-          ctx, db.records, enc_query,
-          DataOwner::ImpliedAttrBits(db.num_attributes(), db.distance_bits)));
-
-  // Step 3: C2 decrypts the distances and returns the top-k index list
-  // delta. (This is exactly the leak the basic protocol accepts.)
-  SKNN_ASSIGN_OR_RETURN(std::vector<uint32_t> delta,
-                        SecureTopKIndices(ctx, dist, k));
-
-  // Steps 4-5: randomize the chosen records and ship them to Bob.
-  std::vector<std::vector<Ciphertext>> chosen;
-  chosen.reserve(k);
-  for (uint32_t idx : delta) chosen.push_back(db.records[idx]);
-  return MaskAndShipToBob(ctx, chosen);
 }
 
 }  // namespace sknn

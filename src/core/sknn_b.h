@@ -5,6 +5,10 @@
 // Efficient, but deliberately weaker: C2 learns all distances and both
 // clouds learn which records answer the query (the data access pattern).
 // The paper uses it as the efficiency baseline for SkNN_m (Figure 2(f)).
+//
+// Steps 2-3 run in RunShardStage (core/sharding.h) over the whole table, a
+// shard or a clustered query's candidates; this file holds the C2 rounds
+// both protocols share.
 #ifndef SKNN_CORE_SKNN_B_H_
 #define SKNN_CORE_SKNN_B_H_
 
@@ -29,17 +33,10 @@ Result<CloudQueryOutput> MaskAndShipToBob(
 
 /// \brief Step 3 of Algorithm 5 on its own: C2 decrypts `dists` and returns
 /// the indices of the k smallest, ties broken by the lower position — the
-/// round the sharded execution reuses to pick local candidates per shard
-/// and again to merge candidates at the coordinator (core/shard_coordinator).
+/// round the shard stage runs to pick its local candidates and the
+/// coordinator reruns to merge them (core/shard_coordinator).
 Result<std::vector<uint32_t>> SecureTopKIndices(
     ProtoContext& ctx, const std::vector<Ciphertext>& dists, unsigned k);
-
-/// \brief Runs Algorithm 5 on C1's side. `enc_query` is Epk(Q) as received
-/// from Bob. Returns the C1->Bob masks; C2's outbox holds the other half.
-Result<CloudQueryOutput> RunSkNNb(ProtoContext& ctx,
-                                  const EncryptedDatabase& db,
-                                  const std::vector<Ciphertext>& enc_query,
-                                  unsigned k);
 
 }  // namespace sknn
 

@@ -6,7 +6,6 @@
 #include "core/data_owner.h"
 #include "proto/permutation.h"
 #include "proto/sm.h"
-#include "proto/smax.h"
 #include "proto/smin.h"
 #include "proto/ssed.h"
 
@@ -187,45 +186,6 @@ Result<TopKExtraction> ExtractTopK(
     for (std::size_t i = 0; i < n; ++i) bits[i][0] = pk.Add(bits[i][0], v[i]);
     bd.update_seconds += phase.ElapsedSeconds();
   }
-  return out;
-}
-
-Result<CloudQueryOutput> RunSkNNm(ProtoContext& ctx,
-                                  const EncryptedDatabase& db,
-                                  const std::vector<Ciphertext>& enc_query,
-                                  unsigned k, SkNNmBreakdown* breakdown,
-                                  const SkNNmOptions& options) {
-  const std::size_t n = db.num_records();
-  if (k == 0 || k > n) {
-    return Status::InvalidArgument("SkNN_m: k must be in [1, n]");
-  }
-  if (enc_query.size() != db.num_attributes()) {
-    return Status::InvalidArgument("SkNN_m: query dimension mismatch");
-  }
-  if (db.distance_bits == 0) {
-    return Status::InvalidArgument("SkNN_m: database lacks distance_bits");
-  }
-  SkNNmBreakdown local_breakdown;
-  SkNNmBreakdown& bd = breakdown != nullptr ? *breakdown : local_breakdown;
-  bd = SkNNmBreakdown{};
-
-  SKNN_ASSIGN_OR_RETURN(
-      std::vector<EncryptedBits> bits,
-      PrepareDistanceBits(ctx, db.records, enc_query, db.distance_bits,
-                          /*global_indices=*/nullptr, n, options.farthest,
-                          &bd));
-  SKNN_ASSIGN_OR_RETURN(
-      TopKExtraction top,
-      ExtractTopK(ctx, db.records, bits, k,
-                  DataOwner::ImpliedAttrBits(db.num_attributes(),
-                                             db.distance_bits),
-                  /*keep_winner_bits=*/false, &bd));
-
-  // Steps 4-6 (as in Algorithm 5): mask and ship to Bob.
-  Stopwatch phase;
-  SKNN_ASSIGN_OR_RETURN(CloudQueryOutput out,
-                        MaskAndShipToBob(ctx, top.records));
-  bd.finalize_seconds = phase.ElapsedSeconds();
   return out;
 }
 

@@ -48,17 +48,6 @@
 
 namespace sknn {
 
-struct SkNNmOptions {
-  /// Secure k-FARTHEST neighbors instead of nearest: the distance bits are
-  /// complemented after SBD (max(d) = NOT min(NOT d)), and the rest of
-  /// Algorithm 6 runs unchanged — extraction sets a winner's flag bit, so
-  /// it sorts above every live record's complemented distance. This is the
-  /// building block for distance-based outlier detection (Section 2.1.1).
-  /// Ties (equal true distance) are broken by the lower global index, same
-  /// as the nearest-neighbor direction.
-  bool farthest = false;
-};
-
 /// \brief Width of the global-index field of the augmented bit vectors for
 /// a database of `total_records` records (0 when a single record needs no
 /// tie-break).
@@ -70,9 +59,12 @@ inline unsigned AugmentedBitWidth(unsigned l, std::size_t total_records) {
 }
 
 /// \brief Steps 2-3(b-prep) of Algorithm 6 for `records` (all of Epk(T), or
-/// one shard of it): SSED distances, SBD bit decomposition (complemented
-/// for `farthest`; SBD always runs its verification round), then the
-/// tie-break augmentation described above.
+/// one shard of it): SSED distances, SBD bit decomposition (SBD always runs
+/// its verification round), then the tie-break augmentation described
+/// above. `farthest` complements the distance bits after SBD
+/// (max(d) = NOT min(NOT d)) for the secure k-FARTHEST query, and the rest
+/// of Algorithm 6 runs unchanged: a winner's set flag bit still sorts it
+/// above every live record, and ties still go to the lower global index.
 /// `global_indices` names each record's index in the FULL database (null =
 /// identity, the unsharded case); `total_records` sizes the index field so
 /// every shard of one database augments identically. SSED's blinds are
@@ -111,16 +103,6 @@ Result<TopKExtraction> ExtractTopK(
     ProtoContext& ctx, const std::vector<std::vector<Ciphertext>>& records,
     std::vector<EncryptedBits>& bits, unsigned k, unsigned attr_bits,
     bool keep_winner_bits, SkNNmBreakdown* breakdown = nullptr);
-
-/// \brief Runs Algorithm 6 on C1's side; the masked result lands in C2's
-/// Bob outbox and the returned masks complete Bob's view. `breakdown`, if
-/// non-null, receives the per-phase timing split of Section 5.2.
-Result<CloudQueryOutput> RunSkNNm(ProtoContext& ctx,
-                                  const EncryptedDatabase& db,
-                                  const std::vector<Ciphertext>& enc_query,
-                                  unsigned k,
-                                  SkNNmBreakdown* breakdown = nullptr,
-                                  const SkNNmOptions& options = {});
 
 }  // namespace sknn
 

@@ -154,6 +154,18 @@ Result<EncryptedBits> SecureMin(ProtoContext& ctx, const EncryptedBits& u,
   return std::move(out[0]);
 }
 
+EncryptedBits ComplementBits(const PaillierPublicKey& pk,
+                             const EncryptedBits& bits) {
+  Random& rng = Random::ThreadLocal();
+  EncryptedBits out;
+  out.reserve(bits.size());
+  for (const auto& b : bits) {
+    // batch-exempt: l encryptions per call (l = bit length, not records)
+    out.push_back(pk.Sub(pk.Encrypt(BigInt(1), rng), b));
+  }
+  return out;
+}
+
 Result<EncryptedBits> SecureMinNLinear(ProtoContext& ctx,
                                        const std::vector<EncryptedBits>& ds) {
   if (ds.empty()) {

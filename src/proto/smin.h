@@ -51,6 +51,13 @@ Result<std::vector<EncryptedBits>> SecureMinBatch(
 Result<EncryptedBits> SecureMinN(ProtoContext& ctx,
                                  const std::vector<EncryptedBits>& ds);
 
+/// \brief Homomorphic bitwise complement of an encrypted bit vector:
+/// out_i = Epk(1 - b_i). Local (no interaction). SMIN_n over complemented
+/// vectors finds the maximum, max(d) = NOT min(NOT d), which is how the
+/// secure k-farthest query reuses Algorithm 6 (core/sknn_m.h).
+EncryptedBits ComplementBits(const PaillierPublicKey& pk,
+                             const EncryptedBits& bits);
+
 /// \brief The naive ordering Algorithm 4 improves on: a sequential linear
 /// scan (min = SMIN(min, d_i) one pair at a time). Same O(n-1) SMIN count
 /// but 2*(n-1) round trips and no batching — kept as the ablation baseline

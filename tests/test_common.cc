@@ -14,6 +14,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "proto/permutation.h"
+#include "tools/tool_util.h"
 
 namespace sknn {
 namespace {
@@ -207,6 +208,33 @@ TEST(FatalCheckDeathTest, PermutationApplyAbortsOnShortInput) {
   EXPECT_DEATH((void)pi.Apply(short_input), "Permutation size mismatch");
   EXPECT_DEATH((void)pi.ApplyInverse(short_input),
                "Permutation size mismatch");
+}
+
+TEST(ToolFlagsTest, KnownFlagsParseInBothForms) {
+  char prog[] = "tool", secret[] = "--secret", sk[] = "sk.txt",
+       workers[] = "--workers=4", json[] = "--json";
+  char* argv[] = {prog, secret, sk, workers, json};
+  auto flags = tools::ParseFlags(5, argv, {"secret", "workers", "json"},
+                                 "tool --secret <f> [--workers N] [--json]");
+  EXPECT_EQ(flags.at("secret"), "sk.txt");
+  EXPECT_EQ(flags.at("workers"), "4");
+  EXPECT_EQ(flags.at("json"), "true");
+}
+
+TEST(ToolFlagsDeathTest, UnknownFlagPrintsUsageAndExits2) {
+  // A misspelt flag must stop the tool, not be ignored: `--wrokers 4`
+  // would otherwise start a one-worker server without a word.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* usage = "tool --secret <f> [--workers N]";
+  char prog[] = "tool", secret[] = "--secret", sk[] = "sk.txt",
+       typo[] = "--wrokers", four[] = "4", typo_eq[] = "--wrokers=4";
+  char* spaced[] = {prog, secret, sk, typo, four};
+  EXPECT_EXIT(tools::ParseFlags(5, spaced, {"secret", "workers"}, usage),
+              ::testing::ExitedWithCode(2),
+              "unknown flag --wrokers\nusage: tool --secret");
+  char* joined[] = {prog, typo_eq, secret, sk};
+  EXPECT_EXIT(tools::ParseFlagList(4, joined, {"secret", "workers"}, usage),
+              ::testing::ExitedWithCode(2), "unknown flag --wrokers\n");
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {

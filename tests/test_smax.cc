@@ -1,5 +1,5 @@
-// Tests for SMAX / SMAX_n (the De-Morgan dual of SMIN) and for the secure
-// k-farthest-neighbor query built on it.
+// Tests for the bit complement behind the secure k-farthest-neighbor query
+// (max(d) = NOT min(NOT d)) and for that query over the engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,7 @@
 #include "baseline/plaintext_knn.h"
 #include "core/engine.h"
 #include "data/synthetic.h"
-#include "proto/smax.h"
+#include "proto/smin.h"
 #include "tests/proto_test_util.h"
 #include "tests/query_test_util.h"
 
@@ -19,7 +19,6 @@ namespace {
 class SmaxTest : public ::testing::Test {
  protected:
   TwoPartyHarness harness_;
-  Random rng_{808};
 };
 
 TEST_F(SmaxTest, ComplementBitsFlipsEveryBit) {
@@ -30,89 +29,6 @@ TEST_F(SmaxTest, ComplementBitsFlipsEveryBit) {
   EncryptedBits twice = ComplementBits(harness_.pk(), flipped);
   EXPECT_EQ(harness_.DecryptBits(twice), 0b1010u);
 }
-
-TEST_F(SmaxTest, ExhaustiveThreeBitPairs) {
-  for (uint64_t u = 0; u < 8; ++u) {
-    for (uint64_t v = 0; v < 8; ++v) {
-      auto result = SecureMax(harness_.ctx(), harness_.EncryptBits(u, 3),
-                              harness_.EncryptBits(v, 3));
-      ASSERT_TRUE(result.ok()) << "u=" << u << " v=" << v;
-      EXPECT_EQ(harness_.DecryptBits(*result), std::max(u, v))
-          << "u=" << u << " v=" << v;
-    }
-  }
-}
-
-TEST_F(SmaxTest, EqualOperands) {
-  for (uint64_t z : {uint64_t{0}, uint64_t{31}, uint64_t{17}}) {
-    auto result = SecureMax(harness_.ctx(), harness_.EncryptBits(z, 5),
-                            harness_.EncryptBits(z, 5));
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(harness_.DecryptBits(*result), z);
-  }
-}
-
-TEST_F(SmaxTest, BatchOfPairs) {
-  std::vector<EncryptedBits> us, vs;
-  std::vector<uint64_t> expected;
-  for (int i = 0; i < 10; ++i) {
-    uint64_t u = rng_.UniformUint64(1 << 7);
-    uint64_t v = rng_.UniformUint64(1 << 7);
-    us.push_back(harness_.EncryptBits(u, 7));
-    vs.push_back(harness_.EncryptBits(v, 7));
-    expected.push_back(std::max(u, v));
-  }
-  auto result = SecureMaxBatch(harness_.ctx(), us, vs);
-  ASSERT_TRUE(result.ok());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(harness_.DecryptBits((*result)[i]), expected[i]) << i;
-  }
-}
-
-TEST_F(SmaxTest, MaxNOverVariousSizes) {
-  for (std::size_t n : {1u, 2u, 5u, 9u}) {
-    std::vector<uint64_t> values;
-    std::vector<EncryptedBits> enc;
-    for (std::size_t i = 0; i < n; ++i) {
-      uint64_t v = rng_.UniformUint64(1 << 8);
-      values.push_back(v);
-      enc.push_back(harness_.EncryptBits(v, 8));
-    }
-    auto result = SecureMaxN(harness_.ctx(), enc);
-    ASSERT_TRUE(result.ok()) << "n=" << n;
-    EXPECT_EQ(harness_.DecryptBits(*result),
-              *std::max_element(values.begin(), values.end()))
-        << "n=" << n;
-  }
-}
-
-TEST_F(SmaxTest, MaxNRejectsEmpty) {
-  EXPECT_FALSE(SecureMaxN(harness_.ctx(), {}).ok());
-}
-
-// Min/max duality on the same inputs.
-class MinMaxDuality : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(MinMaxDuality, MinPlusMaxEqualsSumForPairs) {
-  unsigned l = GetParam();
-  TwoPartyHarness harness(256, 6000 + l);
-  Random rng(l);
-  for (int i = 0; i < 5; ++i) {
-    uint64_t u = rng.UniformUint64(uint64_t{1} << l);
-    uint64_t v = rng.UniformUint64(uint64_t{1} << l);
-    auto min_r = SecureMin(harness.ctx(), harness.EncryptBits(u, l),
-                           harness.EncryptBits(v, l));
-    auto max_r = SecureMax(harness.ctx(), harness.EncryptBits(u, l),
-                           harness.EncryptBits(v, l));
-    ASSERT_TRUE(min_r.ok());
-    ASSERT_TRUE(max_r.ok());
-    EXPECT_EQ(harness.DecryptBits(*min_r) + harness.DecryptBits(*max_r),
-              u + v);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, MinMaxDuality,
-                         ::testing::Values(3u, 6u, 12u));
 
 // -- Secure k-farthest neighbors over the engine ------------------------------
 

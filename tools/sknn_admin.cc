@@ -167,7 +167,11 @@ int main(int argc, char** argv) {
       "sknn_admin --host <ip> --port <p> [--json] "
       "(--hello | --list-tables | --table-info [name] | --stats | --health | "
       "--reload-table <name> [--spec <spec>] | --detach-table <name>)";
-  auto flags = ParseFlags(argc, argv);
+  auto flags = ParseFlags(argc, argv,
+                          {"host", "port", "json", "hello", "list-tables",
+                           "table-info", "stats", "health", "reload-table",
+                           "spec", "detach-table"},
+                          usage);
   std::string host = FlagOr(flags, "host", "127.0.0.1");
   uint16_t port = ParsePortOrDie(RequireFlag(flags, "port", usage), "port",
                                  usage);

@@ -313,7 +313,12 @@ int main(int argc, char** argv) {
       "[--table name=db.bin[,manifest=f][,clusters=f][,public=pk]"
       "[,c2-host=ip][,c2-port=p][,shards=s][,scheme=sch]"
       "[,weight=w][,rate=qps][,burst=b][,cache=bytes]]...";
-  auto flag_list = ParseFlagList(argc, argv);
+  auto flag_list = ParseFlagList(
+      argc, argv,
+      {"port", "public", "db", "c2-host", "c2-port", "threads",
+       "max-in-flight", "queries", "shards", "shard-scheme", "shard-workers",
+       "clusters", "no-short-randomizers", "api-keys", "table"},
+      usage);
   std::map<std::string, std::string> flags;
   for (auto& [key, value] : flag_list) flags[key] = value;
   uint16_t port = ParsePortOrDie(RequireFlag(flags, "port", usage), "port",

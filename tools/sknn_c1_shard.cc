@@ -43,7 +43,11 @@ int main(int argc, char** argv) {
       "--c2-host <ip> --c2-port <p> --shards <s> --shard-index <i> "
       "[--scheme contiguous|roundrobin] [--manifest <file>] "
       "[--clusters <file>] [--threads N] [--connections N]";
-  auto flags = ParseFlags(argc, argv);
+  auto flags = ParseFlags(argc, argv,
+                          {"public", "db", "port", "c2-host", "c2-port",
+                           "shards", "shard-index", "scheme", "manifest",
+                           "clusters", "threads", "connections"},
+                          usage);
   std::string pk_path = RequireFlag(flags, "public", usage);
   std::string db_path = RequireFlag(flags, "db", usage);
   uint16_t port = ParsePortOrDie(RequireFlag(flags, "port", usage), "port",

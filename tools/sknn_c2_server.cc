@@ -31,7 +31,10 @@ int main(int argc, char** argv) {
   const char* usage =
       "sknn_c2_server --secret <sk-file> --port <p> [--workers N] "
       "[--connections N] [--pool-capacity N] [--no-short-randomizers]";
-  auto flags = ParseFlags(argc, argv);
+  auto flags = ParseFlags(argc, argv,
+                          {"secret", "port", "workers", "connections",
+                           "pool-capacity", "no-short-randomizers"},
+                          usage);
   std::string sk_path = RequireFlag(flags, "secret", usage);
   uint16_t port = ParsePortOrDie(RequireFlag(flags, "port", usage), "port",
                                  usage);

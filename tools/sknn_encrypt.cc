@@ -34,7 +34,11 @@ int main(int argc, char** argv) {
       "<db.bin> [--skip-header] [--shards s [--shard-scheme x] "
       "--manifest-out <file>] [--clusters c [--cluster-seed s] "
       "--clusters-out <file>]";
-  auto flags = ParseFlags(argc, argv);
+  auto flags = ParseFlags(argc, argv,
+                          {"public", "csv", "attr-bits", "out", "skip-header",
+                           "shards", "shard-scheme", "manifest-out",
+                           "clusters", "cluster-seed", "clusters-out"},
+                          usage);
   std::string pk_path = RequireFlag(flags, "public", usage);
   std::string csv_path = RequireFlag(flags, "csv", usage);
   std::string out_path = RequireFlag(flags, "out", usage);

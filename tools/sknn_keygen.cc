@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace sknn::tools;
   const char* usage =
       "sknn_keygen --bits <N> --public <pk-file> --secret <sk-file>";
-  auto flags = ParseFlags(argc, argv);
+  auto flags = ParseFlags(argc, argv, {"bits", "public", "secret"}, usage);
   unsigned bits = static_cast<unsigned>(ParseUint64OrDie(
       FlagOr(flags, "bits", "1024"), "bits", usage, 16, 1u << 20));
   std::string pk_path = RequireFlag(flags, "public", usage);

@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   const char* usage =
       "sknn_plain_knn --csv <table.csv> --query \"v1,v2,...\" --k <k> "
       "[--skip-header] [--farthest]";
-  auto flags = ParseFlags(argc, argv);
+  auto flags = ParseFlags(
+      argc, argv, {"csv", "query", "k", "skip-header", "farthest"}, usage);
   std::string csv_path = RequireFlag(flags, "csv", usage);
   PlainRecord query = ParseRecord(RequireFlag(flags, "query", usage), usage);
   std::size_t k = static_cast<std::size_t>(ParseUint64OrDie(

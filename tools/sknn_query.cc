@@ -59,7 +59,12 @@ int main(int argc, char** argv) {
       "Thin client: talks to a sknn_c1_server front end, which hosts the\n"
       "encrypted table(s) and drives the clouds. Run as many instances\n"
       "concurrently as the front end's --max-in-flight admits.";
-  auto flags = ParseFlags(argc, argv);
+  auto flags = ParseFlags(argc, argv,
+                          {"host", "port", "server", "query", "k", "table",
+                           "protocol", "retries", "max-wait-ms", "deadline-ms",
+                           "stats", "index-mode", "probe-clusters", "api-key",
+                           "no-cache"},
+                          usage);
   std::vector<std::string> endpoints;
   if (flags.count("server")) {
     std::stringstream ss(flags.at("server"));

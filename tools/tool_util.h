@@ -1,4 +1,5 @@
-// Tiny --flag=value / --flag value parser shared by the CLI tools, plus
+// Tiny --flag=value / --flag value parser shared by the CLI tools (each
+// tool names the flags it knows; any other flag exits 2), plus
 // defensive numeric parsing: a malformed flag value ("--port abc", an
 // out-of-range count, trailing garbage) prints the offending flag and the
 // tool's usage string and exits 2 — it never throws out of std::sto* and
@@ -10,14 +11,17 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,33 +31,46 @@ namespace sknn {
 namespace tools {
 
 /// \brief Flags in command-line order, repeats preserved — for flags that
-/// may legitimately appear many times (sknn_c1_server --table).
+/// may legitimately appear many times (sknn_c1_server --table). `known` is
+/// the tool's full flag list: any other flag (a typo, or one the tool does
+/// not have) prints "unknown flag --x" and the usage and exits 2, so a
+/// misspelt flag never silently changes what a deployment runs.
 inline std::vector<std::pair<std::string, std::string>> ParseFlagList(
-    int argc, char** argv) {
+    int argc, char** argv, std::initializer_list<std::string_view> known,
+    const char* usage) {
   std::vector<std::pair<std::string, std::string>> flags;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
+      std::fprintf(stderr, "unexpected argument '%s'\nusage: %s\n",
+                   arg.c_str(), usage);
       std::exit(2);
     }
     std::string key = arg.substr(2);
+    std::string value = "true";
     std::size_t eq = key.find('=');
     if (eq != std::string::npos) {
-      flags.emplace_back(key.substr(0, eq), key.substr(eq + 1));
+      value = key.substr(eq + 1);
+      key.resize(eq);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags.emplace_back(std::move(key), argv[++i]);
-    } else {
-      flags.emplace_back(std::move(key), "true");
+      value = argv[++i];
     }
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::fprintf(stderr, "unknown flag --%s\nusage: %s\n", key.c_str(),
+                   usage);
+      std::exit(2);
+    }
+    flags.emplace_back(std::move(key), std::move(value));
   }
   return flags;
 }
 
-inline std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
+inline std::map<std::string, std::string> ParseFlags(
+    int argc, char** argv, std::initializer_list<std::string_view> known,
+    const char* usage) {
   std::map<std::string, std::string> flags;
-  for (auto& [key, value] : ParseFlagList(argc, argv)) {
-    flags[key] = value;  // last occurrence wins, as before
+  for (auto& [key, value] : ParseFlagList(argc, argv, known, usage)) {
+    flags[key] = value;  // last occurrence wins
   }
   return flags;
 }
