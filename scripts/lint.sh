@@ -21,7 +21,11 @@
 #         its own line or the line above;
 #       - no raw aux[...] / aux.size() / aux.begin() in src/ or tools/
 #         outside src/net/: message payloads go through the bounds-checked
-#         FrameReader/FrameWriter (src/net/message.h).
+#         FrameReader/FrameWriter (src/net/message.h);
+#       - no hand-rolled little-endian byte loops (`<< (8 *`, `>> (8 *`) in
+#         src/ or tools/ outside the frame layer (src/net/message.cc) and
+#         the socket's 4-byte stream prefix (src/net/socket.cc): wire
+#         payloads and the table files alike are encoded by FrameWriter.
 #  2. clang-tidy over compile_commands.json (runs when clang-tidy is on
 #     PATH — the lint CI job; skipped with a notice otherwise). Checks are
 #     curated in .clang-tidy.
@@ -126,6 +130,22 @@ raw_aux=$(grep -rn --include='*.h' --include='*.cc' \
 if [ -n "${raw_aux}" ]; then
   fail "raw aux access outside src/net/ — read and write payloads with \
 FrameReader/FrameWriter (src/net/message.h)" "${raw_aux}"
+fi
+
+# --- 1g. Hand-rolled byte codecs outside the frame layer --------------------
+# FrameWriter/FrameReader (src/net/message.h) are the one little-endian
+# codec, for wire payloads and the SKNNDB/SKNNSH/SKNNCL files alike. A
+# shift-by-8*i loop elsewhere is a second codec without their bounds checks.
+# The socket's 4-byte stream prefix and comments are exempt.
+byte_loops=$(grep -rn --include='*.h' --include='*.cc' \
+  -e '<< (8 \*' -e '>> (8 \*' \
+  src tools 2>/dev/null \
+  | grep -v -e '^src/net/message\.cc:' -e '^src/net/socket\.cc:' \
+  | grep -v ':[0-9]*:\s*//' || true)
+if [ -n "${byte_loops}" ]; then
+  fail "hand-rolled little-endian byte loop outside src/net/message.cc — \
+encode and decode with FrameWriter/FrameReader (src/net/message.h)" \
+    "${byte_loops}"
 fi
 
 # --- 2. clang-tidy ---------------------------------------------------------

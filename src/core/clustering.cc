@@ -255,22 +255,12 @@ std::vector<uint32_t> ClusterSizes(const ClusterManifest& manifest) {
   return sizes;
 }
 
-Status ValidateClusterManifestForDatabase(const ClusterManifest& manifest,
-                                          const EncryptedDatabase& db) {
+Status ValidateClusterManifestShape(const ClusterManifest& manifest) {
   if (manifest.num_clusters == 0) {
     return Status::InvalidArgument("cluster manifest: zero clusters");
   }
-  if (manifest.total_records != db.num_records()) {
-    return Status::InvalidArgument(
-        "cluster manifest: built for " +
-        std::to_string(manifest.total_records) + " records but the database "
-        "has " + std::to_string(db.num_records()));
-  }
-  if (manifest.num_attributes != db.num_attributes()) {
-    return Status::InvalidArgument(
-        "cluster manifest: built for " +
-        std::to_string(manifest.num_attributes) + " attributes but the "
-        "database has " + std::to_string(db.num_attributes()));
+  if (manifest.total_records == 0 || manifest.num_attributes == 0) {
+    return Status::InvalidArgument("cluster manifest: empty geometry");
   }
   if (manifest.assignment.size() != manifest.total_records) {
     return Status::InvalidArgument(
@@ -298,6 +288,24 @@ Status ValidateClusterManifestForDatabase(const ClusterManifest& manifest,
           " attributes, expected " +
           std::to_string(manifest.num_attributes));
     }
+  }
+  return Status::OK();
+}
+
+Status ValidateClusterManifestForDatabase(const ClusterManifest& manifest,
+                                          const EncryptedDatabase& db) {
+  SKNN_RETURN_NOT_OK(ValidateClusterManifestShape(manifest));
+  if (manifest.total_records != db.num_records()) {
+    return Status::InvalidArgument(
+        "cluster manifest: built for " +
+        std::to_string(manifest.total_records) + " records but the database "
+        "has " + std::to_string(db.num_records()));
+  }
+  if (manifest.num_attributes != db.num_attributes()) {
+    return Status::InvalidArgument(
+        "cluster manifest: built for " +
+        std::to_string(manifest.num_attributes) + " attributes but the "
+        "database has " + std::to_string(db.num_attributes()));
   }
   return Status::OK();
 }

@@ -85,7 +85,13 @@ std::vector<std::size_t> ClusterRecordIndices(const ClusterManifest& manifest,
 /// \brief Per-cluster record counts; size manifest.num_clusters.
 std::vector<uint32_t> ClusterSizes(const ClusterManifest& manifest);
 
-/// \brief Structural check: does this manifest describe this database?
+/// \brief Internal consistency: non-zero geometry, an assignment of
+/// total_records clusters each below num_clusters, and num_clusters
+/// centroid rows of num_attributes ciphertexts.
+Status ValidateClusterManifestShape(const ClusterManifest& manifest);
+
+/// \brief ValidateClusterManifestShape, then: does this manifest describe
+/// this database (record and attribute counts)?
 Status ValidateClusterManifestForDatabase(const ClusterManifest& manifest,
                                           const EncryptedDatabase& db);
 

@@ -2,42 +2,115 @@
 
 #include <cstring>
 #include <fstream>
+#include <iterator>
+
+#include "net/message.h"
 
 namespace sknn {
 namespace {
 
-constexpr char kMagic[8] = {'S', 'K', 'N', 'N', 'D', 'B', '0', '1'};
-constexpr char kManifestMagic[8] = {'S', 'K', 'N', 'N', 'S', 'H', '0', '1'};
-constexpr char kClusterMagic[8] = {'S', 'K', 'N', 'N', 'C', 'L', '0', '1'};
+// One artifact kind: its magic, whose last two characters are the format
+// revision, and the words its reader's errors use.
+struct Artifact {
+  const char* magic;
+  const char* reader;
+  const char* kind;
+};
 
-void PutU32(std::ofstream& out, uint32_t v) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  out.write(bytes, 4);
+constexpr Artifact kDatabase = {"SKNNDB01", "ReadEncryptedDatabase",
+                                "an sknn database"};
+constexpr Artifact kShardManifest = {"SKNNSH01", "ReadShardManifest",
+                                     "a shard manifest"};
+constexpr Artifact kClusterManifest = {"SKNNCL01", "ReadClusterManifest",
+                                       "a cluster manifest"};
+constexpr std::size_t kMagicBytes = 8;
+
+// A ciphertext's magnitude is a few hundred bytes; a longer length word is
+// malformed.
+constexpr std::size_t kMaxCiphertextBytes = 64 * 1024;
+
+Status Malformed(const Artifact& artifact, const std::string& what) {
+  return Status::InvalidArgument(std::string(artifact.reader) + ": " + what);
 }
 
-bool GetU32(std::ifstream& in, uint32_t* v) {
-  char bytes[4];
-  if (!in.read(bytes, 4)) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[i])) << (8 * i);
+// Reads the whole file and checks its magic; on success returns the body
+// after it. Three outcomes get distinct messages: ours; the same family at
+// another revision (version skew — the artifact must be re-exported, not
+// half-parsed); and not ours.
+Result<std::vector<uint8_t>> ReadArtifact(const std::string& path,
+                                          const Artifact& artifact) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::IoError(std::string(artifact.reader) + ": cannot open " +
+                           path);
   }
-  return true;
+  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  if (bytes.size() >= kMagicBytes &&
+      std::memcmp(bytes.data(), artifact.magic, kMagicBytes) == 0) {
+    bytes.erase(bytes.begin(), bytes.begin() + kMagicBytes);
+    return bytes;
+  }
+  if (bytes.size() >= kMagicBytes &&
+      std::memcmp(bytes.data(), artifact.magic, kMagicBytes - 2) == 0) {
+    return Malformed(artifact,
+                     path + " is " + artifact.kind +
+                         " of an unsupported format revision (this build "
+                         "reads " + artifact.magic +
+                         "); re-export it with this build's sknn_encrypt");
+  }
+  return Malformed(artifact,
+                   std::string("bad magic (not ") + artifact.kind + ")");
 }
 
-// Reads and checks an 8-byte magic whose last two characters are the format
-// revision. Three distinct outcomes for the caller's error message: OK,
-// "right family, unknown revision" (version skew — an artifact from a
-// newer/older build must be re-exported, not half-parsed), and "not ours".
-enum class MagicCheck { kOk, kVersionSkew, kForeign };
+// A body is exactly as long as its fields.
+Status CheckEnd(const FrameReader& r, const Artifact& artifact) {
+  if (!r.ok()) return Malformed(artifact, "truncated file");
+  if (r.remaining() != 0) return Malformed(artifact, "trailing bytes");
+  return Status::OK();
+}
 
-MagicCheck CheckMagic(std::ifstream& in, const char (&expected)[8]) {
-  char magic[8];
-  if (!in.read(magic, sizeof(magic))) return MagicCheck::kForeign;
-  if (std::memcmp(magic, expected, sizeof(magic)) == 0) return MagicCheck::kOk;
-  if (std::memcmp(magic, expected, 6) == 0) return MagicCheck::kVersionSkew;
-  return MagicCheck::kForeign;
+Status WriteArtifact(const std::string& path, const char* writer,
+                     const Artifact& artifact,
+                     const std::vector<uint8_t>& body) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    return Status::IoError(std::string(writer) + ": cannot open " + path);
+  }
+  out.write(artifact.magic, kMagicBytes);
+  out.write(reinterpret_cast<const char*>(body.data()),
+            static_cast<std::streamsize>(body.size()));
+  out.close();
+  if (!out) return Status::IoError(std::string(writer) + ": write failure");
+  return Status::OK();
+}
+
+// Each ciphertext is [len:u32][big-endian magnitude].
+void WriteCiphertextRows(FrameWriter& w,
+                         const std::vector<std::vector<Ciphertext>>& rows) {
+  for (const auto& row : rows) {
+    for (const Ciphertext& ct : row) w.Bytes(ct.value().ToBytes());
+  }
+}
+
+// True when `count` items of at least `item_bytes` each fit in the bytes
+// left, so a header count never sizes memory by itself.
+bool Fits(const FrameReader& r, uint32_t count, std::size_t item_bytes) {
+  return count <= r.remaining() / item_bytes;
+}
+
+// The caller has checked that the rows' length words fit (Fits).
+std::vector<std::vector<Ciphertext>> ReadCiphertextRows(FrameReader& r,
+                                                        uint32_t rows,
+                                                        uint32_t m) {
+  std::vector<std::vector<Ciphertext>> out(rows);
+  for (auto& row : out) {
+    row.reserve(m);
+    for (uint32_t j = 0; j < m; ++j) {
+      row.emplace_back(BigInt::FromBytes(r.Bytes(kMaxCiphertextBytes)));
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -47,81 +120,36 @@ Status WriteEncryptedDatabase(const std::string& path,
   if (db.records.empty() || db.records[0].empty()) {
     return Status::InvalidArgument("WriteEncryptedDatabase: empty database");
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IoError("WriteEncryptedDatabase: cannot open " + path);
-  }
-  out.write(kMagic, sizeof(kMagic));
-  PutU32(out, static_cast<uint32_t>(db.num_records()));
-  PutU32(out, static_cast<uint32_t>(db.num_attributes()));
-  PutU32(out, db.distance_bits);
   for (const auto& row : db.records) {
     if (row.size() != db.num_attributes()) {
       return Status::InvalidArgument("WriteEncryptedDatabase: ragged rows");
     }
-    for (const auto& ct : row) {
-      std::vector<uint8_t> bytes = ct.value().ToBytes();
-      PutU32(out, static_cast<uint32_t>(bytes.size()));
-      out.write(reinterpret_cast<const char*>(bytes.data()),
-                static_cast<std::streamsize>(bytes.size()));
-    }
   }
-  if (!out.good()) {
-    return Status::IoError("WriteEncryptedDatabase: write failure");
-  }
-  return Status::OK();
+  std::vector<uint8_t> body;
+  FrameWriter w(body);
+  w.U32(static_cast<uint32_t>(db.num_records()))
+      .U32(static_cast<uint32_t>(db.num_attributes()))
+      .U32(db.distance_bits);
+  WriteCiphertextRows(w, db.records);
+  return WriteArtifact(path, "WriteEncryptedDatabase", kDatabase, body);
 }
 
 Result<EncryptedDatabase> ReadEncryptedDatabase(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("ReadEncryptedDatabase: cannot open " + path);
-  }
-  switch (CheckMagic(in, kMagic)) {
-    case MagicCheck::kOk:
-      break;
-    case MagicCheck::kVersionSkew:
-      return Status::InvalidArgument(
-          "ReadEncryptedDatabase: " + path +
-          " is an sknn database of an unsupported format revision (this "
-          "build reads SKNNDB01); re-export it with this build's "
-          "sknn_encrypt");
-    case MagicCheck::kForeign:
-      return Status::InvalidArgument(
-          "ReadEncryptedDatabase: bad magic (not an sknn database)");
-  }
-  uint32_t n = 0, m = 0, l = 0;
-  if (!GetU32(in, &n) || !GetU32(in, &m) || !GetU32(in, &l) || n == 0 ||
-      m == 0 || l == 0) {
-    return Status::InvalidArgument("ReadEncryptedDatabase: bad geometry");
-  }
+  SKNN_ASSIGN_OR_RETURN(std::vector<uint8_t> body,
+                        ReadArtifact(path, kDatabase));
+  FrameReader r(body);
+  const uint32_t n = r.U32();
+  const uint32_t m = r.U32();
   EncryptedDatabase db;
-  db.distance_bits = l;
-  db.records.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    std::vector<Ciphertext> row;
-    row.reserve(m);
-    for (uint32_t j = 0; j < m; ++j) {
-      uint32_t len = 0;
-      if (!GetU32(in, &len)) {
-        return Status::InvalidArgument(
-            "ReadEncryptedDatabase: truncated file");
-      }
-      std::vector<uint8_t> bytes(len);
-      if (len > 0 &&
-          !in.read(reinterpret_cast<char*>(bytes.data()), len)) {
-        return Status::InvalidArgument(
-            "ReadEncryptedDatabase: truncated ciphertext");
-      }
-      row.emplace_back(BigInt::FromBytes(bytes));
-    }
-    db.records.push_back(std::move(row));
+  db.distance_bits = r.U32();
+  if (n == 0 || m == 0 || db.distance_bits == 0) {
+    return Malformed(kDatabase, "bad geometry");
   }
-  // Reject trailing garbage.
-  char extra;
-  if (in.read(&extra, 1)) {
-    return Status::InvalidArgument("ReadEncryptedDatabase: trailing bytes");
+  if (!Fits(r, n, 4 * std::size_t{m})) {
+    return Malformed(kDatabase, "truncated file");
   }
+  db.records = ReadCiphertextRows(r, n, m);
+  SKNN_RETURN_NOT_OK(CheckEnd(r, kDatabase));
   return db;
 }
 
@@ -133,49 +161,24 @@ Status WriteShardManifest(const std::string& path,
                         MakeShardManifest(manifest.total_records,
                                           manifest.num_shards,
                                           manifest.scheme));
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IoError("WriteShardManifest: cannot open " + path);
-  }
-  out.write(kManifestMagic, sizeof(kManifestMagic));
-  PutU32(out, static_cast<uint32_t>(checked.scheme));
-  PutU32(out, static_cast<uint32_t>(checked.num_shards));
-  PutU32(out, static_cast<uint32_t>(checked.total_records));
-  if (!out.good()) {
-    return Status::IoError("WriteShardManifest: write failure");
-  }
-  return Status::OK();
+  std::vector<uint8_t> body;
+  FrameWriter(body)
+      .U32(static_cast<uint32_t>(checked.scheme))
+      .U32(static_cast<uint32_t>(checked.num_shards))
+      .U32(static_cast<uint32_t>(checked.total_records));
+  return WriteArtifact(path, "WriteShardManifest", kShardManifest, body);
 }
 
 Result<ShardManifest> ReadShardManifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("ReadShardManifest: cannot open " + path);
-  }
-  switch (CheckMagic(in, kManifestMagic)) {
-    case MagicCheck::kOk:
-      break;
-    case MagicCheck::kVersionSkew:
-      return Status::InvalidArgument(
-          "ReadShardManifest: " + path +
-          " is a shard manifest of an unsupported format revision (this "
-          "build reads SKNNSH01); re-export it with this build's "
-          "sknn_encrypt");
-    case MagicCheck::kForeign:
-      return Status::InvalidArgument(
-          "ReadShardManifest: bad magic (not a shard manifest)");
-  }
-  uint32_t scheme = 0, num_shards = 0, total_records = 0;
-  if (!GetU32(in, &scheme) || !GetU32(in, &num_shards) ||
-      !GetU32(in, &total_records)) {
-    return Status::InvalidArgument("ReadShardManifest: truncated file");
-  }
-  char extra;
-  if (in.read(&extra, 1)) {
-    return Status::InvalidArgument("ReadShardManifest: trailing bytes");
-  }
+  SKNN_ASSIGN_OR_RETURN(std::vector<uint8_t> body,
+                        ReadArtifact(path, kShardManifest));
+  FrameReader r(body);
+  const uint32_t scheme = r.U32();
+  const uint32_t num_shards = r.U32();
+  const uint32_t total_records = r.U32();
+  SKNN_RETURN_NOT_OK(CheckEnd(r, kShardManifest));
   if (scheme > static_cast<uint32_t>(ShardScheme::kByCluster)) {
-    return Status::InvalidArgument("ReadShardManifest: unknown scheme");
+    return Malformed(kShardManifest, "unknown scheme");
   }
   return MakeShardManifest(total_records, num_shards,
                            static_cast<ShardScheme>(scheme));
@@ -194,140 +197,44 @@ Status ValidateManifestForDatabase(const ShardManifest& manifest,
   return Status::OK();
 }
 
-namespace {
-
-// The db-independent half of ValidateClusterManifestForDatabase: internal
-// consistency of counts, assignment range, and centroid geometry.
-Status CheckClusterManifestShape(const ClusterManifest& manifest) {
-  if (manifest.num_clusters == 0) {
-    return Status::InvalidArgument("cluster manifest: zero clusters");
-  }
-  if (manifest.total_records == 0 || manifest.num_attributes == 0) {
-    return Status::InvalidArgument("cluster manifest: empty geometry");
-  }
-  if (manifest.assignment.size() != manifest.total_records) {
-    return Status::InvalidArgument(
-        "cluster manifest: assignment covers " +
-        std::to_string(manifest.assignment.size()) + " of " +
-        std::to_string(manifest.total_records) + " records");
-  }
-  for (uint32_t c : manifest.assignment) {
-    if (c >= manifest.num_clusters) {
-      return Status::InvalidArgument(
-          "cluster manifest: assignment names cluster " + std::to_string(c) +
-          " of " + std::to_string(manifest.num_clusters));
-    }
-  }
-  if (manifest.centroids.size() != manifest.num_clusters) {
-    return Status::InvalidArgument(
-        "cluster manifest: " + std::to_string(manifest.centroids.size()) +
-        " centroid rows for " + std::to_string(manifest.num_clusters) +
-        " clusters");
-  }
-  for (const auto& row : manifest.centroids) {
-    if (row.size() != manifest.num_attributes) {
-      return Status::InvalidArgument("cluster manifest: ragged centroids");
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status WriteClusterManifest(const std::string& path,
                             const ClusterManifest& manifest) {
-  if (Status shape = CheckClusterManifestShape(manifest); !shape.ok()) {
-    return shape;
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IoError("WriteClusterManifest: cannot open " + path);
-  }
-  out.write(kClusterMagic, sizeof(kClusterMagic));
-  PutU32(out, manifest.num_clusters);
-  PutU32(out, static_cast<uint32_t>(manifest.num_attributes));
-  PutU32(out, static_cast<uint32_t>(manifest.total_records));
-  for (uint32_t c : manifest.assignment) PutU32(out, c);
-  for (const auto& row : manifest.centroids) {
-    for (const auto& ct : row) {
-      std::vector<uint8_t> bytes = ct.value().ToBytes();
-      PutU32(out, static_cast<uint32_t>(bytes.size()));
-      out.write(reinterpret_cast<const char*>(bytes.data()),
-                static_cast<std::streamsize>(bytes.size()));
-    }
-  }
-  if (!out.good()) {
-    return Status::IoError("WriteClusterManifest: write failure");
-  }
-  return Status::OK();
+  SKNN_RETURN_NOT_OK(ValidateClusterManifestShape(manifest));
+  std::vector<uint8_t> body;
+  FrameWriter w(body);
+  w.U32(manifest.num_clusters)
+      .U32(static_cast<uint32_t>(manifest.num_attributes))
+      .U32(static_cast<uint32_t>(manifest.total_records));
+  for (uint32_t c : manifest.assignment) w.U32(c);
+  WriteCiphertextRows(w, manifest.centroids);
+  return WriteArtifact(path, "WriteClusterManifest", kClusterManifest, body);
 }
 
 Result<ClusterManifest> ReadClusterManifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("ReadClusterManifest: cannot open " + path);
-  }
-  switch (CheckMagic(in, kClusterMagic)) {
-    case MagicCheck::kOk:
-      break;
-    case MagicCheck::kVersionSkew:
-      return Status::InvalidArgument(
-          "ReadClusterManifest: " + path +
-          " is a cluster manifest of an unsupported format revision (this "
-          "build reads SKNNCL01); re-export it with this build's "
-          "sknn_encrypt");
-    case MagicCheck::kForeign:
-      return Status::InvalidArgument(
-          "ReadClusterManifest: bad magic (not a cluster manifest)");
-  }
-  uint32_t num_clusters = 0, m = 0, n = 0;
-  if (!GetU32(in, &num_clusters) || !GetU32(in, &m) || !GetU32(in, &n) ||
-      num_clusters == 0 || m == 0 || n == 0) {
-    return Status::InvalidArgument("ReadClusterManifest: bad geometry");
-  }
-  if (num_clusters > n) {
-    return Status::InvalidArgument(
-        "ReadClusterManifest: more clusters than records");
-  }
+  SKNN_ASSIGN_OR_RETURN(std::vector<uint8_t> body,
+                        ReadArtifact(path, kClusterManifest));
+  FrameReader r(body);
   ClusterManifest manifest;
-  manifest.num_clusters = num_clusters;
+  manifest.num_clusters = r.U32();
+  const uint32_t m = r.U32();
+  const uint32_t n = r.U32();
   manifest.num_attributes = m;
   manifest.total_records = n;
-  manifest.assignment.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t c = 0;
-    if (!GetU32(in, &c)) {
-      return Status::InvalidArgument(
-          "ReadClusterManifest: truncated assignment");
-    }
-    manifest.assignment.push_back(c);
+  if (manifest.num_clusters == 0 || m == 0 || n == 0) {
+    return Malformed(kClusterManifest, "bad geometry");
   }
-  manifest.centroids.reserve(num_clusters);
-  for (uint32_t c = 0; c < num_clusters; ++c) {
-    std::vector<Ciphertext> row;
-    row.reserve(m);
-    for (uint32_t j = 0; j < m; ++j) {
-      uint32_t len = 0;
-      if (!GetU32(in, &len)) {
-        return Status::InvalidArgument(
-            "ReadClusterManifest: truncated centroids");
-      }
-      std::vector<uint8_t> bytes(len);
-      if (len > 0 && !in.read(reinterpret_cast<char*>(bytes.data()), len)) {
-        return Status::InvalidArgument(
-            "ReadClusterManifest: truncated centroid ciphertext");
-      }
-      row.emplace_back(BigInt::FromBytes(bytes));
-    }
-    manifest.centroids.push_back(std::move(row));
+  if (manifest.num_clusters > n) {
+    return Malformed(kClusterManifest, "more clusters than records");
   }
-  char extra;
-  if (in.read(&extra, 1)) {
-    return Status::InvalidArgument("ReadClusterManifest: trailing bytes");
+  if (!Fits(r, n, 4)) return Malformed(kClusterManifest, "truncated file");
+  manifest.assignment.resize(n);
+  for (uint32_t& c : manifest.assignment) c = r.U32();
+  if (!Fits(r, manifest.num_clusters, 4 * std::size_t{m})) {
+    return Malformed(kClusterManifest, "truncated file");
   }
-  if (Status shape = CheckClusterManifestShape(manifest); !shape.ok()) {
-    return shape;
-  }
+  manifest.centroids = ReadCiphertextRows(r, manifest.num_clusters, m);
+  SKNN_RETURN_NOT_OK(CheckEnd(r, kClusterManifest));
+  SKNN_RETURN_NOT_OK(ValidateClusterManifestShape(manifest));
   return manifest;
 }
 

@@ -1,27 +1,38 @@
-// Encrypted-database persistence: the artifact Alice actually ships to C1.
+// Encrypted-database persistence: the artifact Alice actually ships to C1,
+// and the two sidecars that travel with it.
 //
-// Binary format (little-endian):
-//   magic "SKNNDB01" | u32 n | u32 m | u32 l |
-//   n*m ciphertexts, each u32 length + big-endian magnitude bytes
+// Each file is an 8-byte magic followed by one body written by FrameWriter
+// and read back by FrameReader (net/message.h), so the files follow the
+// frame layer's encoding rules (docs/API.md "Encoding rules"). A ciphertext
+// field is Bytes: [len:u32][big-endian magnitude], at most 64 KiB long.
 //
-// Loading validates the geometry and (optionally, ValidateCiphertexts) that
-// every entry is a structurally valid element of Z*_{N^2} under the given
-// public key — a corrupted or foreign-key database fails fast instead of
-// producing garbage query results. Version skew is its own failure mode: a
-// file whose magic says "sknn database, different format revision" (e.g. a
-// future SKNNDB02) is rejected with an explicit unsupported-version error,
-// distinct from "not an sknn database at all".
+//   SKNNDB01  U32 n, U32 m, U32 l (distance bits),
+//             n*m ciphertexts, row by row
+//   SKNNSH01  U32 scheme, U32 num_shards, U32 total_records
+//             (a shard manifest, core/sharding.h)
+//   SKNNCL01  U32 num_clusters, U32 m, U32 n, n x U32 assignment,
+//             num_clusters*m centroid ciphertexts, row by row
+//             (a cluster manifest, core/clustering.h)
 //
-// A shard manifest (core/sharding.h) is persisted alongside the database in
-// a sharded deployment so coordinator and workers provably agree on the
-// partitioning:
-//   magic "SKNNSH01" | u32 scheme | u32 num_shards | u32 total_records
+// A reader reads the whole file, then parses it. Every count is bounded by
+// the file's size before anything is sized from it: n*m length words (or
+// n assignment words) that could not fit in the bytes left make the file
+// "truncated", so a hostile header cannot make a loader allocate. A file is
+// exactly as long as its fields. Writers validate first and only then
+// create the file, so a refused value leaves nothing at the path.
 //
-// A cluster manifest (core/clustering.h) is the sidecar of the clustered
-// index mode — the record→cluster assignment plus the encrypted centroids:
-//   magic "SKNNCL01" | u32 num_clusters | u32 m | u32 n |
-//   n*u32 assignment |
-//   num_clusters*m centroid ciphertexts, each u32 length + magnitude bytes
+// Version skew is its own failure mode: a file whose magic says "sknn
+// artifact, different format revision" (e.g. a future SKNNDB02) is
+// rejected with an explicit unsupported-revision error, distinct from
+// "not an sknn artifact at all". A missing file is IoError; a malformed one
+// is InvalidArgument.
+//
+// Loading validates structure only. ValidateCiphertexts checks that every
+// record is a valid element of Z*_{N^2} under a given public key, so a
+// corrupted or foreign-key database fails fast instead of producing garbage
+// query results; the engine checks a cluster manifest's centroids the same
+// way. A shard manifest is persisted alongside the database in a sharded
+// deployment so coordinator and workers provably agree on the partitioning.
 #ifndef SKNN_CORE_DB_IO_H_
 #define SKNN_CORE_DB_IO_H_
 
@@ -56,8 +67,8 @@ Result<ShardManifest> ReadShardManifest(const std::string& path);
 Status ValidateManifestForDatabase(const ShardManifest& manifest,
                                    const EncryptedDatabase& db);
 
-/// \brief Persists a cluster manifest (validated structurally first, so a
-/// malformed manifest can never reach disk).
+/// \brief Persists a cluster manifest (ValidateClusterManifestShape first,
+/// so a malformed manifest can never reach disk).
 Status WriteClusterManifest(const std::string& path,
                             const ClusterManifest& manifest);
 

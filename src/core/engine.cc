@@ -210,6 +210,7 @@ Status SknnEngine::InitCommon() {
     clusters_ = options_.clusters;
     cluster_sizes_ = ClusterSizes(*clusters_);
     if (coordinator_ != nullptr) {
+      SKNN_RETURN_NOT_OK(ValidateClusterManifestShape(*clusters_));
       // Remote workers: their manifest must BE this cluster partitioning,
       // or pruning cluster c would skip an unrelated slice of the table.
       const ShardManifest& manifest = coordinator_->manifest();
@@ -227,6 +228,18 @@ Status SknnEngine::InitCommon() {
                    ValidateClusterManifestForDatabase(*clusters_, table_.db);
                !valid.ok()) {
       return valid;
+    }
+    // The centroids enter the probe round's SSED as records do, and no
+    // loader checks them against this key.
+    for (std::size_t c = 0; c < clusters_->centroids.size(); ++c) {
+      for (std::size_t j = 0; j < clusters_->centroids[c].size(); ++j) {
+        if (!pk_.IsValidCiphertext(clusters_->centroids[c][j])) {
+          return Status::CryptoError(
+              "clustered engine: centroid of cluster " + std::to_string(c) +
+              ", attribute " + std::to_string(j) +
+              " is not a ciphertext under this table's key");
+        }
+      }
     }
   }
 

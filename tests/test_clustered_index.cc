@@ -398,5 +398,35 @@ TEST(ClusteredIndex, ProbeZeroBehavesAsOne) {
   EXPECT_EQ(zero->records, one->records);
 }
 
+TEST(ClusteredIndex, CentroidOutsideTheKeysGroupIsRefused) {
+  // Centroids reach the probe round's SSED unchecked by any loader, so the
+  // engine refuses one outside Z*_{N^2}: 0 (not a unit) and N^2 (out of
+  // range), each naming its cluster and attribute.
+  PlainTable table = GenerateClusteredTable(12, 2, kMaxValue, {2, 1}, 912);
+  auto db = SharedAlice().EncryptDatabase(table, kAttrBits);
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto intact = MakeManifest(table, 2, 41);
+  auto create = [&](std::shared_ptr<const ClusterManifest> clusters) {
+    SknnEngine::Options options = BaseOptions();
+    options.clusters = std::move(clusters);
+    return SknnEngine::CreateFromParts(
+        SharedAlice().public_key(),
+        PaillierSecretKey(SharedAlice().secret_key_for_c2()), *db, options);
+  };
+  const PaillierPublicKey& pk = SharedAlice().public_key();
+  for (const BigInt& bad : {BigInt(0), pk.n_squared()}) {
+    ClusterManifest tampered = *intact;
+    tampered.centroids[1][0] = Ciphertext(bad);
+    auto engine = create(std::make_shared<const ClusterManifest>(tampered));
+    ASSERT_FALSE(engine.ok()) << "centroid " << bad.ToString() << " loaded";
+    EXPECT_EQ(engine.status().code(), StatusCode::kCryptoError);
+    EXPECT_NE(engine.status().message().find("cluster 1, attribute 0"),
+              std::string::npos)
+        << engine.status();
+  }
+  auto engine = create(intact);
+  EXPECT_TRUE(engine.ok()) << engine.status();
+}
+
 }  // namespace
 }  // namespace sknn

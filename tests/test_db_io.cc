@@ -1,12 +1,17 @@
 // db_io negative paths: every way a persisted artifact can be wrong —
-// truncated or corrupted SKNNDB/SKNNSH headers, version skew from a
-// different format revision, geometry lies, manifest/database mismatch —
-// must come back as a Status error. No crash, no silent partial load, no
-// serving a database that is not what Alice exported.
+// truncated or corrupted SKNNDB/SKNNSH/SKNNCL headers, version skew from a
+// different format revision, geometry lies, counts larger than the file,
+// manifest/database mismatch — must come back as a Status error. No crash,
+// no silent partial load, no serving a database that is not what Alice
+// exported. Golden bytes pin the three formats; a seeded mutation loop
+// runs every loader over a few hundred corrupted copies of each.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -230,6 +235,273 @@ TEST_F(DbIoNegativeTest, ManifestDatabaseMismatchCaughtAtLoad) {
   auto good = ReadShardManifest(*manifest_path_);
   ASSERT_TRUE(good.ok());
   EXPECT_TRUE(ValidateManifestForDatabase(*good, *db_).ok());
+}
+
+// --- Golden bytes -------------------------------------------------------------
+// Fixed artifacts built without encryption, so their bytes are fixed too:
+// the format of each file is pinned byte for byte.
+
+EncryptedDatabase GoldenDatabase() {
+  EncryptedDatabase db;
+  db.distance_bits = 7;
+  db.records = {{Ciphertext(BigInt(1)), Ciphertext(BigInt(258)),
+                 Ciphertext(BigInt(0))},
+                {Ciphertext(BigInt(65536)), Ciphertext(BigInt(7)),
+                 Ciphertext(BigInt(0xABCDEF))}};
+  return db;
+}
+
+ShardManifest GoldenShardManifest() {
+  return MakeShardManifest(/*total_records=*/5, /*num_shards=*/2,
+                           ShardScheme::kRoundRobin)
+      .value();
+}
+
+ClusterManifest GoldenClusterManifest() {
+  ClusterManifest manifest;
+  manifest.num_clusters = 2;
+  manifest.num_attributes = 2;
+  manifest.total_records = 4;
+  manifest.assignment = {0, 1, 1, 0};
+  manifest.centroids = {{Ciphertext(BigInt(3)), Ciphertext(BigInt(513))},
+                        {Ciphertext(BigInt(0x123456)), Ciphertext(BigInt(9))}};
+  return manifest;
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  std::string hex;
+  for (uint8_t b : bytes) {
+    char pair[3];
+    std::snprintf(pair, sizeof pair, "%02x", b);
+    hex += pair;
+  }
+  return hex;
+}
+
+std::vector<uint8_t> Unhex(const std::string& hex) {
+  std::vector<uint8_t> bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// magic | n=2 m=3 l=7 | six [len][magnitude] ciphertexts (0 is empty).
+const char kGoldenDbHex[] =
+    "534b4e4e44423031" "02000000" "03000000" "07000000"
+    "0100000001" "020000000102" "00000000"
+    "03000000010000" "0100000007" "03000000abcdef";
+// magic | scheme=roundrobin(1) num_shards=2 total_records=5.
+const char kGoldenShardHex[] =
+    "534b4e4e53483031" "01000000" "02000000" "05000000";
+// magic | clusters=2 m=2 n=4 | assignment 0 1 1 0 | four centroids.
+const char kGoldenClusterHex[] =
+    "534b4e4e434c3031" "02000000" "02000000" "04000000"
+    "00000000" "01000000" "01000000" "00000000"
+    "0100000003" "020000000201" "03000000123456" "0100000009";
+
+TEST(DbIoGolden, FormatsAreByteForByteStable) {
+  const std::string db_path = TempPath("golden_db.bin");
+  ASSERT_TRUE(WriteEncryptedDatabase(db_path, GoldenDatabase()).ok());
+  EXPECT_EQ(Hex(ReadFileBytes(db_path)), kGoldenDbHex);
+  const std::string shard_path = TempPath("golden_shard.bin");
+  ASSERT_TRUE(WriteShardManifest(shard_path, GoldenShardManifest()).ok());
+  EXPECT_EQ(Hex(ReadFileBytes(shard_path)), kGoldenShardHex);
+  const std::string cluster_path = TempPath("golden_cluster.bin");
+  ASSERT_TRUE(
+      WriteClusterManifest(cluster_path, GoldenClusterManifest()).ok());
+  EXPECT_EQ(Hex(ReadFileBytes(cluster_path)), kGoldenClusterHex);
+}
+
+TEST(DbIoGolden, GoldenBytesLoadToTheirValues) {
+  const std::string path = TempPath("golden_load.bin");
+  WriteFileBytes(path, Unhex(kGoldenDbHex));
+  auto db = ReadEncryptedDatabase(path);
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ(db->distance_bits, 7u);
+  EXPECT_EQ(db->records, GoldenDatabase().records);
+
+  WriteFileBytes(path, Unhex(kGoldenShardHex));
+  auto shard = ReadShardManifest(path);
+  ASSERT_TRUE(shard.ok()) << shard.status();
+  EXPECT_EQ(shard->scheme, ShardScheme::kRoundRobin);
+  EXPECT_EQ(shard->num_shards, 2u);
+  EXPECT_EQ(shard->total_records, 5u);
+
+  WriteFileBytes(path, Unhex(kGoldenClusterHex));
+  auto cluster = ReadClusterManifest(path);
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  const ClusterManifest want = GoldenClusterManifest();
+  EXPECT_EQ(cluster->num_clusters, want.num_clusters);
+  EXPECT_EQ(cluster->assignment, want.assignment);
+  EXPECT_EQ(cluster->centroids, want.centroids);
+}
+
+// --- Hostile headers ----------------------------------------------------------
+// A count or length word larger than the file must be refused before
+// anything is sized from it.
+
+std::vector<uint8_t> Artifact(const char* magic,
+                              std::initializer_list<uint32_t> words) {
+  std::vector<uint8_t> bytes(magic, magic + 8);
+  for (uint32_t word : words) {
+    for (int b = 0; b < 4; ++b) {
+      bytes.push_back(static_cast<uint8_t>(word >> (8 * b)));
+    }
+  }
+  return bytes;
+}
+
+template <typename Loader>
+void ExpectTruncated(const std::vector<uint8_t>& bytes, Loader loader,
+                     const std::string& tag) {
+  const std::string path = TempPath(tag);
+  WriteFileBytes(path, bytes);
+  auto loaded = loader(path);
+  ASSERT_FALSE(loaded.ok()) << tag;
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << tag;
+  EXPECT_NE(loaded.status().message().find("truncated"), std::string::npos)
+      << tag << ": " << loaded.status();
+}
+
+TEST(DbIoHostileHeader, DatabaseRecordCountBeyondTheFile) {
+  // n = 0xFFFFFFFF, m = 1, l = 1 and no body.
+  ExpectTruncated(Artifact("SKNNDB01", {0xFFFFFFFFu, 1, 1}), LoadDb,
+                  "hostile_db_n.bin");
+}
+
+TEST(DbIoHostileHeader, DatabaseCiphertextLengthBeyondTheFile) {
+  // One record of one attribute whose length word claims 4 GiB.
+  ExpectTruncated(Artifact("SKNNDB01", {1, 1, 1, 0xFFFFFFFFu}), LoadDb,
+                  "hostile_db_len.bin");
+}
+
+TEST(DbIoHostileHeader, ClusterRecordCountBeyondTheFile) {
+  // One cluster, m = 1, n = 0xFFFFFFFF and no assignment.
+  ExpectTruncated(Artifact("SKNNCL01", {1, 1, 0xFFFFFFFFu}),
+                  [](const std::string& path) {
+                    return ReadClusterManifest(path);
+                  },
+                  "hostile_cl_n.bin");
+}
+
+TEST(DbIoWrite, RaggedDatabaseLeavesNoFile) {
+  const std::string path = TempPath("ragged.bin");
+  std::remove(path.c_str());
+  EncryptedDatabase ragged = GoldenDatabase();
+  ragged.records[1].pop_back();
+  Status written = WriteEncryptedDatabase(path, ragged);
+  ASSERT_FALSE(written.ok());
+  EXPECT_EQ(written.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::ifstream(path).good()) << "a file was left at " << path;
+}
+
+// --- Seeded mutation loop -----------------------------------------------------
+// Each loader gets a few hundred mutants of its golden artifact: bit flips,
+// the u32 words 0, 1, 2^31 and 0xFFFFFFFF at each header word and at the
+// first length word, truncations and appended bytes. Every load returns a
+// value, IoError or InvalidArgument — never a crash, an out-of-bounds read
+// (the sanitizer CI leg runs this binary) or an allocation sized by a
+// header alone. An accepted mutant rewrites to a canonical file that loads
+// back and rewrites to its own bytes (a ciphertext magnitude with leading
+// zero bytes loads, and is rewritten without them).
+
+constexpr int kMutantsPerArtifact = 300;
+
+void MutateArtifact(std::vector<uint8_t>& bytes,
+                    const std::vector<std::size_t>& word_offsets,
+                    std::mt19937& rng) {
+  static constexpr uint32_t kWords[] = {0, 1, 0x80000000u, 0xFFFFFFFFu};
+  const int rounds = 1 + static_cast<int>(rng() % 2);
+  for (int i = 0; i < rounds; ++i) {
+    switch (rng() % 4) {
+      case 0:
+        if (!bytes.empty()) bytes[rng() % bytes.size()] ^= 1u << (rng() % 8);
+        break;
+      case 1: {
+        const std::size_t at = word_offsets[rng() % word_offsets.size()];
+        const uint32_t word = kWords[rng() % 4];
+        for (std::size_t b = 0; b < 4 && at + b < bytes.size(); ++b) {
+          bytes[at + b] = static_cast<uint8_t>(word >> (8 * b));
+        }
+        break;
+      }
+      case 2:
+        bytes.resize(bytes.empty() ? 0 : rng() % bytes.size());
+        break;
+      default:
+        for (int n = 1 + static_cast<int>(rng() % 8); n > 0; --n) {
+          bytes.push_back(static_cast<uint8_t>(rng()));
+        }
+    }
+  }
+}
+
+// Loads `path` and, when the load is accepted, writes the value to
+// `rewrite_path`. Returns the load's status.
+using LoadAndRewrite =
+    std::function<Status(const std::string& path,
+                         const std::string& rewrite_path)>;
+
+template <typename T>
+LoadAndRewrite Via(Result<T> (*read)(const std::string&),
+                   Status (*write)(const std::string&, const T&)) {
+  return [read, write](const std::string& path,
+                       const std::string& rewrite_path) {
+    Result<T> value = read(path);
+    if (!value.ok()) return value.status();
+    Status written = write(rewrite_path, *value);
+    EXPECT_TRUE(written.ok()) << "an accepted value does not rewrite: "
+                              << written;
+    return written;
+  };
+}
+
+TEST(DbIoMutation, EveryLoaderReturnsAValueIoErrorOrInvalidArgument) {
+  struct Case {
+    const char* name;
+    std::string golden_hex;
+    // Header words, then the first length word (if any).
+    std::vector<std::size_t> word_offsets;
+    LoadAndRewrite load;
+  };
+  const std::vector<Case> cases = {
+      {"SKNNDB01", kGoldenDbHex, {8, 12, 16, 20},
+       Via(ReadEncryptedDatabase, WriteEncryptedDatabase)},
+      {"SKNNSH01", kGoldenShardHex, {8, 12, 16},
+       Via(ReadShardManifest, WriteShardManifest)},
+      // The assignment is 4 words long, so the first centroid's length word
+      // is at 20 + 16.
+      {"SKNNCL01", kGoldenClusterHex, {8, 12, 16, 36},
+       Via(ReadClusterManifest, WriteClusterManifest)},
+  };
+  std::mt19937 rng(20261019);
+  const std::string mutant_path = TempPath("mutant.bin");
+  const std::string first_path = TempPath("mutant_rewrite1.bin");
+  const std::string second_path = TempPath("mutant_rewrite2.bin");
+  for (const Case& c : cases) {
+    const std::vector<uint8_t> golden = Unhex(c.golden_hex);
+    int accepted = 0;
+    for (int i = 0; i < kMutantsPerArtifact; ++i) {
+      std::vector<uint8_t> bytes = golden;
+      MutateArtifact(bytes, c.word_offsets, rng);
+      WriteFileBytes(mutant_path, bytes);
+      Status loaded = c.load(mutant_path, first_path);
+      if (!loaded.ok()) {
+        EXPECT_TRUE(loaded.code() == StatusCode::kInvalidArgument ||
+                    loaded.code() == StatusCode::kIoError)
+            << c.name << " mutant " << i << ": " << loaded;
+        continue;
+      }
+      ++accepted;
+      ASSERT_TRUE(c.load(first_path, second_path).ok())
+          << c.name << " mutant " << i << ": its rewrite does not load";
+      EXPECT_EQ(ReadFileBytes(second_path), ReadFileBytes(first_path))
+          << c.name << " mutant " << i << " does not rewrite to itself";
+    }
+    // Some mutants (a flipped bit inside a ciphertext) stay valid.
+    EXPECT_GT(accepted, 0) << c.name;
+  }
 }
 
 }  // namespace
