@@ -99,15 +99,24 @@ bool Fits(const FrameReader& r, uint32_t count, std::size_t item_bytes) {
   return count <= r.remaining() / item_bytes;
 }
 
-// The caller has checked that the rows' length words fit (Fits).
-std::vector<std::vector<Ciphertext>> ReadCiphertextRows(FrameReader& r,
-                                                        uint32_t rows,
-                                                        uint32_t m) {
+// The caller has checked that the rows' length words fit (Fits). A
+// magnitude must be in the writer's form, with no leading zero byte, so an
+// accepted file rewrites to its own bytes. (The empty magnitude is that
+// form of 0; no key accepts 0 as a ciphertext, and the loaders' callers
+// check every ciphertext against theirs.)
+Result<std::vector<std::vector<Ciphertext>>> ReadCiphertextRows(
+    FrameReader& r, uint32_t rows, uint32_t m, const Artifact& artifact) {
   std::vector<std::vector<Ciphertext>> out(rows);
   for (auto& row : out) {
     row.reserve(m);
     for (uint32_t j = 0; j < m; ++j) {
-      row.emplace_back(BigInt::FromBytes(r.Bytes(kMaxCiphertextBytes)));
+      const std::vector<uint8_t> magnitude = r.Bytes(kMaxCiphertextBytes);
+      if (!r.ok()) return Malformed(artifact, "truncated file");
+      if (!magnitude.empty() && magnitude[0] == 0) {
+        return Malformed(artifact,
+                         "ciphertext magnitude with a leading zero byte");
+      }
+      row.emplace_back(BigInt::FromBytes(magnitude));
     }
   }
   return out;
@@ -148,7 +157,7 @@ Result<EncryptedDatabase> ReadEncryptedDatabase(const std::string& path) {
   if (!Fits(r, n, 4 * std::size_t{m})) {
     return Malformed(kDatabase, "truncated file");
   }
-  db.records = ReadCiphertextRows(r, n, m);
+  SKNN_ASSIGN_OR_RETURN(db.records, ReadCiphertextRows(r, n, m, kDatabase));
   SKNN_RETURN_NOT_OK(CheckEnd(r, kDatabase));
   return db;
 }
@@ -232,7 +241,9 @@ Result<ClusterManifest> ReadClusterManifest(const std::string& path) {
   if (!Fits(r, manifest.num_clusters, 4 * std::size_t{m})) {
     return Malformed(kClusterManifest, "truncated file");
   }
-  manifest.centroids = ReadCiphertextRows(r, manifest.num_clusters, m);
+  SKNN_ASSIGN_OR_RETURN(
+      manifest.centroids,
+      ReadCiphertextRows(r, manifest.num_clusters, m, kClusterManifest));
   SKNN_RETURN_NOT_OK(CheckEnd(r, kClusterManifest));
   SKNN_RETURN_NOT_OK(ValidateClusterManifestShape(manifest));
   return manifest;

@@ -245,8 +245,21 @@ Status SknnEngine::InitCommon() {
 
   // Remote-worker engines arrive here with coordinator_ already built.
   if (coordinator_ == nullptr && options_.shards > 1) {
-    return ServeShardsInProcess();
+    SKNN_RETURN_NOT_OK(ServeShardsInProcess());
   }
+  // SSED packs, once per load: the centroids, and the table when this
+  // engine hosts it (in-process workers have packed their own slices).
+  Stopwatch pack_watch;
+  if (clusters_ != nullptr) {
+    centroid_packs_ = PackSsedRecords(pk_, clusters_->centroids, attr_bits_,
+                                      c1_pool_.get());
+  }
+  PackSlice(pk_, table_, c1_pool_.get());
+  pack_stats_.records += centroid_packs_.size() + table_.packs.size();
+  pack_stats_.seconds += pack_watch.ElapsedSeconds();
+  pack_stats_.groups_per_record =
+      SsedLayoutFor(pk_.n(), attr_bits_, num_attributes_)
+          .Groups(num_attributes_);
   return Status::OK();
 }
 
@@ -275,6 +288,8 @@ Status SknnEngine::ServeShardsInProcess() {
                                   client_.get(), c1_pool_.get()));
     Channel::EndpointPair link = Channel::CreatePair();
     ShardWorker* raw = worker.get();
+    pack_stats_.records += raw->packed_records();
+    pack_stats_.seconds += raw->pack_seconds();
     shard_workers_.push_back(std::move(worker));
     // As many handler threads as the scheduler runs queries at once, so a
     // shard never queues a query the engine has admitted.
@@ -450,6 +465,7 @@ Result<CloudQueryOutput> SknnEngine::Dispatch(
       if (!take[clusters_->assignment[i]]) continue;
       gathered.global_indices.push_back(i);
       gathered.db.records.push_back(table_.db.records[i]);
+      if (!table_.packs.empty()) gathered.packs.push_back(table_.packs[i]);
     }
   }
   SKNN_ASSIGN_OR_RETURN(
@@ -478,7 +494,8 @@ Result<std::vector<uint32_t>> SknnEngine::ChooseClusters(
   // domain, so SSED blinds them like records.
   SKNN_ASSIGN_OR_RETURN(
       std::vector<Ciphertext> centroid_dists,
-      SecureSquaredDistanceBatch(ctx, cm.centroids, enc_query, attr_bits_));
+      SecureSquaredDistanceBatch(ctx, cm.centroids, enc_query, attr_bits_,
+                                 &centroid_packs_));
   SKNN_ASSIGN_OR_RETURN(
       std::vector<uint32_t> ranking,
       SecureTopKIndices(ctx, centroid_dists, cm.num_clusters));

@@ -243,6 +243,16 @@ class SknnEngine {
   };
   RandomizerPoolStats randomizer_pool_stats();
 
+  /// \brief The load-time SSED packing (proto/ssed.h) of the records and
+  /// centroids this process hosts, in-process shard workers included.
+  /// records = 0 when an SSED group is one slot (nothing to pack).
+  struct PackStats {
+    std::size_t records = 0;
+    std::size_t groups_per_record = 0;
+    double seconds = 0;
+  };
+  const PackStats& pack_stats() const { return pack_stats_; }
+
  private:
   SknnEngine() = default;
 
@@ -274,8 +284,8 @@ class SknnEngine {
 
   /// \brief The construction tail shared by every factory: geometry and
   /// attribute domain, C1 pool, Bob's client, the C1-side randomizer pool
-  /// (plus the in-process C2's pools when one exists), and the in-process
-  /// shard set when Options::shards > 1.
+  /// (plus the in-process C2's pools when one exists), the in-process
+  /// shard set when Options::shards > 1, and the SSED packs.
   Status InitCommon();
   /// \brief The in-process shard set: one ShardWorker per shard (per
   /// cluster under a cluster index), each behind an RpcServer on a
@@ -316,6 +326,9 @@ class SknnEngine {
   /// Clustered index state (null/empty without Options::clusters).
   std::shared_ptr<const ClusterManifest> clusters_;
   std::vector<uint32_t> cluster_sizes_;
+  /// The centroids' SSED packs for the pruning round (empty: one slot).
+  std::vector<std::vector<Ciphertext>> centroid_packs_;
+  PackStats pack_stats_;
   std::unique_ptr<C2Service> c2_;
   Channel* channel_ = nullptr;  // owned by the endpoints inside client/server
   std::unique_ptr<RpcServer> server_;

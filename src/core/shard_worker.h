@@ -1,10 +1,10 @@
 // ShardWorker — one shard's stage, served over the shard wire.
 //
-// One worker hosts one slice of Epk(T) (cut from the full database along
-// the shard manifest) and answers the coordinator's frames
-// (net/shard_wire.h). The stage itself is RunShardStage (core/sharding.h),
-// the same C1 stage an engine without a coordinator runs over its whole
-// table:
+// One worker hosts one slice of Epk(T), cut from the full database along
+// the shard manifest and SSED-packed once on load, and answers the
+// coordinator's frames (net/shard_wire.h). The stage itself is
+// RunShardStage (core/sharding.h), the same C1 stage an engine without a
+// coordinator runs over its whole table:
 //
 //   kShardPing  -> its geometry (shard index, manifest, db shape), so a
 //                  misassembled worker set is rejected at connect time;
@@ -41,10 +41,11 @@ namespace sknn {
 class ShardWorker {
  public:
   /// \brief Cuts shard `shard_index` of `manifest` out of the full
-  /// database; stages run against C2 through `c2` and fan their local work
-  /// out over `pool` (nullptr = serial). The full Epk(T) may be released
-  /// once this returns. Rejects ShardScheme::kByCluster manifests — their
-  /// record placement is data-dependent; use the ClusterManifest overload.
+  /// database and packs it for SSED; the packing and the stages fan their
+  /// local work out over `pool` (nullptr = serial), and stages run against
+  /// C2 through `c2`. The full Epk(T) may be released once this returns.
+  /// Rejects ShardScheme::kByCluster manifests — their record placement is
+  /// data-dependent; use the ClusterManifest overload.
   static Result<std::unique_ptr<ShardWorker>> Create(
       const PaillierPublicKey& pk, const EncryptedDatabase& db,
       const ShardManifest& manifest, std::size_t shard_index, RpcClient* c2,
@@ -67,6 +68,10 @@ class ShardWorker {
 
   const ShardGeometry& geometry() const { return geometry_; }
   std::size_t shard_records() const { return slice_.db.num_records(); }
+  /// \brief The slice's load-time SSED packing: records packed (0 when an
+  /// SSED group is one slot) and its wall time.
+  std::size_t packed_records() const { return slice_.packs.size(); }
+  double pack_seconds() const { return pack_seconds_; }
 
  private:
   ShardWorker() = default;
@@ -86,6 +91,7 @@ class ShardWorker {
   ShardGeometry geometry_;
   RpcClient* c2_ = nullptr;
   ThreadPool* pool_ = nullptr;
+  double pack_seconds_ = 0;
 };
 
 }  // namespace sknn

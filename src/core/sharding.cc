@@ -75,6 +75,15 @@ std::vector<std::size_t> ShardRecordIndices(const ShardManifest& manifest,
   return indices;
 }
 
+void PackSlice(const PaillierPublicKey& pk, ShardSlice& slice,
+               ThreadPool* pool) {
+  slice.packs = PackSsedRecords(
+      pk, slice.db.records,
+      DataOwner::ImpliedAttrBits(slice.db.num_attributes(),
+                                 slice.db.distance_bits),
+      pool);
+}
+
 Result<ShardCandidates> RunShardStage(ProtoContext& ctx,
                                       const ShardSlice& slice,
                                       std::size_t total_records,
@@ -103,7 +112,7 @@ Result<ShardCandidates> RunShardStage(ProtoContext& ctx,
     SKNN_ASSIGN_OR_RETURN(
         std::vector<Ciphertext> dist,
         SecureSquaredDistanceBatch(ctx, slice.db.records, enc_query,
-                                   attr_bits));
+                                   attr_bits, &slice.packs));
     // Ties resolve to the lower position, and positions within a slice are
     // in ascending global-index order (every scheme, and a clustered
     // query's gathered candidates) — so the local list is exactly the
@@ -124,7 +133,8 @@ Result<ShardCandidates> RunShardStage(ProtoContext& ctx,
       PrepareDistanceBits(ctx, slice.db.records, enc_query,
                           slice.db.distance_bits, &slice.global_indices,
                           total_records,
-                          protocol == QueryProtocol::kFarthest, breakdown));
+                          protocol == QueryProtocol::kFarthest, breakdown,
+                          &slice.packs));
   SKNN_ASSIGN_OR_RETURN(
       TopKExtraction top,
       ExtractTopK(ctx, slice.db.records, bits, local_k, attr_bits,

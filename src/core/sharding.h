@@ -76,11 +76,20 @@ std::vector<std::size_t> ShardRecordIndices(const ShardManifest& manifest,
                                             std::size_t shard);
 
 /// \brief One shard's share of the encrypted database plus the global
-/// indices of its rows (slice.db.records[i] == full.records[indices[i]]).
+/// indices of its rows (slice.db.records[i] == full.records[indices[i]]),
+/// and the rows' SSED packs, made once when the slice is loaded
+/// (PackSlice).
 struct ShardSlice {
   EncryptedDatabase db;
   std::vector<std::size_t> global_indices;
+  /// PackSsedRecords(db.records) for the table's attribute domain; empty
+  /// when an SSED group is one slot.
+  std::vector<std::vector<Ciphertext>> packs;
 };
+
+/// \brief Fills `slice.packs` on `pool` (serial when null).
+void PackSlice(const PaillierPublicKey& pk, ShardSlice& slice,
+               ThreadPool* pool);
 
 /// \brief What one shard returns for one query: min(k, shard size) local
 /// candidates. For kSecure/kFarthest each candidate is (augmented distance

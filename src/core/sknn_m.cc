@@ -20,7 +20,8 @@ Result<std::vector<EncryptedBits>> PrepareDistanceBits(
     ProtoContext& ctx, const std::vector<std::vector<Ciphertext>>& records,
     const std::vector<Ciphertext>& enc_query, unsigned l,
     const std::vector<std::size_t>* global_indices, std::size_t total_records,
-    bool farthest, SkNNmBreakdown* breakdown) {
+    bool farthest, SkNNmBreakdown* breakdown,
+    const std::vector<std::vector<Ciphertext>>* packs) {
   const std::size_t n = records.size();
   if (n == 0) {
     return Status::InvalidArgument("PrepareDistanceBits: no records");
@@ -46,7 +47,7 @@ Result<std::vector<EncryptedBits>> PrepareDistanceBits(
       std::vector<Ciphertext> dist,
       SecureSquaredDistanceBatch(
           ctx, records, enc_query,
-          DataOwner::ImpliedAttrBits(enc_query.size(), l)));
+          DataOwner::ImpliedAttrBits(enc_query.size(), l), packs));
   bd.ssed_seconds += phase.ElapsedSeconds();
   phase.Reset();
 

@@ -70,13 +70,15 @@ inline unsigned AugmentedBitWidth(unsigned l, std::size_t total_records) {
 /// every shard of one database augments identically. SSED's blinds are
 /// short for the attribute domain l implies,
 /// DataOwner::ImpliedAttrBits(m, l), which bounds both Alice's records and
-/// every query ValidateRequest admits. `breakdown`, if non-null,
-/// accumulates the ssed/sbd phase timings.
+/// every query ValidateRequest admits, and `packs` are the records' SSED
+/// packs (proto/ssed.h; null or empty: packed per call). `breakdown`, if
+/// non-null, accumulates the ssed/sbd phase timings.
 Result<std::vector<EncryptedBits>> PrepareDistanceBits(
     ProtoContext& ctx, const std::vector<std::vector<Ciphertext>>& records,
     const std::vector<Ciphertext>& enc_query, unsigned l,
     const std::vector<std::size_t>* global_indices, std::size_t total_records,
-    bool farthest, SkNNmBreakdown* breakdown = nullptr);
+    bool farthest, SkNNmBreakdown* breakdown = nullptr,
+    const std::vector<std::vector<Ciphertext>>* packs = nullptr);
 
 /// \brief What k rounds of step 3 produce: per iteration the winner's
 /// (still encrypted) record, and optionally its augmented bit vector — the

@@ -72,6 +72,19 @@ Result<Message> C2Service::Dispatch(const Message& request) {
       return HandleUnaryBatch(request, Op::kSqVec,
                               [&n](const BigInt& a) { return a.MulMod(a, n); });
     }
+    case Op::kSqSumVec: {
+      FrameReader r(request.aux);
+      const uint32_t slot_bits = r.U32();
+      const uint32_t slots = r.U32();
+      SKNN_RETURN_NOT_OK(r.Done("kSqSumVec: bad aux header"));
+      // Every slot lies below key_bits, so no header makes C2 read past one
+      // plaintext; a zero width names the whole plaintext as one slot.
+      if (slots == 0 || (slot_bits == 0 && slots != 1) ||
+          uint64_t{slot_bits} * slots >= sk_.public_key().key_bits()) {
+        return Status::ProtocolError("kSqSumVec: slot layout out of range");
+      }
+      return HandleSqSumBatch(request, slot_bits, slots);
+    }
     case Op::kLsbVec:
       // The halving SBD of older C1s: the shifted step at t = 0.
       return HandleLsbBatch(request, 0);
@@ -252,6 +265,37 @@ Result<Message> C2Service::HandleUnaryBatch(
     resp.ints[i] = enc[i].value();
     RecordView(view_op, plain[i]);
   }
+  return resp;
+}
+
+// SSED's packed squares: u = N - D(c) holds the slots r_j - d_j, least
+// significant first. One DecryptMany, the slot sums, one EncryptMany.
+Result<Message> C2Service::HandleSqSumBatch(const Message& req,
+                                            uint32_t slot_bits,
+                                            uint32_t slots) {
+  const PaillierPublicKey& pk = sk_.public_key();
+  const BigInt& n = pk.n();
+  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts, Ciphertexts(pk, req));
+  ThreadPool* fan = intra_pool_.get();
+  std::vector<BigInt> plain = sk_.DecryptMany(cts, fan);
+  const BigInt slot_modulus = BigInt::PowerOfTwo(slot_bits);
+  std::vector<BigInt> sums(plain.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    const BigInt u = plain[i].IsZero() ? BigInt(0) : n - plain[i];
+    BigInt sum(0);
+    for (uint32_t s = 0; s < slots; ++s) {
+      const BigInt slot =
+          slot_bits == 0 ? u : u.ShiftRight(s * slot_bits).Mod(slot_modulus);
+      sum += slot * slot;
+      RecordView(Op::kSqSumVec, slot);
+    }
+    sums[i] = sum.Mod(n);
+  }
+  std::vector<Ciphertext> enc = pk.EncryptMany(sums, fan);
+  Message resp;
+  resp.type = req.type;
+  resp.ints.resize(enc.size());
+  for (std::size_t i = 0; i < enc.size(); ++i) resp.ints[i] = enc[i].value();
   return resp;
 }
 

@@ -95,6 +95,12 @@ class C2Service {
   Result<Message> HandleUnaryBatch(
       const Message& req, Op view_op,
       const std::function<BigInt(const BigInt&)>& f);
+  /// kSqSumVec (SSED's packed squares, proto/ssed.h): each plaintext v is
+  /// read as `slots` slots of `slot_bits` bits of N - v (0 bits: all of
+  /// it) and answered with a fresh Epk(sum of slot^2 mod N); one view per
+  /// slot. The layout is checked by the caller.
+  Result<Message> HandleSqSumBatch(const Message& req, uint32_t slot_bits,
+                                   uint32_t slots);
   /// kLsbShiftVec at bit round t, and kLsbVec (sent only by C1 builds that
   /// predate kLsbShiftVec) as t = 0: each Y is answered with a fresh
   /// Epk(parity(D(Y) * 2^(-t) mod N)).

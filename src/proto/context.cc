@@ -11,6 +11,7 @@ bool ReturnsCiphertexts(uint16_t type) {
   switch (static_cast<Op>(type)) {
     case Op::kSmVec:
     case Op::kSqVec:
+    case Op::kSqSumVec:
     case Op::kLsbVec:
     case Op::kLsbShiftVec:
     case Op::kSminPhase2Vec:

@@ -81,7 +81,7 @@ enum class Op : uint16_t {
   /// clouds' pools in one place.
   kFetchPoolStats = 14,
 
-  /// Secure squaring (sm.h, SecureSquareBatch). ints = [a'_0, a'_1, ...]
+  /// Secure squaring (sm.h, SecureSquareBatch; SMIN's bit squares). ints = [a'_0, a'_1, ...]
   /// with a'_i = Epk(a_i + r_i); response ints = [h_0, h_1, ...] where
   /// h_i = Epk(D(a'_i)^2 mod N), freshly randomized.
   kSqVec = 15,
@@ -91,6 +91,15 @@ enum class Op : uint16_t {
   /// [Y_0, Y_1, ...] with Y_i = Epk(2^t * (y_i + r_i)); response ints =
   /// [Epk(parity(D(Y_0) * 2^(-t) mod N)), ...], freshly randomized.
   kLsbShiftVec = 16,
+
+  /// SSED's packed squares (ssed.h; docs/CRYPTO.md section 10). aux =
+  /// [slot_bits:u32][slots:u32]; ints = [c_0, c_1, ...], one per group of
+  /// a record's attributes. C2 reads u_i = N - D(c_i) as `slots` slots of
+  /// `slot_bits` bits, least significant first (slot_bits = 0 with slots
+  /// = 1: all of u_i), and answers ints = [Epk(sum of u_i's slots^2 mod
+  /// N), ...], freshly randomized. Refused unless slots >= 1, slot_bits *
+  /// slots < key_bits, and slot_bits > 0 or slots = 1.
+  kSqSumVec = 17,
 
   /// Error response emitted by the RPC server (status text in aux).
   kError = 0xFFFF,

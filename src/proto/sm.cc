@@ -1,16 +1,15 @@
 #include "proto/sm.h"
 
 namespace sknn {
-namespace {
 
-// `count` additive blinds for operands below 2^operand_bits in magnitude:
-// uniform on [2^w, 2^w + 2^(w + kappa)) when that window fits below N with
-// room to spare, else uniform on Z_N (sm.h; docs/CRYPTO.md section 9).
+bool ShortBlindsFit(const BigInt& n, unsigned operand_bits) {
+  return operand_bits > 0 &&
+         operand_bits + kBlindStatisticalBits + 2 <= n.BitLength();
+}
+
 std::vector<BigInt> DrawBlinds(std::size_t count, const BigInt& n,
                                unsigned operand_bits) {
-  const bool short_window =
-      operand_bits > 0 &&
-      operand_bits + kBlindStatisticalBits + 2 <= n.BitLength();
+  const bool short_window = ShortBlindsFit(n, operand_bits);
   const BigInt offset =
       short_window ? BigInt::PowerOfTwo(operand_bits) : BigInt(0);
   const BigInt width =
@@ -22,8 +21,6 @@ std::vector<BigInt> DrawBlinds(std::size_t count, const BigInt& n,
   for (BigInt& ri : r) ri = offset + rng.Below(width);
   return r;
 }
-
-}  // namespace
 
 Result<std::vector<Ciphertext>> SecureMultiplyBatch(
     ProtoContext& ctx, const std::vector<Ciphertext>& eas,

@@ -10,9 +10,10 @@
 // Secure squaring is SM with b = a and one blind:
 //   a^2 = (a - r)^2 + 2*a*r - r^2   (mod N)
 // One blinding encryption, one decryption at C2 and one exponentiation at
-// C1, where SM needs two, two and a double exponentiation. SSED squares
-// attribute differences with it, and SMIN squares bit differences
-// (u XOR v = (u - v)^2 on bits); docs/CRYPTO.md section 7.
+// C1, where SM needs two, two and a double exponentiation. SMIN squares
+// bit differences with it (u XOR v = (u - v)^2 on bits); docs/CRYPTO.md
+// section 7. SSED packs a record's short-blinded differences into the
+// slots of one plaintext instead (ssed.h, docs/CRYPTO.md section 10).
 //
 // Blind width (docs/CRYPTO.md section 9). `operand_bits = w > 0` promises
 // |a| < 2^w (and |b| < 2^w for SM) as integers. Each blind is then uniform
@@ -34,6 +35,16 @@ namespace sknn {
 
 /// \brief Statistical security parameter kappa of a short additive blind.
 inline constexpr unsigned kBlindStatisticalBits = 128;
+
+/// \brief True when operands below 2^operand_bits get short blinds under
+/// modulus `n`: operand_bits > 0 and the window fits (file comment).
+bool ShortBlindsFit(const BigInt& n, unsigned operand_bits);
+
+/// \brief `count` fresh additive blinds for operands below
+/// 2^operand_bits: uniform on [2^w, 2^w + 2^(w + kBlindStatisticalBits))
+/// when ShortBlindsFit, else uniform on Z_N.
+std::vector<BigInt> DrawBlinds(std::size_t count, const BigInt& n,
+                               unsigned operand_bits);
 
 /// \brief Epk(a*b) from Epk(a), Epk(b); one round trip, full-width blinds.
 Result<Ciphertext> SecureMultiply(ProtoContext& ctx, const Ciphertext& ea,

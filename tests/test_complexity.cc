@@ -119,6 +119,73 @@ TEST_F(ComplexityTest, SsedCostsFiveOpsPerAttribute) {
   }
 }
 
+TEST_F(ComplexityTest, PackedSsedCountsPerGroup) {
+  // docs/CRYPTO.md section 10. m = 6 attributes in a 5-bit domain pack
+  // into g = 2 groups of 3 slots at 512 bits and g = 1 group of 6 at 1024.
+  // With load-time packs, per record: the blind, C2's reply and
+  // Epk(-sum r^2) per group (3g enc), one decryption per group, and the m
+  // strip powers; multiplications: m differences, g packed differences, g
+  // blinds, m + g strip products and g - 1 group sums. Per call: the m
+  // negations of the query and its Horner pack, m - g powers and as many
+  // products. Packing costs m - g powers and products per record, paid
+  // once at load or, without packs, on every call.
+  const uint64_t m = 6;
+  const unsigned w = 5;
+  for (unsigned key_bits : {512u, 1024u}) {
+    TwoPartyHarness harness(key_bits, 4600 + key_bits);
+    const auto& pk = harness.pk();
+    const uint64_t g = key_bits == 512 ? 2 : 1;
+    ASSERT_EQ(SsedLayoutFor(pk.n(), w, m).Groups(m), g) << key_bits;
+    const Ops per_record{3 * g, g, m, 2 * m + 4 * g - 1, 0};
+    const Ops per_call{0, 0, m - g, m - g, m};
+    const Ops per_pack{0, 0, m - g, m - g, 0};
+    // Attribute j of record i is i + j, and the query is all 31s.
+    auto row = [&](int64_t base) {
+      std::vector<Ciphertext> out;
+      for (uint64_t j = 0; j < m; ++j) {
+        out.push_back(pk.Encrypt(BigInt(base + static_cast<int64_t>(j)), rng_));
+      }
+      return out;
+    };
+    const std::vector<Ciphertext> query(m, pk.Encrypt(BigInt(31), rng_));
+    auto run = [&](std::size_t n, bool preloaded) {
+      std::vector<std::vector<Ciphertext>> records;
+      for (std::size_t i = 0; i < n; ++i) {
+        records.push_back(row(static_cast<int64_t>(i)));
+      }
+      std::vector<std::vector<Ciphertext>> packs;
+      const Ops pack = Measure([&] {
+        if (preloaded) packs = PackSsedRecords(pk, records, w, nullptr);
+      });
+      Result<std::vector<Ciphertext>> out = Status::Internal("not run");
+      const Ops call = Measure([&] {
+        out = SecureSquaredDistanceBatch(harness.ctx(), records, query, w,
+                                         preloaded ? &packs : nullptr);
+      });
+      EXPECT_TRUE(out.ok()) << out.status();
+      for (std::size_t i = 0; out.ok() && i < n; ++i) {
+        int64_t expected = 0;
+        for (uint64_t j = 0; j < m; ++j) {
+          const int64_t d = static_cast<int64_t>(i + j) - 31;
+          expected += d * d;
+        }
+        EXPECT_EQ(harness.Decrypt((*out)[i]), BigInt(expected)) << key_bits;
+      }
+      return std::make_pair(pack, call);
+    };
+    const auto [pack1, call1] = run(1, true);
+    const auto [pack3, call3] = run(3, true);
+    EXPECT_EQ(Diff(call3, call1), Scale(per_record, 2)) << key_bits;
+    EXPECT_EQ(Diff(call1, per_record), per_call) << key_bits;
+    EXPECT_EQ(pack1, per_pack) << key_bits;
+    EXPECT_EQ(pack3, Scale(per_pack, 3)) << key_bits;
+    // Without packs every call pays the pack powers itself.
+    const auto [no_pack, unpacked3] = run(3, false);
+    EXPECT_EQ(no_pack, Ops{}) << key_bits;
+    EXPECT_EQ(Diff(unpacked3, call3), Scale(per_pack, 3)) << key_bits;
+  }
+}
+
 TEST_F(ComplexityTest, SminAtSeventeenBitsCosts189Ops) {
   // Per bit: the square (3 enc, 1 dec, 1 exp), Gamma's blind, Phi's
   // Epk(-1), L's exponentiation, C2's decryption of L' and re-encryption

@@ -192,6 +192,111 @@ TEST_F(PrimitiveTest, SsedBatchMatchesPlaintext) {
   }
 }
 
+// Packed SSED (docs/CRYPTO.md section 10) at 512 bits: a 5-bit domain
+// fits three 134-bit slots per plaintext, so m = 7 splits into groups of
+// 3, 3 and 1. Records at the domain's corners and random ones, against a
+// query at each corner and a random one; with load-time packs and with
+// packs made per call, without and with a C1 pool.
+TEST(PackedSsedTest, MatchesPlaintextAtTheDomainCorners) {
+  const unsigned w = 5;
+  const std::size_t m = 7;
+  const int64_t top = (int64_t{1} << w) - 1;
+  Random rng(4500);
+  std::vector<std::vector<int64_t>> rows = {
+      std::vector<int64_t>(m, 0), std::vector<int64_t>(m, top),
+      {0, top, 0, top, 0, top, 0}, {top, 0, top, 0, top, 0, top}};
+  for (int i = 0; i < 3; ++i) {
+    std::vector<int64_t> row(m);
+    for (auto& v : row) v = static_cast<int64_t>(rng.UniformUint64(top + 1));
+    rows.push_back(row);
+  }
+  for (std::size_t c1_threads : {std::size_t{1}, std::size_t{3}}) {
+    TwoPartyHarness harness(512, 4501, c1_threads);
+    harness.c2().set_record_views(true);
+    const auto& pk = harness.pk();
+    const SsedLayout layout = SsedLayoutFor(pk.n(), w, m);
+    ASSERT_EQ(layout.slot_bits, w + kBlindStatisticalBits + 1);
+    ASSERT_EQ(layout.slots, 3u);
+    ASSERT_EQ(layout.Groups(m), 3u);
+    std::vector<std::vector<Ciphertext>> records;
+    for (const auto& row : rows) {
+      std::vector<Ciphertext> enc;
+      for (int64_t v : row) enc.push_back(pk.Encrypt(BigInt(v), rng));
+      records.push_back(std::move(enc));
+    }
+    const auto packs = PackSsedRecords(pk, records, w, harness.ctx().pool());
+    ASSERT_EQ(packs.size(), rows.size());
+    for (std::size_t q = 0; q < 3; ++q) {
+      const std::vector<int64_t>& query = rows[q == 2 ? rows.size() - 1 : q];
+      std::vector<Ciphertext> enc_query;
+      for (int64_t v : query) enc_query.push_back(pk.Encrypt(BigInt(v), rng));
+      for (bool preloaded : {true, false}) {
+        auto result = SecureSquaredDistanceBatch(
+            harness.ctx(), records, enc_query, w,
+            preloaded ? &packs : nullptr);
+        ASSERT_TRUE(result.ok()) << result.status();
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          int64_t expected = 0;
+          for (std::size_t j = 0; j < m; ++j) {
+            expected += (rows[i][j] - query[j]) * (rows[i][j] - query[j]);
+          }
+          EXPECT_EQ(harness.Decrypt((*result)[i]), BigInt(expected))
+              << "record " << i << " query " << q;
+        }
+        // One view per slot, record-major: a live slot lies in (0, 2^s),
+        // the two empty slots of the last group read 0.
+        std::size_t index = 0;
+        const BigInt slot_bound = BigInt::PowerOfTwo(layout.slot_bits);
+        for (const C2View& view : harness.c2().TakeViews()) {
+          ASSERT_EQ(view.op, Op::kSqSumVec);
+          const std::size_t attribute = index % (3 * layout.slots);
+          if (attribute < m) {
+            EXPECT_TRUE(view.plaintext > BigInt(0) &&
+                        view.plaintext < slot_bound)
+                << "view " << index << ": " << view.plaintext;
+          } else {
+            EXPECT_TRUE(view.plaintext.IsZero()) << "view " << index;
+          }
+          ++index;
+        }
+        EXPECT_EQ(index, rows.size() * 3 * layout.slots);
+      }
+    }
+  }
+}
+
+TEST(PackedSsedTest, OutOfDomainAttributeCorruptsOnlyItsRecord) {
+  // Record 0 breaks the 5-bit promise by 2^140: its slot borrows into its
+  // neighbour. The other records share its query and its round trip and
+  // still come back exact.
+  TwoPartyHarness harness(512, 4502);
+  const auto& pk = harness.pk();
+  Random rng(4503);
+  const unsigned w = 5;
+  std::vector<std::vector<Ciphertext>> records;
+  const std::vector<std::vector<int64_t>> rows = {
+      {0, 0, 0}, {1, 2, 3}, {31, 0, 31}, {4, 4, 4}};
+  for (const auto& row : rows) {
+    std::vector<Ciphertext> enc;
+    for (int64_t v : row) enc.push_back(pk.Encrypt(BigInt(v), rng));
+    records.push_back(std::move(enc));
+  }
+  records[0][1] = pk.Encrypt(BigInt::PowerOfTwo(140), rng);
+  const std::vector<int64_t> query = {2, 9, 30};
+  std::vector<Ciphertext> enc_query;
+  for (int64_t v : query) enc_query.push_back(pk.Encrypt(BigInt(v), rng));
+  auto result =
+      SecureSquaredDistanceBatch(harness.ctx(), records, enc_query, w);
+  ASSERT_TRUE(result.ok()) << result.status();
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    int64_t expected = 0;
+    for (std::size_t j = 0; j < query.size(); ++j) {
+      expected += (rows[i][j] - query[j]) * (rows[i][j] - query[j]);
+    }
+    EXPECT_EQ(harness.Decrypt((*result)[i]), BigInt(expected)) << i;
+  }
+}
+
 TEST_F(PrimitiveTest, SsedRejectsDimensionMismatch) {
   const auto& pk = harness_.pk();
   std::vector<Ciphertext> ex = {pk.Encrypt(BigInt(1), rng_)};

@@ -107,6 +107,44 @@ TEST_F(RobustnessTest, LsbShiftRejectsHostileFrames) {
   EXPECT_EQ(harness_.Decrypt(Ciphertext(resp->ints[0])), BigInt(1));
 }
 
+TEST_F(RobustnessTest, SqSumRejectsHostileLayouts) {
+  // kSqSumVec's aux is [slot_bits:u32][slots:u32]. No slots, slots that
+  // reach key_bits, zero-width slots beyond the one whole-plaintext slot,
+  // and a short or missing aux are refused by C2 before it decrypts or
+  // sizes anything. 2^31 slots of one bit would have C2 read 2^31 slots.
+  const auto& pk = harness_.pk();
+  auto enc = [&](int64_t v) { return pk.Encrypt(BigInt(v), rng_).value(); };
+  auto layout = [](uint32_t slot_bits, uint32_t slots) {
+    std::vector<uint8_t> aux;
+    FrameWriter(aux).U32(slot_bits).U32(slots);
+    return aux;
+  };
+  const uint32_t key_bits = pk.key_bits();
+  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, layout(134, 0));
+  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, layout(key_bits / 2, 2));
+  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, layout(1, key_bits));
+  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, layout(key_bits, 1));
+  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, layout(1, 1u << 31));
+  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, layout(0xFFFFFFFFu, 0xFFFFFFFFu));
+  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, layout(0, 2));
+  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, {60, 0, 0});
+  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)});
+  // C2 is still serving. Four 60-bit slots u = 3, 5, 7, 11 sent as
+  // Epk(-U) come back as Epk(9 + 25 + 49 + 121); the whole-plaintext slot
+  // squares D(c) itself.
+  const BigInt u = BigInt(3) + BigInt(5).ShiftLeft(60) +
+                   BigInt(7).ShiftLeft(120) + BigInt(11).ShiftLeft(180);
+  auto packed = harness_.ctx().Call(
+      Op::kSqSumVec, {pk.Encrypt(pk.n() - u, rng_).value()}, layout(60, 4));
+  ASSERT_TRUE(packed.ok()) << packed.status();
+  ASSERT_EQ(packed->ints.size(), 1u);
+  EXPECT_EQ(harness_.Decrypt(Ciphertext(packed->ints[0])), BigInt(204));
+  auto whole = harness_.ctx().Call(Op::kSqSumVec, {enc(-12)}, layout(0, 1));
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  ASSERT_EQ(whole->ints.size(), 1u);
+  EXPECT_EQ(harness_.Decrypt(Ciphertext(whole->ints[0])), BigInt(144));
+}
+
 TEST_F(RobustnessTest, EveryDecryptingOpcodeRejectsNonUnits) {
   // 0, N, a multiple of the secret prime p, and N^2 are not in Z*_{N^2}.
   // Each decrypting opcode gets a request that is well formed except for
@@ -120,9 +158,11 @@ TEST_F(RobustnessTest, EveryDecryptingOpcodeRejectsNonUnits) {
   const std::vector<uint8_t> one_block = {1, 0, 0, 0, 1, 0, 0, 0};
   const std::vector<uint8_t> k1 = {1, 0, 0, 0};
   const std::vector<uint8_t> t5 = {5, 0, 0, 0};
+  const std::vector<uint8_t> whole = {0, 0, 0, 0, 1, 0, 0, 0};
   for (const BigInt& bad : hostile) {
     ExpectRefusedByC2(Op::kSmVec, {enc(3), bad});
     ExpectRefusedByC2(Op::kSqVec, {bad});
+    ExpectRefusedByC2(Op::kSqSumVec, {enc(2), bad}, whole);
     ExpectRefusedByC2(Op::kLsbVec, {bad});
     ExpectRefusedByC2(Op::kLsbShiftVec, {enc(4), bad}, t5);
     ExpectRefusedByC2(Op::kSvrCheckBatch, {bad});

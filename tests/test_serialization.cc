@@ -981,6 +981,7 @@ TEST(FrameMutation, EveryC1C2AuxDecoderReturnsAValueOrProtocolError) {
   };
   const std::vector<Message> c2_samples = {
       request(Op::kLsbShiftVec, {enc(14)}, {1}),
+      request(Op::kSqSumVec, {enc(-5), enc(-9)}, {60, 4}),
       request(Op::kSminPhase2Vec, {enc(1), enc(5)}, {1, 1}),
       request(Op::kTopKIndices, {enc(9), enc(5), enc(7)}, {2}),
   };

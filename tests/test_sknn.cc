@@ -280,10 +280,12 @@ TEST(SkNNEndToEnd, InstrumentationIsOptIn) {
 }
 
 TEST(SkNNEndToEnd, ProductionCallersBlindForTheAttributeDomain) {
-  // Every SSED square and extraction SM of a served query blinds for the
-  // engine's attribute domain (proto/sm.h): each kSqVec / kSmVec view v
-  // lies in 0 < N - v < 2^(attr_bits + kappa + 2). Unsharded, 2-shard
-  // in-process and clustered engines, secure and basic, at 256-bit keys.
+  // Every SSED square, SMIN square and extraction SM of a served query
+  // blinds for the engine's attribute domain (proto/sm.h): each kSqVec /
+  // kSmVec view v lies in 0 < N - v < 2^(attr_bits + kappa + 2), and each
+  // per-slot kSqSumVec view v in 0 < v < 2^(attr_bits + kappa + 2).
+  // Unsharded, 2-shard in-process and clustered engines, secure and basic,
+  // at 256-bit keys (one slot per SSED group) and 512-bit keys (three).
   // Three well-separated clusters in a 4-bit domain; the query's 2 nearest
   // rows are unique and sit in its own cluster, so probing one cluster
   // answers exactly.
@@ -293,58 +295,73 @@ TEST(SkNNEndToEnd, ProductionCallersBlindForTheAttributeDomain) {
                             {15, 14, 15}, {14, 15, 14}, {15, 15, 15}};
   const PlainRecord query = {1, 1, 1};
   const unsigned k = 2;
-  auto alice = DataOwner::Create(256);
-  ASSERT_TRUE(alice.ok()) << alice.status();
-  auto manifest = BuildClusterManifest(table, 3, 5, alice->public_key());
-  ASSERT_TRUE(manifest.ok()) << manifest.status();
-  auto clusters =
-      std::make_shared<const ClusterManifest>(std::move(manifest).value());
+  for (unsigned key_bits : {256u, 512u}) {
+    SCOPED_TRACE(::testing::Message() << key_bits << "-bit key");
+    auto alice = DataOwner::Create(key_bits);
+    ASSERT_TRUE(alice.ok()) << alice.status();
+    auto manifest = BuildClusterManifest(table, 3, 5, alice->public_key());
+    ASSERT_TRUE(manifest.ok()) << manifest.status();
+    auto clusters =
+        std::make_shared<const ClusterManifest>(std::move(manifest).value());
 
-  struct Topology {
-    const char* name;
-    std::size_t shards;
-    bool clustered;
-  };
-  for (const Topology& topology : {Topology{"unsharded", 1, false},
-                                   Topology{"2 shards", 2, false},
-                                   Topology{"clustered", 1, true}}) {
-    SknnEngine::Options opts;
-    opts.record_c2_views = true;
-    opts.shards = topology.shards;
-    if (topology.clustered) opts.clusters = clusters;
-    auto db = alice->EncryptDatabase(table, 4);
-    ASSERT_TRUE(db.ok()) << db.status();
-    auto engine = SknnEngine::CreateFromParts(
-        alice->public_key(), PaillierSecretKey(alice->secret_key_for_c2()),
-        std::move(db).value(), opts);
-    ASSERT_TRUE(engine.ok()) << engine.status();
-    const unsigned w = (*engine)->info().attr_bits;
-    ASSERT_EQ(w, 4u);
-    const BigInt& n = alice->public_key().n();
-    const BigInt window = BigInt::PowerOfTwo(w + kBlindStatisticalBits + 2);
-    for (QueryProtocol protocol :
-         {QueryProtocol::kSecure, QueryProtocol::kBasic}) {
-      QueryRequest request;
-      request.record = query;
-      request.k = k;
-      request.protocol = protocol;
-      if (topology.clustered) {
-        request.index_mode = IndexMode::kClustered;
-        request.probe_clusters = 1;
+    struct Topology {
+      const char* name;
+      std::size_t shards;
+      bool clustered;
+    };
+    for (const Topology& topology : {Topology{"unsharded", 1, false},
+                                     Topology{"2 shards", 2, false},
+                                     Topology{"clustered", 1, true}}) {
+      SknnEngine::Options opts;
+      opts.record_c2_views = true;
+      opts.shards = topology.shards;
+      if (topology.clustered) opts.clusters = clusters;
+      auto db = alice->EncryptDatabase(table, 4);
+      ASSERT_TRUE(db.ok()) << db.status();
+      auto engine = SknnEngine::CreateFromParts(
+          alice->public_key(), PaillierSecretKey(alice->secret_key_for_c2()),
+          std::move(db).value(), opts);
+      ASSERT_TRUE(engine.ok()) << engine.status();
+      const unsigned w = (*engine)->info().attr_bits;
+      ASSERT_EQ(w, 4u);
+      const BigInt& n = alice->public_key().n();
+      const BigInt window = BigInt::PowerOfTwo(w + kBlindStatisticalBits + 2);
+      for (QueryProtocol protocol :
+           {QueryProtocol::kSecure, QueryProtocol::kBasic}) {
+        QueryRequest request;
+        request.record = query;
+        request.k = k;
+        request.protocol = protocol;
+        if (topology.clustered) {
+          request.index_mode = IndexMode::kClustered;
+          request.probe_clusters = 1;
+        }
+        auto result = (*engine)->Query(request);
+        ASSERT_TRUE(result.ok()) << topology.name << ": " << result.status();
+        EXPECT_EQ(result->records, PlainKnn(table, query, k)) << topology.name;
+        std::size_t blinded = 0, slots = 0;
+        for (const C2View& view : (*engine)->c2_service().TakeViews()) {
+          if (view.op == Op::kSqSumVec) {
+            ++slots;
+            EXPECT_TRUE(view.plaintext > BigInt(0) && view.plaintext < window)
+                << topology.name << " protocol "
+                << static_cast<int>(protocol) << ": slot " << view.plaintext;
+            continue;
+          }
+          if (view.op != Op::kSqVec && view.op != Op::kSmVec) continue;
+          ++blinded;
+          const BigInt below_n = n - view.plaintext;
+          EXPECT_TRUE(below_n > BigInt(0) && below_n < window)
+              << topology.name << " protocol "
+              << static_cast<int>(protocol) << ": view " << view.plaintext;
+        }
+        // One view per attribute of every record and centroid scored.
+        EXPECT_GT(slots, 0u) << topology.name;
+        EXPECT_EQ(slots % query.size(), 0u) << topology.name;
+        if (protocol == QueryProtocol::kSecure) {
+          EXPECT_GT(blinded, 0u) << topology.name;
+        }
       }
-      auto result = (*engine)->Query(request);
-      ASSERT_TRUE(result.ok()) << topology.name << ": " << result.status();
-      EXPECT_EQ(result->records, PlainKnn(table, query, k)) << topology.name;
-      std::size_t blinded = 0;
-      for (const C2View& view : (*engine)->c2_service().TakeViews()) {
-        if (view.op != Op::kSqVec && view.op != Op::kSmVec) continue;
-        ++blinded;
-        const BigInt below_n = n - view.plaintext;
-        EXPECT_TRUE(below_n > BigInt(0) && below_n < window)
-            << topology.name << " protocol "
-            << static_cast<int>(protocol) << ": view " << view.plaintext;
-      }
-      EXPECT_GT(blinded, 0u) << topology.name;
     }
   }
 }

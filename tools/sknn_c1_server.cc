@@ -246,8 +246,9 @@ std::string FormatTableSpec(const TableSpec& spec) {
 }
 
 // Loads one spec's artifacts and assembles its engine — own key, own
-// database (or remote shard workers), own C2 connection. Runs at startup
-// AND at every kReloadTable, where it rebuilds beside the live engine.
+// database (or remote shard workers), own C2 connection — and logs its
+// SSED packing. Runs at startup AND at every kReloadTable, where it
+// rebuilds beside the live engine.
 Result<std::unique_ptr<SknnEngine>> BuildTableEngine(
     const TableSpec& spec, const SknnEngine::Options& base_options) {
   SKNN_ASSIGN_OR_RETURN(PaillierPublicKey pk,
@@ -295,10 +296,19 @@ Result<std::unique_ptr<SknnEngine>> BuildTableEngine(
                                std::to_string(spec.c2_port) + ": " +
                                c2_link.status().message());
   }
-  return QueryService::CreateShardedEngine(pk, std::move(db),
-                                           std::move(c2_link).value(),
-                                           options, shards, scheme,
-                                           spec.worker_addrs);
+  SKNN_ASSIGN_OR_RETURN(
+      std::unique_ptr<SknnEngine> engine,
+      QueryService::CreateShardedEngine(pk, std::move(db),
+                                        std::move(c2_link).value(), options,
+                                        shards, scheme, spec.worker_addrs));
+  // The load-time SSED packing, one line per load and reload.
+  const SknnEngine::PackStats& packed = engine->pack_stats();
+  std::printf("table '%s': SSED packed %zu records, groups/record %zu, "
+              "%.1f ms\n",
+              spec.name.c_str(), packed.records, packed.groups_per_record,
+              packed.seconds * 1e3);
+  std::fflush(stdout);
+  return engine;
 }
 
 }  // namespace
