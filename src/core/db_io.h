@@ -4,7 +4,8 @@
 // Each file is an 8-byte magic followed by one body written by FrameWriter
 // and read back by FrameReader (net/message.h), so the files follow the
 // frame layer's encoding rules (docs/API.md "Encoding rules"). A ciphertext
-// field is Bytes: [len:u32][big-endian magnitude], at most 64 KiB long.
+// field is Bytes: [len:u32][big-endian magnitude], at most 64 KiB long and
+// with no leading zero byte, so an accepted file rewrites to its own bytes.
 //
 //   SKNNDB01  U32 n, U32 m, U32 l (distance bits),
 //             n*m ciphertexts, row by row
