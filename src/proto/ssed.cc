@@ -66,6 +66,7 @@ Result<std::vector<Ciphertext>> SecureSquaredDistanceBatch(
   const std::size_t n = records.size();
   const std::size_t m = query.size();
   if (n == 0) return std::vector<Ciphertext>{};
+  if (m == 0) return Status::InvalidArgument("SSED: no attributes");
   for (const auto& rec : records) {
     if (rec.size() != m) {
       return Status::InvalidArgument("SSED: record/query dimension mismatch");
