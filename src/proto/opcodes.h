@@ -81,8 +81,9 @@ enum class Op : uint16_t {
   /// clouds' pools in one place.
   kFetchPoolStats = 14,
 
-  /// Secure squaring (sm.h, SecureSquareBatch; SMIN's bit squares). ints = [a'_0, a'_1, ...]
-  /// with a'_i = Epk(a_i + r_i); response ints = [h_0, h_1, ...] where
+  /// Secure squaring (sm.h: SMIN's bit squares, and SSED's differences when
+  /// a group is one slot). ints = [a'_0, a'_1, ...] with a'_i =
+  /// Epk(a_i + r_i); response ints = [h_0, h_1, ...] where
   /// h_i = Epk(D(a'_i)^2 mod N), freshly randomized.
   kSqVec = 15,
 

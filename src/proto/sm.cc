@@ -1,5 +1,9 @@
 #include "proto/sm.h"
 
+#include <algorithm>
+
+#include "net/message.h"
+
 namespace sknn {
 
 bool ShortBlindsFit(const BigInt& n, unsigned operand_bits) {
@@ -7,6 +11,11 @@ bool ShortBlindsFit(const BigInt& n, unsigned operand_bits) {
          operand_bits + kBlindStatisticalBits + 2 <= n.BitLength();
 }
 
+namespace {
+
+// `count` additive blinds for operands below 2^operand_bits in magnitude:
+// uniform on [2^w, 2^w + 2^(w + kappa)) when ShortBlindsFit, else uniform
+// on Z_N (docs/CRYPTO.md section 9).
 std::vector<BigInt> DrawBlinds(std::size_t count, const BigInt& n,
                                unsigned operand_bits) {
   const bool short_window = ShortBlindsFit(n, operand_bits);
@@ -21,6 +30,8 @@ std::vector<BigInt> DrawBlinds(std::size_t count, const BigInt& n,
   for (BigInt& ri : r) ri = offset + rng.Below(width);
   return r;
 }
+
+}  // namespace
 
 Result<std::vector<Ciphertext>> SecureMultiplyBatch(
     ProtoContext& ctx, const std::vector<Ciphertext>& eas,
@@ -81,38 +92,85 @@ Result<std::vector<Ciphertext>> SecureMultiplyBatch(
 Result<std::vector<Ciphertext>> SecureSquareBatch(
     ProtoContext& ctx, const std::vector<Ciphertext>& eas,
     unsigned operand_bits) {
-  const std::size_t count = eas.size();
-  if (count == 0) return std::vector<Ciphertext>{};
+  return SecureSquareSumBatch(ctx, eas, /*m=*/1, SlotLayout{}, {},
+                              operand_bits);
+}
+
+Result<std::vector<Ciphertext>> SecureSquareSumBatch(
+    ProtoContext& ctx, const std::vector<Ciphertext>& eas, std::size_t m,
+    const SlotLayout& layout, const std::vector<Ciphertext>& packs,
+    unsigned operand_bits) {
+  if (eas.empty()) return std::vector<Ciphertext>{};
+  if (m == 0 || eas.size() % m != 0 || layout.slots == 0) {
+    return Status::InvalidArgument("square sums: operands do not form rows");
+  }
+  const std::size_t rows = eas.size() / m;
+  const std::size_t groups = layout.Groups(m);
+  const bool packed = layout.slots > 1;
+  if (packed && packs.size() != rows * groups) {
+    return Status::InvalidArgument("square sums: packs do not match the rows");
+  }
+  const std::vector<Ciphertext>& operands = packed ? packs : eas;
   const PaillierPublicKey& pk = ctx.pk();
   const BigInt& n = pk.n();
 
-  // Step 1: blind each operand once, Epk(a - r); r stays local to C1.
-  const std::vector<BigInt> r = DrawBlinds(count, n, operand_bits);
-  std::vector<BigInt> neg_r(count);
-  for (std::size_t i = 0; i < count; ++i) neg_r[i] = n - r[i];
-  std::vector<Ciphertext> enc_r = pk.EncryptMany(neg_r, ctx.pool());
-  std::vector<BigInt> request(count);
-  ctx.ForEach(count, [&](std::size_t i) {
-    request[i] = pk.Add(eas[i], enc_r[i]).value();
+  // Step 1: blind every slot, Epk(P - R) = Epk(P) * Epk(N - R), with
+  // R = sum_j r_j * 2^(j * slot_bits) over a group; r stays local to C1.
+  const std::vector<BigInt> r = DrawBlinds(eas.size(), n, operand_bits);
+  std::vector<BigInt> neg_blinds(rows * groups);
+  std::vector<BigInt> neg_r2_plain(rows * groups);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t g = 0; g < groups; ++g) {
+      const std::size_t begin = g * layout.slots;
+      const std::size_t end = std::min(m, begin + layout.slots);
+      BigInt blind(0), r2(0);
+      for (std::size_t j = begin; j < end; ++j) {
+        const BigInt& rj = r[i * m + j];
+        blind += rj.ShiftLeft(static_cast<unsigned>(
+            (j - begin) * layout.slot_bits));
+        r2 = r2.AddMod(rj.MulMod(rj, n), n);
+      }
+      neg_blinds[i * groups + g] = n - blind;
+      neg_r2_plain[i * groups + g] = n - r2;
+    }
+  }
+  std::vector<Ciphertext> enc_blinds = pk.EncryptMany(neg_blinds, ctx.pool());
+  std::vector<BigInt> request(rows * groups);
+  ctx.ForEach(rows * groups, [&](std::size_t at) {
+    request[at] = pk.Add(operands[at], enc_blinds[at]).value();
   });
 
-  // Step 2: C2 decrypts, squares, re-encrypts h = (a-r)^2 mod N.
+  // Step 2: C2 decrypts each group and re-encrypts the sum of its slots'
+  // squares: (a - r)^2 mod N for a one-slot group.
+  Op op = Op::kSqVec;
+  std::vector<uint8_t> aux;
+  if (packed) {
+    op = Op::kSqSumVec;
+    FrameWriter(aux)
+        .U32(layout.slot_bits)
+        .U32(static_cast<uint32_t>(layout.slots));
+  }
   SKNN_ASSIGN_OR_RETURN(
       std::vector<BigInt> h,
-      ctx.CallBatch(Op::kSqVec, std::move(request), /*in_arity=*/1,
-                    /*out_arity=*/1));
+      ctx.CallBatch(op, std::move(request), /*in_arity=*/1,
+                    /*out_arity=*/1, std::move(aux)));
 
-  // Step 3: strip the cross terms:
-  //   Epk(a^2) = h' * Epk(a)^{2r} * Epk(-r^2).
-  std::vector<BigInt> neg_r2_plain(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    neg_r2_plain[i] = n - r[i].MulMod(r[i], n);
-  }
+  // Step 3: strip the blinds per group, then sum a row's groups:
+  //   Epk(sum a^2) = h' * prod_j Epk(a_j)^{2 r_j} * Epk(-sum_j r_j^2).
   std::vector<Ciphertext> neg_r2 = pk.EncryptMany(neg_r2_plain, ctx.pool());
-  std::vector<Ciphertext> out(count);
-  ctx.ForEach(count, [&](std::size_t i) {
-    Ciphertext cross = pk.MulScalar(eas[i], r[i] + r[i]);
-    out[i] = pk.Add(pk.Add(Ciphertext(h[i]), cross), neg_r2[i]);
+  std::vector<Ciphertext> out(rows);
+  ctx.ForEach(rows, [&](std::size_t i) {
+    for (std::size_t g = 0; g < groups; ++g) {
+      const std::size_t begin = g * layout.slots;
+      const std::size_t end = std::min(m, begin + layout.slots);
+      Ciphertext acc(h[i * groups + g]);
+      for (std::size_t j = begin; j < end; ++j) {
+        const BigInt& rj = r[i * m + j];
+        acc = pk.Add(acc, pk.MulScalar(eas[i * m + j], rj + rj));
+      }
+      acc = pk.Add(acc, neg_r2[i * groups + g]);
+      out[i] = g == 0 ? std::move(acc) : pk.Add(out[i], acc);
+    }
   });
   return out;
 }

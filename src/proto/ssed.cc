@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "net/message.h"
 #include "proto/sm.h"
 
 namespace sknn {
@@ -11,7 +10,7 @@ namespace {
 // One row's groups by Horner: (group size - 1) powers of 2^slot_bits each.
 std::vector<Ciphertext> PackRow(const PaillierPublicKey& pk,
                                 const std::vector<Ciphertext>& row,
-                                const SsedLayout& layout) {
+                                const SlotLayout& layout) {
   const BigInt shift = BigInt::PowerOfTwo(layout.slot_bits);
   std::vector<Ciphertext> out(layout.Groups(row.size()));
   for (std::size_t g = 0; g < out.size(); ++g) {
@@ -26,9 +25,9 @@ std::vector<Ciphertext> PackRow(const PaillierPublicKey& pk,
 
 }  // namespace
 
-SsedLayout SsedLayoutFor(const BigInt& n, unsigned attr_bits,
+SlotLayout SsedLayoutFor(const BigInt& n, unsigned attr_bits,
                          std::size_t m) {
-  SsedLayout layout;
+  SlotLayout layout;
   if (!ShortBlindsFit(n, attr_bits) || m < 2) return layout;
   const unsigned slot_bits = attr_bits + kBlindStatisticalBits + 1;
   const std::size_t fit = (n.BitLength() - 1) / slot_bits;
@@ -44,7 +43,7 @@ std::vector<std::vector<Ciphertext>> PackSsedRecords(
     const std::vector<std::vector<Ciphertext>>& records, unsigned attr_bits,
     ThreadPool* pool) {
   if (records.empty()) return {};
-  const SsedLayout layout =
+  const SlotLayout layout =
       SsedLayoutFor(pk.n(), attr_bits, records[0].size());
   if (layout.slots == 1) return {};
   std::vector<std::vector<Ciphertext>> packs(records.size());
@@ -73,8 +72,7 @@ Result<std::vector<Ciphertext>> SecureSquaredDistanceBatch(
     }
   }
   const PaillierPublicKey& pk = ctx.pk();
-  const BigInt& big_n = pk.n();
-  const SsedLayout layout = SsedLayoutFor(big_n, attr_bits, m);
+  const SlotLayout layout = SsedLayoutFor(pk.n(), attr_bits, m);
   const std::size_t groups = layout.Groups(m);
   const bool packed = layout.slots > 1;
   std::vector<std::vector<Ciphertext>> own_packs;
@@ -102,8 +100,7 @@ Result<std::vector<Ciphertext>> SecureSquaredDistanceBatch(
   const std::vector<Ciphertext> neg_query_packs =
       packed ? PackRow(pk, neg_query, layout) : std::vector<Ciphertext>{};
 
-  // Step 2: Epk(d_ij) for the strip powers, and per group the packed
-  // difference. A one-slot group's packed difference is its attribute's.
+  // Step 2: Epk(d_ij), and per group the packed difference.
   std::vector<Ciphertext> diffs(n * m);
   std::vector<Ciphertext> packed_diffs(packed ? n * groups : 0);
   ctx.ForEach(n, [&](std::size_t i) {
@@ -116,65 +113,10 @@ Result<std::vector<Ciphertext>> SecureSquaredDistanceBatch(
           pk.Add((*packs)[i][g], neg_query_packs[g]);
     }
   });
-  const std::vector<Ciphertext>& group_diffs = packed ? packed_diffs : diffs;
 
-  // Step 3: blind every slot, Epk(P_d - R) = Epk(P_d) * Epk(N - R), with
-  // R = sum_j r_j * 2^(j * slot_bits); r stays local to C1.
-  const std::vector<BigInt> r = DrawBlinds(n * m, big_n, attr_bits);
-  std::vector<BigInt> neg_blinds(n * groups);
-  std::vector<BigInt> neg_r2_plain(n * groups);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::size_t begin = g * layout.slots;
-      const std::size_t end = std::min(m, begin + layout.slots);
-      BigInt blind(0), r2(0);
-      for (std::size_t j = begin; j < end; ++j) {
-        const BigInt& rj = r[i * m + j];
-        blind += rj.ShiftLeft(static_cast<unsigned>(
-            (j - begin) * layout.slot_bits));
-        r2 = r2.AddMod(rj.MulMod(rj, big_n), big_n);
-      }
-      neg_blinds[i * groups + g] = big_n - blind;
-      neg_r2_plain[i * groups + g] = big_n - r2;
-    }
-  }
-  std::vector<Ciphertext> enc_blinds = pk.EncryptMany(neg_blinds, ctx.pool());
-  std::vector<BigInt> request(n * groups);
-  ctx.ForEach(n, [&](std::size_t i) {
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::size_t at = i * groups + g;
-      request[at] = pk.Add(group_diffs[at], enc_blinds[at]).value();
-    }
-  });
-
-  // Step 4: C2 decrypts each group and returns Epk(sum of its slots^2).
-  std::vector<uint8_t> aux;
-  FrameWriter(aux)
-      .U32(layout.slot_bits)
-      .U32(static_cast<uint32_t>(layout.slots));
-  SKNN_ASSIGN_OR_RETURN(
-      std::vector<BigInt> h,
-      ctx.CallBatch(Op::kSqSumVec, std::move(request), /*in_arity=*/1,
-                    /*out_arity=*/1, std::move(aux)));
-
-  // Step 5: strip the blinds per group, then sum a record's groups:
-  //   Epk(sum d^2) = h * prod_j Epk(d_j)^(2 r_j) * Epk(-sum_j r_j^2).
-  std::vector<Ciphertext> neg_r2 = pk.EncryptMany(neg_r2_plain, ctx.pool());
-  std::vector<Ciphertext> out(n);
-  ctx.ForEach(n, [&](std::size_t i) {
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::size_t begin = g * layout.slots;
-      const std::size_t end = std::min(m, begin + layout.slots);
-      Ciphertext acc(h[i * groups + g]);
-      for (std::size_t j = begin; j < end; ++j) {
-        const BigInt& rj = r[i * m + j];
-        acc = pk.Add(acc, pk.MulScalar(diffs[i * m + j], rj + rj));
-      }
-      acc = pk.Add(acc, neg_r2[i * groups + g]);
-      out[i] = g == 0 ? std::move(acc) : pk.Add(out[i], acc);
-    }
-  });
-  return out;
+  // Step 3: one blinded round trip squares and sums each record's
+  // differences (sm.h).
+  return SecureSquareSumBatch(ctx, diffs, m, layout, packed_diffs, attr_bits);
 }
 
 Result<Ciphertext> SecureSquaredDistance(ProtoContext& ctx,

@@ -6,7 +6,7 @@
 // differences, one blinded squaring round trip and a homomorphic sum. The
 // paper squares each d_j on its own; here the blinded differences of one
 // record share the slots of one plaintext, so C2 decrypts one value per
-// group of attributes:
+// group of attributes (sm.h's SecureSquareSumBatch runs the round trip):
 //   - C1 sends Epk(-U) per group, U = sum_j (r_j - d_j) * 2^(j*s), with
 //     sm.h's blinds r_j;
 //   - C2 decrypts, reads N - D(.) = U slot by slot and answers
@@ -17,7 +17,8 @@
 // With short blinds each slot r_j - d_j lies in (0, 2^s), s = w + kappa +
 // 1, so the slots need no offset and never carry. With full-width blinds,
 // or a key with room for one slot only, a group is one attribute and its
-// slot is the whole plaintext: sm.h's secure square, at its cost.
+// slot is the whole plaintext: sm.h's secure square (Op::kSqVec), at its
+// cost.
 // Only squared distances are ever computed — the paper notes squaring
 // preserves the ordering kNN needs, and exact roots are infeasible on
 // ciphertexts.
@@ -27,18 +28,9 @@
 #include <vector>
 
 #include "proto/context.h"
+#include "proto/sm.h"
 
 namespace sknn {
-
-/// \brief How SSED groups a record's attributes into plaintext slots.
-struct SsedLayout {
-  /// Slot width in bits; 0 means one slot spanning the whole plaintext.
-  unsigned slot_bits = 0;
-  /// Attributes per group (per value C2 decrypts), at least 1.
-  std::size_t slots = 1;
-
-  std::size_t Groups(std::size_t m) const { return (m + slots - 1) / slots; }
-};
 
 /// \brief The layout for m attributes in [0, 2^attr_bits) under modulus
 /// `n`. When the short blinds of sm.h apply and at least two slots of
@@ -46,7 +38,7 @@ struct SsedLayout {
 /// bits: s-bit slots, in the fewest groups that hold m, balanced (the last
 /// group may hold fewer; its empty slots read 0). Otherwise one
 /// whole-plaintext slot per group.
-SsedLayout SsedLayoutFor(const BigInt& n, unsigned attr_bits, std::size_t m);
+SlotLayout SsedLayoutFor(const BigInt& n, unsigned attr_bits, std::size_t m);
 
 /// \brief Packs every record's groups once, for SecureSquaredDistanceBatch:
 /// out[i][g] = prod_j Epk(x_ij)^(2^(j * slot_bits)) over group g's

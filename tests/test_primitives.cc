@@ -214,7 +214,7 @@ TEST(PackedSsedTest, MatchesPlaintextAtTheDomainCorners) {
     TwoPartyHarness harness(512, 4501, c1_threads);
     harness.c2().set_record_views(true);
     const auto& pk = harness.pk();
-    const SsedLayout layout = SsedLayoutFor(pk.n(), w, m);
+    const SlotLayout layout = SsedLayoutFor(pk.n(), w, m);
     ASSERT_EQ(layout.slot_bits, w + kBlindStatisticalBits + 1);
     ASSERT_EQ(layout.slots, 3u);
     ASSERT_EQ(layout.Groups(m), 3u);
