@@ -77,9 +77,9 @@ class ResultCache {
   explicit ResultCache(std::size_t max_bytes = 0,
                        std::size_t max_entries = kDefaultMaxEntries);
 
-  /// The byte budget holds the entry cap at K = 1024 with room to spare:
-  /// an answer of k·m = 30 ciphertexts costs about 9.5 KiB there, so the
-  /// former 8 MiB held ~880 entries and the 4096-entry cap never bound.
+  /// The byte budget holds the full entry cap at K = 1024, where an answer
+  /// of k·m = 30 ciphertexts costs about 9.5 KiB; at K = 2048 it binds
+  /// first, near 3800 such entries (docs/DEPLOY.md).
   static constexpr std::size_t kDefaultMaxBytes = 64u << 20;
   static constexpr std::size_t kDefaultMaxEntries = 4096;
 
