@@ -25,7 +25,10 @@
 #       - no hand-rolled little-endian byte loops (`<< (8 *`, `>> (8 *`) in
 #         src/ or tools/ outside the frame layer (src/net/message.cc) and
 #         the socket's 4-byte stream prefix (src/net/socket.cc): wire
-#         payloads and the table files alike are encoded by FrameWriter.
+#         payloads and the table files alike are encoded by FrameWriter;
+#       - every C1<->C2 opcode in src/proto/opcodes.h (each `Op`
+#         enumerator, and each number in kReservedOpcodes) has its row in
+#         docs/DEPLOY.md's opcode table, under its number.
 #  2. clang-tidy over compile_commands.json (runs when clang-tidy is on
 #     PATH — the lint CI job; skipped with a notice otherwise). Checks are
 #     curated in .clang-tidy.
@@ -146,6 +149,39 @@ if [ -n "${byte_loops}" ]; then
   fail "hand-rolled little-endian byte loop outside src/net/message.cc — \
 encode and decode with FrameWriter/FrameReader (src/net/message.h)" \
     "${byte_loops}"
+fi
+
+# --- 1h. C1<->C2 numbers missing from DEPLOY.md's opcode table ------------
+# The C1<->C2 vocabulary is internal, but operators upgrading C2 before C1
+# read docs/DEPLOY.md's table of every number, live or reserved. Each `Op`
+# enumerator (`kName = <number>,`) needs a table row `| <number> | `kName`
+# |`, and each retired number in kReservedOpcodes a row `| <number> |` that
+# says reserved. Table rows are the lines that start with `| ` and a number.
+opcode_rows=$(grep -E '^\| (0x[0-9A-Fa-f]+|[0-9]+) \|' docs/DEPLOY.md || true)
+missing_rows=""
+while read -r name number; do
+  [ -n "${name}" ] || continue
+  if ! printf '%s\n' "${opcode_rows}" \
+      | grep -qE "^\| ${number} \| \`${name}\` \|"; then
+    missing_rows="${missing_rows}${number} ${name}"$'\n'
+  fi
+done < <(sed -n '/^enum class Op /,/^};/p' src/proto/opcodes.h \
+           | grep -oE 'k[A-Za-z0-9]+ = (0x[0-9A-Fa-f]+|[0-9]+)' \
+           | sed 's/ = / /')
+reserved=$(grep -E '^inline constexpr uint16_t kReservedOpcodes\[\]' \
+             src/proto/opcodes.h | sed 's/.*{//; s/}.*//; s/,/ /g')
+if [ -z "${reserved}" ]; then
+  missing_rows="${missing_rows}no kReservedOpcodes in src/proto/opcodes.h"$'\n'
+fi
+for number in ${reserved}; do
+  if ! printf '%s\n' "${opcode_rows}" \
+      | grep -E "^\| ${number} \|" | grep -q 'reserved'; then
+    missing_rows="${missing_rows}${number} (reserved)"$'\n'
+  fi
+done
+if [ -n "${missing_rows}" ]; then
+  fail "C1<->C2 opcodes missing from docs/DEPLOY.md's opcode table — add \
+a row per Op enumerator and per reserved number" "${missing_rows}"
 fi
 
 # --- 2. clang-tidy ---------------------------------------------------------

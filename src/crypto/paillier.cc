@@ -180,13 +180,6 @@ Ciphertext PaillierPublicKey::Add(const Ciphertext& a,
   return Ciphertext(a.value().MulMod(b.value(), n_squared_));
 }
 
-Ciphertext PaillierPublicKey::AddPlain(const Ciphertext& a,
-                                       const BigInt& m) const {
-  OpCounters::CountMultiplication();
-  BigInt gm = (BigInt(1) + m.Mod(n_) * n_).Mod(n_squared_);
-  return Ciphertext(a.value().MulMod(gm, n_squared_));
-}
-
 Ciphertext PaillierPublicKey::MulScalar(const Ciphertext& a,
                                         const BigInt& s) const {
   OpCounters::CountExponentiation();

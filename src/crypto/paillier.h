@@ -218,9 +218,6 @@ class PaillierPublicKey {
 
   /// \brief Epk(a + b) from Epk(a), Epk(b).
   Ciphertext Add(const Ciphertext& a, const Ciphertext& b) const;
-  /// \brief Epk(a + m) from Epk(a) and plaintext m (binomial shortcut,
-  /// no modexp).
-  Ciphertext AddPlain(const Ciphertext& a, const BigInt& m) const;
   /// \brief Epk(a * s) from Epk(a) and plaintext scalar s (reduced mod N).
   Ciphertext MulScalar(const Ciphertext& a, const BigInt& s) const;
   /// \brief Epk(s*a + t*b) = Epk(a)^s * Epk(b)^t from Epk(a), Epk(b) and

@@ -1,146 +1,31 @@
 #include "proto/c2_service.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "bigint/random.h"
 
 namespace sknn {
 
-namespace {
-
-/// Instrumentation/pickup opcodes perform no Paillier work of their own;
-/// attributing them would re-create a just-drained ledger entry.
-bool IsMetaOp(uint16_t type) {
-  switch (static_cast<Op>(type)) {
-    case Op::kPing:
-    case Op::kFetchBobOutbox:
-    case Op::kFetchQueryOps:
-    case Op::kFetchPoolStats:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// req.ints as ciphertexts, ready for DecryptMany. Any value outside
-/// Z*_{N^2} is refused before anything is decrypted: C1 is a peer, and a
-/// non-unit is no ciphertext of anything.
-Result<std::vector<Ciphertext>> Ciphertexts(const PaillierPublicKey& pk,
-                                            const Message& req) {
-  std::vector<Ciphertext> out;
-  out.reserve(req.ints.size());
-  for (const BigInt& v : req.ints) {
-    out.emplace_back(v);
-    if (!pk.IsValidCiphertext(out.back())) {
-      return Status::ProtocolError("opcode " + std::to_string(req.type) +
-                                   ": ciphertext outside Z*_{N^2}");
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<Message> C2Service::Handle(const Message& request) {
-  if (request.query_id == 0 || IsMetaOp(request.type)) {
-    return Dispatch(request);
+  const OpSpec* spec = FindOpSpec(request.type);
+  if (spec == nullptr) {
+    return Status::ProtocolError("C2Service: unknown opcode " +
+                                 std::to_string(request.type));
   }
+  if (request.query_id == 0 || spec->meta) return Dispatch(*spec, request);
   // Attribute every Paillier operation this request causes to its query, so
   // C1 can report exact per-query cost even with many queries in flight.
   OpAccumulator local;
   Result<Message> resp = [&] {
     ScopedOpSink sink(&local);
-    return Dispatch(request);
+    return Dispatch(*spec, request);
   }();
   RecordQueryOps(request.query_id, local.snapshot());
   return resp;
-}
-
-Result<Message> C2Service::Dispatch(const Message& request) {
-  switch (static_cast<Op>(request.type)) {
-    case Op::kPing: {
-      Message resp;
-      resp.type = OpCode(Op::kPing);
-      return resp;
-    }
-    case Op::kSmVec:
-      return HandleSmBatch(request);
-    case Op::kSqVec: {
-      // Secure squaring: h_i = D(a'_i)^2 mod N.
-      const BigInt& n = sk_.public_key().n();
-      return HandleUnaryBatch(request, Op::kSqVec,
-                              [&n](const BigInt& a) { return a.MulMod(a, n); });
-    }
-    case Op::kSqSumVec: {
-      FrameReader r(request.aux);
-      const uint32_t slot_bits = r.U32();
-      const uint32_t slots = r.U32();
-      SKNN_RETURN_NOT_OK(r.Done("kSqSumVec: bad aux header"));
-      // Every slot lies below key_bits, so no header makes C2 read past one
-      // plaintext; a zero width names the whole plaintext as one slot.
-      if (slots == 0 || (slot_bits == 0 && slots != 1) ||
-          uint64_t{slot_bits} * slots >= sk_.public_key().key_bits()) {
-        return Status::ProtocolError("kSqSumVec: slot layout out of range");
-      }
-      return HandleSqSumBatch(request, slot_bits, slots);
-    }
-    case Op::kLsbVec:
-      // The halving SBD of older C1s: the shifted step at t = 0.
-      return HandleLsbBatch(request, 0);
-    case Op::kLsbShiftVec: {
-      FrameReader r(request.aux);
-      const uint32_t t = r.U32();
-      SKNN_RETURN_NOT_OK(r.Done("kLsbShiftVec: bad aux header"));
-      if (t >= sk_.public_key().key_bits()) {
-        return Status::ProtocolError("kLsbShiftVec: shift out of range");
-      }
-      return HandleLsbBatch(request, t);
-    }
-    case Op::kSvrCheckBatch:
-      return HandleSvrCheckBatch(request);
-    case Op::kSminPhase2Vec:
-      return HandleSminPhase2Batch(request);
-    case Op::kMinPointerBatch:
-      return HandleMinPointerBatch(request);
-    case Op::kTopKIndices:
-      return HandleTopKIndices(request);
-    case Op::kMaskedDecryptToBob:
-      return HandleMaskedDecryptToBob(request);
-    case Op::kFetchBobOutbox: {
-      // Bob's pickup on his own connection: a fetch returns exactly the
-      // bucket of its own query id (0 included), so no connection can take
-      // another in-flight query's results.
-      Message resp;
-      resp.type = OpCode(Op::kFetchBobOutbox);
-      resp.ints = TakeBobOutbox(request.query_id);
-      return resp;
-    }
-    case Op::kFetchQueryOps: {
-      // A remote C1 front end collecting this query's C2-side Paillier cost
-      // (the in-process engine calls TakeQueryOps directly instead).
-      Message resp;
-      resp.type = OpCode(Op::kFetchQueryOps);
-      FrameWriter(resp.aux).Ops(TakeQueryOps(request.query_id));
-      return resp;
-    }
-    case Op::kFetchPoolStats: {
-      // A C1 front end answering a kServiceStats control-plane frame:
-      // report this cloud's randomizer-pool effectiveness (capacity 0 =
-      // no pool attached).
-      Message resp;
-      resp.type = OpCode(Op::kFetchPoolStats);
-      FrameWriter(resp.aux)
-          .U64(rand_pool_ != nullptr ? rand_pool_->hits() : 0)
-          .U64(rand_pool_ != nullptr ? rand_pool_->misses() : 0)
-          .U64(rand_pool_ != nullptr ? rand_pool_->stock() : 0)
-          .U64(rand_pool_ != nullptr ? rand_pool_->capacity() : 0);
-      return resp;
-    }
-    default:
-      return Status::ProtocolError("C2Service: unknown opcode " +
-                                   std::to_string(request.type));
-  }
 }
 
 void C2Service::EnableIntraMessageParallelism(std::size_t threads) {
@@ -217,18 +102,29 @@ void C2Service::RecordView(Op op, const BigInt& plaintext) {
   if (record_views_) views_.push_back({op, plaintext});
 }
 
+// -- One Serve specialization per kOpTable row (proto/opcodes.h) --
+
+template <>
+Result<Message> C2Service::Serve<Op::kPing>(const Message& /*req*/,
+                                            std::vector<Ciphertext> /*cts*/) {
+  Message resp;
+  resp.type = OpCode(Op::kPing);
+  return resp;
+}
+
 // SM, Algorithm 1 step 2: h_i = D(a'_i) * D(b'_i) mod N, returned encrypted.
 // The whole message runs through the batched crypto API: one DecryptMany
 // over both operand columns, the cheap modmuls in the middle, one
 // EncryptMany for the response, both fanned across the intra-message pool.
 // Views are still recorded in instance order.
-Result<Message> C2Service::HandleSmBatch(const Message& req) {
-  if (req.ints.size() % 2 != 0) {
+template <>
+Result<Message> C2Service::Serve<Op::kSmVec>(const Message& req,
+                                             std::vector<Ciphertext> cts) {
+  if (cts.size() % 2 != 0) {
     return Status::ProtocolError("kSmVec: odd number of ciphertexts");
   }
-  const std::size_t count = req.ints.size() / 2;
+  const std::size_t count = cts.size() / 2;
   const PaillierPublicKey& pk = sk_.public_key();
-  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts, Ciphertexts(pk, req));
   ThreadPool* fan = intra_pool_.get();
   std::vector<BigInt> plain = sk_.DecryptMany(cts, fan);
   std::vector<BigInt> hs(count);
@@ -248,18 +144,17 @@ Result<Message> C2Service::HandleSmBatch(const Message& req) {
 }
 
 // One DecryptMany, f per plaintext, one EncryptMany; views in instance order.
-Result<Message> C2Service::HandleUnaryBatch(
-    const Message& req, Op view_op,
+Result<Message> C2Service::UnaryBatch(
+    const std::vector<Ciphertext>& cts, Op view_op,
     const std::function<BigInt(const BigInt&)>& f) {
   const PaillierPublicKey& pk = sk_.public_key();
-  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts, Ciphertexts(pk, req));
   ThreadPool* fan = intra_pool_.get();
   std::vector<BigInt> plain = sk_.DecryptMany(cts, fan);
   std::vector<BigInt> mapped(plain.size());
   for (std::size_t i = 0; i < plain.size(); ++i) mapped[i] = f(plain[i]);
   std::vector<Ciphertext> enc = pk.EncryptMany(mapped, fan);
   Message resp;
-  resp.type = req.type;
+  resp.type = OpCode(view_op);
   resp.ints.resize(enc.size());
   for (std::size_t i = 0; i < enc.size(); ++i) {
     resp.ints[i] = enc[i].value();
@@ -268,14 +163,32 @@ Result<Message> C2Service::HandleUnaryBatch(
   return resp;
 }
 
+// Secure squaring: h_i = D(a'_i)^2 mod N.
+template <>
+Result<Message> C2Service::Serve<Op::kSqVec>(const Message& /*req*/,
+                                             std::vector<Ciphertext> cts) {
+  const BigInt& n = sk_.public_key().n();
+  return UnaryBatch(cts, Op::kSqVec,
+                    [&n](const BigInt& a) { return a.MulMod(a, n); });
+}
+
 // SSED's packed squares: u = N - D(c) holds the slots r_j - d_j, least
 // significant first. One DecryptMany, the slot sums, one EncryptMany.
-Result<Message> C2Service::HandleSqSumBatch(const Message& req,
-                                            uint32_t slot_bits,
-                                            uint32_t slots) {
+template <>
+Result<Message> C2Service::Serve<Op::kSqSumVec>(const Message& req,
+                                                std::vector<Ciphertext> cts) {
+  FrameReader r(req.aux);
+  const uint32_t slot_bits = r.U32();
+  const uint32_t slots = r.U32();
+  SKNN_RETURN_NOT_OK(r.Done("kSqSumVec: bad aux header"));
   const PaillierPublicKey& pk = sk_.public_key();
+  // Every slot lies below key_bits, so no header makes C2 read past one
+  // plaintext; a zero width names the whole plaintext as one slot.
+  if (slots == 0 || (slot_bits == 0 && slots != 1) ||
+      uint64_t{slot_bits} * slots >= pk.key_bits()) {
+    return Status::ProtocolError("kSqSumVec: slot layout out of range");
+  }
   const BigInt& n = pk.n();
-  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts, Ciphertexts(pk, req));
   ThreadPool* fan = intra_pool_.get();
   std::vector<BigInt> plain = sk_.DecryptMany(cts, fan);
   const BigInt slot_modulus = BigInt::PowerOfTwo(slot_bits);
@@ -299,23 +212,30 @@ Result<Message> C2Service::HandleSqSumBatch(const Message& req,
   return resp;
 }
 
-// SBD Encrypted-LSB step: a fresh encryption of parity(D(Y_i) * 2^(-t) mod
-// N). 2^t is a unit mod the odd N, so the unshifted y_i + r_i mod N is as
-// uniform as D(Y_i), which is the view recorded.
-Result<Message> C2Service::HandleLsbBatch(const Message& req, uint32_t t) {
+// SBD Encrypted-LSB step at bit round t: a fresh encryption of
+// parity(D(Y_i) * 2^(-t) mod N). 2^t is a unit mod the odd N, so the
+// unshifted y_i + r_i mod N is as uniform as D(Y_i), which is the view
+// recorded.
+template <>
+Result<Message> C2Service::Serve<Op::kLsbShiftVec>(
+    const Message& req, std::vector<Ciphertext> cts) {
+  FrameReader r(req.aux);
+  const uint32_t t = r.U32();
+  SKNN_RETURN_NOT_OK(r.Done("kLsbShiftVec: bad aux header"));
   const BigInt& n = sk_.public_key().n();
+  if (t >= sk_.public_key().key_bits()) {
+    return Status::ProtocolError("kLsbShiftVec: shift out of range");
+  }
   SKNN_ASSIGN_OR_RETURN(BigInt unshift, BigInt::PowerOfTwo(t).InvMod(n));
-  return HandleUnaryBatch(req, static_cast<Op>(req.type),
-                          [&](const BigInt& y) {
-                            return BigInt(y.MulMod(unshift, n).IsOdd() ? 1
-                                                                       : 0);
-                          });
+  return UnaryBatch(cts, Op::kLsbShiftVec, [&](const BigInt& y) {
+    return BigInt(y.MulMod(unshift, n).IsOdd() ? 1 : 0);
+  });
 }
 
 // SVR: report (in aux) whether each blinded difference decrypts to zero.
-Result<Message> C2Service::HandleSvrCheckBatch(const Message& req) {
-  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts,
-                        Ciphertexts(sk_.public_key(), req));
+template <>
+Result<Message> C2Service::Serve<Op::kSvrCheckBatch>(
+    const Message& /*req*/, std::vector<Ciphertext> cts) {
   std::vector<BigInt> plain = sk_.DecryptMany(cts, intra_pool_.get());
   Message resp;
   resp.type = OpCode(Op::kSvrCheckBatch);
@@ -339,7 +259,12 @@ Result<Message> C2Service::HandleSvrCheckBatch(const Message& req) {
 // rerandomizes EncodeDeterministic(alpha) ((1 + alpha*N) * r^N) — value
 // for value what Encrypt would have produced, with identical op counts
 // (Rerandomize and Encrypt both cost/count one encryption).
-Result<Message> C2Service::HandleSminPhase2Batch(const Message& req) {
+//
+// The table's ciphertext check covers the Gamma' values C2 passes back as
+// well as the L' it decrypts.
+template <>
+Result<Message> C2Service::Serve<Op::kSminPhase2Vec>(
+    const Message& req, std::vector<Ciphertext> cts) {
   FrameReader r(req.aux);
   const std::size_t l = r.U32();
   const std::size_t count = r.U32();
@@ -347,13 +272,10 @@ Result<Message> C2Service::HandleSminPhase2Batch(const Message& req) {
   // Divide rather than multiply: l * count comes from the peer and may
   // overflow, and a header that claims more than the ints present must be
   // refused before anything is sized from it.
-  if (l == 0 || req.ints.size() % (2 * l) != 0 ||
-      req.ints.size() / (2 * l) != count) {
+  if (l == 0 || cts.size() % (2 * l) != 0 || cts.size() / (2 * l) != count) {
     return Status::ProtocolError("kSminPhase2Vec: bad block geometry");
   }
   const PaillierPublicKey& pk = sk_.public_key();
-  // Checks the Gamma' values C2 passes back as well as the L' it decrypts.
-  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts, Ciphertexts(pk, req));
   const BigInt one(1);
   ThreadPool* fan = intra_pool_.get();
   // Decrypt the permuted L' vectors of every block in one batch.
@@ -393,10 +315,11 @@ Result<Message> C2Service::HandleSminPhase2Batch(const Message& req) {
 // SkNN_m step 3(c): U has Epk(1) at (one of) the zero position(s) of the
 // decrypted beta, Epk(0) elsewhere. One DecryptMany over beta, one
 // EncryptMany for the one-hot response.
-Result<Message> C2Service::HandleMinPointerBatch(const Message& req) {
+template <>
+Result<Message> C2Service::Serve<Op::kMinPointerBatch>(
+    const Message& /*req*/, std::vector<Ciphertext> cts) {
   const PaillierPublicKey& pk = sk_.public_key();
-  const std::size_t n = req.ints.size();
-  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts, Ciphertexts(pk, req));
+  const std::size_t n = cts.size();
   ThreadPool* fan = intra_pool_.get();
   std::vector<BigInt> plain = sk_.DecryptMany(cts, fan);
   std::vector<std::size_t> zero_positions;
@@ -424,15 +347,15 @@ Result<Message> C2Service::HandleMinPointerBatch(const Message& req) {
 }
 
 // SkNN_b step 3: decrypt all distances, return the k smallest indices.
-Result<Message> C2Service::HandleTopKIndices(const Message& req) {
+template <>
+Result<Message> C2Service::Serve<Op::kTopKIndices>(
+    const Message& req, std::vector<Ciphertext> cts) {
   FrameReader r(req.aux);
   const uint32_t k = r.U32();
   SKNN_RETURN_NOT_OK(r.Done("kTopKIndices: bad aux header"));
-  if (k == 0 || k > req.ints.size()) {
+  if (k == 0 || k > cts.size()) {
     return Status::ProtocolError("kTopKIndices: k out of range");
   }
-  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts,
-                        Ciphertexts(sk_.public_key(), req));
   std::vector<BigInt> dist = sk_.DecryptMany(cts, intra_pool_.get());
   for (const auto& d : dist) RecordView(Op::kTopKIndices, d);
   std::vector<uint32_t> idx(dist.size());
@@ -451,9 +374,9 @@ Result<Message> C2Service::HandleTopKIndices(const Message& req) {
 
 // Final step of both protocols: decrypt the randomized records and queue the
 // plaintexts for Bob (C2 -> Bob leg; never sent back to C1).
-Result<Message> C2Service::HandleMaskedDecryptToBob(const Message& req) {
-  SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> cts,
-                        Ciphertexts(sk_.public_key(), req));
+template <>
+Result<Message> C2Service::Serve<Op::kMaskedDecryptToBob>(
+    const Message& req, std::vector<Ciphertext> cts) {
   std::vector<BigInt> decrypted = sk_.DecryptMany(cts, intra_pool_.get());
   for (const auto& v : decrypted) RecordView(Op::kMaskedDecryptToBob, v);
   {
@@ -475,6 +398,71 @@ Result<Message> C2Service::HandleMaskedDecryptToBob(const Message& req) {
   Message resp;
   resp.type = OpCode(Op::kMaskedDecryptToBob);
   return resp;
+}
+
+// Bob's pickup on his own connection: a fetch returns exactly the bucket of
+// its own query id (0 included), so no connection can take another
+// in-flight query's results.
+template <>
+Result<Message> C2Service::Serve<Op::kFetchBobOutbox>(
+    const Message& req, std::vector<Ciphertext> /*cts*/) {
+  Message resp;
+  resp.type = OpCode(Op::kFetchBobOutbox);
+  resp.ints = TakeBobOutbox(req.query_id);
+  return resp;
+}
+
+// A remote C1 front end collecting this query's C2-side Paillier cost (the
+// in-process engine calls TakeQueryOps directly instead).
+template <>
+Result<Message> C2Service::Serve<Op::kFetchQueryOps>(
+    const Message& req, std::vector<Ciphertext> /*cts*/) {
+  Message resp;
+  resp.type = OpCode(Op::kFetchQueryOps);
+  FrameWriter(resp.aux).Ops(TakeQueryOps(req.query_id));
+  return resp;
+}
+
+// A C1 front end answering a kServiceStats control-plane frame: report this
+// cloud's randomizer-pool effectiveness (capacity 0 = no pool attached).
+template <>
+Result<Message> C2Service::Serve<Op::kFetchPoolStats>(
+    const Message& /*req*/, std::vector<Ciphertext> /*cts*/) {
+  Message resp;
+  resp.type = OpCode(Op::kFetchPoolStats);
+  FrameWriter(resp.aux)
+      .U64(rand_pool_ != nullptr ? rand_pool_->hits() : 0)
+      .U64(rand_pool_ != nullptr ? rand_pool_->misses() : 0)
+      .U64(rand_pool_ != nullptr ? rand_pool_->stock() : 0)
+      .U64(rand_pool_ != nullptr ? rand_pool_->capacity() : 0);
+  return resp;
+}
+
+Result<Message> C2Service::Dispatch(const OpSpec& spec,
+                                    const Message& request) {
+  // Row i is served by Serve<kOpTable[i].op>; a row without a
+  // specialization fails to link.
+  using Handler = Result<Message> (C2Service::*)(const Message&,
+                                                 std::vector<Ciphertext>);
+  static constexpr auto kHandlers =
+      []<std::size_t... Row>(std::index_sequence<Row...>) {
+        return std::array<Handler, sizeof...(Row)>{
+            &C2Service::Serve<kOpTable[Row].op>...};
+      }(std::make_index_sequence<std::size(kOpTable)>());
+  std::vector<Ciphertext> cts;
+  if (spec.decrypts) {
+    // Any value outside Z*_{N^2} is refused before anything is decrypted:
+    // C1 is a peer, and a non-unit is no ciphertext of anything.
+    cts.reserve(request.ints.size());
+    for (const BigInt& v : request.ints) {
+      cts.emplace_back(v);
+      if (!sk_.public_key().IsValidCiphertext(cts.back())) {
+        return Status::ProtocolError(std::string(spec.name) +
+                                     ": ciphertext outside Z*_{N^2}");
+      }
+    }
+  }
+  return (this->*kHandlers[&spec - kOpTable])(request, std::move(cts));
 }
 
 }  // namespace sknn

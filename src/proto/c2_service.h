@@ -62,10 +62,9 @@ class C2Service {
   /// \brief Creates (and owns) a randomizer pool of `capacity` r^N values
   /// backing every encryption C2 performs — the response re-encryptions of
   /// the sub-protocol handlers are its hottest loop. See RandomizerPool in
-  /// crypto/paillier.h for semantics and the disable switch. The options
-  /// form selects the refill strategy (short-exponent fixed-base vs the
-  /// full-width reference — docs/CRYPTO.md); the workers form keeps the
-  /// default strategy.
+  /// crypto/paillier.h. The options form selects the refill strategy
+  /// (short-exponent fixed-base vs the full-width reference —
+  /// docs/CRYPTO.md); the workers form keeps the default strategy.
   void EnableRandomizerPool(std::size_t capacity, std::size_t workers = 1);
   void EnableRandomizerPool(std::size_t capacity,
                             const RandomizerPoolOptions& options);
@@ -86,30 +85,22 @@ class C2Service {
   PaillierSecretKey& secret_key() { return sk_; }
 
  private:
-  Result<Message> Dispatch(const Message& request);
+  /// Checks the request's ints when `spec` decrypts, then calls its row's
+  /// Serve specialization.
+  Result<Message> Dispatch(const OpSpec& spec, const Message& request);
   void RecordQueryOps(uint64_t query_id, const OpSnapshot& ops);
 
-  Result<Message> HandleSmBatch(const Message& req);
-  /// kSqVec and the LSB steps: answers each ciphertext c with a fresh
+  /// The handler of `op`'s kOpTable row, one explicit specialization per
+  /// row in c2_service.cc. `cts` is req.ints as checked ciphertexts when the
+  /// row decrypts, and empty otherwise; each handler parses and checks its
+  /// own aux.
+  template <Op op>
+  Result<Message> Serve(const Message& req, std::vector<Ciphertext> cts);
+
+  /// kSqVec and kLsbShiftVec: answers each ciphertext c with a fresh
   /// Epk(f(D(c))), recording D(c) as a view under `view_op`.
-  Result<Message> HandleUnaryBatch(
-      const Message& req, Op view_op,
-      const std::function<BigInt(const BigInt&)>& f);
-  /// kSqSumVec (SSED's packed squares, proto/ssed.h): each plaintext v is
-  /// read as `slots` slots of `slot_bits` bits of N - v (0 bits: all of
-  /// it) and answered with a fresh Epk(sum of slot^2 mod N); one view per
-  /// slot. The layout is checked by the caller.
-  Result<Message> HandleSqSumBatch(const Message& req, uint32_t slot_bits,
-                                   uint32_t slots);
-  /// kLsbShiftVec at bit round t, and kLsbVec (sent only by C1 builds that
-  /// predate kLsbShiftVec) as t = 0: each Y is answered with a fresh
-  /// Epk(parity(D(Y) * 2^(-t) mod N)).
-  Result<Message> HandleLsbBatch(const Message& req, uint32_t t);
-  Result<Message> HandleSvrCheckBatch(const Message& req);
-  Result<Message> HandleSminPhase2Batch(const Message& req);
-  Result<Message> HandleMinPointerBatch(const Message& req);
-  Result<Message> HandleTopKIndices(const Message& req);
-  Result<Message> HandleMaskedDecryptToBob(const Message& req);
+  Result<Message> UnaryBatch(const std::vector<Ciphertext>& cts, Op view_op,
+                             const std::function<BigInt(const BigInt&)>& f);
 
   void RecordView(Op op, const BigInt& plaintext);
 

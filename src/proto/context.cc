@@ -3,31 +3,10 @@
 #include <string>
 
 namespace sknn {
-namespace {
-
-/// True for the opcodes whose response ints are ciphertexts C1 goes on
-/// computing with (and so negates, i.e. inverts mod N^2).
-bool ReturnsCiphertexts(uint16_t type) {
-  switch (static_cast<Op>(type)) {
-    case Op::kSmVec:
-    case Op::kSqVec:
-    case Op::kSqSumVec:
-    case Op::kLsbVec:
-    case Op::kLsbShiftVec:
-    case Op::kSminPhase2Vec:
-    case Op::kMinPointerBatch:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
 
 Result<Message> ProtoContext::Exchange(Message request) {
   request.query_id = query_id_;
-  const uint16_t request_type = request.type;
-  const bool want_ciphertexts = ReturnsCiphertexts(request_type);
+  const OpSpec* spec = FindOpSpec(request.type);
   const std::size_t request_bytes = request.WireSize();
   std::chrono::milliseconds timeout{0};  // 0 = wait forever
   if (has_deadline_) {
@@ -45,12 +24,12 @@ Result<Message> ProtoContext::Exchange(Message request) {
   if (resp.type == OpCode(Op::kError)) {
     return Status::ProtocolError("C2 error: " + RpcErrorText(resp));
   }
-  if (want_ciphertexts) {
+  if (spec != nullptr && spec->returns_ciphertexts) {
     for (const BigInt& c : resp.ints) {
       if (!pk_->IsValidCiphertext(Ciphertext(c))) {
         return Status::ProtocolError(
-            "C2 returned a value outside Z*_{N^2} for opcode " +
-            std::to_string(request_type));
+            std::string("C2 returned a value outside Z*_{N^2} for ") +
+            spec->name);
       }
     }
   }

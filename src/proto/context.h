@@ -54,9 +54,8 @@ class ProtoContext {
   std::chrono::steady_clock::time_point deadline() const { return deadline_; }
 
   /// \brief Single RPC round trip. Fails if C2 reported an error, or with
-  /// kProtocolError if an opcode that answers with ciphertexts (SM, LSB,
-  /// squaring, SMIN phase 2, min pointer) returned a value outside
-  /// Z*_{N^2}.
+  /// kProtocolError if an opcode whose kOpTable row returns ciphertexts
+  /// (proto/opcodes.h) returned a value outside Z*_{N^2}.
   Result<Message> Call(Op op, std::vector<BigInt> ints,
                        std::vector<uint8_t> aux = {});
 

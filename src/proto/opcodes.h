@@ -8,9 +8,10 @@
 // message framing, exactly like the paper's remark that per-record
 // computations are independent (Section 5.3).
 //
-// Every opcode that decrypts checks each request ciphertext first: a value
-// outside Z*_{N^2} (0, a multiple of p or q, N^2 or above) is answered with
-// kProtocolError before C2 decrypts anything.
+// What each opcode is lives in one place, its kOpTable row below: C2 reads
+// it to check and route a request, C1 to check the reply. Adding an opcode
+// is one enumerator, one row and one C2Service::Serve specialization, plus
+// its line in docs/DEPLOY.md's opcode table (scripts/lint.sh checks it).
 #ifndef SKNN_PROTO_OPCODES_H_
 #define SKNN_PROTO_OPCODES_H_
 
@@ -18,9 +19,7 @@
 
 namespace sknn {
 
-// Wire numbers 2, 3 and 5 are reserved: they carried the retired per-worker
-// chunked forms of SM, SBD's encrypted-LSB step and SMIN phase 2. C2 answers
-// them as unknown opcodes. Never reuse them.
+// Wire numbers; kReservedOpcodes below lists the retired ones.
 enum class Op : uint16_t {
   kPing = 1,
 
@@ -52,13 +51,6 @@ enum class Op : uint16_t {
   /// ints = [a'_0, b'_0, a'_1, b'_1, ...]; response ints = [h'_0, h'_1, ...]
   /// where h_i = Epk(D(a'_i)*D(b'_i) mod N).
   kSmVec = 10,
-
-  /// SBD Encrypted-LSB step (Samanthula-Jiang [21]) in its original,
-  /// halving form: ints = [Y_0, Y_1, ...] with Y_i = Epk(z_i + r_i);
-  /// response ints = [Epk(D(Y_0) mod 2), ...]. Answered as kLsbShiftVec at
-  /// t = 0 (aux ignored) only so C1 builds older than kLsbShiftVec keep
-  /// working; the current C1 never sends it.
-  kLsbVec = 11,
 
   /// SMIN, Algorithm 3 step 2, one message per SMIN tournament level.
   /// aux = [l:u32][count:u32]; ints = count blocks of
@@ -106,7 +98,58 @@ enum class Op : uint16_t {
   kError = 0xFFFF,
 };
 
-inline uint16_t OpCode(Op op) { return static_cast<uint16_t>(op); }
+constexpr uint16_t OpCode(Op op) { return static_cast<uint16_t>(op); }
+
+/// Retired wire numbers, never to be reused: 2, 3 and 5 carried the
+/// per-worker chunked forms of SM, SBD's encrypted-LSB step and SMIN phase
+/// 2, and 11 the halving form of the encrypted-LSB step that kLsbShiftVec
+/// replaced. They have no kOpTable row, so C2 answers them as unknown
+/// opcodes.
+inline constexpr uint16_t kReservedOpcodes[] = {2, 3, 5, 11};
+
+/// \brief What one live opcode is, for both clouds.
+struct OpSpec {
+  Op op;
+  const char* name;
+  /// C2 checks every request int against Z*_{N^2} (0, a multiple of p or q,
+  /// N^2 or above is refused with kProtocolError) before the handler runs,
+  /// and hands the handler the checked ciphertexts.
+  bool decrypts;
+  /// C1 checks every reply int against Z*_{N^2} before it computes with
+  /// (and negates) it.
+  bool returns_ciphertexts;
+  /// No Paillier work of its own: C2 attributes nothing to the query's op
+  /// ledger, which would re-create an entry a fetch just drained.
+  bool meta;
+};
+
+/// One row per live opcode. kError is a reply, never a request, and has
+/// none.
+inline constexpr OpSpec kOpTable[] = {
+    // op                      name                   decr.  ret.ct meta
+    {Op::kPing,                "kPing",               false, false, true},
+    {Op::kSvrCheckBatch,       "kSvrCheckBatch",      true,  false, false},
+    {Op::kMinPointerBatch,     "kMinPointerBatch",    true,  true,  false},
+    {Op::kTopKIndices,         "kTopKIndices",        true,  false, false},
+    {Op::kMaskedDecryptToBob,  "kMaskedDecryptToBob", true,  false, false},
+    {Op::kFetchBobOutbox,      "kFetchBobOutbox",     false, false, true},
+    {Op::kSmVec,               "kSmVec",              true,  true,  false},
+    {Op::kSminPhase2Vec,       "kSminPhase2Vec",      true,  true,  false},
+    {Op::kFetchQueryOps,       "kFetchQueryOps",      false, false, true},
+    {Op::kFetchPoolStats,      "kFetchPoolStats",     false, false, true},
+    {Op::kSqVec,               "kSqVec",              true,  true,  false},
+    {Op::kLsbShiftVec,         "kLsbShiftVec",        true,  true,  false},
+    {Op::kSqSumVec,            "kSqSumVec",           true,  true,  false},
+};
+
+/// \brief The row of wire number `type`, or nullptr if it has none (a
+/// reserved or never-assigned number, or kError).
+constexpr const OpSpec* FindOpSpec(uint16_t type) {
+  for (const OpSpec& spec : kOpTable) {
+    if (OpCode(spec.op) == type) return &spec;
+  }
+  return nullptr;
+}
 
 }  // namespace sknn
 

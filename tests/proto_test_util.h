@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 
 #include "bigint/random.h"
 #include "crypto/paillier.h"
+#include "net/message.h"
 #include "net/rpc.h"
 #include "proto/c2_service.h"
 #include "proto/context.h"
+#include "proto/opcodes.h"
 
 namespace sknn {
 
@@ -85,6 +88,63 @@ class TwoPartyHarness {
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ProtoContext> ctx_;
 };
+
+/// \brief A request C2 answers successfully for `op`'s kOpTable row, over
+/// fresh encryptions under `pk`. Fails the calling test for an opcode with
+/// no sample here, so tests that iterate the table cover a new row only
+/// once it has one.
+inline Message WellFormedRequest(Op op, const PaillierPublicKey& pk,
+                                 Random& rng) {
+  Message msg;
+  msg.type = OpCode(op);
+  auto enc = [&](std::initializer_list<int64_t> values) {
+    for (int64_t v : values) {
+      msg.ints.push_back(pk.Encrypt(BigInt(v), rng).value());
+    }
+  };
+  FrameWriter aux(msg.aux);
+  switch (op) {
+    case Op::kPing:
+    case Op::kFetchBobOutbox:
+    case Op::kFetchQueryOps:
+    case Op::kFetchPoolStats:
+      break;
+    case Op::kSvrCheckBatch:
+      enc({0, 3});
+      break;
+    case Op::kMinPointerBatch:  // beta needs a zero entry
+      enc({4, 0, 7});
+      break;
+    case Op::kTopKIndices:
+      enc({9, 5, 7});
+      aux.U32(2);  // k
+      break;
+    case Op::kMaskedDecryptToBob:
+      enc({11, 12});
+      break;
+    case Op::kSmVec:
+      enc({6, 7});
+      break;
+    case Op::kSminPhase2Vec:  // one block of l = 1: Gamma' = 1, L' = 5
+      enc({1, 5});
+      aux.U32(1).U32(1);
+      break;
+    case Op::kSqVec:
+      enc({7});
+      break;
+    case Op::kLsbShiftVec:  // Epk(2 * 7) at t = 1
+      enc({14});
+      aux.U32(1);
+      break;
+    case Op::kSqSumVec:  // two values read as four 60-bit slots each
+      enc({-5, -9});
+      aux.U32(60).U32(4);
+      break;
+    default:
+      ADD_FAILURE() << "no well-formed request for opcode " << OpCode(op);
+  }
+  return msg;
+}
 
 }  // namespace sknn
 

@@ -80,13 +80,6 @@ TEST(PaillierTest, HomomorphicAddition) {
   EXPECT_EQ(keys.sk.Decrypt(keys.pk.Add(ca, cb)), BigInt(3345));
 }
 
-TEST(PaillierTest, HomomorphicAddPlain) {
-  PaillierKeyPair keys = MakeKeys(256, 16);
-  Random rng(17);
-  Ciphertext ca = keys.pk.Encrypt(BigInt(10), rng);
-  EXPECT_EQ(keys.sk.Decrypt(keys.pk.AddPlain(ca, BigInt(32))), BigInt(42));
-}
-
 TEST(PaillierTest, HomomorphicScalarMultiply) {
   PaillierKeyPair keys = MakeKeys(256, 18);
   Random rng(19);

@@ -41,14 +41,43 @@ class RobustnessTest : public ::testing::Test {
 TEST_F(RobustnessTest, UnknownOpcodeIsRejected) {
   ExpectError(static_cast<Op>(0x7777), {});
   // The retired chunked forms of SM (2), SBD's LSB step (3) and SMIN phase 2
-  // (5) are unknown opcodes too, even carrying a request their one-message
-  // forms would answer.
+  // (5), and the halving LSB step (11), are unknown opcodes too, even
+  // carrying a request they or their successors would answer.
   const auto& pk = harness_.pk();
   auto enc = [&](int64_t v) { return pk.Encrypt(BigInt(v), rng_).value(); };
   ExpectRefusedByC2(static_cast<Op>(2), {enc(1), enc(2)});
   ExpectRefusedByC2(static_cast<Op>(3), {enc(1)});
   ExpectRefusedByC2(static_cast<Op>(5), {enc(1), enc(5)},
                     {1, 0, 0, 0, 1, 0, 0, 0});
+  ExpectRefusedByC2(static_cast<Op>(11), {enc(6)});
+}
+
+TEST_F(RobustnessTest, EveryNumberWithoutARowIsUnknown) {
+  // Every u16 that has no kOpTable row, the reserved numbers and kError
+  // included, is answered "unknown opcode", tagged or not; C2 then still
+  // answers a ping.
+  for (uint16_t type : kReservedOpcodes) {
+    EXPECT_EQ(FindOpSpec(type), nullptr) << type;
+  }
+  EXPECT_EQ(FindOpSpec(OpCode(Op::kError)), nullptr);
+  std::size_t unknown = 0;
+  for (uint32_t type = 0; type <= 0xFFFF; ++type) {
+    if (FindOpSpec(static_cast<uint16_t>(type)) != nullptr) continue;
+    ++unknown;
+    Message req;
+    req.type = static_cast<uint16_t>(type);
+    req.query_id = type % 2;
+    Result<Message> resp = harness_.c2().Handle(req);
+    ASSERT_FALSE(resp.ok()) << "opcode " << type;
+    EXPECT_EQ(resp.status().code(), StatusCode::kProtocolError) << type;
+    EXPECT_NE(resp.status().message().find("unknown opcode"),
+              std::string::npos)
+        << "opcode " << type << ": " << resp.status();
+  }
+  EXPECT_EQ(unknown, 0x10000 - std::size(kOpTable));
+  auto ping = harness_.ctx().Call(Op::kPing, {});
+  ASSERT_TRUE(ping.ok()) << ping.status();
+  EXPECT_EQ(ping->type, OpCode(Op::kPing));
 }
 
 TEST_F(RobustnessTest, SmBatchOddOperandCount) {
@@ -147,34 +176,42 @@ TEST_F(RobustnessTest, SqSumRejectsHostileLayouts) {
 
 TEST_F(RobustnessTest, EveryDecryptingOpcodeRejectsNonUnits) {
   // 0, N, a multiple of the secret prime p, and N^2 are not in Z*_{N^2}.
-  // Each decrypting opcode gets a request that is well formed except for
-  // one such value, and must refuse it before decrypting; C2 then goes on
-  // serving honest requests.
+  // Every row's well-formed request, with one int at a time replaced by
+  // such a value, must be refused by C2's table check before anything is
+  // decrypted; C2 then goes on serving honest requests. SMIN phase 2's
+  // sample has L' = 5, so alpha = 0 and a bad Gamma' (passed back, not
+  // decrypted) would otherwise be dropped silently.
   const auto& pk = harness_.pk();
-  auto enc = [&](int64_t v) { return pk.Encrypt(BigInt(v), rng_).value(); };
   const std::vector<BigInt> hostile = {
       BigInt(0), pk.n(), harness_.c2().secret_key().p() * BigInt(3),
       pk.n_squared()};
-  const std::vector<uint8_t> one_block = {1, 0, 0, 0, 1, 0, 0, 0};
-  const std::vector<uint8_t> k1 = {1, 0, 0, 0};
-  const std::vector<uint8_t> t5 = {5, 0, 0, 0};
-  const std::vector<uint8_t> whole = {0, 0, 0, 0, 1, 0, 0, 0};
-  for (const BigInt& bad : hostile) {
-    ExpectRefusedByC2(Op::kSmVec, {enc(3), bad});
-    ExpectRefusedByC2(Op::kSqVec, {bad});
-    ExpectRefusedByC2(Op::kSqSumVec, {enc(2), bad}, whole);
-    ExpectRefusedByC2(Op::kLsbVec, {bad});
-    ExpectRefusedByC2(Op::kLsbShiftVec, {enc(4), bad}, t5);
-    ExpectRefusedByC2(Op::kSvrCheckBatch, {bad});
-    // Gamma' (passed back to C1) and L' (decrypted) are both checked. L' = 5
-    // gives alpha = 0, so a bad Gamma' would otherwise be dropped silently.
-    ExpectRefusedByC2(Op::kSminPhase2Vec, {bad, enc(5)}, one_block);
-    ExpectRefusedByC2(Op::kSminPhase2Vec, {enc(1), bad}, one_block);
-    ExpectRefusedByC2(Op::kMinPointerBatch, {bad, enc(0)});
-    ExpectRefusedByC2(Op::kTopKIndices, {enc(4), bad}, k1);
-    ExpectRefusedByC2(Op::kMaskedDecryptToBob, {bad});
+  std::vector<Message> samples;
+  for (const OpSpec& spec : kOpTable) {
+    Message sample = WellFormedRequest(spec.op, pk, rng_);
+    if (spec.decrypts) {
+      ASSERT_FALSE(sample.ints.empty()) << spec.name;
+    }
+    for (std::size_t at = 0; at < sample.ints.size(); ++at) {
+      for (const BigInt& bad : hostile) {
+        std::vector<BigInt> ints = sample.ints;
+        ints[at] = bad;
+        auto resp = harness_.ctx().Call(spec.op, std::move(ints), sample.aux);
+        ASSERT_FALSE(resp.ok()) << spec.name << " accepted a non-unit";
+        EXPECT_NE(resp.status().message().find(
+                      std::string(spec.name) + ": ciphertext outside"),
+                  std::string::npos)
+            << resp.status();
+      }
+    }
+    samples.push_back(std::move(sample));
   }
   EXPECT_TRUE(harness_.c2().TakeBobOutbox().empty());
+  for (const Message& sample : samples) {
+    auto resp = harness_.ctx().Call(static_cast<Op>(sample.type),
+                                    sample.ints, sample.aux);
+    EXPECT_TRUE(resp.ok()) << "opcode " << sample.type << ": "
+                           << resp.status();
+  }
   auto squares =
       SecureSquareBatch(harness_.ctx(), {pk.Encrypt(BigInt(7), rng_)});
   ASSERT_TRUE(squares.ok()) << squares.status();
@@ -243,16 +280,13 @@ TEST_F(RobustnessTest, CallBatchEmptyInputShortCircuits) {
 }
 
 TEST_F(RobustnessTest, GarbageCiphertextsFailCleanly) {
-  // Values that are not valid ciphertexts (not units mod N^2) still decrypt
-  // to *something* under Paillier math or error out; either way the call
-  // must return, and the protocol layer never crashes.
+  // A request that mixes non-units (0, N^2) with units is refused whole by
+  // C2 with a protocol error, before anything is decrypted.
   std::vector<BigInt> garbage = {BigInt(0), harness_.pk().n_squared(),
                                  BigInt(12345), BigInt(1)};
-  auto resp = harness_.ctx().Call(Op::kLsbVec, garbage);
-  // Accept either a clean error or a response of the right shape.
-  if (resp.ok()) {
-    EXPECT_EQ(resp->ints.size(), garbage.size());
-  }
+  std::vector<uint8_t> t0;
+  FrameWriter(t0).U32(0);
+  ExpectRefusedByC2(Op::kLsbShiftVec, garbage, t0);
 }
 
 TEST_F(RobustnessTest, SmSurvivesManySequentialBatches) {

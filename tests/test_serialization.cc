@@ -27,6 +27,7 @@
 #include "proto/sbd.h"
 #include "proto/sm.h"
 #include "proto/smin.h"
+#include "tests/proto_test_util.h"
 
 namespace sknn {
 namespace {
@@ -970,30 +971,19 @@ TEST(FrameMutation, EveryC1C2AuxDecoderReturnsAValueOrProtocolError) {
   auto enc = [&](int64_t v) { return pk.Encrypt(BigInt(v), key_rng).value(); };
   std::mt19937 rng(20261019);
 
-  auto request = [](Op op, std::vector<BigInt> ints,
-                    std::initializer_list<uint32_t> words) {
-    Message msg;
-    msg.type = OpCode(op);
-    msg.ints = std::move(ints);
-    FrameWriter w(msg.aux);
-    for (uint32_t word : words) w.U32(word);
-    return msg;
-  };
-  const std::vector<Message> c2_samples = {
-      request(Op::kLsbShiftVec, {enc(14)}, {1}),
-      request(Op::kSqSumVec, {enc(-5), enc(-9)}, {60, 4}),
-      request(Op::kSminPhase2Vec, {enc(1), enc(5)}, {1, 1}),
-      request(Op::kTopKIndices, {enc(9), enc(5), enc(7)}, {2}),
-  };
-  for (const Message& sample : c2_samples) {
-    ASSERT_TRUE(c2.Handle(sample).ok()) << "opcode " << sample.type;
+  // Every row's well-formed request is served; the rows whose request
+  // carries aux have their aux mutated.
+  for (const OpSpec& spec : kOpTable) {
+    const Message sample = WellFormedRequest(spec.op, pk, key_rng);
+    ASSERT_TRUE(c2.Handle(sample).ok()) << spec.name;
+    if (sample.aux.empty()) continue;
     for (int i = 0; i < kMutantsPerFrame; ++i) {
       Message mutant = sample;
       Mutate(mutant.aux, rng);
       Result<Message> resp = c2.Handle(mutant);
       if (!resp.ok()) {
         EXPECT_EQ(resp.status().code(), StatusCode::kProtocolError)
-            << "opcode " << sample.type << ": " << resp.status();
+            << spec.name << ": " << resp.status();
       }
     }
   }
