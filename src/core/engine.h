@@ -45,7 +45,10 @@ namespace sknn {
 class SknnEngine {
  public:
   struct Options {
-    /// Paillier modulus size K; the paper evaluates 512 and 1024.
+    /// Paillier modulus size K; the paper evaluates 512 and 1024. Secure
+    /// and farthest queries need K >= l + 130 for SBD's short masks and
+    /// K >= 2 * (l_aug + 2) for SMIN, with l = distance_bits() and l_aug =
+    /// AugmentedBitWidth(l, n); below that they fail InvalidArgument.
     unsigned key_bits = 512;
     /// Attribute domain: values in [0, 2^attr_bits). Determines l.
     unsigned attr_bits = 8;

@@ -214,8 +214,8 @@ Result<Message> C2Service::Serve<Op::kSqSumVec>(const Message& req,
 
 // SBD Encrypted-LSB step at bit round t: a fresh encryption of
 // parity(D(Y_i) * 2^(-t) mod N). 2^t is a unit mod the odd N, so the
-// unshifted y_i + r_i mod N is as uniform as D(Y_i), which is the view
-// recorded.
+// unshifted y_i + r_i mod N is a public bijection of D(Y_i), which is the
+// view recorded.
 template <>
 Result<Message> C2Service::Serve<Op::kLsbShiftVec>(
     const Message& req, std::vector<Ciphertext> cts) {
@@ -230,21 +230,6 @@ Result<Message> C2Service::Serve<Op::kLsbShiftVec>(
   return UnaryBatch(cts, Op::kLsbShiftVec, [&](const BigInt& y) {
     return BigInt(y.MulMod(unshift, n).IsOdd() ? 1 : 0);
   });
-}
-
-// SVR: report (in aux) whether each blinded difference decrypts to zero.
-template <>
-Result<Message> C2Service::Serve<Op::kSvrCheckBatch>(
-    const Message& /*req*/, std::vector<Ciphertext> cts) {
-  std::vector<BigInt> plain = sk_.DecryptMany(cts, intra_pool_.get());
-  Message resp;
-  resp.type = OpCode(Op::kSvrCheckBatch);
-  FrameWriter w(resp.aux);
-  for (const BigInt& v : plain) {
-    RecordView(Op::kSvrCheckBatch, v);
-    w.U8(v.IsZero() ? 1 : 0);
-  }
-  return resp;
 }
 
 // SMIN, Algorithm 3 step 2. Per block: decrypt L', derive alpha, raise each
@@ -449,6 +434,9 @@ Result<Message> C2Service::Dispatch(const OpSpec& spec,
         return std::array<Handler, sizeof...(Row)>{
             &C2Service::Serve<kOpTable[Row].op>...};
       }(std::make_index_sequence<std::size(kOpTable)>());
+  if (!spec.takes_aux && !request.aux.empty()) {
+    return Status::ProtocolError(std::string(spec.name) + ": unexpected aux");
+  }
   std::vector<Ciphertext> cts;
   if (spec.decrypts) {
     // Any value outside Z*_{N^2} is refused before anything is decrypted:

@@ -85,8 +85,8 @@ class C2Service {
   PaillierSecretKey& secret_key() { return sk_; }
 
  private:
-  /// Checks the request's ints when `spec` decrypts, then calls its row's
-  /// Serve specialization.
+  /// Refuses aux on a row that takes none, checks the request's ints when
+  /// `spec` decrypts, then calls its row's Serve specialization.
   Result<Message> Dispatch(const OpSpec& spec, const Message& request);
   void RecordQueryOps(uint64_t query_id, const OpSnapshot& ops);
 

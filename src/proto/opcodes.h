@@ -23,10 +23,6 @@ namespace sknn {
 enum class Op : uint16_t {
   kPing = 1,
 
-  /// SBD verification round (SVR). ints = [Epk(v_i * gamma_i), ...];
-  /// response aux[i] = 1 if D(.) == 0 (decomposition correct) else 0.
-  kSvrCheckBatch = 4,
-
   /// SkNN_m, Algorithm 6 step 3(c). ints = [beta_0..beta_{n-1}];
   /// response ints = [U_0..U_{n-1}], exactly one U_i = Epk(1).
   kMinPointerBatch = 6,
@@ -102,10 +98,11 @@ constexpr uint16_t OpCode(Op op) { return static_cast<uint16_t>(op); }
 
 /// Retired wire numbers, never to be reused: 2, 3 and 5 carried the
 /// per-worker chunked forms of SM, SBD's encrypted-LSB step and SMIN phase
-/// 2, and 11 the halving form of the encrypted-LSB step that kLsbShiftVec
+/// 2, 4 SBD's verification round, which short masks made unnecessary, and
+/// 11 the halving form of the encrypted-LSB step that kLsbShiftVec
 /// replaced. They have no kOpTable row, so C2 answers them as unknown
 /// opcodes.
-inline constexpr uint16_t kReservedOpcodes[] = {2, 3, 5, 11};
+inline constexpr uint16_t kReservedOpcodes[] = {2, 3, 4, 5, 11};
 
 /// \brief What one live opcode is, for both clouds.
 struct OpSpec {
@@ -121,25 +118,27 @@ struct OpSpec {
   /// No Paillier work of its own: C2 attributes nothing to the query's op
   /// ledger, which would re-create an entry a fetch just drained.
   bool meta;
+  /// The request carries an aux header, which the handler parses. C2
+  /// refuses any aux on a row without one.
+  bool takes_aux;
 };
 
 /// One row per live opcode. kError is a reply, never a request, and has
 /// none.
 inline constexpr OpSpec kOpTable[] = {
-    // op                      name                   decr.  ret.ct meta
-    {Op::kPing,                "kPing",               false, false, true},
-    {Op::kSvrCheckBatch,       "kSvrCheckBatch",      true,  false, false},
-    {Op::kMinPointerBatch,     "kMinPointerBatch",    true,  true,  false},
-    {Op::kTopKIndices,         "kTopKIndices",        true,  false, false},
-    {Op::kMaskedDecryptToBob,  "kMaskedDecryptToBob", true,  false, false},
-    {Op::kFetchBobOutbox,      "kFetchBobOutbox",     false, false, true},
-    {Op::kSmVec,               "kSmVec",              true,  true,  false},
-    {Op::kSminPhase2Vec,       "kSminPhase2Vec",      true,  true,  false},
-    {Op::kFetchQueryOps,       "kFetchQueryOps",      false, false, true},
-    {Op::kFetchPoolStats,      "kFetchPoolStats",     false, false, true},
-    {Op::kSqVec,               "kSqVec",              true,  true,  false},
-    {Op::kLsbShiftVec,         "kLsbShiftVec",        true,  true,  false},
-    {Op::kSqSumVec,            "kSqSumVec",           true,  true,  false},
+    // op                     name                   decr.  ret.ct meta   aux
+    {Op::kPing,               "kPing",               false, false, true,  false},
+    {Op::kMinPointerBatch,    "kMinPointerBatch",    true,  true,  false, false},
+    {Op::kTopKIndices,        "kTopKIndices",        true,  false, false, true},
+    {Op::kMaskedDecryptToBob, "kMaskedDecryptToBob", true,  false, false, false},
+    {Op::kFetchBobOutbox,     "kFetchBobOutbox",     false, false, true,  false},
+    {Op::kSmVec,              "kSmVec",              true,  true,  false, false},
+    {Op::kSminPhase2Vec,      "kSminPhase2Vec",      true,  true,  false, true},
+    {Op::kFetchQueryOps,      "kFetchQueryOps",      false, false, true,  false},
+    {Op::kFetchPoolStats,     "kFetchPoolStats",     false, false, true,  false},
+    {Op::kSqVec,              "kSqVec",              true,  true,  false, false},
+    {Op::kLsbShiftVec,        "kLsbShiftVec",        true,  true,  false, true},
+    {Op::kSqSumVec,           "kSqSumVec",           true,  true,  false, true},
 };
 
 /// \brief The row of wire number `type`, or nullptr if it has none (a

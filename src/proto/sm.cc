@@ -11,11 +11,6 @@ bool ShortBlindsFit(const BigInt& n, unsigned operand_bits) {
          operand_bits + kBlindStatisticalBits + 2 <= n.BitLength();
 }
 
-namespace {
-
-// `count` additive blinds for operands below 2^operand_bits in magnitude:
-// uniform on [2^w, 2^w + 2^(w + kappa)) when ShortBlindsFit, else uniform
-// on Z_N (docs/CRYPTO.md section 9).
 std::vector<BigInt> DrawBlinds(std::size_t count, const BigInt& n,
                                unsigned operand_bits) {
   const bool short_window = ShortBlindsFit(n, operand_bits);
@@ -30,8 +25,6 @@ std::vector<BigInt> DrawBlinds(std::size_t count, const BigInt& n,
   for (BigInt& ri : r) ri = offset + rng.Below(width);
   return r;
 }
-
-}  // namespace
 
 Result<std::vector<Ciphertext>> SecureMultiplyBatch(
     ProtoContext& ctx, const std::vector<Ciphertext>& eas,

@@ -42,6 +42,13 @@ inline constexpr unsigned kBlindStatisticalBits = 128;
 /// modulus `n`: operand_bits > 0 and the window fits (file comment).
 bool ShortBlindsFit(const BigInt& n, unsigned operand_bits);
 
+/// \brief `count` additive blinds for operands below 2^operand_bits in
+/// magnitude: uniform on [2^w, 2^w + 2^(w + kBlindStatisticalBits)) when
+/// ShortBlindsFit, else uniform on Z_N (docs/CRYPTO.md section 9). SBD
+/// draws its masks here too (sbd.h).
+std::vector<BigInt> DrawBlinds(std::size_t count, const BigInt& n,
+                               unsigned operand_bits);
+
 /// \brief How squared operands share the slots of one plaintext (ssed.h
 /// packs a record's attribute differences; docs/CRYPTO.md section 10).
 struct SlotLayout {

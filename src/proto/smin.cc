@@ -166,18 +166,6 @@ EncryptedBits ComplementBits(const PaillierPublicKey& pk,
   return out;
 }
 
-Result<EncryptedBits> SecureMinNLinear(ProtoContext& ctx,
-                                       const std::vector<EncryptedBits>& ds) {
-  if (ds.empty()) {
-    return Status::InvalidArgument("SMIN_n: empty input");
-  }
-  EncryptedBits acc = ds[0];
-  for (std::size_t i = 1; i < ds.size(); ++i) {
-    SKNN_ASSIGN_OR_RETURN(acc, SecureMin(ctx, acc, ds[i]));
-  }
-  return acc;
-}
-
 Result<EncryptedBits> SecureMinN(ProtoContext& ctx,
                                  const std::vector<EncryptedBits>& ds) {
   if (ds.empty()) {

@@ -58,13 +58,6 @@ Result<EncryptedBits> SecureMinN(ProtoContext& ctx,
 EncryptedBits ComplementBits(const PaillierPublicKey& pk,
                              const EncryptedBits& bits);
 
-/// \brief The naive ordering Algorithm 4 improves on: a sequential linear
-/// scan (min = SMIN(min, d_i) one pair at a time). Same O(n-1) SMIN count
-/// but 2*(n-1) round trips and no batching — kept as the ablation baseline
-/// for the tournament design choice (see bench_ablation).
-Result<EncryptedBits> SecureMinNLinear(ProtoContext& ctx,
-                                       const std::vector<EncryptedBits>& ds);
-
 }  // namespace sknn
 
 #endif  // SKNN_PROTO_SMIN_H_

@@ -109,9 +109,6 @@ inline Message WellFormedRequest(Op op, const PaillierPublicKey& pk,
     case Op::kFetchQueryOps:
     case Op::kFetchPoolStats:
       break;
-    case Op::kSvrCheckBatch:
-      enc({0, 3});
-      break;
     case Op::kMinPointerBatch:  // beta needs a zero entry
       enc({4, 0, 7});
       break;

@@ -309,14 +309,14 @@ TEST_F(ComplexityTest, SkNNmRoundCountIsIndependentOfNPerStage) {
   // from the per-query QueryMeter (frames_to_c2 == frames_from_c2, each
   // exchange is one round trip):
   //   SSED            1                  (one fused SM stage)
-  //   SBD             l + 1              (one kLsbShiftVec per bit + one SVR)
+  //   SBD             l                  (one kLsbShiftVec per bit)
   //   per iteration   2*ceil(log2 n)     (SMIN_n tournament: SM + phase2
   //                                       per level)
   //                   + 1                (min pointer)
   //                   + 1                (record-extraction SM)
   //   finalize        1                  (masked ship to Bob)
   // Since n <= 2^l here, ceil(log2 n) <= l and the whole query is <= the
-  // paper-shaped bound 2 + l + k*(2*l + 2) + 1 — and independent of n per
+  // paper-shaped bound 1 + l + k*(2*l + 2) + 1 — and independent of n per
   // stage (doubling n adds at most one tournament level per iteration).
   unsigned l = 0;
   auto frames_for = [&](std::size_t n, unsigned k) -> uint64_t {
@@ -341,7 +341,7 @@ TEST_F(ComplexityTest, SkNNmRoundCountIsIndependentOfNPerStage) {
 
   auto exact = [&](std::size_t n, unsigned k) -> uint64_t {
     uint64_t levels = static_cast<uint64_t>(std::ceil(std::log2(double(n))));
-    return 1 + (l + 1) + k * (2 * levels + 2) + 1;
+    return 1 + l + k * (2 * levels + 2) + 1;
   };
   for (auto [n, k] : std::vector<std::pair<std::size_t, unsigned>>{
            {8, 1}, {8, 2}, {16, 2}}) {

@@ -220,29 +220,24 @@ TEST(PaillierNegateTest, NonUnitYieldsZeroNotUndefinedBehaviour) {
 
 TEST(PaillierNegateTest, SbdOpCountIsIndependentOfMaskParity) {
   // SBD negates C2's parity bit for every mask and selects by the mask's
-  // parity, so all-even masks (the N-1 test hook) cost exactly what random
-  // masks cost. Verification is off: the hook forces SVR retries.
+  // parity, so what a decomposition costs does not depend on its secret
+  // coins. Eight decompositions of one value draw 48 fresh masks and all
+  // cost l times one bit: C1's mask and parity-bit encryptions, blinding,
+  // selecting and subtracting multiplications, one t-bit power and two
+  // negations, and C2's decryption and reply encryption.
   TwoPartyHarness harness;
   Random rng(46);
   Ciphertext z = harness.pk().Encrypt(BigInt(5), rng);
-  auto measure = [&](bool all_even) {
-    SbdOptions opts;
-    opts.l = 6;
-    opts.verify = false;
-    opts.adversarial_masks_for_test = all_even;
+  SbdOptions opts;
+  opts.l = 6;
+  // 6 bits x {3 enc, 1 dec, 1 exp, 3 mul, 2 inv}.
+  const std::string per_call = OpSnapshot{18, 6, 6, 18, 12}.ToString();
+  for (int run = 0; run < 8; ++run) {
     const OpSnapshot before = OpCounters::Snapshot();
-    EXPECT_TRUE(BitDecompose(harness.ctx(), z, opts).ok());
-    return OpCounters::Snapshot() - before;
-  };
-  const OpSnapshot even = measure(true);
-  const OpSnapshot random = measure(false);
-  EXPECT_EQ(even.encryptions, random.encryptions);
-  EXPECT_EQ(even.decryptions, random.decryptions);
-  EXPECT_EQ(even.exponentiations, random.exponentiations);
-  EXPECT_EQ(even.multiplications, random.multiplications);
-  EXPECT_EQ(even.inversions, random.inversions);
-  // Per bit: one negation to select the LSB, one inside the shift's Sub.
-  EXPECT_EQ(random.inversions, 2u * 6u);
+    ASSERT_TRUE(BitDecompose(harness.ctx(), z, opts).ok());
+    EXPECT_EQ((OpCounters::Snapshot() - before).ToString(), per_call)
+        << "run " << run;
+  }
 }
 
 // -- Property sweeps over random plaintext pairs ------------------------------

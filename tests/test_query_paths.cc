@@ -188,15 +188,15 @@ INSTANTIATE_TEST_SUITE_P(
         PinnedCase{"ExactBasic", QueryProtocol::kBasic, false,
                    {225, 105, 72, 345, 3}, 6},
         PinnedCase{"ExactSecure", QueryProtocol::kSecure, false,
-                   {8787, 3057, 5592, 15981, 1683}, 98},
+                   {8787, 3033, 5328, 15741, 1659}, 96},
         PinnedCase{"ExactFarthest", QueryProtocol::kFarthest, false,
-                   {9027, 3057, 5592, 16221, 1923}, 98},
+                   {9027, 3033, 5328, 15981, 1899}, 96},
         PinnedCase{"ClusteredBasic", QueryProtocol::kBasic, true,
                    {117, 57, 36, 177, 6}, 10},
         PinnedCase{"ClusteredSecure", QueryProtocol::kSecure, true,
-                   {2775, 977, 1812, 5061, 534}, 78},
+                   {2775, 969, 1724, 4981, 526}, 76},
         PinnedCase{"ClusteredFarthest", QueryProtocol::kFarthest, true,
-                   {3243, 1108, 2049, 5837, 696}, 90}),
+                   {3243, 1099, 1950, 5747, 687}, 88}),
     [](const ::testing::TestParamInfo<PinnedCase>& info) {
       return std::string(info.param.name);
     });

@@ -41,12 +41,14 @@ class RobustnessTest : public ::testing::Test {
 TEST_F(RobustnessTest, UnknownOpcodeIsRejected) {
   ExpectError(static_cast<Op>(0x7777), {});
   // The retired chunked forms of SM (2), SBD's LSB step (3) and SMIN phase 2
-  // (5), and the halving LSB step (11), are unknown opcodes too, even
-  // carrying a request they or their successors would answer.
+  // (5), SBD's verification round (4) and the halving LSB step (11) are
+  // unknown opcodes too, even carrying a request they or their successors
+  // would answer.
   const auto& pk = harness_.pk();
   auto enc = [&](int64_t v) { return pk.Encrypt(BigInt(v), rng_).value(); };
   ExpectRefusedByC2(static_cast<Op>(2), {enc(1), enc(2)});
   ExpectRefusedByC2(static_cast<Op>(3), {enc(1)});
+  ExpectRefusedByC2(static_cast<Op>(4), {enc(0), enc(3)});
   ExpectRefusedByC2(static_cast<Op>(5), {enc(1), enc(5)},
                     {1, 0, 0, 0, 1, 0, 0, 0});
   ExpectRefusedByC2(static_cast<Op>(11), {enc(6)});
@@ -78,6 +80,27 @@ TEST_F(RobustnessTest, EveryNumberWithoutARowIsUnknown) {
   auto ping = harness_.ctx().Call(Op::kPing, {});
   ASSERT_TRUE(ping.ok()) << ping.status();
   EXPECT_EQ(ping->type, OpCode(Op::kPing));
+}
+
+TEST_F(RobustnessTest, RowsWithoutAuxRefuseAnyAux) {
+  // A row's sample carries aux exactly when the row takes it. One byte of
+  // aux on a row that takes none is refused, and the sample itself is
+  // still served.
+  for (const OpSpec& spec : kOpTable) {
+    const Message sample = WellFormedRequest(spec.op, harness_.pk(), rng_);
+    EXPECT_EQ(!sample.aux.empty(), spec.takes_aux) << spec.name;
+    if (spec.takes_aux) continue;
+    Message padded = sample;
+    padded.aux.push_back(0);
+    Result<Message> resp = harness_.c2().Handle(padded);
+    ASSERT_FALSE(resp.ok()) << spec.name << " accepted aux";
+    EXPECT_EQ(resp.status().code(), StatusCode::kProtocolError);
+    EXPECT_NE(resp.status().message().find(std::string(spec.name) +
+                                           ": unexpected aux"),
+              std::string::npos)
+        << resp.status();
+    EXPECT_TRUE(harness_.c2().Handle(sample).ok()) << spec.name;
+  }
 }
 
 TEST_F(RobustnessTest, SmBatchOddOperandCount) {

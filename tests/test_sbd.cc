@@ -1,9 +1,10 @@
 // Tests for secure bit-decomposition: exhaustive small domains, the paper's
-// Example 4, the verification/retry path under injected wraparound failures,
-// and batched decomposition.
+// Example 4, batched decomposition, the key floor the short masks need and
+// the no-wrap property they give.
 #include <gtest/gtest.h>
 
 #include "proto/sbd.h"
+#include "proto/sm.h"
 #include "tests/proto_test_util.h"
 
 namespace sknn {
@@ -83,39 +84,6 @@ TEST_F(SbdTest, BoundaryValues) {
   }
 }
 
-TEST_F(SbdTest, AdversarialMasksForceRetryButStillCorrect) {
-  // The N-1 hook wraps every z > 0 in the first pass, so SVR fails all four
-  // instances; the second pass (uniform masks) passes. C2's views show both
-  // passes: 2 * l LSB rounds of 4 instances and two SVR rounds of 4.
-  const auto& pk = harness_.pk();
-  SbdOptions opts;
-  opts.l = 8;
-  opts.adversarial_masks_for_test = true;
-  const std::vector<uint64_t> values = {1, 5, 100, 255};
-  std::vector<Ciphertext> enc;
-  for (uint64_t z : values) {
-    enc.push_back(pk.Encrypt(BigInt(static_cast<int64_t>(z)), rng_));
-  }
-  harness_.c2().set_record_views(true);
-  auto bits = BitDecomposeBatch(harness_.ctx(), enc, opts);
-  ASSERT_TRUE(bits.ok()) << bits.status();
-  std::size_t lsb_views = 0, svr_views = 0, svr_failures = 0;
-  for (const C2View& view : harness_.c2().TakeViews()) {
-    if (view.op == Op::kLsbShiftVec) ++lsb_views;
-    if (view.op == Op::kSvrCheckBatch) {
-      ++svr_views;
-      if (!view.plaintext.IsZero()) ++svr_failures;
-    }
-  }
-  harness_.c2().set_record_views(false);
-  EXPECT_EQ(lsb_views, 2u * opts.l * values.size());
-  EXPECT_EQ(svr_views, 2u * values.size());
-  EXPECT_EQ(svr_failures, values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(harness_.DecryptBits((*bits)[i]), values[i]) << i;
-  }
-}
-
 TEST_F(SbdTest, LsbFramesAnswerTheUnshiftedParity) {
   // kLsbShiftVec at round t answers Epk(2^t * v mod N) with Epk(parity(v)).
   const auto& pk = harness_.pk();
@@ -141,31 +109,6 @@ TEST_F(SbdTest, LsbFramesAnswerTheUnshiftedParity) {
   }
 }
 
-TEST_F(SbdTest, WithoutVerifyAdversarialMasksCorruptBits) {
-  // Sanity check that the SVR round is doing real work: when it is disabled
-  // the adversarial masks produce a wrong decomposition for some z > 0.
-  const auto& pk = harness_.pk();
-  SbdOptions opts;
-  opts.l = 8;
-  opts.verify = false;
-  opts.adversarial_masks_for_test = true;
-  auto bits =
-      BitDecompose(harness_.ctx(), pk.Encrypt(BigInt(200), rng_), opts);
-  ASSERT_TRUE(bits.ok());
-  uint64_t recovered = 0;
-  for (const auto& b : *bits) {
-    BigInt v = harness_.Decrypt(b);
-    // Bits may not even be 0/1 after a poisoned pass; treat any non-bit as
-    // corruption.
-    if (v != BigInt(0) && v != BigInt(1)) {
-      SUCCEED();
-      return;
-    }
-    recovered = (recovered << 1) | v.ToUint64().value();
-  }
-  EXPECT_NE(recovered, 200u);
-}
-
 TEST_F(SbdTest, RejectsZeroWidth) {
   const auto& pk = harness_.pk();
   SbdOptions opts;
@@ -177,11 +120,72 @@ TEST_F(SbdTest, RejectsZeroWidth) {
 TEST_F(SbdTest, RejectsDomainLargerThanModulus) {
   TwoPartyHarness small(32, 5);
   SbdOptions opts;
-  opts.l = 40;  // 2^40 > N for a 32-bit key
+  opts.l = 40;  // 2^40 > N, let alone the l + 130 bits the masks need
   Random rng(6);
   EXPECT_FALSE(
       BitDecompose(small.ctx(), small.pk().Encrypt(BigInt(1), rng), opts)
           .ok());
+}
+
+TEST_F(SbdTest, WidestDomainOfTheKey) {
+  // A 256-bit N fits masks for l = 256 - 130 = 126: 0 and 2^126 - 1 come
+  // out exactly, and l = 127 is refused before any frame is sent.
+  const auto& pk = harness_.pk();
+  ASSERT_EQ(pk.n().BitLength(), 256u);
+  SbdOptions opts;
+  opts.l = 126;
+  const BigInt all_ones = BigInt::PowerOfTwo(126) - BigInt(1);
+  auto bits = BitDecomposeBatch(
+      harness_.ctx(), {pk.Encrypt(BigInt(0), rng_), pk.Encrypt(all_ones, rng_)},
+      opts);
+  ASSERT_TRUE(bits.ok()) << bits.status();
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ((*bits)[i].size(), 126u);
+    for (const Ciphertext& b : (*bits)[i]) {
+      EXPECT_EQ(harness_.Decrypt(b), BigInt(i == 0 ? 0 : 1)) << "value " << i;
+    }
+  }
+  opts.l = 127;
+  auto refused =
+      BitDecompose(harness_.ctx(), pk.Encrypt(BigInt(1), rng_), opts);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SbdMaskTest, UnshiftedViewsNeverWrap) {
+  // At round t C2 decrypts 2^t * (y_t + r) mod N. With y_t < 2^l and r
+  // below 2^l + 2^(l + kappa), y_t + r < 2^(l + kappa + 1) <= N, so the
+  // unshifted view is y_t + r itself and its parity is exact.
+  TwoPartyHarness harness(512, 1500);
+  Random rng(1501);
+  const auto& pk = harness.pk();
+  const BigInt& n = pk.n();
+  SbdOptions opts;
+  opts.l = 20;
+  const std::vector<int64_t> values = {0, 1, 0xABCDE, (1 << 20) - 1};
+  std::vector<Ciphertext> enc;
+  for (int64_t z : values) enc.push_back(pk.Encrypt(BigInt(z), rng));
+  harness.c2().set_record_views(true);
+  auto bits = BitDecomposeBatch(harness.ctx(), enc, opts);
+  ASSERT_TRUE(bits.ok()) << bits.status();
+  std::vector<BigInt> views;
+  for (const C2View& view : harness.c2().TakeViews()) {
+    if (view.op == Op::kLsbShiftVec) views.push_back(view.plaintext);
+  }
+  // One view per instance and round, round by round.
+  ASSERT_EQ(views.size(), opts.l * values.size());
+  const BigInt bound =
+      BigInt::PowerOfTwo(opts.l + kBlindStatisticalBits + 1);
+  for (std::size_t j = 0; j < views.size(); ++j) {
+    const unsigned t = static_cast<unsigned>(j / values.size());
+    auto unshift = BigInt::PowerOfTwo(t).InvMod(n);
+    ASSERT_TRUE(unshift.ok());
+    EXPECT_LT(views[j].MulMod(*unshift, n), bound) << "t=" << t;
+  }
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(harness.DecryptBits((*bits)[i]),
+              static_cast<uint64_t>(values[i]));
+  }
 }
 
 TEST_F(SbdTest, ComposeFromBitsRoundTrip) {
@@ -232,7 +236,7 @@ TEST_P(SbdProperty, RandomValuesRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(WidthsAndKeys, SbdProperty,
                          ::testing::Combine(::testing::Values(1u, 6u, 12u,
                                                               20u),
-                                            ::testing::Values(128u, 256u)));
+                                            ::testing::Values(256u, 512u)));
 
 }  // namespace
 }  // namespace sknn

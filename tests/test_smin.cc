@@ -121,24 +121,6 @@ TEST_F(SminTest, MinNAllEqual) {
 
 TEST_F(SminTest, MinNRejectsEmpty) {
   EXPECT_FALSE(SecureMinN(harness_.ctx(), {}).ok());
-  EXPECT_FALSE(SecureMinNLinear(harness_.ctx(), {}).ok());
-}
-
-TEST_F(SminTest, LinearScanMatchesTournament) {
-  std::vector<uint64_t> values;
-  std::vector<EncryptedBits> enc;
-  for (int i = 0; i < 7; ++i) {
-    uint64_t v = rng_.UniformUint64(1 << 6);
-    values.push_back(v);
-    enc.push_back(harness_.EncryptBits(v, 6));
-  }
-  auto linear = SecureMinNLinear(harness_.ctx(), enc);
-  auto tournament = SecureMinN(harness_.ctx(), enc);
-  ASSERT_TRUE(linear.ok());
-  ASSERT_TRUE(tournament.ok());
-  uint64_t expected = *std::min_element(values.begin(), values.end());
-  EXPECT_EQ(harness_.DecryptBits(*linear), expected);
-  EXPECT_EQ(harness_.DecryptBits(*tournament), expected);
 }
 
 TEST_F(SminTest, MinNZeroIncluded) {
