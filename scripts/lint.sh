@@ -15,7 +15,7 @@
 #         documented by name in docs/API.md, the versioned client contract;
 #       - no scalar per-element crypto calls (.Encrypt/.Decrypt/.Rerandomize/
 #         .PowMod) in the src/proto/ hot paths: batch work must go through
-#         EncryptMany/DecryptMany/RerandomizeMany/PowModMany so it shares
+#         EncryptMany/DecryptMany/RerandomizeMany so it shares
 #         the randomizer pool and thread fan-out (docs/CRYPTO.md). A
 #         justified scalar call carries a `// batch-exempt: <why>` marker on
 #         its own line or the line above;
@@ -28,7 +28,12 @@
 #         payloads and the table files alike are encoded by FrameWriter;
 #       - every C1<->C2 opcode in src/proto/opcodes.h (each `Op`
 #         enumerator, and each number in kReservedOpcodes) has its row in
-#         docs/DEPLOY.md's opcode table, under its number.
+#         docs/DEPLOY.md's opcode table, under its number;
+#       - no call into C2's per-query drains (TakeBobOutbox/TakeQueryOps)
+#         in src/ or tools/ outside src/proto/c2_service.{h,cc}: every
+#         engine reaches C2 over its RPC link (kFetchBobOutbox /
+#         kFetchQueryOps), so in-process and served engines report the
+#         same traffic.
 #  2. clang-tidy over compile_commands.json (runs when clang-tidy is on
 #     PATH — the lint CI job; skipped with a notice otherwise). Checks are
 #     curated in .clang-tidy.
@@ -117,7 +122,7 @@ scalar_crypto=$(awk '
 ' src/proto/*.cc 2>/dev/null || true)
 if [ -n "${scalar_crypto}" ]; then
   fail "scalar per-element crypto calls in src/proto/ — use the batch API \
-(EncryptMany/DecryptMany/RerandomizeMany/PowModMany, crypto/paillier.h) or \
+(EncryptMany/DecryptMany/RerandomizeMany, crypto/paillier.h) or \
 mark the call '// batch-exempt: <why>'" "${scalar_crypto}"
 fi
 
@@ -182,6 +187,21 @@ done
 if [ -n "${missing_rows}" ]; then
   fail "C1<->C2 opcodes missing from docs/DEPLOY.md's opcode table — add \
 a row per Op enumerator and per reserved number" "${missing_rows}"
+fi
+
+# --- 1i. Direct calls into C2's per-query drains ---------------------------
+# One way to reach C2: an engine fetches Bob's outbox and C2's op ledger
+# with tagged exchanges over its link, whether C2 runs in-process or in
+# sknn_c2_server. A direct TakeBobOutbox(/TakeQueryOps( call outside C2's
+# own files is a second path that skips the wire (and its frame count).
+direct_c2=$(grep -rn --include='*.h' --include='*.cc' \
+  -e 'TakeBobOutbox(' -e 'TakeQueryOps(' src tools 2>/dev/null \
+  | grep -v -e '^src/proto/c2_service\.h:' -e '^src/proto/c2_service\.cc:' \
+  || true)
+if [ -n "${direct_c2}" ]; then
+  fail "direct call into C2's per-query drains outside \
+src/proto/c2_service.{h,cc} — fetch them over the link (kFetchBobOutbox / \
+kFetchQueryOps)" "${direct_c2}"
 fi
 
 # --- 2. clang-tidy ---------------------------------------------------------

@@ -6,7 +6,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 
 #include "common/logging.h"
@@ -371,48 +370,6 @@ BigInt FixedBaseWindow::PowMod(const BigInt& e) const {
     result = result.MulMod(table_[i * per_digit + (digit - 1)], modulus_);
   }
   return result;
-}
-
-namespace {
-
-std::vector<BigInt> FanOut(std::size_t count, ThreadPool* pool,
-                           const std::function<BigInt(std::size_t)>& fn) {
-  std::vector<BigInt> out(count);
-  if (pool != nullptr && count > 1) {
-    pool->ParallelFor(count, [&](std::size_t i) { out[i] = fn(i); });
-  } else {
-    for (std::size_t i = 0; i < count; ++i) out[i] = fn(i);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<BigInt> PowModMany(const std::vector<BigInt>& bases,
-                               const std::vector<BigInt>& exponents,
-                               const BigInt& modulus, ThreadPool* pool) {
-  const std::size_t count = std::min(bases.size(), exponents.size());
-  const MontgomeryModulus mont(modulus);
-  return FanOut(count, pool, [&](std::size_t i) {
-    return mont.PowMod(bases[i], exponents[i]);
-  });
-}
-
-std::vector<BigInt> PowModMany(const std::vector<BigInt>& bases,
-                               const BigInt& exponent, const BigInt& modulus,
-                               ThreadPool* pool) {
-  const MontgomeryModulus mont(modulus);
-  return FanOut(bases.size(), pool, [&](std::size_t i) {
-    return mont.PowMod(bases[i], exponent);
-  });
-}
-
-std::vector<BigInt> PowModMany(const FixedBaseWindow& window,
-                               const std::vector<BigInt>& exponents,
-                               ThreadPool* pool) {
-  return FanOut(exponents.size(), pool, [&](std::size_t i) {
-    return window.PowMod(exponents[i]);
-  });
 }
 
 }  // namespace sknn

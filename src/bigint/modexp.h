@@ -1,4 +1,4 @@
-// Modular-exponentiation layer (ROADMAP item 2, "crypto raw speed"). Three
+// Modular-exponentiation layer (ROADMAP item 2, "crypto raw speed"). Two
 // tools live here:
 //
 //  * MontgomeryModulus — the one exponentiation kernel of the library. It
@@ -20,10 +20,6 @@
 //    squaring chain that dominates a generic modexp is paid once, at
 //    table-build time.
 //
-//  * PowModMany — batched b_i^e_i mod m fanned across a caller-supplied
-//    ThreadPool. One modexp is inherently serial; a protocol round carrying
-//    hundreds of independent modexps is not.
-//
 // Everything here is bitwise-compatible with mpz_powm: same
 // least-non-negative-residue semantics, same edge cases (e = 0 -> 1 mod m,
 // base reduced mod m first, anything mod 1 is 0). Property tests in
@@ -36,7 +32,6 @@
 #include <vector>
 
 #include "bigint/bigint.h"
-#include "common/thread_pool.h"
 
 // OpenSSL's Montgomery context, kept out of this header (modexp.cc is the
 // only translation unit that includes <openssl/bn.h>).
@@ -141,25 +136,6 @@ class FixedBaseWindow {
   /// j in [1, 2^w).
   std::vector<BigInt> table_;
 };
-
-/// \brief bases[i]^exponents[i] mod modulus for every i, fanned across
-/// `pool` (serial when null). The two vectors must have equal length.
-std::vector<BigInt> PowModMany(const std::vector<BigInt>& bases,
-                               const std::vector<BigInt>& exponents,
-                               const BigInt& modulus,
-                               ThreadPool* pool = nullptr);
-
-/// \brief bases[i]^exponent mod modulus — the shared-exponent form (e.g.
-/// r_i^N across a refill batch).
-std::vector<BigInt> PowModMany(const std::vector<BigInt>& bases,
-                               const BigInt& exponent, const BigInt& modulus,
-                               ThreadPool* pool = nullptr);
-
-/// \brief window.PowMod(exponents[i]) for every i, fanned across `pool` —
-/// the batched fixed-base form the randomizer refill uses.
-std::vector<BigInt> PowModMany(const FixedBaseWindow& window,
-                               const std::vector<BigInt>& exponents,
-                               ThreadPool* pool = nullptr);
 
 }  // namespace sknn
 

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/data_owner.h"
+#include "net/channel.h"
 #include "proto/query_meter.h"
 #include "proto/ssed.h"
 
@@ -52,27 +53,26 @@ Result<std::unique_ptr<SknnEngine>> SknnEngine::CreateFromParts(
     return Status::InvalidArgument(
         "CreateFromParts: public and secret key do not match");
   }
-  auto engine = std::unique_ptr<SknnEngine>(new SknnEngine());
-  engine->options_ = options;
-  engine->pk_ = pk;
-  engine->table_.db = std::move(db);
-
-  // Outsourcing split: Epk(T) is C1's copy; sk goes to C2.
-  engine->c2_ = std::make_unique<C2Service>(std::move(sk));
-  engine->c2_->set_record_views(options.record_c2_views);
-
-  // The C1 <-> C2 link.
+  // Outsourcing split: Epk(T) is C1's copy; sk goes to C2, which stands
+  // up as sknn_c2_server stands up its own (a C2Service behind an
+  // RpcServer), on an in-process Channel instead of a TCP listener. The
+  // engine then joins it as it would join a served C2.
+  auto c2 = std::make_unique<C2Service>(std::move(sk));
+  c2->set_record_views(options.record_c2_views);
+  c2->StartPools(options.c2_threads, options.randomizer_pool_capacity,
+                 options.short_randomizers);
   Channel::EndpointPair link = Channel::CreatePair();
-  engine->channel_ = &link.a->channel();
-  engine->channel_->set_latency(options.c1_c2_latency);
-  C2Service* c2_raw = engine->c2_.get();
-  engine->server_ = std::make_unique<RpcServer>(
+  link.a->channel().set_latency(options.c1_c2_latency);
+  C2Service* c2_raw = c2.get();
+  auto server = std::make_unique<RpcServer>(
       std::move(link.b),
       [c2_raw](const Message& req) { return c2_raw->Handle(req); },
       options.c2_threads);
-  engine->client_ = std::make_unique<RpcClient>(std::move(link.a));
-
-  SKNN_RETURN_NOT_OK(engine->InitCommon());
+  SKNN_ASSIGN_OR_RETURN(
+      std::unique_ptr<SknnEngine> engine,
+      CreateWithRemoteC2(pk, std::move(db), std::move(link.a), options));
+  engine->c2_ = std::move(c2);
+  engine->server_ = std::move(server);
   return engine;
 }
 
@@ -139,7 +139,7 @@ Result<std::unique_ptr<SknnEngine>> SknnEngine::CreateWithShardWorkers(
 Status SknnEngine::JoinSharedC2(const char* factory) {
   // Many front ends may share one C2 server; a random non-zero id base
   // keeps their per-query state (Bob outbox buckets, op ledger entries)
-  // disjoint. The in-process engine counts from 1 — it owns its C2.
+  // disjoint.
   uint64_t id_base = 0;
   while (id_base == 0) {
     id_base = Random::ThreadLocal().UniformUint64(UINT64_MAX);
@@ -183,14 +183,9 @@ Status SknnEngine::InitCommon() {
   // bob_seconds numbers) and never draws from the clouds' stock.
   bob_ = std::make_unique<QueryClient>(pk_);
 
-  // Intra-message fan-out at C2 for the batched wire forms, and per-cloud
-  // randomizer precomputation so online encryptions cost a modmul. Both
-  // compose with the per-query-id demux — pools are engine-wide,
-  // attribution stays per query. A remote C2 configures its
-  // own pools (sknn_c2_server --workers / --pool-capacity).
-  if (c2_ != nullptr && options_.c2_threads > 1) {
-    c2_->EnableIntraMessageParallelism(options_.c2_threads);
-  }
+  // C1's randomizer precomputation, so online encryptions cost a modmul.
+  // The pool is engine-wide and attribution stays per query. C2 sets up
+  // its own pools (C2Service::StartPools).
   RandomizerPoolOptions pool_options;
   pool_options.short_exponents = options_.short_randomizers;
   // Refill threads scale with the query threads, as sknn_c2_server's do
@@ -201,9 +196,6 @@ Status SknnEngine::InitCommon() {
   c1_rand_pool_ = std::make_unique<RandomizerPool>(
       pk_.n(), options_.randomizer_pool_capacity, pool_options);
   pk_.set_randomizer_pool(c1_rand_pool_.get());
-  if (c2_ != nullptr) {
-    c2_->EnableRandomizerPool(options_.randomizer_pool_capacity, pool_options);
-  }
 
   // Clustered index: hold the manifest and its per-cluster sizes.
   if (options_.clusters != nullptr) {
@@ -360,29 +352,20 @@ SknnEngine::RandomizerPoolStats SknnEngine::randomizer_pool_stats() {
   stats.c1_misses = c1_rand_pool_->misses();
   stats.c1_stock = c1_rand_pool_->stock();
   stats.c1_capacity = c1_rand_pool_->capacity();
-  if (c2_ != nullptr) {
-    if (RandomizerPool* pool = c2_->randomizer_pool()) {
-      stats.c2_hits = pool->hits();
-      stats.c2_misses = pool->misses();
-      stats.c2_stock = pool->stock();
-      stats.c2_capacity = pool->capacity();
-    }
-  } else if (client_ != nullptr) {
-    // Remote C2: one untagged meta exchange; zeros on any failure (the
-    // control plane must never fail a stats frame on a flaky link).
-    Message req;
-    req.type = OpCode(Op::kFetchPoolStats);
-    Result<Message> resp = client_->Call(std::move(req));
-    if (resp.ok()) {
-      FrameReader r(resp->aux);
-      const uint64_t hits = r.U64(), misses = r.U64(), stock = r.U64(),
-                     capacity = r.U64();
-      if (r.Done("kFetchPoolStats reply").ok()) {
-        stats.c2_hits = hits;
-        stats.c2_misses = misses;
-        stats.c2_stock = stock;
-        stats.c2_capacity = capacity;
-      }
+  // C2's: one untagged meta exchange; zeros on any failure (the control
+  // plane must never fail a stats frame on a flaky link).
+  Message req;
+  req.type = OpCode(Op::kFetchPoolStats);
+  Result<Message> resp = client_->Call(std::move(req));
+  if (resp.ok()) {
+    FrameReader r(resp->aux);
+    const uint64_t hits = r.U64(), misses = r.U64(), stock = r.U64(),
+                   capacity = r.U64();
+    if (r.Done("kFetchPoolStats reply").ok()) {
+      stats.c2_hits = hits;
+      stats.c2_misses = misses;
+      stats.c2_stock = stock;
+      stats.c2_capacity = capacity;
     }
   }
   return stats;
@@ -517,18 +500,15 @@ Result<std::vector<uint32_t>> SknnEngine::ChooseClusters(
   return chosen;
 }
 
-Result<std::vector<BigInt>> SknnEngine::TakeC2Outbox(ProtoContext& ctx,
-                                                     uint64_t query_id) {
-  if (c2_ != nullptr) return c2_->TakeBobOutbox(query_id);
-  // Remote C2: a tagged fetch over the link. In the serving topology the
-  // front end unmasks on Bob's behalf (it already holds his masks), so this
-  // leg rides C1's connection; see docs/DEPLOY.md for the trust model.
+Result<std::vector<BigInt>> SknnEngine::TakeC2Outbox(ProtoContext& ctx) {
+  // A tagged fetch over the link. The engine unmasks on Bob's behalf (it
+  // already holds Bob's masks), so this leg rides C1's connection; see
+  // docs/DEPLOY.md for the trust model.
   SKNN_ASSIGN_OR_RETURN(Message resp, ctx.Call(Op::kFetchBobOutbox, {}));
   return std::move(resp.ints);
 }
 
-OpSnapshot SknnEngine::TakeC2QueryOps(ProtoContext& ctx, uint64_t query_id) {
-  if (c2_ != nullptr) return c2_->TakeQueryOps(query_id);
+OpSnapshot SknnEngine::TakeC2QueryOps(ProtoContext& ctx) {
   Result<Message> resp = ctx.Call(Op::kFetchQueryOps, {});
   Status status = resp.status();
   OpSnapshot ops;
@@ -538,7 +518,7 @@ OpSnapshot SknnEngine::TakeC2QueryOps(ProtoContext& ctx, uint64_t query_id) {
     status = r.Done("kFetchQueryOps reply");
   }
   if (status.ok()) return ops;
-  SKNN_LOG(Warning) << "query " << query_id
+  SKNN_LOG(Warning) << "query " << ctx.query_id()
                     << ": C2's op counts are missing from the reported "
                        "ops: "
                     << status.ToString();
@@ -571,26 +551,20 @@ Result<QueryResponse> SknnEngine::ExecuteQuery(const QueryRequest& request) {
     response.cloud_seconds = cloud_watch.ElapsedSeconds();
   }
   if (!cloud.ok()) {
-    // Drop any partial result and drain the ledger entry. Best-effort for a
-    // remote C2 (whose ledger is FIFO-bounded anyway) — the protocol error
-    // is what the caller needs to see, not a cleanup failure.
-    (void)TakeC2Outbox(ctx, query_id);
-    if (c2_ != nullptr) (void)c2_->TakeQueryOps(query_id);
+    // Drop any partial result, best-effort: the protocol error is what the
+    // caller needs to see, not a cleanup failure. The ledger entry is left
+    // to C2's FIFO bound.
+    (void)TakeC2Outbox(ctx);
     return cloud.status();
   }
 
   // Bob: combine C2's decrypted masked records with C1's masks. The outbox
   // bucket is keyed by query id, so concurrent queries cannot interleave.
-  SKNN_ASSIGN_OR_RETURN(std::vector<BigInt> from_c2,
-                        TakeC2Outbox(ctx, query_id));
-  // The ops fetch costs a round trip against a remote C2, so only pay it
-  // when the caller asked; the local ledger is always drained (hygiene).
+  SKNN_ASSIGN_OR_RETURN(std::vector<BigInt> from_c2, TakeC2Outbox(ctx));
+  // The ops fetch costs a round trip, so only pay it when the caller
+  // asked; an undrained ledger entry is left to C2's FIFO bound.
   OpSnapshot c2_ops;
-  if (request.want_op_counts) {
-    c2_ops = TakeC2QueryOps(ctx, query_id);
-  } else if (c2_ != nullptr) {
-    (void)c2_->TakeQueryOps(query_id);
-  }
+  if (request.want_op_counts) c2_ops = TakeC2QueryOps(ctx);
   // Under sharding the shard stages meter themselves (per-shard split in
   // response.shards); fold their share back into the query totals.
   response.traffic = meter.traffic();

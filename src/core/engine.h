@@ -3,9 +3,12 @@
 // encryption + outsourcing), the federated cloud (C1 protocol driver, C2
 // key-holder service, the link between them), and Bob's query round trip.
 //
-// The engine is the in-process simulation of the paper's deployment; every
-// inter-party byte still crosses the (accounted) channel, so computation
-// and communication measurements match the real topology.
+// The engine is the in-process simulation of the paper's deployment. There
+// is one way to reach C2: every engine, this one included, drives its C2
+// over an RPC link (an in-process Channel here, TCP to sknn_c2_server in
+// the serving deployment) and fetches Bob's outbox, C2's op ledger and its
+// pool counters with the same tagged exchanges, so an in-process query
+// reports the frames and ops a served one does.
 //
 // The query surface is request-oriented (core/query_api.h): Query() runs
 // one QueryRequest synchronously, Submit() returns a future, and
@@ -55,7 +58,8 @@ class SknnEngine {
     /// C1-side worker threads (1 = the paper's serial variant). Also bounds
     /// how many submitted queries execute concurrently.
     std::size_t c1_threads = 1;
-    /// C2-side worker threads.
+    /// C2-side worker threads of an in-process C2, sized as
+    /// sknn_c2_server --workers sizes its own (C2Service::StartPools).
     std::size_t c2_threads = 1;
     /// Simulated one-way latency of the C1 <-> C2 link (default zero =
     /// colocated clouds). Models the WAN between the two cloud providers of
@@ -118,6 +122,9 @@ class SknnEngine {
   /// (e.g. loaded via crypto/serialization) and an already-encrypted
   /// database (e.g. loaded via core/db_io) — skipping Alice's encryption
   /// pass. Options::key_bits/attr_bits are ignored (implied by the parts).
+  /// C2 runs in this process as sknn_c2_server runs it, a C2Service behind
+  /// an RpcServer, on an in-process Channel; the engine then joins it as
+  /// CreateWithRemoteC2 joins a served C2.
   static Result<std::unique_ptr<SknnEngine>> CreateFromParts(
       const PaillierPublicKey& pk, PaillierSecretKey sk, EncryptedDatabase db,
       const Options& options);
@@ -129,15 +136,14 @@ class SknnEngine {
   /// engine instance holds pk + Epk(T) and drives the protocols over the
   /// link, while thin clients talk to it through serve/QueryService.
   ///
-  /// Identical query semantics to the in-process engine — the Bob outbox and
-  /// the C2 op ledger are fetched over the wire (kFetchBobOutbox /
-  /// kFetchQueryOps) instead of by direct call, and both fetches are tagged
-  /// with the query id, so many front ends may share one C2. The query-id
-  /// space is seeded randomly per engine to keep concurrent front ends
-  /// disjoint. Options that configure the in-process C2 (c2_threads,
-  /// record_c2_views, c1_c2_latency) are ignored: the remote server owns its
-  /// own parallelism and the WAN is real. Fails fast (ping) if the link is
-  /// dead.
+  /// The Bob outbox and the C2 op ledger are fetched over the link
+  /// (kFetchBobOutbox / kFetchQueryOps), as every engine fetches them, and
+  /// both fetches are tagged with the query id, so many front ends may
+  /// share one C2. The query-id space is seeded randomly per engine to keep
+  /// concurrent front ends disjoint. Options that configure an in-process
+  /// C2 (c2_threads, record_c2_views, c1_c2_latency) are ignored: the
+  /// remote server owns its own parallelism and the WAN is real. Fails fast
+  /// (ping) if the link is dead.
   static Result<std::unique_ptr<SknnEngine>> CreateWithRemoteC2(
       const PaillierPublicKey& pk, EncryptedDatabase db,
       std::unique_ptr<Endpoint> c2_link, const Options& options);
@@ -231,9 +237,8 @@ class SknnEngine {
   /// \brief Both clouds' randomizer-pool effectiveness counters, merged for
   /// the serving control plane (kServiceStats) and sknn_admin --stats.
   /// c2_capacity = 0 means C2 runs without a pool. C1's numbers come from
-  /// the local pool; C2's are fetched over the link (kFetchPoolStats)
-  /// for a remote C2 and read directly otherwise. Best-effort: a failed
-  /// remote fetch reports zeros, never an error.
+  /// the local pool; C2's are fetched over the link (kFetchPoolStats).
+  /// Best-effort: a failed fetch reports zeros, never an error.
   struct RandomizerPoolStats {
     uint64_t c1_hits = 0;
     uint64_t c1_misses = 0;
@@ -286,9 +291,8 @@ class SknnEngine {
   void SchedulerLoop();
 
   /// \brief The construction tail shared by every factory: geometry and
-  /// attribute domain, C1 pool, Bob's client, the C1-side randomizer pool
-  /// (plus the in-process C2's pools when one exists), the in-process
-  /// shard set when Options::shards > 1, and the SSED packs.
+  /// attribute domain, C1 pool, Bob's client, the C1-side randomizer pool,
+  /// the in-process shard set when Options::shards > 1, and the SSED packs.
   Status InitCommon();
   /// \brief The in-process shard set: one ShardWorker per shard (per
   /// cluster under a cluster index), each behind an RpcServer on a
@@ -297,19 +301,17 @@ class SknnEngine {
   /// so the shard set opens no C2 link and starts no randomizer pool of its
   /// own.
   Status ServeShardsInProcess();
-  /// \brief One query's Bob-bound records — direct call for the in-process
-  /// C2, a tagged kFetchBobOutbox exchange (metered through `ctx`) for a
-  /// remote one.
-  Result<std::vector<BigInt>> TakeC2Outbox(ProtoContext& ctx,
-                                           uint64_t query_id);
-  /// \brief One query's C2-side Paillier ledger entry; zeros, and one
-  /// warning in the log, if the remote fetch fails (instrumentation is
-  /// best-effort, results are not).
-  OpSnapshot TakeC2QueryOps(ProtoContext& ctx, uint64_t query_id);
-  /// \brief The tail of both factories whose C2 sits behind a link shared
-  /// with other front ends: draws a random non-zero query-id base and
-  /// pings C2, so a dead or mismatched link fails here, not on the first
-  /// query. `factory` names the caller in the error.
+  /// \brief The Bob-bound records of `ctx`'s query: a kFetchBobOutbox
+  /// exchange tagged with its id and metered through `ctx`.
+  Result<std::vector<BigInt>> TakeC2Outbox(ProtoContext& ctx);
+  /// \brief C2's Paillier ledger entry for `ctx`'s query, fetched with a
+  /// tagged kFetchQueryOps exchange; zeros, and one warning in the log, if
+  /// the fetch fails (instrumentation is best-effort, results are not).
+  OpSnapshot TakeC2QueryOps(ProtoContext& ctx);
+  /// \brief The tail of every factory, since any C2 may sit behind a link
+  /// shared with other front ends: draws a random non-zero query-id base
+  /// and pings C2, so a dead or mismatched link fails here, not on the
+  /// first query. `factory` names the caller in the error.
   Status JoinSharedC2(const char* factory);
 
   Options options_;
@@ -332,8 +334,10 @@ class SknnEngine {
   /// The centroids' SSED packs for the pruning round (empty: one slot).
   std::vector<std::vector<Ciphertext>> centroid_packs_;
   PackStats pack_stats_;
+  /// The in-process C2 and its server (null for an engine whose C2 is
+  /// remote). The engine reaches C2 only through client_; these are held
+  /// to own them, and c2_ for the c2_service() test hook.
   std::unique_ptr<C2Service> c2_;
-  Channel* channel_ = nullptr;  // owned by the endpoints inside client/server
   std::unique_ptr<RpcServer> server_;
   std::unique_ptr<RpcClient> client_;
   std::unique_ptr<ThreadPool> c1_pool_;

@@ -59,9 +59,9 @@ inline unsigned AugmentedBitWidth(unsigned l, std::size_t total_records) {
 }
 
 /// \brief Steps 2-3(b-prep) of Algorithm 6 for `records` (all of Epk(T), or
-/// one shard of it): SSED distances, SBD bit decomposition (SBD always runs
-/// its verification round), then the tie-break augmentation described
-/// above. `farthest` complements the distance bits after SBD
+/// one shard of it): SSED distances, SBD bit decomposition (one round per
+/// bit, with short masks and no verification round; docs/CRYPTO.md §11),
+/// then the tie-break augmentation described above. `farthest` complements the distance bits after SBD
 /// (max(d) = NOT min(NOT d)) for the secure k-FARTHEST query, and the rest
 /// of Algorithm 6 runs unchanged: a winner's set flag bit still sorts it
 /// above every live record, and ties still go to the lower global index.

@@ -20,16 +20,6 @@ Channel::EndpointPair Channel::CreatePair() {
   return pair;
 }
 
-TrafficStats Channel::stats() const {
-  MutexLock lock(&mutex_);
-  return stats_;
-}
-
-void Channel::ResetStats() {
-  MutexLock lock(&mutex_);
-  stats_ = TrafficStats{};
-}
-
 void Channel::set_latency(std::chrono::microseconds latency) {
   MutexLock lock(&mutex_);
   latency_ = latency;
@@ -45,13 +35,6 @@ bool ChannelEndpoint::Send(std::vector<uint8_t> frame) {
   MutexLock lock(&ch.mutex_);
   if (ch.closed_) return false;
   Channel::Queue& q = is_a_ ? ch.a_to_b_ : ch.b_to_a_;
-  if (is_a_) {
-    ch.stats_.frames_a_to_b++;
-    ch.stats_.bytes_a_to_b += frame.size();
-  } else {
-    ch.stats_.frames_b_to_a++;
-    ch.stats_.bytes_b_to_a += frame.size();
-  }
   q.frames.push_back(
       {Channel::Clock::now() + ch.latency_, std::move(frame)});
   q.cv.NotifyOne();

@@ -1,9 +1,9 @@
 // In-memory duplex link simulating the C1 <-> C2 connection.
 //
 // Channel::CreatePair() returns two endpoints; frames sent on one are
-// received on the other, FIFO. All traffic is accounted (frames and bytes per
-// direction), which is how the benchmark harness reports the communication
-// cost of each protocol. Closing either endpoint unblocks receivers.
+// received on the other, FIFO. Closing either endpoint unblocks receivers.
+// A query's traffic is counted per query at the call layer (QueryMeter,
+// proto/query_meter.h), not here.
 #ifndef SKNN_NET_CHANNEL_H_
 #define SKNN_NET_CHANNEL_H_
 
@@ -38,8 +38,8 @@ struct TrafficStats {
 class ChannelEndpoint;
 
 /// \brief Shared state of a duplex link between two endpoints (A and B).
-/// One mutex guards the whole link: both queues, the stats, the latency
-/// knob and the closed flag (frames are multi-KB ciphertext vectors, so
+/// One mutex guards the whole link: both queues, the latency knob and the
+/// closed flag (frames are multi-KB ciphertext vectors, so
 /// finer-grained locking would buy nothing).
 class Channel {
  public:
@@ -50,9 +50,6 @@ class Channel {
 
   /// \brief Creates a connected endpoint pair.
   static EndpointPair CreatePair();
-
-  TrafficStats stats() const;
-  void ResetStats();
 
   /// \brief Simulated one-way link latency (default zero). Frames become
   /// visible to the receiver `latency` after Send — this is how the bench
@@ -79,7 +76,6 @@ class Channel {
   mutable Mutex mutex_;
   Queue a_to_b_ GUARDED_BY(mutex_);
   Queue b_to_a_ GUARDED_BY(mutex_);
-  TrafficStats stats_ GUARDED_BY(mutex_);
   std::chrono::microseconds latency_ GUARDED_BY(mutex_){0};
   bool closed_ GUARDED_BY(mutex_) = false;
 };

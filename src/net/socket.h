@@ -41,8 +41,7 @@ class SocketEndpoint : public Endpoint {
   /// number closed (and potentially reused by another open()) under it.
   void Close() override;
 
-  /// \brief Bytes written/read so far (communication-cost accounting for
-  /// the socket deployment, mirroring Channel's TrafficStats).
+  /// \brief Bytes written/read so far on this socket.
   uint64_t bytes_sent() const { return bytes_sent_.load(); }
   uint64_t bytes_received() const { return bytes_received_.load(); }
 

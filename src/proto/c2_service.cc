@@ -46,37 +46,29 @@ void C2Service::EnableRandomizerPool(std::size_t capacity,
   sk_.mutable_public_key().set_randomizer_pool(rand_pool_.get());
 }
 
+void C2Service::StartPools(std::size_t threads, std::size_t pool_capacity,
+                           bool short_exponents) {
+  EnableIntraMessageParallelism(threads);
+  RandomizerPoolOptions options;
+  options.workers = std::max<std::size_t>(1, threads / 2);
+  options.short_exponents = short_exponents;
+  EnableRandomizerPool(pool_capacity, options);
+}
+
 std::vector<BigInt> C2Service::TakeBobOutbox(uint64_t query_id) {
   MutexLock lock(&mutex_);
-  auto it = bob_outbox_.find(query_id);
-  if (it == bob_outbox_.end()) return {};
-  std::vector<BigInt> out = std::move(it->second);
-  bob_outbox_.erase(it);
-  return out;
+  return bob_outbox_.Take(query_id);
 }
 
 OpSnapshot C2Service::TakeQueryOps(uint64_t query_id) {
   MutexLock lock(&mutex_);
-  auto it = op_ledger_.find(query_id);
-  if (it == op_ledger_.end()) return {};
-  OpSnapshot ops = it->second;
-  op_ledger_.erase(it);
-  return ops;
+  return op_ledger_.Take(query_id);
 }
 
 void C2Service::RecordQueryOps(uint64_t query_id, const OpSnapshot& ops) {
   MutexLock lock(&mutex_);
-  auto [it, inserted] = op_ledger_.try_emplace(query_id);
-  it->second = it->second + ops;
-  if (inserted) {
-    // Every ledger key is in the order deque, so bounding the deque bounds
-    // the ledger (entries already drained by TakeQueryOps erase as no-ops).
-    op_ledger_order_.push_back(query_id);
-    while (op_ledger_order_.size() > kMaxLedgerEntries) {
-      op_ledger_.erase(op_ledger_order_.front());
-      op_ledger_order_.pop_front();
-    }
-  }
+  OpSnapshot& entry = op_ledger_.Entry(query_id);
+  entry = entry + ops;
 }
 
 std::vector<C2View> C2Service::TakeViews() {
@@ -89,11 +81,9 @@ std::vector<C2View> C2Service::TakeViews() {
 std::vector<BigInt> C2Service::TakeBobOutbox() {
   MutexLock lock(&mutex_);
   std::vector<BigInt> out;
-  for (auto& [qid, bucket] : bob_outbox_) {
-    (void)qid;
+  for (auto& bucket : bob_outbox_.TakeAll()) {
     for (auto& v : bucket) out.push_back(std::move(v));
   }
-  bob_outbox_.clear();
   return out;
 }
 
@@ -366,19 +356,8 @@ Result<Message> C2Service::Serve<Op::kMaskedDecryptToBob>(
   for (const auto& v : decrypted) RecordView(Op::kMaskedDecryptToBob, v);
   {
     MutexLock lock(&mutex_);
-    auto [it, inserted] = bob_outbox_.try_emplace(req.query_id);
-    for (auto& v : decrypted) it->second.push_back(std::move(v));
-    if (inserted) {
-      // Same FIFO bound as the op ledger: a front end that crashes between
-      // shipping the masked records and fetching them (or a dropped link on
-      // the best-effort error-path drain) must not leak its bucket on a
-      // long-running server forever. Drained buckets erase as no-ops.
-      outbox_order_.push_back(req.query_id);
-      while (outbox_order_.size() > kMaxLedgerEntries) {
-        bob_outbox_.erase(outbox_order_.front());
-        outbox_order_.pop_front();
-      }
-    }
+    std::vector<BigInt>& bucket = bob_outbox_.Entry(req.query_id);
+    for (auto& v : decrypted) bucket.push_back(std::move(v));
   }
   Message resp;
   resp.type = OpCode(Op::kMaskedDecryptToBob);
@@ -397,8 +376,7 @@ Result<Message> C2Service::Serve<Op::kFetchBobOutbox>(
   return resp;
 }
 
-// A remote C1 front end collecting this query's C2-side Paillier cost (the
-// in-process engine calls TakeQueryOps directly instead).
+// A C1 engine collecting this query's C2-side Paillier cost.
 template <>
 Result<Message> C2Service::Serve<Op::kFetchQueryOps>(
     const Message& req, std::vector<Ciphertext> /*cts*/) {

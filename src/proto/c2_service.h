@@ -11,7 +11,6 @@
 #define SKNN_PROTO_C2_SERVICE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -44,13 +43,14 @@ class C2Service {
   Result<Message> Handle(const Message& request);
 
   /// \brief Drains one query's Bob-bound records — the demux that lets many
-  /// queries be in flight without interleaving their results. In a real
-  /// deployment this is a direct C2 -> Bob message (kFetchBobOutbox); the
-  /// in-process engine hands it to the QueryClient. Never routed through C1.
+  /// queries be in flight without interleaving their results. Every engine
+  /// reaches it through a kFetchBobOutbox exchange tagged with the query
+  /// id; in the paper's deployment that is a direct C2 -> Bob message,
+  /// never routed through C1.
   std::vector<BigInt> TakeBobOutbox(uint64_t query_id);
 
   /// \brief Removes and returns the Paillier operations C2 performed for
-  /// `query_id` (zeros if unknown).
+  /// `query_id` (zeros if unknown); served as kFetchQueryOps.
   OpSnapshot TakeQueryOps(uint64_t query_id);
 
   /// \brief Spins up `threads` workers that fan the independent instances of
@@ -69,6 +69,17 @@ class C2Service {
   void EnableRandomizerPool(std::size_t capacity,
                             const RandomizerPoolOptions& options);
   RandomizerPool* randomizer_pool() { return rand_pool_.get(); }
+
+  /// \brief Sets C2 up as every engine's C2 runs, standalone
+  /// (sknn_c2_server) or in-process (SknnEngine::CreateFromParts): for
+  /// `threads` handler threads, intra-message fan-out over `threads`
+  /// workers and a randomizer pool of `pool_capacity` values refilled by
+  /// max(1, threads / 2) background threads. Half the handlers keeps the
+  /// stock warm under load without starving the handlers of cores.
+  /// `short_exponents` selects the refill strategy as in
+  /// RandomizerPoolOptions.
+  void StartPools(std::size_t threads, std::size_t pool_capacity,
+                  bool short_exponents);
 
   // -- Security-test instrumentation --
   void set_record_views(bool record) {
@@ -104,6 +115,56 @@ class C2Service {
 
   void RecordView(Op op, const BigInt& plaintext);
 
+  /// Per-query state keyed by query id, holding at most kMaxQueryEntries
+  /// ids: creating one more evicts the oldest, so a front end that vanishes
+  /// before fetching cannot leak entries on a standing server. Take also
+  /// drops the id from the eviction order, so an id that is drained and
+  /// reused (0, on every untagged exchange) starts afresh at the back.
+  template <typename V>
+  class QueryIdFifo {
+   public:
+    /// The entry of `id`, created at the back of the FIFO if absent.
+    V& Entry(uint64_t id) {
+      auto it = entries_.find(id);
+      if (it == entries_.end()) {
+        if (entries_.size() == kMaxQueryEntries) {
+          entries_.erase(order_.begin()->second);
+          order_.erase(order_.begin());
+        }
+        it = entries_.emplace(id, Slot{next_seq_, V{}}).first;
+        order_.emplace(next_seq_++, id);
+      }
+      return it->second.value;
+    }
+    /// Removes and returns the entry of `id` (a default V if absent).
+    V Take(uint64_t id) {
+      auto it = entries_.find(id);
+      if (it == entries_.end()) return V{};
+      V out = std::move(it->second.value);
+      order_.erase(it->second.seq);
+      entries_.erase(it);
+      return out;
+    }
+    /// Removes and returns every entry, in id order.
+    std::vector<V> TakeAll() {
+      std::vector<V> out;
+      for (auto& entry : entries_) out.push_back(std::move(entry.second.value));
+      entries_.clear();
+      order_.clear();
+      return out;
+    }
+
+   private:
+    struct Slot {
+      uint64_t seq;
+      V value;
+    };
+    std::map<uint64_t, Slot> entries_;
+    std::map<uint64_t, uint64_t> order_;  // creation sequence -> id
+    uint64_t next_seq_ = 0;
+  };
+  static constexpr std::size_t kMaxQueryEntries = 4096;
+
   PaillierSecretKey sk_;
   std::unique_ptr<ThreadPool> intra_pool_;
   std::unique_ptr<RandomizerPool> rand_pool_;
@@ -111,16 +172,10 @@ class C2Service {
   bool record_views_ GUARDED_BY(mutex_) = false;
   std::vector<C2View> views_ GUARDED_BY(mutex_);
   /// Bob-bound plaintexts, keyed by the query id that produced them
-  /// (0 = untagged traffic). FIFO-bounded like the op ledger: a
-  /// front end that vanishes before fetching must not leak its bucket on a
-  /// standing server.
-  std::map<uint64_t, std::vector<BigInt>> bob_outbox_ GUARDED_BY(mutex_);
-  std::deque<uint64_t> outbox_order_ GUARDED_BY(mutex_);
-  /// Per-query operation accounting, FIFO-bounded so an abandoned query on
-  /// a long-running server cannot leak ledger entries forever.
-  static constexpr std::size_t kMaxLedgerEntries = 4096;
-  std::map<uint64_t, OpSnapshot> op_ledger_ GUARDED_BY(mutex_);
-  std::deque<uint64_t> op_ledger_order_ GUARDED_BY(mutex_);
+  /// (0 = untagged traffic).
+  QueryIdFifo<std::vector<BigInt>> bob_outbox_ GUARDED_BY(mutex_);
+  /// Per-query operation accounting.
+  QueryIdFifo<OpSnapshot> op_ledger_ GUARDED_BY(mutex_);
 };
 
 }  // namespace sknn

@@ -36,11 +36,13 @@ enum class Op : uint16_t {
   /// back to C1). Response is an empty ack.
   kMaskedDecryptToBob = 8,
 
-  /// Bob's pickup of his decrypted masked result (C2 -> Bob leg). Issued on
-  /// Bob's OWN connection to C2 in the two-process deployment — never on
-  /// C1's connection, or C1 could unmask the result. Response ints = the
-  /// records queued under the request's own query id (0 is one more key),
-  /// which are cleared; other queries' records stay queued.
+  /// Bob's pickup of the decrypted masked result (C2 -> Bob leg). In the
+  /// paper's deployment Bob issues it on a separate connection to C2, so
+  /// C1 cannot unmask the result; an SknnEngine, which unmasks on Bob's
+  /// behalf, issues it on its C2 link (docs/DEPLOY.md, trust model).
+  /// Response ints = the records queued under the request's own query id
+  /// (0 is one more key), which are cleared; other queries' records stay
+  /// queued.
   kFetchBobOutbox = 9,
 
   /// SM, Algorithm 1 step 2, for a whole SM stage in one message.
@@ -56,10 +58,10 @@ enum class Op : uint16_t {
 
   /// Drains C2's Paillier-operation ledger entry for the tagged query:
   /// response aux = 5 little-endian u64 (encryptions, decryptions,
-  /// exponentiations, multiplications, inversions). Issued by a C1 front
-  /// end running against a REMOTE C2 (engine CreateWithRemoteC2) after the
-  /// protocol finishes, so QueryResponse::ops stays exact across process
-  /// boundaries.
+  /// exponentiations, multiplications, inversions). Issued by every C1
+  /// engine, in-process C2 or remote, after the protocol finishes when the
+  /// request asks for op counts, so QueryResponse::ops is exact across
+  /// process boundaries.
   kFetchQueryOps = 13,
 
   /// Drains nothing: reports C2's randomizer-pool effectiveness counters.

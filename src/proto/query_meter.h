@@ -7,9 +7,8 @@
 //   * the exact C1<->C2 wire traffic of the query's RPC exchanges (counted
 //     at the call layer, not from channel-level globals, so concurrent
 //     queries cannot pollute each other's numbers).
-// This replaces the engine-level OpCounters::Snapshot() delta and
-// Channel::ResetStats() accounting, which are only correct for one query at
-// a time.
+// An engine-level OpCounters::Snapshot() delta would only be correct for
+// one query at a time.
 #ifndef SKNN_PROTO_QUERY_METER_H_
 #define SKNN_PROTO_QUERY_METER_H_
 

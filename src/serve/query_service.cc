@@ -93,10 +93,6 @@ Status QueryService::Start(uint16_t port) {
   {
     std::vector<FairAdmission::PrincipalConfig> tables;
     for (TableRegistry::Entry* entry : registry_->snapshot_all()) {
-      if (options_.cache_bytes > 0) {
-        entry->cache.set_budget(options_.cache_bytes,
-                                ResultCache::kDefaultMaxEntries);
-      }
       table_principal_[entry] = tables.size();
       FairAdmission::PrincipalConfig config;
       config.name = "table '" + entry->name + "'";

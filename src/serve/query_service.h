@@ -63,14 +63,6 @@ class QueryService {
     /// connection are answered one at a time; clients that pipeline many
     /// concurrent calls over a single connection need more).
     std::size_t connection_workers = 1;
-    /// Result-cache byte budget applied to EVERY table at Start (appended
-    /// field, aggregate-init order). 0 — the default — leaves each table's
-    /// own budget alone, which for an unconfigured entry means DISABLED:
-    /// an un-opted-in service runs every query through the full protocol,
-    /// exactly like before revision 6. tools/sknn_c1_server instead
-    /// configures budgets per table from the spec's cache= key and leaves
-    /// this 0.
-    std::size_t cache_bytes = 0;
   };
 
   struct Stats {

@@ -32,7 +32,6 @@ class TwoPartyHarness {
     c2_ = std::make_unique<C2Service>(std::move(keys->sk));
 
     Channel::EndpointPair link = Channel::CreatePair();
-    channel_ = &link.a->channel();
     C2Service* c2_raw = c2_.get();
     server_ = std::make_unique<RpcServer>(
         std::move(link.b),
@@ -46,7 +45,6 @@ class TwoPartyHarness {
   const PaillierPublicKey& pk() const { return pk_; }
   ProtoContext& ctx() { return *ctx_; }
   C2Service& c2() { return *c2_; }
-  Channel& channel() { return *channel_; }
 
   /// \brief Decrypt helper for assertions ("the test plays both parties").
   BigInt Decrypt(const Ciphertext& c) { return c2_->secret_key().Decrypt(c); }
@@ -82,7 +80,6 @@ class TwoPartyHarness {
  private:
   PaillierPublicKey pk_;
   std::unique_ptr<C2Service> c2_;
-  Channel* channel_ = nullptr;
   std::unique_ptr<RpcServer> server_;
   std::unique_ptr<RpcClient> client_;
   std::unique_ptr<ThreadPool> pool_;

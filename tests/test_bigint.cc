@@ -293,8 +293,8 @@ TEST(RandomTest, UniformUint64Bounds) {
   EXPECT_EQ(rng.UniformUint64(1), 0u);
 }
 
-// -- FixedBaseWindow / PowModMany (bigint/modexp.h): both must be bitwise
-// -- compatible with BigInt::PowMod, i.e. with mpz_powm.
+// -- FixedBaseWindow (bigint/modexp.h): must be bitwise compatible with
+// -- BigInt::PowMod, i.e. with mpz_powm.
 
 TEST(FixedBaseWindowTest, MatchesGenericPowModAcrossWindowWidths) {
   Random rng(91);
@@ -348,36 +348,6 @@ TEST(FixedBaseWindowTest, RecommendedWindowWidensWithExponent) {
   EXPECT_EQ(FixedBaseWindow::RecommendedWindowBits(128), 4u);
   EXPECT_EQ(FixedBaseWindow::RecommendedWindowBits(256), 6u);
   EXPECT_EQ(FixedBaseWindow::RecommendedWindowBits(1024), 6u);
-}
-
-TEST(PowModManyTest, AllOverloadsMatchScalarSerialAndPooled) {
-  Random rng(94);
-  BigInt m = rng.Prime(80) * rng.Prime(80);
-  std::vector<BigInt> bases, exps;
-  for (int i = 0; i < 33; ++i) {
-    bases.push_back(rng.Below(m));
-    exps.push_back(rng.Bits(1 + static_cast<unsigned>(rng.UniformUint64(160))));
-  }
-  BigInt shared = rng.Bits(160);
-  FixedBaseWindow window(bases[0], m, 160);
-  ThreadPool pool(3);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    std::vector<BigInt> per_element = PowModMany(bases, exps, m, p);
-    std::vector<BigInt> shared_exp = PowModMany(bases, shared, m, p);
-    std::vector<BigInt> fixed_base = PowModMany(window, exps, p);
-    ASSERT_EQ(per_element.size(), bases.size());
-    ASSERT_EQ(shared_exp.size(), bases.size());
-    ASSERT_EQ(fixed_base.size(), exps.size());
-    for (std::size_t i = 0; i < bases.size(); ++i) {
-      EXPECT_EQ(per_element[i], bases[i].PowMod(exps[i], m)) << i;
-      EXPECT_EQ(shared_exp[i], bases[i].PowMod(shared, m)) << i;
-      EXPECT_EQ(fixed_base[i], bases[0].PowMod(exps[i], m)) << i;
-    }
-  }
-  const std::vector<BigInt> none;
-  EXPECT_TRUE(PowModMany(none, none, m).empty());
-  EXPECT_TRUE(PowModMany(none, shared, m).empty());
-  EXPECT_TRUE(PowModMany(window, none).empty());
 }
 
 // -- MontgomeryModulus (bigint/modexp.h): the exponentiation kernel, held

@@ -78,21 +78,6 @@ TEST(ChannelTest, FifoDelivery) {
   EXPECT_EQ(frame, std::vector<uint8_t>{2});
 }
 
-TEST(ChannelTest, BidirectionalTrafficAccounting) {
-  auto pair = Channel::CreatePair();
-  pair.a->Send({1, 2, 3});
-  pair.b->Send({4, 5});
-  TrafficStats stats = pair.a->channel().stats();
-  EXPECT_EQ(stats.frames_a_to_b, 1u);
-  EXPECT_EQ(stats.bytes_a_to_b, 3u);
-  EXPECT_EQ(stats.frames_b_to_a, 1u);
-  EXPECT_EQ(stats.bytes_b_to_a, 2u);
-  EXPECT_EQ(stats.total_bytes(), 5u);
-  EXPECT_EQ(stats.total_frames(), 2u);
-  pair.a->channel().ResetStats();
-  EXPECT_EQ(pair.a->channel().stats().total_bytes(), 0u);
-}
-
 TEST(ChannelTest, CloseUnblocksReceiver) {
   auto pair = Channel::CreatePair();
   std::thread closer([&] {

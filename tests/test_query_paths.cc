@@ -9,7 +9,11 @@
 //     constants (op and frame counts do not depend on key or randomness,
 //     only on the table's shape and the clusters chosen);
 //   - the phase breakdown is all zero for basic queries and non-zero in
-//     every phase for secure and farthest ones.
+//     every phase for secure and farthest ones;
+//   - the in-process engine reports what an engine served over a link
+//     reports: the same records, ops and frames in each direction against
+//     a CreateWithRemoteC2 engine on the same key and table, with and
+//     without op counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +29,9 @@
 #include "core/data_owner.h"
 #include "core/engine.h"
 #include "data/synthetic.h"
+#include "net/channel.h"
+#include "net/rpc.h"
+#include "proto/c2_service.h"
 
 namespace sknn {
 namespace {
@@ -109,6 +116,28 @@ struct PinnedCase {
 
 void PrintTo(const PinnedCase& c, std::ostream* os) { *os << c.name; }
 
+QueryRequest RequestFor(const PinnedCase& c) {
+  QueryRequest request;
+  request.record = Query();
+  request.k = kK;
+  request.protocol = c.protocol;
+  if (c.clustered) {
+    request.index_mode = IndexMode::kClustered;
+    request.probe_clusters = kProbe;
+  }
+  return request;
+}
+
+// A front end served by its own C2, as sknn_c2_server runs one (a
+// C2Service behind an RpcServer), here over an in-process Channel.
+// Members go in reverse: the engine closes the link, then the server
+// drains, then C2 goes.
+struct ServedEngine {
+  std::unique_ptr<C2Service> c2;
+  std::unique_ptr<RpcServer> server;
+  std::unique_ptr<SknnEngine> engine;
+};
+
 class QueryPathsTest : public ::testing::TestWithParam<PinnedCase> {
  protected:
   static void SetUpTestSuite() {
@@ -125,34 +154,48 @@ class QueryPathsTest : public ::testing::TestWithParam<PinnedCase> {
         std::make_shared<const ClusterManifest>(std::move(manifest).value());
     auto engine = SknnEngine::CreateFromParts(
         alice->public_key(), PaillierSecretKey(alice->secret_key_for_c2()),
-        std::move(db).value(), options);
+        *db, options);
     SKNN_CHECK(engine.ok()) << engine.status();
     engine_ = std::move(engine).value().release();
+
+    served_ = new ServedEngine;
+    served_->c2 = std::make_unique<C2Service>(
+        PaillierSecretKey(alice->secret_key_for_c2()));
+    served_->c2->StartPools(/*threads=*/1, options.randomizer_pool_capacity,
+                            /*short_exponents=*/true);
+    Channel::EndpointPair link = Channel::CreatePair();
+    C2Service* c2 = served_->c2.get();
+    served_->server = std::make_unique<RpcServer>(
+        std::move(link.b),
+        [c2](const Message& req) { return c2->Handle(req); },
+        /*worker_threads=*/1);
+    auto served = SknnEngine::CreateWithRemoteC2(
+        alice->public_key(), std::move(db).value(), std::move(link.a),
+        options);
+    SKNN_CHECK(served.ok()) << served.status();
+    served_->engine = std::move(served).value();
   }
 
   static void TearDownTestSuite() {
     delete engine_;
     engine_ = nullptr;
+    delete served_;
+    served_ = nullptr;
   }
 
   static SknnEngine* engine_;
+  static ServedEngine* served_;
 };
 
 SknnEngine* QueryPathsTest::engine_ = nullptr;
+ServedEngine* QueryPathsTest::served_ = nullptr;
 
 TEST_P(QueryPathsTest, RecordsOpsFramesAndBreakdown) {
   const PinnedCase& c = GetParam();
   ASSERT_EQ(engine_->shard_coordinator(), nullptr);
-  QueryRequest request;
-  request.record = Query();
-  request.k = kK;
-  request.protocol = c.protocol;
+  QueryRequest request = RequestFor(c);
   request.want_op_counts = true;
   request.want_breakdown = true;
-  if (c.clustered) {
-    request.index_mode = IndexMode::kClustered;
-    request.probe_clusters = kProbe;
-  }
   auto response = engine_->Query(request);
   ASSERT_TRUE(response.ok()) << response.status();
 
@@ -182,21 +225,40 @@ TEST_P(QueryPathsTest, RecordsOpsFramesAndBreakdown) {
   }
 }
 
+TEST_P(QueryPathsTest, InProcessEngineReportsWhatAServedEngineReports) {
+  const PinnedCase& c = GetParam();
+  for (bool want_op_counts : {false, true}) {
+    SCOPED_TRACE(want_op_counts ? "with op counts" : "without op counts");
+    QueryRequest request = RequestFor(c);
+    request.want_op_counts = want_op_counts;
+    auto in_process = engine_->Query(request);
+    ASSERT_TRUE(in_process.ok()) << in_process.status();
+    auto served = served_->engine->Query(request);
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_EQ(in_process->records, served->records);
+    EXPECT_EQ(in_process->ops.ToString(), served->ops.ToString());
+    EXPECT_EQ(in_process->traffic.frames_a_to_b,
+              served->traffic.frames_a_to_b);
+    EXPECT_EQ(in_process->traffic.frames_b_to_a,
+              served->traffic.frames_b_to_a);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Pinned, QueryPathsTest,
     ::testing::Values(
         PinnedCase{"ExactBasic", QueryProtocol::kBasic, false,
-                   {225, 105, 72, 345, 3}, 6},
+                   {225, 105, 72, 345, 3}, 10},
         PinnedCase{"ExactSecure", QueryProtocol::kSecure, false,
-                   {8787, 3033, 5328, 15741, 1659}, 96},
+                   {8787, 3033, 5328, 15741, 1659}, 100},
         PinnedCase{"ExactFarthest", QueryProtocol::kFarthest, false,
-                   {9027, 3033, 5328, 15981, 1899}, 96},
+                   {9027, 3033, 5328, 15981, 1899}, 100},
         PinnedCase{"ClusteredBasic", QueryProtocol::kBasic, true,
-                   {117, 57, 36, 177, 6}, 10},
+                   {117, 57, 36, 177, 6}, 14},
         PinnedCase{"ClusteredSecure", QueryProtocol::kSecure, true,
-                   {2775, 969, 1724, 4981, 526}, 76},
+                   {2775, 969, 1724, 4981, 526}, 80},
         PinnedCase{"ClusteredFarthest", QueryProtocol::kFarthest, true,
-                   {3243, 1099, 1950, 5747, 687}, 88}),
+                   {3243, 1099, 1950, 5747, 687}, 92}),
     [](const ::testing::TestParamInfo<PinnedCase>& info) {
       return std::string(info.param.name);
     });

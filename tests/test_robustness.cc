@@ -331,6 +331,43 @@ TEST_F(RobustnessTest, SmSurvivesManySequentialBatches) {
   }
 }
 
+// C2 holds per-query state for at most 4096 query ids. An id that is
+// shipped under and drained again and again (0 is every untagged
+// exchange's id) must keep working past that many cycles: a drained id
+// leaves the eviction order, so a new entry never evicts itself.
+constexpr int kMoreCyclesThanIds = 4100;
+
+TEST_F(RobustnessTest, ReusedQueryIdKeepsItsBobOutbox) {
+  const Message ship =
+      WellFormedRequest(Op::kMaskedDecryptToBob, harness_.pk(), rng_);
+  Message fetch;
+  fetch.type = OpCode(Op::kFetchBobOutbox);
+  for (int cycle = 1; cycle <= kMoreCyclesThanIds; ++cycle) {
+    ASSERT_TRUE(harness_.c2().Handle(ship).ok());
+    auto fetched = harness_.c2().Handle(fetch);
+    ASSERT_TRUE(fetched.ok()) << fetched.status();
+    ASSERT_EQ(fetched->ints, (std::vector<BigInt>{BigInt(11), BigInt(12)}))
+        << "cycle " << cycle;
+  }
+}
+
+TEST_F(RobustnessTest, ReusedQueryIdKeepsItsOpLedger) {
+  Message square = WellFormedRequest(Op::kSqVec, harness_.pk(), rng_);
+  square.query_id = 7;
+  Message fetch;
+  fetch.type = OpCode(Op::kFetchQueryOps);
+  fetch.query_id = 7;
+  for (int cycle = 1; cycle <= kMoreCyclesThanIds; ++cycle) {
+    ASSERT_TRUE(harness_.c2().Handle(square).ok());
+    auto fetched = harness_.c2().Handle(fetch);
+    ASSERT_TRUE(fetched.ok()) << fetched.status();
+    FrameReader r(fetched->aux);
+    const OpSnapshot ops = r.Ops();
+    ASSERT_TRUE(r.Done("kFetchQueryOps reply").ok());
+    ASSERT_EQ(ops.decryptions, 1u) << "cycle " << cycle;
+  }
+}
+
 // A frame's int count is the peer's claim, not a size to allocate: a
 // 26-byte frame announcing 0xFFFFFFFF ints (~64 GB of BigInt slots) must be
 // refused as truncated, without reserving memory for the claim first.

@@ -15,7 +15,6 @@
 // background threads sized from --workers. Refills use the short-exponent
 // fixed-base path (docs/CRYPTO.md); --no-short-randomizers selects the
 // assumption-free full-width reference generation instead.
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -52,14 +51,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   C2Service c2(std::move(sk).value());
-  if (workers > 1) c2.EnableIntraMessageParallelism(workers);
-  // Refill threads scale with the serving fan-out: half the handler
-  // workers (at least one) keeps the stock warm under load without
-  // starving the handlers themselves of cores.
-  RandomizerPoolOptions pool_options;
-  pool_options.workers = std::max<std::size_t>(1, workers / 2);
-  pool_options.short_exponents = !flags.count("no-short-randomizers");
-  c2.EnableRandomizerPool(pool_capacity, pool_options);
+  c2.StartPools(workers, pool_capacity, !flags.count("no-short-randomizers"));
 
   auto listener = TcpListener::Bind(port);
   if (!listener.ok()) {
