@@ -33,7 +33,11 @@
 #         in src/ or tools/ outside src/proto/c2_service.{h,cc}: every
 #         engine reaches C2 over its RPC link (kFetchBobOutbox /
 #         kFetchQueryOps), so in-process and served engines report the
-#         same traffic.
+#         same traffic;
+#       - no Accept( call on a TcpListener in src/ or tools/ outside
+#         src/net/rpc_listener.cc: every TCP server takes its links through
+#         RpcListener, the one accept loop that reaps closed sessions and
+#         survives a failed accept.
 #  2. clang-tidy over compile_commands.json (runs when clang-tidy is on
 #     PATH — the lint CI job; skipped with a notice otherwise). Checks are
 #     curated in .clang-tidy.
@@ -202,6 +206,19 @@ if [ -n "${direct_c2}" ]; then
   fail "direct call into C2's per-query drains outside \
 src/proto/c2_service.{h,cc} — fetch them over the link (kFetchBobOutbox / \
 kFetchQueryOps)" "${direct_c2}"
+fi
+
+# --- 1j. Hand-rolled TCP accept loops ---------------------------------------
+# One accept loop: a server that calls TcpListener::Accept itself keeps
+# every closed link's socket and handler threads until it exits, and stops
+# taking links on the first failed accept. Comment lines are exempt.
+accept_calls=$(grep -rn --include='*.h' --include='*.cc' \
+  -e '\.Accept(' -e '->Accept(' src tools 2>/dev/null \
+  | grep -v '^src/net/rpc_listener\.cc:' \
+  | grep -v ':[0-9]*:\s*//' || true)
+if [ -n "${accept_calls}" ]; then
+  fail "TcpListener::Accept called outside src/net/rpc_listener.cc — serve \
+links through RpcListener (src/net/rpc_listener.h)" "${accept_calls}"
 fi
 
 # --- 2. clang-tidy ---------------------------------------------------------

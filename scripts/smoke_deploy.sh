@@ -7,9 +7,10 @@
 #      a worker-backed sknn_c1_server;
 #   3. the MULTI-TABLE topology: two tables with DISTINCT Paillier keys
 #      (each with its own C2 key holder) behind ONE sknn_c1_server,
-#      introspected with sknn_admin and torn down with SIGTERM — the
-#      servers must drain and exit 0, which is why no teardown step here
-#      needs "|| true";
+#      introspected with sknn_admin, churned by 200 connect/close cycles
+#      against one C2 (whose fd count must stay flat) and torn down with
+#      SIGTERM — the servers must drain and exit 0, which is why no
+#      teardown step here needs "|| true";
 #   4. the CHAOS leg: 2 shards x 2 replicas behind one front end, with
 #      oracle-diffing clients looping the whole time while the smoke
 #      kill -9s a replica mid-traffic, restarts it on the same port (the
@@ -336,6 +337,23 @@ json_assert "$WORK/stats.json" \
   'all(t["weight"] == 1 and t["share_limit"] >= 1 for t in d["tables"])'
 json_assert "$WORK/stats.json" \
   'd["auth_enabled"] is False and d["keys"] == []'
+
+echo "== link churn: 200 connect/close cycles leave C2's fd count flat =="
+# Front ends, shard workers and reloads dial C2 and hang up all day; a
+# closed link's session must be freed, not kept until C2 exits.
+fd_count() { ls "/proc/$1/fd" | wc -l; }
+FDS_BEFORE=$(fd_count "$C2A_PID")
+"$PY" -c '
+import socket, sys
+for _ in range(200):
+    socket.create_connection(("127.0.0.1", int(sys.argv[1]))).close()
+' "$C2A_PORT"
+sleep 0.5
+FDS_AFTER=$(fd_count "$C2A_PID")
+[ "$FDS_AFTER" -le $((FDS_BEFORE + 8)) ] || {
+  echo "C2 kept closed links: $FDS_BEFORE -> $FDS_AFTER fds over 200 cycles"
+  exit 1
+}
 
 echo "== SIGTERM teardown: every server must drain and exit 0 =="
 term_and_wait "$C1M_PID"

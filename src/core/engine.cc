@@ -188,11 +188,7 @@ Status SknnEngine::InitCommon() {
   // its own pools (C2Service::StartPools).
   RandomizerPoolOptions pool_options;
   pool_options.short_exponents = options_.short_randomizers;
-  // Refill threads scale with the query threads, as sknn_c2_server's do
-  // with its handlers: half of them, at least one. A single thread cannot
-  // keep the stock up once misses stop being exponentiation bound, and
-  // cache hits then pay for their randomizers inline.
-  pool_options.workers = std::max<std::size_t>(1, options_.c1_threads / 2);
+  pool_options.workers = RefillWorkersFor(options_.c1_threads);
   c1_rand_pool_ = std::make_unique<RandomizerPool>(
       pk_.n(), options_.randomizer_pool_capacity, pool_options);
   pk_.set_randomizer_pool(c1_rand_pool_.get());

@@ -15,6 +15,7 @@
 #ifndef SKNN_CRYPTO_PAILLIER_H_
 #define SKNN_CRYPTO_PAILLIER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -49,6 +50,15 @@ struct RandomizerPoolOptions {
   /// the window width is FixedBaseWindow::RecommendedWindowBits for it.
   bool short_exponents = true;
 };
+
+/// \brief The one refill sizing rule, for every pool behind `threads` query
+/// or handler threads (C1's engine, a shard worker, C2): half of them, at
+/// least one. A single refill thread cannot keep the stock up once misses
+/// stop being exponentiation bound, and half keeps it warm under load
+/// without starving the query threads of cores.
+inline std::size_t RefillWorkersFor(std::size_t threads) {
+  return std::max<std::size_t>(1, threads / 2);
+}
 
 /// \brief Generates Paillier randomizers r^N mod N^2 — the refill primitive
 /// under RandomizerPool, exposed so benchmarks and tests can measure the

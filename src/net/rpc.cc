@@ -162,12 +162,12 @@ RpcServer::RpcServer(std::unique_ptr<Endpoint> endpoint,
   if (worker_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(worker_threads);
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  receive_thread_ = std::thread([this] { ReceiveLoop(); });
 }
 
 RpcServer::~RpcServer() {
   Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
+  if (receive_thread_.joinable()) receive_thread_.join();
   pool_.reset();  // joins workers (pending tasks finish first)
 }
 
@@ -179,11 +179,7 @@ bool RpcServer::Push(Message note) {
   return endpoint_->Send(WireCodec::Encode(note));
 }
 
-void RpcServer::WaitForClose() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-}
-
-void RpcServer::AcceptLoop() {
+void RpcServer::ReceiveLoop() {
   std::vector<uint8_t> frame;
   while (endpoint_->Recv(&frame)) {
     if (pool_) {

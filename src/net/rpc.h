@@ -7,7 +7,9 @@
 // variant (Section 5.3) possible without one channel per worker.
 //
 // RpcServer is used by C2 (the key holder): it loops over incoming requests
-// and dispatches them to a Handler, optionally on a worker pool.
+// and dispatches them to a Handler, optionally on a worker pool. One
+// RpcServer serves one link; net/rpc_listener.h gives one to every link a
+// TCP server accepts.
 #ifndef SKNN_NET_RPC_H_
 #define SKNN_NET_RPC_H_
 
@@ -101,7 +103,9 @@ class RpcServer {
   RpcServer(const RpcServer&) = delete;
   RpcServer& operator=(const RpcServer&) = delete;
 
-  /// \brief Stops the accept loop and joins workers.
+  /// \brief Closes the link: the receive loop exits and in-flight handlers
+  /// can no longer answer. Does not wait for them; the destructor joins
+  /// the receive thread and the workers.
   void Shutdown();
 
   /// \brief Sends an unsolicited server->client note. The frame goes out
@@ -110,23 +114,19 @@ class RpcServer {
   /// instead of a pending call. Returns false once the link is down.
   bool Push(Message note);
 
-  /// \brief Blocks until the peer closes the link (accept loop exits).
-  /// Used by the standalone C2 server to serve a connection to completion.
-  void WaitForClose();
-
-  /// \brief True once the peer has closed the link and the accept loop has
-  /// exited (queued pool work may still be draining). Lets a connection
-  /// manager (serve/QueryService) reap dead sessions without blocking.
+  /// \brief True once the peer has closed the link and the receive loop
+  /// has exited (queued pool work may still be draining). Lets a connection
+  /// manager (net/RpcListener) reap dead sessions without blocking.
   bool Finished() const { return finished_.load(std::memory_order_acquire); }
 
  private:
-  void AcceptLoop();
+  void ReceiveLoop();
   void HandleFrame(std::vector<uint8_t> frame);
 
   std::unique_ptr<Endpoint> endpoint_;
   Handler handler_;
   std::unique_ptr<ThreadPool> pool_;  // null => handle inline
-  std::thread accept_thread_;
+  std::thread receive_thread_;
   /// Serializes response frames from concurrent pool workers; guards no
   /// field — the endpoint itself is internally synchronized, the mutex only
   /// keeps whole frames from interleaving on the wire.

@@ -9,6 +9,7 @@
 #define SKNN_NET_SOCKET_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -41,10 +42,6 @@ class SocketEndpoint : public Endpoint {
   /// number closed (and potentially reused by another open()) under it.
   void Close() override;
 
-  /// \brief Bytes written/read so far on this socket.
-  uint64_t bytes_sent() const { return bytes_sent_.load(); }
-  uint64_t bytes_received() const { return bytes_received_.load(); }
-
  private:
   /// Assigned once at construction, closed by the destructor. Concurrent
   /// Send/Recv/Close only ever read it.
@@ -52,8 +49,6 @@ class SocketEndpoint : public Endpoint {
   Mutex send_mutex_;  // serializes writers: frames must not interleave
   Mutex recv_mutex_;  // serializes readers: one frame per caller
   std::atomic<bool> closed_{false};
-  std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> bytes_received_{0};
 };
 
 /// \brief Connects to host:port (IPv4 dotted quad or "localhost").
@@ -69,33 +64,31 @@ Status ParseHostPort(const std::string& addr, std::string* host,
                      uint16_t* port);
 
 /// \brief Listening socket; Bind with port 0 chooses an ephemeral port
-/// (query it with port() — used by tests and printed by the C2 server).
+/// (query it with port()). Servers take their links through
+/// net/rpc_listener.h, which owns the one accept loop.
 class TcpListener {
  public:
   static Result<TcpListener> Bind(uint16_t port);
   ~TcpListener();
 
   TcpListener(TcpListener&& other) noexcept;
-  TcpListener& operator=(TcpListener&& other) noexcept;
   TcpListener(const TcpListener&) = delete;
   TcpListener& operator=(const TcpListener&) = delete;
 
   /// \brief Blocks for the next inbound connection.
   Result<std::unique_ptr<SocketEndpoint>> Accept();
 
+  /// \brief Waits up to `timeout` for a connection to queue; true when
+  /// Accept would return without blocking (a connection is queued, or the
+  /// listener was closed).
+  bool AwaitConnection(std::chrono::milliseconds timeout);
+
   /// \brief Stops accepting; a blocked Accept returns an error. Safe to
   /// call from another thread than the accept loop's (the shutdown state is
-  /// atomic — the serving front end's Shutdown races its accept thread by
-  /// design).
+  /// atomic — RpcListener::Shutdown races its accept thread by design).
   void Close();
 
   uint16_t port() const { return port_; }
-
-  /// \brief The listening fd, for the servers' signal handlers ONLY:
-  /// shutdown(2) is async-signal-safe and wakes a blocked accept(2), which
-  /// is how SIGINT/SIGTERM turn into a clean unbind-and-drain instead of a
-  /// kill -9 (tools/tool_util.h InstallShutdownHandler).
-  int native_handle() const { return fd_.load(std::memory_order_acquire); }
 
  private:
   TcpListener(int fd, uint16_t port) : fd_(fd), port_(port) {}

@@ -1,6 +1,5 @@
 #include "proto/c2_service.h"
 
-#include <algorithm>
 #include <array>
 #include <numeric>
 #include <string>
@@ -50,7 +49,7 @@ void C2Service::StartPools(std::size_t threads, std::size_t pool_capacity,
                            bool short_exponents) {
   EnableIntraMessageParallelism(threads);
   RandomizerPoolOptions options;
-  options.workers = std::max<std::size_t>(1, threads / 2);
+  options.workers = RefillWorkersFor(threads);
   options.short_exponents = short_exponents;
   EnableRandomizerPool(pool_capacity, options);
 }

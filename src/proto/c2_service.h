@@ -74,8 +74,7 @@ class C2Service {
   /// (sknn_c2_server) or in-process (SknnEngine::CreateFromParts): for
   /// `threads` handler threads, intra-message fan-out over `threads`
   /// workers and a randomizer pool of `pool_capacity` values refilled by
-  /// max(1, threads / 2) background threads. Half the handlers keeps the
-  /// stock warm under load without starving the handlers of cores.
+  /// RefillWorkersFor(threads) background threads.
   /// `short_exponents` selects the refill strategy as in
   /// RandomizerPoolOptions.
   void StartPools(std::size_t threads, std::size_t pool_capacity,

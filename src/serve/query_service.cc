@@ -1,10 +1,8 @@
 #include "serve/query_service.h"
 
-#include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
-
-#include "common/logging.h"
 
 namespace sknn {
 
@@ -77,7 +75,7 @@ Result<std::unique_ptr<SknnEngine>> QueryService::CreateShardedEngine(
 }
 
 Status QueryService::Start(uint16_t port) {
-  if (listener_.has_value()) {
+  if (listener_ != nullptr) {
     return Status::FailedPrecondition("QueryService: already started");
   }
   if (registry_->size() == 0) {
@@ -116,38 +114,27 @@ Status QueryService::Start(uint16_t port) {
     key_admission_ = std::make_unique<FairAdmission>(options_.max_in_flight,
                                                      std::move(keys));
   }
-  SKNN_ASSIGN_OR_RETURN(TcpListener listener, TcpListener::Bind(port));
-  port_ = listener.port();
-  listener_.emplace(std::move(listener));
   started_at_ = std::chrono::steady_clock::now();
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  // mutex_ is held until listener_ is set, and every session's handler
+  // factory takes it: no handler can run, and read listener_, before then.
+  MutexLock lock(&mutex_);
+  SKNN_ASSIGN_OR_RETURN(
+      listener_,
+      RpcListener::Start(
+          port,
+          [this] {
+            MutexLock lock(&mutex_);
+            auto session = std::make_shared<SessionState>();
+            return RpcServer::Handler([this, session](const Message& req) {
+              return HandleFrame(*session, req);
+            });
+          },
+          options_.connection_workers));
   return Status::OK();
 }
 
 void QueryService::Shutdown() {
-  // One caller runs the teardown; any concurrent caller blocks here until
-  // it is complete. Joining the accept thread from two threads at once (the
-  // old stopping_-flag fast path) is undefined behavior.
-  MutexLock shutdown_lock(&shutdown_mutex_);
-  if (shutdown_done_) return;
-  shutdown_done_ = true;
-  stopping_.store(true);
-  if (listener_.has_value()) {
-    listener_->Close();
-    // shutdown() on the listening fd wakes a blocked accept() on Linux; a
-    // throwaway connection covers platforms where it does not.
-    if (auto kick = ConnectTcp("127.0.0.1", port_); kick.ok()) {
-      (*kick)->Close();
-    }
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::unique_ptr<RpcServer>> sessions;
-  {
-    MutexLock lock(&mutex_);
-    sessions.swap(sessions_);
-  }
-  for (auto& session : sessions) session->Shutdown();
-  sessions.clear();  // destructors join the per-connection handlers
+  if (listener_ != nullptr) listener_->Shutdown();
 }
 
 QueryService::Stats QueryService::stats() const {
@@ -161,10 +148,7 @@ ServiceStatsReply QueryService::ServiceStatsSnapshot() const {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started_at_)
           .count();
-  {
-    MutexLock lock(&mutex_);
-    reply.connections_accepted = stats_.connections_accepted;
-  }
+  reply.connections_accepted = listener_ ? listener_->accepted() : 0;
   reply.in_flight = in_flight_.load();
   for (const TableRegistry::Entry* entry : registry_->snapshot()) {
     TableStatsEntry table;
@@ -257,14 +241,9 @@ void QueryService::set_api_key_auth(std::unique_ptr<ApiKeyAuth> auth) {
 }
 
 void QueryService::BroadcastTableChanged(const TableChangedNote& note) {
-  const Message frame = EncodeTableChanged(note);
-  MutexLock lock(&mutex_);
-  for (const auto& session : sessions_) {
-    if (session->Finished()) continue;
-    // Best effort by design: a client that raced its disconnect simply
-    // misses the note and learns from its next query's error instead.
-    session->Push(frame);
-  }
+  // Best effort by design: a client that raced its disconnect simply
+  // misses the note and learns from its next query's error instead.
+  listener_->PushToAll(EncodeTableChanged(note));
 }
 
 Message QueryService::HandleReloadTable(const Message& request) {
@@ -314,54 +293,7 @@ Message QueryService::HandleDetachTable(const Message& request) {
 }
 
 std::size_t QueryService::active_sessions() const {
-  MutexLock lock(&mutex_);
-  std::size_t active = 0;
-  for (const auto& session : sessions_) {
-    if (!session->Finished()) ++active;
-  }
-  return active;
-}
-
-void QueryService::AcceptLoop() {
-  for (;;) {
-    auto endpoint = listener_->Accept();
-    if (stopping_.load()) break;
-    if (!endpoint.ok()) {
-      // Transient accept failures (ECONNABORTED handshake resets, EMFILE
-      // under a connection burst, EINTR) must not kill the front end for
-      // good; pause briefly and keep accepting until Shutdown says stop.
-      SKNN_LOG(Warning) << "QueryService: accept failed: "
-                        << endpoint.status();
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    // Reap sessions whose client already disconnected, so a long-running
-    // front end does not accumulate one dead RpcServer per past client.
-    // Destruction happens OUTSIDE the lock: a reaped session may still be
-    // joining a pool worker that is blocked in a multi-second query, and
-    // holding mutex_ across that would stall stats() and every completion
-    // count with it.
-    std::vector<std::unique_ptr<RpcServer>> dead;
-    {
-      MutexLock lock(&mutex_);
-      auto finished = std::stable_partition(
-          sessions_.begin(), sessions_.end(),
-          [](const std::unique_ptr<RpcServer>& s) { return !s->Finished(); });
-      for (auto it = finished; it != sessions_.end(); ++it) {
-        dead.push_back(std::move(*it));
-      }
-      sessions_.erase(finished, sessions_.end());
-      ++stats_.connections_accepted;
-      auto session = std::make_shared<SessionState>();
-      sessions_.push_back(std::make_unique<RpcServer>(
-          std::move(endpoint).value(),
-          [this, session](const Message& req) {
-            return HandleFrame(*session, req);
-          },
-          options_.connection_workers));
-    }
-    dead.clear();
-  }
+  return listener_ != nullptr ? listener_->live() : 0;
 }
 
 Message QueryService::Reject(const Status& status,

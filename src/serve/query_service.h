@@ -32,9 +32,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -43,7 +41,7 @@
 #include "core/engine.h"
 #include "net/query_wire.h"
 #include "net/rpc.h"
-#include "net/socket.h"
+#include "net/rpc_listener.h"
 #include "serve/qos/api_key_auth.h"
 #include "serve/qos/fair_admission.h"
 #include "serve/table_registry.h"
@@ -66,7 +64,6 @@ class QueryService {
   };
 
   struct Stats {
-    uint64_t connections_accepted = 0;
     uint64_t queries_completed = 0;
     uint64_t queries_failed = 0;    // engine/validation/decode errors
     uint64_t queries_rejected = 0;  // backpressure (kResourceExhausted)
@@ -112,10 +109,11 @@ class QueryService {
   Status Start(uint16_t port);
 
   /// \brief The bound port, valid after a successful Start.
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_ ? listener_->port() : 0; }
 
   /// \brief Stops accepting, closes every client link, waits for in-flight
-  /// handlers. Idempotent; also run by the destructor.
+  /// handlers (RpcListener::Shutdown). Idempotent; also run by the
+  /// destructor.
   void Shutdown();
 
   Stats stats() const;
@@ -162,7 +160,6 @@ class QueryService {
     std::atomic<int64_t> key_index{-1};
   };
 
-  void AcceptLoop();
   Result<Message> HandleFrame(SessionState& session, const Message& request);
   Message HandleHello(SessionState& session, const Message& request);
   Message HandleAuthenticate(SessionState& session, const Message& request);
@@ -180,11 +177,11 @@ class QueryService {
   /// registry.
   std::unique_ptr<TableRegistry> owned_registry_;
   Options options_;
-  std::optional<TcpListener> listener_;
-  uint16_t port_ = 0;
+  /// Set once by Start, under mutex_, which each session's handler factory
+  /// takes too: no handler runs before it is set, so handlers read it
+  /// without the lock.
+  std::unique_ptr<RpcListener> listener_;
   std::chrono::steady_clock::time_point started_at_{};
-  std::thread accept_thread_;
-  std::atomic<bool> stopping_{false};
   std::atomic<std::size_t> in_flight_{0};
   /// Weighted fair admission over the tables (serve/qos/fair_admission.h),
   /// built by Start from the frozen table set's QoS knobs; replaces the
@@ -198,17 +195,10 @@ class QueryService {
   /// table still get weighted fair service.
   std::unique_ptr<FairAdmission> key_admission_;
   std::unique_ptr<ApiKeyAuth> auth_;
-  mutable Mutex mutex_;  // guards sessions_ and stats_
-  std::vector<std::unique_ptr<RpcServer>> sessions_ GUARDED_BY(mutex_);
+  mutable Mutex mutex_;
   Stats stats_ GUARDED_BY(mutex_);
   mutable Mutex loader_mutex_;
   TableLoader table_loader_ GUARDED_BY(loader_mutex_);
-  /// Serializes Shutdown against itself: a second caller blocks until the
-  /// first finishes instead of racing it to accept_thread_.join() (joining
-  /// one std::thread from two threads is undefined behavior). Ordered after
-  /// mutex_ in no lock order — Shutdown never holds both.
-  Mutex shutdown_mutex_ ACQUIRED_BEFORE(mutex_);
-  bool shutdown_done_ GUARDED_BY(shutdown_mutex_) = false;
 };
 
 }  // namespace sknn

@@ -21,10 +21,10 @@
 
 #include "core/engine.h"
 #include "net/query_wire.h"
-#include "net/socket.h"
 #include "serve/query_service.h"
 #include "serve/remote_query_client.h"
 #include "serve/table_registry.h"
+#include "tests/net_test_util.h"
 
 namespace sknn {
 namespace {
@@ -41,12 +41,11 @@ QueryRequest MakeRequest(std::string table, PlainRecord record, unsigned k,
 
 // One table's complete backing: a local reference engine (which supplies
 // the keys — every MakeTable call therefore mints a DIFFERENT key pair), a
-// standalone C2 behind a TCP RpcServer, and the CreateWithRemoteC2 engine
+// standalone C2 behind a TCP listener, and the CreateWithRemoteC2 engine
 // the front end serves.
 struct TableStack {
   std::unique_ptr<SknnEngine> reference;
-  std::unique_ptr<C2Service> c2;
-  std::unique_ptr<RpcServer> c2_server;
+  std::unique_ptr<LoopbackC2> c2;
   std::unique_ptr<SknnEngine> engine;
 };
 
@@ -63,29 +62,15 @@ TableStack MakeTable(const PlainTable& table, unsigned attr_bits,
   EXPECT_TRUE(reference.ok()) << reference.status();
   stack.reference = std::move(reference).value();
 
-  stack.c2 = std::make_unique<C2Service>(
-      PaillierSecretKey(stack.reference->c2_service().secret_key()));
-  stack.c2->EnableRandomizerPool(/*capacity=*/64);
-  auto listener = TcpListener::Bind(0);
-  EXPECT_TRUE(listener.ok()) << listener.status();
-  std::thread accepter([&] {
-    auto accepted = listener->Accept();
-    EXPECT_TRUE(accepted.ok()) << accepted.status();
-    C2Service* c2_raw = stack.c2.get();
-    stack.c2_server = std::make_unique<RpcServer>(
-        std::move(accepted).value(),
-        [c2_raw](const Message& req) { return c2_raw->Handle(req); },
-        /*worker_threads=*/2);
-  });
-  auto c2_link = ConnectTcp("127.0.0.1", listener->port());
-  EXPECT_TRUE(c2_link.ok()) << c2_link.status();
-  accepter.join();
+  stack.c2 = std::make_unique<LoopbackC2>(
+      PaillierSecretKey(stack.reference->c2_service().secret_key()),
+      /*pool_capacity=*/64);
 
   options.shards = shards;
   auto engine = SknnEngine::CreateWithRemoteC2(
       stack.reference->public_key(),
       EncryptedDatabase(stack.reference->database()),
-      std::move(c2_link).value(), options);
+      stack.c2->Connect(), options);
   EXPECT_TRUE(engine.ok()) << engine.status();
   stack.engine = std::move(engine).value();
   return stack;

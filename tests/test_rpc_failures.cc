@@ -19,8 +19,8 @@
 #include "net/channel.h"
 #include "net/rpc.h"
 #include "net/shard_wire.h"
-#include "net/socket.h"
 #include "proto/context.h"
+#include "tests/net_test_util.h"
 
 namespace sknn {
 namespace {
@@ -35,19 +35,8 @@ EndpointPair MakePair(bool tcp) {
     Channel::EndpointPair link = Channel::CreatePair();
     return {std::move(link.a), std::move(link.b)};
   }
-  auto listener = TcpListener::Bind(0);
-  EXPECT_TRUE(listener.ok()) << listener.status();
-  EndpointPair pair;
-  std::thread accepter([&] {
-    auto accepted = listener->Accept();
-    EXPECT_TRUE(accepted.ok()) << accepted.status();
-    pair.server = std::move(accepted).value();
-  });
-  auto connected = ConnectTcp("127.0.0.1", listener->port());
-  EXPECT_TRUE(connected.ok()) << connected.status();
-  pair.client = std::move(connected).value();
-  accepter.join();
-  return pair;
+  TcpLink link = LoopbackTcpLink();
+  return {std::move(link.client), std::move(link.server)};
 }
 
 class RpcFailureTest : public ::testing::TestWithParam<bool> {};

@@ -19,9 +19,9 @@
 #include "baseline/plaintext_knn.h"
 #include "core/engine.h"
 #include "net/query_wire.h"
-#include "net/socket.h"
 #include "serve/query_service.h"
 #include "serve/remote_query_client.h"
+#include "tests/net_test_util.h"
 
 namespace sknn {
 namespace {
@@ -47,7 +47,7 @@ QueryRequest MakeRequest(PlainRecord record, unsigned k,
 }
 
 // The whole deployment in one object: a local reference engine (which also
-// supplies the keys), a standalone C2 behind a TCP RpcServer, a
+// supplies the keys), a standalone C2 behind a TCP listener, a
 // CreateWithRemoteC2 engine driving it, and a QueryService in front.
 class ServingTopology {
  public:
@@ -67,23 +67,9 @@ class ServingTopology {
 
     // The standalone key holder: same secret key, own process in the real
     // deployment, own socket server here.
-    c2_ = std::make_unique<C2Service>(
-        PaillierSecretKey(reference_->c2_service().secret_key()));
-    c2_->EnableRandomizerPool(/*capacity=*/64);
-    auto listener = TcpListener::Bind(0);
-    EXPECT_TRUE(listener.ok()) << listener.status();
-    std::thread accepter([&] {
-      auto accepted = listener->Accept();
-      EXPECT_TRUE(accepted.ok()) << accepted.status();
-      C2Service* c2_raw = c2_.get();
-      c2_server_ = std::make_unique<RpcServer>(
-          std::move(accepted).value(),
-          [c2_raw](const Message& req) { return c2_raw->Handle(req); },
-          /*worker_threads=*/2);
-    });
-    auto c2_link = ConnectTcp("127.0.0.1", listener->port());
-    EXPECT_TRUE(c2_link.ok()) << c2_link.status();
-    accepter.join();
+    c2_ = std::make_unique<LoopbackC2>(
+        PaillierSecretKey(reference_->c2_service().secret_key()),
+        /*pool_capacity=*/64);
 
     // The C1 front end: public artifacts only (pk + Epk(T)) plus the link.
     // The reference engine above stays UNSHARDED on purpose: the sharded
@@ -91,7 +77,7 @@ class ServingTopology {
     options.shards = shards;
     auto engine = SknnEngine::CreateWithRemoteC2(
         reference_->public_key(), EncryptedDatabase(reference_->database()),
-        std::move(c2_link).value(), options);
+        c2_->Connect(), options);
     EXPECT_TRUE(engine.ok()) << engine.status();
     engine_ = std::move(engine).value();
 
@@ -117,11 +103,10 @@ class ServingTopology {
 
  private:
   // Declaration order is teardown order in reverse: the service goes first
-  // (drains clients), then the front-end engine (closes the C2 link, which
-  // lets the C2 server's accept loop exit), then the C2 server, then C2.
+  // (drains clients), then the front-end engine (closes the C2 link), then
+  // C2.
   std::unique_ptr<SknnEngine> reference_;
-  std::unique_ptr<C2Service> c2_;
-  std::unique_ptr<RpcServer> c2_server_;
+  std::unique_ptr<LoopbackC2> c2_;
   std::unique_ptr<SknnEngine> engine_;
   std::unique_ptr<QueryService> service_;
 };

@@ -31,12 +31,9 @@
 #include <future>
 #include <memory>
 #include <numeric>
-#include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/logging.h"
-#include "common/mutex.h"
 
 #include "baseline/plaintext_knn.h"
 #include "core/data_owner.h"
@@ -47,7 +44,7 @@
 #include "core/sharding.h"
 #include "data/synthetic.h"
 #include "net/shard_wire.h"
-#include "net/socket.h"
+#include "tests/net_test_util.h"
 #include "tests/query_test_util.h"
 
 namespace sknn {
@@ -314,90 +311,28 @@ TEST(ShardManifestTest, RoundTripsThroughDbIo) {
 // ---------------------------------------------------------------------------
 // 4. The remote topology: real workers over loopback TCP + fault injection.
 
-// A C2 key holder accepting any number of TCP connections (the engine's and
-// every worker's), one RpcServer per link — the in-test stand-in for
-// tools/sknn_c2_server.
-class TcpC2 {
- public:
-  explicit TcpC2(PaillierSecretKey sk) : c2_(std::move(sk)) {
-    c2_.EnableRandomizerPool(/*capacity=*/32);
-    auto listener = TcpListener::Bind(0);
-    SKNN_CHECK(listener.ok()) << listener.status();
-    listener_.emplace(std::move(listener).value());
-    accept_thread_ = std::thread([this] {
-      for (;;) {
-        auto endpoint = listener_->Accept();
-        if (!endpoint.ok()) return;  // closed
-        MutexLock lock(&mutex_);
-        sessions_.push_back(std::make_unique<RpcServer>(
-            std::move(endpoint).value(),
-            [this](const Message& req) { return c2_.Handle(req); },
-            /*worker_threads=*/2));
-      }
-    });
-  }
-
-  ~TcpC2() {
-    listener_->Close();
-    if (auto kick = ConnectTcp("127.0.0.1", port()); kick.ok()) {
-      (*kick)->Close();
-    }
-    accept_thread_.join();
-    MutexLock lock(&mutex_);
-    for (auto& session : sessions_) session->Shutdown();
-  }
-
-  uint16_t port() const { return listener_->port(); }
-
-  std::unique_ptr<Endpoint> Connect() {
-    auto link = ConnectTcp("127.0.0.1", port());
-    SKNN_CHECK(link.ok()) << link.status();
-    return std::move(link).value();
-  }
-
- private:
-  C2Service c2_;
-  std::optional<TcpListener> listener_;
-  std::thread accept_thread_;
-  Mutex mutex_;
-  std::vector<std::unique_ptr<RpcServer>> sessions_ GUARDED_BY(mutex_);
-};
-
 // One shard worker served over a loopback TCP link (the in-test
-// tools/sknn_c1_shard). Handler may be overridden for fault injection.
+// tools/sknn_c1_shard).
 class TcpWorker {
  public:
-  TcpWorker(std::unique_ptr<ShardWorker> worker, RpcServer::Handler handler)
+  explicit TcpWorker(std::unique_ptr<ShardWorker> worker)
       : worker_(std::move(worker)) {
-    auto listener = TcpListener::Bind(0);
-    SKNN_CHECK(listener.ok()) << listener.status();
-    port_ = listener->port();
-    std::thread accepter([&] {
-      auto accepted = listener->Accept();
-      SKNN_CHECK(accepted.ok()) << accepted.status();
-      server_ = std::make_unique<RpcServer>(
-          std::move(accepted).value(), std::move(handler),
-          /*worker_threads=*/2);
-    });
-    link_ = ConnectTcp("127.0.0.1", port_);
-    SKNN_CHECK(link_.ok()) << link_.status();
-    accepter.join();
+    TcpLink link = LoopbackTcpLink();
+    ShardWorker* raw = worker_.get();
+    server_ = std::make_unique<RpcServer>(
+        std::move(link.server),
+        [raw](const Message& req) { return raw->Handle(req); },
+        /*worker_threads=*/2);
+    link_ = std::move(link.client);
   }
 
-  static RpcServer::Handler Passthrough(ShardWorker* worker) {
-    return [worker](const Message& req) { return worker->Handle(req); };
-  }
-
-  std::unique_ptr<Endpoint> TakeLink() { return std::move(link_).value(); }
-  RpcServer& server() { return *server_; }
+  std::unique_ptr<Endpoint> TakeLink() { return std::move(link_); }
   ShardWorker* worker() { return worker_.get(); }
 
  private:
   std::unique_ptr<ShardWorker> worker_;
-  uint16_t port_ = 0;
   std::unique_ptr<RpcServer> server_;
-  Result<std::unique_ptr<SocketEndpoint>> link_ =
-      Status::Internal("not connected");
+  std::unique_ptr<Endpoint> link_;
 };
 
 // What tools/sknn_c1_shard builds around one worker: its own C2 link, C1
@@ -417,7 +352,7 @@ struct RemoteTopology {
   PlainTable table;
   EncryptedDatabase db;
   ShardManifest manifest;
-  std::unique_ptr<TcpC2> c2;
+  std::unique_ptr<LoopbackC2> c2;
   // Outlive every worker made from them (workers and test locals alike).
   std::vector<std::unique_ptr<WorkerHost>> hosts;
   std::vector<std::unique_ptr<TcpWorker>> workers;
@@ -430,8 +365,9 @@ struct RemoteTopology {
     auto made = MakeShardManifest(n, s, ShardScheme::kContiguous);
     SKNN_CHECK(made.ok()) << made.status();
     manifest = std::move(made).value();
-    c2 = std::make_unique<TcpC2>(
-        PaillierSecretKey(SharedAlice().secret_key_for_c2()));
+    c2 = std::make_unique<LoopbackC2>(
+        PaillierSecretKey(SharedAlice().secret_key_for_c2()),
+        /*pool_capacity=*/32);
   }
 
   std::unique_ptr<ShardWorker> MakeWorker(std::size_t shard) {
@@ -444,10 +380,7 @@ struct RemoteTopology {
   }
 
   void AddWorker(std::size_t shard) {
-    auto worker = MakeWorker(shard);
-    ShardWorker* raw = worker.get();
-    workers.push_back(std::make_unique<TcpWorker>(
-        std::move(worker), TcpWorker::Passthrough(raw)));
+    workers.push_back(std::make_unique<TcpWorker>(MakeWorker(shard)));
   }
 
   Result<std::unique_ptr<SknnEngine>> MakeEngine() {
@@ -599,19 +532,12 @@ class FaultyWorker {
   FaultyWorker(const ShardGeometry& geometry, Mode mode,
                ShardWorker* honest = nullptr)
       : geometry_(geometry), mode_(mode), honest_(honest) {
-    auto listener = TcpListener::Bind(0);
-    SKNN_CHECK(listener.ok()) << listener.status();
-    std::thread accepter([&] {
-      auto accepted = listener->Accept();
-      SKNN_CHECK(accepted.ok()) << accepted.status();
-      server_ = std::make_unique<RpcServer>(
-          std::move(accepted).value(),
-          [this](const Message& req) { return Handle(req); },
-          /*worker_threads=*/1);
-    });
-    link_ = ConnectTcp("127.0.0.1", listener->port());
-    SKNN_CHECK(link_.ok()) << link_.status();
-    accepter.join();
+    TcpLink link = LoopbackTcpLink();
+    server_ = std::make_unique<RpcServer>(
+        std::move(link.server),
+        [this](const Message& req) { return Handle(req); },
+        /*worker_threads=*/1);
+    link_ = std::move(link.client);
   }
 
   ~FaultyWorker() {
@@ -619,7 +545,7 @@ class FaultyWorker {
     Release();
   }
 
-  std::unique_ptr<Endpoint> TakeLink() { return std::move(link_).value(); }
+  std::unique_ptr<Endpoint> TakeLink() { return std::move(link_); }
 
   /// Blocks until the faulty worker has received the query leg.
   void WaitForQuery() { query_seen_.get_future().wait(); }
@@ -673,8 +599,7 @@ class FaultyWorker {
   Mode mode_;
   ShardWorker* honest_;
   std::unique_ptr<RpcServer> server_;
-  Result<std::unique_ptr<SocketEndpoint>> link_ =
-      Status::Internal("not connected");
+  std::unique_ptr<Endpoint> link_;
   std::promise<void> query_seen_;
   std::atomic<bool> seen_{false};
   std::promise<void> hold_;

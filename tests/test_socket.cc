@@ -1,46 +1,33 @@
 // Tests for the TCP transport: framing round trips over localhost, close
-// semantics, the Endpoint abstraction under the RPC layer, and a full
-// secure-multiplication protocol run over real sockets — the two-process
-// deployment path exercised in one process.
+// semantics, the Endpoint abstraction under the RPC layer, the RpcListener
+// every server accepts through, and a full secure-multiplication protocol
+// run over real sockets — the two-process deployment path exercised in one
+// process.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <functional>
+#include <iterator>
 #include <thread>
 
 #include "net/rpc.h"
+#include "net/rpc_listener.h"
 #include "net/socket.h"
 #include "proto/c2_service.h"
 #include "proto/sm.h"
 #include "serve/query_service.h"
+#include "tests/net_test_util.h"
 #include "tests/proto_test_util.h"
 
 namespace sknn {
 namespace {
 
-struct SocketPair {
-  std::unique_ptr<SocketEndpoint> client;
-  std::unique_ptr<SocketEndpoint> server;
-};
-
-SocketPair MakeConnectedPair() {
-  auto listener = TcpListener::Bind(0);
-  EXPECT_TRUE(listener.ok()) << listener.status();
-  SocketPair pair;
-  std::thread accepter([&] {
-    auto accepted = listener->Accept();
-    EXPECT_TRUE(accepted.ok()) << accepted.status();
-    pair.server = std::move(accepted).value();
-  });
-  auto connected = ConnectTcp("127.0.0.1", listener->port());
-  EXPECT_TRUE(connected.ok()) << connected.status();
-  pair.client = std::move(connected).value();
-  accepter.join();
-  return pair;
-}
-
 TEST(SocketTest, FrameRoundTrip) {
-  SocketPair pair = MakeConnectedPair();
+  TcpLink pair = LoopbackTcpLink();
   ASSERT_TRUE(pair.client->Send({1, 2, 3, 4, 5}));
   std::vector<uint8_t> frame;
   ASSERT_TRUE(pair.server->Recv(&frame));
@@ -52,7 +39,7 @@ TEST(SocketTest, FrameRoundTrip) {
 }
 
 TEST(SocketTest, EmptyFrame) {
-  SocketPair pair = MakeConnectedPair();
+  TcpLink pair = LoopbackTcpLink();
   ASSERT_TRUE(pair.client->Send({}));
   std::vector<uint8_t> frame = {42};
   ASSERT_TRUE(pair.server->Recv(&frame));
@@ -60,7 +47,7 @@ TEST(SocketTest, EmptyFrame) {
 }
 
 TEST(SocketTest, LargeFrame) {
-  SocketPair pair = MakeConnectedPair();
+  TcpLink pair = LoopbackTcpLink();
   std::vector<uint8_t> big(1 << 20);
   for (std::size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<uint8_t>(i * 31);
@@ -71,17 +58,8 @@ TEST(SocketTest, LargeFrame) {
   EXPECT_EQ(frame, big);
 }
 
-TEST(SocketTest, TrafficCounters) {
-  SocketPair pair = MakeConnectedPair();
-  pair.client->Send({1, 2, 3});
-  std::vector<uint8_t> frame;
-  pair.server->Recv(&frame);
-  EXPECT_EQ(pair.client->bytes_sent(), 7u);  // 4-byte prefix + 3 payload
-  EXPECT_EQ(pair.server->bytes_received(), 7u);
-}
-
 TEST(SocketTest, CloseUnblocksPeerRecv) {
-  SocketPair pair = MakeConnectedPair();
+  TcpLink pair = LoopbackTcpLink();
   std::thread closer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     pair.client->Close();
@@ -161,64 +139,120 @@ TEST(SocketTest, ShardedEngineRejectsBadWorkerAddressBeforeDialing) {
       << engine.status();
 }
 
-TEST(SocketTest, RpcOverTcp) {
-  auto listener = TcpListener::Bind(0);
-  ASSERT_TRUE(listener.ok());
-  std::unique_ptr<RpcServer> server;
-  std::thread accepter([&] {
-    auto accepted = listener->Accept();
-    ASSERT_TRUE(accepted.ok());
-    server = std::make_unique<RpcServer>(
-        std::move(accepted).value(),
-        [](const Message& req) -> Result<Message> {
-          Message resp;
-          resp.type = req.type + 1;
-          resp.ints = req.ints;
-          return resp;
-        },
-        1);
-  });
-  auto connected = ConnectTcp("127.0.0.1", listener->port());
-  ASSERT_TRUE(connected.ok());
-  accepter.join();
-  RpcClient client(std::move(connected).value());
-
-  Message req;
-  req.type = 41;
-  req.ints = {BigInt(12345)};
-  auto resp = client.Call(std::move(req));
-  ASSERT_TRUE(resp.ok()) << resp.status();
-  EXPECT_EQ(resp->type, 42);
-  EXPECT_EQ(resp->ints[0], BigInt(12345));
-}
-
 TEST(SocketTest, SecureMultiplicationOverRealSockets) {
   // The full two-cloud topology over TCP: C2 behind a socket RPC server,
   // C1 driving SM through a socket RPC client.
   Random rng(2025);
   auto keys = GeneratePaillierKeyPair(256, rng).value();
   C2Service c2(std::move(keys.sk));
+  auto listener = ListenOnLoopback(
+      [&c2](const Message& req) { return c2.Handle(req); }, 1);
 
-  auto listener = TcpListener::Bind(0);
-  ASSERT_TRUE(listener.ok());
-  std::unique_ptr<RpcServer> server;
-  std::thread accepter([&] {
-    auto accepted = listener->Accept();
-    ASSERT_TRUE(accepted.ok());
-    server = std::make_unique<RpcServer>(
-        std::move(accepted).value(),
-        [&c2](const Message& req) { return c2.Handle(req); }, 1);
-  });
-  auto connected = ConnectTcp("127.0.0.1", listener->port());
-  ASSERT_TRUE(connected.ok());
-  accepter.join();
-
-  RpcClient client(std::move(connected).value());
+  RpcClient client(MustConnect(listener->port()));
   ProtoContext ctx(&keys.pk, &client);
   auto product = SecureMultiply(ctx, keys.pk.Encrypt(BigInt(59), rng),
                                 keys.pk.Encrypt(BigInt(58), rng));
   ASSERT_TRUE(product.ok()) << product.status();
   EXPECT_EQ(c2.secret_key().Decrypt(*product), BigInt(3422));
+}
+
+std::size_t CountEntries(const char* dir) {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator(dir),
+                    std::filesystem::directory_iterator()));
+}
+
+// Polls `done` every millisecond for up to 10 s.
+bool WaitFor(const std::function<bool()>& done) {
+  for (int i = 0; i < 10000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+TEST(RpcListenerTest, ClosedLinksAreReapedUnderChurn) {
+  // Peers that connect and hang up, over and over, as front ends, shard
+  // workers and reloads do against a standing C2. Each session holds a
+  // socket and 4 handler threads; a listener that kept the closed ones
+  // would end 100 fds and 400 threads up.
+  auto listener = ListenOnLoopback(
+      [](const Message& req) -> Result<Message> { return req; },
+      /*workers=*/4);
+  const std::size_t fds = CountEntries("/proc/self/fd");
+  const std::size_t threads = CountEntries("/proc/self/task");
+  for (uint64_t cycle = 1; cycle <= 100; ++cycle) {
+    auto link = MustConnect(listener->port());
+    ASSERT_TRUE(WaitFor([&] { return listener->accepted() == cycle; }));
+    link.reset();
+    // Once the session has seen the hang-up, the next accept must reap it.
+    ASSERT_TRUE(WaitFor([&] { return listener->live() == 0; }));
+  }
+  // Each accept reaps before it counts the new link, so once it is counted
+  // the 100 closed sessions are gone.
+  auto last = MustConnect(listener->port());
+  ASSERT_TRUE(WaitFor([&] { return listener->accepted() == 101; }));
+  EXPECT_EQ(listener->live(), 1u);
+  // Both ends of the last link; its receive thread and 4 workers.
+  EXPECT_LE(CountEntries("/proc/self/fd"), fds + 2);
+  EXPECT_LE(CountEntries("/proc/self/task"), threads + 5);
+}
+
+TEST(RpcListenerTest, EachLinkHasItsOwnHandlerAndShutdownWaitsForInFlight) {
+  // RPC over TCP through the listener: a response echoes its request's
+  // ints, answers with type + 1, and counts its link's calls in aux.
+  constexpr uint16_t kSlow = 1;
+  std::atomic<bool> slow_started{false};
+  std::atomic<bool> slow_finished{false};
+  auto started = RpcListener::Start(
+      0,
+      [&] {
+        // Per-link state: how many calls this link has made.
+        auto calls = std::make_shared<std::atomic<uint64_t>>(0);
+        return RpcServer::Handler([&, calls](const Message& req) {
+          Message resp;
+          resp.type = req.type + 1;
+          resp.ints = req.ints;
+          FrameWriter(resp.aux).U64(++*calls);
+          if (req.type == kSlow) {
+            slow_started.store(true);
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+            slow_finished.store(true);
+          }
+          return Result<Message>(std::move(resp));
+        });
+      },
+      /*worker_threads=*/2);
+  ASSERT_TRUE(started.ok()) << started.status();
+  RpcListener& listener = **started;
+  RpcClient a(MustConnect(listener.port()));
+  RpcClient b(MustConnect(listener.port()));
+  auto call = [](RpcClient& client, uint16_t type) {
+    Message req;
+    req.type = type;
+    auto resp = client.Call(std::move(req));
+    return resp.ok() ? FrameReader(resp->aux).U64() : 0;
+  };
+  Message req;
+  req.type = 41;
+  req.ints = {BigInt(12345)};
+  auto resp = a.Call(std::move(req));
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_EQ(resp->type, 42);
+  EXPECT_EQ(resp->ints, std::vector<BigInt>{BigInt(12345)});
+  EXPECT_EQ(FrameReader(resp->aux).U64(), 1u);
+  EXPECT_EQ(call(a, 0), 2u);
+  EXPECT_EQ(call(b, 0), 1u);  // b's handler keeps its own count
+  EXPECT_EQ(call(a, 0), 3u);
+  EXPECT_EQ(listener.accepted(), 2u);
+  EXPECT_EQ(listener.live(), 2u);
+
+  // Shutdown while a handler is mid-call returns only after that handler.
+  std::thread caller([&] { call(b, kSlow); });  // its link closes under it
+  ASSERT_TRUE(WaitFor([&] { return slow_started.load(); }));
+  listener.Shutdown();
+  EXPECT_TRUE(slow_finished.load());
+  EXPECT_EQ(listener.live(), 0u);
+  caller.join();
 }
 
 TEST(SocketTest, BobOutboxFetchOpcode) {

@@ -45,6 +45,7 @@
 #include "serve/query_service.h"
 #include "serve/remote_query_client.h"
 #include "serve/table_registry.h"
+#include "tests/net_test_util.h"
 #include "tests/query_test_util.h"
 
 namespace sknn {
@@ -291,60 +292,12 @@ TEST(TsanStress, SharedKeyContextsUnderConcurrentExponentiation) {
 // 5. A shard worker dies mid-serving; the front end must fail queries with
 //    a Status and keep its control plane alive, never crash or hang.
 
-// A C2 key holder accepting any number of TCP connections (the engine's and
-// every worker's) — the in-test stand-in for tools/sknn_c2_server.
-class StressC2 {
- public:
-  StressC2() : c2_(PaillierSecretKey(SharedAlice().secret_key_for_c2())) {
-    c2_.EnableRandomizerPool(/*capacity=*/32);
-    auto listener = TcpListener::Bind(0);
-    SKNN_CHECK(listener.ok()) << listener.status();
-    listener_.emplace(std::move(listener).value());
-    accept_thread_ = std::thread([this] {
-      for (;;) {
-        auto endpoint = listener_->Accept();
-        if (!endpoint.ok()) return;  // closed
-        MutexLock lock(&mutex_);
-        sessions_.push_back(std::make_unique<RpcServer>(
-            std::move(endpoint).value(),
-            [this](const Message& req) { return c2_.Handle(req); },
-            /*worker_threads=*/2));
-      }
-    });
-  }
-
-  ~StressC2() {
-    listener_->Close();
-    if (auto kick = ConnectTcp("127.0.0.1", port()); kick.ok()) {
-      (*kick)->Close();
-    }
-    accept_thread_.join();
-    MutexLock lock(&mutex_);
-    for (auto& session : sessions_) session->Shutdown();
-  }
-
-  uint16_t port() const { return listener_->port(); }
-
-  std::unique_ptr<Endpoint> Connect() {
-    auto link = ConnectTcp("127.0.0.1", port());
-    SKNN_CHECK(link.ok()) << link.status();
-    return std::move(link).value();
-  }
-
- private:
-  C2Service c2_;
-  std::optional<TcpListener> listener_;
-  std::thread accept_thread_;
-  Mutex mutex_;
-  std::vector<std::unique_ptr<RpcServer>> sessions_ GUARDED_BY(mutex_);
-};
-
 // One shard worker served over a loopback TCP link (the in-test
 // tools/sknn_c1_shard), killable mid-run.
 class StressWorker {
  public:
   StressWorker(const EncryptedDatabase& db, const ShardManifest& manifest,
-               std::size_t shard, StressC2* c2) {
+               std::size_t shard, LoopbackC2* c2) {
     c2_client_ = std::make_unique<RpcClient>(c2->Connect());
     PaillierPublicKey pk = SharedAlice().public_key();
     pk.set_randomizer_pool(&rand_pool_);
@@ -353,23 +306,16 @@ class StressWorker {
     SKNN_CHECK(worker.ok()) << worker.status();
     worker_ = std::move(worker).value();
 
-    auto listener = TcpListener::Bind(0);
-    SKNN_CHECK(listener.ok()) << listener.status();
-    std::thread accepter([&] {
-      auto accepted = listener->Accept();
-      SKNN_CHECK(accepted.ok()) << accepted.status();
-      ShardWorker* raw = worker_.get();
-      server_ = std::make_unique<RpcServer>(
-          std::move(accepted).value(),
-          [raw](const Message& req) { return raw->Handle(req); },
-          /*worker_threads=*/2);
-    });
-    link_ = ConnectTcp("127.0.0.1", listener->port());
-    SKNN_CHECK(link_.ok()) << link_.status();
-    accepter.join();
+    TcpLink link = LoopbackTcpLink();
+    ShardWorker* raw = worker_.get();
+    server_ = std::make_unique<RpcServer>(
+        std::move(link.server),
+        [raw](const Message& req) { return raw->Handle(req); },
+        /*worker_threads=*/2);
+    link_ = std::move(link.client);
   }
 
-  std::unique_ptr<Endpoint> TakeLink() { return std::move(link_).value(); }
+  std::unique_ptr<Endpoint> TakeLink() { return std::move(link_); }
 
   /// The "kill -9": slams the worker's link shut.
   void Kill() { server_->Shutdown(); }
@@ -382,8 +328,7 @@ class StressWorker {
   RandomizerPool rand_pool_{SharedAlice().public_key().n(), /*capacity=*/32};
   std::unique_ptr<ShardWorker> worker_;
   std::unique_ptr<RpcServer> server_;
-  Result<std::unique_ptr<SocketEndpoint>> link_ =
-      Status::Internal("not connected");
+  std::unique_ptr<Endpoint> link_;
 };
 
 TEST(TsanStress, ShardWorkerKilledMidServing) {
@@ -394,7 +339,8 @@ TEST(TsanStress, ShardWorkerKilledMidServing) {
   auto manifest = MakeShardManifest(8, 2, ShardScheme::kContiguous);
   ASSERT_TRUE(manifest.ok()) << manifest.status();
 
-  StressC2 c2;
+  LoopbackC2 c2(PaillierSecretKey(SharedAlice().secret_key_for_c2()),
+                /*pool_capacity=*/32);
   auto worker0 = std::make_unique<StressWorker>(db, *manifest, 0, &c2);
   auto worker1 = std::make_unique<StressWorker>(db, *manifest, 1, &c2);
   std::vector<std::unique_ptr<Endpoint>> links;
@@ -453,7 +399,8 @@ TEST(TsanStress, ReplicaChurnUnderLoad) {
   auto manifest = MakeShardManifest(8, 2, ShardScheme::kContiguous);
   ASSERT_TRUE(manifest.ok()) << manifest.status();
 
-  StressC2 c2;
+  LoopbackC2 c2(PaillierSecretKey(SharedAlice().secret_key_for_c2()),
+                /*pool_capacity=*/32);
   // Two replicas per shard; the killer later takes one of EACH shard, so
   // both failover paths run while full coverage survives.
   auto shard0_a = std::make_unique<StressWorker>(db, *manifest, 0, &c2);

@@ -479,9 +479,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
-  // The main loop polls; the handler only needs to set the flag (no
-  // blocked accept to wake — QueryService owns its own listener thread).
-  InstallShutdownHandler(-1);
+  // The main loop below polls the flag the handler sets.
+  InstallShutdownHandler();
 
   std::printf("C1 query front end serving on 127.0.0.1:%u "
               "(protocol rev %u, %zu table%s, threads=%zu, "

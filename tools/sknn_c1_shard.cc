@@ -21,23 +21,25 @@
 // records of cluster i of the sknn_encrypt --clusters manifest, so a
 // clustered front end can prune this whole worker out of a query.
 //
-// --connections N exits after N coordinator links close (scripted smoke
+// Coordinator links are served through net/rpc_listener.h, so a closed
+// link's session is freed on the next accept. --connections N exits once N
+// coordinator links were accepted and all have closed (scripted smoke
 // runs); the default serves until SIGINT/SIGTERM, either of which stops
 // accepting, drains in-flight shard stages and exits 0.
 #include <cstdio>
 #include <optional>
-#include <vector>
 
 #include "core/db_io.h"
 #include "core/shard_worker.h"
 #include "crypto/serialization.h"
-#include "net/rpc.h"
+#include "net/rpc_listener.h"
 #include "net/socket.h"
 #include "tools/tool_util.h"
 
-int main(int argc, char** argv) {
-  using namespace sknn;
-  using namespace sknn::tools;
+namespace sknn::tools {
+namespace {
+
+Status Run(int argc, char** argv) {
   const char* usage =
       "sknn_c1_shard --public <pk> --db <db.bin> --port <p> "
       "--c2-host <ip> --c2-port <p> --shards <s> --shard-index <i> "
@@ -60,150 +62,94 @@ int main(int argc, char** argv) {
       65535));
   std::size_t threads = static_cast<std::size_t>(ParseUint64OrDie(
       FlagOr(flags, "threads", "1"), "threads", usage, 1, 4096));
-  long connections = static_cast<long>(ParseInt64OrDie(
-      FlagOr(flags, "connections", "-1"), "connections", usage, -1));
+  const int64_t connections = ParseInt64OrDie(
+      FlagOr(flags, "connections", "-1"), "connections", usage, -1);
 
-  auto pk = ReadPublicKeyFile(pk_path);
-  if (!pk.ok()) {
-    std::fprintf(stderr, "%s\n", pk.status().ToString().c_str());
-    return 1;
-  }
-  auto db = ReadEncryptedDatabase(db_path);
-  if (!db.ok()) {
-    std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
-    return 1;
-  }
-  if (Status s = ValidateCiphertexts(*db, *pk); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
+  SKNN_ASSIGN_OR_RETURN(PaillierPublicKey pk, ReadPublicKeyFile(pk_path));
+  SKNN_ASSIGN_OR_RETURN(EncryptedDatabase db, ReadEncryptedDatabase(db_path));
+  SKNN_RETURN_NOT_OK(ValidateCiphertexts(db, pk));
 
   ShardManifest manifest;
   std::optional<ClusterManifest> clusters;
   if (flags.count("clusters")) {
-    auto loaded = ReadClusterManifest(flags.at("clusters"));
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    clusters = std::move(loaded).value();
-    if (Status s = ValidateClusterManifestForDatabase(*clusters, *db);
-        !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    auto made = MakeShardManifest(db->num_records(), clusters->num_clusters,
-                                  ShardScheme::kByCluster);
-    if (!made.ok()) {
-      std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
-      return 1;
-    }
-    manifest = std::move(made).value();
+    SKNN_ASSIGN_OR_RETURN(clusters, ReadClusterManifest(flags.at("clusters")));
+    SKNN_RETURN_NOT_OK(ValidateClusterManifestForDatabase(*clusters, db));
+    SKNN_ASSIGN_OR_RETURN(
+        manifest, MakeShardManifest(db.num_records(), clusters->num_clusters,
+                                    ShardScheme::kByCluster));
   } else if (flags.count("manifest")) {
-    auto loaded = ReadShardManifest(flags.at("manifest"));
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    manifest = std::move(loaded).value();
+    SKNN_ASSIGN_OR_RETURN(manifest, ReadShardManifest(flags.at("manifest")));
     // A manifest from a different export would misassign every record;
     // refuse to serve rather than answer wrong.
-    if (Status s = ValidateManifestForDatabase(manifest, *db); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
+    SKNN_RETURN_NOT_OK(ValidateManifestForDatabase(manifest, db));
   } else {
     std::size_t shards = static_cast<std::size_t>(ParseUint64OrDie(
         RequireFlag(flags, "shards", usage), "shards", usage, 1, 65535));
-    auto scheme = ParseShardScheme(FlagOr(flags, "scheme", "contiguous"));
-    if (!scheme.ok()) {
-      std::fprintf(stderr, "%s\n", scheme.status().ToString().c_str());
-      return 1;
-    }
-    auto made = MakeShardManifest(db->num_records(), shards, *scheme);
-    if (!made.ok()) {
-      std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
-      return 1;
-    }
-    manifest = std::move(made).value();
+    SKNN_ASSIGN_OR_RETURN(ShardScheme scheme,
+                          ParseShardScheme(FlagOr(flags, "scheme",
+                                                  "contiguous")));
+    SKNN_ASSIGN_OR_RETURN(manifest,
+                          MakeShardManifest(db.num_records(), shards, scheme));
   }
 
   auto c2_link = ConnectTcp(c2_host, c2_port);
   if (!c2_link.ok()) {
-    std::fprintf(stderr, "cannot reach C2 at %s:%u: %s\n", c2_host.c_str(),
-                 c2_port, c2_link.status().ToString().c_str());
-    return 1;
+    return Status::Unavailable("cannot reach C2 at " + c2_host + ":" +
+                               std::to_string(c2_port) + ": " +
+                               c2_link.status().ToString());
   }
 
   // What the worker runs on, built the way SknnEngine::InitCommon builds
   // its own: the C2 client, a C1 pool for the local fan-out, and a
-  // randomizer pool behind the key.
+  // randomizer pool behind the key, refilled by RefillWorkersFor(threads)
+  // threads.
   RpcClient c2(std::move(c2_link).value());
   Message ping;
   ping.type = OpCode(Op::kPing);
   auto pong = c2.Call(std::move(ping));
   if (!pong.ok() || pong->type != OpCode(Op::kPing)) {
-    std::fprintf(stderr, "C2 at %s:%u did not answer ping (not a C2 "
-                 "server?)\n", c2_host.c_str(), c2_port);
-    return 1;
+    return Status::Unavailable("C2 at " + c2_host + ":" +
+                               std::to_string(c2_port) +
+                               " did not answer ping (not a C2 server?)");
   }
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
-  RandomizerPool rand_pool(pk->n(), /*capacity=*/4096);
-  pk->set_randomizer_pool(&rand_pool);
+  RandomizerPool rand_pool(pk.n(), /*capacity=*/4096,
+                           RefillWorkersFor(threads));
+  pk.set_randomizer_pool(&rand_pool);
 
   auto worker =
       clusters.has_value()
-          ? ShardWorker::Create(*pk, *db, *clusters, shard_index, &c2,
+          ? ShardWorker::Create(pk, db, *clusters, shard_index, &c2,
                                 pool ? &*pool : nullptr)
-          : ShardWorker::Create(*pk, *db, manifest, shard_index, &c2,
+          : ShardWorker::Create(pk, db, manifest, shard_index, &c2,
                                 pool ? &*pool : nullptr);
   if (!worker.ok()) {
-    std::fprintf(stderr, "shard worker setup failed: %s\n",
-                 worker.status().ToString().c_str());
-    return 1;
+    return Status(worker.status().code(), "shard worker setup failed: " +
+                                              worker.status().message());
   }
-  db->records.clear();  // only the slice is needed from here on
+  db.records.clear();  // only the slice is needed from here on
 
-  auto listener = TcpListener::Bind(port);
-  if (!listener.ok()) {
-    std::fprintf(stderr, "%s\n", listener.status().ToString().c_str());
-    return 1;
-  }
-  // SIGINT/SIGTERM: wake the blocked Accept and run the drain path below.
-  InstallShutdownHandler(listener->native_handle());
+  const RpcServer::Handler handler = [&worker](const Message& req) {
+    return (*worker)->Handle(req);
+  };
+  SKNN_ASSIGN_OR_RETURN(
+      std::unique_ptr<RpcListener> listener,
+      RpcListener::Start(port, [&handler] { return handler; }, threads));
+  InstallShutdownHandler();
   std::printf(
       "C1 shard %zu/%zu (%s, %zu records) serving on 127.0.0.1:%u\n",
       shard_index, manifest.num_shards, ShardSchemeName(manifest.scheme),
       (*worker)->shard_records(), listener->port());
   std::fflush(stdout);
 
-  ShardWorker* worker_raw = worker->get();
-  std::vector<std::unique_ptr<RpcServer>> sessions;
-  for (long served = 0; connections < 0 || served < connections; ++served) {
-    auto endpoint = listener->Accept();
-    if (ShutdownRequested()) break;
-    if (!endpoint.ok()) {
-      std::fprintf(stderr, "accept failed: %s\n",
-                   endpoint.status().ToString().c_str());
-      break;
-    }
-    std::printf("coordinator connection %ld established\n", served + 1);
-    std::fflush(stdout);
-    sessions.push_back(std::make_unique<RpcServer>(
-        std::move(endpoint).value(),
-        [worker_raw](const Message& req) { return worker_raw->Handle(req); },
-        threads));
-  }
-  if (ShutdownRequested()) {
-    listener->Close();
-    for (auto& session : sessions) session->Shutdown();
-    std::printf("signal received; drained %zu coordinator connection%s and "
-                "shut down\n",
-                sessions.size(), sessions.size() == 1 ? "" : "s");
-    return 0;
-  }
-  for (auto& session : sessions) session->WaitForClose();
-  std::printf("all coordinator connections closed; shutting down\n");
-  return 0;
+  ServeUntilDone(*listener, connections, "coordinator connection");
+  return Status::OK();
+}
+
+}  // namespace
+}  // namespace sknn::tools
+
+int main(int argc, char** argv) {
+  return sknn::tools::ExitCode(sknn::tools::Run(argc, argv));
 }

@@ -4,29 +4,33 @@
 //                  [--connections N] [--pool-capacity N]
 //                  [--no-short-randomizers]
 //
-// Serves the C2 side of every sub-protocol over TCP. C1 connects with one
-// link; each querying user (Bob) connects with his own link to pick up
-// results — C2 never routes Bob's data through C1. With --connections N the
-// server exits after N links close (for scripted runs); otherwise it serves
-// until SIGINT/SIGTERM, either of which stops accepting, drains in-flight
-// handlers and exits 0. --workers also enables intra-message fan-out for
-// the batched opcodes. Response encryptions draw from a randomizer pool
+// Serves the C2 side of every sub-protocol over TCP, one RpcServer per
+// link (net/rpc_listener.h). Each C1 front end, shard worker and table
+// reload dials its own link; C2 serves them all, and a closed link's
+// session is freed on the next accept. Bob's masked results leave C2 on
+// C1's link too: C1's engine fetches them with kFetchBobOutbox and unmasks
+// them as Bob's agent, since it holds Bob's masks (docs/DEPLOY.md, "Trust
+// model of the thin-client split"). With
+// --connections N the server exits once N links were accepted and all have
+// closed (for scripted runs); otherwise it serves until SIGINT/SIGTERM,
+// either of which stops accepting, drains in-flight handlers and exits 0.
+// --workers sizes each link's handler pool and also enables intra-message
+// fan-out for the batched opcodes. Response encryptions draw from a randomizer pool
 // that holds --pool-capacity precomputed r^N values and refills on
 // background threads sized from --workers. Refills use the short-exponent
 // fixed-base path (docs/CRYPTO.md); --no-short-randomizers selects the
 // assumption-free full-width reference generation instead.
 #include <cstdio>
-#include <vector>
 
 #include "crypto/serialization.h"
-#include "net/rpc.h"
-#include "net/socket.h"
+#include "net/rpc_listener.h"
 #include "proto/c2_service.h"
 #include "tools/tool_util.h"
 
-int main(int argc, char** argv) {
-  using namespace sknn;
-  using namespace sknn::tools;
+namespace sknn::tools {
+namespace {
+
+Status Run(int argc, char** argv) {
   const char* usage =
       "sknn_c2_server --secret <sk-file> --port <p> [--workers N] "
       "[--connections N] [--pool-capacity N] [--no-short-randomizers]";
@@ -39,58 +43,34 @@ int main(int argc, char** argv) {
                                  usage);
   std::size_t workers = static_cast<std::size_t>(ParseUint64OrDie(
       FlagOr(flags, "workers", "1"), "workers", usage, 1, 4096));
-  long connections = static_cast<long>(ParseInt64OrDie(
-      FlagOr(flags, "connections", "-1"), "connections", usage, -1));
+  const int64_t connections = ParseInt64OrDie(
+      FlagOr(flags, "connections", "-1"), "connections", usage, -1);
   std::size_t pool_capacity = static_cast<std::size_t>(
       ParseUint64OrDie(FlagOr(flags, "pool-capacity", "4096"),
                        "pool-capacity", usage, 1, uint64_t{1} << 30));
 
-  auto sk = ReadSecretKeyFile(sk_path);
-  if (!sk.ok()) {
-    std::fprintf(stderr, "%s\n", sk.status().ToString().c_str());
-    return 1;
-  }
-  C2Service c2(std::move(sk).value());
+  SKNN_ASSIGN_OR_RETURN(PaillierSecretKey sk, ReadSecretKeyFile(sk_path));
+  C2Service c2(std::move(sk));
   c2.StartPools(workers, pool_capacity, !flags.count("no-short-randomizers"));
 
-  auto listener = TcpListener::Bind(port);
-  if (!listener.ok()) {
-    std::fprintf(stderr, "%s\n", listener.status().ToString().c_str());
-    return 1;
-  }
-  // SIGINT/SIGTERM: the handler shutdown(2)s the listening fd, so the
-  // blocked Accept below returns and the drain path runs.
-  InstallShutdownHandler(listener->native_handle());
+  const RpcServer::Handler handler = [&c2](const Message& req) {
+    return c2.Handle(req);
+  };
+  SKNN_ASSIGN_OR_RETURN(
+      std::unique_ptr<RpcListener> listener,
+      RpcListener::Start(port, [&handler] { return handler; }, workers));
+  InstallShutdownHandler();
   std::printf("C2 key-holder serving on 127.0.0.1:%u (workers=%zu)\n",
               listener->port(), workers);
   std::fflush(stdout);
 
-  std::vector<std::unique_ptr<RpcServer>> sessions;
-  for (long served = 0; connections < 0 || served < connections; ++served) {
-    auto endpoint = listener->Accept();
-    if (ShutdownRequested()) break;
-    if (!endpoint.ok()) {
-      std::fprintf(stderr, "accept failed: %s\n",
-                   endpoint.status().ToString().c_str());
-      break;
-    }
-    std::printf("connection %ld established\n", served + 1);
-    std::fflush(stdout);
-    sessions.push_back(std::make_unique<RpcServer>(
-        std::move(endpoint).value(),
-        [&c2](const Message& req) { return c2.Handle(req); }, workers));
-  }
-  if (ShutdownRequested()) {
-    // Signal: unbind (done — the handler killed the listener), finish any
-    // in-flight handlers, close the links, exit clean.
-    listener->Close();
-    for (auto& session : sessions) session->Shutdown();
-    std::printf("signal received; drained %zu connection%s and shut down\n",
-                sessions.size(), sessions.size() == 1 ? "" : "s");
-    return 0;
-  }
-  // Scripted mode: serve every accepted link to completion, then exit.
-  for (auto& session : sessions) session->WaitForClose();
-  std::printf("all connections closed; shutting down\n");
-  return 0;
+  ServeUntilDone(*listener, connections, "connection");
+  return Status::OK();
+}
+
+}  // namespace
+}  // namespace sknn::tools
+
+int main(int argc, char** argv) {
+  return sknn::tools::ExitCode(sknn::tools::Run(argc, argv));
 }

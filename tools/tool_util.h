@@ -4,15 +4,14 @@
 // out-of-range count, trailing garbage) prints the offending flag and the
 // tool's usage string and exits 2 — it never throws out of std::sto* and
 // aborts the process. Also the servers' shared SIGINT/SIGTERM machinery
-// (InstallShutdownHandler): a signal requests a clean unbind-and-drain
-// instead of killing the process mid-response.
+// (InstallShutdownHandler, ServeUntilDone): a signal requests a clean
+// unbind-and-drain instead of killing the process mid-response.
 #ifndef SKNN_TOOLS_TOOL_UTIL_H_
 #define SKNN_TOOLS_TOOL_UTIL_H_
 
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <charconv>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -22,10 +21,12 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/types.h"
+#include "net/rpc_listener.h"
 
 namespace sknn {
 namespace tools {
@@ -93,14 +94,13 @@ inline std::vector<std::string> FlagValues(
 // so scripted deployments (scripts/smoke_deploy.sh) can `kill -TERM` and
 // `wait` for a real exit code instead of kill-and-hope.
 //
-// Mechanics: the handler (installed WITHOUT SA_RESTART) sets a flag and
-// shutdown(2)s the listening fd — both async-signal-safe — which wakes a
-// blocked accept(2) with an error; the accept loop sees the flag and
-// returns to the drain path. A second signal during a stubborn drain
-// restores the default disposition, so repeated Ctrl-C still kills.
+// Mechanics: the handler only sets a flag (async-signal-safe); each
+// server's main thread polls it (ShutdownRequested) and then shuts its
+// listener down, which closes the port and drains the sessions. A second
+// signal during a stubborn drain restores the default disposition, so
+// repeated Ctrl-C still kills.
 
 inline volatile std::sig_atomic_t g_shutdown_requested = 0;
-inline volatile int g_shutdown_wake_fd = -1;
 
 inline void ShutdownSignalHandler(int signum) {
   if (g_shutdown_requested) {
@@ -109,24 +109,47 @@ inline void ShutdownSignalHandler(int signum) {
     return;
   }
   g_shutdown_requested = 1;
-  const int fd = g_shutdown_wake_fd;
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
-/// \brief Routes SIGINT and SIGTERM into the drain path. `wake_fd` is the
-/// listening socket a blocked accept(2) waits on (pass -1 for servers that
-/// poll instead of block).
-inline void InstallShutdownHandler(int wake_fd) {
-  g_shutdown_wake_fd = wake_fd;
+/// \brief Routes SIGINT and SIGTERM into the drain path.
+inline void InstallShutdownHandler() {
   struct sigaction sa = {};
   sa.sa_handler = ShutdownSignalHandler;
   sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // deliberately no SA_RESTART: accept() must return
+  // Interrupted calls restart: the accept thread's accept(2) must not fail
+  // with EINTR just because the signal landed on its thread.
+  sa.sa_flags = SA_RESTART;
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
 }
 
 inline bool ShutdownRequested() { return g_shutdown_requested != 0; }
+
+/// \brief Serves `listener` until SIGINT/SIGTERM or, when `connections` >=
+/// 0 (the servers' --connections), until that many links were accepted and
+/// all of them have closed; then shuts it down. `link` names one link in
+/// the closing line.
+inline void ServeUntilDone(RpcListener& listener, int64_t connections,
+                           const char* link) {
+  while (!ShutdownRequested() &&
+         (connections < 0 ||
+          listener.accepted() < static_cast<uint64_t>(connections) ||
+          listener.live() > 0)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  listener.Shutdown();
+  std::printf("served %llu %s(s)%s; shut down\n",
+              static_cast<unsigned long long>(listener.accepted()), link,
+              ShutdownRequested() ? ", drained on signal" : "");
+}
+
+/// \brief main's exit code for a tool whose work returned `status`: 0, or
+/// 1 after printing the error.
+inline int ExitCode(const Status& status) {
+  if (status.ok()) return 0;
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 1;
+}
 
 inline std::string RequireFlag(const std::map<std::string, std::string>& flags,
                                const std::string& name, const char* usage) {
