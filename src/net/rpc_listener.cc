@@ -67,22 +67,7 @@ void RpcListener::Shutdown() {
 }
 
 void RpcListener::AcceptLoop() {
-  while (!stopping_.load()) {
-    const bool queued = listener_.AwaitConnection(kReapInterval);
-    // Reap the sessions whose peer hung up; they are destroyed outside the
-    // lock, as a reaped session may still be joining a handler that is
-    // finishing a long query.
-    std::vector<std::unique_ptr<RpcServer>> dead;
-    {
-      MutexLock lock(&mutex_);
-      auto finished = std::partition(
-          sessions_.begin(), sessions_.end(),
-          [](const std::unique_ptr<RpcServer>& s) { return !s->Finished(); });
-      std::move(finished, sessions_.end(), std::back_inserter(dead));
-      sessions_.erase(finished, sessions_.end());
-    }
-    dead.clear();
-    if (!queued || stopping_.load()) continue;
+  for (;;) {
     auto endpoint = listener_.Accept();
     if (stopping_.load()) return;
     if (!endpoint.ok()) {
@@ -96,9 +81,21 @@ void RpcListener::AcceptLoop() {
     }
     auto session = std::make_unique<RpcServer>(std::move(endpoint).value(),
                                                factory_(), worker_threads_);
-    MutexLock lock(&mutex_);
-    sessions_.push_back(std::move(session));
-    ++accepted_;
+    // Reap the sessions whose peer hung up. They are destroyed outside the
+    // lock, as a reaped session may still be joining a handler that is
+    // finishing a long query.
+    std::vector<std::unique_ptr<RpcServer>> dead;
+    {
+      MutexLock lock(&mutex_);
+      auto finished = std::partition(
+          sessions_.begin(), sessions_.end(),
+          [](const std::unique_ptr<RpcServer>& s) { return !s->Finished(); });
+      std::move(finished, sessions_.end(), std::back_inserter(dead));
+      sessions_.erase(finished, sessions_.end());
+      sessions_.push_back(std::move(session));
+      ++accepted_;
+    }
+    dead.clear();
   }
 }
 

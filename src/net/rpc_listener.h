@@ -4,13 +4,11 @@
 // factory builds (QueryService keeps its per-session state there), reaps
 // the sessions whose peer hung up, and rides out failed accepts. A server
 // churning through short links holds only its live ones: a closed link's
-// socket and handler threads are freed on the next accept, or within
-// kReapInterval when none comes.
+// socket and handler threads are freed on the next accept.
 #ifndef SKNN_NET_RPC_LISTENER_H_
 #define SKNN_NET_RPC_LISTENER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -66,9 +64,6 @@ class RpcListener {
  private:
   RpcListener(TcpListener listener, HandlerFactory factory,
               std::size_t worker_threads);
-
-  /// How long the accept thread waits for a connection before it reaps.
-  static constexpr std::chrono::milliseconds kReapInterval{100};
 
   void AcceptLoop();
 

@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -63,8 +62,12 @@ bool SocketEndpoint::Send(std::vector<uint8_t> frame) {
   uint32_t len = static_cast<uint32_t>(frame.size());
   for (int i = 0; i < 4; ++i) header[i] = static_cast<uint8_t>(len >> (8 * i));
   MutexLock lock(&send_mutex_);
-  return WriteAll(fd_, header, 4) &&
-         WriteAll(fd_, frame.data(), frame.size());
+  if (!WriteAll(fd_, header, 4) ||
+      !WriteAll(fd_, frame.data(), frame.size())) {
+    return false;
+  }
+  bytes_sent_.fetch_add(4 + frame.size(), std::memory_order_relaxed);
+  return true;
 }
 
 bool SocketEndpoint::Recv(std::vector<uint8_t>* frame) {
@@ -82,6 +85,7 @@ bool SocketEndpoint::Recv(std::vector<uint8_t>* frame) {
     if (!ReadAll(fd_, frame->data() + have, step)) return false;
     have += step;
   }
+  bytes_received_.fetch_add(4 + len, std::memory_order_relaxed);
   return true;
 }
 
@@ -179,6 +183,16 @@ TcpListener::TcpListener(TcpListener&& other) noexcept
     : fd_(other.fd_.exchange(-1, std::memory_order_acq_rel)),
       port_(other.port_) {}
 
+TcpListener& TcpListener::operator=(TcpListener&& other) noexcept {
+  if (this != &other) {
+    Close();
+    fd_.store(other.fd_.exchange(-1, std::memory_order_acq_rel),
+              std::memory_order_release);
+    port_ = other.port_;
+  }
+  return *this;
+}
+
 Result<std::unique_ptr<SocketEndpoint>> TcpListener::Accept() {
   // Read the fd once: Close() may flip it to -1 concurrently
   // (RpcListener::Shutdown), and a blocked accept(2) on the old fd then
@@ -195,13 +209,6 @@ Result<std::unique_ptr<SocketEndpoint>> TcpListener::Accept() {
   int one = 1;
   ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return std::make_unique<SocketEndpoint>(client);
-}
-
-bool TcpListener::AwaitConnection(std::chrono::milliseconds timeout) {
-  pollfd listening{fd_.load(std::memory_order_acquire), POLLIN, 0};
-  if (listening.fd < 0) return true;
-  // A signal (-1, EINTR) counts as "nothing queued": the caller waits again.
-  return ::poll(&listening, 1, static_cast<int>(timeout.count())) > 0;
 }
 
 void TcpListener::Close() {

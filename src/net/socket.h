@@ -9,7 +9,6 @@
 #define SKNN_NET_SOCKET_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -42,6 +41,10 @@ class SocketEndpoint : public Endpoint {
   /// number closed (and potentially reused by another open()) under it.
   void Close() override;
 
+  /// \brief Bytes written/read so far on this socket.
+  uint64_t bytes_sent() const { return bytes_sent_.load(); }
+  uint64_t bytes_received() const { return bytes_received_.load(); }
+
  private:
   /// Assigned once at construction, closed by the destructor. Concurrent
   /// Send/Recv/Close only ever read it.
@@ -49,6 +52,8 @@ class SocketEndpoint : public Endpoint {
   Mutex send_mutex_;  // serializes writers: frames must not interleave
   Mutex recv_mutex_;  // serializes readers: one frame per caller
   std::atomic<bool> closed_{false};
+  std::atomic<uint64_t> bytes_sent_{0};
+  std::atomic<uint64_t> bytes_received_{0};
 };
 
 /// \brief Connects to host:port (IPv4 dotted quad or "localhost").
@@ -72,16 +77,12 @@ class TcpListener {
   ~TcpListener();
 
   TcpListener(TcpListener&& other) noexcept;
+  TcpListener& operator=(TcpListener&& other) noexcept;
   TcpListener(const TcpListener&) = delete;
   TcpListener& operator=(const TcpListener&) = delete;
 
   /// \brief Blocks for the next inbound connection.
   Result<std::unique_ptr<SocketEndpoint>> Accept();
-
-  /// \brief Waits up to `timeout` for a connection to queue; true when
-  /// Accept would return without blocking (a connection is queued, or the
-  /// listener was closed).
-  bool AwaitConnection(std::chrono::milliseconds timeout);
 
   /// \brief Stops accepting; a blocked Accept returns an error. Safe to
   /// call from another thread than the accept loop's (the shutdown state is

@@ -36,10 +36,9 @@
 #include "net/socket.h"
 #include "tools/tool_util.h"
 
-namespace sknn::tools {
-namespace {
-
-Status Run(int argc, char** argv) {
+int main(int argc, char** argv) {
+  using namespace sknn;
+  using namespace sknn::tools;
   const char* usage =
       "sknn_c1_shard --public <pk> --db <db.bin> --port <p> "
       "--c2-host <ip> --c2-port <p> --shards <s> --shard-index <i> "
@@ -62,41 +61,79 @@ Status Run(int argc, char** argv) {
       65535));
   std::size_t threads = static_cast<std::size_t>(ParseUint64OrDie(
       FlagOr(flags, "threads", "1"), "threads", usage, 1, 4096));
-  const int64_t connections = ParseInt64OrDie(
-      FlagOr(flags, "connections", "-1"), "connections", usage, -1);
+  long connections = static_cast<long>(ParseInt64OrDie(
+      FlagOr(flags, "connections", "-1"), "connections", usage, -1));
 
-  SKNN_ASSIGN_OR_RETURN(PaillierPublicKey pk, ReadPublicKeyFile(pk_path));
-  SKNN_ASSIGN_OR_RETURN(EncryptedDatabase db, ReadEncryptedDatabase(db_path));
-  SKNN_RETURN_NOT_OK(ValidateCiphertexts(db, pk));
+  auto pk = ReadPublicKeyFile(pk_path);
+  if (!pk.ok()) {
+    std::fprintf(stderr, "%s\n", pk.status().ToString().c_str());
+    return 1;
+  }
+  auto db = ReadEncryptedDatabase(db_path);
+  if (!db.ok()) {
+    std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
+    return 1;
+  }
+  if (Status s = ValidateCiphertexts(*db, *pk); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
 
   ShardManifest manifest;
   std::optional<ClusterManifest> clusters;
   if (flags.count("clusters")) {
-    SKNN_ASSIGN_OR_RETURN(clusters, ReadClusterManifest(flags.at("clusters")));
-    SKNN_RETURN_NOT_OK(ValidateClusterManifestForDatabase(*clusters, db));
-    SKNN_ASSIGN_OR_RETURN(
-        manifest, MakeShardManifest(db.num_records(), clusters->num_clusters,
-                                    ShardScheme::kByCluster));
+    auto loaded = ReadClusterManifest(flags.at("clusters"));
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+      return 1;
+    }
+    clusters = std::move(loaded).value();
+    if (Status s = ValidateClusterManifestForDatabase(*clusters, *db);
+        !s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 1;
+    }
+    auto made = MakeShardManifest(db->num_records(), clusters->num_clusters,
+                                  ShardScheme::kByCluster);
+    if (!made.ok()) {
+      std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
+      return 1;
+    }
+    manifest = std::move(made).value();
   } else if (flags.count("manifest")) {
-    SKNN_ASSIGN_OR_RETURN(manifest, ReadShardManifest(flags.at("manifest")));
+    auto loaded = ReadShardManifest(flags.at("manifest"));
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+      return 1;
+    }
+    manifest = std::move(loaded).value();
     // A manifest from a different export would misassign every record;
     // refuse to serve rather than answer wrong.
-    SKNN_RETURN_NOT_OK(ValidateManifestForDatabase(manifest, db));
+    if (Status s = ValidateManifestForDatabase(manifest, *db); !s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 1;
+    }
   } else {
     std::size_t shards = static_cast<std::size_t>(ParseUint64OrDie(
         RequireFlag(flags, "shards", usage), "shards", usage, 1, 65535));
-    SKNN_ASSIGN_OR_RETURN(ShardScheme scheme,
-                          ParseShardScheme(FlagOr(flags, "scheme",
-                                                  "contiguous")));
-    SKNN_ASSIGN_OR_RETURN(manifest,
-                          MakeShardManifest(db.num_records(), shards, scheme));
+    auto scheme = ParseShardScheme(FlagOr(flags, "scheme", "contiguous"));
+    if (!scheme.ok()) {
+      std::fprintf(stderr, "%s\n", scheme.status().ToString().c_str());
+      return 1;
+    }
+    auto made = MakeShardManifest(db->num_records(), shards, *scheme);
+    if (!made.ok()) {
+      std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
+      return 1;
+    }
+    manifest = std::move(made).value();
   }
 
   auto c2_link = ConnectTcp(c2_host, c2_port);
   if (!c2_link.ok()) {
-    return Status::Unavailable("cannot reach C2 at " + c2_host + ":" +
-                               std::to_string(c2_port) + ": " +
-                               c2_link.status().ToString());
+    std::fprintf(stderr, "cannot reach C2 at %s:%u: %s\n", c2_host.c_str(),
+                 c2_port, c2_link.status().ToString().c_str());
+    return 1;
   }
 
   // What the worker runs on, built the way SknnEngine::InitCommon builds
@@ -108,48 +145,49 @@ Status Run(int argc, char** argv) {
   ping.type = OpCode(Op::kPing);
   auto pong = c2.Call(std::move(ping));
   if (!pong.ok() || pong->type != OpCode(Op::kPing)) {
-    return Status::Unavailable("C2 at " + c2_host + ":" +
-                               std::to_string(c2_port) +
-                               " did not answer ping (not a C2 server?)");
+    std::fprintf(stderr, "C2 at %s:%u did not answer ping (not a C2 "
+                 "server?)\n", c2_host.c_str(), c2_port);
+    return 1;
   }
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
-  RandomizerPool rand_pool(pk.n(), /*capacity=*/4096,
+  RandomizerPool rand_pool(pk->n(), /*capacity=*/4096,
                            RefillWorkersFor(threads));
-  pk.set_randomizer_pool(&rand_pool);
+  pk->set_randomizer_pool(&rand_pool);
 
   auto worker =
       clusters.has_value()
-          ? ShardWorker::Create(pk, db, *clusters, shard_index, &c2,
+          ? ShardWorker::Create(*pk, *db, *clusters, shard_index, &c2,
                                 pool ? &*pool : nullptr)
-          : ShardWorker::Create(pk, db, manifest, shard_index, &c2,
+          : ShardWorker::Create(*pk, *db, manifest, shard_index, &c2,
                                 pool ? &*pool : nullptr);
   if (!worker.ok()) {
-    return Status(worker.status().code(), "shard worker setup failed: " +
-                                              worker.status().message());
+    std::fprintf(stderr, "shard worker setup failed: %s\n",
+                 worker.status().ToString().c_str());
+    return 1;
   }
-  db.records.clear();  // only the slice is needed from here on
+  db->records.clear();  // only the slice is needed from here on
 
-  const RpcServer::Handler handler = [&worker](const Message& req) {
-    return (*worker)->Handle(req);
-  };
-  SKNN_ASSIGN_OR_RETURN(
-      std::unique_ptr<RpcListener> listener,
-      RpcListener::Start(port, [&handler] { return handler; }, threads));
+  ShardWorker* worker_raw = worker->get();
+  auto listener = RpcListener::Start(
+      port,
+      [worker_raw]() -> RpcServer::Handler {
+        return [worker_raw](const Message& req) {
+          return worker_raw->Handle(req);
+        };
+      },
+      threads);
+  if (!listener.ok()) {
+    std::fprintf(stderr, "%s\n", listener.status().ToString().c_str());
+    return 1;
+  }
   InstallShutdownHandler();
   std::printf(
       "C1 shard %zu/%zu (%s, %zu records) serving on 127.0.0.1:%u\n",
       shard_index, manifest.num_shards, ShardSchemeName(manifest.scheme),
-      (*worker)->shard_records(), listener->port());
+      (*worker)->shard_records(), (*listener)->port());
   std::fflush(stdout);
 
-  ServeUntilDone(*listener, connections, "coordinator connection");
-  return Status::OK();
-}
-
-}  // namespace
-}  // namespace sknn::tools
-
-int main(int argc, char** argv) {
-  return sknn::tools::ExitCode(sknn::tools::Run(argc, argv));
+  ServeUntilDone(**listener, connections, "coordinator connection");
+  return 0;
 }

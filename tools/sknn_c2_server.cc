@@ -6,19 +6,19 @@
 //
 // Serves the C2 side of every sub-protocol over TCP, one RpcServer per
 // link (net/rpc_listener.h). Each C1 front end, shard worker and table
-// reload dials its own link; C2 serves them all, and a closed link's
-// session is freed on the next accept. Bob's masked results leave C2 on
-// C1's link too: C1's engine fetches them with kFetchBobOutbox and unmasks
-// them as Bob's agent, since it holds Bob's masks (docs/DEPLOY.md, "Trust
-// model of the thin-client split"). With
-// --connections N the server exits once N links were accepted and all have
-// closed (for scripted runs); otherwise it serves until SIGINT/SIGTERM,
-// either of which stops accepting, drains in-flight handlers and exits 0.
-// --workers sizes each link's handler pool and also enables intra-message
-// fan-out for the batched opcodes. Response encryptions draw from a randomizer pool
-// that holds --pool-capacity precomputed r^N values and refills on
-// background threads sized from --workers. Refills use the short-exponent
-// fixed-base path (docs/CRYPTO.md); --no-short-randomizers selects the
+// reload dials its own link, and a closed link's session is freed on the
+// next accept. Bob's masked results leave C2 on C1's link too: C1's engine
+// fetches them with kFetchBobOutbox and unmasks them as Bob's agent, since
+// it holds Bob's masks (docs/DEPLOY.md, "Trust model of the thin-client
+// split"). With --connections N the server exits once N links were
+// accepted and all have closed (for scripted runs); otherwise it serves
+// until SIGINT/SIGTERM, either of which stops accepting, drains in-flight
+// handlers and exits 0. --workers sizes each link's handler pool and also
+// enables intra-message fan-out for the batched opcodes. Response
+// encryptions draw from a randomizer pool that holds --pool-capacity
+// precomputed r^N values and refills on background threads sized from
+// --workers. Refills use the short-exponent fixed-base path
+// (docs/CRYPTO.md); --no-short-randomizers selects the
 // assumption-free full-width reference generation instead.
 #include <cstdio>
 
@@ -27,10 +27,9 @@
 #include "proto/c2_service.h"
 #include "tools/tool_util.h"
 
-namespace sknn::tools {
-namespace {
-
-Status Run(int argc, char** argv) {
+int main(int argc, char** argv) {
+  using namespace sknn;
+  using namespace sknn::tools;
   const char* usage =
       "sknn_c2_server --secret <sk-file> --port <p> [--workers N] "
       "[--connections N] [--pool-capacity N] [--no-short-randomizers]";
@@ -43,34 +42,35 @@ Status Run(int argc, char** argv) {
                                  usage);
   std::size_t workers = static_cast<std::size_t>(ParseUint64OrDie(
       FlagOr(flags, "workers", "1"), "workers", usage, 1, 4096));
-  const int64_t connections = ParseInt64OrDie(
-      FlagOr(flags, "connections", "-1"), "connections", usage, -1);
+  long connections = static_cast<long>(ParseInt64OrDie(
+      FlagOr(flags, "connections", "-1"), "connections", usage, -1));
   std::size_t pool_capacity = static_cast<std::size_t>(
       ParseUint64OrDie(FlagOr(flags, "pool-capacity", "4096"),
                        "pool-capacity", usage, 1, uint64_t{1} << 30));
 
-  SKNN_ASSIGN_OR_RETURN(PaillierSecretKey sk, ReadSecretKeyFile(sk_path));
-  C2Service c2(std::move(sk));
+  auto sk = ReadSecretKeyFile(sk_path);
+  if (!sk.ok()) {
+    std::fprintf(stderr, "%s\n", sk.status().ToString().c_str());
+    return 1;
+  }
+  C2Service c2(std::move(sk).value());
   c2.StartPools(workers, pool_capacity, !flags.count("no-short-randomizers"));
 
-  const RpcServer::Handler handler = [&c2](const Message& req) {
-    return c2.Handle(req);
-  };
-  SKNN_ASSIGN_OR_RETURN(
-      std::unique_ptr<RpcListener> listener,
-      RpcListener::Start(port, [&handler] { return handler; }, workers));
+  auto listener = RpcListener::Start(
+      port,
+      [&c2]() -> RpcServer::Handler {
+        return [&c2](const Message& req) { return c2.Handle(req); };
+      },
+      workers);
+  if (!listener.ok()) {
+    std::fprintf(stderr, "%s\n", listener.status().ToString().c_str());
+    return 1;
+  }
   InstallShutdownHandler();
   std::printf("C2 key-holder serving on 127.0.0.1:%u (workers=%zu)\n",
-              listener->port(), workers);
+              (*listener)->port(), workers);
   std::fflush(stdout);
 
-  ServeUntilDone(*listener, connections, "connection");
-  return Status::OK();
-}
-
-}  // namespace
-}  // namespace sknn::tools
-
-int main(int argc, char** argv) {
-  return sknn::tools::ExitCode(sknn::tools::Run(argc, argv));
+  ServeUntilDone(**listener, connections, "connection");
+  return 0;
 }

@@ -143,14 +143,6 @@ inline void ServeUntilDone(RpcListener& listener, int64_t connections,
               ShutdownRequested() ? ", drained on signal" : "");
 }
 
-/// \brief main's exit code for a tool whose work returned `status`: 0, or
-/// 1 after printing the error.
-inline int ExitCode(const Status& status) {
-  if (status.ok()) return 0;
-  std::fprintf(stderr, "%s\n", status.ToString().c_str());
-  return 1;
-}
-
 inline std::string RequireFlag(const std::map<std::string, std::string>& flags,
                                const std::string& name, const char* usage) {
   auto it = flags.find(name);
