@@ -8,7 +8,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/data_owner.h"
-#include "net/channel.h"
+#include "net/socket.h"
 #include "proto/query_meter.h"
 #include "proto/ssed.h"
 
@@ -55,22 +55,32 @@ Result<std::unique_ptr<SknnEngine>> SknnEngine::CreateFromParts(
   }
   // Outsourcing split: Epk(T) is C1's copy; sk goes to C2, which stands
   // up as sknn_c2_server stands up its own (a C2Service behind an
-  // RpcServer), on an in-process Channel instead of a TCP listener. The
-  // engine then joins it as it would join a served C2.
+  // RpcServer), on a socketpair instead of a TCP listener. The engine then
+  // joins it as it would join a served C2.
+  Channel::EndpointPair link = Channel::CreatePair();
+  if (link.a == nullptr) {
+    return Status::IoError("CreateFromParts: cannot open the C1-C2 link");
+  }
+  std::unique_ptr<Endpoint> c1_end = std::move(link.a);
+  std::unique_ptr<Endpoint> c2_end = std::move(link.b);
+  if (options.c1_c2_latency.count() > 0) {
+    c1_end = std::make_unique<DelayedEndpoint>(std::move(c1_end),
+                                               options.c1_c2_latency);
+    c2_end = std::make_unique<DelayedEndpoint>(std::move(c2_end),
+                                               options.c1_c2_latency);
+  }
   auto c2 = std::make_unique<C2Service>(std::move(sk));
   c2->set_record_views(options.record_c2_views);
   c2->StartPools(options.c2_threads, options.randomizer_pool_capacity,
                  options.short_randomizers);
-  Channel::EndpointPair link = Channel::CreatePair();
-  link.a->channel().set_latency(options.c1_c2_latency);
   C2Service* c2_raw = c2.get();
   auto server = std::make_unique<RpcServer>(
-      std::move(link.b),
+      std::move(c2_end),
       [c2_raw](const Message& req) { return c2_raw->Handle(req); },
       options.c2_threads);
   SKNN_ASSIGN_OR_RETURN(
       std::unique_ptr<SknnEngine> engine,
-      CreateWithRemoteC2(pk, std::move(db), std::move(link.a), options));
+      CreateWithRemoteC2(pk, std::move(db), std::move(c1_end), options));
   engine->c2_ = std::move(c2);
   engine->server_ = std::move(server);
   return engine;
@@ -275,6 +285,10 @@ Status SknnEngine::ServeShardsInProcess() {
             : ShardWorker::Create(pk_, table_.db, manifest, shard,
                                   client_.get(), c1_pool_.get()));
     Channel::EndpointPair link = Channel::CreatePair();
+    if (link.a == nullptr) {
+      return Status::IoError("ServeShardsInProcess: cannot open the link to "
+                             "shard " + std::to_string(shard));
+    }
     ShardWorker* raw = worker.get();
     pack_stats_.records += raw->packed_records();
     pack_stats_.seconds += raw->pack_seconds();

@@ -5,7 +5,7 @@
 //
 // The engine is the in-process simulation of the paper's deployment. There
 // is one way to reach C2: every engine, this one included, drives its C2
-// over an RPC link (an in-process Channel here, TCP to sknn_c2_server in
+// over an RPC link (an in-process socketpair here, TCP to sknn_c2_server in
 // the serving deployment) and fetches Bob's outbox, C2's op ledger and its
 // pool counters with the same tagged exchanges, so an in-process query
 // reports the frames and ops a served one does.
@@ -84,7 +84,7 @@ class SknnEngine {
     bool short_randomizers = true;
     /// Shard the record fan-out: partition Epk(T) into this many in-process
     /// ShardWorkers (the code sknn_c1_shard runs), each served over an
-    /// in-process Channel and sharing this engine's C2 client, C1 pool and
+    /// in-process socketpair and sharing this engine's C2 client, C1 pool and
     /// key; run each query's distance + local-top-k stages per shard
     /// concurrently, and merge the s*k candidates through the coordinator
     /// (core/shard_coordinator.h). Results are bitwise-identical to the
@@ -123,8 +123,9 @@ class SknnEngine {
   /// database (e.g. loaded via core/db_io) — skipping Alice's encryption
   /// pass. Options::key_bits/attr_bits are ignored (implied by the parts).
   /// C2 runs in this process as sknn_c2_server runs it, a C2Service behind
-  /// an RpcServer, on an in-process Channel; the engine then joins it as
-  /// CreateWithRemoteC2 joins a served C2.
+  /// an RpcServer, on an in-process socketpair; the engine then joins it as
+  /// CreateWithRemoteC2 joins a served C2. IoError when the socketpair
+  /// cannot be opened (the process is out of fds).
   static Result<std::unique_ptr<SknnEngine>> CreateFromParts(
       const PaillierPublicKey& pk, PaillierSecretKey sk, EncryptedDatabase db,
       const Options& options);
@@ -296,10 +297,10 @@ class SknnEngine {
   Status InitCommon();
   /// \brief The in-process shard set: one ShardWorker per shard (per
   /// cluster under a cluster index), each behind an RpcServer on a
-  /// Channel::CreatePair() link, reached by the same coordinator code as
-  /// sknn_c1_shard processes. The workers run on client_, c1_pool_ and pk_,
-  /// so the shard set opens no C2 link and starts no randomizer pool of its
-  /// own.
+  /// Channel::CreatePair() socketpair, reached by the same coordinator code
+  /// as sknn_c1_shard processes. The workers run on client_, c1_pool_ and
+  /// pk_, so the shard set opens no C2 link and starts no randomizer pool of
+  /// its own. IoError when a socketpair cannot be opened.
   Status ServeShardsInProcess();
   /// \brief The Bob-bound records of `ctx`'s query: a kFetchBobOutbox
   /// exchange tagged with its id and metered through `ctx`.

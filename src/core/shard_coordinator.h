@@ -5,7 +5,7 @@
 // (core/shard_worker.h, the replicas) reached over the RPC stack
 // (net/shard_wire.h). The workers are sknn_c1_shard processes behind TCP
 // links, or — for an in-process shard set (SknnEngine::Options::shards) —
-// workers the engine serves over in-process Channels; the coordinator cannot
+// workers the engine serves over in-process socketpairs; the coordinator cannot
 // tell the two apart. A failed or timed-out shard stage, or one whose
 // candidates fail the Z*_{N^2} range check, retries on the next healthy
 // replica WITHIN the same query — and because the deterministic tie-break

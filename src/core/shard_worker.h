@@ -18,8 +18,8 @@
 // Status — only a dead worker (no answer at all) becomes kUnavailable at
 // the coordinator. The class is transport-agnostic: tools/sknn_c1_shard
 // serves it over TCP RpcServers; SknnEngine (Options::shards > 1) serves
-// one per shard over in-process Channels, sharing the engine's C2 client,
-// C1 pool and key; tests do either.
+// one per shard over an in-process socketpair, sharing the engine's C2
+// client, C1 pool and key; tests do either.
 //
 // The owner supplies the C2 client, the C1 pool and the key (which may
 // carry a randomizer pool), and must keep them alive until the worker and

@@ -8,7 +8,7 @@
 
 #include "crypto/op_counters.h"
 #include "crypto/paillier.h"
-#include "net/channel.h"
+#include "net/message.h"
 
 namespace sknn {
 

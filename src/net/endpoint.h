@@ -1,7 +1,7 @@
-// Transport-neutral frame endpoint. The RPC layer is written against this
-// interface, so the same protocol code runs over the in-memory channel
-// (single-process simulation, traffic-accounted) or over TCP sockets
-// (real two-process deployment; see net/socket.h and tools/).
+// Frame endpoint: what the RPC layer sends and receives frames through.
+// Every link is a SocketEndpoint (net/socket.h): a TCP connection between
+// processes, or a socketpair(2) within one. DelayedEndpoint wraps either to
+// simulate a one-way link latency.
 #ifndef SKNN_NET_ENDPOINT_H_
 #define SKNN_NET_ENDPOINT_H_
 
@@ -14,7 +14,7 @@ class Endpoint {
  public:
   virtual ~Endpoint() = default;
 
-  /// \brief Enqueues/writes one frame. Returns false once closed.
+  /// \brief Writes one frame. Returns false once closed.
   virtual bool Send(std::vector<uint8_t> frame) = 0;
 
   /// \brief Blocks for the next frame; false when closed and drained.

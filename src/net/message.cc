@@ -2,11 +2,19 @@
 
 #include <algorithm>
 #include <bit>
+#include <sstream>
 
 #include "crypto/op_counters.h"
-#include "net/channel.h"
 
 namespace sknn {
+
+std::string TrafficStats::ToString() const {
+  std::ostringstream os;
+  os << "C1->C2: " << frames_a_to_b << " frames / " << bytes_a_to_b
+     << " B; C2->C1: " << frames_b_to_a << " frames / " << bytes_b_to_a
+     << " B";
+  return os.str();
+}
 
 FrameWriter& FrameWriter::Le(uint64_t v, std::size_t width) {
   const std::size_t at = out_.size();

@@ -5,10 +5,9 @@
 // requests can be in flight during parallel record fan-out), a query id (so
 // many *queries* can be in flight — C2 keys its per-query state, e.g. Bob's
 // outbox, by it), a vector of big integers (ciphertexts / plaintext
-// residues) and optional raw bytes (aux). Messages are actually serialized
-// to a length-prefixed wire format — the traffic counters in channel.h
-// therefore measure real communication cost, and the same codec works over
-// a socket.
+// residues) and optional raw bytes (aux). Every link is a stream socket
+// (net/socket.h) carrying each frame's WireCodec bytes behind a 4-byte
+// length prefix; TrafficStats counts the WireCodec bytes.
 //
 // Every byte of a frame, the header included, goes through FrameWriter and
 // FrameReader. A frame's codec is its field list: the writer appends the
@@ -32,7 +31,24 @@
 namespace sknn {
 
 struct OpSnapshot;
-struct TrafficStats;
+
+/// \brief C1<->C2 traffic in frames and bytes, per direction. C1 is the
+/// "A" side of the link. Counted per query at the call layer (QueryMeter,
+/// proto/query_meter.h) and carried in shard and query responses.
+struct TrafficStats {
+  uint64_t frames_a_to_b = 0;
+  uint64_t bytes_a_to_b = 0;
+  uint64_t frames_b_to_a = 0;
+  uint64_t bytes_b_to_a = 0;
+
+  uint64_t total_bytes() const { return bytes_a_to_b + bytes_b_to_a; }
+  uint64_t total_frames() const { return frames_a_to_b + frames_b_to_a; }
+  TrafficStats operator+(const TrafficStats& o) const {
+    return {frames_a_to_b + o.frames_a_to_b, bytes_a_to_b + o.bytes_a_to_b,
+            frames_b_to_a + o.frames_b_to_a, bytes_b_to_a + o.bytes_b_to_a};
+  }
+  std::string ToString() const;
+};
 
 struct Message {
   uint16_t type = 0;

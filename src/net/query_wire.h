@@ -21,7 +21,7 @@
 //
 // Frames ride the existing Message/WireCodec/Endpoint stack, so the client
 // <-> front-end link reuses RpcClient/RpcServer unchanged (correlation-id
-// demux, length-prefixed framing) over TCP or the in-memory channel. The
+// demux, length-prefixed framing) over TCP or an in-process socketpair. The
 // FrontendOp opcode space is disjoint from the C1<->C2 Op space: a frame
 // from the wrong link is rejected, never misinterpreted.
 //

@@ -1,10 +1,11 @@
-// Request/response layer over an Endpoint (in-memory channel or socket).
+// Request/response layer over an Endpoint: a stream socket, TCP or an
+// in-process socketpair (net/socket.h).
 //
 // RpcClient is used by C1 (the protocol driver): Call() serializes a request,
 // assigns a fresh correlation id and blocks until the matching response
 // arrives. Many threads may Call() concurrently — a demux thread routes
 // responses by correlation id, which is what makes the paper's parallel
-// variant (Section 5.3) possible without one channel per worker.
+// variant (Section 5.3) possible without one link per worker.
 //
 // RpcServer is used by C2 (the key holder): it loops over incoming requests
 // and dispatches them to a Handler, optionally on a worker pool. One
@@ -25,8 +26,8 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
-#include "net/channel.h"
 #include "net/message.h"
+#include "net/socket.h"
 
 namespace sknn {
 

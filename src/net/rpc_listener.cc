@@ -83,7 +83,9 @@ void RpcListener::AcceptLoop() {
                                                factory_(), worker_threads_);
     // Reap the sessions whose peer hung up. They are destroyed outside the
     // lock, as a reaped session may still be joining a handler that is
-    // finishing a long query.
+    // finishing a long query, and before the new link is counted: once
+    // accepted() counts a link, the sessions that finished before it are
+    // gone, their sockets and threads included.
     std::vector<std::unique_ptr<RpcServer>> dead;
     {
       MutexLock lock(&mutex_);
@@ -93,9 +95,10 @@ void RpcListener::AcceptLoop() {
       std::move(finished, sessions_.end(), std::back_inserter(dead));
       sessions_.erase(finished, sessions_.end());
       sessions_.push_back(std::move(session));
-      ++accepted_;
     }
     dead.clear();
+    MutexLock lock(&mutex_);
+    ++accepted_;
   }
 }
 

@@ -45,7 +45,8 @@ class RpcListener {
 
   uint16_t port() const { return listener_.port(); }
 
-  /// \brief Links accepted since Start.
+  /// \brief Links accepted since Start. A link is counted only once the
+  /// sessions its accept reaped are destroyed.
   uint64_t accepted() const;
 
   /// \brief Accepted links whose peer has not yet hung up.

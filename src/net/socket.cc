@@ -9,9 +9,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <thread>
+
+#include "common/logging.h"
 
 namespace sknn {
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 // Writes the whole buffer, looping over partial writes and EINTR.
 bool WriteAll(int fd, const uint8_t* data, std::size_t len) {
@@ -96,6 +101,36 @@ void SocketEndpoint::Close() {
     // releasing the fd number while they still hold it (see ~SocketEndpoint).
     ::shutdown(fd_, SHUT_RDWR);
   }
+}
+
+Channel::EndpointPair Channel::CreatePair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    SKNN_LOG(Error) << "Channel::CreatePair: socketpair(): "
+                    << std::strerror(errno);
+    return {};
+  }
+  return {std::make_unique<SocketEndpoint>(fds[0]),
+          std::make_unique<SocketEndpoint>(fds[1])};
+}
+
+// The send time goes as the host-order bytes of the clock's count: both
+// ends run in one process.
+bool DelayedEndpoint::Send(std::vector<uint8_t> frame) {
+  const Clock::rep sent = Clock::now().time_since_epoch().count();
+  const auto* stamp = reinterpret_cast<const uint8_t*>(&sent);
+  frame.insert(frame.begin(), stamp, stamp + sizeof(sent));
+  return inner_->Send(std::move(frame));
+}
+
+bool DelayedEndpoint::Recv(std::vector<uint8_t>* frame) {
+  Clock::rep sent = 0;
+  if (!inner_->Recv(frame) || frame->size() < sizeof(sent)) return false;
+  std::memcpy(&sent, frame->data(), sizeof(sent));
+  frame->erase(frame->begin(), frame->begin() + sizeof(sent));
+  std::this_thread::sleep_until(Clock::time_point(Clock::duration(sent)) +
+                                latency_);
+  return true;
 }
 
 Status ParseHostPort(const std::string& addr, std::string* host,

@@ -1,18 +1,21 @@
-// TCP transport: the real two-process deployment of the federated cloud.
-//
-// SocketEndpoint speaks the same framing as the in-memory channel — each
-// frame is a little-endian u32 length prefix followed by the WireCodec
-// bytes — so RpcClient/RpcServer and all protocol code run unchanged over
-// it. tools/ uses this to run C2 as a standalone key-holder server and the
-// C1 driver (plus Bob) as separate processes.
+// The one C1<->C2 transport: a stream socket carrying length-prefixed
+// frames. Each frame is a little-endian u32 length prefix followed by the
+// WireCodec bytes, and RpcClient/RpcServer and all protocol code run over
+// it. A served link is a TCP connection (ConnectTcp / TcpListener; tools/
+// runs C2, the C1 front end and shard workers as separate processes). An
+// in-process link (Channel::CreatePair) is a socketpair(2) of the same
+// SocketEndpoints, so both frame and read alike. DelayedEndpoint adds a
+// simulated one-way latency to either.
 #ifndef SKNN_NET_SOCKET_H_
 #define SKNN_NET_SOCKET_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -54,6 +57,44 @@ class SocketEndpoint : public Endpoint {
   std::atomic<bool> closed_{false};
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> bytes_received_{0};
+};
+
+/// \brief An in-process link: two connected SocketEndpoints over
+/// socketpair(AF_UNIX, SOCK_STREAM). Frames sent on one end are received on
+/// the other, in order; closing either end fails both.
+class Channel {
+ public:
+  struct EndpointPair {
+    std::unique_ptr<SocketEndpoint> a;
+    std::unique_ptr<SocketEndpoint> b;
+  };
+
+  /// \brief Creates a connected endpoint pair. Both ends are null when
+  /// socketpair(2) fails (the process is out of fds); the errno is logged.
+  static EndpointPair CreatePair();
+};
+
+/// \brief Delays every frame by a fixed one-way latency: how a bench
+/// models the WAN between the two clouds, which makes round-trip depth
+/// measurable. Send prefixes the frame with its steady_clock send time and
+/// returns at once; Recv holds the frame until that time plus the latency.
+/// Frames sent back to back are therefore in flight together, as on a real
+/// link. Both ends of a link must be wrapped, in one process (they share
+/// the clock).
+class DelayedEndpoint : public Endpoint {
+ public:
+  DelayedEndpoint(std::unique_ptr<Endpoint> inner,
+                  std::chrono::microseconds latency)
+      : inner_(std::move(inner)), latency_(latency) {}
+
+  bool Send(std::vector<uint8_t> frame) override;
+  /// \brief False also for a frame too short to carry its send time.
+  bool Recv(std::vector<uint8_t>* frame) override;
+  void Close() override { inner_->Close(); }
+
+ private:
+  const std::unique_ptr<Endpoint> inner_;
+  const std::chrono::microseconds latency_;
 };
 
 /// \brief Connects to host:port (IPv4 dotted quad or "localhost").

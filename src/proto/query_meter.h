@@ -5,7 +5,7 @@
 //     thread-local OpCounters sink, installed by the engine and propagated
 //     into pool workers by ProtoContext::ForEach), and
 //   * the exact C1<->C2 wire traffic of the query's RPC exchanges (counted
-//     at the call layer, not from channel-level globals, so concurrent
+//     at the call layer, not from link-level globals, so concurrent
 //     queries cannot pollute each other's numbers).
 // An engine-level OpCounters::Snapshot() delta would only be correct for
 // one query at a time.
@@ -16,7 +16,7 @@
 #include <cstdint>
 
 #include "crypto/op_counters.h"
-#include "net/channel.h"
+#include "net/message.h"
 
 namespace sknn {
 
@@ -33,8 +33,8 @@ class QueryMeter {
     bytes_from_c2_.fetch_add(response_bytes, kOrder);
   }
 
-  /// \brief The query's C1<->C2 traffic, in channel.h vocabulary (C1 is the
-  /// "A" side of the link).
+  /// \brief The query's C1<->C2 traffic (net/message.h's TrafficStats; C1
+  /// is the "A" side of the link).
   TrafficStats traffic() const {
     return {frames_to_c2_.load(kOrder), bytes_to_c2_.load(kOrder),
             frames_from_c2_.load(kOrder), bytes_from_c2_.load(kOrder)};

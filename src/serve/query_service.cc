@@ -75,7 +75,7 @@ Result<std::unique_ptr<SknnEngine>> QueryService::CreateShardedEngine(
 }
 
 Status QueryService::Start(uint16_t port) {
-  if (listener_ != nullptr) {
+  if (listener() != nullptr) {
     return Status::FailedPrecondition("QueryService: already started");
   }
   if (registry_->size() == 0) {
@@ -116,7 +116,7 @@ Status QueryService::Start(uint16_t port) {
   }
   started_at_ = std::chrono::steady_clock::now();
   // mutex_ is held until listener_ is set, and every session's handler
-  // factory takes it: no handler can run, and read listener_, before then.
+  // factory takes it: no handler can run before then.
   MutexLock lock(&mutex_);
   SKNN_ASSIGN_OR_RETURN(
       listener_,
@@ -133,8 +133,14 @@ Status QueryService::Start(uint16_t port) {
   return Status::OK();
 }
 
+RpcListener* QueryService::listener() const {
+  MutexLock lock(&mutex_);
+  return listener_.get();
+}
+
 void QueryService::Shutdown() {
-  if (listener_ != nullptr) listener_->Shutdown();
+  // Not under mutex_: the sessions' handlers may take it while they drain.
+  if (RpcListener* listener = this->listener()) listener->Shutdown();
 }
 
 QueryService::Stats QueryService::stats() const {
@@ -148,7 +154,8 @@ ServiceStatsReply QueryService::ServiceStatsSnapshot() const {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started_at_)
           .count();
-  reply.connections_accepted = listener_ ? listener_->accepted() : 0;
+  RpcListener* listener = this->listener();
+  reply.connections_accepted = listener ? listener->accepted() : 0;
   reply.in_flight = in_flight_.load();
   for (const TableRegistry::Entry* entry : registry_->snapshot()) {
     TableStatsEntry table;
@@ -243,7 +250,7 @@ void QueryService::set_api_key_auth(std::unique_ptr<ApiKeyAuth> auth) {
 void QueryService::BroadcastTableChanged(const TableChangedNote& note) {
   // Best effort by design: a client that raced its disconnect simply
   // misses the note and learns from its next query's error instead.
-  listener_->PushToAll(EncodeTableChanged(note));
+  listener()->PushToAll(EncodeTableChanged(note));
 }
 
 Message QueryService::HandleReloadTable(const Message& request) {
@@ -292,8 +299,14 @@ Message QueryService::HandleDetachTable(const Message& request) {
   return EncodeAdminAck(*name);
 }
 
+uint16_t QueryService::port() const {
+  RpcListener* listener = this->listener();
+  return listener != nullptr ? listener->port() : 0;
+}
+
 std::size_t QueryService::active_sessions() const {
-  return listener_ != nullptr ? listener_->live() : 0;
+  RpcListener* listener = this->listener();
+  return listener != nullptr ? listener->live() : 0;
 }
 
 Message QueryService::Reject(const Status& status,

@@ -109,7 +109,7 @@ class QueryService {
   Status Start(uint16_t port);
 
   /// \brief The bound port, valid after a successful Start.
-  uint16_t port() const { return listener_ ? listener_->port() : 0; }
+  uint16_t port() const;
 
   /// \brief Stops accepting, closes every client link, waits for in-flight
   /// handlers (RpcListener::Shutdown). Idempotent; also run by the
@@ -171,6 +171,8 @@ class QueryService {
   /// \brief Pushes a kTableChanged note (correlation id 0) to every live
   /// session, so clients mid-conversation learn a table changed under them.
   void BroadcastTableChanged(const TableChangedNote& note);
+  /// \brief listener_, read under mutex_; null before Start.
+  RpcListener* listener() const;
 
   TableRegistry* registry_;
   /// Backs the single-engine constructor; null when the caller owns the
@@ -178,9 +180,10 @@ class QueryService {
   std::unique_ptr<TableRegistry> owned_registry_;
   Options options_;
   /// Set once by Start, under mutex_, which each session's handler factory
-  /// takes too: no handler runs before it is set, so handlers read it
-  /// without the lock.
-  std::unique_ptr<RpcListener> listener_;
+  /// takes too, so no handler runs before it is set. Read through
+  /// listener(), which copies the pointer out under mutex_: no caller holds
+  /// the lock while it calls into the listener.
+  std::unique_ptr<RpcListener> listener_ GUARDED_BY(mutex_);
   std::chrono::steady_clock::time_point started_at_{};
   std::atomic<std::size_t> in_flight_{0};
   /// Weighted fair admission over the tables (serve/qos/fair_admission.h),

@@ -113,7 +113,7 @@ class RemoteQueryClient {
   static Result<std::unique_ptr<RemoteQueryClient>> Connect(
       const std::vector<std::string>& endpoints);
 
-  /// \brief Wraps an already-connected link (tests: in-memory channel).
+  /// \brief Wraps an already-connected link (tests: an in-process socketpair).
   /// No failover targets: when this link dies, calls fail.
   explicit RemoteQueryClient(std::unique_ptr<Endpoint> link);
 

@@ -3,10 +3,12 @@
 // with CreateFromParts, and verify queries still match plaintext kNN — the
 // full "resume an outsourced deployment" workflow.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 
 #include "baseline/plaintext_knn.h"
+#include "common/logging.h"
 #include "core/data_owner.h"
 #include "core/db_io.h"
 #include "core/engine.h"
@@ -98,6 +100,26 @@ TEST_F(EnginePartsTest, RejectsEmptyDatabase) {
   auto engine = SknnEngine::CreateFromParts(pk_, sk_, EncryptedDatabase{},
                                             opts_);
   EXPECT_FALSE(engine.ok());
+}
+
+TEST_F(EnginePartsTest, NoFdForTheC2LinkIsAnIoError) {
+  // A hot reload builds engines because a client asked for one, so running
+  // out of descriptors must fail that build, not abort the server.
+  // The error log is off while no fd is free: UBSan's vptr check on the
+  // log stream probes memory through a pipe, and reports the stream
+  // invalid when it cannot open one.
+  const LogLevel log_level = GetLogLevel();
+  SetLogLevel(LogLevel::kOff);
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit none = saved;
+  none.rlim_cur = 0;
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &none), 0);
+  auto engine = SknnEngine::CreateFromParts(pk_, sk_, db_, opts_);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+  SetLogLevel(log_level);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kIoError) << engine.status();
 }
 
 TEST_F(EnginePartsTest, PartsAndFreshEngineAgree) {

@@ -1,15 +1,17 @@
 // Tests for the network substrate: wire codec round trips and malformed
-// frames, channel semantics (FIFO, close, traffic accounting), and the RPC
-// layer including concurrent correlated calls — the property the parallel
-// protocol variant depends on.
+// frames, in-process link semantics (FIFO, close, drain), the latency
+// decorator, and the RPC layer including concurrent correlated calls — the
+// property the parallel protocol variant depends on.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
+#include <vector>
 
-#include "net/channel.h"
 #include "net/message.h"
 #include "net/rpc.h"
+#include "net/socket.h"
 
 namespace sknn {
 namespace {
@@ -90,18 +92,24 @@ TEST(ChannelTest, CloseUnblocksReceiver) {
   EXPECT_FALSE(pair.a->Send({1}));
 }
 
-TEST(ChannelTest, SimulatedLatencyDelaysDelivery) {
+TEST(DelayedEndpointTest, BackToBackFramesAreInFlightTogether) {
+  // Each frame arrives one latency after its own send, not after the frame
+  // ahead of it: a decorator that slept in Send would deliver the second
+  // frame two latencies after the first send.
+  constexpr std::chrono::milliseconds kLatency(30);
   auto pair = Channel::CreatePair();
-  pair.a->channel().set_latency(std::chrono::microseconds(30000));
-  EXPECT_EQ(pair.a->channel().latency(), std::chrono::microseconds(30000));
-  auto start = std::chrono::steady_clock::now();
-  pair.a->Send({1});
+  DelayedEndpoint a(std::move(pair.a), kLatency);
+  DelayedEndpoint b(std::move(pair.b), kLatency);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(a.Send({1}));
+  ASSERT_TRUE(a.Send({2}));
   std::vector<uint8_t> frame;
-  ASSERT_TRUE(pair.b->Recv(&frame));
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            25);
+  ASSERT_TRUE(b.Recv(&frame));
+  EXPECT_EQ(frame, std::vector<uint8_t>{1});
+  EXPECT_GE(std::chrono::steady_clock::now() - start, kLatency);
+  ASSERT_TRUE(b.Recv(&frame));
+  EXPECT_EQ(frame, std::vector<uint8_t>{2});
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 2 * kLatency);
 }
 
 TEST(ChannelTest, ZeroLatencyDeliversImmediately) {

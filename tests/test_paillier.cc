@@ -456,7 +456,9 @@ TEST(RandomizerSourceTest, ShortAndFullWidthMintValidRandomizers) {
     options.short_exponents = short_exponents;
     RandomizerSource source(keys.pk.n(), options);
     EXPECT_EQ(source.short_exponents(), short_exponents);
-    if (short_exponents) EXPECT_EQ(source.short_exponent_bits(), 256u);
+    if (short_exponents) {
+      EXPECT_EQ(source.short_exponent_bits(), 256u);
+    }
     for (int i = 0; i < 6; ++i) {
       BigInt rn = source.Next(rng);
       // A valid randomizer is an N-th power that blinds without changing

@@ -399,7 +399,7 @@ struct TableConfig {
   PlainTable table;
   uint32_t weight = 1;
   std::size_t cache_bytes = ResultCache::kDefaultMaxBytes;
-  std::shared_ptr<const ClusterManifest> clusters;
+  std::shared_ptr<const ClusterManifest> clusters = nullptr;
 };
 
 // Registry + engines + QueryService on a loopback port, with per-table QoS

@@ -29,8 +29,8 @@
 #include "core/data_owner.h"
 #include "core/engine.h"
 #include "data/synthetic.h"
-#include "net/channel.h"
 #include "net/rpc.h"
+#include "net/socket.h"
 #include "proto/c2_service.h"
 
 namespace sknn {
@@ -129,7 +129,7 @@ QueryRequest RequestFor(const PinnedCase& c) {
 }
 
 // A front end served by its own C2, as sknn_c2_server runs one (a
-// C2Service behind an RpcServer), here over an in-process Channel.
+// C2Service behind an RpcServer), here over an in-process socketpair.
 // Members go in reverse: the engine closes the link, then the server
 // drains, then C2 goes.
 struct ServedEngine {

@@ -1,5 +1,5 @@
-// RPC failure-path coverage, parameterized over both transports the stack
-// runs on — the in-memory channel and a real loopback TcpSocket: client
+// RPC failure-path coverage, parameterized over both links the stack runs
+// on — an in-process socketpair and a real loopback TCP socket: client
 // shutdown with calls in flight, a handler returning an error Status, and
 // the peer disconnecting mid-call. A serving deployment lives or dies by
 // these paths; none of them may hang or crash.
@@ -16,9 +16,9 @@
 #include <thread>
 #include <vector>
 
-#include "net/channel.h"
 #include "net/rpc.h"
 #include "net/shard_wire.h"
+#include "net/socket.h"
 #include "proto/context.h"
 #include "tests/net_test_util.h"
 

@@ -188,8 +188,10 @@ TEST(SkNNEndToEnd, InvalidRequestsAreRejected) {
   r = RunQuery(**engine, {1, -1, 1}, 2, QueryProtocol::kSecure);
   EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
   // Same validation through the async path.
-  auto future = (*engine)->Submit(
-      QueryRequest{{1, 1, 1}, 0, QueryProtocol::kSecure});
+  QueryRequest k_zero;
+  k_zero.record = {1, 1, 1};
+  k_zero.k = 0;
+  auto future = (*engine)->Submit(std::move(k_zero));
   EXPECT_EQ(future.get().status().code(), StatusCode::kInvalidArgument);
 }
 

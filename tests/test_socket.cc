@@ -218,8 +218,9 @@ TEST(RpcListenerTest, ClosedLinksAreReapedUnderChurn) {
     // Once the session has seen the hang-up, the next accept must reap it.
     ASSERT_TRUE(WaitFor([&] { return listener->live() == 0; }));
   }
-  // Each accept reaps before it counts the new link, so once it is counted
-  // the 100 closed sessions are gone.
+  // Each accept destroys the sessions it reaps before it counts the new
+  // link, so once link 101 is counted the 100 closed sessions, their
+  // sockets and their threads are gone.
   auto last = MustConnect(listener->port());
   ASSERT_TRUE(WaitFor([&] { return listener->accepted() == 101; }));
   EXPECT_EQ(listener->live(), 1u);

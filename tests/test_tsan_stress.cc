@@ -538,7 +538,9 @@ TEST(TsanStress, ResultCacheHitsEvictionsAndInvalidationRace) {
             (*client)->QueryWithRetry(request, PatientRetry());
         ASSERT_TRUE(response.ok()) << response.status();
         EXPECT_EQ(response->records, expected[(t + q) % kDistinctQueries]);
-        if (request.no_cache) EXPECT_FALSE(response->cache_hit);
+        if (request.no_cache) {
+          EXPECT_FALSE(response->cache_hit);
+        }
       }
     });
   }

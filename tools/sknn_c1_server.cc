@@ -4,10 +4,10 @@
 //
 // Single table (the PR 3/4 shape):
 //
-//   sknn_c1_server --public pk.txt --db db.bin --port 9100 \
-//                  --c2-host 127.0.0.1 --c2-port 9000 \
-//                  [--threads N] [--max-in-flight M] [--queries N] \
-//                  [--shards S] [--shard-scheme contiguous|roundrobin] \
+//   sknn_c1_server --public pk.txt --db db.bin --port 9100
+//                  --c2-host 127.0.0.1 --c2-port 9000
+//                  [--threads N] [--max-in-flight M] [--queries N]
+//                  [--shards S] [--shard-scheme contiguous|roundrobin]
 //                  [--shard-workers host:port,host:port,...]
 //
 // Multi-table: repeat --table once per table. Each spec is
@@ -27,9 +27,9 @@
 // shards > 1 the table is partitioned by cluster so pruned shards never see
 // the query.
 //
-//   sknn_c1_server --port 9100 --c2-host 127.0.0.1 --c2-port 9000 \
-//                  --public pk_a.txt \
-//                  --table users=users.bin \
+//   sknn_c1_server --port 9100 --c2-host 127.0.0.1 --c2-port 9000
+//                  --public pk_a.txt
+//                  --table users=users.bin
 //                  --table genes=genes.bin,public=pk_b.txt,c2-port=9001
 //
 // Every engine is registered in one TableRegistry behind one QueryService:

@@ -1,10 +1,10 @@
 // sknn_c1_shard — one C1 shard worker of the sharded serving deployment
 // (docs/DEPLOY.md).
 //
-//   sknn_c1_shard --public pk.txt --db db.bin --port 9200 \
-//                 --c2-host 127.0.0.1 --c2-port 9000 \
-//                 --shards 4 --shard-index 1 [--scheme contiguous] \
-//                 [--manifest manifest.bin] [--clusters clusters.bin] \
+//   sknn_c1_shard --public pk.txt --db db.bin --port 9200
+//                 --c2-host 127.0.0.1 --c2-port 9000
+//                 --shards 4 --shard-index 1 [--scheme contiguous]
+//                 [--manifest manifest.bin] [--clusters clusters.bin]
 //                 [--threads N] [--connections N]
 //
 // Loads the public key and the FULL encrypted database once, keeps only its

@@ -1,10 +1,10 @@
 // sknn_encrypt — Alice's outsourcing step: attribute-wise encryption of a
 // CSV table into the binary database C1 hosts.
 //
-//   sknn_encrypt --public pk.txt --csv patients.csv --attr-bits 9 \
-//                --out db.bin [--skip-header] \
-//                [--shards s [--shard-scheme contiguous|roundrobin] \
-//                 --manifest-out manifest.bin] \
+//   sknn_encrypt --public pk.txt --csv patients.csv --attr-bits 9
+//                --out db.bin [--skip-header]
+//                [--shards s [--shard-scheme contiguous|roundrobin]
+//                 --manifest-out manifest.bin]
 //                [--clusters c [--cluster-seed s] --clusters-out cl.bin]
 //
 // With --shards, Alice also emits the shard manifest (core/sharding.h) —

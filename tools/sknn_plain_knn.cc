@@ -2,7 +2,7 @@
 // secure deployment's answers in scripted smoke runs (scripts/
 // smoke_deploy.sh): same CSV, same query, no cryptography.
 //
-//   sknn_plain_knn --csv table.csv --query "1,2,3" --k 2 \
+//   sknn_plain_knn --csv table.csv --query "1,2,3" --k 2
 //                  [--skip-header] [--farthest]
 //
 // Output: k rows of comma-separated attributes, nearest first (farthest

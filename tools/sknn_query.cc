@@ -1,12 +1,12 @@
 // sknn_query — Bob's thin client: one secure kNN query against a standing
 // C1 query front end (sknn_c1_server).
 //
-//   sknn_query --host 127.0.0.1 --port 9100 \
-//              --query "58,1,4,133,196,1,2,1,6" --k 2 \
-//              [--table name] [--protocol secure] [--retries 5] \
-//              [--max-wait-ms 30000] [--deadline-ms D] [--stats] \
-//              [--index-mode exact|clustered] [--probe-clusters P] \
-//              [--server host:port,host:port,...] \
+//   sknn_query --host 127.0.0.1 --port 9100
+//              --query "58,1,4,133,196,1,2,1,6" --k 2
+//              [--table name] [--protocol secure] [--retries 5]
+//              [--max-wait-ms 30000] [--deadline-ms D] [--stats]
+//              [--index-mode exact|clustered] [--probe-clusters P]
+//              [--server host:port,host:port,...]
 //              [--api-key KEY] [--no-cache]
 //
 // --api-key authenticates the session (kAuthenticate, revision 6) against
