@@ -37,7 +37,11 @@
 #       - no Accept( call on a TcpListener in src/ or tools/ outside
 #         src/net/rpc_listener.cc: every TCP server takes its links through
 #         RpcListener, the one accept loop that reaps closed sessions and
-#         survives a failed accept.
+#         survives a failed accept;
+#       - no use of the kError frame (`Op::kError`, or message type 0xFFFF)
+#         in src/ or tools/ outside src/net/rpc.cc and the opcode table
+#         (src/proto/opcodes.h): the RPC layer builds and reads it, and
+#         every caller gets its Status from RpcClient::Call.
 #  2. clang-tidy over compile_commands.json (runs when clang-tidy is on
 #     PATH — the lint CI job; skipped with a notice otherwise). Checks are
 #     curated in .clang-tidy.
@@ -219,6 +223,22 @@ accept_calls=$(grep -rn --include='*.h' --include='*.cc' \
 if [ -n "${accept_calls}" ]; then
   fail "TcpListener::Accept called outside src/net/rpc_listener.cc — serve \
 links through RpcListener (src/net/rpc_listener.h)" "${accept_calls}"
+fi
+
+# --- 1k. The kError frame outside the RPC layer -----------------------------
+# One owner of the error frame: RpcServer answers a failed handler with it,
+# and RpcClient::Call turns it back into the Status it carries. A caller
+# that compares a reply's type against it is a second error path that
+# rewraps (or loses) the peer's code. Comment lines are exempt; wider
+# literals (0xFFFFFFFF) do not match.
+error_frame=$(grep -rnE --include='*.h' --include='*.cc' \
+  -e 'Op::kError\b' -e '0[xX][fF]{4}([^0-9a-fA-F]|$)' src tools 2>/dev/null \
+  | grep -v -e '^src/net/rpc\.cc:' -e '^src/proto/opcodes\.h:' \
+  | grep -v ':[0-9]*:\s*//' || true)
+if [ -n "${error_frame}" ]; then
+  fail "the kError frame (Op::kError / type 0xFFFF) used outside \
+src/net/rpc.cc — take the peer's Status from RpcClient::Call instead" \
+    "${error_frame}"
 fi
 
 # --- 2. clang-tidy ---------------------------------------------------------

@@ -1,119 +1,37 @@
 #include "common/sha256.h"
 
-#include <algorithm>
-#include <cstring>
+#include <openssl/evp.h>
+
+#include "common/logging.h"
 
 namespace sknn {
-
 namespace {
 
-constexpr std::array<uint32_t, 64> kRoundConstants = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
-inline uint32_t RotR(uint32_t x, unsigned n) {
-  return (x >> n) | (x << (32 - n));
+/// SHA-256 fetched once: EVP_DigestInit_ex with the legacy EVP_sha256()
+/// would fetch the implementation again on every hash.
+const EVP_MD* Sha256Md() {
+  static const EVP_MD* const md = EVP_MD_fetch(nullptr, "SHA256", nullptr);
+  return md;
 }
 
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
-             0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
-
-void Sha256::Compress(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (uint32_t{block[4 * i]} << 24) | (uint32_t{block[4 * i + 1]} << 16) |
-           (uint32_t{block[4 * i + 2]} << 8) | uint32_t{block[4 * i + 3]};
-  }
-  for (int i = 16; i < 64; ++i) {
-    const uint32_t s0 =
-        RotR(w[i - 15], 7) ^ RotR(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const uint32_t s1 =
-        RotR(w[i - 2], 17) ^ RotR(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t s1 = RotR(e, 6) ^ RotR(e, 11) ^ RotR(e, 25);
-    const uint32_t ch = (e & f) ^ (~e & g);
-    const uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const uint32_t s0 = RotR(a, 2) ^ RotR(a, 13) ^ RotR(a, 22);
-    const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+// OpenSSL fails these calls only on allocation failure; the interface has
+// no error to return, so that is fatal.
+Sha256::Sha256() : ctx_(EVP_MD_CTX_new()) {
+  SKNN_CHECK(ctx_ != nullptr && Sha256Md() != nullptr &&
+             EVP_DigestInit_ex(ctx_, Sha256Md(), nullptr) == 1);
 }
 
+Sha256::~Sha256() { EVP_MD_CTX_free(ctx_); }
+
 void Sha256::Update(const void* data, std::size_t len) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  total_len_ += len;
-  while (len > 0) {
-    if (buffered_ == 0 && len >= 64) {
-      // Full blocks straight from the caller's buffer, no copy.
-      Compress(bytes);
-      bytes += 64;
-      len -= 64;
-      continue;
-    }
-    const std::size_t take = std::min(len, std::size_t{64} - buffered_);
-    std::memcpy(buffer_.data() + buffered_, bytes, take);
-    buffered_ += take;
-    bytes += take;
-    len -= take;
-    if (buffered_ == 64) {
-      Compress(buffer_.data());
-      buffered_ = 0;
-    }
-  }
+  SKNN_CHECK(EVP_DigestUpdate(ctx_, data, len) == 1);
 }
 
 std::array<uint8_t, Sha256::kDigestLen> Sha256::Finish() {
-  const uint64_t bit_len = total_len_ * 8;
-  const uint8_t one = 0x80;
-  Update(&one, 1);
-  const uint8_t zero = 0;
-  while (buffered_ != 56) Update(&zero, 1);
-  uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  // Update() would re-count these 8 bytes into total_len_, but bit_len is
-  // already latched above, so the digest is correct.
-  Update(len_bytes, 8);
   std::array<uint8_t, kDigestLen> digest;
-  for (int i = 0; i < 8; ++i) {
-    digest[4 * i] = static_cast<uint8_t>(state_[i] >> 24);
-    digest[4 * i + 1] = static_cast<uint8_t>(state_[i] >> 16);
-    digest[4 * i + 2] = static_cast<uint8_t>(state_[i] >> 8);
-    digest[4 * i + 3] = static_cast<uint8_t>(state_[i]);
-  }
+  SKNN_CHECK(EVP_DigestFinal_ex(ctx_, digest.data(), nullptr) == 1);
   return digest;
 }
 

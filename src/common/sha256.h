@@ -1,4 +1,5 @@
-// Minimal SHA-256 (FIPS 180-4), self-contained — no OpenSSL dependency.
+// SHA-256 (FIPS 180-4) over OpenSSL's EVP digest interface, the libcrypto
+// the Montgomery kernel (bigint/modexp.h) already links.
 //
 // Two consumers, neither of which needs a general-purpose hash API:
 //  - serve/qos/api_key_auth.h stores salted digests of API keys so the keys
@@ -16,6 +17,8 @@
 #include <cstdint>
 #include <string>
 
+struct evp_md_ctx_st;  // OpenSSL's EVP_MD_CTX
+
 namespace sknn {
 
 /// \brief Streaming SHA-256. Update() any number of times, then Finish()
@@ -25,6 +28,10 @@ class Sha256 {
   static constexpr std::size_t kDigestLen = 32;
 
   Sha256();
+  ~Sha256();
+
+  Sha256(const Sha256&) = delete;
+  Sha256& operator=(const Sha256&) = delete;
 
   void Update(const void* data, std::size_t len);
   void Update(const std::string& text) { Update(text.data(), text.size()); }
@@ -41,12 +48,7 @@ class Sha256 {
   static std::string HexDigest(const std::string& text);
 
  private:
-  void Compress(const uint8_t block[64]);
-
-  std::array<uint32_t, 8> state_;
-  uint64_t total_len_ = 0;
-  std::array<uint8_t, 64> buffer_;
-  std::size_t buffered_ = 0;
+  evp_md_ctx_st* ctx_;
 };
 
 }  // namespace sknn

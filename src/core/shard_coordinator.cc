@@ -294,32 +294,18 @@ Result<ShardCandidates> ShardCoordinator::RunShard(
       last_error = std::move(error);
     };
     if (!resp.ok()) {
-      // Transport death or timeout.
-      fail_over(resp.status().code() == StatusCode::kDeadlineExceeded
-                    ? Status::DeadlineExceeded(who + " timed out: " +
-                                               resp.status().message())
-                    : Status::Unavailable(who + " unreachable: " +
-                                          resp.status().message()));
-      continue;
-    }
-    if (resp->type == OpCode(Op::kError)) {
-      // The worker's RPC layer declaring failure.
-      fail_over(Status::Unavailable(who + " failed: " + RpcErrorText(*resp)));
-      continue;
-    }
-    if (resp->type == ShardOpCode(ShardOp::kShardError)) {
-      // A typed rejection from a live worker: the REQUEST is wrong (bad k,
-      // bad geometry, its own deadline ran out...), so retrying a different
-      // replica of the same shard would only repeat it — unless the worker
-      // itself timed out against C2, where the next replica (with its own
-      // C2 link) may well succeed.
-      Status status = DecodeShardError(*resp);
-      if (status.code() == StatusCode::kDeadlineExceeded) {
-        fail_over(std::move(status));
+      const StatusCode code = resp.status().code();
+      // No answer (a dead link, or a worker whose own C2 link died) or no
+      // answer in time: a sibling replica, with its own links, may answer.
+      if (code == StatusCode::kUnavailable ||
+          code == StatusCode::kDeadlineExceeded) {
+        fail_over(Status(code, who + ": " + resp.status().message()));
         continue;
       }
+      // Any other code is the live worker's typed answer: the REQUEST is
+      // wrong (bad k, bad geometry...), and a sibling would repeat it.
       replica.MarkOk();
-      return status;
+      return resp.status();
     }
     // Every byte from a worker is hostile until checked: a malformed frame,
     // or a candidate ciphertext outside Z*_{N^2}, is this replica's fault,

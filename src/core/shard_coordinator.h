@@ -6,17 +6,20 @@
 // (net/shard_wire.h). The workers are sknn_c1_shard processes behind TCP
 // links, or — for an in-process shard set (SknnEngine::Options::shards) —
 // workers the engine serves over in-process socketpairs; the coordinator cannot
-// tell the two apart. A failed or timed-out shard stage, or one whose
-// candidates fail the Z*_{N^2} range check, retries on the next healthy
-// replica WITHIN the same query — and because the deterministic tie-break
-// makes every answer a pure function of (table, query, k), failover is
-// invisible in the results. Only when every replica of a shard fails does
-// the query surface an error: kUnavailable (or kDeadlineExceeded, if the
-// per-query deadline ran out first, or kProtocolError, if the last replica
-// answered out-of-range candidates). Per-replica health is tracked by a
-// background ping-probe thread: consecutive failures eject a replica from
-// the preferred rotation, a successful probe (after an automatic redial,
-// when the worker's address is known) reinstates it.
+// tell the two apart. A shard stage that gets no answer (kUnavailable: the
+// worker is gone, or its own C2 link is), times out (kDeadlineExceeded), or
+// whose candidates fail the Z*_{N^2} range check, retries on the next
+// healthy replica WITHIN the same query (any other code is the live
+// worker's typed answer, and the query fails with it). Because the
+// deterministic tie-break makes every answer a pure function of (table,
+// query, k), failover is invisible in the results. Only when every replica
+// of a shard fails does the query surface an error: kUnavailable (or
+// kDeadlineExceeded, if the per-query deadline ran out first, or
+// kProtocolError, if the last replica answered out-of-range candidates).
+// Per-replica health is tracked by a background ping-probe thread:
+// consecutive failures eject a replica from the preferred rotation, a
+// successful probe (after an automatic redial, when the worker's address
+// is known) reinstates it.
 //
 // The merge is the same machinery as the unsharded protocol, restricted to
 // the s*k candidates: for kSecure/kFarthest, k iterations of ExtractTopK

@@ -97,27 +97,24 @@ Result<std::unique_ptr<ShardWorker>> ShardWorker::CreateSliced(
   return worker;
 }
 
-Message ShardWorker::HandleShardQuery(const Message& request) {
-  auto decoded = DecodeShardQuery(request);
-  if (!decoded.ok()) return EncodeShardError(decoded.status());
-  const ShardQueryFrame& frame = *decoded;
+Result<Message> ShardWorker::HandleShardQuery(const Message& request) {
+  SKNN_ASSIGN_OR_RETURN(ShardQueryFrame frame, DecodeShardQuery(request));
   if (frame.enc_query.size() != geometry_.num_attributes) {
-    return EncodeShardError(Status::InvalidArgument(
+    return Status::InvalidArgument(
         "shard query has " + std::to_string(frame.enc_query.size()) +
         " attributes, shard database has " +
-        std::to_string(geometry_.num_attributes)));
+        std::to_string(geometry_.num_attributes));
   }
   for (const auto& c : frame.enc_query) {
     if (!pk_.IsValidCiphertext(c)) {
-      return EncodeShardError(Status::CryptoError(
-          "shard query carries an invalid ciphertext"));
+      return Status::CryptoError("shard query carries an invalid ciphertext");
     }
   }
   if (frame.k > geometry_.manifest.total_records) {
-    return EncodeShardError(Status::OutOfRange(
+    return Status::OutOfRange(
         "shard query k = " + std::to_string(frame.k) + " exceeds the " +
         std::to_string(geometry_.manifest.total_records) +
-        " database records"));
+        " database records");
   }
 
   QueryMeter meter;
@@ -136,7 +133,7 @@ Message ShardWorker::HandleShardQuery(const Message& request) {
     return RunShardStage(ctx, slice_, geometry_.manifest.total_records,
                          frame.enc_query, frame.k, frame.protocol);
   }();
-  if (!candidates.ok()) return EncodeShardError(candidates.status());
+  SKNN_RETURN_NOT_OK(candidates.status());
 
   ShardCandidatesFrame out;
   out.candidates = std::move(candidates).value();
@@ -153,10 +150,8 @@ Result<Message> ShardWorker::Handle(const Message& request) {
     case ShardOp::kShardQuery:
       return HandleShardQuery(request);
     default:
-      // Typed error frame, not a bare RpcServer kError: the coordinator
-      // reserves the transport-level failure path for dead workers.
-      return EncodeShardError(Status::ProtocolError(
-          "shard worker: unexpected opcode " + std::to_string(request.type)));
+      return Status::ProtocolError("shard worker: unexpected opcode " +
+                                   std::to_string(request.type));
   }
 }
 

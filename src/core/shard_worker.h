@@ -14,12 +14,14 @@
 //                  answered with min(k, slice size) candidates plus the
 //                  stage's wall time, C2 traffic and C1-side Paillier ops.
 //
-// Worker-side failures are answered as kShardError frames carrying a real
-// Status — only a dead worker (no answer at all) becomes kUnavailable at
-// the coordinator. The class is transport-agnostic: tools/sknn_c1_shard
-// serves it over TCP RpcServers; SknnEngine (Options::shards > 1) serves
-// one per shard over an in-process socketpair, sharing the engine's C2
-// client, C1 pool and key; tests do either.
+// A worker-side failure is the handler's Status, which the RPC layer
+// carries to the coordinator code included (net/rpc.h). A worker that does
+// not answer, or whose own C2 link is dead, is kUnavailable there, and the
+// coordinator fails over. The class is transport-agnostic:
+// tools/sknn_c1_shard serves it over TCP RpcServers; SknnEngine
+// (Options::shards > 1) serves one per shard over an in-process
+// socketpair, sharing the engine's C2 client, C1 pool and key; tests do
+// either.
 //
 // The owner supplies the C2 client, the C1 pool and the key (which may
 // carry a randomizer pool), and must keep them alive until the worker and
@@ -63,7 +65,9 @@ class ShardWorker {
 
   /// \brief RPC dispatch entry point (plug into an RpcServer); thread-safe
   /// — concurrent queries run with independent meters over the shared C2
-  /// client.
+  /// client. A refused frame (undecodable, wrong geometry, invalid
+  /// ciphertext, oversized k, unknown opcode) or a failed stage is the
+  /// returned Status.
   Result<Message> Handle(const Message& request);
 
   const ShardGeometry& geometry() const { return geometry_; }
@@ -84,7 +88,7 @@ class ShardWorker {
       std::vector<std::size_t> global_indices, RpcClient* c2,
       ThreadPool* pool);
 
-  Message HandleShardQuery(const Message& request);
+  Result<Message> HandleShardQuery(const Message& request);
 
   PaillierPublicKey pk_;
   ShardSlice slice_;

@@ -146,9 +146,10 @@ class WireCodec {
   static Result<Message> Decode(const std::vector<uint8_t>& bytes);
 };
 
-/// \brief A status frame: aux = [status code:u32][message text]. kQueryError
-/// (net/query_wire.h) and kShardError (net/shard_wire.h) use this shape.
-/// `status` must be an error.
+/// \brief A status frame: aux = [status code:u32][message text]. The RPC
+/// layer's kError answer on every link (net/rpc.h) and the front end's
+/// kQueryError (net/query_wire.h) use this shape. `status` must be an
+/// error.
 Message EncodeStatusFrame(uint16_t type, const Status& status);
 /// \brief The Status a status frame of `type` carries. Never OK: a frame of
 /// another type, one shorter than its code, or one whose code is OK or not

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/logging.h"
+#include "proto/opcodes.h"
 
 namespace sknn {
 
@@ -19,10 +20,10 @@ RpcClient::~RpcClient() {
 Result<Message> RpcClient::Call(Message request,
                                 std::chrono::milliseconds timeout) {
   if (shutdown_.load()) {
-    return Status::ProtocolError("RpcClient: already shut down");
+    return Status::Unavailable("RpcClient: already shut down");
   }
   if (link_down_.load()) {
-    return Status::ProtocolError("RpcClient: link closed");
+    return Status::Unavailable("RpcClient: link closed");
   }
   uint64_t id = next_id_.fetch_add(1);
   request.correlation_id = id;
@@ -34,7 +35,7 @@ Result<Message> RpcClient::Call(Message request,
   if (!endpoint_->Send(WireCodec::Encode(request))) {
     MutexLock lock(&pending_mutex_);
     pending_.erase(id);
-    return Status::ProtocolError("RpcClient: link closed on send");
+    return Status::Unavailable("RpcClient: link closed on send");
   }
   // Re-check AFTER registering: a TCP send can still succeed (buffered)
   // once the peer is gone, and if the demux loop exited before our entry
@@ -51,7 +52,7 @@ Result<Message> RpcClient::Call(Message request,
       still_pending = pending_.erase(id) > 0;
     }
     if (still_pending) {
-      return Status::ProtocolError("RpcClient: link closed");
+      return Status::Unavailable("RpcClient: link closed");
     }
   }
   PendingCall& pending = *call;
@@ -129,6 +130,11 @@ void RpcClient::DemuxLoop() {
                            "id or decode failure)";
       continue;
     }
+    // A kError answer is the Status it carries; a frame of the old
+    // text-only layout decodes as kProtocolError, never as another code.
+    if (decoded->type == OpCode(Op::kError)) {
+      decoded = DecodeStatusFrame(OpCode(Op::kError), *decoded);
+    }
     PendingCall& pending = *call;
     {
       MutexLock lock(&pending.mutex);
@@ -149,7 +155,7 @@ void RpcClient::DemuxLoop() {
     PendingCall& pending = *call;
     {
       MutexLock lock(&pending.mutex);
-      pending.result = Status::ProtocolError("RpcClient: link closed");
+      pending.result = Status::Unavailable("RpcClient: link closed");
       pending.done = true;
     }
     pending.cv.NotifyOne();
@@ -201,23 +207,13 @@ void RpcServer::HandleFrame(std::vector<uint8_t> frame) {
   }
   uint64_t cid = request->correlation_id;
   Result<Message> response = handler_(*request);
-  Message out;
-  if (response.ok()) {
-    out = std::move(*response);
-  } else {
-    // Error responses carry the status message in aux with type 0xFFFF so
-    // the client surfaces a ProtocolError instead of hanging.
-    out.type = 0xFFFF;
-    FrameWriter(out.aux).Text(response.status().ToString());
-  }
+  Message out = response.ok()
+                    ? std::move(*response)
+                    : EncodeStatusFrame(OpCode(Op::kError), response.status());
   out.correlation_id = cid;
   out.query_id = request->query_id;
   MutexLock lock(&send_mutex_);
   endpoint_->Send(WireCodec::Encode(out));
-}
-
-std::string RpcErrorText(const Message& error_frame) {
-  return FrameReader(error_frame.aux).Text();
 }
 
 }  // namespace sknn

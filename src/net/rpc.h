@@ -11,6 +11,12 @@
 // and dispatches them to a Handler, optionally on a worker pool. One
 // RpcServer serves one link; net/rpc_listener.h gives one to every link a
 // TCP server accepts.
+//
+// The layer owns its errors, on every link (C1<->C2, coordinator<->shard
+// worker, client<->front end): a handler's failure crosses as one kError
+// status frame and comes out of Call as the same Status, and a call that
+// gets no answer over its link is kUnavailable. Callers never see or test
+// the kError frame itself.
 #ifndef SKNN_NET_RPC_H_
 #define SKNN_NET_RPC_H_
 
@@ -42,6 +48,11 @@ class RpcClient {
   /// \brief Sends `request` (correlation id is assigned internally) and
   /// blocks until the response with the same id arrives. Thread-safe.
   ///
+  /// A peer's kError answer (its handler failed) comes back as the Status
+  /// it carries, code included. A call the link cannot answer — closed
+  /// before, during or after the send, or after Shutdown() — is
+  /// kUnavailable.
+  ///
   /// `timeout` bounds the wait: zero means wait forever (the pre-deadline
   /// behavior); a positive timeout resolves a call whose peer is alive but
   /// silent — hung, SIGSTOPped, overloaded — to kDeadlineExceeded instead
@@ -57,7 +68,8 @@ class RpcClient {
   /// to uninstall. Thread-safe.
   void SetNoteHandler(std::function<void(const Message&)> handler);
 
-  /// \brief Closes the underlying link; outstanding calls fail.
+  /// \brief Closes the underlying link; outstanding calls fail with
+  /// kUnavailable.
   void Shutdown();
 
  private:
@@ -86,15 +98,14 @@ class RpcClient {
   std::atomic<bool> link_down_{false};
 };
 
-/// \brief The status text of the error frame (type 0xFFFF, proto/opcodes.h
-/// Op::kError) an RpcServer answers with when its handler fails.
-std::string RpcErrorText(const Message& error_frame);
-
 class RpcServer {
  public:
   /// \brief Handler maps a request to a response. It runs on server threads
   /// and must be thread-safe when worker_threads > 1. The response's
-  /// correlation id is overwritten with the request's.
+  /// correlation id is overwritten with the request's. A failed handler is
+  /// answered with a kError status frame (proto/opcodes.h Op::kError,
+  /// aux = [code:u32][text]), which the peer's RpcClient::Call returns as
+  /// that Status.
   using Handler = std::function<Result<Message>(const Message&)>;
 
   RpcServer(std::unique_ptr<Endpoint> endpoint, Handler handler,

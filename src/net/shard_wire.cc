@@ -122,9 +122,6 @@ Message EncodeShardCandidates(const ShardCandidatesFrame& frame) {
 }
 
 Result<ShardCandidatesFrame> DecodeShardCandidates(const Message& msg) {
-  if (msg.type == ShardOpCode(ShardOp::kShardError)) {
-    return DecodeShardError(msg);
-  }
   if (msg.type != ShardOpCode(ShardOp::kShardCandidates)) {
     return BadFrame("not a kShardCandidates frame");
   }

@@ -16,9 +16,11 @@
 //                    across coordinator AND workers).
 //   kShardCandidates the worker's min(k, shard size) local candidates plus
 //                    its stage instrumentation (seconds, C2 traffic, ops).
-//   kShardError      a real Status, code included — the coordinator
-//                    distinguishes a worker-side protocol failure from a
-//                    dead link (which surfaces as kUnavailable).
+//
+// A worker's refusal is no frame of this space: its handler returns the
+// Status, and the RPC layer (net/rpc.h) carries it, code included, as the
+// kError status frame every link shares. 0x0204 (kShardError, the former
+// shard-only status frame) is reserved: never reuse it.
 //
 // Each codec is the frame's field list over net/message.h's FrameWriter and
 // FrameReader, so every decoder is bounds-checked and exact: a frame is
@@ -36,7 +38,7 @@ enum class ShardOp : uint16_t {
   kShardPing = 0x0201,
   kShardQuery = 0x0202,
   kShardCandidates = 0x0203,
-  kShardError = 0x0204,
+  // 0x0204 is reserved (see above).
 };
 
 inline uint16_t ShardOpCode(ShardOp op) { return static_cast<uint16_t>(op); }
@@ -90,16 +92,6 @@ struct ShardCandidatesFrame {
 
 Message EncodeShardCandidates(const ShardCandidatesFrame& frame);
 Result<ShardCandidatesFrame> DecodeShardCandidates(const Message& msg);
-
-/// \brief kShardError is a status frame (net/message.h): `status` must be
-/// an error, and its code crosses the wire intact.
-inline Message EncodeShardError(const Status& status) {
-  return EncodeStatusFrame(ShardOpCode(ShardOp::kShardError), status);
-}
-/// \brief The Status carried by a kShardError frame (never OK).
-inline Status DecodeShardError(const Message& msg) {
-  return DecodeStatusFrame(ShardOpCode(ShardOp::kShardError), msg);
-}
 
 }  // namespace sknn
 

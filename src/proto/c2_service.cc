@@ -422,8 +422,8 @@ Result<Message> C2Service::Dispatch(const OpSpec& spec,
     for (const BigInt& v : request.ints) {
       cts.emplace_back(v);
       if (!sk_.public_key().IsValidCiphertext(cts.back())) {
-        return Status::ProtocolError(std::string(spec.name) +
-                                     ": ciphertext outside Z*_{N^2}");
+        return Status::CryptoError(std::string(spec.name) +
+                                   ": ciphertext outside Z*_{N^2}");
       }
     }
   }

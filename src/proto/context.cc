@@ -21,9 +21,6 @@ Result<Message> ProtoContext::Exchange(Message request) {
   SKNN_ASSIGN_OR_RETURN(Message resp,
                         client_->Call(std::move(request), timeout));
   if (meter_ != nullptr) meter_->CountExchange(request_bytes, resp.WireSize());
-  if (resp.type == OpCode(Op::kError)) {
-    return Status::ProtocolError("C2 error: " + RpcErrorText(resp));
-  }
   if (spec != nullptr && spec->returns_ciphertexts) {
     for (const BigInt& c : resp.ints) {
       if (!pk_->IsValidCiphertext(Ciphertext(c))) {

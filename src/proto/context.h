@@ -53,8 +53,9 @@ class ProtoContext {
   bool has_deadline() const { return has_deadline_; }
   std::chrono::steady_clock::time_point deadline() const { return deadline_; }
 
-  /// \brief Single RPC round trip. Fails if C2 reported an error, or with
-  /// kProtocolError if an opcode whose kOpTable row returns ciphertexts
+  /// \brief Single RPC round trip. Fails with C2's own Status (its code
+  /// intact) if C2 refused the request, kUnavailable if the link died, or
+  /// with kProtocolError if an opcode whose kOpTable row returns ciphertexts
   /// (proto/opcodes.h) returned a value outside Z*_{N^2}.
   Result<Message> Call(Op op, std::vector<BigInt> ints,
                        std::vector<uint8_t> aux = {});

@@ -92,7 +92,9 @@ enum class Op : uint16_t {
   /// slots < key_bits, and slot_bits > 0 or slots = 1.
   kSqSumVec = 17,
 
-  /// Error response emitted by the RPC server (status text in aux).
+  /// The RPC layer's answer on every link when a handler fails: a status
+  /// frame, aux = [code:u32][text] (net/message.h). Built and read only by
+  /// net/rpc.cc, whose Call returns the Status it carries.
   kError = 0xFFFF,
 };
 
@@ -111,7 +113,7 @@ struct OpSpec {
   Op op;
   const char* name;
   /// C2 checks every request int against Z*_{N^2} (0, a multiple of p or q,
-  /// N^2 or above is refused with kProtocolError) before the handler runs,
+  /// N^2 or above is refused with kCryptoError) before the handler runs,
   /// and hands the handler the checked ciphertexts.
   bool decrypts;
   /// C1 checks every reply int against Z*_{N^2} before it computes with

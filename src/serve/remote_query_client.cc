@@ -6,7 +6,6 @@
 
 #include "bigint/random.h"
 #include "net/socket.h"
-#include "proto/opcodes.h"
 
 namespace sknn {
 namespace {
@@ -19,6 +18,14 @@ constexpr std::chrono::milliseconds kDeadlineGrace{500};
 /// Bounds the hello handshake so a hung endpoint rotates instead of
 /// wedging the first call forever.
 constexpr std::chrono::milliseconds kHelloTimeout{5000};
+
+/// The two codes that mean the front end did not answer over this link
+/// (net/rpc.h): the only ones that drop and redial it. Any other code is
+/// the front end's answer.
+bool NoAnswer(const Status& status) {
+  return status.code() == StatusCode::kUnavailable ||
+         status.code() == StatusCode::kDeadlineExceeded;
+}
 
 }  // namespace
 
@@ -171,12 +178,14 @@ Result<std::shared_ptr<RpcClient>> RemoteQueryClient::EnsureLink() {
     hello.features = kSupportedFeatures;
     Result<Message> reply = rpc_->Call(EncodeHello(hello), kHelloTimeout);
     if (!reply.ok()) {
-      // Handshake transport failure: this endpoint is dead or hung. Drop
-      // the link and advance, so the CALLER's next attempt dials the next
+      // No answer to the hello: this endpoint is dead or hung. Drop the
+      // link and advance, so the CALLER's next attempt dials the next
       // endpoint rather than re-helloing a corpse.
-      rpc_->Shutdown();
-      rpc_ = nullptr;
-      ++endpoint_idx_;
+      if (NoAnswer(reply.status())) {
+        rpc_->Shutdown();
+        rpc_ = nullptr;
+        ++endpoint_idx_;
+      }
       return reply.status();
     }
     if (reply->type == FrontendOpCode(FrontendOp::kQueryError)) {
@@ -194,10 +203,12 @@ Result<std::shared_ptr<RpcClient>> RemoteQueryClient::EnsureLink() {
     Result<Message> reply =
         rpc_->Call(EncodeAuthenticateRequest(api_key_), kHelloTimeout);
     if (!reply.ok()) {
-      rpc_->Shutdown();
-      rpc_ = nullptr;
-      hello_done_ = false;
-      ++endpoint_idx_;
+      if (NoAnswer(reply.status())) {
+        rpc_->Shutdown();
+        rpc_ = nullptr;
+        hello_done_ = false;
+        ++endpoint_idx_;
+      }
       return reply.status();
     }
     if (reply->type == FrontendOpCode(FrontendOp::kQueryError)) {
@@ -266,25 +277,18 @@ Result<Message> RemoteQueryClient::Call(const Message& request,
       last = rpc.status();
       // EnsureLink already rotated past dead endpoints; a non-transport
       // error (closed client, typed hello rejection) will repeat — stop.
-      if (last.code() != StatusCode::kUnavailable &&
-          last.code() != StatusCode::kDeadlineExceeded) {
-        return last;
-      }
+      if (!NoAnswer(last)) return last;
       continue;
     }
     Result<Message> reply = (*rpc)->Call(request, timeout);
     if (!reply.ok()) {
+      if (!NoAnswer(reply.status())) return reply;
       DropLink(*rpc);
       last = reply.status();
       continue;
     }
     if (reply->type == FrontendOpCode(FrontendOp::kQueryError)) {
       return DecodeQueryError(*reply);
-    }
-    if (reply->type == OpCode(Op::kError)) {
-      // Transport-level error frame (handler crash path of the RPC server).
-      return Status::ProtocolError("front end error: " +
-                                   RpcErrorText(*reply));
     }
     return reply;
   }

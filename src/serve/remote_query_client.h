@@ -77,7 +77,8 @@ struct RetryPolicy {
   /// deterministic (lockstep — only sensible in tests); 1 = full jitter.
   double jitter = 0.5;
   /// Also retry kUnavailable and kDeadlineExceeded (a dead or hung worker
-  /// mid-query). Off by default for a SINGLE endpoint — recovery is
+  /// mid-query, or a front end that dropped the link: the retry redials
+  /// it). Off by default for a SINGLE endpoint — recovery is
   /// possible but not expected; a client connected to SEVERAL endpoints
   /// retries these regardless (rotating first), because that is what the
   /// replica list is for.

@@ -176,11 +176,11 @@ TEST_F(EchoServerFixture, HandlerErrorSurfacesAsErrorFrame) {
   StartServer(1);
   Message req;
   req.type = 99;
+  // The error frame carries the handler's Status, and Call returns it.
   auto resp = client_->Call(std::move(req));
-  ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp->type, 0xFFFF);
-  std::string text(resp->aux.begin(), resp->aux.end());
-  EXPECT_NE(text.find("boom"), std::string::npos);
+  ASSERT_FALSE(resp.ok());
+  EXPECT_EQ(resp.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(resp.status().message(), "boom");
 }
 
 TEST_F(EchoServerFixture, ConcurrentCallsAreCorrectlyCorrelated) {

@@ -22,15 +22,17 @@ class RobustnessTest : public ::testing::Test {
     EXPECT_EQ(resp.status().code(), StatusCode::kProtocolError);
   }
 
-  // As ExpectError, and the refusal is C2's own, not C1's check of what C2
-  // sent back.
-  void ExpectRefusedByC2(Op op, std::vector<BigInt> ints,
+  // The refusal is C2's own, not C1's check of what C2 sent back: C2's
+  // code reaches C1 unchanged, and so does its message, which begins with
+  // `c2_text`.
+  void ExpectRefusedByC2(StatusCode code, const std::string& c2_text, Op op,
+                         std::vector<BigInt> ints,
                          std::vector<uint8_t> aux = {}) {
     auto resp = harness_.ctx().Call(op, std::move(ints), std::move(aux));
     ASSERT_FALSE(resp.ok()) << "opcode " << OpCode(op)
                             << " accepted malformed input";
-    EXPECT_EQ(resp.status().code(), StatusCode::kProtocolError);
-    EXPECT_NE(resp.status().message().find("C2 error"), std::string::npos)
+    EXPECT_EQ(resp.status().code(), code) << resp.status();
+    EXPECT_EQ(resp.status().message().rfind(c2_text, 0), 0u)
         << "opcode " << OpCode(op) << ": " << resp.status();
   }
 
@@ -46,12 +48,17 @@ TEST_F(RobustnessTest, UnknownOpcodeIsRejected) {
   // would answer.
   const auto& pk = harness_.pk();
   auto enc = [&](int64_t v) { return pk.Encrypt(BigInt(v), rng_).value(); };
-  ExpectRefusedByC2(static_cast<Op>(2), {enc(1), enc(2)});
-  ExpectRefusedByC2(static_cast<Op>(3), {enc(1)});
-  ExpectRefusedByC2(static_cast<Op>(4), {enc(0), enc(3)});
-  ExpectRefusedByC2(static_cast<Op>(5), {enc(1), enc(5)},
-                    {1, 0, 0, 0, 1, 0, 0, 0});
-  ExpectRefusedByC2(static_cast<Op>(11), {enc(6)});
+  const StatusCode kProtocol = StatusCode::kProtocolError;
+  const std::string kUnknown = "C2Service: unknown opcode ";
+  ExpectRefusedByC2(kProtocol, kUnknown + "2", static_cast<Op>(2),
+                    {enc(1), enc(2)});
+  ExpectRefusedByC2(kProtocol, kUnknown + "3", static_cast<Op>(3), {enc(1)});
+  ExpectRefusedByC2(kProtocol, kUnknown + "4", static_cast<Op>(4),
+                    {enc(0), enc(3)});
+  ExpectRefusedByC2(kProtocol, kUnknown + "5", static_cast<Op>(5),
+                    {enc(1), enc(5)}, {1, 0, 0, 0, 1, 0, 0, 0});
+  ExpectRefusedByC2(kProtocol, kUnknown + "11", static_cast<Op>(11),
+                    {enc(6)});
 }
 
 TEST_F(RobustnessTest, EveryNumberWithoutARowIsUnknown) {
@@ -146,11 +153,15 @@ TEST_F(RobustnessTest, LsbShiftRejectsHostileFrames) {
     FrameWriter(aux).U32(t);
     return aux;
   };
-  ExpectRefusedByC2(Op::kLsbShiftVec, {enc(3)}, {1, 0, 0, 0, 0, 0, 0, 0});
-  ExpectRefusedByC2(Op::kLsbShiftVec, {enc(3)}, {1, 0, 0});
-  ExpectRefusedByC2(Op::kLsbShiftVec, {enc(3)});
+  auto refused = [&](const char* c2_text, std::vector<uint8_t> aux) {
+    ExpectRefusedByC2(StatusCode::kProtocolError, c2_text, Op::kLsbShiftVec,
+                      {enc(3)}, std::move(aux));
+  };
+  refused("kLsbShiftVec: bad aux header", {1, 0, 0, 0, 0, 0, 0, 0});
+  refused("kLsbShiftVec: bad aux header", {1, 0, 0});
+  refused("kLsbShiftVec: bad aux header", {});
   for (uint32_t t : {pk.key_bits(), pk.key_bits() + 1, 1u << 20}) {
-    ExpectRefusedByC2(Op::kLsbShiftVec, {enc(3)}, aux_for(t));
+    refused("kLsbShiftVec: shift out of range", aux_for(t));
   }
   // C2 is still serving: Epk(2 * 7) at t = 1 has parity(7) = 1.
   auto resp = harness_.ctx().Call(Op::kLsbShiftVec, {enc(14)}, aux_for(1));
@@ -171,16 +182,21 @@ TEST_F(RobustnessTest, SqSumRejectsHostileLayouts) {
     FrameWriter(aux).U32(slot_bits).U32(slots);
     return aux;
   };
+  auto refused = [&](const char* c2_text, std::vector<uint8_t> aux) {
+    ExpectRefusedByC2(StatusCode::kProtocolError, c2_text, Op::kSqSumVec,
+                      {enc(3)}, std::move(aux));
+  };
+  const char* const kOutOfRange = "kSqSumVec: slot layout out of range";
   const uint32_t key_bits = pk.key_bits();
-  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, layout(134, 0));
-  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, layout(key_bits / 2, 2));
-  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, layout(1, key_bits));
-  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, layout(key_bits, 1));
-  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, layout(1, 1u << 31));
-  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, layout(0xFFFFFFFFu, 0xFFFFFFFFu));
-  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, layout(0, 2));
-  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)}, {60, 0, 0});
-  ExpectRefusedByC2(Op::kSqSumVec, {enc(3)});
+  refused(kOutOfRange, layout(134, 0));
+  refused(kOutOfRange, layout(key_bits / 2, 2));
+  refused(kOutOfRange, layout(1, key_bits));
+  refused(kOutOfRange, layout(key_bits, 1));
+  refused(kOutOfRange, layout(1, 1u << 31));
+  refused(kOutOfRange, layout(0xFFFFFFFFu, 0xFFFFFFFFu));
+  refused(kOutOfRange, layout(0, 2));
+  refused("kSqSumVec: bad aux header", {60, 0, 0});
+  refused("kSqSumVec: bad aux header", {});
   // C2 is still serving. Four 60-bit slots u = 3, 5, 7, 11 sent as
   // Epk(-U) come back as Epk(9 + 25 + 49 + 121); the whole-plaintext slot
   // squares D(c) itself.
@@ -220,6 +236,7 @@ TEST_F(RobustnessTest, EveryDecryptingOpcodeRejectsNonUnits) {
         ints[at] = bad;
         auto resp = harness_.ctx().Call(spec.op, std::move(ints), sample.aux);
         ASSERT_FALSE(resp.ok()) << spec.name << " accepted a non-unit";
+        EXPECT_EQ(resp.status().code(), StatusCode::kCryptoError);
         EXPECT_NE(resp.status().message().find(
                       std::string(spec.name) + ": ciphertext outside"),
                   std::string::npos)
@@ -304,12 +321,14 @@ TEST_F(RobustnessTest, CallBatchEmptyInputShortCircuits) {
 
 TEST_F(RobustnessTest, GarbageCiphertextsFailCleanly) {
   // A request that mixes non-units (0, N^2) with units is refused whole by
-  // C2 with a protocol error, before anything is decrypted.
+  // C2 with a crypto error, before anything is decrypted.
   std::vector<BigInt> garbage = {BigInt(0), harness_.pk().n_squared(),
                                  BigInt(12345), BigInt(1)};
   std::vector<uint8_t> t0;
   FrameWriter(t0).U32(0);
-  ExpectRefusedByC2(Op::kLsbShiftVec, garbage, t0);
+  ExpectRefusedByC2(StatusCode::kCryptoError,
+                    "kLsbShiftVec: ciphertext outside Z*_{N^2}",
+                    Op::kLsbShiftVec, garbage, t0);
 }
 
 TEST_F(RobustnessTest, SmSurvivesManySequentialBatches) {

@@ -8,8 +8,9 @@
 // shard_wire.h) rides the same RpcClient/RpcServer stack, so its failure
 // modes are covered here too: a worker vanishing mid-kShardQuery, calls
 // issued AFTER the link already died (they must fail fast — the demux
-// thread is gone and nobody would ever complete them), and the typed
-// kShardError frames that carry real status codes across the wire.
+// thread is gone and nobody would ever complete them), and a worker's
+// refusal, which crosses as the kError status frame with its code intact.
+// A call that gets no answer over its link is kUnavailable.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -71,7 +72,7 @@ TEST_P(RpcFailureTest, ShutdownFailsCallsInFlight) {
   client.Shutdown();
   caller.join();
   EXPECT_FALSE(in_flight.ok());
-  EXPECT_EQ(in_flight.status().code(), StatusCode::kProtocolError);
+  EXPECT_EQ(in_flight.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(in_flight.status().message().find("link closed"),
             std::string::npos)
       << in_flight.status();
@@ -81,6 +82,7 @@ TEST_P(RpcFailureTest, ShutdownFailsCallsInFlight) {
   again.type = 8;
   auto after = client.Call(std::move(again));
   EXPECT_FALSE(after.ok());
+  EXPECT_EQ(after.status().code(), StatusCode::kUnavailable);
 }
 
 TEST_P(RpcFailureTest, HandlerErrorStatusSurfacesToCaller) {
@@ -91,24 +93,56 @@ TEST_P(RpcFailureTest, HandlerErrorStatusSurfacesToCaller) {
                    });
   RpcClient client(std::move(pair.client));
 
-  // At the raw RPC layer the exchange succeeds and delivers the kError
-  // frame with the status text.
+  // The RPC layer returns the handler's Status itself, code and text.
   Message req;
   req.type = OpCode(Op::kPing);
   auto resp = client.Call(std::move(req));
-  ASSERT_TRUE(resp.ok()) << resp.status();
-  EXPECT_EQ(resp->type, OpCode(Op::kError));
-  std::string text(resp->aux.begin(), resp->aux.end());
-  EXPECT_NE(text.find("handler exploded"), std::string::npos) << text;
+  ASSERT_FALSE(resp.ok());
+  EXPECT_EQ(resp.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(resp.status().message(), "handler exploded");
 
-  // The protocol layer converts the frame into a ProtocolError Status.
+  // The protocol layer passes it on unchanged.
   ProtoContext ctx(/*pk=*/nullptr, &client);
   auto converted = ctx.Call(Op::kPing, {});
   ASSERT_FALSE(converted.ok());
-  EXPECT_EQ(converted.status().code(), StatusCode::kProtocolError);
-  EXPECT_NE(converted.status().message().find("handler exploded"),
-            std::string::npos)
-      << converted.status();
+  EXPECT_EQ(converted.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(converted.status().message(), "handler exploded");
+}
+
+TEST_P(RpcFailureTest, OldLayoutErrorFrameDecodesAsProtocolError) {
+  EndpointPair pair = MakePair(GetParam());
+  Endpoint* server_raw = pair.server.get();
+  // A peer of the former layout: its kError aux is Status::ToString() text
+  // with no code word. Whatever code that text names, the caller must read
+  // a kProtocolError, never another code.
+  std::vector<Status> old_errors;
+  for (uint32_t code = 1; code <= static_cast<uint32_t>(kLastStatusCode);
+       ++code) {
+    old_errors.emplace_back(static_cast<StatusCode>(code), "why");
+  }
+  old_errors.push_back(Status::Internal(""));
+  std::thread peer([&] {
+    std::vector<uint8_t> frame;
+    for (const Status& old : old_errors) {
+      if (!server_raw->Recv(&frame)) return;
+      Result<Message> request = WireCodec::Decode(frame);
+      ASSERT_TRUE(request.ok()) << request.status();
+      Message reply;
+      reply.type = OpCode(Op::kError);
+      reply.correlation_id = request->correlation_id;
+      FrameWriter(reply.aux).Text(old.ToString());
+      ASSERT_TRUE(server_raw->Send(WireCodec::Encode(reply)));
+    }
+  });
+  RpcClient client(std::move(pair.client));
+  for (const Status& old : old_errors) {
+    Message req;
+    req.type = OpCode(Op::kPing);
+    auto resp = client.Call(std::move(req));
+    EXPECT_EQ(resp.status().code(), StatusCode::kProtocolError)
+        << old << " read as " << resp.status();
+  }
+  peer.join();
 }
 
 TEST_P(RpcFailureTest, ShardQueryAgainstDeadPeerFailsFastNotForever) {
@@ -128,7 +162,7 @@ TEST_P(RpcFailureTest, ShardQueryAgainstDeadPeerFailsFastNotForever) {
   // the transport still buffered the send. It must fail, immediately.
   auto first = client.Call(EncodeShardQuery(frame));
   EXPECT_FALSE(first.ok());
-  EXPECT_EQ(first.status().code(), StatusCode::kProtocolError);
+  EXPECT_EQ(first.status().code(), StatusCode::kUnavailable);
   auto second = client.Call(EncodeShardPing());
   EXPECT_FALSE(second.ok());
 }
@@ -151,41 +185,37 @@ TEST_P(RpcFailureTest, ShardWorkerDisconnectMidQueryFailsTheCall) {
   auto result = client.Call(EncodeShardQuery(frame));
   peer.join();
   EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kProtocolError);
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
 }
 
 TEST_P(RpcFailureTest, ShardErrorFramesCarryStatusCodesIntact) {
   EndpointPair pair = MakePair(GetParam());
-  // A live worker that answers every query frame with a typed error — the
-  // path a coordinator uses to distinguish "worker says no" (real code,
-  // e.g. CryptoError) from "worker is gone" (kUnavailable).
+  // A live worker that refuses every frame — the path a coordinator uses
+  // to tell "worker says no" (its real code, e.g. CryptoError) from
+  // "worker is gone" (kUnavailable, the only code it fails over on besides
+  // kDeadlineExceeded).
   RpcServer server(std::move(pair.server),
                    [](const Message& req) -> Result<Message> {
                      if (req.type == ShardOpCode(ShardOp::kShardPing)) {
-                       return EncodeShardError(
-                           Status::Unavailable("worker draining"));
+                       return Status::Unavailable("worker draining");
                      }
-                     return EncodeShardError(
-                         Status::CryptoError("bad ciphertext"));
+                     return Status::CryptoError("bad ciphertext");
                    });
   RpcClient client(std::move(pair.client));
 
   auto ping = client.Call(EncodeShardPing());
-  ASSERT_TRUE(ping.ok()) << ping.status();
-  Status drained = DecodeShardError(*ping);
-  EXPECT_EQ(drained.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(drained.message(), "worker draining");
+  ASSERT_FALSE(ping.ok());
+  EXPECT_EQ(ping.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(ping.status().message(), "worker draining");
 
   ShardQueryFrame frame;
   frame.query_id = 11;
   frame.k = 1;
   frame.enc_query = {Ciphertext(BigInt(5))};
   auto reply = client.Call(EncodeShardQuery(frame));
-  ASSERT_TRUE(reply.ok()) << reply.status();
-  // DecodeShardCandidates folds a kShardError frame into its Status.
-  auto decoded = DecodeShardCandidates(*reply);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kCryptoError);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kCryptoError);
+  EXPECT_EQ(reply.status().message(), "bad ciphertext");
 }
 
 TEST_P(RpcFailureTest, HungPeerResolvesToDeadlineExceededNotAStall) {
@@ -257,7 +287,7 @@ TEST_P(RpcFailureTest, PeerDisconnectMidCallFailsAllInFlight) {
   peer.join();
   for (const auto& result : results) {
     EXPECT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kProtocolError);
+    EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   }
 }
 

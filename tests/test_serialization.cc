@@ -287,13 +287,14 @@ TEST(FrameTruncationSweep, ErrorFramesNeedOnlyTheStatusCode) {
                                StatusCode::kInvalidArgument;
                       },
                       "kQueryError");
-  Message shard_error = EncodeShardError(Status::InvalidArgument("boom"));
-  SweepAuxTruncations(shard_error, text_cuts,
+  Message rpc_error =
+      EncodeStatusFrame(OpCode(Op::kError), Status::InvalidArgument("boom"));
+  SweepAuxTruncations(rpc_error, text_cuts,
                       [](const Message& m) {
-                        return DecodeShardError(m).code() ==
-                               StatusCode::kInvalidArgument;
+                        return DecodeStatusFrame(OpCode(Op::kError), m)
+                                   .code() == StatusCode::kInvalidArgument;
                       },
-                      "kShardError");
+                      "kError");
 }
 
 TEST(FrameTruncationSweep, ControlPlaneFramesAreExactSize) {
@@ -416,8 +417,8 @@ TEST(ShardWire, CandidatesCarryEveryOpCounter) {
 
 
 // --- Golden bytes ------------------------------------------------------------
-// One fixed instance of every front-end frame, every shard frame and every
-// C1<->C2 aux payload, pinned as hex. The layouts are a compatibility
+// One fixed instance of every front-end frame, every shard frame, the RPC
+// layer's kError frame and every C1<->C2 aux payload, pinned as hex. The layouts are a compatibility
 // contract (docs/API.md, proto/opcodes.h): a codec change that moves any byte
 // fails here. On a mismatch the test prints the current encoding.
 
@@ -531,8 +532,8 @@ const std::map<std::string, std::string> kGoldenFrames = {
          "0200000001000000030000000b00000000000000000000000000000000000000"
          "0000000000000000000000000000000000000000000000000100000000000000"
          "0200000000000000030000000000000004000000000000000500000000000000"},
-    {"kShardError",
-         "040200000000000000000000000000000000000000000b0000000b000000736c"
+    {"kError",
+         "ffff00000000000000000000000000000000000000000b0000000b000000736c"
          "6f77204332"},
 };
 const char* const kGoldenC1C2Transcript =
@@ -705,7 +706,8 @@ std::vector<std::pair<std::string, Message>> GoldenFrames() {
   basic.candidates.global_indices = {3, 11};
   basic.ops = {1, 2, 3, 4, 5};
   add("kShardCandidates.basic", EncodeShardCandidates(basic));
-  add("kShardError", EncodeShardError(Status::DeadlineExceeded("slow C2")));
+  add("kError", EncodeStatusFrame(OpCode(Op::kError),
+                                  Status::DeadlineExceeded("slow C2")));
   return frames;
 }
 
@@ -780,23 +782,24 @@ TEST(GoldenBytes, EveryC1C2AuxPayload) {
 
 
 TEST(StatusFrames, BothOpcodesCarryEveryDefinedCode) {
-  // kQueryError and kShardError share one codec: every defined non-OK code
-  // crosses either opcode intact, the last one included.
+  // kQueryError and the RPC layer's kError share one codec: every defined
+  // non-OK code crosses either opcode intact, the last one included.
   ASSERT_EQ(kLastStatusCode, StatusCode::kPermissionDenied);
+  const uint16_t kTypes[] = {FrontendOpCode(FrontendOp::kQueryError),
+                             OpCode(Op::kError)};
   for (uint32_t code = 1; code <= static_cast<uint32_t>(kLastStatusCode);
        ++code) {
     const Status status(static_cast<StatusCode>(code), "why");
-    Status via_query = DecodeQueryError(EncodeQueryError(status));
-    EXPECT_EQ(via_query.code(), status.code());
-    EXPECT_EQ(via_query.message(), "why");
-    EXPECT_EQ(DecodeShardError(EncodeShardError(status)).code(),
-              status.code());
+    for (uint16_t type : kTypes) {
+      Status decoded = DecodeStatusFrame(type, EncodeStatusFrame(type, status));
+      EXPECT_EQ(decoded.code(), status.code()) << type;
+      EXPECT_EQ(decoded.message(), "why") << type;
+    }
   }
   // OK and any code past the last are refused as malformed.
   for (uint32_t bad :
        {0u, static_cast<uint32_t>(kLastStatusCode) + 1, 0xFFFFFFFFu}) {
-    for (uint16_t type : {FrontendOpCode(FrontendOp::kQueryError),
-                          ShardOpCode(ShardOp::kShardError)}) {
+    for (uint16_t type : kTypes) {
       Message msg;
       msg.type = type;
       FrameWriter(msg.aux).U32(bad).Text("x");
@@ -899,7 +902,7 @@ std::map<std::string, RoundTrip> FrameDecoders() {
        Via(DecodeShardCandidates, EncodeShardCandidates)},
       {"kShardCandidates.basic",
        Via(DecodeShardCandidates, EncodeShardCandidates)},
-      {"kShardError", ViaStatus(ShardOpCode(ShardOp::kShardError))},
+      {"kError", ViaStatus(OpCode(Op::kError))},
   };
 }
 

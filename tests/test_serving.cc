@@ -409,6 +409,105 @@ TEST(ServingTest, CreateWithRemoteC2FailsFastOnDeadLink) {
   EXPECT_FALSE(engine.ok());
 }
 
+// A C2 stand-in that answers the join ping and refuses every other frame
+// with the code under test: each defined non-OK code comes out of the
+// engine's Query unchanged, and out of a thin client's Query through a
+// QueryService in front of that engine.
+TEST(ServingTest, C2ErrorCodesReachTheEngineAndTheThinClient) {
+  PlainTable table = DistinctDistanceTable(4);
+  SknnEngine::Options options;
+  options.key_bits = 256;
+  options.attr_bits = 3;
+  options.randomizer_pool_capacity = 64;
+  auto reference = SknnEngine::Create(table, options);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
+  std::atomic<uint32_t> injected{0};
+  Channel::EndpointPair link = Channel::CreatePair();
+  RpcServer c2(std::move(link.b),
+               [&injected](const Message& req) -> Result<Message> {
+                 if (req.type == OpCode(Op::kPing)) return req;
+                 return Status(static_cast<StatusCode>(injected.load()),
+                               "injected by the C2 stand-in");
+               });
+  auto engine = SknnEngine::CreateWithRemoteC2(
+      (*reference)->public_key(), EncryptedDatabase((*reference)->database()),
+      std::move(link.a), options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  QueryService service(engine->get(), QueryService::Options{});
+  ASSERT_TRUE(service.Start(0).ok());
+  auto client = RemoteQueryClient::Connect("127.0.0.1", service.port());
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  for (uint32_t code = 1; code <= static_cast<uint32_t>(kLastStatusCode);
+       ++code) {
+    injected.store(code);
+    const QueryRequest request = MakeRequest({2, 0}, 1, QueryProtocol::kBasic);
+    auto direct = (*engine)->Query(request);
+    ASSERT_FALSE(direct.ok()) << code;
+    EXPECT_EQ(direct.status().code(), static_cast<StatusCode>(code))
+        << direct.status();
+    EXPECT_EQ(direct.status().message(), "injected by the C2 stand-in");
+    auto served = (*client)->Query(request);
+    ASSERT_FALSE(served.ok()) << code;
+    EXPECT_EQ(served.status().code(), static_cast<StatusCode>(code))
+        << served.status();
+  }
+  client->reset();
+  service.Shutdown();
+}
+
+// A front end that drops its link mid-query: its first link answers the
+// hello and closes when the query arrives, its second answers normally.
+// The dropped link reads kUnavailable, so a single-endpoint client that
+// retries kUnavailable redials and gets the answer.
+TEST(ServingTest, SingleEndpointClientRetriesAFrontEndThatDroppedItsLink) {
+  auto listener = TcpListener::Bind(0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  QueryResponse answer;
+  answer.records = {{3, 0}};
+  std::thread front_end([&] {
+    for (int link_no = 0; link_no < 2; ++link_no) {
+      auto link = listener->Accept();
+      if (!link.ok()) return;
+      std::vector<uint8_t> frame;
+      while ((*link)->Recv(&frame)) {
+        Result<Message> request = WireCodec::Decode(frame);
+        if (!request.ok()) break;
+        Message reply;
+        if (request->type == FrontendOpCode(FrontendOp::kHello)) {
+          reply = EncodeHelloAck(HelloInfo{});
+        } else if (link_no == 0) {
+          break;  // the drop, with the query in flight
+        } else {
+          reply = EncodeQueryResponse(answer);
+        }
+        reply.correlation_id = request->correlation_id;
+        if (!(*link)->Send(WireCodec::Encode(reply))) break;
+      }
+      (*link)->Close();
+    }
+  });
+
+  auto client = RemoteQueryClient::Connect("127.0.0.1", listener->port());
+  EXPECT_TRUE(client.ok()) << client.status();
+  if (client.ok()) {
+    RetryPolicy policy;
+    policy.retry_unavailable = true;
+    policy.initial_backoff = std::chrono::milliseconds(1);
+    policy.jitter = 0;
+    auto response = (*client)->QueryWithRetry(
+        MakeRequest({3, 0}, 1, QueryProtocol::kBasic), policy);
+    EXPECT_TRUE(response.ok()) << response.status();
+    if (response.ok()) {
+      EXPECT_EQ(response->records, answer.records);
+    }
+    client->reset();  // closes the client's link, so the front end returns
+  }
+  listener->Close();  // or gives up waiting for a second link
+  front_end.join();
+}
+
 // The engine's two meta-reply readers (kFetchQueryOps, kFetchPoolStats)
 // against a C2 whose answers to them arrive one byte short: instrumentation
 // is best-effort, so the query still returns the oracle's records, C2's

@@ -916,17 +916,16 @@ TEST(ShardedQueryRemote, WorkerAnswersMalformedFramesWithTypedErrors) {
   Message bogus;
   bogus.type = 0x02FF;
   auto resp = worker->Handle(bogus);
-  ASSERT_TRUE(resp.ok()) << resp.status();
-  EXPECT_EQ(resp->type, ShardOpCode(ShardOp::kShardError));
-  EXPECT_EQ(DecodeShardError(*resp).code(), StatusCode::kProtocolError);
+  ASSERT_FALSE(resp.ok());
+  EXPECT_EQ(resp.status().code(), StatusCode::kProtocolError);
 
   // A query frame with garbage geometry.
   Message garbage;
   garbage.type = ShardOpCode(ShardOp::kShardQuery);
   garbage.aux = {1, 2, 3};
   resp = worker->Handle(garbage);
-  ASSERT_TRUE(resp.ok()) << resp.status();
-  EXPECT_EQ(resp->type, ShardOpCode(ShardOp::kShardError));
+  ASSERT_FALSE(resp.ok());
+  EXPECT_EQ(resp.status().code(), StatusCode::kProtocolError);
 
   // A well-formed frame whose ciphertexts are not valid under the key.
   ShardQueryFrame frame;
@@ -934,9 +933,8 @@ TEST(ShardedQueryRemote, WorkerAnswersMalformedFramesWithTypedErrors) {
   frame.k = 1;
   frame.enc_query = {Ciphertext(BigInt(0)), Ciphertext(BigInt(0))};
   resp = worker->Handle(EncodeShardQuery(frame));
-  ASSERT_TRUE(resp.ok()) << resp.status();
-  EXPECT_EQ(resp->type, ShardOpCode(ShardOp::kShardError));
-  EXPECT_EQ(DecodeShardError(*resp).code(), StatusCode::kCryptoError);
+  ASSERT_FALSE(resp.ok());
+  EXPECT_EQ(resp.status().code(), StatusCode::kCryptoError);
 }
 
 }  // namespace
