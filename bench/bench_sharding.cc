@@ -1,16 +1,7 @@
-// bench_sharding — what sharding the record fan-out buys one query (PR 4),
-// and what replica failover costs it (ISSUE 7).
+// bench_sharding — what replica failover costs one sharded query, and what
+// the clustered index buys one.
 //
-// Series 1 (sharding): one in-process engine per shard count over the SAME
-// table and key pair, the same SkNN_m query timed at s = 1 / 2 / 4 shards
-// (s = 1 is the unsharded reference path). The per-shard stats of the
-// response are reported too, so the JSON shows where the time went: shard
-// stages (concurrent, each over n/s records — SMIN_n tournaments of depth
-// log2(n/s)) versus the coordinator's s*k-candidate merge. On a multicore
-// host the shard stages overlap; the merge is the serial tail Amdahl
-// charges for it.
-//
-// Series 2 (failover): a replicated remote topology — 2 shards, 2 TCP
+// Series 1 (failover): a replicated remote topology — 2 shards, 2 TCP
 // worker replicas for shard 0 — timed in four states: healthy steady
 // state; the first query after the preferred replica is killed (pays one
 // transport-failure detection + in-query retry); the query after that
@@ -19,7 +10,7 @@
 // query deadline rather than a fast connection reset. The failover column
 // counts the in-query retries the response reported.
 //
-// Series 3 (clustered, PR 9): what the k-means index buys one query — the
+// Series 2 (clustered): what the k-means index buys one query — the
 // exact scan versus IndexMode::kClustered at probe = 1 / 2 / 4 / all over a
 // 16-cluster table, at n = 1000 and n = 10000. The figure of merit is the
 // per-query Paillier encryption count (the op the candidate set size
@@ -27,7 +18,6 @@
 // the exact scan's answer (the engine falls through to the exact path).
 //
 //   bench_sharding [--json [path]] [--only <series>]
-//                                      # sharding  -> BENCH_PR4.json
 //                                      # failover  -> BENCH_PR7.json
 //                                      # clustered -> BENCH_PR9.json
 #include <algorithm>
@@ -54,15 +44,8 @@ namespace sknn {
 namespace bench {
 namespace {
 
-struct Point {
-  std::size_t shards = 0;
-  double seconds = 0;
-  double merge_seconds = 0;
-  double shard_stage_seconds = 0;  // max over shards (they overlap)
-};
-
 /// Consumes "--only <series>" / "--only=<series>" from the args; returns
-/// the series name ("sharding" / "failover" / "clustered") or "" when the
+/// the series name ("failover" / "clustered") or "" when the
 /// flag is absent (run everything). CI runs one series at a time so the
 /// smoke stays fast.
 std::string ConsumeOnlyFlag(int* argc, char** argv) {
@@ -235,7 +218,6 @@ int Main(int argc, char** argv) {
   std::string json_path;
   bool want_json = ConsumeJsonFlag(&argc, argv, &json_path);
   const std::string only = ConsumeOnlyFlag(&argc, argv);
-  const bool run_sharding = only.empty() || only == "sharding";
   const bool run_failover = only.empty() || only == "failover";
   const bool run_clustered = only.empty() || only == "clustered";
 
@@ -246,59 +228,8 @@ int Main(int argc, char** argv) {
   const unsigned k = 2;
   const std::size_t threads = BenchThreads();
 
-  if (run_sharding) {
-  PrintHeader("sharding", "per-query wall time vs shard count",
-              "SkNN_m k=2; s=1 is the unsharded engine");
-  std::printf("%8s %12s %12s %14s %10s\n", "shards", "seconds", "merge_s",
-              "shard_stage_s", "speedup");
-  std::vector<Point> points;
-  double base_seconds = 0;
-  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    EngineSetup setup = MakeEngine(
-        n, m, l, key_bits, threads, /*seed=*/4242,
-        std::chrono::microseconds{0},
-        [shards](SknnEngine::Options& opts) { opts.shards = shards; });
-    // Warm the randomizer pools out of the measurement.
-    (void)MustQuery(*setup.engine, setup.query, k, QueryProtocol::kSecure,
-                    "warmup query");
-    Stopwatch watch;
-    QueryResponse response = MustQuery(*setup.engine, setup.query, k,
-                                       QueryProtocol::kSecure, "timed query");
-    Point point;
-    point.shards = shards;
-    point.seconds = watch.ElapsedSeconds();
-    point.merge_seconds = response.merge_seconds;
-    for (const auto& shard : response.shards) {
-      point.shard_stage_seconds =
-          std::max(point.shard_stage_seconds, shard.seconds);
-    }
-    if (shards == 1) base_seconds = point.seconds;
-    std::printf("%8zu %12.4f %12.4f %14.4f %9.2fx\n", point.shards,
-                point.seconds, point.merge_seconds, point.shard_stage_seconds,
-                base_seconds / point.seconds);
-    points.push_back(point);
-  }
-
-  if (want_json) {
-    std::ostringstream json;
-    json << "{\"n\": " << n << ", \"k\": " << k
-         << ", \"threads\": " << threads << ", \"points\": [";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (i > 0) json << ", ";
-      json << "{\"shards\": " << points[i].shards
-           << ", \"seconds\": " << points[i].seconds
-           << ", \"merge_seconds\": " << points[i].merge_seconds
-           << ", \"shard_stage_seconds\": " << points[i].shard_stage_seconds
-           << "}";
-    }
-    json << "]}";
-    MergeJsonSection(BenchJsonPath(json_path, "BENCH_PR4.json"), "sharding",
-                     json.str());
-  }
-  }  // run_sharding
-
   // -------------------------------------------------------------------------
-  // Series 2: replica failover. 2 shards behind real TCP workers, shard 0
+  // Series 1: replica failover. 2 shards behind real TCP workers, shard 0
   // replicated twice; time the query through the failure modes.
 
   if (run_failover) {
@@ -429,7 +360,7 @@ int Main(int argc, char** argv) {
   }  // run_failover
 
   // -------------------------------------------------------------------------
-  // Series 3 (PR 9): the clustered index versus the exact scan. The exact
+  // Series 2: the clustered index versus the exact scan. The exact
   // SkNN_b pass touches all n records; clustered mode pays one 16-centroid
   // scoring round and then only the probed clusters' records, so the
   // per-query encryption count — the op the candidate set drives — should

@@ -15,7 +15,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -213,9 +212,7 @@ inline EngineSetup MakeEngine(std::size_t n, std::size_t m, unsigned l,
                               unsigned key_bits, std::size_t threads,
                               uint64_t seed,
                               std::chrono::microseconds latency =
-                                  std::chrono::microseconds{0},
-                              const std::function<void(SknnEngine::Options&)>&
-                                  tweak = {}) {
+                                  std::chrono::microseconds{0}) {
   int64_t max_value = MaxValueForDistanceBits(m, l);
   PlainTable table = GenerateUniformTable(n, m, max_value, seed);
   PlainRecord query = GenerateUniformQuery(m, max_value, seed + 1);
@@ -225,7 +222,6 @@ inline EngineSetup MakeEngine(std::size_t n, std::size_t m, unsigned l,
   opts.c1_threads = threads;
   opts.c2_threads = threads;
   opts.c1_c2_latency = latency;
-  if (tweak) tweak(opts);
   Stopwatch sw;
   auto engine = SknnEngine::Create(table, opts);
   if (!engine.ok()) {

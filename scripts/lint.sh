@@ -41,7 +41,11 @@
 #       - no use of the kError frame (`Op::kError`, or message type 0xFFFF)
 #         in src/ or tools/ outside src/net/rpc.cc and the opcode table
 #         (src/proto/opcodes.h): the RPC layer builds and reads it, and
-#         every caller gets its Status from RpcClient::Call.
+#         every caller gets its Status from RpcClient::Call;
+#       - no ShardWorker::Create( call in src/ or tools/ outside
+#         src/core/shard_worker.cc and tools/sknn_c1_shard.cc: a table is
+#         sharded one way, by sknn_c1_shard workers a front end joins
+#         through SknnEngine::CreateWithShardWorkers.
 #  2. clang-tidy over compile_commands.json (runs when clang-tidy is on
 #     PATH — the lint CI job; skipped with a notice otherwise). Checks are
 #     curated in .clang-tidy.
@@ -239,6 +243,20 @@ if [ -n "${error_frame}" ]; then
   fail "the kError frame (Op::kError / type 0xFFFF) used outside \
 src/net/rpc.cc — take the peer's Status from RpcClient::Call instead" \
     "${error_frame}"
+fi
+
+# --- 1l. Shard workers built outside sknn_c1_shard ------------------------
+# One way to shard a table: workers are sknn_c1_shard processes. A second
+# place in the library or the tools that builds ShardWorkers is a second
+# shard execution path (an in-process shard set). Comment lines are exempt.
+worker_builds=$(grep -rn --include='*.h' --include='*.cc' \
+  -e 'ShardWorker::Create(' src tools 2>/dev/null \
+  | grep -v -e '^src/core/shard_worker\.cc:' -e '^tools/sknn_c1_shard\.cc:' \
+  | grep -v ':[0-9]*:\s*//' || true)
+if [ -n "${worker_builds}" ]; then
+  fail "ShardWorker::Create called outside src/core/shard_worker.cc and \
+tools/sknn_c1_shard.cc — shard a table with sknn_c1_shard workers \
+(SknnEngine::CreateWithShardWorkers)" "${worker_builds}"
 fi
 
 # --- 2. clang-tidy ---------------------------------------------------------

@@ -3,8 +3,8 @@
 #   1. the four-binary topology: keygen -> encrypt -> sknn_c2_server ->
 #      sknn_c1_server -> concurrent thin clients;
 #   2. the SHARDED topology: the same database split across two
-#      sknn_c1_shard workers (via the manifest sknn_encrypt emitted) behind
-#      a worker-backed sknn_c1_server;
+#      sknn_c1_shard workers (via the manifest sknn_encrypt emitted; one
+#      with --no-short-randomizers) behind a worker-backed sknn_c1_server;
 #   3. the MULTI-TABLE topology: two tables with DISTINCT Paillier keys
 #      (each with its own C2 key holder) behind ONE sknn_c1_server,
 #      introspected with sknn_admin, churned by 200 connect/close cycles
@@ -204,16 +204,28 @@ echo "== leg 2: sharded deployment (2 x sknn_c1_shard + coordinator) =="
 C2S_PID=$!
 C2S_PORT=$(wait_for_port "$WORK/c2_sharded.log")
 
+# Worker 1 refills its randomizers full-width (the paper-exact setting of
+# docs/CRYPTO.md), worker 0 on the short-exponent path: answers must not
+# depend on it.
 SHARD_PIDS=()
 for shard in 0 1; do
+  refill_flag=()
+  [ "$shard" = 1 ] && refill_flag=(--no-short-randomizers)
   "$BIN/sknn_c1_shard" --public "$WORK/pk.txt" --db "$WORK/tied_db.bin" \
     --port 0 --c2-host 127.0.0.1 --c2-port "$C2S_PORT" \
     --manifest "$WORK/tied_manifest.bin" --shard-index "$shard" \
-    --threads 2 --connections 1 > "$WORK/shard$shard.log" 2>&1 &
+    --threads 2 --connections 1 "${refill_flag[@]}" \
+    > "$WORK/shard$shard.log" 2>&1 &
   SHARD_PIDS+=($!)
 done
 SHARD0_PORT=$(wait_for_port "$WORK/shard0.log")
 SHARD1_PORT=$(wait_for_port "$WORK/shard1.log")
+grep -q "short-exponent randomizers" "$WORK/shard0.log" || {
+  echo "shard 0 does not report short-exponent refills"; cat "$WORK/shard0.log"
+  exit 1; }
+grep -q "full-width randomizers" "$WORK/shard1.log" || {
+  echo "shard 1 ignored --no-short-randomizers"; cat "$WORK/shard1.log"
+  exit 1; }
 
 # The worker-backed front end hosts no records itself: no --db.
 N_SHARDED=3

@@ -114,9 +114,6 @@ Result<std::unique_ptr<SknnEngine>> SknnEngine::CreateWithShardWorkers(
   }
   auto engine = std::unique_ptr<SknnEngine>(new SknnEngine());
   engine->options_ = options;
-  // The workers' manifest defines the sharding; the in-process option must
-  // not ALSO partition (there is nothing here to partition).
-  engine->options_.shards = 1;
   engine->pk_ = pk;
   engine->client_ = std::make_unique<RpcClient>(std::move(c2_link));
 
@@ -132,7 +129,6 @@ Result<std::unique_ptr<SknnEngine>> SknnEngine::CreateWithShardWorkers(
       engine->coordinator_,
       ShardCoordinator::Create(pk, std::move(shard_links),
                                std::move(coordinator_options)));
-  engine->remote_shard_workers_ = true;
   engine->num_records_ = engine->coordinator_->manifest().total_records;
   engine->num_attributes_ = engine->coordinator_->num_attributes();
   engine->distance_bits_ = engine->coordinator_->distance_bits();
@@ -241,12 +237,8 @@ Status SknnEngine::InitCommon() {
     }
   }
 
-  // Remote-worker engines arrive here with coordinator_ already built.
-  if (coordinator_ == nullptr && options_.shards > 1) {
-    SKNN_RETURN_NOT_OK(ServeShardsInProcess());
-  }
   // SSED packs, once per load: the centroids, and the table when this
-  // engine hosts it (in-process workers have packed their own slices).
+  // engine hosts it.
   Stopwatch pack_watch;
   if (clusters_ != nullptr) {
     centroid_packs_ = PackSsedRecords(pk_, clusters_->centroids, attr_bits_,
@@ -258,60 +250,6 @@ Status SknnEngine::InitCommon() {
   pack_stats_.groups_per_record =
       SsedLayoutFor(pk_.n(), attr_bits_, num_attributes_)
           .Groups(num_attributes_);
-  return Status::OK();
-}
-
-Status SknnEngine::ServeShardsInProcess() {
-  // With a cluster index the partitioning is BY CLUSTER — one shard per
-  // cluster, Options::shards only switches sharding on — so pruning a
-  // cluster also prunes its shard.
-  ShardManifest manifest;
-  std::size_t num_shards = 0;
-  if (clusters_ != nullptr) {
-    num_shards = clusters_->num_clusters;
-  } else {
-    SKNN_ASSIGN_OR_RETURN(manifest,
-                          MakeShardManifest(num_records_, options_.shards,
-                                            options_.shard_scheme));
-    num_shards = manifest.num_shards;
-  }
-  std::vector<std::unique_ptr<Endpoint>> links;
-  for (std::size_t shard = 0; shard < num_shards; ++shard) {
-    SKNN_ASSIGN_OR_RETURN(
-        std::unique_ptr<ShardWorker> worker,
-        clusters_ != nullptr
-            ? ShardWorker::Create(pk_, table_.db, *clusters_, shard,
-                                  client_.get(), c1_pool_.get())
-            : ShardWorker::Create(pk_, table_.db, manifest, shard,
-                                  client_.get(), c1_pool_.get()));
-    Channel::EndpointPair link = Channel::CreatePair();
-    if (link.a == nullptr) {
-      return Status::IoError("ServeShardsInProcess: cannot open the link to "
-                             "shard " + std::to_string(shard));
-    }
-    ShardWorker* raw = worker.get();
-    pack_stats_.records += raw->packed_records();
-    pack_stats_.seconds += raw->pack_seconds();
-    shard_workers_.push_back(std::move(worker));
-    // As many handler threads as the scheduler runs queries at once, so a
-    // shard never queues a query the engine has admitted.
-    shard_servers_.push_back(std::make_unique<RpcServer>(
-        std::move(link.b),
-        [raw](const Message& req) { return raw->Handle(req); },
-        std::max<std::size_t>(1, options_.c1_threads)));
-    links.push_back(std::move(link.a));
-  }
-  // An in-process worker has no address to redial and cannot die on its
-  // own, so there is nothing to probe.
-  ShardCoordinator::Options coordinator_options;
-  coordinator_options.probe_interval = std::chrono::milliseconds{0};
-  SKNN_ASSIGN_OR_RETURN(
-      coordinator_, ShardCoordinator::Create(pk_, std::move(links),
-                                             std::move(coordinator_options)));
-  // The workers' slices now hold every record and Dispatch routes through
-  // the coordinator unconditionally — keeping the unsliced copy too would
-  // double resident ciphertext memory for the engine's lifetime.
-  table_ = ShardSlice{};
   return Status::OK();
 }
 
@@ -347,10 +285,10 @@ SknnEngine::Info SknnEngine::info() const {
   info.attr_bits = attr_bits_;
   info.distance_bits = distance_bits_;
   info.k_max = static_cast<unsigned>(num_records_);
+  info.remote_shard_workers = coordinator_ != nullptr;
   if (coordinator_ != nullptr) {
     info.num_shards = coordinator_->manifest().num_shards;
     info.shard_scheme = coordinator_->manifest().scheme;
-    info.remote_shard_workers = remote_shard_workers_;
   }
   if (clusters_ != nullptr) info.num_clusters = clusters_->num_clusters;
   return info;

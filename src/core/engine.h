@@ -10,6 +10,12 @@
 // pool counters with the same tagged exchanges, so an in-process query
 // reports the frames and ops a served one does.
 //
+// There is one way to shard a table too: an engine either hosts its whole
+// table and runs every query's C1 stage over it, fanned out over its
+// c1_threads (the paper's parallel SkNN_m), or it fronts sknn_c1_shard
+// workers (CreateWithShardWorkers), each hosting one slice, and merges their
+// candidates through a ShardCoordinator.
+//
 // The query surface is request-oriented (core/query_api.h): Query() runs
 // one QueryRequest synchronously, Submit() returns a future, and
 // QueryBatch() pipelines independent requests — up to c1_threads of them in
@@ -34,7 +40,6 @@
 #include "core/query_api.h"
 #include "core/query_client.h"
 #include "core/shard_coordinator.h"
-#include "core/shard_worker.h"
 #include "core/sharding.h"
 #include "core/sknn_b.h"
 #include "core/sknn_m.h"
@@ -82,18 +87,6 @@ class SknnEngine {
     /// the assumption-free full-width reference path; decrypted results are
     /// identical either way, only randomizer distribution economics change.
     bool short_randomizers = true;
-    /// Shard the record fan-out: partition Epk(T) into this many in-process
-    /// ShardWorkers (the code sknn_c1_shard runs), each served over an
-    /// in-process socketpair and sharing this engine's C2 client, C1 pool and
-    /// key; run each query's distance + local-top-k stages per shard
-    /// concurrently, and merge the s*k candidates through the coordinator
-    /// (core/shard_coordinator.h). Results are bitwise-identical to the
-    /// unsharded execution for every protocol. 1 = unsharded. For shards in
-    /// separate worker PROCESSES use CreateWithShardWorkers instead, which
-    /// ignores this option.
-    std::size_t shards = 1;
-    /// How the records are partitioned across shards.
-    ShardScheme shard_scheme = ShardScheme::kContiguous;
     /// CreateWithShardWorkers only: "host:port" redial addresses, parallel
     /// to `shard_links`. A replica whose link dies is re-connected by the
     /// coordinator's probe thread at this address (a restarted worker on
@@ -105,12 +98,10 @@ class SknnEngine {
     /// Clustered index mode: the k-means manifest built by `sknn_encrypt
     /// --clusters` (core/clustering.h, loaded via db_io). Non-null enables
     /// IndexMode::kClustered requests against this engine; exact requests
-    /// are unaffected. With `shards > 1` the in-process partitioning
-    /// becomes BY CLUSTER — one shard per cluster, the `shards` count and
-    /// `shard_scheme` are ignored — so a pruned cluster's shard never runs
-    /// its stage. A CreateWithShardWorkers engine requires the workers to
-    /// have been partitioned by this same manifest (sknn_c1_shard
-    /// --clusters); construction fails otherwise.
+    /// are unaffected. A CreateWithShardWorkers engine requires the workers
+    /// to have been partitioned by this same manifest, one shard per
+    /// cluster (sknn_c1_shard --clusters), so a pruned cluster's worker
+    /// never runs its stage; construction fails otherwise.
     std::shared_ptr<const ClusterManifest> clusters;
   };
 
@@ -157,8 +148,7 @@ class SknnEngine {
   /// Epk(T) itself; `database()` is empty. Queries behave exactly like any
   /// other engine's — bitwise-identical records, per-shard stats in
   /// QueryResponse::shards — and a worker dying mid-query surfaces as
-  /// StatusCode::kUnavailable. Options::shards/shard_scheme are ignored
-  /// (the workers' manifest wins).
+  /// StatusCode::kUnavailable. The workers' manifest is the sharding.
   static Result<std::unique_ptr<SknnEngine>> CreateWithShardWorkers(
       const PaillierPublicKey& pk,
       std::vector<std::unique_ptr<Endpoint>> shard_links,
@@ -205,8 +195,8 @@ class SknnEngine {
     std::size_t num_shards = 1;
     /// Meaningful when num_shards > 1.
     ShardScheme shard_scheme = ShardScheme::kContiguous;
-    /// True when the shards are sknn_c1_shard worker processes
-    /// (CreateWithShardWorkers) rather than in-process workers.
+    /// True when the shards are sknn_c1_shard workers
+    /// (CreateWithShardWorkers), the only way an engine is sharded.
     bool remote_shard_workers = false;
     /// Clusters of the table's k-means index; 0 = no cluster index (the
     /// table only serves IndexMode::kExact).
@@ -215,18 +205,15 @@ class SknnEngine {
   Info info() const;
 
   const PaillierPublicKey& public_key() const { return pk_; }
-  /// \brief Epk(T) as hosted by this process — EMPTY for sharded engines:
-  /// a CreateWithShardWorkers engine's records live in the workers, and an
-  /// in-process shard set (Options::shards > 1) holds them in its in-process
-  /// workers' slices instead.
+  /// \brief Epk(T) as hosted by this process — EMPTY for a
+  /// CreateWithShardWorkers engine, whose records live in the workers.
   const EncryptedDatabase& database() const { return table_.db; }
   std::size_t num_records() const { return num_records_; }
   std::size_t num_attributes() const { return num_attributes_; }
   unsigned distance_bits() const { return distance_bits_; }
   /// \brief Attribute domain bound: valid values are [0, 2^attr_bits()).
   unsigned attr_bits() const { return attr_bits_; }
-  /// \brief Non-null when queries execute sharded (Options::shards > 1 or
-  /// CreateWithShardWorkers).
+  /// \brief Non-null when queries execute sharded (CreateWithShardWorkers).
   const ShardCoordinator* shard_coordinator() const {
     return coordinator_.get();
   }
@@ -253,7 +240,7 @@ class SknnEngine {
   RandomizerPoolStats randomizer_pool_stats();
 
   /// \brief The load-time SSED packing (proto/ssed.h) of the records and
-  /// centroids this process hosts, in-process shard workers included.
+  /// centroids this process hosts.
   /// records = 0 when an SSED group is one slot (nothing to pack).
   struct PackStats {
     std::size_t records = 0;
@@ -293,15 +280,8 @@ class SknnEngine {
 
   /// \brief The construction tail shared by every factory: geometry and
   /// attribute domain, C1 pool, Bob's client, the C1-side randomizer pool,
-  /// the in-process shard set when Options::shards > 1, and the SSED packs.
+  /// and the SSED packs.
   Status InitCommon();
-  /// \brief The in-process shard set: one ShardWorker per shard (per
-  /// cluster under a cluster index), each behind an RpcServer on a
-  /// Channel::CreatePair() socketpair, reached by the same coordinator code
-  /// as sknn_c1_shard processes. The workers run on client_, c1_pool_ and
-  /// pk_, so the shard set opens no C2 link and starts no randomizer pool of
-  /// its own. IoError when a socketpair cannot be opened.
-  Status ServeShardsInProcess();
   /// \brief The Bob-bound records of `ctx`'s query: a kFetchBobOutbox
   /// exchange tagged with its id and metered through `ctx`.
   Result<std::vector<BigInt>> TakeC2Outbox(ProtoContext& ctx);
@@ -327,8 +307,6 @@ class SknnEngine {
   std::size_t num_records_ = 0;
   std::size_t num_attributes_ = 0;
   unsigned distance_bits_ = 0;
-  /// Set by CreateWithShardWorkers: the shards are worker processes.
-  bool remote_shard_workers_ = false;
   /// Clustered index state (null/empty without Options::clusters).
   std::shared_ptr<const ClusterManifest> clusters_;
   std::vector<uint32_t> cluster_sizes_;
@@ -347,12 +325,7 @@ class SknnEngine {
   /// through pk_ so it is destroyed first only once queries have drained.
   std::unique_ptr<RandomizerPool> c1_rand_pool_;
   std::unique_ptr<QueryClient> bob_;
-  /// The in-process shard set (empty otherwise), then the coordinator.
-  /// Declared after client_, c1_pool_ and c1_rand_pool_, which the workers
-  /// run on, so the coordinator closes the links first, the servers drain,
-  /// and the workers go before the objects they use.
-  std::vector<std::unique_ptr<ShardWorker>> shard_workers_;
-  std::vector<std::unique_ptr<RpcServer>> shard_servers_;
+  /// The sknn_c1_shard workers' coordinator (CreateWithShardWorkers only).
   std::unique_ptr<ShardCoordinator> coordinator_;
 
   std::atomic<uint64_t> next_query_id_{1};

@@ -4,8 +4,8 @@
 // One shard placement: every shard is served by one or MORE ShardWorkers
 // (core/shard_worker.h, the replicas) reached over the RPC stack
 // (net/shard_wire.h). The workers are sknn_c1_shard processes behind TCP
-// links, or — for an in-process shard set (SknnEngine::Options::shards) —
-// workers the engine serves over in-process socketpairs; the coordinator cannot
+// links (SknnEngine::CreateWithShardWorkers), or, in tests, workers served
+// over in-process socketpairs; the coordinator cannot
 // tell the two apart. A shard stage that gets no answer (kUnavailable: the
 // worker is gone, or its own C2 link is), times out (kDeadlineExceeded), or
 // whose candidates fail the Z*_{N^2} range check, retries on the next
@@ -59,8 +59,7 @@ class ShardCoordinator {
   };
 
   /// \brief Replication knobs. Defaults reproduce sensible production
-  /// behavior; tests shrink the probe interval, and in-process shard sets
-  /// turn probing off.
+  /// behavior; tests shrink the probe interval or turn probing off.
   struct Options {
     /// Per-link redial addresses ("host:port"), parallel to `worker_links`;
     /// empty vector or empty entries disable redial for those links. A

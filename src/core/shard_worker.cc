@@ -82,9 +82,7 @@ Result<std::unique_ptr<ShardWorker>> ShardWorker::CreateSliced(
   for (std::size_t gidx : worker->slice_.global_indices) {
     worker->slice_.db.records.push_back(db.records[gidx]);
   }
-  Stopwatch pack_watch;
   PackSlice(pk, worker->slice_, pool);
-  worker->pack_seconds_ = pack_watch.ElapsedSeconds();
   worker->geometry_.shard = static_cast<uint32_t>(shard_index);
   worker->geometry_.manifest = manifest;
   worker->geometry_.num_attributes =

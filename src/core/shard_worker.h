@@ -18,10 +18,10 @@
 // carries to the coordinator code included (net/rpc.h). A worker that does
 // not answer, or whose own C2 link is dead, is kUnavailable there, and the
 // coordinator fails over. The class is transport-agnostic:
-// tools/sknn_c1_shard serves it over TCP RpcServers; SknnEngine
-// (Options::shards > 1) serves one per shard over an in-process
-// socketpair, sharing the engine's C2 client, C1 pool and key; tests do
-// either.
+// tools/sknn_c1_shard serves it over TCP RpcServers and is the only
+// program that builds workers (scripts/lint.sh gate 1l); tests serve it
+// over TCP or a socketpair (Channel::CreatePair). A front end reaches
+// workers only through SknnEngine::CreateWithShardWorkers.
 //
 // The owner supplies the C2 client, the C1 pool and the key (which may
 // carry a randomizer pool), and must keep them alive until the worker and
@@ -53,11 +53,10 @@ class ShardWorker {
       const ShardManifest& manifest, std::size_t shard_index, RpcClient* c2,
       ThreadPool* pool);
 
-  /// \brief Cluster-partitioned worker (sknn_c1_shard --clusters, or a
-  /// clustered in-process shard set): hosts the records of cluster
-  /// `shard_index` under a ShardScheme::kByCluster manifest with one shard
-  /// per cluster, so a clustered front end can prune whole workers out of a
-  /// query's fan-out.
+  /// \brief Cluster-partitioned worker (sknn_c1_shard --clusters): hosts
+  /// the records of cluster `shard_index` under a ShardScheme::kByCluster
+  /// manifest with one shard per cluster, so a clustered front end can
+  /// prune whole workers out of a query's fan-out.
   static Result<std::unique_ptr<ShardWorker>> Create(
       const PaillierPublicKey& pk, const EncryptedDatabase& db,
       const ClusterManifest& clusters, std::size_t shard_index, RpcClient* c2,
@@ -72,10 +71,6 @@ class ShardWorker {
 
   const ShardGeometry& geometry() const { return geometry_; }
   std::size_t shard_records() const { return slice_.db.num_records(); }
-  /// \brief The slice's load-time SSED packing: records packed (0 when an
-  /// SSED group is one slot) and its wall time.
-  std::size_t packed_records() const { return slice_.packs.size(); }
-  double pack_seconds() const { return pack_seconds_; }
 
  private:
   ShardWorker() = default;
@@ -95,7 +90,6 @@ class ShardWorker {
   ShardGeometry geometry_;
   RpcClient* c2_ = nullptr;
   ThreadPool* pool_ = nullptr;
-  double pack_seconds_ = 0;
 };
 
 }  // namespace sknn

@@ -25,25 +25,9 @@ QueryService::QueryService(SknnEngine* engine, const Options& options)
 QueryService::~QueryService() { Shutdown(); }
 
 Result<std::unique_ptr<SknnEngine>> QueryService::CreateShardedEngine(
-    const PaillierPublicKey& pk, EncryptedDatabase db,
-    std::unique_ptr<Endpoint> c2_link, SknnEngine::Options options,
-    std::size_t shards, ShardScheme scheme,
+    const PaillierPublicKey& pk, std::unique_ptr<Endpoint> c2_link,
+    SknnEngine::Options options,
     const std::vector<std::string>& worker_addrs) {
-  if (worker_addrs.empty()) {
-    options.shards = shards;
-    options.shard_scheme = scheme;
-    return SknnEngine::CreateWithRemoteC2(pk, std::move(db),
-                                          std::move(c2_link), options);
-  }
-  // Replication allows MORE workers than shards (duplicates become
-  // replicas); the coordinator validates full coverage either way. Fewer
-  // workers than --shards cannot cover and fails fast here.
-  if (shards != 0 && worker_addrs.size() < shards) {
-    return Status::InvalidArgument(
-        "CreateShardedEngine: --shards says " + std::to_string(shards) +
-        " but only " + std::to_string(worker_addrs.size()) +
-        " shard workers were given");
-  }
   // Parse every address before dialing any: a typo must fail as a typo,
   // and each address is later the replica's redial target, which the
   // coordinator's probe parses with this same parser.
@@ -217,8 +201,8 @@ HealthReply QueryService::HealthSnapshot() const {
   for (const TableRegistry::Entry* entry : registry_->snapshot()) {
     TableHealthEntry table;
     table.name = entry->name;
-    // Local (unsharded or in-process-sharded) tables report an empty
-    // replica list: there is nothing to fail over to.
+    // An unsharded table reports an empty replica list: there is nothing
+    // to fail over to.
     std::shared_ptr<SknnEngine> engine = entry->engine();
     if (engine != nullptr && engine->info().remote_shard_workers) {
       for (const ShardCoordinator::ReplicaStatus& status :

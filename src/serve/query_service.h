@@ -84,22 +84,18 @@ class QueryService {
   ~QueryService();
 
   /// \brief The sharded construction path of the front end: builds the
-  /// engine a sharded `sknn_c1_server --shards s [--shard-workers ...]`
-  /// serves, with the same wire contract as the unsharded one.
-  ///
-  /// With `worker_addrs` empty, Epk(T) is partitioned into `shards`
-  /// in-process shards (SknnEngine::Options::shards) driven over `c2_link`.
-  /// Otherwise each "host:port" entry is one standing sknn_c1_shard worker:
-  /// the engine is assembled via SknnEngine::CreateWithShardWorkers — `db`
-  /// may then be empty, the geometry comes from the workers, and the list
-  /// must cover at least `shards` workers (0 = take the count from the
-  /// workers). SEVERAL workers may serve the same shard index: they become
-  /// that shard's replicas, queries fail over between them, and the
-  /// coordinator redials a dead worker at its listed address.
+  /// engine `sknn_c1_server --shard-workers host:port,...` serves, with the
+  /// same wire contract as the unsharded one. Each "host:port" entry is one
+  /// standing sknn_c1_shard worker; the engine is assembled via
+  /// SknnEngine::CreateWithShardWorkers, so the front end loads no records
+  /// and learns the geometry from the workers, whose coordinator refuses a
+  /// set that leaves a shard 0..s-1 without a worker. SEVERAL workers may
+  /// serve the same shard index: they become that shard's replicas, queries
+  /// fail over between them, and the coordinator redials a dead worker at
+  /// its listed address.
   static Result<std::unique_ptr<SknnEngine>> CreateShardedEngine(
-      const PaillierPublicKey& pk, EncryptedDatabase db,
-      std::unique_ptr<Endpoint> c2_link, SknnEngine::Options options,
-      std::size_t shards, ShardScheme scheme,
+      const PaillierPublicKey& pk, std::unique_ptr<Endpoint> c2_link,
+      SknnEngine::Options options,
       const std::vector<std::string>& worker_addrs);
 
   QueryService(const QueryService&) = delete;

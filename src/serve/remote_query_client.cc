@@ -216,7 +216,7 @@ Result<std::shared_ptr<RpcClient>> RemoteQueryClient::EnsureLink() {
       // equivalent front end will say the same — surface it, don't rotate.
       return DecodeQueryError(*reply);
     }
-    SKNN_ASSIGN_OR_RETURN(key_id_, DecodeAuthAck(*reply));
+    SKNN_RETURN_NOT_OK(DecodeAuthAck(*reply).status());
     auth_done_ = true;
   }
   return rpc_;
@@ -228,12 +228,6 @@ void RemoteQueryClient::set_api_key(std::string key) {
   // Force a (re)presentation on the next call even if the session already
   // helloed without a key.
   auth_done_ = false;
-}
-
-Result<std::string> RemoteQueryClient::AuthenticatedKeyId() {
-  SKNN_RETURN_NOT_OK(EnsureLink().status());
-  MutexLock lock(&mutex_);
-  return key_id_;
 }
 
 void RemoteQueryClient::DropLink(const std::shared_ptr<RpcClient>& failed) {

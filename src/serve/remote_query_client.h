@@ -133,10 +133,6 @@ class RemoteQueryClient {
   /// whichever call triggered the handshake.
   void set_api_key(std::string key);
 
-  /// \brief Forces the handshake (hello + authenticate) and returns the
-  /// key id the server acked — "" on an open server or when no key is set.
-  Result<std::string> AuthenticatedKeyId();
-
   /// \brief One query, one round trip (after the implicit hello).
   /// request.table targets one of a multi-table front end's tables
   /// (empty = the sole table). request.deadline_ms > 0 additionally arms a
@@ -216,8 +212,6 @@ class RemoteQueryClient {
   /// Raw API key to present after every hello; "" = none configured.
   std::string api_key_ GUARDED_BY(mutex_);
   bool auth_done_ GUARDED_BY(mutex_) = false;
-  /// The key id the server acked for this session.
-  std::string key_id_ GUARDED_BY(mutex_);
   /// Next endpoints_ slot to dial (mod size); advanced on every drop.
   std::size_t endpoint_idx_ GUARDED_BY(mutex_) = 0;
   bool closed_ GUARDED_BY(mutex_) = false;

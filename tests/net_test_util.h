@@ -48,6 +48,8 @@ class LoopbackC2 {
   }
 
   std::unique_ptr<Endpoint> Connect() { return MustConnect(listener_->port()); }
+  /// \brief The served C2Service (record_views / TakeViews in tests).
+  C2Service& service() { return c2_; }
 
  private:
   C2Service c2_;

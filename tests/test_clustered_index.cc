@@ -12,10 +12,10 @@
 //      counts — because the engine falls through to the exact path;
 //   4. a seeded recall@k sweep: recall grows with probe_clusters and a
 //      well-separated table reaches recall 1.0 well before probe = all;
-//   5. the sharded topology: in-process ShardScheme::kByCluster shards,
-//      pruned shards report pruned = 1 with zero traffic, and the sharded
-//      clustered answer equals the unsharded clustered answer probe for
-//      probe;
+//   5. the sharded topology: one shard worker per cluster
+//      (ShardScheme::kByCluster), pruned shards report pruned = 1 with
+//      zero traffic, and the sharded clustered answer equals the
+//      unsharded clustered answer probe for probe;
 //   6. the greedy candidate expansion: probe = 1 with k larger than the
 //      nearest cluster silently widens to enough clusters to honor k.
 #include <gtest/gtest.h>
@@ -37,6 +37,7 @@
 #include "core/sharding.h"
 #include "data/synthetic.h"
 #include "tests/query_test_util.h"
+#include "tests/shard_test_util.h"
 
 namespace sknn {
 namespace {
@@ -315,10 +316,15 @@ TEST(ClusteredIndex, ShardedByClusterPrunesAndMatchesUnsharded) {
   unsharded_options.clusters = manifest;
   auto unsharded = MakeEngine(table, unsharded_options);
 
+  // One sknn_c1_shard --clusters worker per cluster.
   SknnEngine::Options sharded_options = BaseOptions();
   sharded_options.clusters = manifest;
-  sharded_options.shards = 4;  // any value > 1: the manifest decides
-  auto sharded = MakeEngine(table, sharded_options);
+  auto db = SharedAlice().EncryptDatabase(table, kAttrBits);
+  ASSERT_TRUE(db.ok()) << db.status();
+  ShardedTable by_cluster(SharedAlice().public_key(),
+                          PaillierSecretKey(SharedAlice().secret_key_for_c2()),
+                          std::move(db).value(), sharded_options);
+  SknnEngine* sharded = by_cluster.engine.get();
   EXPECT_EQ(sharded->info().shard_scheme, ShardScheme::kByCluster);
   EXPECT_EQ(sharded->info().num_shards, 4u);
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <thread>
 
@@ -14,6 +16,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "proto/permutation.h"
+#include "tools/table_spec.h"
 #include "tools/tool_util.h"
 
 namespace sknn {
@@ -235,6 +238,121 @@ TEST(ToolFlagsDeathTest, UnknownFlagPrintsUsageAndExits2) {
   char* joined[] = {prog, typo_eq, secret, sk};
   EXPECT_EXIT(tools::ParseFlagList(4, joined, {"secret", "workers"}, usage),
               ::testing::ExitedWithCode(2), "unknown flag --wrokers\n");
+}
+
+// The table-spec grammar of sknn_c1_server (tools/table_spec.h): --table
+// flags and the rebuild specs kReloadTable parses back.
+
+TEST(TableSpecTest, EveryFormattedSpecParsesBackEqual) {
+  // Resolved specs as the server records them (a key path, a C2 address,
+  // a port >= 1), with every optional key on or off: workers (with db "-"
+  // or a file), clusters, and the QoS knobs at values whose six-digit
+  // text would not be exact.
+  std::mt19937_64 rng(0x5bec);
+  auto real = [&rng] {
+    return std::ldexp(static_cast<double>(rng() >> 11), -53) *
+           std::ldexp(1.0, static_cast<int>(rng() % 40) - 20);
+  };
+  std::vector<tools::TableSpec> specs;
+  for (int i = 0; i < 200; ++i) {
+    tools::TableSpec spec;
+    spec.name = "t" + std::to_string(i);
+    spec.pk_path = "/keys/pk" + std::to_string(rng() % 9) + ".txt";
+    spec.c2_host = "10.0.0." + std::to_string(rng() % 256);
+    spec.c2_port = static_cast<uint16_t>(1 + rng() % 65535);
+    if (rng() % 2) {
+      const std::size_t workers = 1 + rng() % 3;
+      for (std::size_t w = 0; w < workers; ++w) {
+        spec.worker_addrs.push_back("h" + std::to_string(w) + ":" +
+                                    std::to_string(1 + rng() % 65535));
+      }
+    }
+    if (spec.worker_addrs.empty() || rng() % 2) {
+      spec.db_path = "/data/db" + std::to_string(i) + ".bin";
+    }
+    if (rng() % 2) spec.clusters_path = "/data/clusters.bin";
+    if (rng() % 2) spec.weight = static_cast<uint32_t>(1 + rng() % 0xFFFFFFFFu);
+    if (rng() % 2) spec.rate = real();
+    if (rng() % 2) spec.burst = real();
+    if (rng() % 2) spec.cache_bytes = rng() % 3 == 0 ? 0 : rng();
+    specs.push_back(std::move(spec));
+  }
+  tools::TableSpec tiny;
+  tiny.name = "tiny";
+  tiny.worker_addrs = {"127.0.0.1:9200", "127.0.0.1:9201"};
+  tiny.pk_path = "pk.txt";
+  tiny.c2_host = "127.0.0.1";
+  tiny.c2_port = 9000;
+  tiny.rate = 1e-7;
+  tiny.burst = 1.0 / 3;
+  specs.push_back(tiny);
+  for (const tools::TableSpec& spec : specs) {
+    const std::string text = tools::FormatTableSpec(spec);
+    SCOPED_TRACE(text);
+    auto parsed = tools::TryParseTableSpec(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_TRUE(*parsed == spec);
+    EXPECT_EQ(tools::FormatTableSpec(*parsed), text);
+  }
+}
+
+TEST(TableSpecTest, ShardLayoutKeysAreRefused) {
+  // A table is sharded by its workers (workers=): shard-layout keys are
+  // unknown keys, refused rather than silently ignored.
+  for (const char* item : {"shards=2", "scheme=roundrobin", "manifest=m.bin"}) {
+    auto parsed = tools::TryParseTableSpec(std::string("t=db.bin,") + item);
+    ASSERT_FALSE(parsed.ok()) << item;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("unknown key"),
+              std::string::npos)
+        << parsed.status();
+  }
+}
+
+TEST(TableSpecTest, MutantsParseOrFailInvalidArgument) {
+  // Whatever an admin's reload frame carries, the parser returns a spec or
+  // InvalidArgument and never throws; a spec it returns names its table
+  // and has records to serve (a file or workers).
+  const std::string valid =
+      "users=/d/users.bin,clusters=/d/c.bin,public=/k/pk.txt,"
+      "c2-host=127.0.0.1,c2-port=9000,weight=3,rate=2.5,burst=10,cache=0,"
+      "workers=h:1|h:2";
+  ASSERT_TRUE(tools::TryParseTableSpec(valid).ok());
+  const char kInserts[] = ",=|-.:09az \t\r\n\0";
+  const std::string inserts(kInserts, sizeof(kInserts) - 1);
+  std::mt19937_64 rng(0x7ab1e);
+  for (int i = 0; i < 300; ++i) {
+    std::string text = valid;
+    const int edits = 1 + static_cast<int>(rng() % 4);
+    for (int e = 0; e < edits && !text.empty(); ++e) {
+      const std::size_t at = rng() % text.size();
+      switch (rng() % 4) {
+        case 0:
+          text[at] = static_cast<char>(rng() % 256);
+          break;
+        case 1:
+          text.erase(at, 1);
+          break;
+        case 2:
+          text.resize(at);
+          break;
+        default:
+          text.insert(at, 1, inserts[rng() % inserts.size()]);
+          break;
+      }
+    }
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    Result<tools::TableSpec> parsed = Status::Internal("unset");
+    EXPECT_NO_THROW(parsed = tools::TryParseTableSpec(text));
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << parsed.status();
+      continue;
+    }
+    EXPECT_FALSE(parsed->name.empty());
+    EXPECT_TRUE(!parsed->db_path.empty() || !parsed->worker_addrs.empty());
+    EXPECT_GE(parsed->weight, 1u);
+  }
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {

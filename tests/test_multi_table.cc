@@ -25,6 +25,7 @@
 #include "serve/remote_query_client.h"
 #include "serve/table_registry.h"
 #include "tests/net_test_util.h"
+#include "tests/shard_test_util.h"
 
 namespace sknn {
 namespace {
@@ -46,6 +47,8 @@ QueryRequest MakeRequest(std::string table, PlainRecord record, unsigned k,
 struct TableStack {
   std::unique_ptr<SknnEngine> reference;
   std::unique_ptr<LoopbackC2> c2;
+  // Sharded tables only: the shard workers, which hold Epk(T).
+  std::unique_ptr<ShardSet> shards;
   std::unique_ptr<SknnEngine> engine;
 };
 
@@ -66,11 +69,18 @@ TableStack MakeTable(const PlainTable& table, unsigned attr_bits,
       PaillierSecretKey(stack.reference->c2_service().secret_key()),
       /*pool_capacity=*/64);
 
-  options.shards = shards;
-  auto engine = SknnEngine::CreateWithRemoteC2(
-      stack.reference->public_key(),
-      EncryptedDatabase(stack.reference->database()),
-      stack.c2->Connect(), options);
+  EncryptedDatabase db(stack.reference->database());
+  Result<std::unique_ptr<SknnEngine>> engine = Status::Internal("unset");
+  if (shards == 1) {
+    engine = SknnEngine::CreateWithRemoteC2(stack.reference->public_key(),
+                                            std::move(db), stack.c2->Connect(),
+                                            options);
+  } else {
+    stack.shards = std::make_unique<ShardSet>(
+        stack.reference->public_key(), std::move(db), stack.c2.get(), shards,
+        ShardScheme::kContiguous);
+    engine = stack.shards->MakeEngine(options);
+  }
   EXPECT_TRUE(engine.ok()) << engine.status();
   stack.engine = std::move(engine).value();
   return stack;
@@ -190,15 +200,24 @@ TEST(MultiTableTest, ShardedTableBehindTheSameContract) {
   auto info = client->TableInfo("beta");
   ASSERT_TRUE(info.ok()) << info.status();
   EXPECT_EQ(info->num_shards, 2u);
-  EXPECT_FALSE(info->remote_workers);
+  EXPECT_TRUE(info->remote_workers);
 
-  // In-process shards have no replicas to fail over to: kHealth reports
-  // none for them, exactly as for the unsharded table.
+  // kHealth reports one replica per shard worker of the sharded table, and
+  // none for the unsharded one: it has nothing to fail over to.
   auto health = client->Health();
   ASSERT_TRUE(health.ok()) << health.status();
   ASSERT_EQ(health->tables.size(), 2u);
   for (const TableHealthEntry& table : health->tables) {
-    EXPECT_TRUE(table.replicas.empty()) << table.name;
+    if (table.name != "beta") {
+      EXPECT_TRUE(table.replicas.empty()) << table.name;
+      continue;
+    }
+    ASSERT_EQ(table.replicas.size(), 2u);
+    for (uint32_t shard = 0; shard < 2; ++shard) {
+      EXPECT_EQ(table.replicas[shard].shard, shard);
+      EXPECT_EQ(table.replicas[shard].replica, 0u);
+      EXPECT_TRUE(table.replicas[shard].healthy);
+    }
   }
 }
 

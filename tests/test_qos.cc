@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -370,6 +371,76 @@ TEST(ApiKeyAuthTest, KeysFileParsingAndItsFailureModes) {
   EXPECT_FALSE(ApiKeyAuth::LoadFromFile(path).ok());
   // Missing file.
   EXPECT_FALSE(ApiKeyAuth::LoadFromFile("no-such-keys-file.tmp").ok());
+  std::remove(path.c_str());
+}
+
+TEST(ApiKeyAuthTest, MutatedKeysFilesLoadOrFailInvalidArgument) {
+  // Whatever bytes the keys file holds, the loader returns a registry or
+  // InvalidArgument, and a registry it returns keeps the file format's
+  // bounds: at least one key, ids of at most 64 bytes, weights in
+  // [1, 2^32).
+  const std::string path = ::testing::TempDir() + "/qos_keys_mutant.tmp";
+  const std::string valid =
+      "# three tenants\n"
+      "alpha:" + Sha256::HexDigest("a") + ":100:3\n"
+      "beta:" + Sha256::HexDigest("b") + ":0:1\n\n"
+      "gamma:" + Sha256::HexDigest("c") + ":18446744073709551615:4294967295\n";
+  auto check = [&path](const std::string& text) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+    auto auth = ApiKeyAuth::LoadFromFile(path);
+    if (!auth.ok()) {
+      EXPECT_EQ(auth.status().code(), StatusCode::kInvalidArgument)
+          << auth.status();
+      return false;
+    }
+    EXPECT_GE((*auth)->size(), 1u);
+    for (const ApiKeyAuth::KeyStats& key : (*auth)->Snapshot()) {
+      EXPECT_LE(key.id.size(), 64u);
+      EXPECT_GE(key.weight, 1u);
+    }
+    return true;
+  };
+  EXPECT_TRUE(check(valid));
+
+  // The numeric edges: a 21-digit quota, weight 0 and weight 2^32.
+  const std::string digest = Sha256::HexDigest("k");
+  EXPECT_FALSE(check("t:" + digest + ":100000000000000000000:1\n"));
+  EXPECT_FALSE(check("t:" + digest + ":0:0\n"));
+  EXPECT_FALSE(check("t:" + digest + ":0:4294967296\n"));
+  EXPECT_FALSE(check(std::string(65, 'i') + ":" + digest + ":0:1\n"));
+
+  // Seeded mutants: byte flips, truncations, and inserted separators,
+  // comment marks, carriage returns and NULs.
+  const char inserts[] = {':', '#', '\r', '\0', '\n'};
+  std::mt19937_64 rng(0x6b657973);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 300; ++i) {
+    std::string text = valid;
+    const int edits = 1 + static_cast<int>(rng() % 3);
+    for (int e = 0; e < edits && !text.empty(); ++e) {
+      const std::size_t at = rng() % text.size();
+      switch (rng() % 3) {
+        case 0:
+          text[at] = static_cast<char>(text[at] ^ (1u << (rng() % 8)));
+          break;
+        case 1:
+          text.resize(at);
+          break;
+        default:
+          text.insert(at, 1, inserts[rng() % sizeof(inserts)]);
+          break;
+      }
+    }
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    if (check(text)) ++accepted;
+  }
+  // Truncations past the first key and comment marks keep some files
+  // loadable; the sweep exercises both outcomes.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, 300u);
   std::remove(path.c_str());
 }
 

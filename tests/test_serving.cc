@@ -22,6 +22,7 @@
 #include "serve/query_service.h"
 #include "serve/remote_query_client.h"
 #include "tests/net_test_util.h"
+#include "tests/shard_test_util.h"
 
 namespace sknn {
 namespace {
@@ -71,13 +72,21 @@ class ServingTopology {
         PaillierSecretKey(reference_->c2_service().secret_key()),
         /*pool_capacity=*/64);
 
-    // The C1 front end: public artifacts only (pk + Epk(T)) plus the link.
+    // The C1 front end: public artifacts only (pk + Epk(T)) plus the link,
+    // or, sharded, shard workers that hold Epk(T) and reach the same C2.
     // The reference engine above stays UNSHARDED on purpose: the sharded
     // front end must be indistinguishable from it on the wire.
-    options.shards = shards;
-    auto engine = SknnEngine::CreateWithRemoteC2(
-        reference_->public_key(), EncryptedDatabase(reference_->database()),
-        c2_->Connect(), options);
+    EncryptedDatabase db(reference_->database());
+    Result<std::unique_ptr<SknnEngine>> engine = Status::Internal("unset");
+    if (shards == 1) {
+      engine = SknnEngine::CreateWithRemoteC2(
+          reference_->public_key(), std::move(db), c2_->Connect(), options);
+    } else {
+      shards_ = std::make_unique<ShardSet>(reference_->public_key(),
+                                           std::move(db), c2_.get(), shards,
+                                           ShardScheme::kContiguous);
+      engine = shards_->MakeEngine(options);
+    }
     EXPECT_TRUE(engine.ok()) << engine.status();
     engine_ = std::move(engine).value();
 
@@ -104,9 +113,10 @@ class ServingTopology {
  private:
   // Declaration order is teardown order in reverse: the service goes first
   // (drains clients), then the front-end engine (closes the C2 link), then
-  // C2.
+  // the shard workers, then C2.
   std::unique_ptr<SknnEngine> reference_;
   std::unique_ptr<LoopbackC2> c2_;
+  std::unique_ptr<ShardSet> shards_;
   std::unique_ptr<SknnEngine> engine_;
   std::unique_ptr<QueryService> service_;
 };

@@ -12,10 +12,12 @@
 //      distinct payloads — asserted identical across shard counts and
 //      schemes (the lower-global-index tie-break, end to end);
 //   3. the remote topology: real ShardWorker instances behind loopback TCP
-//      RpcServers, a shared C2 service, SknnEngine::CreateWithShardWorkers
-//      — plus fault injection: a worker killed or disconnecting mid-query
-//      must surface StatusCode::kUnavailable, never a hang, and a
-//      misassembled worker set must be rejected at construction.
+//      RpcServers (the sweeps above serve theirs on socketpairs,
+//      tests/shard_test_util.h), a shared C2 service,
+//      SknnEngine::CreateWithShardWorkers — plus fault injection: a worker
+//      killed or disconnecting mid-query must surface
+//      StatusCode::kUnavailable, never a hang, and a misassembled worker
+//      set must be rejected at construction.
 //
 // Plus, since ISSUE 7, replication: several workers per shard are replicas,
 // a replica dying or hanging mid-query fails over to a sibling within the
@@ -46,6 +48,7 @@
 #include "net/shard_wire.h"
 #include "tests/net_test_util.h"
 #include "tests/query_test_util.h"
+#include "tests/shard_test_util.h"
 
 namespace sknn {
 namespace {
@@ -83,6 +86,16 @@ std::unique_ptr<SknnEngine> MakeEngine(const PlainTable& table,
       std::move(db).value(), options);
   EXPECT_TRUE(engine.ok()) << engine.status();
   return std::move(engine).value();
+}
+
+// `table` behind `s` shard workers of `scheme`, served on socketpairs.
+ShardedTable MakeShardedTable(const PlainTable& table, std::size_t s,
+                              ShardScheme scheme) {
+  auto db = SharedAlice().EncryptDatabase(table, kAttrBits);
+  SKNN_CHECK(db.ok()) << db.status();
+  return ShardedTable(SharedAlice().public_key(),
+                      PaillierSecretKey(SharedAlice().secret_key_for_c2()),
+                      std::move(db).value(), s, scheme, BaseOptions());
 }
 
 // The farthest-first oracle (mirrors tools/sknn_plain_knn --farthest):
@@ -152,29 +165,19 @@ TEST(ShardedQueryDifferential, SweepMatchesUnshardedAndOracle) {
     PlainRecord query = GenerateUniformQuery(c.m, kMaxValue, c.seed + 1);
 
     auto unsharded = MakeEngine(table, BaseOptions());
-    SknnEngine::Options sharded_options = BaseOptions();
-    sharded_options.shards = c.s;
-    sharded_options.shard_scheme = c.scheme;
-    auto sharded = MakeEngine(table, sharded_options);
+    ShardedTable sharded = MakeShardedTable(table, c.s, c.scheme);
 
     auto reference = RunQuery(*unsharded, query, c.k, c.protocol);
     ASSERT_TRUE(reference.ok()) << reference.status();
-    auto result = RunQuery(*sharded, query, c.k, c.protocol);
+    auto result = RunQuery(*sharded.engine, query, c.k, c.protocol);
     ASSERT_TRUE(result.ok()) << result.status();
 
     // The three-way differential: oracle == unsharded == sharded.
     EXPECT_EQ(reference->records, Oracle(table, query, c.k, c.protocol));
     EXPECT_EQ(result->records, reference->records);
 
-    // s = 1 in-process is BY DESIGN the unsharded engine (Options::shards
-    // doc) — the answer must still agree, with no shard stats. The true
-    // one-shard coordinator path is exercised by the remote topology below
-    // (SingleWorkerCoordinatorDegeneratesCorrectly).
-    if (c.s == 1) {
-      EXPECT_TRUE(result->shards.empty());
-      continue;
-    }
-    // Per-shard instrumentation: every shard reports, candidate counts are
+    // Per-shard instrumentation (s = 1 included: one worker is still a
+    // coordinator and a merge): every shard reports, candidate counts are
     // exactly min(k, shard size), and the shard stages' cost is folded into
     // the query totals.
     ASSERT_EQ(result->shards.size(), c.s);
@@ -224,11 +227,8 @@ TEST(ShardedQueryDifferential, TiedDistancesBreakDeterministicallyAcrossShardCou
       for (std::size_t s : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
         SCOPED_TRACE(std::string(ShardSchemeName(scheme)) + " s=" +
                      std::to_string(s));
-        SknnEngine::Options options = BaseOptions();
-        options.shards = s;
-        options.shard_scheme = scheme;
-        auto engine = MakeEngine(table, options);
-        auto result = RunQuery(*engine, query, k, protocol);
+        ShardedTable sharded = MakeShardedTable(table, s, scheme);
+        auto result = RunQuery(*sharded.engine, query, k, protocol);
         ASSERT_TRUE(result.ok()) << result.status();
         EXPECT_EQ(result->records, want)
             << "tie-break diverged from the lower-global-index order";
@@ -275,18 +275,24 @@ TEST(ShardManifestTest, RejectsDegenerateShapes) {
   EXPECT_FALSE(MakeShardManifest(4, 0, ShardScheme::kContiguous).ok());
   EXPECT_FALSE(MakeShardManifest(4, 5, ShardScheme::kContiguous).ok());
 
-  // Over-sharded engine construction fails up front, not at query time.
+  // Over-sharding fails up front, not at query time: no manifest puts 9
+  // shards over 4 records, and a worker handed one refuses to start.
+  auto over = MakeShardManifest(4, 9, ShardScheme::kContiguous);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
   PlainTable table = GenerateUniformTable(4, 2, kMaxValue, 7);
   auto db = SharedAlice().EncryptDatabase(table, kAttrBits);
   ASSERT_TRUE(db.ok());
-  SknnEngine::Options options = BaseOptions();
-  options.shards = 9;
-  auto engine = SknnEngine::CreateFromParts(
-      SharedAlice().public_key(),
-      PaillierSecretKey(SharedAlice().secret_key_for_c2()),
-      std::move(db).value(), options);
-  EXPECT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+  LoopbackC2 c2(PaillierSecretKey(SharedAlice().secret_key_for_c2()),
+                /*pool_capacity=*/32);
+  WorkerHost host(SharedAlice().public_key(), c2.Connect());
+  ShardManifest nine_over_four;
+  nine_over_four.num_shards = 9;
+  nine_over_four.total_records = 4;
+  auto worker = ShardWorker::Create(host.pk, *db, nine_over_four, 0, &host.c2,
+                                    &host.pool);
+  ASSERT_FALSE(worker.ok());
+  EXPECT_EQ(worker.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ShardManifestTest, RoundTripsThroughDbIo) {
@@ -335,52 +341,29 @@ class TcpWorker {
   std::unique_ptr<Endpoint> link_;
 };
 
-// What tools/sknn_c1_shard builds around one worker: its own C2 link, C1
-// pool and randomizer pool.
-struct WorkerHost {
-  explicit WorkerHost(std::unique_ptr<Endpoint> c2_link)
-      : c2(std::move(c2_link)) {
-    pk.set_randomizer_pool(&rand_pool);
-  }
-  RpcClient c2;
-  ThreadPool pool{2};
-  RandomizerPool rand_pool{SharedAlice().public_key().n(), /*capacity=*/32};
-  PaillierPublicKey pk = SharedAlice().public_key();
-};
-
+// n records of 2 attributes cut into s contiguous shards, with workers
+// served over TCP.
 struct RemoteTopology {
   PlainTable table;
-  EncryptedDatabase db;
-  ShardManifest manifest;
   std::unique_ptr<LoopbackC2> c2;
-  // Outlive every worker made from them (workers and test locals alike).
-  std::vector<std::unique_ptr<WorkerHost>> hosts;
+  // Outlives every worker made from it (workers and test locals alike).
+  std::unique_ptr<ShardSet> shards;
   std::vector<std::unique_ptr<TcpWorker>> workers;
 
   RemoteTopology(std::size_t n, std::size_t s, uint64_t seed) {
     table = GenerateUniformTable(n, 2, kMaxValue, seed);
     auto encrypted = SharedAlice().EncryptDatabase(table, kAttrBits);
     SKNN_CHECK(encrypted.ok()) << encrypted.status();
-    db = std::move(encrypted).value();
-    auto made = MakeShardManifest(n, s, ShardScheme::kContiguous);
-    SKNN_CHECK(made.ok()) << made.status();
-    manifest = std::move(made).value();
     c2 = std::make_unique<LoopbackC2>(
         PaillierSecretKey(SharedAlice().secret_key_for_c2()),
         /*pool_capacity=*/32);
-  }
-
-  std::unique_ptr<ShardWorker> MakeWorker(std::size_t shard) {
-    hosts.push_back(std::make_unique<WorkerHost>(c2->Connect()));
-    WorkerHost& host = *hosts.back();
-    auto worker = ShardWorker::Create(host.pk, db, manifest, shard, &host.c2,
-                                      &host.pool);
-    SKNN_CHECK(worker.ok()) << worker.status();
-    return std::move(worker).value();
+    shards = std::make_unique<ShardSet>(SharedAlice().public_key(),
+                                        std::move(encrypted).value(),
+                                        c2.get(), s, ShardScheme::kContiguous);
   }
 
   void AddWorker(std::size_t shard) {
-    workers.push_back(std::make_unique<TcpWorker>(MakeWorker(shard)));
+    workers.push_back(std::make_unique<TcpWorker>(shards->MakeWorker(shard)));
   }
 
   Result<std::unique_ptr<SknnEngine>> MakeEngine() {
@@ -779,7 +762,7 @@ TEST(ShardedQueryReplicas, EveryReplicaHungYieldsDeadlineExceededInBudget) {
   // time — the silent-stall gap this PR closes.
   RemoteTopology topology(/*n=*/6, /*s=*/2, /*seed=*/2901);
   topology.AddWorker(1);
-  auto geometry_worker = topology.MakeWorker(0);
+  auto geometry_worker = topology.shards->MakeWorker(0);
   const ShardGeometry geometry = geometry_worker->geometry();
   FaultyWorker hung_a(geometry, FaultyWorker::Mode::kHangUntilKilled);
   FaultyWorker hung_b(geometry, FaultyWorker::Mode::kHangUntilKilled);
@@ -830,7 +813,7 @@ TEST(ShardedQueryReplicas, OutOfRangeCandidatesFailOverOrFailTheQuery) {
         RemoteTopology topology(/*n=*/8, /*s=*/2, /*seed=*/3001);
         topology.AddWorker(0);
         topology.AddWorker(1);
-        auto honest = topology.MakeWorker(0);
+        auto honest = topology.shards->MakeWorker(0);
         FaultyWorker faulty(honest->geometry(), mode, honest.get());
 
         // The faulty worker connects first, so it is replica 0 of shard 0
@@ -867,25 +850,26 @@ TEST(ShardedQueryReplicas, OutOfRangeCandidatesFailOverOrFailTheQuery) {
 }
 
 TEST(ShardedQueryRemote, InProcessAndTcpWorkersAgreeShardForShard) {
-  // One shard path: an engine with Options::shards = 2 serves its shards
-  // through the same ShardWorker code as sknn_c1_shard processes over TCP,
-  // so both report the same records and the same per-shard work.
+  // The transport is not part of the shard path: workers served on
+  // in-process socketpairs (what the sweeps above run) and workers served
+  // over TCP (as sknn_c1_shard serves them) report the same records and
+  // the same per-shard work.
   RemoteTopology topology(/*n=*/8, /*s=*/2, /*seed=*/3101);
   topology.AddWorker(0);
   topology.AddWorker(1);
   auto tcp = topology.MakeEngine();
   ASSERT_TRUE(tcp.ok()) << tcp.status();
-  SknnEngine::Options options = BaseOptions();
-  options.shards = 2;
-  auto in_process = MakeEngine(topology.table, options);
-  EXPECT_FALSE(in_process->info().remote_shard_workers);
+  auto paired = topology.shards->MakeEngine(BaseOptions());
+  ASSERT_TRUE(paired.ok()) << paired.status();
+  SknnEngine& in_process = **paired;
+  EXPECT_TRUE(in_process.info().remote_shard_workers);
   EXPECT_TRUE((*tcp)->info().remote_shard_workers);
 
   const PlainRecord query = GenerateUniformQuery(2, kMaxValue, 3102);
   for (QueryProtocol protocol :
        {QueryProtocol::kSecure, QueryProtocol::kBasic}) {
     SCOPED_TRACE(QueryProtocolName(protocol));
-    auto local = RunQuery(*in_process, query, 3, protocol);
+    auto local = RunQuery(in_process, query, 3, protocol);
     ASSERT_TRUE(local.ok()) << local.status();
     auto remote = RunQuery(**tcp, query, 3, protocol);
     ASSERT_TRUE(remote.ok()) << remote.status();
@@ -910,7 +894,7 @@ TEST(ShardedQueryRemote, InProcessAndTcpWorkersAgreeShardForShard) {
 
 TEST(ShardedQueryRemote, WorkerAnswersMalformedFramesWithTypedErrors) {
   RemoteTopology topology(/*n=*/4, /*s=*/2, /*seed=*/2501);
-  auto worker = topology.MakeWorker(0);
+  auto worker = topology.shards->MakeWorker(0);
 
   // Unknown opcode in the shard space.
   Message bogus;

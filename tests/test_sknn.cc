@@ -16,6 +16,7 @@
 #include "data/synthetic.h"
 #include "proto/sm.h"
 #include "tests/query_test_util.h"
+#include "tests/shard_test_util.h"
 
 namespace sknn {
 namespace {
@@ -286,7 +287,7 @@ TEST(SkNNEndToEnd, ProductionCallersBlindForTheAttributeDomain) {
   // blinds for the engine's attribute domain (proto/sm.h): each kSqVec /
   // kSmVec view v lies in 0 < N - v < 2^(attr_bits + kappa + 2), and each
   // per-slot kSqSumVec view v in 0 < v < 2^(attr_bits + kappa + 2).
-  // Unsharded, 2-shard in-process and clustered engines, secure and basic,
+  // Unsharded, 2-shard-worker and clustered engines, secure and basic,
   // at 256-bit keys (one slot per SSED group, sent as kSqVec) and 512-bit
   // keys (three slots, kSqSumVec).
   // Three well-separated clusters in a 4-bit domain; the query's 2 nearest
@@ -317,15 +318,29 @@ TEST(SkNNEndToEnd, ProductionCallersBlindForTheAttributeDomain) {
                                      Topology{"clustered", 1, true}}) {
       SknnEngine::Options opts;
       opts.record_c2_views = true;
-      opts.shards = topology.shards;
       if (topology.clustered) opts.clusters = clusters;
       auto db = alice->EncryptDatabase(table, 4);
       ASSERT_TRUE(db.ok()) << db.status();
-      auto engine = SknnEngine::CreateFromParts(
-          alice->public_key(), PaillierSecretKey(alice->secret_key_for_c2()),
-          std::move(db).value(), opts);
-      ASSERT_TRUE(engine.ok()) << engine.status();
-      const unsigned w = (*engine)->info().attr_bits;
+      // Two shard workers and their front end share one C2, whose views
+      // are the query's whole view.
+      std::unique_ptr<ShardedTable> sharded;
+      std::unique_ptr<SknnEngine> local;
+      if (topology.shards > 1) {
+        sharded = std::make_unique<ShardedTable>(
+            alice->public_key(), PaillierSecretKey(alice->secret_key_for_c2()),
+            std::move(db).value(), topology.shards, ShardScheme::kContiguous,
+            opts);
+        sharded->c2->service().set_record_views(true);
+      } else {
+        auto created = SknnEngine::CreateFromParts(
+            alice->public_key(), PaillierSecretKey(alice->secret_key_for_c2()),
+            std::move(db).value(), opts);
+        ASSERT_TRUE(created.ok()) << created.status();
+        local = std::move(created).value();
+      }
+      SknnEngine* engine = sharded ? sharded->engine.get() : local.get();
+      C2Service& c2 = sharded ? sharded->c2->service() : engine->c2_service();
+      const unsigned w = engine->info().attr_bits;
       ASSERT_EQ(w, 4u);
       const BigInt& n = alice->public_key().n();
       const BigInt window = BigInt::PowerOfTwo(w + kBlindStatisticalBits + 2);
@@ -339,11 +354,11 @@ TEST(SkNNEndToEnd, ProductionCallersBlindForTheAttributeDomain) {
           request.index_mode = IndexMode::kClustered;
           request.probe_clusters = 1;
         }
-        auto result = (*engine)->Query(request);
+        auto result = engine->Query(request);
         ASSERT_TRUE(result.ok()) << topology.name << ": " << result.status();
         EXPECT_EQ(result->records, PlainKnn(table, query, k)) << topology.name;
         std::size_t blinded = 0, slots = 0;
-        for (const C2View& view : (*engine)->c2_service().TakeViews()) {
+        for (const C2View& view : c2.TakeViews()) {
           if (view.op == Op::kSqSumVec) {
             ++slots;
             EXPECT_TRUE(view.plaintext > BigInt(0) && view.plaintext < window)

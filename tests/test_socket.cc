@@ -140,8 +140,7 @@ TEST(SocketTest, ShardedEngineRejectsBadWorkerAddressBeforeDialing) {
   // be a redial address the coordinator's probe can never use.
   Channel::EndpointPair c2 = Channel::CreatePair();
   auto engine = QueryService::CreateShardedEngine(
-      PaillierPublicKey(), EncryptedDatabase(), std::move(c2.a),
-      SknnEngine::Options(), /*shards=*/0, ShardScheme::kContiguous,
+      PaillierPublicKey(), std::move(c2.a), SknnEngine::Options(),
       {"127.0.0.1:9200x"});
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)

@@ -7,25 +7,23 @@
 //   sknn_c1_server --public pk.txt --db db.bin --port 9100
 //                  --c2-host 127.0.0.1 --c2-port 9000
 //                  [--threads N] [--max-in-flight M] [--queries N]
-//                  [--shards S] [--shard-scheme contiguous|roundrobin]
 //                  [--shard-workers host:port,host:port,...]
 //
 // Multi-table: repeat --table once per table. Each spec is
-//   --table <name>=<db.bin>[,manifest=<file>][,public=<pk>]
-//                          [,c2-host=<ip>][,c2-port=<p>]
-//                          [,shards=<s>][,scheme=contiguous|roundrobin]
-//                          [,clusters=<file>]
+//   --table <name>=<db.bin>[,public=<pk>][,c2-host=<ip>][,c2-port=<p>]
+//                          [,workers=<host:port>|...][,clusters=<file>]
 //                          [,weight=<w>][,rate=<qps>][,burst=<b>]
 //                          [,cache=<bytes>]
-// where public/c2-host/c2-port default to the global flags — so tables MAY
-// have entirely different Paillier keys, each pointing at the C2 server
-// holding its own secret key, or share one key and one C2. A manifest
-// (sknn_encrypt --manifest-out) shards that table in-process with the
-// partitioning Alice persisted. A clusters file (sknn_encrypt
-// --clusters-out) arms the clustered (approximate) index mode: queries with
+// (grammar: tools/table_spec.h) where public/c2-host/c2-port default to
+// the global flags — so tables MAY have entirely different Paillier keys,
+// each pointing at the C2 server holding its own secret key, or share one
+// key and one C2. A table is sharded by running sknn_c1_shard workers and
+// listing them (--shard-workers, or workers= with db "-"): the front end
+// then hosts no records. A clusters file (sknn_encrypt --clusters-out)
+// arms the clustered (approximate) index mode: queries with
 // index_mode=clustered prune to the probe_clusters nearest clusters; with
-// shards > 1 the table is partitioned by cluster so pruned shards never see
-// the query.
+// workers started by sknn_c1_shard --clusters, pruned workers never see the
+// query.
 //
 //   sknn_c1_server --port 9100 --c2-host 127.0.0.1 --c2-port 9000
 //                  --public pk_a.txt
@@ -49,7 +47,6 @@
 // runs); the default serves until SIGINT/SIGTERM, either of which unbinds,
 // drains in-flight queries and exits 0 (clean teardown for supervisors and
 // scripts alike).
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -60,149 +57,19 @@
 #include "core/clustering.h"
 #include "core/db_io.h"
 #include "core/engine.h"
-#include "core/sharding.h"
 #include "crypto/serialization.h"
 #include "net/socket.h"
 #include "serve/qos/api_key_auth.h"
 #include "serve/qos/result_cache.h"
 #include "serve/query_service.h"
 #include "serve/table_registry.h"
+#include "tools/table_spec.h"
 #include "tools/tool_util.h"
 
 namespace {
 
 using namespace sknn;
 using namespace sknn::tools;
-
-// One --table spec, defaults already resolved against the global flags.
-struct TableSpec {
-  std::string name;
-  std::string db_path;        // empty allowed when worker_addrs is set
-  std::string manifest_path;  // empty = unsharded (or shards/scheme below)
-  std::string clusters_path;  // empty = exact-only table
-  std::string pk_path;
-  std::string c2_host;
-  uint16_t c2_port = 0;
-  std::size_t shards = 1;
-  ShardScheme scheme = ShardScheme::kContiguous;
-  // Standing sknn_c1_shard workers ("host:port"); duplicates of a shard
-  // index are replicas. '|'-separated in the spec string (the item
-  // separator is ',').
-  std::vector<std::string> worker_addrs;
-  // QoS knobs (serve/qos/): fair-admission weight, token-bucket rate/burst
-  // (0 = unlimited), and the result-cache byte budget — the TOOL's default
-  // is cache ON, so operators opt OUT with cache=0 (the library default is
-  // off so unconfigured embedders keep the pre-revision-6 behavior).
-  uint32_t weight = 1;
-  double rate = 0;
-  double burst = 0;
-  std::size_t cache_bytes = ResultCache::kDefaultMaxBytes;
-};
-
-// Strict whole-string non-negative double parse (rate=/burst= values);
-// std::from_chars so a malformed spec is a Status, never an exception.
-bool ParseSpecDouble(const std::string& value, double* out) {
-  const char* begin = value.data();
-  const char* end = begin + value.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && ptr == end && *out >= 0;
-}
-
-// "<name>=<db>[,key=value...]" -> TableSpec. The same grammar serves both
-// the --table flag and the recorded rebuild spec behind kReloadTable, so
-// malformed text is a Status here: at startup the caller dies with usage,
-// at reload time the admin gets the error and the server keeps serving.
-Result<TableSpec> TryParseTableSpec(const std::string& text) {
-  auto malformed = [&text](const std::string& why) {
-    return Status::InvalidArgument("table spec '" + text + "': " + why);
-  };
-  TableSpec spec;
-  std::stringstream ss(text);
-  std::string item;
-  bool first = true;
-  while (std::getline(ss, item, ',')) {
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= item.size()) {
-      return malformed("item '" + item + "' is not key=value");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (first) {
-      spec.name = key;
-      // "-" = no database file (the remote-worker form hosts no records).
-      if (value != "-") spec.db_path = value;
-      first = false;
-      continue;
-    }
-    if (key == "manifest") {
-      spec.manifest_path = value;
-    } else if (key == "clusters") {
-      spec.clusters_path = value;
-    } else if (key == "public") {
-      spec.pk_path = value;
-    } else if (key == "c2-host") {
-      spec.c2_host = value;
-    } else if (key == "c2-port" || key == "shards") {
-      unsigned parsed = 0;
-      const char* begin = value.data();
-      const char* end = begin + value.size();
-      auto [ptr, ec] = std::from_chars(begin, end, parsed);
-      if (ec != std::errc() || ptr != end || parsed > 65535 ||
-          (key == "c2-port" && parsed == 0)) {
-        return malformed("bad " + key + " '" + value + "'");
-      }
-      if (key == "c2-port") {
-        spec.c2_port = static_cast<uint16_t>(parsed);
-      } else {
-        spec.shards = parsed;
-      }
-    } else if (key == "scheme") {
-      auto scheme = ParseShardScheme(value);
-      if (!scheme.ok()) return malformed("bad scheme '" + value + "'");
-      spec.scheme = *scheme;
-    } else if (key == "weight") {
-      uint32_t parsed = 0;
-      const char* begin = value.data();
-      const char* end = begin + value.size();
-      auto [ptr, ec] = std::from_chars(begin, end, parsed);
-      if (ec != std::errc() || ptr != end || parsed == 0) {
-        return malformed("bad weight '" + value + "' (want >= 1)");
-      }
-      spec.weight = parsed;
-    } else if (key == "rate" || key == "burst") {
-      double parsed = 0;
-      if (!ParseSpecDouble(value, &parsed)) {
-        return malformed("bad " + key + " '" + value + "'");
-      }
-      (key == "rate" ? spec.rate : spec.burst) = parsed;
-    } else if (key == "cache") {
-      std::size_t parsed = 0;
-      const char* begin = value.data();
-      const char* end = begin + value.size();
-      auto [ptr, ec] = std::from_chars(begin, end, parsed);
-      if (ec != std::errc() || ptr != end) {
-        return malformed("bad cache '" + value + "' (bytes; 0 disables)");
-      }
-      spec.cache_bytes = parsed;
-    } else if (key == "workers") {
-      std::stringstream ws(value);
-      std::string addr;
-      while (std::getline(ws, addr, '|')) {
-        if (!addr.empty()) spec.worker_addrs.push_back(addr);
-      }
-      if (spec.worker_addrs.empty()) {
-        return malformed("empty workers list");
-      }
-    } else {
-      return malformed("unknown key '" + key + "'");
-    }
-  }
-  if (spec.name.empty()) return malformed("missing table name");
-  if (spec.db_path.empty() && spec.worker_addrs.empty()) {
-    return malformed("a database file (or workers=...) is required");
-  }
-  return spec;
-}
 
 // The --table flag's parse: dies with usage on malformed specs so a typo'd
 // deployment refuses to start instead of serving the wrong table.
@@ -213,36 +80,6 @@ TableSpec ParseTableSpec(const std::string& text, const char* usage) {
     DieBadFlag("table", text, usage);
   }
   return *spec;
-}
-
-// The inverse of TryParseTableSpec: the canonical rebuild spec recorded at
-// registration, which a spec-less kReloadTable parses back.
-std::string FormatTableSpec(const TableSpec& spec) {
-  std::string out =
-      spec.name + "=" + (spec.db_path.empty() ? "-" : spec.db_path);
-  if (!spec.manifest_path.empty()) out += ",manifest=" + spec.manifest_path;
-  if (!spec.clusters_path.empty()) out += ",clusters=" + spec.clusters_path;
-  out += ",public=" + spec.pk_path;
-  out += ",c2-host=" + spec.c2_host;
-  out += ",c2-port=" + std::to_string(spec.c2_port);
-  out += ",shards=" + std::to_string(spec.shards);
-  out += ",scheme=" + std::string(ShardSchemeName(spec.scheme));
-  // QoS keys only when off-default, so pre-revision-6 recorded specs and
-  // new default ones stay byte-identical.
-  if (spec.weight != 1) out += ",weight=" + std::to_string(spec.weight);
-  if (spec.rate > 0) out += ",rate=" + std::to_string(spec.rate);
-  if (spec.burst > 0) out += ",burst=" + std::to_string(spec.burst);
-  if (spec.cache_bytes != ResultCache::kDefaultMaxBytes) {
-    out += ",cache=" + std::to_string(spec.cache_bytes);
-  }
-  if (!spec.worker_addrs.empty()) {
-    out += ",workers=";
-    for (std::size_t i = 0; i < spec.worker_addrs.size(); ++i) {
-      if (i) out += "|";
-      out += spec.worker_addrs[i];
-    }
-  }
-  return out;
 }
 
 // Loads one spec's artifacts and assembles its engine — own key, own
@@ -261,34 +98,10 @@ Result<std::unique_ptr<SknnEngine>> BuildTableEngine(
         std::make_shared<const ClusterManifest>(std::move(clusters));
   }
   EncryptedDatabase db;
-  std::size_t shards = spec.shards;
-  ShardScheme scheme = spec.scheme;
   if (spec.worker_addrs.empty()) {
     SKNN_ASSIGN_OR_RETURN(db, ReadEncryptedDatabase(spec.db_path));
     SKNN_RETURN_NOT_OK(ValidateCiphertexts(db, pk));
-    if (!spec.manifest_path.empty()) {
-      SKNN_ASSIGN_OR_RETURN(ShardManifest manifest,
-                            ReadShardManifest(spec.manifest_path));
-      SKNN_RETURN_NOT_OK(ValidateManifestForDatabase(manifest, db));
-      shards = manifest.num_shards;
-      scheme = manifest.scheme;
-    }
-    if (shards == 0) shards = 1;
   }
-  if (scheme == ShardScheme::kByCluster && options.clusters == nullptr) {
-    return Status::InvalidArgument(
-        "table '" + spec.name +
-        "': a bycluster shard manifest needs the cluster manifest too "
-        "(clusters=<file>)");
-  }
-  // With a cluster manifest and shards > 1 the engine partitions BY CLUSTER
-  // (one shard per cluster); the scheme/shard count here are then only the
-  // operator's intent marker.
-  if (options.clusters != nullptr && shards > 1) {
-    shards = options.clusters->num_clusters;
-    scheme = ShardScheme::kByCluster;
-  }
-
   auto c2_link = ConnectTcp(spec.c2_host, spec.c2_port);
   if (!c2_link.ok()) {
     return Status::Unavailable("table '" + spec.name +
@@ -298,9 +111,11 @@ Result<std::unique_ptr<SknnEngine>> BuildTableEngine(
   }
   SKNN_ASSIGN_OR_RETURN(
       std::unique_ptr<SknnEngine> engine,
-      QueryService::CreateShardedEngine(pk, std::move(db),
-                                        std::move(c2_link).value(), options,
-                                        shards, scheme, spec.worker_addrs));
+      spec.worker_addrs.empty()
+          ? SknnEngine::CreateWithRemoteC2(pk, std::move(db),
+                                           std::move(c2_link).value(), options)
+          : QueryService::CreateShardedEngine(pk, std::move(c2_link).value(),
+                                              options, spec.worker_addrs));
   // The load-time SSED packing, one line per load and reload.
   const SknnEngine::PackStats& packed = engine->pack_stats();
   std::printf("table '%s': SSED packed %zu records, groups/record %zu, "
@@ -317,17 +132,16 @@ int main(int argc, char** argv) {
   const char* usage =
       "sknn_c1_server --port <p> [--public <pk>] [--db <db.bin>] "
       "[--c2-host <ip>] [--c2-port <p>] [--threads N] [--max-in-flight M] "
-      "[--queries N] [--shards S] [--shard-scheme contiguous|roundrobin] "
-      "[--shard-workers host:port,...] [--clusters <file>] "
+      "[--queries N] [--shard-workers host:port,...] [--clusters <file>] "
       "[--no-short-randomizers] [--api-keys <file>] "
-      "[--table name=db.bin[,manifest=f][,clusters=f][,public=pk]"
-      "[,c2-host=ip][,c2-port=p][,shards=s][,scheme=sch]"
+      "[--table name=db.bin[,clusters=f][,public=pk][,c2-host=ip]"
+      "[,c2-port=p][,workers=host:port|...]"
       "[,weight=w][,rate=qps][,burst=b][,cache=bytes]]...";
   auto flag_list = ParseFlagList(
       argc, argv,
       {"port", "public", "db", "c2-host", "c2-port", "threads",
-       "max-in-flight", "queries", "shards", "shard-scheme", "shard-workers",
-       "clusters", "no-short-randomizers", "api-keys", "table"},
+       "max-in-flight", "queries", "shard-workers", "clusters",
+       "no-short-randomizers", "api-keys", "table"},
       usage);
   std::map<std::string, std::string> flags;
   for (auto& [key, value] : flag_list) flags[key] = value;
@@ -340,16 +154,6 @@ int main(int argc, char** argv) {
       FlagOr(flags, "max-in-flight", "8"), "max-in-flight", usage, 1, 65536));
   int64_t target_queries = ParseInt64OrDie(FlagOr(flags, "queries", "-1"),
                                            "queries", usage, -1);
-  // 0 = "not set": with --shard-workers the worker count (and the workers'
-  // manifest) decides; without it the default is the unsharded engine.
-  std::size_t shards = static_cast<std::size_t>(ParseUint64OrDie(
-      FlagOr(flags, "shards", "0"), "shards", usage, 0, 65535));
-  auto scheme = ParseShardScheme(FlagOr(flags, "shard-scheme", "contiguous"));
-  if (!scheme.ok()) {
-    std::fprintf(stderr, "%s\nusage: %s\n", scheme.status().ToString().c_str(),
-                 usage);
-    return 2;
-  }
   std::vector<std::string> worker_addrs;
   if (flags.count("shard-workers")) {
     std::stringstream ss(flags.at("shard-workers"));
@@ -372,15 +176,15 @@ int main(int argc, char** argv) {
   const std::vector<std::string> table_flags = FlagValues(flag_list, "table");
   if (!table_flags.empty()) {
     // The single-table-only globals must not be silently ignored: an
-    // operator who writes `--shards 4 --table ...` expects sharding, and
-    // getting an unsharded server instead would only surface under load.
-    for (const char* single_only : {"shard-workers", "shards",
-                                    "shard-scheme", "db", "clusters"}) {
+    // operator who writes `--shard-workers ... --table ...` expects
+    // sharding, and getting an unsharded server instead would only surface
+    // under load.
+    for (const char* single_only : {"shard-workers", "db", "clusters"}) {
       if (flags.count(single_only)) {
         std::fprintf(stderr,
                      "--%s applies to the single-table form only; with "
-                     "--table, put db/manifest/shards/scheme inside each "
-                     "table spec\nusage: %s\n",
+                     "--table, put db/workers/clusters inside each table "
+                     "spec\nusage: %s\n",
                      single_only, usage);
         return 2;
       }
@@ -400,8 +204,6 @@ int main(int argc, char** argv) {
     spec.c2_host = c2_host;
     spec.c2_port = ParsePortOrDie(RequireFlag(flags, "c2-port", usage),
                                   "c2-port", usage);
-    spec.shards = shards;
-    spec.scheme = *scheme;
     spec.clusters_path = FlagOr(flags, "clusters", "");
     spec.worker_addrs = worker_addrs;
     // With remote shard workers the front end hosts no records; the

@@ -5,7 +5,7 @@
 //                 --c2-host 127.0.0.1 --c2-port 9000
 //                 --shards 4 --shard-index 1 [--scheme contiguous]
 //                 [--manifest manifest.bin] [--clusters clusters.bin]
-//                 [--threads N] [--connections N]
+//                 [--threads N] [--connections N] [--no-short-randomizers]
 //
 // Loads the public key and the FULL encrypted database once, keeps only its
 // shard of the records (the manifest — either derived from --shards /
@@ -20,6 +20,12 @@
 // shard `--shard-index` of a CLUSTER-partitioned deployment: it hosts the
 // records of cluster i of the sknn_encrypt --clusters manifest, so a
 // clustered front end can prune this whole worker out of a query.
+//
+// The worker's encryptions draw from a randomizer pool refilled on the
+// short-exponent fixed-base path (docs/CRYPTO.md); --no-short-randomizers
+// selects the assumption-free full-width generation instead, as the same
+// flag does on sknn_c1_server and sknn_c2_server. The startup line names
+// the refill mode.
 //
 // Coordinator links are served through net/rpc_listener.h, so a closed
 // link's session is freed on the next accept. --connections N exits once N
@@ -43,11 +49,13 @@ int main(int argc, char** argv) {
       "sknn_c1_shard --public <pk> --db <db.bin> --port <p> "
       "--c2-host <ip> --c2-port <p> --shards <s> --shard-index <i> "
       "[--scheme contiguous|roundrobin] [--manifest <file>] "
-      "[--clusters <file>] [--threads N] [--connections N]";
+      "[--clusters <file>] [--threads N] [--connections N] "
+      "[--no-short-randomizers]";
   auto flags = ParseFlags(argc, argv,
                           {"public", "db", "port", "c2-host", "c2-port",
                            "shards", "shard-index", "scheme", "manifest",
-                           "clusters", "threads", "connections"},
+                           "clusters", "threads", "connections",
+                           "no-short-randomizers"},
                           usage);
   std::string pk_path = RequireFlag(flags, "public", usage);
   std::string db_path = RequireFlag(flags, "db", usage);
@@ -139,7 +147,7 @@ int main(int argc, char** argv) {
   // What the worker runs on, built the way SknnEngine::InitCommon builds
   // its own: the C2 client, a C1 pool for the local fan-out, and a
   // randomizer pool behind the key, refilled by RefillWorkersFor(threads)
-  // threads.
+  // threads in the chosen mode.
   RpcClient c2(std::move(c2_link).value());
   Message ping;
   ping.type = OpCode(Op::kPing);
@@ -151,8 +159,10 @@ int main(int argc, char** argv) {
   }
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
-  RandomizerPool rand_pool(pk->n(), /*capacity=*/4096,
-                           RefillWorkersFor(threads));
+  RandomizerPoolOptions pool_options;
+  pool_options.workers = RefillWorkersFor(threads);
+  pool_options.short_exponents = !flags.count("no-short-randomizers");
+  RandomizerPool rand_pool(pk->n(), /*capacity=*/4096, pool_options);
   pk->set_randomizer_pool(&rand_pool);
 
   auto worker =
@@ -183,9 +193,12 @@ int main(int argc, char** argv) {
   }
   InstallShutdownHandler();
   std::printf(
-      "C1 shard %zu/%zu (%s, %zu records) serving on 127.0.0.1:%u\n",
+      "C1 shard %zu/%zu (%s, %zu records, %s randomizers) serving on "
+      "127.0.0.1:%u\n",
       shard_index, manifest.num_shards, ShardSchemeName(manifest.scheme),
-      (*worker)->shard_records(), (*listener)->port());
+      (*worker)->shard_records(),
+      pool_options.short_exponents ? "short-exponent" : "full-width",
+      (*listener)->port());
   std::fflush(stdout);
 
   ServeUntilDone(**listener, connections, "coordinator connection");
