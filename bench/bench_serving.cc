@@ -6,8 +6,8 @@
 // CreateWithRemoteC2 engine, a QueryService — then drives it with 1/4/8
 // concurrent thin clients (serve/RemoteQueryClient, one connection each)
 // and reports aggregate queries/second per protocol. The 1-client row is
-// the serial baseline; the speedup of the wider rows is what the engine's
-// Submit pipelining buys the deployment.
+// the serial baseline; the speedup of the wider rows is what running
+// queries concurrently, one per session thread, buys the deployment.
 //
 // The multi-table series serves 1 vs 4 independent tables (own keys, own
 // C2 each) from ONE QueryService and spreads the same concurrent client

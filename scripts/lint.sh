@@ -45,7 +45,10 @@
 #       - no ShardWorker::Create( call in src/ or tools/ outside
 #         src/core/shard_worker.cc and tools/sknn_c1_shard.cc: a table is
 #         sharded one way, by sknn_c1_shard workers a front end joins
-#         through SknnEngine::CreateWithShardWorkers.
+#         through SknnEngine::CreateWithShardWorkers;
+#       - no std::promise in src/ or tools/: a query runs on the thread
+#         that calls it, and a future handed to a caller who waits on it
+#         at once is a second scheduler.
 #  2. clang-tidy over compile_commands.json (runs when clang-tidy is on
 #     PATH — the lint CI job; skipped with a notice otherwise). Checks are
 #     curated in .clang-tidy.
@@ -257,6 +260,20 @@ if [ -n "${worker_builds}" ]; then
   fail "ShardWorker::Create called outside src/core/shard_worker.cc and \
 tools/sknn_c1_shard.cc — shard a table with sknn_c1_shard workers \
 (SknnEngine::CreateWithShardWorkers)" "${worker_builds}"
+fi
+
+# --- 1m. Promises --------------------------------------------------------
+# One thread drives a query, the caller's: SknnEngine::Query runs on it,
+# and QueryBatch joins threads of its own. A std::promise hands a result to
+# a thread that waits for it, which is a request queue by another name.
+# Comment lines are exempt.
+promises=$(grep -rn --include='*.h' --include='*.cc' \
+  -e 'std::promise' src tools 2>/dev/null \
+  | grep -v ':[0-9]*:\s*//' || true)
+if [ -n "${promises}" ]; then
+  fail "std::promise in src/ or tools/ — run the work on the calling thread \
+(SknnEngine::Query) or join the threads that run it (QueryBatch)" \
+    "${promises}"
 fi
 
 # --- 2. clang-tidy ---------------------------------------------------------

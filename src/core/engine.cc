@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <string>
+#include <thread>
 
 #include "bigint/random.h"
 #include "common/logging.h"
@@ -70,7 +71,6 @@ Result<std::unique_ptr<SknnEngine>> SknnEngine::CreateFromParts(
                                                options.c1_c2_latency);
   }
   auto c2 = std::make_unique<C2Service>(std::move(sk));
-  c2->set_record_views(options.record_c2_views);
   c2->StartPools(options.c2_threads, options.randomizer_pool_capacity,
                  options.short_randomizers);
   C2Service* c2_raw = c2.get();
@@ -251,31 +251,6 @@ Status SknnEngine::InitCommon() {
       SsedLayoutFor(pk_.n(), attr_bits_, num_attributes_)
           .Groups(num_attributes_);
   return Status::OK();
-}
-
-SknnEngine::~SknnEngine() {
-  std::vector<std::thread> dispatchers;
-  {
-    MutexLock lock(&sched_mutex_);
-    sched_stop_ = true;
-    dispatchers.swap(sched_threads_);
-  }
-  sched_cv_.NotifyAll();
-  for (auto& t : dispatchers) t.join();
-}
-
-void SknnEngine::SchedulerLoop() {
-  for (;;) {
-    QueryJob job;
-    {
-      MutexLock lock(&sched_mutex_);
-      while (!sched_stop_ && sched_queue_.empty()) sched_cv_.Wait(sched_mutex_);
-      if (sched_queue_.empty()) return;  // stop requested and queue drained
-      job = std::move(sched_queue_.front());
-      sched_queue_.pop_front();
-    }
-    job.promise.set_value(ExecuteQuery(job.request));
-  }
 }
 
 SknnEngine::Info SknnEngine::info() const {
@@ -473,8 +448,28 @@ OpSnapshot SknnEngine::TakeC2QueryOps(ProtoContext& ctx) {
   return {};
 }
 
-Result<QueryResponse> SknnEngine::ExecuteQuery(const QueryRequest& request) {
+Result<QueryResponse> SknnEngine::Query(const QueryRequest& request) {
   SKNN_RETURN_NOT_OK(ValidateRequest(request));
+  // At most c1_threads queries execute at once, whichever threads call. A
+  // valid request waits here for a slot, before its deadline clock starts,
+  // and holds it until Query returns.
+  const std::size_t slots = std::max<std::size_t>(1, options_.c1_threads);
+  {
+    MutexLock lock(&slot_mutex_);
+    while (queries_executing_ >= slots) slot_cv_.Wait(slot_mutex_);
+    ++queries_executing_;
+  }
+  struct SlotRelease {
+    SknnEngine* engine;
+    ~SlotRelease() {
+      {
+        MutexLock lock(&engine->slot_mutex_);
+        --engine->queries_executing_;
+      }
+      engine->slot_cv_.NotifyOne();
+    }
+  } release{this};
+
   const uint64_t query_id = next_query_id_.fetch_add(1);
   QueryMeter meter;
   ProtoContext ctx(&pk_, client_.get(), c1_pool_.get(), query_id, &meter);
@@ -534,46 +529,25 @@ Result<QueryResponse> SknnEngine::ExecuteQuery(const QueryRequest& request) {
   return response;
 }
 
-Result<QueryResponse> SknnEngine::Query(const QueryRequest& request) {
-  return ExecuteQuery(request);
-}
-
-std::future<Result<QueryResponse>> SknnEngine::Submit(QueryRequest request) {
-  QueryJob job;
-  job.request = std::move(request);
-  std::future<Result<QueryResponse>> future = job.promise.get_future();
-  {
-    MutexLock lock(&sched_mutex_);
-    if (sched_stop_) {
-      job.promise.set_value(
-          Status::FailedPrecondition("Submit: engine is shutting down"));
-      return future;
-    }
-    // Dispatchers are spawned on the first Submit — one per allowed
-    // in-flight query. They only drive protocol control flow (and block on
-    // C2 round trips); the homomorphic heavy lifting stays on c1_pool_.
-    // Engines used purely synchronously never pay for them.
-    if (sched_threads_.empty()) {
-      std::size_t in_flight = std::max<std::size_t>(1, options_.c1_threads);
-      sched_threads_.reserve(in_flight);
-      for (std::size_t i = 0; i < in_flight; ++i) {
-        sched_threads_.emplace_back([this] { SchedulerLoop(); });
-      }
-    }
-    sched_queue_.push_back(std::move(job));
-  }
-  sched_cv_.NotifyOne();
-  return future;
-}
-
 std::vector<Result<QueryResponse>> SknnEngine::QueryBatch(
     std::vector<QueryRequest> requests) {
-  std::vector<std::future<Result<QueryResponse>>> futures;
-  futures.reserve(requests.size());
-  for (auto& request : requests) futures.push_back(Submit(std::move(request)));
-  std::vector<Result<QueryResponse>> results;
-  results.reserve(futures.size());
-  for (auto& f : futures) results.push_back(f.get());
+  // One thread per query slot, each taking the next request; the slots
+  // themselves are Query's, so a batch shares them with every other caller.
+  std::vector<Result<QueryResponse>> results(
+      requests.size(), Result<QueryResponse>(Status::Internal("unset")));
+  std::atomic<std::size_t> next{0};
+  auto drain = [&] {
+    for (std::size_t i = next.fetch_add(1); i < requests.size();
+         i = next.fetch_add(1)) {
+      results[i] = Query(requests[i]);
+    }
+  };
+  std::vector<std::thread> threads;
+  const std::size_t workers = std::min(
+      std::max<std::size_t>(1, options_.c1_threads), requests.size());
+  threads.reserve(workers);
+  for (std::size_t t = 0; t < workers; ++t) threads.emplace_back(drain);
+  for (auto& thread : threads) thread.join();
   return results;
 }
 

@@ -17,20 +17,19 @@
 // candidates through a ShardCoordinator.
 //
 // The query surface is request-oriented (core/query_api.h): Query() runs
-// one QueryRequest synchronously, Submit() returns a future, and
-// QueryBatch() pipelines independent requests — up to c1_threads of them in
-// flight — over the shared C1 pool and the correlation-id RPC demux. Each
-// in-flight query is isolated end to end by its query id (C2 Bob-outbox
-// bucket, traffic meter, op ledger), so concurrent responses are exactly
-// what a serial loop would produce.
+// one QueryRequest on the calling thread, and QueryBatch() runs independent
+// requests on threads of its own, pipelined over the shared C1 pool and the
+// correlation-id RPC demux. Whoever calls, at most c1_threads queries
+// execute in one engine at a time; a caller beyond that waits for a slot.
+// Each in-flight query is isolated end to end by its query id (C2
+// Bob-outbox bucket, traffic meter, op ledger), so concurrent responses are
+// exactly what a serial loop would produce.
 #ifndef SKNN_CORE_ENGINE_H_
 #define SKNN_CORE_ENGINE_H_
 
+#include <atomic>
 #include <chrono>
-#include <deque>
-#include <future>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
@@ -61,7 +60,7 @@ class SknnEngine {
     /// Attribute domain: values in [0, 2^attr_bits). Determines l.
     unsigned attr_bits = 8;
     /// C1-side worker threads (1 = the paper's serial variant). Also bounds
-    /// how many submitted queries execute concurrently.
+    /// how many queries execute in this engine at once.
     std::size_t c1_threads = 1;
     /// C2-side worker threads of an in-process C2, sized as
     /// sknn_c2_server --workers sizes its own (C2Service::StartPools).
@@ -72,8 +71,6 @@ class SknnEngine {
     /// is exactly the idle time QueryBatch's pipelining reclaims
     /// (bench/bench_batch.cc).
     std::chrono::microseconds c1_c2_latency{0};
-    /// Capture every plaintext C2 decrypts (security tests only).
-    bool record_c2_views = false;
     /// Per-cloud randomizer pool capacity (r^N values held ready). Both
     /// clouds' encryptions draw from precomputed-randomizer pools
     /// (crypto/paillier.h): the r^N modexp moves off the critical path into
@@ -133,9 +130,9 @@ class SknnEngine {
   /// both fetches are tagged with the query id, so many front ends may
   /// share one C2. The query-id space is seeded randomly per engine to keep
   /// concurrent front ends disjoint. Options that configure an in-process
-  /// C2 (c2_threads, record_c2_views, c1_c2_latency) are ignored: the
-  /// remote server owns its own parallelism and the WAN is real. Fails fast
-  /// (ping) if the link is dead.
+  /// C2 (c2_threads, c1_c2_latency) are ignored: the remote server owns its
+  /// own parallelism and the WAN is real. Fails fast (ping) if the link is
+  /// dead.
   static Result<std::unique_ptr<SknnEngine>> CreateWithRemoteC2(
       const PaillierPublicKey& pk, EncryptedDatabase db,
       std::unique_ptr<Endpoint> c2_link, const Options& options);
@@ -154,26 +151,20 @@ class SknnEngine {
       std::vector<std::unique_ptr<Endpoint>> shard_links,
       std::unique_ptr<Endpoint> c2_link, const Options& options);
 
-  ~SknnEngine();
-
-  /// \brief Runs one request synchronously on the calling thread — the one
-  /// blocking entry point everything else is built on.
+  /// \brief Runs one request on the calling thread — the one entry point
+  /// everything else is built on. A valid request waits for one of the
+  /// engine's Options::c1_threads query slots before it starts (and before
+  /// its deadline clock does).
   Result<QueryResponse> Query(const QueryRequest& request);
 
-  /// \brief Enqueues a request on the engine's scheduler; the future
-  /// resolves when the query completes. Up to Options::c1_threads submitted
-  /// queries run concurrently, pipelined over the shared C1 pool and the
-  /// correlation-id RPC demux.
-  std::future<Result<QueryResponse>> Submit(QueryRequest request);
-
-  /// \brief Submits every request and waits for all of them; results are in
-  /// request order. Independent queries overlap, so with c1_threads > 1 a
-  /// batch finishes well ahead of the equivalent serial loop
-  /// (bench/bench_batch.cc measures the gap).
+  /// \brief Runs every request on min(c1_threads, n) threads of its own and
+  /// waits for all of them; results are in request order. Independent
+  /// queries overlap, so with c1_threads > 1 a batch finishes well ahead of
+  /// the equivalent serial loop (bench/bench_batch.cc measures the gap).
   std::vector<Result<QueryResponse>> QueryBatch(
       std::vector<QueryRequest> requests);
 
-  /// \brief The up-front request validation Query/Submit/QueryBatch apply
+  /// \brief The up-front request validation Query/QueryBatch apply
   /// — and the serving front end applies at ADMISSION, before any crypto
   /// work: k in [1, k_max] (k_max = n; oversized k is kInvalidArgument),
   /// matching dimension, attributes in [0, 2^attr_bits), and clustered
@@ -252,15 +243,6 @@ class SknnEngine {
  private:
   SknnEngine() = default;
 
-  struct QueryJob {
-    QueryRequest request;
-    std::promise<Result<QueryResponse>> promise;
-  };
-
-  /// \brief The request-driven execution path shared by Query and the
-  /// scheduler: validate, assign a query id, run the protocol with
-  /// per-query instrumentation, and recover Bob's records.
-  Result<QueryResponse> ExecuteQuery(const QueryRequest& request);
   /// \brief C1's side of one query. A pruned clustered request first
   /// chooses its clusters. A sharded engine then hands the query to the
   /// coordinator (only the chosen clusters' shards run); an unsharded one
@@ -276,7 +258,6 @@ class SknnEngine {
   Result<std::vector<uint32_t>> ChooseClusters(
       ProtoContext& ctx, const QueryRequest& request,
       const std::vector<Ciphertext>& enc_query);
-  void SchedulerLoop();
 
   /// \brief The construction tail shared by every factory: geometry and
   /// attribute domain, C1 pool, Bob's client, the C1-side randomizer pool,
@@ -321,8 +302,10 @@ class SknnEngine {
   std::unique_ptr<RpcClient> client_;
   std::unique_ptr<ThreadPool> c1_pool_;
   /// C1's precomputed-randomizer stock, referenced by pk_ (C2's equivalent
-  /// lives inside C2Service). Declared after everything that encrypts
-  /// through pk_ so it is destroyed first only once queries have drained.
+  /// lives inside C2Service). Only queries encrypt through it (bob_ and
+  /// coordinator_ copied pk_ before it was attached), and queries run on
+  /// their callers' threads, which must all have returned before the engine
+  /// is destroyed; no drain runs, so the pool may go before c1_pool_.
   std::unique_ptr<RandomizerPool> c1_rand_pool_;
   std::unique_ptr<QueryClient> bob_;
   /// The sknn_c1_shard workers' coordinator (CreateWithShardWorkers only).
@@ -330,15 +313,12 @@ class SknnEngine {
 
   std::atomic<uint64_t> next_query_id_{1};
 
-  // Request scheduler: dedicated dispatcher threads (one per allowed
-  // in-flight query, spawned lazily on the first Submit) drive the
-  // protocol; all heavy homomorphic work inside a query still fans out
+  // Query slots: at most c1_threads queries execute at once, whichever
+  // threads call; the heavy homomorphic work inside each still fans out
   // over the shared c1_pool_.
-  Mutex sched_mutex_;
-  CondVar sched_cv_;
-  std::deque<QueryJob> sched_queue_ GUARDED_BY(sched_mutex_);
-  std::vector<std::thread> sched_threads_ GUARDED_BY(sched_mutex_);
-  bool sched_stop_ GUARDED_BY(sched_mutex_) = false;
+  Mutex slot_mutex_;
+  CondVar slot_cv_;
+  std::size_t queries_executing_ GUARDED_BY(slot_mutex_) = 0;
 };
 
 }  // namespace sknn

@@ -5,10 +5,11 @@
 // one round trip needs — the record, k, which protocol, and which
 // measurements to collect — and a QueryResponse carries the records Bob
 // reconstructs plus the per-query instrumentation the evaluation section
-// reports. SknnEngine::Query runs one request synchronously; Submit and
-// QueryBatch pipeline independent requests over the C1 thread pool and the
-// correlation-id RPC demux (each in-flight query is isolated by its query
-// id end to end: Bob outbox, traffic meter, operation ledger).
+// reports. SknnEngine::Query runs one request on the calling thread, and
+// concurrent callers or one QueryBatch pipeline independent requests over
+// the C1 thread pool and the correlation-id RPC demux (each in-flight query
+// is isolated by its query id end to end: Bob outbox, traffic meter,
+// operation ledger).
 #ifndef SKNN_CORE_QUERY_API_H_
 #define SKNN_CORE_QUERY_API_H_
 

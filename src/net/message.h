@@ -54,7 +54,7 @@ struct Message {
   uint16_t type = 0;
   uint64_t correlation_id = 0;
   /// Identifies which client query this exchange belongs to (0 = untagged).
-  /// Assigned by C1's request scheduler; echoed back in responses.
+  /// Assigned by the C1 engine per query; echoed back in responses.
   uint64_t query_id = 0;
   std::vector<BigInt> ints;
   std::vector<uint8_t> aux;

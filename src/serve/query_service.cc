@@ -444,7 +444,7 @@ Message QueryService::HandleQuery(SessionState& session,
   in_flight_.fetch_add(1);
   entry.counters.in_flight.fetch_add(1);
 
-  Result<QueryResponse> response = engine->Submit(std::move(decoded)).get();
+  Result<QueryResponse> response = engine->Query(decoded);
   entry.counters.in_flight.fetch_sub(1);
   in_flight_.fetch_sub(1);
   table_admission_->Release(table_principal);

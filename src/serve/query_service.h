@@ -15,9 +15,10 @@
 // Queries are validated up front, then admitted under a bounded in-flight
 // budget — rejected with StatusCode::kResourceExhausted once the budget is
 // full, so overload surfaces as an explicit retry signal instead of an
-// unbounded queue — and pipelined through the target table's
-// SknnEngine::Submit, where up to Options::c1_threads of them execute
-// concurrently over that engine's C1 pool and correlation-id RPC demux.
+// unbounded queue — and run on their session's own thread through the
+// target table's SknnEngine::Query, where up to Options::c1_threads of them
+// execute concurrently over that engine's C1 pool and correlation-id RPC
+// demux.
 //
 // Many tables, many clients, one process: this is the multi-tenant serving
 // shape (each table has its own Paillier keys, database and shard
@@ -52,7 +53,8 @@ class QueryService {
  public:
   struct Options {
     /// Admission budget: how many decoded requests may be inside the
-    /// engines (scheduler queues + executing) at once, across ALL tables.
+    /// engines (waiting for a query slot + executing) at once, across ALL
+    /// tables.
     /// Requests arriving beyond it are rejected with kResourceExhausted —
     /// backpressure the thin client handles by retrying — instead of
     /// queueing without bound.

@@ -1,18 +1,26 @@
-// Tests of the request/response query surface: Query / Submit / QueryBatch
-// must be interchangeable — N concurrent submissions produce results
-// identical to a serial loop, under both a serial engine (c1_threads = 1)
-// and a parallel one (c1_threads = 4), for all three protocols — and every
-// in-flight query's instrumentation (ops, traffic) must be isolated from
-// its neighbors'.
+// Tests of the request/response query surface: Query and QueryBatch must
+// be interchangeable — N concurrent callers produce results identical to a
+// serial loop, under both a serial engine (c1_threads = 1) and a parallel
+// one (c1_threads = 4), for all three protocols — every in-flight query's
+// instrumentation (ops, traffic) must be isolated from its neighbors', and
+// at most c1_threads queries may execute in one engine at a time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
-#include <future>
+#include <map>
+#include <thread>
 #include <vector>
 
 #include "baseline/plaintext_knn.h"
+#include "common/mutex.h"
+#include "core/data_owner.h"
 #include "core/engine.h"
 #include "data/synthetic.h"
+#include "net/rpc.h"
+#include "net/socket.h"
+#include "proto/c2_service.h"
 
 namespace sknn {
 namespace {
@@ -78,6 +86,20 @@ std::vector<QueryRequest> MixedWorkload() {
   return requests;
 }
 
+// Calls engine.Query for each request on a thread of its own, all at once;
+// the responses are in request order.
+std::vector<Result<QueryResponse>> QueryFromOneThreadEach(
+    SknnEngine& engine, const std::vector<QueryRequest>& requests) {
+  std::vector<Result<QueryResponse>> responses(
+      requests.size(), Result<QueryResponse>(Status::Internal("unset")));
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    callers.emplace_back([&, i] { responses[i] = engine.Query(requests[i]); });
+  }
+  for (auto& caller : callers) caller.join();
+  return responses;
+}
+
 TEST(QueryBatchTest, BatchMatchesSerialLoopAcrossThreadCounts) {
   PlainTable table = DistinctDistanceTable(8);
   for (std::size_t c1_threads : {std::size_t{1}, std::size_t{4}}) {
@@ -106,7 +128,7 @@ TEST(QueryBatchTest, BatchMatchesSerialLoopAcrossThreadCounts) {
   }
 }
 
-TEST(QueryBatchTest, ConcurrentSubmitsMatchSerialLoop) {
+TEST(QueryBatchTest, ConcurrentQueryCallersMatchSerialLoop) {
   PlainTable table = DistinctDistanceTable(8);
   auto engine = MakeEngine(table, /*c1_threads=*/4, /*c2_threads=*/2);
   std::vector<QueryRequest> requests = MixedWorkload();
@@ -118,16 +140,13 @@ TEST(QueryBatchTest, ConcurrentSubmitsMatchSerialLoop) {
     serial.push_back(response->records);
   }
 
-  // Fire all Submits before collecting any future: every query is genuinely
-  // in flight at once.
-  std::vector<std::future<Result<QueryResponse>>> futures;
-  for (const auto& request : requests) {
-    futures.push_back(engine->Submit(request));
-  }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    Result<QueryResponse> response = futures[i].get();
-    ASSERT_TRUE(response.ok()) << response.status();
-    EXPECT_EQ(response->records, serial[i]) << "submission " << i;
+  // One caller thread per request: every query is genuinely in flight at
+  // once, up to the engine's four slots.
+  std::vector<Result<QueryResponse>> responses =
+      QueryFromOneThreadEach(*engine, requests);
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok()) << responses[i].status();
+    EXPECT_EQ(responses[i]->records, serial[i]) << "caller " << i;
   }
 }
 
@@ -271,26 +290,120 @@ TEST(QueryBatchTest, MixedValidityBatchFailsOnlyTheInvalidSlots) {
   EXPECT_EQ(results[0]->records, results[2]->records);
 }
 
-TEST(QueryBatchTest, SerialEngineStillAnswersSubmissionsInOrder) {
-  // c1_threads = 1: one scheduler dispatcher, so submissions execute
-  // one-by-one in submission order — the batch degenerates to the serial
-  // loop but through the same async plumbing.
+TEST(QueryBatchTest, SerialEngineAnswersABatchInRequestOrder) {
+  // c1_threads = 1: one batch thread and one query slot, so the batch
+  // degenerates to the serial loop, answers in request order.
   PlainTable table = DistinctDistanceTable(6);
   auto engine = MakeEngine(table, /*c1_threads=*/1, /*c2_threads=*/1);
-  std::vector<std::future<Result<QueryResponse>>> futures;
+  std::vector<QueryRequest> requests;
   for (unsigned k = 1; k <= 4; ++k) {
     QueryRequest request;
     request.record = {0, 0};
     request.k = k;
     request.protocol = QueryProtocol::kBasic;
-    futures.push_back(engine->Submit(request));
+    requests.push_back(request);
   }
+  std::vector<Result<QueryResponse>> results = engine->QueryBatch(requests);
+  ASSERT_EQ(results.size(), requests.size());
   for (unsigned k = 1; k <= 4; ++k) {
-    Result<QueryResponse> response = futures[k - 1].get();
+    const Result<QueryResponse>& response = results[k - 1];
     ASSERT_TRUE(response.ok()) << response.status();
     ASSERT_EQ(response->records.size(), k);
     // Nearest record of the distinct-distance table is always {0, 0}.
     EXPECT_EQ(response->records[0], (PlainRecord{0, 0}));
+  }
+}
+
+// C2 behind an RpcServer with more workers than the engine has query
+// slots, whose handler counts the distinct queries inside it at once: the
+// peak is how many queries the engine let execute together.
+class QueryCountingC2 {
+ public:
+  explicit QueryCountingC2(PaillierSecretKey sk) : c2_(std::move(sk)) {
+    Channel::EndpointPair link = Channel::CreatePair();
+    c1_end_ = std::move(link.a);
+    server_ = std::make_unique<RpcServer>(
+        std::move(link.b), [this](const Message& req) { return Handle(req); },
+        /*worker_threads=*/6);
+  }
+
+  std::unique_ptr<Endpoint> TakeC1End() { return std::move(c1_end_); }
+
+  std::size_t TakePeak() {
+    MutexLock lock(&mutex_);
+    std::size_t peak = peak_;
+    peak_ = 0;
+    return peak;
+  }
+
+ private:
+  Result<Message> Handle(const Message& req) {
+    if (req.query_id != 0) {
+      MutexLock lock(&mutex_);
+      ++inside_[req.query_id];
+      peak_ = std::max(peak_, inside_.size());
+    }
+    // Widen the window in which a third query's frame could overlap.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    Result<Message> response = c2_.Handle(req);
+    if (req.query_id != 0) {
+      MutexLock lock(&mutex_);
+      if (--inside_[req.query_id] == 0) inside_.erase(req.query_id);
+    }
+    return response;
+  }
+
+  C2Service c2_;
+  Mutex mutex_;
+  std::map<uint64_t, std::size_t> inside_ GUARDED_BY(mutex_);
+  std::size_t peak_ GUARDED_BY(mutex_) = 0;
+  std::unique_ptr<Endpoint> c1_end_;
+  std::unique_ptr<RpcServer> server_;  // goes before c2_ and the counters
+};
+
+TEST(QueryBatchTest, AtMostC1ThreadsQueriesExecuteAtOnce) {
+  PlainTable table = DistinctDistanceTable(8);
+  auto alice = DataOwner::Create(256);
+  ASSERT_TRUE(alice.ok()) << alice.status();
+  auto db = alice->EncryptDatabase(table, /*attr_bits=*/3);
+  ASSERT_TRUE(db.ok()) << db.status();
+  QueryCountingC2 c2(PaillierSecretKey(alice->secret_key_for_c2()));
+  SknnEngine::Options opts;
+  opts.c1_threads = 2;
+  auto created = SknnEngine::CreateWithRemoteC2(
+      alice->public_key(), std::move(db).value(), c2.TakeC1End(), opts);
+  ASSERT_TRUE(created.ok()) << created.status();
+  SknnEngine& engine = **created;
+
+  std::vector<QueryRequest> requests;
+  for (unsigned k = 1; k <= 6; ++k) {
+    QueryRequest request;
+    request.record = {0, 0};
+    request.k = k;
+    request.protocol = QueryProtocol::kBasic;
+    requests.push_back(request);
+  }
+
+  // Six callers of Query at once.
+  std::vector<Result<QueryResponse>> responses =
+      QueryFromOneThreadEach(engine, requests);
+  const std::size_t callers_peak = c2.TakePeak();
+  EXPECT_GE(callers_peak, 1u);
+  EXPECT_LE(callers_peak, 2u) << "concurrent Query callers";
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok()) << responses[i].status();
+    EXPECT_EQ(responses[i]->records, Oracle(table, requests[i])) << i;
+  }
+
+  // One six-request batch.
+  std::vector<Result<QueryResponse>> batch = engine.QueryBatch(requests);
+  const std::size_t batch_peak = c2.TakePeak();
+  EXPECT_GE(batch_peak, 1u);
+  EXPECT_LE(batch_peak, 2u) << "QueryBatch";
+  ASSERT_EQ(batch.size(), requests.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(batch[i].ok()) << batch[i].status();
+    EXPECT_EQ(batch[i]->records, Oracle(table, requests[i])) << i;
   }
 }
 

@@ -132,10 +132,10 @@ class SkNNmSecurityTest : public ::testing::Test {
     SknnEngine::Options opts;
     opts.key_bits = 256;
     opts.attr_bits = 3;
-    opts.record_c2_views = true;
     auto engine = SknnEngine::Create(table_, opts);
     ASSERT_TRUE(engine.ok()) << engine.status();
     engine_ = std::move(engine).value();
+    engine_->c2_service().set_record_views(true);
   }
 
   PlainTable table_;
@@ -151,9 +151,9 @@ TEST(SkNNmSecurityZeroTest, BetaShowsExactlyOneZeroPerIteration) {
   SknnEngine::Options opts;
   opts.key_bits = 256;
   opts.attr_bits = 3;
-  opts.record_c2_views = true;
   auto engine = SknnEngine::Create(table, opts);
   ASSERT_TRUE(engine.ok()) << engine.status();
+  (*engine)->c2_service().set_record_views(true);
 
   const unsigned k = 3;
   auto result = RunQuery(**engine, {0, 0, 0}, k, QueryProtocol::kSecure);
@@ -179,9 +179,9 @@ TEST(SkNNmSecurityZeroTest, SminViewsShowExactlyOneBitPerComparison) {
   SknnEngine::Options opts;
   opts.key_bits = 256;
   opts.attr_bits = 3;
-  opts.record_c2_views = true;
   auto engine = SknnEngine::Create(table, opts);
   ASSERT_TRUE(engine.ok()) << engine.status();
+  (*engine)->c2_service().set_record_views(true);
   const std::size_t l_aug =
       AugmentedBitWidth((*engine)->distance_bits(), table.size());
 
@@ -279,9 +279,9 @@ TEST(SecurityTest, SkNNbLeaksDistancesExactlyAsDocumented) {
   SknnEngine::Options opts;
   opts.key_bits = 256;
   opts.attr_bits = 3;
-  opts.record_c2_views = true;
   auto engine = SknnEngine::Create(table, opts);
   ASSERT_TRUE(engine.ok());
+  (*engine)->c2_service().set_record_views(true);
   auto result = RunQuery(**engine, query, 2, QueryProtocol::kBasic);
   ASSERT_TRUE(result.ok());
 

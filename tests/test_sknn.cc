@@ -188,12 +188,13 @@ TEST(SkNNEndToEnd, InvalidRequestsAreRejected) {
   EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
   r = RunQuery(**engine, {1, -1, 1}, 2, QueryProtocol::kSecure);
   EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
-  // Same validation through the async path.
+  // Same validation through the batch path.
   QueryRequest k_zero;
   k_zero.record = {1, 1, 1};
   k_zero.k = 0;
-  auto future = (*engine)->Submit(std::move(k_zero));
-  EXPECT_EQ(future.get().status().code(), StatusCode::kInvalidArgument);
+  auto batch = (*engine)->QueryBatch({k_zero});
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SkNNEndToEnd, EngineRejectsBadSetup) {
@@ -317,7 +318,6 @@ TEST(SkNNEndToEnd, ProductionCallersBlindForTheAttributeDomain) {
                                      Topology{"2 shards", 2, false},
                                      Topology{"clustered", 1, true}}) {
       SknnEngine::Options opts;
-      opts.record_c2_views = true;
       if (topology.clustered) opts.clusters = clusters;
       auto db = alice->EncryptDatabase(table, 4);
       ASSERT_TRUE(db.ok()) << db.status();
@@ -337,6 +337,7 @@ TEST(SkNNEndToEnd, ProductionCallersBlindForTheAttributeDomain) {
             std::move(db).value(), opts);
         ASSERT_TRUE(created.ok()) << created.status();
         local = std::move(created).value();
+        local->c2_service().set_record_views(true);
       }
       SknnEngine* engine = sharded ? sharded->engine.get() : local.get();
       C2Service& c2 = sharded ? sharded->c2->service() : engine->c2_service();

@@ -2,19 +2,20 @@
 // (docs/DEPLOY.md).
 //
 //   sknn_c1_shard --public pk.txt --db db.bin --port 9200
-//                 --c2-host 127.0.0.1 --c2-port 9000
-//                 --shards 4 --shard-index 1 [--scheme contiguous]
-//                 [--manifest manifest.bin] [--clusters clusters.bin]
+//                 --c2-host 127.0.0.1 --c2-port 9000 --shard-index 1
+//                 ( --shards 4 [--scheme contiguous]
+//                 | --manifest manifest.bin | --clusters clusters.bin )
 //                 [--threads N] [--connections N] [--no-short-randomizers]
 //
 // Loads the public key and the FULL encrypted database once, keeps only its
-// shard of the records (the manifest — either derived from --shards /
-// --scheme or loaded from --manifest, which wins — says which), connects to
-// the C2 key holder, and serves the coordinator's kShardPing / kShardQuery
-// frames (net/shard_wire.h) on --port. Every worker of one deployment must
-// be launched with the SAME manifest parameters against the SAME database;
-// the coordinator cross-checks this at connect time and refuses a
-// mismatched set.
+// shard of the records (the manifest — derived from --shards / --scheme,
+// loaded from --manifest, or one shard per cluster of --clusters — says
+// which; --clusters wins over --manifest, which wins over --shards),
+// connects to the C2 key holder, and serves the coordinator's kShardPing /
+// kShardQuery frames (net/shard_wire.h) on --port. Every worker of one
+// deployment must be launched with the SAME manifest parameters against the
+// SAME database; the coordinator cross-checks this at connect time and
+// refuses a mismatched set.
 //
 // --clusters (instead of --shards/--scheme/--manifest) makes this worker
 // shard `--shard-index` of a CLUSTER-partitioned deployment: it hosts the
@@ -47,9 +48,9 @@ int main(int argc, char** argv) {
   using namespace sknn::tools;
   const char* usage =
       "sknn_c1_shard --public <pk> --db <db.bin> --port <p> "
-      "--c2-host <ip> --c2-port <p> --shards <s> --shard-index <i> "
-      "[--scheme contiguous|roundrobin] [--manifest <file>] "
-      "[--clusters <file>] [--threads N] [--connections N] "
+      "[--c2-host <ip>] --c2-port <p> --shard-index <i> "
+      "(--shards <s> [--scheme contiguous|roundrobin] | --manifest <file> "
+      "| --clusters <file>) [--threads N] [--connections N] "
       "[--no-short-randomizers]";
   auto flags = ParseFlags(argc, argv,
                           {"public", "db", "port", "c2-host", "c2-port",
