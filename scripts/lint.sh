@@ -48,7 +48,10 @@
 #         through SknnEngine::CreateWithShardWorkers;
 #       - no std::promise in src/ or tools/: a query runs on the thread
 #         that calls it, and a future handed to a caller who waits on it
-#         at once is a second scheduler.
+#         at once is a second scheduler;
+#       - no FrameReader::remaining() call in src/net/query_wire.cc,
+#         src/net/shard_wire.cc or src/proto/: a decoder reads its frame's
+#         one layout and ends in Done(), never branching on the bytes left.
 #  2. clang-tidy over compile_commands.json (runs when clang-tidy is on
 #     PATH — the lint CI job; skipped with a notice otherwise). Checks are
 #     curated in .clang-tidy.
@@ -274,6 +277,19 @@ if [ -n "${promises}" ]; then
   fail "std::promise in src/ or tools/ — run the work on the calling thread \
 (SknnEngine::Query) or join the threads that run it (QueryBatch)" \
     "${promises}"
+fi
+
+# --- 1n. Length-branching decoders -----------------------------------------
+# One layout per frame per protocol revision: every field is always there,
+# so a decoder has no reason to ask how many bytes are left. A remaining()
+# call in the front-end, shard or C1<->C2 codecs is an optional tail coming
+# back. Comment lines are exempt.
+length_branches=$(grep -rn --include='*.h' --include='*.cc' \
+  -e 'remaining()' src/net/query_wire.cc src/net/shard_wire.cc src/proto \
+  2>/dev/null | grep -v ':[0-9]*:\s*//' || true)
+if [ -n "${length_branches}" ]; then
+  fail "FrameReader::remaining() in a frame codec — give the frame one \
+layout (bump kProtocolRevision) and read it to Done()" "${length_branches}"
 fi
 
 # --- 2. clang-tidy ---------------------------------------------------------

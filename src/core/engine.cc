@@ -431,7 +431,7 @@ Result<std::vector<BigInt>> SknnEngine::TakeC2Outbox(ProtoContext& ctx) {
   return std::move(resp.ints);
 }
 
-OpSnapshot SknnEngine::TakeC2QueryOps(ProtoContext& ctx) {
+std::optional<OpSnapshot> SknnEngine::TakeC2QueryOps(ProtoContext& ctx) {
   Result<Message> resp = ctx.Call(Op::kFetchQueryOps, {});
   Status status = resp.status();
   OpSnapshot ops;
@@ -445,7 +445,7 @@ OpSnapshot SknnEngine::TakeC2QueryOps(ProtoContext& ctx) {
                     << ": C2's op counts are missing from the reported "
                        "ops: "
                     << status.ToString();
-  return {};
+  return std::nullopt;
 }
 
 Result<QueryResponse> SknnEngine::Query(const QueryRequest& request) {
@@ -506,7 +506,7 @@ Result<QueryResponse> SknnEngine::Query(const QueryRequest& request) {
   SKNN_ASSIGN_OR_RETURN(std::vector<BigInt> from_c2, TakeC2Outbox(ctx));
   // The ops fetch costs a round trip, so only pay it when the caller
   // asked; an undrained ledger entry is left to C2's FIFO bound.
-  OpSnapshot c2_ops;
+  std::optional<OpSnapshot> c2_ops;
   if (request.want_op_counts) c2_ops = TakeC2QueryOps(ctx);
   // Under sharding the shard stages meter themselves (per-shard split in
   // response.shards); fold their share back into the query totals.
@@ -515,7 +515,8 @@ Result<QueryResponse> SknnEngine::Query(const QueryRequest& request) {
     response.traffic = response.traffic + shard.traffic;
   }
   if (request.want_op_counts) {
-    response.ops = meter.ops().snapshot() + c2_ops;
+    response.c2_ops_missing = !c2_ops.has_value();
+    response.ops = meter.ops().snapshot() + c2_ops.value_or(OpSnapshot{});
     for (const auto& shard : response.shards) {
       response.ops = response.ops + shard.ops;
     }

@@ -30,6 +30,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/mutex.h"
@@ -267,9 +268,9 @@ class SknnEngine {
   /// exchange tagged with its id and metered through `ctx`.
   Result<std::vector<BigInt>> TakeC2Outbox(ProtoContext& ctx);
   /// \brief C2's Paillier ledger entry for `ctx`'s query, fetched with a
-  /// tagged kFetchQueryOps exchange; zeros, and one warning in the log, if
-  /// the fetch fails (instrumentation is best-effort, results are not).
-  OpSnapshot TakeC2QueryOps(ProtoContext& ctx);
+  /// tagged kFetchQueryOps exchange; nullopt, and one warning in the log,
+  /// if the fetch fails (instrumentation is best-effort, results are not).
+  std::optional<OpSnapshot> TakeC2QueryOps(ProtoContext& ctx);
   /// \brief The tail of every factory, since any C2 may sit behind a link
   /// shared with other front ends: draws a random non-zero query-id base
   /// and pings C2, so a dead or mismatched link fails here, not on the

@@ -153,17 +153,11 @@ struct QueryResponse {
   double merge_seconds = 0;
   /// True when a serving front end answered this query from its result
   /// cache (serve/qos/result_cache.h) instead of running the protocol.
-  /// Always false from an in-process engine. Appended after merge_seconds
-  /// (aggregate-init order), like every revision's new fields.
+  /// Always false from an in-process engine.
   bool cache_hit = false;
-  /// The k×m result attributes encrypted under the TABLE's Paillier public
-  /// key, row-major, each ciphertext serialized as BigInt bytes — populated
-  /// by a serving front end for cache-eligible queries. On a cache hit these
-  /// are RerandomizeMany-refreshed, so two hits on the same entry are
-  /// unlinkable on the wire while decrypting to bitwise-identical records
-  /// (the differential proof tests/test_qos.cc runs). Empty from in-process
-  /// engines and for cache-bypassed (no_cache) requests.
-  std::vector<std::vector<uint8_t>> encrypted_records;
+  /// True when `ops` was asked for but C2's share could not be fetched
+  /// (a failed kFetchQueryOps exchange): `ops` then holds C1's share only.
+  bool c2_ops_missing = false;
 };
 
 }  // namespace sknn

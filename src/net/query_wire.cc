@@ -7,13 +7,11 @@ namespace {
 
 constexpr uint32_t kFlagBreakdown = 1;
 constexpr uint32_t kFlagOpCounts = 2;
-// Revision 6: bypass the server's result cache for this request.
 constexpr uint32_t kFlagNoCache = 4;
 
-// A serialized Paillier ciphertext is at most 2*|N| bits; 64 KiB covers
-// keys far beyond anything this system runs. Anything longer in the
-// kQueryResult cache tail is a hostile or corrupt frame.
-constexpr std::size_t kMaxCiphertextLen = std::size_t{1} << 16;
+// kQueryResult's flags word.
+constexpr uint32_t kResultCacheHit = 1;
+constexpr uint32_t kResultC2OpsMissing = 2;
 
 // Table and frame names cross the wire length-prefixed; anything longer is
 // a hostile or corrupt frame, not a legitimate identifier. Table build
@@ -23,7 +21,7 @@ constexpr std::size_t kMaxNameLen = 256;
 constexpr std::size_t kMaxSpecLen = 4096;
 
 // Smallest encodings of the repeated blocks, for FrameReader::Count.
-constexpr std::size_t kShardBlockBytes = 6 * 4 + 9 * 8;
+constexpr std::size_t kShardBlockBytes = 6 * 4 + 10 * 8;
 constexpr std::size_t kTableStatsBytes = 4 + 12 * 8 + 2 * 4 + 5 * 8;
 constexpr std::size_t kKeyStatsBytes = 4 + 5 * 8 + 4;
 constexpr std::size_t kReplicaBytes = 4 * 4 + 8 + 8;
@@ -36,23 +34,6 @@ Message NewFrame(FrontendOp op) {
   Message msg;
   msg.type = FrontendOpCode(op);
   return msg;
-}
-
-// kQueryResult's ops block: four counters, no inversions (docs/API.md).
-void WriteOps4(FrameWriter& w, const OpSnapshot& ops) {
-  w.U64(ops.encryptions)
-      .U64(ops.decryptions)
-      .U64(ops.exponentiations)
-      .U64(ops.multiplications);
-}
-
-OpSnapshot ReadOps4(FrameReader& r) {
-  OpSnapshot ops;
-  ops.encryptions = r.U64();
-  ops.decryptions = r.U64();
-  ops.exponentiations = r.U64();
-  ops.multiplications = r.U64();
-  return ops;
 }
 
 // Frames whose whole payload is one name: kTableInfo, kDetachTable,
@@ -76,18 +57,26 @@ Result<std::string> DecodeNameShape(FrontendOp op, const char* what,
 // num_tables is meaningful) differs.
 Message EncodeHelloShape(FrontendOp op, const HelloInfo& hello) {
   Message msg = NewFrame(op);
-  FrameWriter(msg.aux).U32(hello.revision).U32(hello.features).U32(
-      hello.num_tables);
+  FrameWriter(msg.aux).U32(hello.revision).U32(hello.num_tables);
   return msg;
 }
 
+// The revision word is read and checked before anything else, since the
+// rest of another revision's frame has another layout: a peer of the wrong
+// revision gets FailedPrecondition, not a ProtocolError about a length.
 Result<HelloInfo> DecodeHelloShape(FrontendOp op, const char* what,
                                    const Message& msg) {
   if (msg.type != FrontendOpCode(op)) return Status::ProtocolError(what);
   FrameReader r(msg.aux);
   HelloInfo hello;
   hello.revision = r.U32();
-  hello.features = r.U32();
+  if (!r.ok()) return Status::ProtocolError(what);
+  if (hello.revision != kProtocolRevision) {
+    return Status::FailedPrecondition(
+        "protocol revision " + std::to_string(hello.revision) +
+        " unsupported; this build speaks revision " +
+        std::to_string(kProtocolRevision));
+  }
   hello.num_tables = r.U32();
   SKNN_RETURN_NOT_OK(r.Done(what));
   return hello;
@@ -104,19 +93,10 @@ Message EncodeQueryRequest(const QueryRequest& request) {
         (request.no_cache ? kFlagNoCache : 0));
   w.U32(static_cast<uint32_t>(request.record.size()));
   for (int64_t v : request.record) w.U64(static_cast<uint64_t>(v));
-  w.Str(request.table);
-  // Exact-mode requests keep the revision-3/4 shape (optional lone deadline
-  // word) so their frames stay byte-identical across the revision bump.
-  // Clustered requests emit the full revision-5 tail: the deadline word is
-  // then always present (0 = unbounded) so the index_mode/probe words have
-  // a fixed offset.
-  if (request.index_mode != IndexMode::kExact) {
-    w.U32(request.deadline_ms)
-        .U32(static_cast<uint32_t>(request.index_mode))
-        .U32(request.probe_clusters);
-  } else if (request.deadline_ms != 0) {
-    w.U32(request.deadline_ms);
-  }
+  w.Str(request.table)
+      .U32(request.deadline_ms)
+      .U32(static_cast<uint32_t>(request.index_mode))
+      .U32(request.probe_clusters);
   return msg;
 }
 
@@ -134,19 +114,10 @@ Result<QueryRequest> DecodeQueryRequest(const Message& msg) {
   request.no_cache = (flags & kFlagNoCache) != 0;
   request.record.resize(r.Count(8));
   for (int64_t& v : request.record) v = static_cast<int64_t>(r.U64());
-  // The table name always follows the record (an encoder of every
-  // revision the hello gate admits writes it, empty for the sole table).
-  // The tail after it is 0, 4 or 12 bytes: nothing, a lone deadline, or
-  // the deadline then index_mode and probe_clusters.
   request.table = r.Str(kMaxNameLen);
-  uint32_t mode = 0;
-  if (r.remaining() == 4 || r.remaining() == 12) {
-    request.deadline_ms = r.U32();
-    if (r.remaining() == 8) {
-      mode = r.U32();
-      request.probe_clusters = r.U32();
-    }
-  }
+  request.deadline_ms = r.U32();
+  const uint32_t mode = r.U32();
+  request.probe_clusters = r.U32();
   SKNN_RETURN_NOT_OK(r.Done("front-end frame: malformed kQuery"));
   if (protocol > static_cast<uint32_t>(QueryProtocol::kFarthest)) {
     return BadFrame("unknown protocol");
@@ -170,7 +141,7 @@ Message EncodeQueryResponse(const QueryResponse& response) {
   }
   w.F64(response.bob_seconds).F64(response.cloud_seconds);
   w.Traffic(response.traffic);
-  WriteOps4(w, response.ops);
+  w.Ops(response.ops);
   const SkNNmBreakdown& phases = response.breakdown;
   w.F64(phases.ssed_seconds)
       .F64(phases.sbd_seconds)
@@ -188,15 +159,10 @@ Message EncodeQueryResponse(const QueryResponse& response) {
         .U32(shard.pruned)
         .U32(shard.shard_records)
         .F64(shard.seconds);
-    w.Traffic(shard.traffic);
-    WriteOps4(w, shard.ops);
+    w.Traffic(shard.traffic).Ops(shard.ops);
   }
-  // Revision 6's mandatory cache tail: whether the result came from the
-  // server's cache, and the rerandomized result-attribute ciphertexts for
-  // cache-eligible queries (empty otherwise).
-  w.U32(response.cache_hit ? 1 : 0);
-  w.U32(static_cast<uint32_t>(response.encrypted_records.size()));
-  for (const std::vector<uint8_t>& ct : response.encrypted_records) w.Bytes(ct);
+  w.U32((response.cache_hit ? kResultCacheHit : 0) |
+        (response.c2_ops_missing ? kResultC2OpsMissing : 0));
   return msg;
 }
 
@@ -217,7 +183,7 @@ Result<QueryResponse> DecodeQueryResponse(const Message& msg) {
   response.bob_seconds = r.F64();
   response.cloud_seconds = r.F64();
   response.traffic = r.Traffic();
-  response.ops = ReadOps4(r);
+  response.ops = r.Ops();
   SkNNmBreakdown& phases = response.breakdown;
   phases.ssed_seconds = r.F64();
   phases.sbd_seconds = r.F64();
@@ -236,13 +202,11 @@ Result<QueryResponse> DecodeQueryResponse(const Message& msg) {
     shard.shard_records = r.U32();
     shard.seconds = r.F64();
     shard.traffic = r.Traffic();
-    shard.ops = ReadOps4(r);
+    shard.ops = r.Ops();
   }
-  response.cache_hit = r.U32() != 0;
-  response.encrypted_records.resize(r.Count(4));
-  for (std::vector<uint8_t>& ct : response.encrypted_records) {
-    ct = r.Bytes(kMaxCiphertextLen);
-  }
+  const uint32_t flags = r.U32();
+  response.cache_hit = (flags & kResultCacheHit) != 0;
+  response.c2_ops_missing = (flags & kResultC2OpsMissing) != 0;
   SKNN_RETURN_NOT_OK(r.Done("front-end frame: malformed kQueryResult"));
   return response;
 }

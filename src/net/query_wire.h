@@ -2,8 +2,8 @@
 //
 // The serving topology (docs/DEPLOY.md) splits Bob from C1: a thin client
 // connects to the standing C1 query front end (serve/query_service.h),
-// NEGOTIATES the contract with one kHello/kHelloAck exchange — protocol
-// revision plus feature bits, so a client from the wrong era gets a typed
+// NEGOTIATES the contract with one kHello/kHelloAck exchange — the
+// protocol revision, so a client from the wrong era gets a typed
 // kQueryError instead of silent garbage — and then sends kQuery frames,
 // each naming the TABLE it targets (the front end may host many independent
 // encrypted tables behind one port; empty = the sole table, the pre-
@@ -28,8 +28,8 @@
 // Each codec is its frame's field list over net/message.h's FrameWriter
 // and FrameReader: the decoder reads the fields in the order the encoder
 // writes them, every count is bounded by the bytes left, and a frame with
-// bytes left over is refused unless the layout documents an optional tail
-// (kQuery's 0, 4 or 12 bytes after the table name).
+// bytes left over is refused: each frame has one layout per revision, with
+// no optional fields.
 //
 // The full frame catalog, encoding rules, negotiation rules and
 // version-compatibility policy are specified in docs/API.md.
@@ -45,112 +45,35 @@
 namespace sknn {
 
 /// \brief Revision of the client-facing wire contract this build speaks.
-/// Revision history:
-///   1 — PR 3/4: unversioned kQuery/kQueryResult/kQueryError only.
-///   2 — PR 5: hello/negotiation mandatory, kQuery carries a table name,
-///       control-plane frames (list/info/stats).
-///   3 — PR 7: per-query deadlines (kQuery gains a trailing deadline_ms),
-///       replica stats in kQueryResult's per-shard block (a LAYOUT change —
-///       revision-2 decoders would misread it, hence the min bump), replica
-///       health (kHealth), hot table reload/detach (kReloadTable /
-///       kDetachTable / kAdminAck) and the kTableChanged server note.
-///   4 — PR 8: randomizer-pool counters in kServiceStatsResult's per-table
-///       block (8 trailing u64 per table — a LAYOUT change, revision-3
-///       decoders would misparse the widened entry, hence the min bump).
-///   5 — PR 9: clustered (approximate) index mode. kQuery grows an optional
-///       [index_mode:u32][probe_clusters:u32] tail after the deadline,
-///       kQueryResult's per-shard block widens by [pruned:u32]
-///       [shard_records:u32] (a LAYOUT change — revision-4 decoders would
-///       misread the 96-byte entries, hence the min bump), and
-///       kTableInfoResult appends [num_clusters:u32].
-///   6 — PR 10: serving QoS. kQueryResult appends a mandatory cache tail
-///       after the shard blocks ([cache_hit:u32][enc_count:u32] plus the
-///       rerandomized result ciphertexts — a LAYOUT change: a revision-5
-///       decoder's exact-size check rejects every revision-6 result, hence
-///       the min bump), kQuery gains flags bit 2 (no_cache),
-///       kServiceStatsResult's per-table block widens by the admission
-///       weight/share and result-cache counters and the reply appends a
-///       per-API-key section, kAuthenticate/kAuthAck gate the data plane
-///       when the server runs with an API-key registry, and the
-///       kPermissionDenied status code crosses the wire.
-constexpr uint32_t kProtocolRevision = 6;
-/// \brief Oldest client revision the server still accepts. Revision 5
-/// clients would reject the widened kQueryResult (their exact-size check
-/// fails on the cache tail), so the hello gate turns them away with a typed
-/// error instead of letting them decode garbage. Revision 1 clients cannot
-/// hello at all, and their kQuery frames (no table name) are malformed.
-constexpr uint32_t kMinSupportedRevision = 6;
-
-/// \brief Feature bits advertised in kHello/kHelloAck. A client MUST ignore
-/// bits it does not know; a server advertises exactly what it implements.
-enum FrontendFeature : uint32_t {
-  /// kQuery dispatches on a table name; kListTables/kTableInfo exist.
-  kFeatureMultiTable = 1u << 0,
-  /// QueryResponse carries per-shard stats for sharded tables.
-  kFeatureShardStats = 1u << 1,
-  /// kServiceStats exists.
-  kFeatureServiceStats = 1u << 2,
-  /// kQuery honors deadline_ms; overruns surface as kDeadlineExceeded.
-  kFeatureDeadlines = 1u << 3,
-  /// kHealth exists; kQueryResult per-shard blocks carry replica/failovers.
-  kFeatureReplicaHealth = 1u << 4,
-  /// kReloadTable/kDetachTable exist; kTableChanged notes are pushed.
-  kFeatureHotReload = 1u << 5,
-  /// kQuery honors index_mode/probe_clusters (clustered approximate mode);
-  /// kTableInfoResult reports num_clusters.
-  kFeatureClusteredIndex = 1u << 6,
-  /// The server may answer kQuery from a per-table result cache with
-  /// rerandomized ciphertexts; kQueryResult carries the cache tail and
-  /// kQuery honors the no_cache flag (bit 2).
-  kFeatureResultCache = 1u << 7,
-  /// Admission is per-table weighted fair sharing + token buckets instead
-  /// of one service-wide budget; kServiceStatsResult reports weight/share.
-  kFeatureFairAdmission = 1u << 8,
-  /// kAuthenticate/kAuthAck exist; when the server runs with an API-key
-  /// registry, kQuery requires a successful kAuthenticate after the hello.
-  kFeatureApiKeyAuth = 1u << 9,
-};
-
-/// \brief Every feature this build implements.
-constexpr uint32_t kSupportedFeatures =
-    kFeatureMultiTable | kFeatureShardStats | kFeatureServiceStats |
-    kFeatureDeadlines | kFeatureReplicaHealth | kFeatureHotReload |
-    kFeatureClusteredIndex | kFeatureResultCache | kFeatureFairAdmission |
-    kFeatureApiKeyAuth;
+/// A server accepts exactly this revision; every layout change bumps it.
+/// The revision history is in docs/API.md ("Version policy").
+constexpr uint32_t kProtocolRevision = 7;
 
 enum class FrontendOp : uint16_t {
   /// One Bob query. aux = [k:u32][protocol:u32][flags:u32][m:u32][m x i64]
-  /// [table_len:u32][table bytes], flags bit 0 = want_breakdown, bit 1 =
-  /// want_op_counts, bit 2 (revision 6) = no_cache (bypass the server's
-  /// result cache); attributes as two's-complement little-endian u64
-  /// (requests are validated server-side, so out-of-domain values must
-  /// survive the wire intact to be rejected with a proper Status). The
-  /// table suffix is mandatory; the empty name means the sole table.
-  /// Revision 3 appends an optional [deadline_ms:u32] after the table: the
-  /// query's end-to-end budget in milliseconds, 0/absent = unbounded.
-  /// Revision 5 may append [index_mode:u32][probe_clusters:u32] after the
-  /// deadline (the deadline word is then always present, 0 = unbounded):
-  /// index_mode 0 = exact, 1 = clustered approximate search probing the
-  /// probe_clusters nearest clusters. The tail after the table is therefore
-  /// 0, 4 or 12 bytes — any other length is malformed.
+  /// [table_len:u32][table bytes][deadline_ms:u32][index_mode:u32]
+  /// [probe_clusters:u32], flags bit 0 = want_breakdown, bit 1 =
+  /// want_op_counts, bit 2 = no_cache (bypass the server's result cache);
+  /// attributes as two's-complement little-endian u64 (requests are
+  /// validated server-side, so out-of-domain values must survive the wire
+  /// intact to be rejected with a proper Status). The empty table name
+  /// means the sole table. deadline_ms is the query's end-to-end budget in
+  /// milliseconds, 0 = unbounded; index_mode 0 = exact, 1 = clustered
+  /// approximate search probing the probe_clusters nearest clusters.
   kQuery = 0x0101,
   /// Success. aux = [rows:u32][cols:u32][rows*cols x i64]
-  /// [bob_seconds:f64][cloud_seconds:f64][traffic:4 x u64][ops:4 x u64]
+  /// [bob_seconds:f64][cloud_seconds:f64][traffic:4 x u64][ops:5 x u64]
   /// [breakdown:6 x f64][merge_seconds:f64][num_shards:u32] then per shard
   /// [shard:u32][candidates:u32][replica:u32][failovers:u32][pruned:u32]
-  /// [shard_records:u32][seconds:f64][traffic:4 x u64][ops:4 x u64]
-  /// (num_shards = 0 for unsharded execution), f64 as IEEE-754 bit patterns
-  /// in u64. The replica/failovers words are revision 3's layout change:
-  /// which replica served the shard and how many replica attempts failed
-  /// first. The pruned/shard_records words are revision 5's layout change:
-  /// whether the clustered probe round skipped the shard entirely, and how
-  /// many records the shard holds (cluster sizes are unequal). Revision 6
-  /// appends a MANDATORY cache tail after the shard blocks:
-  /// [cache_hit:u32][enc_count:u32] then per ciphertext [len:u32][bytes] —
-  /// the k*m result attributes encrypted under the table's key, refreshed
-  /// with RerandomizeMany on every cache hit so repeated hits are
-  /// unlinkable on the wire (enc_count = 0 when the query was not
-  /// cache-eligible).
+  /// [shard_records:u32][seconds:f64][traffic:4 x u64][ops:5 x u64]
+  /// (num_shards = 0 for unsharded execution) then [flags:u32], f64 as
+  /// IEEE-754 bit patterns in u64 and ops as FrameWriter::Ops writes them.
+  /// replica/failovers: which replica served the shard and how many replica
+  /// attempts failed first; pruned/shard_records: whether the clustered
+  /// probe round skipped the shard, and how many records it holds. flags
+  /// bit 0 = cache_hit (answered from the result cache), bit 1 =
+  /// c2_ops_missing (C2's op counts could not be fetched, so `ops` holds
+  /// C1's share only).
   kQueryResult = 0x0102,
   /// Failure. aux = [status code:u32][message bytes].
   kQueryError = 0x0103,
@@ -158,11 +81,11 @@ enum class FrontendOp : uint16_t {
   // -- Session handshake (revision 2) --
 
   /// Client -> server, first frame of every session.
-  /// aux = [revision:u32][features:u32][reserved:u32] — the same 12-byte
-  /// shape as kHelloAck; the third word is 0 in this direction.
+  /// aux = [revision:u32][reserved:u32] — the same 8-byte shape as
+  /// kHelloAck; the second word is 0 in this direction.
   kHello = 0x0110,
   /// Server -> client on an accepted hello.
-  /// aux = [revision:u32][features:u32][num_tables:u32].
+  /// aux = [revision:u32][num_tables:u32].
   kHelloAck = 0x0111,
 
   // -- Control plane (revision 2) --
@@ -249,12 +172,13 @@ inline uint16_t FrontendOpCode(FrontendOp op) {
   return static_cast<uint16_t>(op);
 }
 
-/// \brief The negotiated session parameters a kHello/kHelloAck exchange
-/// carries (client -> server: what the client speaks; server -> client:
-/// what the server speaks plus how many tables it serves).
+/// \brief What a kHello/kHelloAck exchange carries (client -> server: the
+/// revision the client speaks; server -> client: the same, plus how many
+/// tables it serves). Both decoders read the revision word first and refuse
+/// any revision but kProtocolRevision with FailedPrecondition, before the
+/// rest of the frame: another revision's layout is not this one's.
 struct HelloInfo {
   uint32_t revision = kProtocolRevision;
-  uint32_t features = kSupportedFeatures;
   /// Only meaningful in the ack direction.
   uint32_t num_tables = 0;
 };

@@ -66,8 +66,8 @@ Message EncodeShardQuery(const ShardQueryFrame& frame) {
   msg.type = ShardOpCode(ShardOp::kShardQuery);
   msg.query_id = frame.query_id;
   FrameWriter w(msg.aux);
-  w.U32(frame.k).U32(static_cast<uint32_t>(frame.protocol));
-  if (frame.deadline_ms != 0) w.U32(frame.deadline_ms);
+  w.U32(frame.k).U32(static_cast<uint32_t>(frame.protocol)).U32(
+      frame.deadline_ms);
   msg.ints.reserve(frame.enc_query.size());
   for (const auto& c : frame.enc_query) msg.ints.push_back(c.value());
   return msg;
@@ -82,8 +82,7 @@ Result<ShardQueryFrame> DecodeShardQuery(const Message& msg) {
   frame.query_id = msg.query_id;
   frame.k = r.U32();
   const uint32_t protocol = r.U32();
-  // 8 bytes = the original header; 12 = with the trailing deadline word.
-  if (r.remaining() == 4) frame.deadline_ms = r.U32();
+  frame.deadline_ms = r.U32();
   SKNN_RETURN_NOT_OK(r.Done("shard frame: bad kShardQuery header"));
   if (protocol > static_cast<uint32_t>(QueryProtocol::kFarthest)) {
     return BadFrame("unknown protocol");

@@ -10,7 +10,8 @@
 //   kShardPing       coordinator -> worker at connect: the worker answers
 //                    with its geometry (shard index, manifest, db shape) so
 //                    a misconfigured worker set fails fast, not per query.
-//   kShardQuery      one query's fan-out leg: Epk(Q), k, protocol; the
+//   kShardQuery      one query's fan-out leg: Epk(Q), k, protocol and the
+//                    attempt's deadline_ms (0 = unbounded); the
 //                    query id rides the Message header so the worker tags
 //                    its C2 exchanges with it (one ledger entry per query
 //                    across coordinator AND workers).
@@ -24,7 +25,7 @@
 //
 // Each codec is the frame's field list over net/message.h's FrameWriter and
 // FrameReader, so every decoder is bounds-checked and exact: a frame is
-// accepted only at its documented length (kShardQuery: 8 or 12 bytes).
+// accepted only at its one documented length (kShardQuery: 12 bytes).
 #ifndef SKNN_NET_SHARD_WIRE_H_
 #define SKNN_NET_SHARD_WIRE_H_
 
@@ -72,9 +73,7 @@ struct ShardQueryFrame {
   QueryProtocol protocol = QueryProtocol::kSecure;
   /// Milliseconds this attempt may take, 0 = unbounded. The worker arms its
   /// ProtoContext deadline with it so a hung C2 fails the stage as
-  /// kDeadlineExceeded instead of pinning the worker thread forever. Rides
-  /// as an OPTIONAL trailing aux word: pre-deadline workers never see it,
-  /// pre-deadline coordinators never send it.
+  /// kDeadlineExceeded instead of pinning the worker thread forever.
   uint32_t deadline_ms = 0;
   std::vector<Ciphertext> enc_query;
 };

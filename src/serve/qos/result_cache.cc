@@ -51,19 +51,15 @@ void ResultCache::Invalidate() {
   bytes_ = 0;
 }
 
-std::size_t ResultCache::CostOf(const CachedResult& result) {
-  std::size_t cost = sizeof(Node) + sizeof(Key) + sizeof(QueryResponse);
-  for (const PlainRecord& record : result.response.records) {
+std::size_t ResultCache::CostOf(const QueryResponse& result) {
+  std::size_t cost = sizeof(Node) + sizeof(Key);
+  for (const PlainRecord& record : result.records) {
     cost += record.size() * sizeof(int64_t);
   }
-  cost += result.response.shards.size() * sizeof(ShardQueryStats);
-  for (const Ciphertext& ct : result.encrypted) {
-    cost += (ct.value().BitLength() + 7) / 8 + sizeof(Ciphertext);
-  }
-  return cost;
+  return cost + result.shards.size() * sizeof(ShardQueryStats);
 }
 
-std::optional<ResultCache::CachedResult> ResultCache::Lookup(const Key& key) {
+std::optional<QueryResponse> ResultCache::Lookup(const Key& key) {
   MutexLock lock(&mutex_);
   if (max_bytes_ == 0) return std::nullopt;
   auto it = entries_.find(key);
@@ -76,7 +72,7 @@ std::optional<ResultCache::CachedResult> ResultCache::Lookup(const Key& key) {
   return it->second.result;
 }
 
-void ResultCache::Insert(const Key& key, CachedResult result,
+void ResultCache::Insert(const Key& key, QueryResponse result,
                          uint64_t generation) {
   const std::size_t cost = CostOf(result);
   MutexLock lock(&mutex_);

@@ -1,19 +1,13 @@
-// ResultCache — the per-table rerandomized response cache of the serving
-// QoS subsystem (protocol revision 6).
+// ResultCache — the per-table response cache of the serving QoS subsystem.
 //
 // Every kQuery a front end answers is deterministic given (table contents,
 // query record, k, protocol, index knobs), so identical requests against an
 // unchanged table can be answered from memory instead of re-running seconds
-// of homomorphic work. The catch is unlinkability: serving the SAME bytes
-// twice would let a network observer correlate two queries. The cache
-// therefore stores, next to the plaintext response, the k×m result
-// attributes encrypted under the TABLE's Paillier key, and every hit is
-// served with those ciphertexts refreshed by Paillier rerandomization
-// (c · r^N) — two hits on one entry decrypt to bitwise-identical records
-// while sharing no bytes on the wire. (The demo wire carries the plaintext
-// records either way — docs/DEPLOY.md, "Trust model of the thin-client
-// split" — so the ciphertext tail is where the unlinkability property
-// actually lives, and what tests/test_qos.cc proves differentially.)
+// of homomorphic work. An entry is the plain QueryResponse of the run that
+// populated it; a hit sends it again, flagged cache_hit. (The thin-client
+// wire carries the plaintext records — docs/DEPLOY.md, "Trust model of the
+// thin-client split" — so a hit is as linkable as the miss before it; the
+// answer's privacy is ROADMAP item 16's, not the cache's.)
 //
 // Keys are SHA-256 fingerprints over every request field that influences
 // the answer: table name, k, protocol, index_mode, probe_clusters, and the
@@ -36,12 +30,10 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "core/query_api.h"
-#include "crypto/paillier.h"
 
 namespace sknn {
 
@@ -49,17 +41,6 @@ class ResultCache {
  public:
   /// 32-byte SHA-256 fingerprint of everything that determines a response.
   using Key = std::array<uint8_t, 32>;
-
-  /// \brief What one entry holds: the FULL response of the run that
-  /// populated it (records, shard stats, phase breakdown — a hit reports
-  /// the instrumentation of that original run, flagged by cache_hit), plus
-  /// the result-attribute ciphertexts under the table's public key
-  /// (rerandomized by the caller on every hit, never served as stored; the
-  /// stored response's own encrypted_records stay empty).
-  struct CachedResult {
-    QueryResponse response;
-    std::vector<Ciphertext> encrypted;
-  };
 
   struct Stats {
     uint64_t hits = 0;
@@ -77,9 +58,9 @@ class ResultCache {
   explicit ResultCache(std::size_t max_bytes = 0,
                        std::size_t max_entries = kDefaultMaxEntries);
 
-  /// The byte budget holds the full entry cap at K = 1024, where an answer
-  /// of k·m = 30 ciphertexts costs about 9.5 KiB; at K = 2048 it binds
-  /// first, near 3800 such entries (docs/DEPLOY.md).
+  /// An entry is its plaintext records plus the response's fixed fields,
+  /// under 1 KiB for k·m = 30, so the entry cap binds long before the byte
+  /// budget (docs/DEPLOY.md).
   static constexpr std::size_t kDefaultMaxBytes = 64u << 20;
   static constexpr std::size_t kDefaultMaxEntries = 4096;
 
@@ -105,15 +86,16 @@ class ResultCache {
   /// generation and its Insert is refused.
   void Invalidate();
 
-  /// \brief LRU lookup; counts a hit or a miss. The returned copy is the
-  /// caller's to rerandomize — the stored ciphertexts are never mutated.
-  std::optional<CachedResult> Lookup(const Key& key);
+  /// \brief LRU lookup; counts a hit or a miss. Returns the FULL stored
+  /// response of the run that populated the entry (records, shard stats,
+  /// phase breakdown), as that run reported it.
+  std::optional<QueryResponse> Lookup(const Key& key);
 
   /// \brief Inserts (or refreshes) an entry, evicting LRU tails past either
   /// budget. Dropped without effect when `generation` no longer matches —
   /// the caller computed its response against an engine that has since been
   /// reloaded away — or when the result alone exceeds the byte budget.
-  void Insert(const Key& key, CachedResult result, uint64_t generation);
+  void Insert(const Key& key, QueryResponse result, uint64_t generation);
 
   Stats stats() const;
 
@@ -127,12 +109,12 @@ class ResultCache {
     }
   };
   struct Node {
-    CachedResult result;
+    QueryResponse result;
     std::size_t cost = 0;
     std::list<Key>::iterator lru_pos;
   };
 
-  static std::size_t CostOf(const CachedResult& result);
+  static std::size_t CostOf(const QueryResponse& result);
   void EvictToBudgetLocked() REQUIRES(mutex_);
 
   std::atomic<uint64_t> generation_{0};

@@ -304,24 +304,13 @@ Message QueryService::Reject(const Status& status,
 
 Message QueryService::HandleHello(SessionState& session,
                                   const Message& request) {
+  // The decoder refuses any revision but this build's (FailedPrecondition).
   Result<HelloInfo> hello = DecodeHello(request);
   if (!hello.ok()) {
     return Reject(hello.status(), &Stats::hello_rejected);
   }
-  if (hello->revision < kMinSupportedRevision ||
-      hello->revision > kProtocolRevision) {
-    return Reject(
-        Status::FailedPrecondition(
-            "QueryService: protocol revision " +
-            std::to_string(hello->revision) + " unsupported; this server "
-            "speaks revisions " + std::to_string(kMinSupportedRevision) +
-            ".." + std::to_string(kProtocolRevision)),
-        &Stats::hello_rejected);
-  }
   session.hello_done.store(true, std::memory_order_release);
   HelloInfo ack;
-  ack.revision = kProtocolRevision;
-  ack.features = kSupportedFeatures;
   ack.num_tables = static_cast<uint32_t>(registry_->size());
   return EncodeHelloAck(ack);
 }
@@ -379,11 +368,10 @@ Message QueryService::HandleQuery(SessionState& session,
   if (cacheable) {
     cache_key = ResultCache::Fingerprint(entry.name, decoded);
     if (!decoded.no_cache) {
-      if (std::optional<ResultCache::CachedResult> hit =
-              entry.cache.Lookup(cache_key)) {
+      if (std::optional<QueryResponse> hit = entry.cache.Lookup(cache_key)) {
         // A hit is a served query: it is charged against the key's quota
-        // but bypasses admission — it costs a few rerandomization modexps,
-        // not a protocol run, so it must not occupy a protocol slot.
+        // but bypasses admission — it is a copy, not a protocol run, so it
+        // must not occupy a protocol slot.
         if (keyed) {
           if (Status charged = auth_->ChargeQuery(key); !charged.ok()) {
             entry.counters.rejected.fetch_add(1);
@@ -395,20 +383,11 @@ Message QueryService::HandleQuery(SessionState& session,
         // run's instrumentation (shard stats, breakdown), flagged by
         // cache_hit so a reader knows these numbers are that run's, not
         // this round trip's.
-        QueryResponse response = std::move(hit->response);
-        response.cache_hit = true;
-        // Fresh randomness on every hit: the wire ciphertexts of two hits
-        // on the same entry share no bytes, while decrypting identically.
-        const std::vector<Ciphertext> refreshed =
-            engine->public_key().RerandomizeMany(hit->encrypted);
-        response.encrypted_records.reserve(refreshed.size());
-        for (const Ciphertext& ct : refreshed) {
-          response.encrypted_records.push_back(ct.value().ToBytes());
-        }
+        hit->cache_hit = true;
         entry.counters.completed.fetch_add(1);
         MutexLock lock(&mutex_);
         ++stats_.queries_completed;
-        return EncodeQueryResponse(response);
+        return EncodeQueryResponse(*hit);
       }
     }
   }
@@ -461,27 +440,8 @@ Message QueryService::HandleQuery(SessionState& session,
     MutexLock lock(&mutex_);
     ++stats_.queries_completed;
   }
-  if (cacheable) {
-    // Encrypt the result attributes under the TABLE's public key: the
-    // ciphertexts ride the response (so a key-holding client can verify
-    // them) and seed the cache entry future hits rerandomize from. Insert
-    // is generation-checked — see the pin at the top.
-    std::vector<BigInt> plain;
-    plain.reserve(response->records.size() *
-                  (response->records.empty() ? 0
-                                             : response->records[0].size()));
-    for (const PlainRecord& record : response->records) {
-      for (int64_t attr : record) plain.emplace_back(attr);
-    }
-    ResultCache::CachedResult cached;
-    cached.encrypted = engine->public_key().EncryptMany(plain);
-    cached.response = *response;  // stored WITHOUT the ciphertext tail
-    response->encrypted_records.reserve(cached.encrypted.size());
-    for (const Ciphertext& ct : cached.encrypted) {
-      response->encrypted_records.push_back(ct.value().ToBytes());
-    }
-    entry.cache.Insert(cache_key, std::move(cached), cache_generation);
-  }
+  // Insert is generation-checked — see the pin at the top.
+  if (cacheable) entry.cache.Insert(cache_key, *response, cache_generation);
   return EncodeQueryResponse(*response);
 }
 

@@ -173,10 +173,7 @@ Result<std::shared_ptr<RpcClient>> RemoteQueryClient::EnsureLink() {
     if (rpc_ == nullptr) return last;
   }
   if (!hello_done_) {
-    HelloInfo hello;
-    hello.revision = kProtocolRevision;
-    hello.features = kSupportedFeatures;
-    Result<Message> reply = rpc_->Call(EncodeHello(hello), kHelloTimeout);
+    Result<Message> reply = rpc_->Call(EncodeHello(HelloInfo{}), kHelloTimeout);
     if (!reply.ok()) {
       // No answer to the hello: this endpoint is dead or hung. Drop the
       // link and advance, so the CALLER's next attempt dials the next

@@ -119,7 +119,8 @@ class RemoteQueryClient {
   explicit RemoteQueryClient(std::unique_ptr<Endpoint> link);
 
   /// \brief Negotiates the session: sends this build's protocol revision
-  /// and feature bits, returns the server's. Idempotent — later calls
+  /// and returns the server's ack (FailedPrecondition when the server
+  /// speaks another revision). Idempotent — later calls
   /// return the cached ack without another round trip (re-run
   /// automatically after a failover). Every other method calls this
   /// implicitly first.

@@ -300,18 +300,30 @@ TEST(MultiTableTest, HelloVersionMismatchIsRejectedWithTypedStatus) {
   auto raw = topology.NewRawLink();
 
   // A revision-1 client (the PR 3/4 era predates the hello frame entirely,
-  // but a hypothetical one) and a client from the future both get the same
-  // typed answer.
+  // but a hypothetical one), a client from the future, and a revision-6
+  // client's hello byte for byte as its encoder wrote it ([revision 6]
+  // [feature bits][reserved], longer than this revision's hello) all get
+  // the same typed answer, naming the revision this server speaks: the
+  // decoder reads the revision word before the frame's length.
+  std::vector<Message> hellos;
   for (uint32_t revision : {uint32_t{1}, kProtocolRevision + 1}) {
-    HelloInfo hello;
-    hello.revision = revision;
-    auto reply = raw->Call(EncodeHello(hello));
-    ASSERT_TRUE(reply.ok()) << reply.status();
-    ASSERT_EQ(reply->type, FrontendOpCode(FrontendOp::kQueryError))
-        << "revision " << revision;
-    EXPECT_EQ(DecodeQueryError(*reply).code(),
-              StatusCode::kFailedPrecondition);
+    hellos.push_back(EncodeHello(HelloInfo{revision, 0}));
   }
+  hellos.push_back(EncodeHello(HelloInfo{}));
+  hellos.back().aux.clear();
+  FrameWriter(hellos.back().aux).U32(6).U32(0x3FF).U32(0);
+  const uint64_t rejected_before = topology.service().stats().hello_rejected;
+  for (const Message& hello : hellos) {
+    auto reply = raw->Call(hello);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    ASSERT_EQ(reply->type, FrontendOpCode(FrontendOp::kQueryError));
+    const Status refused = DecodeQueryError(*reply);
+    EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition) << refused;
+    EXPECT_NE(refused.message().find("revision 7"), std::string::npos)
+        << refused;
+  }
+  EXPECT_EQ(topology.service().stats().hello_rejected,
+            rejected_before + hellos.size());
   // The rejected hellos did not mark the session negotiated.
   auto still_gated = raw->Call(EncodeQueryRequest(
       MakeRequest("alpha", {1, 0}, 1, QueryProtocol::kBasic)));
@@ -334,7 +346,6 @@ TEST(MultiTableTest, ControlPlaneRoundTripsThroughRemoteQueryClient) {
   auto hello = client->Hello();
   ASSERT_TRUE(hello.ok()) << hello.status();
   EXPECT_EQ(hello->revision, kProtocolRevision);
-  EXPECT_TRUE(hello->features & kFeatureMultiTable);
   EXPECT_EQ(hello->num_tables, 2u);
 
   auto tables = client->ListTables();

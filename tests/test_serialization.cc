@@ -199,8 +199,7 @@ TEST(DbIoErrorTest, WriteRejectsEmptyAndUnopenablePaths) {
 // Malformed-frame sweep over BOTH wire catalogs (net/query_wire.h,
 // net/shard_wire.h): every frame type, truncated at EVERY aux length from 0
 // to full. A truncated frame must decode successfully ONLY at the lengths
-// the contract documents as valid shorter shapes (kQuery's optional
-// revision tails, kShardQuery's optional deadline word, the free-length
+// the contract documents as valid shorter shapes (the free-length
 // error-message frames); every other cut must come back as a typed error —
 // never an out-of-bounds read, which the sanitizer CI leg would turn into a
 // crash right here.
@@ -225,7 +224,7 @@ void SweepAuxTruncations(const Message& full,
   }
 }
 
-TEST(FrameTruncationSweep, QueryRequestAllowsOnlyDocumentedTails) {
+TEST(FrameTruncationSweep, QueryRequestIsExactSize) {
   QueryRequest request;
   request.record = {5, -3, 7};
   request.k = 2;
@@ -235,21 +234,43 @@ TEST(FrameTruncationSweep, QueryRequestAllowsOnlyDocumentedTails) {
   request.index_mode = IndexMode::kClustered;
   request.probe_clusters = 2;
   Message full = EncodeQueryRequest(request);
-  // header(16) + record(24) + len(4) + "t1"(2) = the shortest frame; the
-  // table name is mandatory, so a frame ending at the record (40) is
-  // malformed. + deadline(4) = revision-3 tail; + mode/probe(8) =
-  // revision-5 tail.
+  // header(16) + record(24) + len(4) + "t1"(2) + deadline, mode and
+  // probe(12): one layout, whatever the request asks for.
   ASSERT_EQ(full.aux.size(), 58u);
   SweepAuxTruncations(
-      full, {46, 50},
-      [](const Message& m) { return DecodeQueryRequest(m).ok(); }, "kQuery");
+      full, {}, [](const Message& m) { return DecodeQueryRequest(m).ok(); },
+      "kQuery");
 
-  // The exact-mode frame keeps the revision-3/4 shape byte for byte: no
-  // clustered tail ever rides a default request (old servers stay
-  // compatible with new exact-mode clients).
   request.index_mode = IndexMode::kExact;
   request.deadline_ms = 0;
-  EXPECT_EQ(EncodeQueryRequest(request).aux.size(), 46u);
+  request.probe_clusters = 0;
+  EXPECT_EQ(EncodeQueryRequest(request).aux.size(), 58u);
+}
+
+// The shorter shapes older revisions accepted — kQuery ending at the table
+// name or after a lone deadline word, kShardQuery without its deadline
+// word — are malformed frames now, refused as such.
+TEST(FrameTruncationSweep, FormerOptionalTailsAreProtocolErrors) {
+  QueryRequest request;
+  request.record = {5, -3, 7};
+  request.table = "t1";
+  const Message full = EncodeQueryRequest(request);
+  for (std::size_t tail : {0u, 4u}) {
+    Message shorter = full;
+    shorter.aux.resize(46 + tail);
+    EXPECT_EQ(DecodeQueryRequest(shorter).status().code(),
+              StatusCode::kProtocolError)
+        << "kQuery with a " << tail << "-byte tail";
+  }
+
+  ShardQueryFrame query;
+  query.k = 2;
+  query.enc_query = {Ciphertext(BigInt(7))};
+  Message header8 = EncodeShardQuery(query);
+  ASSERT_EQ(header8.aux.size(), 12u);
+  header8.aux.resize(8);
+  EXPECT_EQ(DecodeShardQuery(header8).status().code(),
+            StatusCode::kProtocolError);
 }
 
 TEST(FrameTruncationSweep, QueryResponsePerShardBlocksAreExactSize) {
@@ -371,9 +392,8 @@ TEST(FrameTruncationSweep, ShardFramesAllowOnlyTheDeadlineTail) {
   query.k = 2;
   query.deadline_ms = 500;
   query.enc_query = {Ciphertext(BigInt(7))};
-  // aux length 8 = the pre-deadline header, a documented valid shape.
   SweepAuxTruncations(
-      EncodeShardQuery(query), {8},
+      EncodeShardQuery(query), {},
       [](const Message& m) { return DecodeShardQuery(m).ok(); },
       "kShardQuery");
 
@@ -428,36 +448,37 @@ const std::map<std::string, std::string> kGoldenFrames = {
          "000006000000030000000500000000000000fdffffffffffffff070000000000"
          "0000020000007431fa0000000100000003000000"},
     {"kQuery.exact_deadline",
-         "0101000000000000000000000000000000000000000035000000030000000000"
+         "010100000000000000000000000000000000000000003d000000030000000000"
          "0000030000000300000001000000000000000000000000010000ffffffffffff"
-         "ffff050000006865617274e8030000"},
+         "ffff050000006865617274e80300000000000001000000"},
     {"kQuery.exact",
-         "010100000000000000000000000000000000000000001c000000010000000200"
-         "00000100000001000000040000000000000000000000"},
+         "0101000000000000000000000000000000000000000028000000010000000200"
+         "0000010000000100000004000000000000000000000000000000000000000100"
+         "0000"},
     {"kQueryResult",
-         "0201000000000000000000000000000000000000000098010000020000000300"
+         "02010000000000000000000000000000000000000000a0010000020000000300"
          "00000100000000000000feffffffffffffff0300000000000000040000000000"
          "00000500000000000000faffffffffffffff000000000000d03f000000000000"
          "f83f220000000000000028230000000000002100000000000000401f00000000"
          "00000a0000000000000014000000000000001e00000000000000280000000000"
-         "0000000000000000e03f000000000000d03f0000000000000040000000000000"
-         "c03f000000000000b03f000000000000f03f000000000000e83f020000000000"
-         "00000200000001000000010000000000000004000000000000000000e03f0100"
-         "0000000000000200000000000000030000000000000004000000000000000500"
-         "0000000000000600000000000000070000000000000008000000000000000100"
-         "0000000000000000000000000000010000000300000000000000000000000000"
+         "00003200000000000000000000000000e03f000000000000d03f000000000000"
+         "0040000000000000c03f000000000000b03f000000000000f03f000000000000"
+         "e83f020000000000000002000000010000000100000000000000040000000000"
+         "00000000e03f0100000000000000020000000000000003000000000000000400"
+         "0000000000000500000000000000060000000000000007000000000000000800"
+         "0000000000000900000000000000010000000000000000000000000000000100"
+         "0000030000000000000000000000000000000000000000000000000000000000"
          "0000000000000000000000000000000000000000000000000000000000000000"
-         "0000000000000000000000000000000000000000000000000000000000000100"
-         "0000020000000300000001020301000000ff"},
+         "0000000000000000000000000000000000000000000003000000"},
     {"kQueryError",
          "0301000000000000000000000000000000000000000012000000090000006164"
          "6d697373696f6e2066756c6c"},
     {"kHello",
-         "100100000000000000000000000000000000000000000c00000006000000ff03"
-         "000000000000"},
+         "1001000000000000000000000000000000000000000008000000070000000000"
+         "0000"},
     {"kHelloAck",
-         "110100000000000000000000000000000000000000000c00000006000000ff03"
-         "000003000000"},
+         "1101000000000000000000000000000000000000000008000000070000000300"
+         "0000"},
     {"kListTables",
          "1201000000000000000000000000000000000000000000000000"},
     {"kTableList",
@@ -603,13 +624,13 @@ std::vector<std::pair<std::string, Message>> GoldenFrames() {
   response.shards[1].pruned = 1;
   response.shards[1].shard_records = 3;
   response.cache_hit = true;
-  response.encrypted_records = {{0x01, 0x02, 0x03}, {0xFF}};
+  response.c2_ops_missing = true;
   add("kQueryResult", EncodeQueryResponse(response));
   add("kQueryError",
       EncodeQueryError(Status::ResourceExhausted("admission full")));
 
-  add("kHello", EncodeHello(HelloInfo{6, 0x3FF, 0}));
-  add("kHelloAck", EncodeHelloAck(HelloInfo{6, 0x3FF, 3}));
+  add("kHello", EncodeHello(HelloInfo{7, 0}));
+  add("kHelloAck", EncodeHelloAck(HelloInfo{7, 3}));
   add("kListTables", EncodeListTablesRequest());
   add("kTableList", EncodeTableList({"alpha", "b"}));
   add("kTableInfo", EncodeTableInfoRequest("tbl"));
@@ -816,7 +837,8 @@ TEST(StatusFrames, BothOpcodesCarryEveryDefinedCode) {
 // Every decoder gets a few hundred mutants of its golden sample: bit flips,
 // u32 words set to 0, 1, 2^31 and 0xFFFFFFFF, truncations and appended
 // bytes. Each decode must return a value or kProtocolError — never another
-// code, and never a crash or an out-of-bounds read (the sanitizer CI leg
+// code (but FailedPrecondition from a hello whose revision word is not this
+// build's), and never a crash or an out-of-bounds read (the sanitizer CI leg
 // runs this binary). An accepted mutant must round-trip: its value, encoded
 // and decoded again, encodes to the same bytes.
 
@@ -906,13 +928,27 @@ std::map<std::string, RoundTrip> FrameDecoders() {
   };
 }
 
+// True when `msg` is the hello frame `name` decodes, from another revision:
+// the hello decoders refuse it with FailedPrecondition, before its length.
+bool OtherRevisionHello(const Message& msg, const std::string& name) {
+  const FrontendOp op =
+      name == "kHello" ? FrontendOp::kHello : FrontendOp::kHelloAck;
+  if (name.rfind("kHello", 0) != 0 || msg.type != FrontendOpCode(op)) {
+    return false;
+  }
+  FrameReader r(msg.aux);
+  return r.U32() != kProtocolRevision && r.ok();
+}
+
 // True when `round_trip` accepted `msg`; fails the test on any other code
 // or on an accepted frame that does not round-trip.
 bool CheckDecode(const RoundTrip& round_trip, const Message& msg,
                  const std::string& name) {
   Result<Message> first = round_trip(msg);
   if (!first.ok()) {
-    EXPECT_EQ(first.status().code(), StatusCode::kProtocolError)
+    EXPECT_EQ(first.status().code(), OtherRevisionHello(msg, name)
+                                         ? StatusCode::kFailedPrecondition
+                                         : StatusCode::kProtocolError)
         << name << ": " << first.status();
     return false;
   }

@@ -144,6 +144,52 @@ TEST(ServingTest, RemotePathMatchesLocalEngineBitwise) {
   }
 }
 
+// kQueryResult carries all five op counters: a thin client reports the
+// same OpSnapshot as the in-process engine, inversions included.
+TEST(ServingTest, ThinClientSeesEveryOpCounter) {
+  ServingTopology topology(DistinctDistanceTable(8));
+  auto client = topology.NewClient();
+  for (QueryProtocol protocol :
+       {QueryProtocol::kBasic, QueryProtocol::kSecure}) {
+    SCOPED_TRACE(QueryProtocolName(protocol));
+    QueryRequest request = MakeRequest({5, 0}, 2, protocol);
+    request.want_op_counts = true;
+    auto local = topology.reference().Query(request);
+    ASSERT_TRUE(local.ok()) << local.status();
+    auto remote = client->Query(request);
+    ASSERT_TRUE(remote.ok()) << remote.status();
+    EXPECT_GT(local->ops.inversions, 0u);
+    EXPECT_EQ(remote->ops.encryptions, local->ops.encryptions);
+    EXPECT_EQ(remote->ops.decryptions, local->ops.decryptions);
+    EXPECT_EQ(remote->ops.exponentiations, local->ops.exponentiations);
+    EXPECT_EQ(remote->ops.multiplications, local->ops.multiplications);
+    EXPECT_EQ(remote->ops.inversions, local->ops.inversions);
+    EXPECT_FALSE(local->c2_ops_missing);
+    EXPECT_FALSE(remote->c2_ops_missing);
+  }
+}
+
+// A front end of another revision: its ack, byte for byte as a revision-6
+// server wrote it, is refused by the client with FailedPrecondition.
+TEST(ServingTest, ClientRefusesARevision6Ack) {
+  Channel::EndpointPair link = Channel::CreatePair();
+  // The client sends nothing but hellos: each is answered with that ack.
+  RpcServer front_end(std::move(link.b), [](const Message&) -> Result<Message> {
+    Message ack;
+    ack.type = FrontendOpCode(FrontendOp::kHelloAck);
+    FrameWriter(ack.aux).U32(6).U32(0x3FF).U32(1);
+    return ack;
+  });
+  RemoteQueryClient client(std::move(link.a));
+  auto hello = client.Hello();
+  ASSERT_FALSE(hello.ok());
+  EXPECT_EQ(hello.status().code(), StatusCode::kFailedPrecondition)
+      << hello.status();
+  auto query = client.Query(MakeRequest({1, 0}, 1, QueryProtocol::kBasic));
+  EXPECT_EQ(query.status().code(), StatusCode::kFailedPrecondition)
+      << query.status();
+}
+
 TEST(ServingTest, ConcurrentThinClientsAllGetTheirOwnAnswer) {
   ServingTopology topology(DistinctDistanceTable(8), /*c1_threads=*/2,
                            /*max_in_flight=*/8);
@@ -341,25 +387,18 @@ TEST(ServingTest, RetryBackoffSurvivesDegenerateAndExtremePolicies) {
 }
 
 TEST(ServingTest, DeadlineZeroMeansUnboundedEverywhere) {
-  // deadline_ms = 0 is "no deadline" at every layer: the wire omits or
-  // zeroes the word, the decoder reproduces 0, and the serving stack runs
-  // the query to completion instead of expiring it instantly.
+  // deadline_ms = 0 is "no deadline" at every layer: the wire carries the
+  // word as an explicit 0 in every index mode, the decoder reproduces 0,
+  // and the serving stack runs the query to completion instead of
+  // expiring it instantly.
   QueryRequest request = MakeRequest({1, 0}, 2, QueryProtocol::kSecure);
   request.deadline_ms = 0;
-  // Exact-mode frames omit the deadline word entirely when it is 0 (the
-  // pre-deadline frame shape, byte for byte)...
-  Message frame = EncodeQueryRequest(request);
-  auto decoded = DecodeQueryRequest(frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->deadline_ms, 0u);
-  // ...and clustered-mode frames carry it as an explicit 0, which still
-  // decodes as unbounded.
-  request.index_mode = IndexMode::kClustered;
-  Message clustered_frame = EncodeQueryRequest(request);
-  EXPECT_EQ(clustered_frame.aux.size(), frame.aux.size() + 12);
-  auto clustered_decoded = DecodeQueryRequest(clustered_frame);
-  ASSERT_TRUE(clustered_decoded.ok()) << clustered_decoded.status();
-  EXPECT_EQ(clustered_decoded->deadline_ms, 0u);
+  for (IndexMode mode : {IndexMode::kExact, IndexMode::kClustered}) {
+    request.index_mode = mode;
+    auto decoded = DecodeQueryRequest(EncodeQueryRequest(request));
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(decoded->deadline_ms, 0u);
+  }
 
   ServingTopology topology(DistinctDistanceTable(6));
   auto client = topology.NewClient();
@@ -522,7 +561,8 @@ TEST(ServingTest, SingleEndpointClientRetriesAFrontEndThatDroppedItsLink) {
 // against a C2 whose answers to them arrive one byte short: instrumentation
 // is best-effort, so the query still returns the oracle's records, C2's
 // share of the ops and the C2 pool counters read zero, and the lost op
-// counts leave one warning in the log.
+// counts leave one warning in the log and mark the response
+// c2_ops_missing, in-process and through a thin client alike.
 TEST(ServingTest, TruncatedC2MetaRepliesCostOnlyInstrumentation) {
   PlainTable table = DistinctDistanceTable(6);
   SknnEngine::Options options;
@@ -564,6 +604,21 @@ TEST(ServingTest, TruncatedC2MetaRepliesCostOnlyInstrumentation) {
   EXPECT_GT(response->ops.encryptions, 0u);
   EXPECT_NE(log.find("C2's op counts are missing"), std::string::npos)
       << log;
+  EXPECT_TRUE(response->c2_ops_missing);
+
+  QueryService service(engine->get(), QueryService::Options{});
+  ASSERT_TRUE(service.Start(0).ok());
+  auto client = RemoteQueryClient::Connect("127.0.0.1", service.port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  testing::internal::CaptureStderr();
+  auto served = (*client)->Query(request);
+  testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(served->records, response->records);
+  EXPECT_EQ(served->ops.decryptions, 0u);
+  EXPECT_TRUE(served->c2_ops_missing);
+  client->reset();
+  service.Shutdown();
 
   const SknnEngine::RandomizerPoolStats stats =
       (*engine)->randomizer_pool_stats();

@@ -1,7 +1,7 @@
 // sknn_admin — operator's window into a serving front end.
 //
 //   sknn_admin --host 127.0.0.1 --port 9100 [--json] <command>
-//     --hello              negotiation check: protocol revision + features
+//     --hello              negotiation check: protocol revision + table count
 //     --list-tables        the served table names, one per line
 //     --table-info [name]  one table's geometry + shard topology
 //                          (no name = every table)
@@ -192,13 +192,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (json) {
-      std::printf("{\"revision\":%u,\"features\":%u,\"num_tables\":%u}\n",
-                  ack->revision, ack->features, ack->num_tables);
+      std::printf("{\"revision\":%u,\"num_tables\":%u}\n", ack->revision,
+                  ack->num_tables);
       return 0;
     }
-    std::printf("protocol revision %u, features 0x%x, %u table%s\n",
-                ack->revision, ack->features, ack->num_tables,
-                ack->num_tables == 1 ? "" : "s");
+    std::printf("protocol revision %u, %u table%s\n", ack->revision,
+                ack->num_tables, ack->num_tables == 1 ? "" : "s");
     return 0;
   }
   if (flags.count("list-tables")) {

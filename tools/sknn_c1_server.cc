@@ -38,7 +38,7 @@
 // weight= sets the table's share of the --max-in-flight budget under
 // contention (weighted fair admission; default 1), rate=/burst= arm a
 // token-bucket QPS limit (default off), and cache= bounds the table's
-// rerandomized result cache in bytes — the tool defaults it ON at
+// result cache in bytes — the tool defaults it ON at
 // ResultCache::kDefaultMaxBytes; cache=0 disables it. --api-keys <file>
 // enables per-user authentication and quotas: each line of the file is
 // id:sha256(key):quota:weight, sessions must kAuthenticate before kQuery.

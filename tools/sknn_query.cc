@@ -14,7 +14,7 @@
 // every query with PermissionDenied. --no-cache asks the front end to
 // bypass its result cache for this query (a fresh protocol run, e.g. to
 // cross-check a cached answer); --stats prints whether the answer was a
-// cache hit.
+// cache hit, and marks op counts that lack C2's share.
 //
 // --index-mode clustered asks the front end for the table's approximate
 // clustered index (sknn_encrypt --clusters): one secure centroid-scoring
@@ -171,13 +171,12 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   if (flags.count("stats")) {
-    std::printf("# cache %s  encrypted-results %zu\n",
-                response->cache_hit ? "hit" : "miss",
-                response->encrypted_records.size());
-    std::printf("# bob %.6fs  cloud %.6fs  traffic %s  ops %s\n",
+    std::printf("# cache %s\n", response->cache_hit ? "hit" : "miss");
+    std::printf("# bob %.6fs  cloud %.6fs  traffic %s  ops %s%s\n",
                 response->bob_seconds, response->cloud_seconds,
                 response->traffic.ToString().c_str(),
-                response->ops.ToString().c_str());
+                response->ops.ToString().c_str(),
+                response->c2_ops_missing ? " (C2's share missing)" : "");
     const SkNNmBreakdown& phases = response->breakdown;
     if (phases.total() > 0) {  // basic has no phases to split
       std::printf(
